@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check fmt vet metriclint build test race stress crash serve-test shard-test proto-test repl-test advise-test fuzz-short probe bench benchjson
+.PHONY: check fmt vet metriclint build test race stress crash serve-test shard-test proto-test repl-test advise-test fuzz-short relbench-test bench microbench
 
-## check: the full CI gate — formatting, vet, metric-name lint, build, tests under the race detector, concurrency stress, crash recovery, client/server serving, shard routing, wire protocol (negotiation + golden vectors + short fuzz), replication, adaptive merging, and the quick probes (read-under-write + cross-shard IND)
-check: fmt vet metriclint build race stress crash serve-test shard-test proto-test repl-test advise-test probe
+## check: the full CI gate — formatting, vet, metric-name lint, build, tests under the race detector, concurrency stress, crash recovery, client/server serving, shard routing, wire protocol (negotiation + golden vectors + short fuzz), replication, adaptive merging, and the nested benchmark module (its tests + a smoke run)
+check: fmt vet metriclint build race stress crash serve-test shard-test proto-test repl-test advise-test relbench-test
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -27,7 +27,7 @@ race:
 
 ## stress: the concurrency stress suite, fresh (uncached) under the race detector
 stress:
-	$(GO) test -race -count=1 -run 'Stress|Concurrent|Mixed' ./internal/engine/ ./internal/workload/ ./internal/attrset/
+	$(GO) test -race -count=1 -run 'Stress|Concurrent|Mixed' ./internal/engine/ ./internal/attrset/
 
 ## crash: the crash-recovery suite — WAL replay, failpoint injection, the recovery property matrix — fresh under the race detector
 crash:
@@ -47,9 +47,10 @@ proto-test:
 	$(GO) test -run xxx -fuzz FuzzBinaryRoundTrip -fuzztime 10s ./internal/server/
 	$(GO) test -run xxx -fuzz FuzzReadFrame -fuzztime 10s ./internal/server/
 
-## repl-test: the replication suite — WAL streaming and shipped-commit validation, follower catch-up, failover promotion, stream-fault (gap/reorder/duplicate) refusal, and the follower Session conformance reads — fresh under the race detector
+## repl-test: the replication suite — WAL streaming and shipped-commit validation, follower catch-up, failover promotion, stream-fault (gap/reorder/duplicate) refusal, and the follower Session conformance reads — fresh under the race detector; the follower package itself twenty times over, because its tests race a poll loop against the primary
 repl-test:
-	$(GO) test -race -count=1 -run 'Repl|Follower|Promote|Failover|Ship|Stream|Snapshot|Checkpoint' ./internal/wal/ ./internal/engine/ ./internal/repl/ ./pkg/relmerge/
+	$(GO) test -race -count=1 -run 'Repl|Follower|Promote|Failover|Ship|Stream|Snapshot|Checkpoint' ./internal/wal/ ./internal/engine/ ./pkg/relmerge/
+	$(GO) test -race -count=20 ./internal/repl/
 
 ## advise-test: the adaptive-merging suite — live schema migration (engine + router), the migration crash matrix, co-access measurement, the online decision policy, and the public Advise/ApplyRecommendation API — fresh under the race detector
 advise-test:
@@ -60,13 +61,15 @@ fuzz-short:
 	$(GO) test -run xxx -fuzz FuzzBinaryRoundTrip -fuzztime 60s ./internal/server/
 	$(GO) test -run xxx -fuzz FuzzReadFrame -fuzztime 60s ./internal/server/
 
-## probe: the quick gates — the MVCC read path stays lock-free beside a saturating writer, and cross-shard routing exercises the IND probe path and rejects dangling keys
-probe:
-	$(GO) run ./cmd/benchreport -probe
+## relbench-test: the nested benchmark module (the root build does not see it) — its tests, then every workload once at smoke length through the model gate
+relbench-test:
+	cd benchmark && $(GO) test ./...
+	bash benchmark/run.sh -smoke
 
+## bench: the system benchmark (relbench; workloads and metrics in BENCHMARK.json)
 bench:
-	$(GO) test -bench . -benchmem -run xxx ./internal/attrset/ ./internal/fd/
+	bash benchmark/run.sh
 
-## benchjson: regenerate the machine-readable perf report committed as BENCH_PR10.json
-benchjson:
-	$(GO) run ./cmd/benchreport -json BENCH_PR10.json
+## microbench: the attribute-set and FD-closure micro-benchmarks
+microbench:
+	$(GO) test -bench . -benchmem -run xxx ./internal/attrset/ ./internal/fd/

@@ -1,11 +1,13 @@
-// Package repro holds the benchmark harness: one benchmark per experiment in
-// DESIGN.md's index (E1–E10 covering every figure and proposition of the
-// paper, P1–P3 covering the motivating performance claims). Run with
+// Package repro holds the micro-benchmarks: one per experiment in DESIGN.md's
+// index (E1–E10 covering every figure and proposition of the paper) plus
+// P1–P5, the only copy of the design-level performance experiments (profile
+// lookups base vs. merged, declarative vs. trigger maintenance, Merge +
+// RemoveAll vs. merge-set size, advisor, query planner). Run with
 //
 //	go test -bench=. -benchmem
 //
-// and see cmd/benchreport for the human-readable reproduction of each
-// figure's content.
+// See cmd/benchreport for the human-readable reproduction of each figure's
+// content, and benchmark/ (relbench) for the system benchmark.
 package repro
 
 import (

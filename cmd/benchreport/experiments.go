@@ -30,7 +30,7 @@ func mustMerge(s *schema.Schema, names []string, name string) *core.MergedScheme
 
 // E1 — Figure 1: the MS translation (RS), the Teorey baseline (RS'), and a
 // mechanical demonstration of the DATE/NR anomaly.
-func runE1(int) {
+func runE1() {
 	rs, err := translate.MS(eer.Fig1())
 	must(err)
 	fmt.Println("RS (figure 1(ii), Markowitz–Shoshani translation):")
@@ -56,7 +56,7 @@ func runE1(int) {
 
 // E2 — Figure 2: the two merges of OFFER and TEACH, plus the synthesis
 // baseline of the introduction.
-func runE2(int) {
+func runE2() {
 	fmt.Println("synthesis baseline (Beeri–Bernstein–Goodman, equivalent-key merging):")
 	schemes := fd.Synthesize(
 		[]string{"COURSE", "FACULTY", "DEPARTMENT"},
@@ -77,12 +77,12 @@ func runE2(int) {
 }
 
 // E3 — Figure 3.
-func runE3(int) {
+func runE3() {
 	fmt.Println(indent(figures.Fig3().String()))
 }
 
 // E4 — Figure 4.
-func runE4(int) {
+func runE4() {
 	m := mustMerge(figures.Fig3(), []string{"COURSE", "OFFER", "TEACH"}, "COURSE'")
 	fmt.Println(indent(m.Schema.String()))
 	fmt.Printf("all inclusion dependencies key-based: %v   (paper: false — dependency (11))\n",
@@ -90,7 +90,7 @@ func runE4(int) {
 }
 
 // E5 — Figure 5.
-func runE5(int) {
+func runE5() {
 	m := mustMerge(figures.Fig3(), []string{"COURSE", "OFFER", "TEACH", "ASSIST"}, "COURSE''")
 	fmt.Println(indent(m.Schema.String()))
 	fmt.Printf("all inclusion dependencies key-based: %v   (paper: true)\n",
@@ -98,7 +98,7 @@ func runE5(int) {
 }
 
 // E6 — Figure 6.
-func runE6(int) {
+func runE6() {
 	m := mustMerge(figures.Fig3(), []string{"COURSE", "OFFER", "TEACH", "ASSIST"}, "COURSE''")
 	removed := m.RemoveAll()
 	fmt.Printf("removed key copies of: %v\n\n", removed)
@@ -116,7 +116,7 @@ func mustMergeRemovable() error {
 }
 
 // E7 — Figure 7 and its translation.
-func runE7(int) {
+func runE7() {
 	es := eer.Fig7()
 	fmt.Printf("EER schema: %d entity-sets, %d relationship-sets, %d ISA links\n",
 		len(es.Entities), len(es.Relationships), len(es.ISAs))
@@ -127,7 +127,7 @@ func runE7(int) {
 }
 
 // E8 — Figure 8 structure table.
-func runE8(int) {
+func runE8() {
 	type row struct {
 		name   string
 		es     *eer.Schema
@@ -157,7 +157,7 @@ func runE8(int) {
 }
 
 // E9 — property verification of Props. 3.1, 4.1, 4.2.
-func runE9(rows int) {
+func runE9() {
 	s := figures.Fig3()
 	names := []string{"COURSE", "OFFER", "TEACH", "ASSIST"}
 	fmt.Printf("Prop 3.1: key-relations of %v: %v\n", names, keyrel.Find(s, names))
@@ -189,11 +189,10 @@ func runE9(rows int) {
 	m := mustMerge(s, names, "COURSE''")
 	m.RemoveAll()
 	fmt.Printf("Prop 4.1(ii): merged schema in BCNF: %v\n", core.AllBCNF(m.Schema))
-	_ = rows
 }
 
 // E10 — the Prop. 5.1 / 5.2 condition table over merge sets of figure 3.
-func runE10(int) {
+func runE10() {
 	s := figures.Fig3()
 	sets := [][]string{
 		{"COURSE", "OFFER"},

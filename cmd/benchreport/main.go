@@ -1,13 +1,15 @@
-// Command benchreport regenerates every evaluation artifact of Markowitz
-// (ICDE 1992): the worked figures 1–8 (experiments E1–E8), the empirical
-// verification of Propositions 3.1, 4.1, 4.2, 5.1, and 5.2 (E9–E10), and the
-// performance experiments behind the paper's motivating claims (P1–P3).
+// Command benchreport regenerates the paper-facing artifacts of Markowitz
+// (ICDE 1992): the worked figures 1–8 (experiments E1–E8) and the empirical
+// verification of Propositions 3.1, 4.1, 4.2, 5.1, and 5.2 (E9–E10). Every
+// experiment is deterministic and pinned byte-for-byte by a golden file in
+// testdata/. Performance is measured elsewhere: the system benchmark is
+// relbench (benchmark/, BENCHMARK.json) and the micro-benchmarks live in
+// bench_test.go.
 //
 // Usage:
 //
 //	benchreport            # run everything
 //	benchreport -only E4   # run one experiment
-//	benchreport -rows 200  # scale the performance experiments
 package main
 
 import (
@@ -20,37 +22,12 @@ import (
 type experiment struct {
 	id    string
 	title string
-	run   func(rows int)
+	run   func()
 }
 
 func main() {
-	var (
-		only     = flag.String("only", "", "run a single experiment (e.g. E4 or P1)")
-		rows     = flag.Int("rows", 100, "row count for the performance experiments")
-		jsonPath = flag.String("json", "", "write machine-readable micro-benchmarks to this file and exit")
-		probe    = flag.Bool("probe", false, "quick read-under-write sanity check (the make-check gate) and exit")
-	)
+	only := flag.String("only", "", "run a single experiment (e.g. E4)")
 	flag.Parse()
-
-	if *probe {
-		if err := runProbe(); err != nil {
-			fmt.Fprintf(os.Stderr, "benchreport: %v\n", err)
-			os.Exit(1)
-		}
-		if err := runShardProbe(); err != nil {
-			fmt.Fprintf(os.Stderr, "benchreport: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *jsonPath != "" {
-		if err := runJSON(*jsonPath); err != nil {
-			fmt.Fprintf(os.Stderr, "benchreport: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	experiments := []experiment{
 		{"E1", "Figure 1: ER translation vs. the Teorey baseline (the WORKS anomaly)", runE1},
@@ -63,18 +40,6 @@ func main() {
 		{"E8", "Figure 8: structures amenable to single-relation representation", runE8},
 		{"E9", "Props. 3.1/4.1/4.2: key-relations, information capacity, BCNF", runE9},
 		{"E10", "Props. 5.1/5.2: DBMS applicability conditions", runE10},
-		{"P1", "Access performance: object-profile lookups, base vs. merged", runP1},
-		{"P2", "Maintenance overhead: declarative vs. trigger-style constraints", runP2},
-		{"P3", "Procedure scalability: Merge + RemoveAll cost vs. merge-set size", runP3},
-		{"P4", "Denormalization advisor: workload-driven merge recommendations", runP4},
-		{"P5", "Concurrent scalability: mixed workload throughput vs. goroutines", runP5},
-		{"P6", "Durability overhead: mixed workload throughput vs. fsync policy", runP6},
-		{"P7", "Client/server serving: Session throughput, embedded vs. remote", runP7},
-		{"P8", "Read-under-write: MVCC reader throughput vs. saturating writer", runP8},
-		{"P9", "Shard scaling: write throughput and cross-shard IND probe cost vs. shard count", runP9},
-		{"P10", "Wire protocol overhead: binary v2 vs JSON v1, throughput and bytes/op", runP10},
-		{"P11", "Replication: follower read fan-out, shipping lag, failover", runP11},
-		{"P12", "Adaptive merging: live advisor A/B, merge-favorable vs merge-hostile", runP12},
 	}
 
 	matched := false
@@ -84,7 +49,7 @@ func main() {
 		}
 		matched = true
 		fmt.Printf("═══ %s — %s\n\n", e.id, e.title)
-		e.run(*rows)
+		e.run()
 		fmt.Println()
 	}
 	if !matched {

@@ -56,7 +56,6 @@ func main() {
 		wire        = flag.String("wire", "binary", "highest wire codec to negotiate: binary (protocol v2) or json (v1 only); v1-only clients get JSON either way")
 		adviseMode  = flag.String("advise", "off", "adaptive-merge advisor: off, suggest (log recommendations), or auto (additionally apply only-NNA merges to the live design); not valid with -replica-of")
 		adviseEvery = flag.Duration("advise-interval", time.Second, "decision cadence of the -advise loop")
-		accessDelay = flag.Duration("access-delay", 0, "simulated storage access delay per operation (benchmark knob)")
 		drainWait   = flag.Duration("drain-timeout", 10*time.Second, "how long a signal-triggered drain waits for in-flight requests")
 		quiet       = flag.Bool("quiet", false, "suppress lifecycle log lines")
 	)
@@ -114,11 +113,6 @@ func main() {
 		}
 	}
 
-	var delayOpts []relmerge.EngineOption
-	if *accessDelay > 0 {
-		delayOpts = append(delayOpts, relmerge.WithAccessDelay(*accessDelay))
-	}
-
 	var db server.Backend
 	var follower *repl.Follower
 	if *replicaOf != "" {
@@ -132,8 +126,8 @@ func main() {
 		case *dataPath != "":
 			fatal(fmt.Errorf("relmerged: -replica-of cannot load -data (state ships from the primary)"))
 		}
-		eng, err := buildEngine(s, orig, merges, "", append(delayOpts,
-			relmerge.WithDurability(*durableDir, fsyncPolicy), relmerge.AsReplica()))
+		eng, err := buildEngine(s, orig, merges, "", []relmerge.EngineOption{
+			relmerge.WithDurability(*durableDir, fsyncPolicy), relmerge.AsReplica()})
 		if err != nil {
 			fatal(err)
 		}
@@ -153,12 +147,11 @@ func main() {
 		// shard (shard-<i>/ subdirectories), so WithDurability stays out of
 		// the engine options here — relmerge.Open wires the per-shard WALs.
 		router, err := buildRouter(s, orig, merges, *dataPath, relmerge.Config{
-			Backend:       relmerge.Sharded,
-			Schema:        s,
-			Shards:        *shards,
-			DurableDir:    *durableDir,
-			Sync:          fsyncPolicy,
-			EngineOptions: delayOpts,
+			Backend:    relmerge.Sharded,
+			Schema:     s,
+			Shards:     *shards,
+			DurableDir: *durableDir,
+			Sync:       fsyncPolicy,
 		})
 		if err != nil {
 			fatal(err)
@@ -171,7 +164,7 @@ func main() {
 		logf("relmerged: routing across %d engine shards", *shards)
 		db = router
 	} else {
-		engOpts := delayOpts
+		var engOpts []relmerge.EngineOption
 		if *durableDir != "" {
 			engOpts = append(engOpts, relmerge.WithDurability(*durableDir, fsyncPolicy))
 		}

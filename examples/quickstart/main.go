@@ -2,7 +2,7 @@
 // relation-schemes with compatible primary keys into one, see the null
 // constraints the merge generates, round-trip a database state through the
 // η/η′ mappings to confirm nothing is lost, and serve the merged design
-// through the Session API (the same interface relmerge.Dial returns for a
+// through the Session API (the same interface relmerge.Open returns for a
 // relmerged server).
 //
 // Everything comes from the public pkg/relmerge facade; no internal imports.

@@ -10,12 +10,12 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden files from current output")
 
-// The figure reproductions are pinned byte-for-byte: any change to the
-// constraint sets Merge/Remove generate for the paper's figures shows up as
-// a golden diff. Regenerate with: go test -run Golden -update .
+// Every experiment benchreport runs is pinned byte-for-byte: any change to
+// the constraint sets Merge/Remove generate for the paper's figures, or to
+// the seeded proposition checks (E9), shows up as a golden diff. Regenerate with: go test -run Golden -update .
 func TestGoldenFigureReports(t *testing.T) {
 	bin := buildTool(t, "benchreport")
-	for _, id := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E8", "E10"} {
+	for _, id := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			out, err := run(t, bin, "-only", id)

@@ -19,23 +19,6 @@ type CacheStats struct {
 	InternedNames    int
 }
 
-// IndexHitRate returns hits/(hits+misses) for the index cache, 0 when idle.
-func (s CacheStats) IndexHitRate() float64 {
-	return rate(s.IndexHits, s.IndexMisses)
-}
-
-// ClosureHitRate returns hits/(hits+misses) for the closure memo, 0 when idle.
-func (s CacheStats) ClosureHitRate() float64 {
-	return rate(s.ClosureHits, s.ClosureMisses)
-}
-
-func rate(hits, misses int64) float64 {
-	if hits+misses == 0 {
-		return 0
-	}
-	return float64(hits) / float64(hits+misses)
-}
-
 // CacheStats returns a snapshot of the engine's cache counters. The closure
 // totals are exact sums of the per-stripe atomic counters; hit/miss/eviction
 // arithmetic (misses − evictions = cache size, in the steady state with no

@@ -38,12 +38,6 @@ func TestCacheStatsCounts(t *testing.T) {
 	if st.InternedNames != 4 { // a0..a3
 		t.Errorf("InternedNames = %d", st.InternedNames)
 	}
-	if got := st.ClosureHitRate(); got != 1.0/3 {
-		t.Errorf("ClosureHitRate = %v", got)
-	}
-	if (CacheStats{}).ClosureHitRate() != 0 {
-		t.Error("idle hit rate should be 0")
-	}
 }
 
 func TestCacheEvictionCounts(t *testing.T) {

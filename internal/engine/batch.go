@@ -78,7 +78,6 @@ func (db *DB) InsertBatchCtx(ctx context.Context, name string, tuples []relation
 		return err
 	}
 	defer db.m.insertLat.ObserveSince(start)
-	db.simAccess()
 	// Group-wise validation first: arity and intra-batch primary-key
 	// duplicates are detectable before any staging, so the common bad-batch
 	// cases fail without building a write transaction at all. Not counted as
@@ -134,7 +133,6 @@ func (db *DB) ApplyBatchCtx(ctx context.Context, ops []BatchOp) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	db.simAccess()
 	tx := db.beginWrite()
 	var eff effects
 	for i, op := range ops {

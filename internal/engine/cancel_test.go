@@ -3,7 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
-	"sync"
+	"runtime"
 	"testing"
 	"time"
 
@@ -11,48 +11,60 @@ import (
 	"repro/internal/relation"
 )
 
-// A deadline that expires while an op is queued behind a contended lock plan
+// endWhileQueued runs call against a COURSE write plan the test itself
+// holds, ends call's context once call is queued behind that plan, and only
+// then releases it — so call's entry check saw a live context and its
+// post-acquisition re-check sees an ended one, with no timing involved.
+func endWhileQueued(t *testing.T, db *DB, call func(ctx context.Context) error) error {
+	t.Helper()
+	held := db.lm.insert["COURSE"]
+	db.acquire(held)
+	acquired := db.lockAcq.Load()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- call(ctx) }()
+	// acquire counts before it blocks: a moved counter means call is past
+	// its entry check and waiting on the held plan.
+	for giveUp := time.Now().Add(10 * time.Second); db.lockAcq.Load() == acquired; {
+		if time.Now().After(giveUp) {
+			held.release()
+			t.Fatal("contender never reached the held lock plan")
+		}
+		runtime.Gosched()
+	}
+	cancel()
+	held.release()
+	return <-done
+}
+
+// A context that ends while an op is queued behind a contended lock plan
 // must abort the op after lock acquisition, not commit it. Regression test
-// for the entry-only cancellation check: a writer holding the lock through a
-// long simulated page access (WithAccessDelay) used to let the queued op's
-// expired context slip through to commit.
+// for the entry-only cancellation check, which let the queued op's ended
+// context slip through to commit.
 func TestCtxExpiredUnderContendedLockDoesNotCommit(t *testing.T) {
-	const delay = 50 * time.Millisecond
-	db, err := Open(figures.Fig3(), WithAccessDelay(delay))
+	db, err := Open(figures.Fig3())
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err := db.Insert("COURSE", tup("held")); err != nil {
-			t.Errorf("holder insert: %v", err)
-		}
-	}()
-	// Let the holder take the COURSE lock and park in its simulated access.
-	time.Sleep(delay / 5)
-
-	ctx, cancel := context.WithTimeout(context.Background(), delay/5)
-	defer cancel()
-	insErr := db.InsertCtx(ctx, "COURSE", tup("late"))
-	wg.Wait()
-	if !errors.Is(insErr, context.DeadlineExceeded) {
-		t.Fatalf("InsertCtx under expired deadline: got %v, want DeadlineExceeded", insErr)
+	insErr := endWhileQueued(t, db, func(ctx context.Context) error {
+		return db.InsertCtx(ctx, "COURSE", tup("late"))
+	})
+	if !errors.Is(insErr, context.Canceled) {
+		t.Fatalf("InsertCtx under ended context: got %v, want Canceled", insErr)
 	}
 	if _, ok := db.GetByKey("COURSE", tup("late")); ok {
-		t.Fatal("expired-deadline insert still committed")
+		t.Fatal("insert with an ended context still committed")
 	}
-	if _, ok := db.GetByKey("COURSE", tup("held")); !ok {
-		t.Fatal("holder insert lost")
+	// The plan was released: the next writer goes through.
+	if err := db.Insert("COURSE", tup("next")); err != nil {
+		t.Fatalf("insert after release: %v", err)
 	}
 }
 
 // Every mutating Ctx op re-checks cancellation after lock acquisition.
 func TestCtxExpiredAfterAcquisitionAllOps(t *testing.T) {
-	const delay = 40 * time.Millisecond
-	db, err := Open(figures.Fig3(), WithAccessDelay(delay))
+	db, err := Open(figures.Fig3())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,26 +89,14 @@ func TestCtxExpiredAfterAcquisitionAllOps(t *testing.T) {
 	for _, op := range ops {
 		op := op
 		t.Run(op.name, func(t *testing.T) {
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				// Holder: occupies the lock plan long enough for the
-				// contender's deadline to expire while queued.
-				if err := db.Insert("COURSE", tup("hold-"+op.name)); err != nil {
-					t.Errorf("holder: %v", err)
-				}
-			}()
-			time.Sleep(delay / 4)
-			ctx, cancel := context.WithTimeout(context.Background(), delay/4)
-			defer cancel()
-			err := op.call(ctx)
-			wg.Wait()
-			if !errors.Is(err, context.DeadlineExceeded) {
-				t.Fatalf("%s: got %v, want DeadlineExceeded", op.name, err)
+			err := endWhileQueued(t, db, op.call)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s: got %v, want Canceled", op.name, err)
 			}
-			if _, ok := db.GetByKey("COURSE", tup("c2")); ok {
-				t.Fatalf("%s: op committed despite expired deadline", op.name)
+			for _, gone := range []string{"c2", "c3", "c9"} {
+				if _, ok := db.GetByKey("COURSE", tup(gone)); ok {
+					t.Fatalf("%s: op committed %s despite its ended context", op.name, gone)
+				}
 			}
 			if _, ok := db.GetByKey("COURSE", tup("c1")); !ok {
 				t.Fatalf("%s: pre-existing tuple disturbed", op.name)

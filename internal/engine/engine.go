@@ -140,9 +140,6 @@ type DB struct {
 	// lastFetch is the relation name of the most recent key-shaped fetch, the
 	// co-access pair detector's one-deep history (coaccess.go).
 	lastFetch atomic.Value
-	// delay simulates one storage access per operation while the operation's
-	// locks are held (WithAccessDelay); zero in production use.
-	delay time.Duration
 	// transaction state (see txn.go). txnMu guards undo and txnSnap; inTxn is
 	// read on the fast path without the mutex. Lock order: table locks before
 	// txnMu.
@@ -179,7 +176,6 @@ type Option func(*openConfig)
 type openConfig struct {
 	reg       *obs.Registry
 	name      string
-	delay     time.Duration
 	walDir    string
 	walOpts   wal.Options
 	partition bool
@@ -199,17 +195,6 @@ func WithName(name string) Option {
 	return func(c *openConfig) { c.name = name }
 }
 
-// WithAccessDelay makes every operation sleep for d once, simulating the
-// storage-access latency the paper's cost model assumes (one page fetch per
-// indexed access on a 1992-era system). The in-memory engine is otherwise so
-// fast that concurrency-schedule effects — lock-free readers overlapping,
-// writers serializing — are invisible; with a simulated access cost the
-// throughput benchmarks expose them on any machine. Zero (the default)
-// disables the sleep entirely.
-func WithAccessDelay(d time.Duration) Option {
-	return func(c *openConfig) { c.delay = d }
-}
-
 // Open builds an engine for the schema (validated first).
 func Open(s *schema.Schema, opts ...Option) (*DB, error) {
 	cfg := openConfig{name: "db"}
@@ -223,7 +208,6 @@ func Open(s *schema.Schema, opts ...Option) (*DB, error) {
 		reg:       cfg.reg,
 		obsName:   cfg.name,
 		m:         newDBMetrics(cfg.reg, cfg.name),
-		delay:     cfg.delay,
 		partition: cfg.partition,
 		replica:   cfg.replica,
 	}
@@ -385,16 +369,6 @@ func MustOpen(s *schema.Schema, opts ...Option) *DB {
 	return db
 }
 
-// simAccess sleeps for the configured simulated storage-access latency. It
-// is called exactly once per operation, so throughput benchmarks measure how
-// well the concurrency schedule overlaps operations (lock-free readers
-// overlap perfectly; writers contend on their lock plans).
-func (db *DB) simAccess() {
-	if db.delay > 0 {
-		time.Sleep(db.delay)
-	}
-}
-
 // Relation materializes the named relation from the current published
 // version: a point-in-time copy, consistent across its tuples, that later
 // writes never alter. Mutating the copy does not affect the database. For
@@ -462,7 +436,6 @@ func (db *DB) InsertCtx(ctx context.Context, name string, tup relation.Tuple) er
 		return err
 	}
 	defer db.m.insertLat.ObserveSince(start)
-	db.simAccess()
 	tx := db.beginWrite()
 	var eff effects
 	if err := db.insertLocked(tx, t, tup, &eff); err != nil {

@@ -80,7 +80,6 @@ func (db *DB) DeleteCtx(ctx context.Context, name string, key relation.Tuple) er
 		return err
 	}
 	defer db.m.deleteLat.ObserveSince(start)
-	db.simAccess()
 	tx := db.beginWrite()
 	var eff effects
 	if err := db.deleteLocked(tx, t, key, &eff); err != nil {
@@ -150,7 +149,6 @@ func (db *DB) UpdateCtx(ctx context.Context, name string, key relation.Tuple, ne
 		return err
 	}
 	defer db.m.updateLat.ObserveSince(start)
-	db.simAccess()
 	tx := db.beginWrite()
 	var eff effects
 	if err := db.updateLocked(tx, t, key, newTup, &eff); err != nil {

@@ -311,8 +311,8 @@ func (db *DB) TxnView() (*View, bool) {
 
 // LockAcquisitions returns the total number of lock-plan acquisitions since
 // Open. Read-only phases leave it unchanged — the observable witness that
-// the fetch/scan hot path takes no locks (benchreport's P8 suite and the
-// MVCC stress tests assert a zero delta).
+// the fetch/scan hot path takes no locks (the MVCC stress tests assert a
+// zero delta).
 func (db *DB) LockAcquisitions() uint64 { return db.lockAcq.Load() }
 
 // getAt answers a key lookup from one pinned snapshot.
@@ -321,7 +321,6 @@ func (db *DB) getAt(snap *dbSnapshot, name string, key relation.Tuple) (relation
 	if t == nil {
 		return nil, false, fmt.Errorf("%w %s", ErrUnknownRelation, name)
 	}
-	db.simAccess()
 	tup, ok := snap.tables[name].pk.Get(key.EncodeKey())
 	db.countLookup()
 	db.countIdx()
@@ -340,7 +339,6 @@ func (db *DB) scanAt(snap *dbSnapshot, name string, pred func(relation.Tuple) bo
 		return fmt.Errorf("%w %s", ErrUnknownRelation, name)
 	}
 	v := snap.tables[name]
-	db.simAccess()
 	db.countScan(v.pk.Len())
 	db.countSnapRead()
 	v.pk.Range(func(_ string, tup relation.Tuple) bool {
@@ -363,7 +361,6 @@ func (db *DB) fetchAt(snap *dbSnapshot, name string, key relation.Tuple) (relati
 		return nil, nil, fmt.Errorf("%w %s", ErrUnknownRelation, name)
 	}
 	defer db.m.lookupLat.ObserveSince(start)
-	db.simAccess()
 	db.countLookup()
 	db.countIdx()
 	db.countSnapRead()

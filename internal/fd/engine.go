@@ -19,9 +19,6 @@ var engine = attrset.NewEngine()
 // metrics registry under engine=fd.
 func RegisterMetrics(r *obs.Registry) { engine.Register(r, "fd") }
 
-// CacheStats snapshots the package engine's cache counters.
-func CacheStats() attrset.CacheStats { return engine.CacheStats() }
-
 // compile returns the cached index for a dependency list.
 func compile(deps []Dep) *attrset.Index {
 	return engine.Index(len(deps), func(i int) ([]string, []string) {

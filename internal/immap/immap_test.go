@@ -232,3 +232,40 @@ func BenchmarkGet(b *testing.B) {
 		m.Get(keys[i%len(keys)])
 	}
 }
+
+// TestAllocBudget pins what one operation on a 16 384-entry map allocates,
+// as totals over 256 fixed keys (inputs are fixed, so the counts are exact):
+// a Get allocates nothing, a Set copies one root-to-leaf path (10.8 allocations
+// on average at this size).
+func TestAllocBudget(t *testing.T) {
+	const entries, ops = 1 << 14, 256
+	m := New[int]()
+	for i := 0; i < entries; i++ {
+		m = m.Set(fmt.Sprintf("key-%05d", i), i)
+	}
+	present := make([]string, ops)
+	fresh := make([]string, ops)
+	for i := range present {
+		present[i] = fmt.Sprintf("key-%05d", i*(entries/ops))
+		fresh[i] = fmt.Sprintf("fresh-%05d", i)
+	}
+	sink := 0
+	gets := testing.AllocsPerRun(10, func() {
+		for _, k := range present {
+			v, _ := m.Get(k)
+			sink += v
+		}
+	})
+	sets := testing.AllocsPerRun(10, func() {
+		for _, k := range fresh {
+			sink += m.Set(k, 1).Len()
+		}
+	})
+	const getBudget, setBudget = 0, 2758
+	if gets > getBudget {
+		t.Errorf("%d Gets allocate %.0f, budget %d", ops, gets, getBudget)
+	}
+	if sets > setBudget {
+		t.Errorf("%d Sets allocate %.0f, budget %d", ops, sets, setBudget)
+	}
+}

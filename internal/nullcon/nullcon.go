@@ -33,9 +33,6 @@ var engine = attrset.NewEngine()
 // metrics registry under engine=nullcon.
 func RegisterMetrics(r *obs.Registry) { engine.Register(r, "nullcon") }
 
-// CacheStats snapshots the package engine's cache counters.
-func CacheStats() attrset.CacheStats { return engine.CacheStats() }
-
 // existenceIndex compiles the constraints attached to one scheme. The
 // filtered list is rebuilt per call, but the compile itself is cached by
 // structural fingerprint, so the ubiquitous pattern of Simplify/Implied —

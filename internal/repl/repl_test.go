@@ -72,13 +72,17 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// waitCaughtUp waits until the follower's published version has reached
+// horizon. It must not wait on DurableLSN: an ingest appends to the
+// follower's log first and publishes second, so the log position leads what
+// a read can see for the length of one apply.
 func waitCaughtUp(t *testing.T, f *repl.Follower, horizon uint64) {
 	t.Helper()
 	waitFor(t, "follower catch-up", func() bool {
 		if err := f.Err(); err != nil {
 			t.Fatalf("follower broke while catching up: %v", err)
 		}
-		return f.DB().DurableLSN() >= horizon
+		return f.DB().VersionLSN() >= horizon
 	})
 }
 
@@ -278,6 +282,10 @@ func TestFailoverPromoteRecoversAckedPrefix(t *testing.T) {
 // faultBackend wraps a durable engine and, once armed, corrupts the shipped
 // stream: mode "gap" drops the first record of a chunk, mode "reorder" swaps
 // the first two. Both leave a follower that must refuse rather than diverge.
+// The fault needs two records in one chunk, so an armed backend ships nothing
+// (and reports no progress) until two are pending — however the follower's
+// polls interleave with the primary's commits, the first chunk it sees after
+// arming carries the fault.
 type faultBackend struct {
 	*engine.DB
 	mode  string
@@ -286,8 +294,11 @@ type faultBackend struct {
 
 func (g *faultBackend) ReplRead(afterLSN uint64, maxRecords int) ([]wal.Record, uint64, error) {
 	recs, horizon, err := g.DB.ReplRead(afterLSN, maxRecords)
-	if err != nil || !g.armed.Load() || len(recs) < 2 {
+	if err != nil || !g.armed.Load() {
 		return recs, horizon, err
+	}
+	if len(recs) < 2 {
+		return nil, afterLSN, nil
 	}
 	switch g.mode {
 	case "gap":

@@ -32,19 +32,24 @@ func row(k, v string) relation.Tuple {
 
 func key(k string) relation.Tuple { return relation.Tuple{relation.NewString(k)} }
 
-// startServer opens an engine over testSchema, wraps it in a server with an
-// isolated registry, and serves on a loopback listener. The cleanup closes
-// the server (and through it the engine).
-func startServer(t *testing.T, cfg Config, engOpts ...engine.Option) (*Server, string) {
+// openEngine opens an engine over testSchema.
+func openEngine(t *testing.T, engOpts ...engine.Option) *engine.DB {
 	t.Helper()
 	eng, err := engine.Open(testSchema(), engOpts...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return eng
+}
+
+// serve wraps db in a server with an isolated registry and serves it on a
+// loopback listener. The cleanup closes the server (and through it db).
+func serve(t *testing.T, db Backend, cfg Config) (*Server, string) {
+	t.Helper()
 	if cfg.Registry == nil {
 		cfg.Registry = obs.NewRegistry()
 	}
-	srv := New(eng, cfg)
+	srv := New(db, cfg)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -52,6 +57,44 @@ func startServer(t *testing.T, cfg Config, engOpts ...engine.Option) (*Server, s
 	go srv.Serve(ln)
 	t.Cleanup(func() { srv.Close() })
 	return srv, ln.Addr().String()
+}
+
+// startServer serves a fresh in-memory engine.
+func startServer(t *testing.T, cfg Config) (*Server, string) {
+	t.Helper()
+	return serve(t, openEngine(t), cfg)
+}
+
+// slowBackend makes the write operations these tests drive slow: it sleeps d
+// before delegating, so a worker is busy for at least d per write. entered
+// holds one announcement that a write has arrived, for tests that must not
+// proceed until a worker is inside the backend.
+type slowBackend struct {
+	Backend
+	d       time.Duration
+	entered chan struct{}
+}
+
+func slow(db Backend, d time.Duration) *slowBackend {
+	return &slowBackend{Backend: db, d: d, entered: make(chan struct{}, 1)}
+}
+
+func (b *slowBackend) pause() {
+	select {
+	case b.entered <- struct{}{}:
+	default:
+	}
+	time.Sleep(b.d)
+}
+
+func (b *slowBackend) InsertCtx(ctx context.Context, name string, tup relation.Tuple) error {
+	b.pause()
+	return b.Backend.InsertCtx(ctx, name, tup)
+}
+
+func (b *slowBackend) ApplyBatchCtx(ctx context.Context, ops []engine.BatchOp) error {
+	b.pause()
+	return b.Backend.ApplyBatchCtx(ctx, ops)
 }
 
 // rawConn is a hand-driven protocol connection for abuse tests.
@@ -133,7 +176,7 @@ func frameWithLength(n uint32) []byte {
 // with a protocol error and closed, without panicking the server or
 // poisoning other connections.
 func TestProtocolViolationsFailClosed(t *testing.T) {
-	_, addr := startServer(t, Config{}, engine.WithAccessDelay(20*time.Millisecond))
+	_, addr := serve(t, slow(openEngine(t), 20*time.Millisecond), Config{})
 
 	cases := []struct {
 		name  string
@@ -175,7 +218,7 @@ func TestProtocolViolationsFailClosed(t *testing.T) {
 		}},
 		{"duplicate in-flight id", func(c *rawConn) {
 			c.hello()
-			// The first insert simulates 20ms of storage access, so it is
+			// The first insert spends 20ms in the slow backend, so it is
 			// still in flight when the duplicate arrives.
 			c.send(&Request{ID: 7, Op: OpInsert, Relation: "R", Tuple: EncodeTuple(row("dup", "v"))})
 			c.send(&Request{ID: 7, Op: OpFetch, Relation: "R", Key: EncodeTuple(key("dup"))})
@@ -220,9 +263,8 @@ func TestProtocolViolationsFailClosed(t *testing.T) {
 // that surplus requests are refused instantly with CodeOverloaded rather
 // than queued past the depth limit.
 func TestAdmissionControl(t *testing.T) {
-	_, addr := startServer(t,
-		Config{Workers: 1, QueueDepth: 1, CoalesceMax: 1},
-		engine.WithAccessDelay(30*time.Millisecond))
+	_, addr := serve(t, slow(openEngine(t), 30*time.Millisecond),
+		Config{Workers: 1, QueueDepth: 1, CoalesceMax: 1})
 
 	c := dialRaw(t, addr)
 	c.hello()
@@ -251,13 +293,13 @@ func TestAdmissionControl(t *testing.T) {
 	}
 }
 
-// TestDeadlineExpiresInQueue arms a deadline shorter than the engine's
-// simulated access: whether it expires queued or mid-operation, the request
+// TestDeadlineExpiresInQueue arms a deadline shorter than the time the single
+// worker is busy: whether it expires queued or mid-operation, the request
 // must be answered with the deadline code and must not commit after the
 // fact.
 func TestDeadlineExpiresInQueue(t *testing.T) {
-	_, addr := startServer(t, Config{Workers: 1, CoalesceMax: 1},
-		engine.WithAccessDelay(60*time.Millisecond))
+	db := slow(openEngine(t), 60*time.Millisecond)
+	_, addr := serve(t, db, Config{Workers: 1, CoalesceMax: 1})
 
 	client, err := Dial(addr, ClientOptions{})
 	if err != nil {
@@ -270,7 +312,7 @@ func TestDeadlineExpiresInQueue(t *testing.T) {
 	go func() {
 		blocker <- client.InsertCtx(context.Background(), "R", row("blocker", "v"))
 	}()
-	time.Sleep(10 * time.Millisecond)
+	<-db.entered // the worker is inside the blocker's insert
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	err = client.InsertCtx(ctx, "R", row("late", "v"))
@@ -293,9 +335,8 @@ func TestDeadlineExpiresInQueue(t *testing.T) {
 // closed, and new connections are refused.
 func TestGracefulDrain(t *testing.T) {
 	dir := t.TempDir()
-	srv, addr := startServer(t, Config{},
-		engine.WithAccessDelay(50*time.Millisecond),
-		engine.WithDurability(dir, wal.SyncNever))
+	db := slow(openEngine(t, engine.WithDurability(dir, wal.SyncNever)), 50*time.Millisecond)
+	srv, addr := serve(t, db, Config{})
 
 	client, err := Dial(addr, ClientOptions{})
 	if err != nil {
@@ -307,7 +348,7 @@ func TestGracefulDrain(t *testing.T) {
 	go func() {
 		inflight <- client.InsertCtx(context.Background(), "R", row("inflight", "v"))
 	}()
-	time.Sleep(15 * time.Millisecond) // let the insert reach the engine
+	<-db.entered // the insert has reached the backend
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -402,12 +443,11 @@ func TestWriteCoalescing(t *testing.T) {
 	reg := obs.NewRegistry()
 	eng, err := engine.Open(testSchema(),
 		engine.WithRegistry(reg),
-		engine.WithDurability(dir, wal.SyncAlways),
-		engine.WithAccessDelay(2*time.Millisecond))
+		engine.WithDurability(dir, wal.SyncAlways))
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(eng, Config{Workers: 2, CoalesceMax: 16, Registry: reg})
+	srv := New(slow(eng, 2*time.Millisecond), Config{Workers: 2, CoalesceMax: 16, Registry: reg})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

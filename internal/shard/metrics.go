@@ -3,7 +3,7 @@ package shard
 import "repro/internal/obs"
 
 // Metric series names of the router. Cross-shard probe traffic is the cost
-// the P9 benchmark grid measures: remote probes are the two-step lookups
+// relbench's sharded-write-base reports: remote probes are the two-step lookups
 // that left the calling shard, cache hits are the ones the read-through
 // cache absorbed.
 const (
@@ -43,8 +43,8 @@ func newRouterMetrics(r *obs.Registry, name string) *routerMetrics {
 }
 
 // ProbeStats is a point-in-time snapshot of the router's cross-shard probe
-// counters, exposed so benchmarks can report probe cost per cell without
-// scraping the registry.
+// counters, exposed so tests can assert that a probe did or did not leave
+// the shard without scraping the registry.
 type ProbeStats struct {
 	// RemoteProbes counts existence probes answered by another shard.
 	RemoteProbes int64

@@ -44,7 +44,6 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/engine"
 	"repro/internal/obs"
@@ -80,9 +79,6 @@ type Config struct {
 	// CacheSize bounds each shard's read-through cache of remote referenced
 	// keys (entries). Default 4096; negative disables the cache.
 	CacheSize int
-	// AccessDelay simulates one storage access per operation on every shard
-	// engine (see engine.WithAccessDelay).
-	AccessDelay time.Duration
 }
 
 // relMeta is the router's per-relation positional metadata: enough to
@@ -183,9 +179,6 @@ func Open(s *schema.Schema, cfg Config) (*Router, error) {
 			engine.WithRegistry(cfg.Registry),
 			engine.WithName(fmt.Sprintf("%s%d", cfg.Name, i)),
 		)
-		if cfg.AccessDelay > 0 {
-			opts = append(opts, engine.WithAccessDelay(cfg.AccessDelay))
-		}
 		if cfg.WALDir != "" {
 			opts = append(opts, engine.WithWALOptions(filepath.Join(cfg.WALDir, fmt.Sprintf("shard-%d", i)), cfg.WALOpts))
 		}

@@ -657,3 +657,44 @@ func TestCrossShardBatchCompensation(t *testing.T) {
 		t.Error("torn batch: PERSON row survived")
 	}
 }
+
+// TestAllocBudget pins what one co-located insert through a 4-shard router
+// allocates, as a total over 64 fixed OFFER rows whose course and department
+// live on the row's own shard (so both inclusion dependencies are checked
+// locally, and the count must show zero remote probes): routing, edge locks
+// and the owning engine's insert.
+func TestAllocBudget(t *testing.T) {
+	const ops, runs = 64, 4
+	r := openRouter(t, 4)
+	if err := r.Insert("DEPARTMENT", tup("d1")); err != nil {
+		t.Fatal(err)
+	}
+	home := r.ShardOf(tup("d1").EncodeKey())
+	var rows []relation.Tuple
+	for i := 0; len(rows) < (runs+1)*ops; i++ {
+		cnr := fmt.Sprintf("c-%04d", i)
+		if r.ShardOf(tup(cnr).EncodeKey()) != home {
+			continue
+		}
+		if err := r.Insert("COURSE", tup(cnr)); err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, tup(cnr, "d1"))
+	}
+	ctx, next, before := context.Background(), 0, r.ProbeStats()
+	inserts := testing.AllocsPerRun(runs, func() {
+		for _, row := range rows[next : next+ops] {
+			if err := r.InsertCtx(ctx, "OFFER", row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		next += ops
+	})
+	if after := r.ProbeStats(); after.RemoteProbes != before.RemoteProbes {
+		t.Fatalf("co-located inserts issued %d remote probes", after.RemoteProbes-before.RemoteProbes)
+	}
+	const budget = 4226 // 66 per insert
+	if inserts > budget {
+		t.Errorf("%d co-located inserts allocate %.0f, budget %d", ops, inserts, budget)
+	}
+}

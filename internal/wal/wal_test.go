@@ -487,3 +487,25 @@ func fileSize(t *testing.T, path string) int64 {
 	}
 	return fi.Size()
 }
+
+// TestAllocBudget pins what committing one 256-byte payload allocates under
+// SyncNever, as a total over 64 commits into one segment (3 per commit).
+func TestAllocBudget(t *testing.T) {
+	l, _, err := Open(t.TempDir(), Options{Policy: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	payload := make([]byte, 256)
+	commits := testing.AllocsPerRun(4, func() {
+		for i := 0; i < 64; i++ {
+			if _, err := l.Commit(payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	const budget = 192
+	if commits > budget {
+		t.Errorf("64 Commits allocate %.0f, budget %d", commits, budget)
+	}
+}

@@ -1,5 +1,6 @@
 // Package workload builds the synthetic schemas, data, and query/update
-// workloads behind the performance experiments (P1–P3 in DESIGN.md):
+// workloads behind relbench (benchmark/) and the micro-benchmarks in
+// bench_test.go:
 //
 //   - StarEER(n): an object-set involved with Many cardinality in n
 //     attribute-less binary many-to-one relationship-sets — the figure 8(iv)
@@ -7,10 +8,7 @@
 //   - ChainEER(n): a chain of relationship-sets each hanging off the previous
 //     one — the figure 7 OFFER/TEACH shape generalized, which merges to a
 //     relation with a chain of null-existence constraints needing procedural
-//     (trigger-style) maintenance;
-//   - HierarchyEER(n, k): a generalization hierarchy with n specializations
-//     of k own attributes each — figure 8(i) for k > 1, figure 8(iii) for
-//     k = 1.
+//     (trigger-style) maintenance.
 //
 // Bench pairs a base (unmerged) engine with a merged engine over the same
 // data and exposes the object-profile query both ways, so benchmarks measure
@@ -21,7 +19,6 @@ package workload
 import (
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/eer"
@@ -93,31 +90,6 @@ func ChainEER(n int) *eer.Schema {
 	return s
 }
 
-// HierarchyEER builds a generalization hierarchy: root P with n
-// specializations S1..Sn carrying k own attributes each.
-func HierarchyEER(n, k int) *eer.Schema {
-	s := eer.New()
-	s.Entities = append(s.Entities, &eer.EntitySet{
-		Name: "P", Prefix: "P",
-		OwnAttrs:  []eer.Attr{{Name: "P.ID", Domain: "p_id"}},
-		ID:        []string{"P.ID"},
-		CopyBases: []string{"ID"},
-	})
-	for i := 1; i <= n; i++ {
-		sn := fmt.Sprintf("S%d", i)
-		var attrs []eer.Attr
-		for j := 1; j <= k; j++ {
-			attrs = append(attrs, eer.Attr{
-				Name:   fmt.Sprintf("%s.A%d", sn, j),
-				Domain: fmt.Sprintf("s%d_a%d", i, j),
-			})
-		}
-		s.Entities = append(s.Entities, &eer.EntitySet{Name: sn, Prefix: sn, OwnAttrs: attrs})
-		s.ISAs = append(s.ISAs, eer.ISA{Child: sn, Parent: "P"})
-	}
-	return s
-}
-
 // MergeSetFor returns the canonical merge set for a workload schema: every
 // relation-scheme whose primary key is compatible with root's, rooted at
 // root (declaration order preserved).
@@ -149,24 +121,13 @@ type Bench struct {
 	// MemberNames are the merge-set schemes, for the base-side profile query.
 	MemberNames []string
 	baseSchema  *schema.Schema
-	rng         *rand.Rand
 	nextKey     int
-	seq         atomic.Int64 // fresh-key counter for concurrent writers
 }
 
 // NewBench translates the EER schema, merges the key-compatible cluster
 // around root, applies RemoveAll, generates rows of consistent data, and
-// loads both engines. Engine options (an access delay, a shared registry)
-// apply to both sides.
-func NewBench(es *eer.Schema, root string, rows int, seed int64, opts ...engine.Option) (*Bench, error) {
-	return NewBenchSided(es, root, rows, seed, func(Side) []engine.Option { return opts })
-}
-
-// NewBenchSided is NewBench with per-side engine options: sideOpts is called
-// once per side and its result opens that side's engine. Durable benchmarks
-// use it to give the base and merged engines separate write-ahead-log
-// directories (and distinct metric names) while sharing everything else.
-func NewBenchSided(es *eer.Schema, root string, rows int, seed int64, sideOpts func(Side) []engine.Option) (*Bench, error) {
+// loads both engines.
+func NewBench(es *eer.Schema, root string, rows int, seed int64) (*Bench, error) {
 	base, err := translate.MS(es)
 	if err != nil {
 		return nil, err
@@ -187,15 +148,15 @@ func NewBenchSided(es *eer.Schema, root string, rows int, seed int64, sideOpts f
 		return nil, err
 	}
 
-	b := &Bench{Scheme: m, Root: root, MemberNames: names, baseSchema: base, rng: rng, nextKey: 1 << 20}
-	b.Base, err = engine.Open(base, sideOpts(SideBase)...)
+	b := &Bench{Scheme: m, Root: root, MemberNames: names, baseSchema: base, nextKey: 1 << 20}
+	b.Base, err = engine.Open(base)
 	if err != nil {
 		return nil, err
 	}
 	if err := b.Base.Load(st); err != nil {
 		return nil, err
 	}
-	b.Merged, err = engine.Open(m.Schema, sideOpts(SideMerged)...)
+	b.Merged, err = engine.Open(m.Schema)
 	if err != nil {
 		return nil, err
 	}

@@ -35,20 +35,6 @@ func TestChainEERShape(t *testing.T) {
 	}
 }
 
-func TestHierarchyEERShape(t *testing.T) {
-	one := HierarchyEER(3, 1)
-	if err := one.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if err := one.CheckCondition1("P", []string{"S1", "S2", "S3"}); err != nil {
-		t.Errorf("hierarchy(k=1) should satisfy condition (1): %v", err)
-	}
-	two := HierarchyEER(2, 2)
-	if two.CheckCondition1("P", []string{"S1", "S2"}) == nil {
-		t.Error("hierarchy(k=2) should fail condition (1c)")
-	}
-}
-
 // The star merges to an only-NNA relation (Prop. 5.2); the chain retains a
 // null-existence constraint chain.
 func TestMergedConstraintRegimes(t *testing.T) {

@@ -40,10 +40,6 @@ var (
 	WithEngineRegistry = engine.WithRegistry
 	// WithEngineName sets the db=<name> label on the engine's metric series.
 	WithEngineName = engine.WithName
-	// WithAccessDelay simulates one storage access of the given duration per
-	// operation, inside the engine's critical sections — the knob the scaling
-	// benchmarks use to model the paper's page-access cost model.
-	WithAccessDelay = engine.WithAccessDelay
 )
 
 // Batch op constructors, re-exported from internal/engine.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"testing"
-	"time"
 
 	"repro/pkg/relmerge"
 )
@@ -61,21 +60,5 @@ func TestFacadeEngine(t *testing.T) {
 	if totals.Lookups != regLookups {
 		t.Errorf("facade stats drifted from registry: Totals().Lookups=%d, series=%d",
 			totals.Lookups, regLookups)
-	}
-}
-
-// WithAccessDelay is accepted through the facade and slows operations down —
-// the knob the scaling benchmark uses.
-func TestFacadeEngineAccessDelay(t *testing.T) {
-	e, err := relmerge.OpenEngine(relmerge.Fig3(), relmerge.WithAccessDelay(2*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	if err := e.Insert("COURSE", relmerge.Tuple{relmerge.NewString("c1")}); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed < 2*time.Millisecond {
-		t.Errorf("insert with 2ms access delay returned in %v", elapsed)
 	}
 }

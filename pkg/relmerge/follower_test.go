@@ -46,10 +46,13 @@ func startFollowerPair(t *testing.T) (*relmerge.Engine, *server.Server, *relmerg
 	return eng, srv, fs
 }
 
+// waitApplied waits until the follower's visible version has reached horizon
+// (ReplicationInfo().AppliedLSN is the log position, which an ingest advances
+// before it publishes the records it applied).
 func waitApplied(t *testing.T, fs *relmerge.FollowerSession, horizon uint64) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for fs.ReplicationInfo().AppliedLSN < horizon {
+	for fs.View().LSN() < horizon {
 		if time.Now().After(deadline) {
 			t.Fatalf("follower stuck at LSN %d, want %d (repl err %q)",
 				fs.ReplicationInfo().AppliedLSN, horizon, fs.ReplicationInfo().Err)

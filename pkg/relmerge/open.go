@@ -86,8 +86,8 @@ type Config struct {
 	// fetches continuously without sleeping.
 	PollInterval time.Duration
 
-	// EngineOptions are extra engine options — access-delay simulation,
-	// metric names — applied to the embedded engine or to every shard.
+	// EngineOptions are extra engine options — metric names, a shared
+	// registry — applied to the embedded engine or to every shard.
 	EngineOptions []EngineOption
 	// Registry receives the backend's metric series (Embedded and Sharded;
 	// nil keeps each engine's private registry). For Remote it receives the
@@ -132,8 +132,8 @@ func WithAdvisorConfig(ac AdvisorConfig) OpenOption {
 // taxonomy (sentinels, *ConstraintViolation, Code), as enforced by the
 // cross-backend conformance suite.
 //
-// OpenSession, Dial, and NewShardedSession remain as typed wrappers for
-// callers that want the concrete session type.
+// OpenSession and NewShardedSession remain as typed wrappers for callers
+// that want the concrete session type.
 func Open(cfg Config, options ...OpenOption) (Session, error) {
 	for _, opt := range options {
 		opt(&cfg)

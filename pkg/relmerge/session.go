@@ -9,8 +9,9 @@ import (
 // Session is the unified operational API: inserts, deletes, updates, key
 // lookups, atomic batches, the (single, global) transaction, stats, and
 // checkpoints. It is implemented by both the embedded engine (NewSession /
-// OpenSession) and the remote client (Dial), so workload drivers, the CLI,
-// and benchmarks run unchanged against either backend.
+// OpenSession) and the remote client (Open with Backend: Remote), so
+// workload drivers, the CLI, and benchmarks run unchanged against either
+// backend.
 //
 // Every operation has a Ctx variant; the non-Ctx form delegates to it with
 // context.Background(). Errors carry the same taxonomy on both backends:
