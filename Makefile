@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet metriclint build test race stress crash serve-test shard-test proto-test repl-test advise-test fuzz-short relbench-test bench microbench
+.PHONY: check fmt vet metriclint build test race stress crash serve-test shard-test proto-test repl-test advise-test fuzz-short relbench-test bench microbench allocs
 
 ## check: the full CI gate — formatting, vet, metric-name lint, build, tests under the race detector, concurrency stress, crash recovery, client/server serving, shard routing, wire protocol (negotiation + golden vectors + short fuzz), replication, adaptive merging, and the nested benchmark module (its tests + a smoke run)
 check: fmt vet metriclint build race stress crash serve-test shard-test proto-test repl-test advise-test relbench-test
@@ -70,6 +70,13 @@ relbench-test:
 bench:
 	bash benchmark/run.sh
 
-## microbench: the attribute-set and FD-closure micro-benchmarks
+## microbench: the attribute-set, FD-closure, persistent-map and engine micro-benchmarks
 microbench:
-	$(GO) test -bench . -benchmem -run xxx ./internal/attrset/ ./internal/fd/
+	$(GO) test -bench . -benchmem -run xxx ./internal/attrset/ ./internal/fd/ ./internal/immap/ ./internal/engine/
+
+## allocs: where a write on the merged chain design allocates — BenchmarkWriteMergedChain with every allocation sampled, then the profile by allocation count (binary and profile go to .bench_build/, which is git-ignored)
+allocs:
+	mkdir -p .bench_build/allocs
+	$(GO) test -run xxx -bench BenchmarkWriteMergedChain -benchtime 60000x -benchmem -memprofilerate=1 \
+		-memprofile $(CURDIR)/.bench_build/allocs/mem.prof -o $(CURDIR)/.bench_build/allocs/engine.test ./internal/engine/
+	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=30 .bench_build/allocs/engine.test .bench_build/allocs/mem.prof

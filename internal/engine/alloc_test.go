@@ -14,9 +14,12 @@ import (
 // TestAllocBudget pins what the engine's two hot operations allocate on the
 // unmerged star design (workload.StarEER(8), 1 024 objects in every
 // relationship), as totals over 64 fixed operations (inputs are fixed, so
-// the counts are exact): a point lookup, and an insert into R1 — two
-// inclusion-dependency probes, one primary-key and one foreign-key index
-// path copy, one publish.
+// the counts are exact): a point lookup — the key is encoded on the stack and
+// probed as bytes; the one allocation is the co-access detector boxing the
+// relation name it remembers (noteFetch) — and an insert into R1: two
+// inclusion-dependency probes and two index edits, the primary key's and the
+// foreign key R1.T1.ID's (R1.E0.ID is R1's own primary key and has no index
+// of its own), one publish.
 func TestAllocBudget(t *testing.T) {
 	const objects, targets, ops, runs = 1024, 32, 64, 4
 	base, err := translate.MS(workload.StarEER(8))
@@ -78,11 +81,53 @@ func TestAllocBudget(t *testing.T) {
 		next += ops
 	})
 
-	const getBudget, insertBudget = 192, 4148 // 3 and 64.8 per operation
+	const getBudget, insertBudget = 64, 1270 // 1 and 19.8 per operation
 	if gets > getBudget {
 		t.Errorf("%d GetByKeyCtx allocate %.0f, budget %d", ops, gets, getBudget)
 	}
 	if inserts > insertBudget {
 		t.Errorf("%d InsertCtx allocate %.0f, budget %d", ops, inserts, insertBudget)
+	}
+}
+
+// TestAllocBudgetMergedChain pins the same for the design the write-path
+// claim is made on — the merged ChainEER(6) relation (bench_test.go), 4 096
+// rows, 64 fixed operations of each kind: an insert at full chain depth
+// (procedural null-existence checks, six foreign-key probes, seven index
+// edits, one publish), and an update that keeps the key and cuts the chain to
+// depth 3 (every index edited on the way out, four again on the way in).
+func TestAllocBudgetMergedChain(t *testing.T) {
+	const ops, runs = 64, 4
+	c, ctx := openMergedChain(t, 4096, 32), context.Background()
+	rows := make([]relation.Tuple, (runs+1)*ops)
+	cut := make([]relation.Tuple, len(rows))
+	for i := range rows {
+		rows[i] = c.row(fmt.Sprintf("fresh-%04d", i), chainN)
+		cut[i] = append(rows[i][:4:4], make(relation.Tuple, chainN-3)...)
+	}
+	next := 0
+	inserts := testing.AllocsPerRun(runs, func() {
+		for _, row := range rows[next : next+ops] {
+			if err := c.db.InsertCtx(ctx, "MERGED", row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		next += ops
+	})
+	next = 0
+	updates := testing.AllocsPerRun(runs, func() {
+		for _, row := range cut[next : next+ops] {
+			if err := c.db.UpdateCtx(ctx, "MERGED", row[:1], row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		next += ops
+	})
+	const insertBudget, updateBudget = 2977, 3477 // 46.5 and 54.3 per operation (183.8 and 219.3 before the write plan)
+	if inserts > insertBudget {
+		t.Errorf("%d InsertCtx allocate %.0f, budget %d", ops, inserts, insertBudget)
+	}
+	if updates > updateBudget {
+		t.Errorf("%d UpdateCtx allocate %.0f, budget %d", ops, updates, updateBudget)
 	}
 }

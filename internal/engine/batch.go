@@ -80,25 +80,27 @@ func (db *DB) InsertBatchCtx(ctx context.Context, name string, tuples []relation
 	defer db.m.insertLat.ObserveSince(start)
 	// Group-wise validation first: arity and intra-batch primary-key
 	// duplicates are detectable before any staging, so the common bad-batch
-	// cases fail without building a write transaction at all. Not counted as
+	// cases fail without staging anything. Each row's key is encoded here,
+	// once, and carried to the index. Not counted as
 	// declarative checks — the authoritative per-tuple PK check still runs in
 	// insertLocked, and counting here too would make a batch of one tuple
 	// cost more checks than a plain Insert.
-	seen := make(map[string]bool, len(tuples))
+	keys := make([]string, len(tuples))
+	seen := make(map[string]struct{}, len(tuples))
+	tx := db.beginWrite()
 	for i, tup := range tuples {
-		if len(tup) != t.hdr.Arity() {
+		if len(tup) != len(t.rs.Attrs) {
 			return fmt.Errorf("%w for %s (batch index %d)", ErrArityMismatch, name, i)
 		}
-		key := t.keyOfIncoming(tup)
-		if seen[key] {
+		keys[i] = tx.keyOf(t, tup)
+		if _, dup := seen[keys[i]]; dup {
 			return db.violation(&ConstraintViolation{Kind: PrimaryKeyViolation, Relation: name, Op: "insert-batch"})
 		}
-		seen[key] = true
+		seen[keys[i]] = struct{}{}
 	}
-	tx := db.beginWrite()
 	var eff effects
 	for i, tup := range tuples {
-		if err := db.insertLocked(tx, t, tup, &eff); err != nil {
+		if err := db.insertLocked(tx, t, tup, keys[i], &eff); err != nil {
 			return fmt.Errorf("engine: batch insert %d/%d into %s: %w", i+1, len(tuples), name, err)
 		}
 	}
@@ -140,7 +142,7 @@ func (db *DB) ApplyBatchCtx(ctx context.Context, ops []BatchOp) error {
 		var opErr error
 		switch op.Kind {
 		case BatchInsert:
-			opErr = db.insertLocked(tx, t, op.Tuple, &eff)
+			opErr = db.insertOne(tx, t, op.Tuple, &eff)
 		case BatchDelete:
 			opErr = db.deleteLocked(tx, t, op.Key, &eff)
 		case BatchUpdate:

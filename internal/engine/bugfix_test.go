@@ -48,10 +48,11 @@ func TestPhysicalRemoveDropsEmptyBuckets(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	idx := db.current.Load().tables["CHILD"].sec[secondaryKey([]string{"C.P"})]
-	if idx == nil {
-		t.Fatal("secondary index on CHILD[C.P] missing from the published version")
+	child := db.tables["CHILD"]
+	if len(child.sec) != 1 || child.hdr.Attrs()[child.sec[0][0]] != "C.P" {
+		t.Fatalf("CHILD should carry exactly the secondary index on C.P, has %v", child.sec)
 	}
+	idx := db.current.Load().tables[child.ord].sec[0]
 	if idx.Len() != 0 {
 		t.Fatalf("secondary index leaked %d empty buckets after %d churn cycles (want 0)", idx.Len(), churn)
 	}

@@ -20,22 +20,26 @@ type CoAccessStat struct {
 	Hits        int64
 }
 
-// buildCoEdges populates b.coEdges (keyed "Left->Right") and b.coPairs (keyed
-// pairKey in both directions) from the binding's INDs. Counters start at zero:
-// a migration installs a fresh binding, which naturally resets observation.
-func (db *DB) buildCoEdges(b *binding) {
-	b.coEdges = make(map[string]*coEdge)
+// buildCoEdges gives every inclusion-dependency plan of b the co-access
+// counter of its Left->Right edge (dependencies between the same two tables
+// share one) and indexes the counters by relation pair (pairKey), in both
+// directions. Counters start at zero: a migration installs a fresh binding,
+// which naturally resets observation.
+func buildCoEdges(b *binding) {
 	b.coPairs = make(map[string]*coEdge)
-	for _, inds := range b.indsFrom {
-		for _, ind := range inds {
-			k := ind.Left + "->" + ind.Right
-			if _, ok := b.coEdges[k]; ok {
-				continue
+	edges := make(map[string]*coEdge)
+	for _, t := range b.ordered {
+		for _, ip := range t.out {
+			left, right := ip.left.name, ip.right.name
+			e := edges[left+"->"+right]
+			if e == nil {
+				e = &coEdge{left: left, right: right}
+				edges[left+"->"+right] = e
+				b.coEdges = append(b.coEdges, e)
+				b.coPairs[pairKey(left, right)] = e
+				b.coPairs[pairKey(right, left)] = e
 			}
-			e := &coEdge{left: ind.Left, right: ind.Right}
-			b.coEdges[k] = e
-			b.coPairs[pairKey(ind.Left, ind.Right)] = e
-			b.coPairs[pairKey(ind.Right, ind.Left)] = e
+			ip.edge = e
 		}
 	}
 }
@@ -52,15 +56,6 @@ func (db *DB) noteFetch(b *binding, name string) {
 		return
 	}
 	if e, ok := b.coPairs[pairKey(prev, name)]; ok {
-		e.hits.Add(1)
-		db.countCoAccess()
-	}
-}
-
-// noteFetchHop records a direct IND traversal (FetchWithReferences resolved a
-// related tuple along from->to), which is the strongest merge signal.
-func (db *DB) noteFetchHop(b *binding, from, to string) {
-	if e, ok := b.coEdges[from+"->"+to]; ok {
 		e.hits.Add(1)
 		db.countCoAccess()
 	}

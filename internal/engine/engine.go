@@ -30,6 +30,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,32 +43,36 @@ import (
 )
 
 // table is the immutable per-relation metadata: scheme, positional layout,
-// and the set of prebuilt secondary indexes. Contents live in versioned
-// snapshots (version.go); the mutex serializes writers of this table (the
-// unit of write locking, acquired via the lock plans in locks.go) and is
-// never taken by readers.
+// and the write plan compiled from the schema (plan.go). Contents live in
+// versioned snapshots (version.go); the mutex serializes writers of this
+// table (the unit of write locking, acquired via the lock plans in locks.go)
+// and is never taken by readers.
 type table struct {
-	mu   sync.RWMutex
-	ord  int // position in the deterministic lock order (sorted by name)
+	mu sync.RWMutex
+	// ord is the table's position in the binding's name order: the
+	// deterministic lock order, and its index in dbSnapshot.tables.
+	ord  int
 	name string
 	rs   *schema.RelationScheme
 	// hdr is an empty relation over the scheme's attributes: the shared,
-	// immutable positional metadata (Position/Positions/Arity) every path
-	// uses. Never add tuples to it.
+	// immutable name-to-position metadata. Never add tuples to it.
 	hdr   *relation.Relation
 	pkPos []int
-	// secIdx maps a secondary-index key (secondaryKey of the attribute list)
-	// to the attribute positions it projects. The set is fixed at Open: one
-	// index per referencing side of every inclusion dependency, plus the
-	// referenced side of every non-key-based one, so no read-shaped
-	// operation ever needs to build an index (the pre-MVCC engine demoted
-	// such reads to write locks for exactly that lazy build).
-	secIdx map[string][]int
+	// nna lists the nulls-not-allowed positions, ascending.
+	nna []int
+	// out/in are the inclusion dependencies from and into this table, each in
+	// schema order; nulls are its procedural null constraints (NNA excluded).
+	out, in []*indPlan
+	nulls   []nullCheck
+	// sec maps a secondary-index slot to the positions it projects. The set
+	// is fixed at binding time (compilePlans) and every published version
+	// carries one index per slot.
+	sec [][]int
 }
 
 // binding bundles every schema-derived structure of the engine: the schema
-// itself, the table catalog, the lock plans, the dependency indexes, the
-// constraint partitions, and the co-access edge counters. A binding is
+// itself, the table catalog with each table's write plan, the lock plans, and
+// the co-access edge counters. A binding is
 // immutable once built; a live schema migration (migrate.go) builds a fresh
 // binding and installs it wholesale under schemaMu, and every published
 // snapshot carries the binding it was produced under, so a pinned read view
@@ -76,18 +81,14 @@ type table struct {
 type binding struct {
 	schema *schema.Schema
 	tables map[string]*table
-	lm     *lockManager
-	// indsFrom/indsInto index the schema's inclusion dependencies by side.
-	indsFrom map[string][]schema.IND
-	indsInto map[string][]schema.IND
-	// procedural null constraints per scheme (NNA excluded).
-	procNulls map[string][]schema.NullConstraint
-	nnaAttrs  map[string]map[string]bool
+	// ordered lists the tables by ordinal (name order).
+	ordered []*table
+	lm      *lockManager
 	// coEdges holds one co-access counter per inclusion-dependency edge
-	// (keyed "Left->Right"); coPairs resolves an (A fetched, then B fetched)
-	// relation pair to its edge, in either direction. Fed from the lock-free
-	// fetch path, read by the online advisor (coaccess.go).
-	coEdges map[string]*coEdge
+	// Left->Right; coPairs resolves an (A fetched, then B fetched) relation
+	// pair to its edge, in either direction. Fed from the lock-free fetch
+	// path, read by the online advisor (coaccess.go).
+	coEdges []*coEdge
 	coPairs map[string]*coEdge
 }
 
@@ -104,9 +105,9 @@ type DB struct {
 	obsName string
 	m       *dbMetrics
 	// schemaMu guards the schema-derived structures below (Schema, tables,
-	// lm, indsFrom/indsInto, procNulls, nnaAttrs, bind) against live schema
-	// migration: every mutating entry point holds it shared for the
-	// operation's duration, MigrateSchema holds it exclusive. Lock order:
+	// lm, bind) against live schema migration: every mutating entry point
+	// holds it shared for the operation's duration, MigrateSchema holds it
+	// exclusive. Lock order:
 	// schemaMu before replMu before table locks before txnMu. Lock-free
 	// readers never touch it — they resolve metadata through the binding
 	// carried by their pinned snapshot.
@@ -131,12 +132,6 @@ type DB struct {
 	// lives on the DB, not the lock manager, so a migration's fresh lock
 	// plans never reset it).
 	lockAcq atomic.Uint64
-	// indsFrom/indsInto index the schema's inclusion dependencies by side.
-	indsFrom map[string][]schema.IND
-	indsInto map[string][]schema.IND
-	// procedural null constraints per scheme (NNA excluded).
-	procNulls map[string][]schema.NullConstraint
-	nnaAttrs  map[string]map[string]bool
 	// lastFetch is the relation name of the most recent key-shaped fetch, the
 	// co-access pair detector's one-deep history (coaccess.go).
 	lastFetch atomic.Value
@@ -229,62 +224,30 @@ func Open(s *schema.Schema, opts ...Option) (*DB, error) {
 }
 
 // newBinding validates s and builds the full set of schema-derived
-// structures: the table catalog with prebuilt secondary indexes, the
-// dependency indexes by side, the constraint partitions, the lock plans, and
-// the co-access edge counters. It mutates nothing on db — the caller decides
-// when (and whether) to install the binding.
+// structures: the table catalog in name order, every table's write plan and
+// secondary-index set (plan.go), the lock plans, and the co-access edge
+// counters. It mutates nothing on db — the caller decides when (and whether)
+// to install the binding.
 func (db *DB) newBinding(s *schema.Schema) (*binding, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	b := &binding{
-		schema:    s,
-		tables:    make(map[string]*table, len(s.Relations)),
-		indsFrom:  make(map[string][]schema.IND),
-		indsInto:  make(map[string][]schema.IND),
-		procNulls: make(map[string][]schema.NullConstraint),
-		nnaAttrs:  make(map[string]map[string]bool),
-		coEdges:   make(map[string]*coEdge),
-		coPairs:   make(map[string]*coEdge),
-	}
+	b := &binding{schema: s, tables: make(map[string]*table, len(s.Relations))}
 	for _, rs := range s.Relations {
 		hdr := relation.New(rs.AttrNames()...)
-		b.tables[rs.Name] = &table{
-			name:   rs.Name,
-			rs:     rs,
-			hdr:    hdr,
-			pkPos:  hdr.Positions(rs.PrimaryKey),
-			secIdx: make(map[string][]int),
-		}
-		b.nnaAttrs[rs.Name] = s.NNAAttrs(rs.Name)
+		t := &table{name: rs.Name, rs: rs, hdr: hdr, pkPos: hdr.Positions(rs.PrimaryKey)}
+		b.tables[rs.Name] = t
+		b.ordered = append(b.ordered, t)
 	}
-	for _, ind := range s.INDs {
-		b.indsFrom[ind.Left] = append(b.indsFrom[ind.Left], ind)
-		b.indsInto[ind.Right] = append(b.indsInto[ind.Right], ind)
+	sort.Slice(b.ordered, func(i, j int) bool { return b.ordered[i].name < b.ordered[j].name })
+	for i, t := range b.ordered {
+		t.ord = i
 	}
-	for _, nc := range s.Nulls {
-		if ne, ok := nc.(schema.NullExistence); ok && ne.IsNNA() {
-			continue
-		}
-		b.procNulls[nc.SchemeName()] = append(b.procNulls[nc.SchemeName()], nc)
-	}
-	for _, ind := range s.INDs {
-		if err := b.validateINDShape(ind); err != nil {
-			return nil, err
-		}
-	}
-	// Prebuild the full secondary-index set: referencing sides (delete/update
-	// restrict checks) and non-key-based referenced sides (insert FK probes,
-	// fetch hops). Maintained incrementally from here on, published immutably
-	// with every version.
-	for _, ind := range s.INDs {
-		b.tables[ind.Left].addSecIdx(ind.LeftAttrs)
-		if !ind.KeyBased(s) {
-			b.tables[ind.Right].addSecIdx(ind.RightAttrs)
-		}
+	if err := b.compilePlans(); err != nil {
+		return nil, err
 	}
 	b.lm = newLockManager(b)
-	db.buildCoEdges(b)
+	buildCoEdges(b)
 	return b, nil
 }
 
@@ -296,68 +259,21 @@ func (db *DB) install(b *binding) {
 	db.Schema = b.schema
 	db.tables = b.tables
 	db.lm = b.lm
-	db.indsFrom = b.indsFrom
-	db.indsInto = b.indsInto
-	db.procNulls = b.procNulls
-	db.nnaAttrs = b.nnaAttrs
 	db.bind = b
 }
 
 // emptyVersions builds the version-zero table set of a binding: every table
-// empty, every prebuilt secondary index present.
-func emptyVersions(b *binding) map[string]*tableVersion {
-	tables := make(map[string]*tableVersion, len(b.tables))
-	for name, t := range b.tables {
-		sec := make(map[string]*immap.Map[[]relation.Tuple], len(t.secIdx))
-		for key := range t.secIdx {
-			sec[key] = immap.New[[]relation.Tuple]()
+// empty, every secondary index present.
+func emptyVersions(b *binding) []*tableVersion {
+	tables := make([]*tableVersion, len(b.ordered))
+	for i, t := range b.ordered {
+		tv := &tableVersion{pk: immap.New[relation.Tuple](), sec: make([]*immap.Map[[]string], len(t.sec))}
+		for slot := range tv.sec {
+			tv.sec[slot] = immap.New[[]string]()
 		}
-		tables[name] = &tableVersion{pk: immap.New[relation.Tuple](), sec: sec}
+		tables[i] = tv
 	}
 	return tables
-}
-
-// addSecIdx registers a prebuilt secondary index over attrs (idempotent).
-func (t *table) addSecIdx(attrs []string) {
-	key := secondaryKey(attrs)
-	if _, ok := t.secIdx[key]; ok {
-		return
-	}
-	t.secIdx[key] = t.hdr.Positions(attrs)
-}
-
-// validateINDShape rejects key-based inclusion dependencies whose right-side
-// attribute list is not an exact permutation of the referenced scheme's
-// primary key. Schema validation alone admits such shapes — IND.KeyBased
-// compares attribute SETS, so a right side like [K1, K1, K2] passes against
-// the key [K1, K2] — but orderAsKey would then silently drop one
-// correspondence and probe the primary-key index with a garbage key,
-// rejecting valid foreign keys. Detecting the shape here turns that silent
-// misbehaviour into a typed Open error.
-func (b *binding) validateINDShape(ind schema.IND) error {
-	if !ind.KeyBased(b.schema) {
-		return nil
-	}
-	target := b.tables[ind.Right]
-	if target == nil {
-		return fmt.Errorf("%w %s (in %s)", ErrUnknownRelation, ind.Right, ind)
-	}
-	pk := target.rs.PrimaryKey
-	if len(ind.RightAttrs) != len(pk) {
-		return fmt.Errorf("%w: %s lists %d right-side attributes for the %d-attribute key of %s",
-			ErrMalformedIND, ind, len(ind.RightAttrs), len(pk), ind.Right)
-	}
-	seen := make(map[string]int, len(ind.RightAttrs))
-	for _, a := range ind.RightAttrs {
-		seen[a]++
-	}
-	for _, ka := range pk {
-		if seen[ka] != 1 {
-			return fmt.Errorf("%w: %s must list key attribute %s of %s exactly once (found %d times)",
-				ErrMalformedIND, ind, ka, ind.Right, seen[ka])
-		}
-	}
-	return nil
 }
 
 // MustOpen is Open that panics on error.
@@ -380,7 +296,7 @@ func (db *DB) Relation(name string) *relation.Relation {
 		return nil
 	}
 	r := relation.New(t.hdr.Attrs()...)
-	snap.tables[name].pk.Range(func(_ string, tup relation.Tuple) bool {
+	snap.tables[t.ord].pk.Range(func(_ string, tup relation.Tuple) bool {
 		r.Add(tup)
 		return true
 	})
@@ -401,11 +317,7 @@ func (db *DB) Header(name string) *relation.Relation {
 // Count returns the tuple count of a relation in the current published
 // version (lock-free).
 func (db *DB) Count(name string) int {
-	v := db.current.Load().tables[name]
-	if v == nil {
-		return 0
-	}
-	return v.pk.Len()
+	return db.current.Load().count(name)
 }
 
 // Insert adds a tuple to the named relation, enforcing all constraints. On
@@ -438,69 +350,73 @@ func (db *DB) InsertCtx(ctx context.Context, name string, tup relation.Tuple) er
 	defer db.m.insertLat.ObserveSince(start)
 	tx := db.beginWrite()
 	var eff effects
-	if err := db.insertLocked(tx, t, tup, &eff); err != nil {
+	if err := db.insertOne(tx, t, tup, &eff); err != nil {
 		return err
 	}
 	return db.commitEffects(tx, eff)
 }
 
-// insertLocked validates and stages one tuple, assuming the insert lock set
-// of t is held. Mutations are staged in tx and recorded in eff; on error the
-// caller simply drops tx (the published state was never touched).
-func (db *DB) insertLocked(tx *writeTx, t *table, tup relation.Tuple, eff *effects) error {
-	if len(tup) != t.hdr.Arity() {
-		return fmt.Errorf("%w for %s", ErrArityMismatch, t.rs.Name)
+// insertOne is insertLocked for a tuple nobody has looked at yet: it checks
+// the arity and encodes the primary key.
+func (db *DB) insertOne(tx *writeTx, t *table, tup relation.Tuple, eff *effects) error {
+	if len(tup) != len(t.rs.Attrs) {
+		return fmt.Errorf("%w for %s", ErrArityMismatch, t.name)
 	}
-	if err := db.checkDeclarative(tx, t, tup); err != nil {
+	return db.insertLocked(tx, t, tup, tx.keyOf(t, tup), eff)
+}
+
+// insertLocked validates and stages one tuple of t's arity under its encoded
+// primary key (encoded once by the caller and carried to the index), assuming
+// the insert lock set of t is held. Mutations are staged in tx and recorded
+// in eff; on error the caller simply drops tx (the published state was never
+// touched).
+func (db *DB) insertLocked(tx *writeTx, t *table, tup relation.Tuple, key string, eff *effects) error {
+	if err := db.checkDeclarative(tx, t, tup, key); err != nil {
 		return err
 	}
 	if err := db.fireInsertTriggers(tx, t, tup); err != nil {
 		return err
 	}
-	eff.apply(tx, t, tup)
+	eff.apply(tx, t, tup, key)
 	tx.countInsert()
 	return nil
 }
 
 // checkDeclarative runs the NOT NULL / PRIMARY KEY / key-based FOREIGN KEY
 // checks for an incoming tuple against the transaction's staged view.
-func (db *DB) checkDeclarative(tx *writeTx, t *table, tup relation.Tuple) error {
-	name := t.rs.Name
-	// NOT NULL.
-	for i, a := range t.rs.AttrNames() {
-		tx.countDecl()
-		if db.nnaAttrs[name][a] && tup[i].IsNull() {
-			return db.violation(&ConstraintViolation{Kind: NotNullViolation, Relation: name, Attr: a, Op: "insert"})
+func (db *DB) checkDeclarative(tx *writeTx, t *table, tup relation.Tuple, key string) error {
+	// NOT NULL: one check per attribute, in attribute order, up to and
+	// including the first violating one.
+	for _, p := range t.nna {
+		if tup[p].IsNull() {
+			tx.countDecl(p + 1)
+			return db.violation(&ConstraintViolation{Kind: NotNullViolation, Relation: t.name, Attr: t.rs.Attrs[p].Name, Op: "insert"})
 		}
 	}
 	// PRIMARY KEY uniqueness (all nulls identical, per section 5.1).
-	tx.countDecl()
+	tx.countDecl(len(tup) + 1)
 	tx.countIdx()
-	if _, dup := tx.pkGet(t, t.keyOfIncoming(tup)); dup {
-		return db.violation(&ConstraintViolation{Kind: PrimaryKeyViolation, Relation: name, Op: "insert"})
+	if _, dup := tx.pkGet(t, key); dup {
+		return db.violation(&ConstraintViolation{Kind: PrimaryKeyViolation, Relation: t.name, Op: "insert"})
 	}
 	// Key-based foreign keys: indexed probe into the referenced table. A
 	// local miss on a partition engine falls through to the router's
 	// cross-shard probe (partition.go) before it counts as a violation.
-	for _, ind := range db.indsFrom[name] {
-		target := db.tables[ind.Right]
-		if !ind.KeyBased(db.Schema) {
+	for _, ip := range t.out {
+		if !ip.keyBased {
 			continue // handled by triggers
 		}
-		tx.countDecl()
-		fk := projectAttrs(t, tup, ind.LeftAttrs)
-		if !fk.IsTotal() {
+		tx.countDecl(1)
+		if !tup.TotalAt(ip.probePos) {
 			continue // null foreign keys are exempt
 		}
 		tx.countIdx()
-		if _, ok := tx.pkGet(target, orderAsKey(target, ind.RightAttrs, fk)); !ok {
-			hit, err := db.probeReferenced(ind, orderAsKey(target, ind.RightAttrs, fk))
-			if err != nil {
-				return err
-			}
-			if !hit {
-				return db.violation(&ConstraintViolation{Kind: ForeignKeyViolation, Relation: name, Constraint: ind.String(), Op: "insert"})
-			}
+		fk := tup.AppendKeyAt(tx.kb[:0], ip.probePos)
+		if tx.pkHas(ip.right, fk) {
+			continue
+		}
+		if err := db.referencedElsewhere(ip, fk, t.name); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -511,68 +427,42 @@ func (db *DB) checkDeclarative(tx *writeTx, t *table, tup relation.Tuple) error 
 // non-key-based inclusion dependencies from the scheme (a probe of the
 // referenced relation's prebuilt secondary index).
 func (db *DB) fireInsertTriggers(tx *writeTx, t *table, tup relation.Tuple) error {
-	name := t.rs.Name
-	for _, nc := range db.procNulls[name] {
+	for i := range t.nulls {
 		tx.countTrig()
-		probe := relation.New(t.rs.AttrNames()...)
-		probe.Add(tup)
-		if !nc.Satisfied(probe) {
-			return db.violation(&ConstraintViolation{Kind: NullConstraintViolation, Relation: name, Constraint: fmt.Sprint(nc), Op: "insert"})
+		if nc := &t.nulls[i]; !nc.ok(tup) {
+			return db.violation(&ConstraintViolation{Kind: NullConstraintViolation, Relation: t.name, Constraint: nc.text, Op: "insert"})
 		}
 	}
-	for _, ind := range db.indsFrom[name] {
-		if ind.KeyBased(db.Schema) {
+	for _, ip := range t.out {
+		if ip.keyBased {
 			continue
 		}
 		tx.countTrig()
-		fk := projectAttrs(t, tup, ind.LeftAttrs)
-		if !fk.IsTotal() {
+		if !tup.TotalAt(ip.probePos) {
 			continue
 		}
 		tx.countIdx()
-		if len(tx.bucket(db.tables[ind.Right], secondaryKey(ind.RightAttrs), fk.EncodeKey())) == 0 {
-			hit, err := db.probeReferenced(ind, fk.EncodeKey())
-			if err != nil {
-				return err
-			}
-			if !hit {
-				return db.violation(&ConstraintViolation{Kind: ForeignKeyViolation, Relation: name, Constraint: ind.String(), Op: "insert"})
-			}
+		fk := tup.AppendKeyAt(tx.kb[:0], ip.probePos)
+		if len(tx.bucket(ip.right, ip.rightSlot, fk)) > 0 {
+			continue
+		}
+		if err := db.referencedElsewhere(ip, fk, t.name); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-func secondaryKey(attrs []string) string {
-	out := ""
-	for i, a := range attrs {
-		if i > 0 {
-			out += ","
-		}
-		out += a
+// referencedElsewhere settles a foreign-key probe that missed the staged
+// view: a violation, unless this is a partition engine and the router finds
+// the referenced tuple on another shard.
+func (db *DB) referencedElsewhere(ip *indPlan, fk []byte, name string) error {
+	hit, err := db.probeReferenced(ip, fk)
+	if err != nil {
+		return err
 	}
-	return out
-}
-
-func (t *table) keyOfIncoming(tup relation.Tuple) string {
-	return tup.Project(t.pkPos).EncodeKey()
-}
-
-func projectAttrs(t *table, tup relation.Tuple, attrs []string) relation.Tuple {
-	return tup.Project(t.hdr.Positions(attrs))
-}
-
-// orderAsKey encodes a foreign-key value in the referenced table's
-// primary-key attribute order.
-func orderAsKey(target *table, rightAttrs []string, val relation.Tuple) string {
-	// Map rightAttrs -> positions within the primary key order.
-	ordered := make(relation.Tuple, len(target.rs.PrimaryKey))
-	for i, ka := range target.rs.PrimaryKey {
-		for j, ra := range rightAttrs {
-			if ra == ka {
-				ordered[i] = val[j]
-			}
-		}
+	if !hit {
+		return db.violation(&ConstraintViolation{Kind: ForeignKeyViolation, Relation: name, Constraint: ip.text, Op: "insert"})
 	}
-	return ordered.EncodeKey()
+	return nil
 }

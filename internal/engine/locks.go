@@ -78,7 +78,7 @@ func (ls lockSet) release() {
 // lockManager holds the precomputed lock plans, one per (operation kind,
 // table). The schema is immutable after Open, so the plans are too.
 type lockManager struct {
-	ordered []*table // all tables in ordinal (name) order
+	ordered []*table // all tables in ordinal (name) order: binding.ordered
 	insert  map[string]lockSet
 	remove  map[string]lockSet
 	update  map[string]lockSet
@@ -102,54 +102,43 @@ func (b planBuilder) build() lockSet {
 	return ls
 }
 
-// newLockManager assigns table ordinals and precomputes every plan for one
-// binding (the schema-derived structures of one design — a live migration
-// builds a whole new binding with its own lock manager).
+// newLockManager precomputes every plan for one binding (the schema-derived
+// structures of one design — a live migration builds a whole new binding
+// with its own lock manager).
 func newLockManager(b *binding) *lockManager {
-	names := make([]string, 0, len(b.tables))
-	for name := range b.tables {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	lm := &lockManager{
-		insert: make(map[string]lockSet, len(names)),
-		remove: make(map[string]lockSet, len(names)),
-		update: make(map[string]lockSet, len(names)),
+		ordered: b.ordered,
+		insert:  make(map[string]lockSet, len(b.ordered)),
+		remove:  make(map[string]lockSet, len(b.ordered)),
+		update:  make(map[string]lockSet, len(b.ordered)),
 	}
-	for i, name := range names {
-		t := b.tables[name]
-		t.ord = i
-		lm.ordered = append(lm.ordered, t)
-	}
-	for _, name := range names {
-		t := b.tables[name]
-
+	for _, t := range b.ordered {
 		// Insert: write the table itself; hold the referenced sides for
 		// reading so their versions cannot advance under the FK probes
 		// (key-based or not — every secondary index is prebuilt).
 		ins := planBuilder{t: lockWrite}
-		for _, ind := range b.indsFrom[name] {
-			ins.add(b.tables[ind.Right], lockRead)
+		for _, ip := range t.out {
+			ins.add(ip.right, lockRead)
 		}
-		lm.insert[name] = ins.build()
+		lm.insert[t.name] = ins.build()
 
 		// Delete: write the table itself; hold every referencing side for
 		// reading under the restrict probes.
 		del := planBuilder{t: lockWrite}
-		for _, ind := range b.indsInto[name] {
-			del.add(b.tables[ind.Left], lockRead)
+		for _, ip := range t.in {
+			del.add(ip.left, lockRead)
 		}
-		lm.remove[name] = del.build()
+		lm.remove[t.name] = del.build()
 
 		// Update = delete + insert without intermediate visibility.
 		upd := planBuilder{}
-		for _, r := range lm.insert[name] {
+		for _, r := range lm.insert[t.name] {
 			upd.add(r.t, r.mode)
 		}
-		for _, r := range lm.remove[name] {
+		for _, r := range lm.remove[t.name] {
 			upd.add(r.t, r.mode)
 		}
-		lm.update[name] = upd.build()
+		lm.update[t.name] = upd.build()
 	}
 	return lm
 }
@@ -207,15 +196,17 @@ func (db *DB) batchPlan(ops []BatchOp) (lockSet, error) {
 // writeTx is simply dropped.
 type effects []undoOp
 
-// apply stages tup into t via tx and records the mutation.
-func (e *effects) apply(tx *writeTx, t *table, tup relation.Tuple) {
-	tx.apply(t, tup)
+// apply stages tup into t under its encoded primary key via tx and records
+// the mutation.
+func (e *effects) apply(tx *writeTx, t *table, tup relation.Tuple, key string) {
+	tx.apply(t, tup, key)
 	*e = append(*e, undoOp{table: t, tuple: tup, insert: true})
 }
 
-// remove stages the removal of tup from t via tx and records the mutation.
-func (e *effects) remove(tx *writeTx, t *table, tup relation.Tuple) {
-	tx.remove(t, tup)
+// remove stages the removal of tup, stored under key, from t via tx and
+// records the mutation.
+func (e *effects) remove(tx *writeTx, t *table, tup relation.Tuple, key string) {
+	tx.remove(t, tup, key)
 	*e = append(*e, undoOp{table: t, tuple: tup})
 }
 

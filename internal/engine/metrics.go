@@ -216,7 +216,10 @@ func (db *DB) countDelete() { db.Stats.deletes.add(1); db.m.deletes.Inc() }
 func (db *DB) countUpdate() { db.Stats.updates.add(1); db.m.updates.Inc() }
 func (db *DB) countLookup() { db.Stats.lookups.add(1); db.m.lookups.Inc() }
 
-func (db *DB) countDecl() { db.Stats.declarativeChecks.add(1); db.m.declChecks.Inc() }
+func (db *DB) countDecl(n int) {
+	db.Stats.declarativeChecks.add(int64(n))
+	db.m.declChecks.Add(int64(n))
+}
 func (db *DB) countTrig() { db.Stats.triggerFirings.add(1); db.m.triggerFirings.Inc() }
 func (db *DB) countIdx()  { db.Stats.indexLookups.add(1); db.m.indexLookups.Inc() }
 

@@ -115,30 +115,35 @@ func (db *DB) MigrateSchema(ns *schema.Schema, transform func(*state.DB) (*state
 	return nil
 }
 
-// versionsOf builds the immutable table-version set of st under binding b
-// (every prebuilt index populated), without publishing anything.
-func (db *DB) versionsOf(b *binding, st *state.DB) map[string]*tableVersion {
-	base := emptyVersions(b)
-	tx := &writeTx{db: db, snap: &dbSnapshot{tables: base, bind: b}, work: make(map[*table]*workTable, len(b.tables)), dry: true}
-	for _, t := range b.tables {
+// stateTx stages the whole of st under binding b — every table, over b's
+// empty version zero, every index populated — in one write transaction (one
+// editor per index for the entire state), without publishing anything. Live
+// migration, a shipped schema change and snapshot install build their
+// versions through it.
+func (db *DB) stateTx(b *binding, st *state.DB) *writeTx {
+	tx := &writeTx{db: db, snap: &dbSnapshot{tables: emptyVersions(b), bind: b}}
+	for _, t := range b.ordered {
 		tx.stage(t)
-	}
-	for name, t := range b.tables {
-		r := st.Relation(name)
+		r := st.Relation(t.name)
 		if r == nil {
 			continue
 		}
-		src := r
-		if !sameAttrs(src.Attrs(), t.hdr.Attrs()) {
-			src = src.Project(t.hdr.Attrs())
+		if !sameAttrs(r.Attrs(), t.hdr.Attrs()) {
+			r = r.Project(t.hdr.Attrs())
 		}
-		for _, tup := range src.Tuples() {
-			tx.apply(t, tup)
+		for _, tup := range r.Tuples() {
+			tx.apply(t, tup, tx.keyOf(t, tup))
 		}
 	}
-	out := make(map[string]*tableVersion, len(b.tables))
-	for t, wt := range tx.work {
-		out[t.name] = &tableVersion{pk: wt.pk, sec: wt.sec}
+	return tx
+}
+
+// versionsOf builds the immutable table-version set of st under binding b.
+func (db *DB) versionsOf(b *binding, st *state.DB) []*tableVersion {
+	tx := db.stateTx(b, st)
+	out := make([]*tableVersion, len(tx.work))
+	for _, wt := range tx.work {
+		out[wt.t.ord] = wt.freeze()
 	}
 	return out
 }

@@ -6,7 +6,9 @@ package engine_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -317,5 +319,90 @@ func TestStressMVCCReadUnderWriteCheckpoint(t *testing.T) {
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// An editor applies a 10 000-row batch — one edit per index, nodes mutated in
+// place — while readers keep ranging versions they pinned before and during
+// it: a pinned version must count what it counted when pinned, whatever the
+// writer is doing to the structure it shares with it (run under -race this is
+// also the proof that an editor writes no node a published version can
+// reach). Then a batch that violates on its last row is dropped whole: the
+// version published before it is still the current one, index for index.
+func TestConcurrentReadersUnderEditorBatch(t *testing.T) {
+	const rows, readers = 10000, 3
+	c := openMergedChain(t, 2000, 64)
+	db, ctx := c.db, context.Background()
+
+	batch := make([]relation.Tuple, rows)
+	for i := range batch {
+		batch[i] = c.row(fmt.Sprintf("b-%d", i), i%(chainN+1))
+	}
+	stop := make(chan struct{})
+	var ranged atomic.Int64
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				v := db.View()
+				want, got := v.Count("MERGED"), 0
+				if err := v.Scan("MERGED", nil, func(relation.Tuple) { got++ }); err != nil {
+					t.Errorf("scan: %v", err)
+					return
+				}
+				if got != want || (want != 2000 && want != 2000+rows) {
+					t.Errorf("a pinned version of %d rows ranged %d (the batch is %d rows, all or nothing)", want, got, rows)
+					return
+				}
+				ranged.Add(1)
+			}
+		}()
+	}
+	before := ranged.Load()
+	if err := db.InsertBatchCtx(ctx, "MERGED", batch); err != nil {
+		t.Fatal(err)
+	}
+	for ranged.Load() < before+2*readers { // every reader has pinned the new version too
+		runtime.Gosched()
+	}
+	close(stop)
+	wg.Wait()
+
+	// A violating batch: 500 good rows, all naming a T1 target nothing else
+	// names, then one that skips a chain link.
+	if err := db.InsertCtx(ctx, "T1", key("t1-only")); err != nil {
+		t.Fatal(err)
+	}
+	lsn := db.VersionLSN()
+	bad := make([]relation.Tuple, 0, 501)
+	for i := 0; i < 500; i++ {
+		row := c.row(fmt.Sprintf("bad-%d", i), chainN)
+		row[1] = relation.NewString("t1-only")
+		bad = append(bad, row)
+	}
+	skip := c.row("bad-skip", chainN)
+	skip[2] = relation.Null()
+	err := db.InsertBatchCtx(ctx, "MERGED", append(bad, skip))
+	var cv *engine.ConstraintViolation
+	if !errors.As(err, &cv) || cv.Kind != engine.NullConstraintViolation {
+		t.Fatalf("violating batch = %v, want a null-constraint violation", err)
+	}
+	if db.VersionLSN() != lsn || db.Count("MERGED") != 2000+rows {
+		t.Fatalf("a dropped batch published: LSN %d → %d, %d rows", lsn, db.VersionLSN(), db.Count("MERGED"))
+	}
+	if _, ok := db.GetByKey("MERGED", key("bad-0")); ok {
+		t.Error("a row of the dropped batch is visible")
+	}
+	// Nor did its 500 references reach the foreign-key index: the target is
+	// still free to go.
+	if err := db.DeleteCtx(ctx, "T1", key("t1-only")); err != nil {
+		t.Errorf("deleting the target only the dropped batch named: %v", err)
 	}
 }

@@ -91,33 +91,42 @@ func (db *DB) DeleteCtx(ctx context.Context, name string, key relation.Tuple) er
 // deleteLocked checks and stages one delete, assuming the delete lock set
 // of t is held.
 func (db *DB) deleteLocked(tx *writeTx, t *table, key relation.Tuple, eff *effects) error {
-	name := t.rs.Name
-	tup, ok := tx.pkGet(t, key.EncodeKey())
+	ks := string(key.AppendKey(tx.kb[:0]))
+	tup, ok := tx.pkGet(t, ks)
 	if !ok {
-		return fmt.Errorf("%w: no %s tuple with key %v", ErrNoSuchTuple, name, key)
+		return fmt.Errorf("%w: no %s tuple with key %v", ErrNoSuchTuple, t.name, key)
 	}
-	for _, ind := range db.indsInto[name] {
+	for _, ip := range t.in {
 		tx.countTrig()
-		referenced := projectAttrs(t, tup, ind.RightAttrs)
-		if !referenced.IsTotal() {
+		if !tup.TotalAt(ip.rightPos) {
 			continue
 		}
 		tx.countIdx()
-		if len(tx.bucket(db.tables[ind.Left], secondaryKey(ind.LeftAttrs), referenced.EncodeKey())) > 0 {
-			return db.violation(&ConstraintViolation{Kind: RestrictViolation, Relation: name, Constraint: ind.String(), Op: "delete"})
-		}
-		// An empty local bucket is not authoritative on a partition engine:
-		// a referencing tuple may live in another shard.
-		hit, err := db.probeReferencing(ind, referenced.EncodeKey())
-		if err != nil {
+		if err := db.restrict(tx, ip, tup, "delete"); err != nil {
 			return err
 		}
-		if hit {
-			return db.violation(&ConstraintViolation{Kind: RestrictViolation, Relation: name, Constraint: ind.String(), Op: "delete"})
+	}
+	eff.remove(tx, t, tup, ks)
+	tx.countDelete()
+	return nil
+}
+
+// restrict refuses to let the value tup carries on the referenced side of ip
+// vanish while a referencing tuple holds it. An empty local answer is not
+// authoritative on a partition engine: a referencing tuple may live in
+// another shard.
+func (db *DB) restrict(tx *writeTx, ip *indPlan, tup relation.Tuple, op string) error {
+	ref := tup.AppendKeyAt(tx.kb[:0], ip.rightPos)
+	hit := tx.references(ip, ref)
+	if !hit {
+		var err error
+		if hit, err = db.probeReferencing(ip, ref); err != nil {
+			return err
 		}
 	}
-	eff.remove(tx, t, tup)
-	tx.countDelete()
+	if hit {
+		return db.violation(&ConstraintViolation{Kind: RestrictViolation, Relation: ip.right.name, Constraint: ip.text, Op: op})
+	}
 	return nil
 }
 
@@ -163,41 +172,49 @@ func (db *DB) UpdateCtx(ctx context.Context, name string, key relation.Tuple, ne
 // trip the PK check on its own old row); a violation drops the whole staged
 // transaction.
 func (db *DB) updateLocked(tx *writeTx, t *table, key, newTup relation.Tuple, eff *effects) error {
-	name := t.rs.Name
-	old, ok := tx.pkGet(t, key.EncodeKey())
-	if !ok {
-		return fmt.Errorf("%w: no %s tuple with key %v", ErrNoSuchTuple, name, key)
+	if len(newTup) != len(t.rs.Attrs) {
+		return fmt.Errorf("%w for %s", ErrArityMismatch, t.name)
 	}
-	eff.remove(tx, t, old)
-	if err := db.checkDeclarative(tx, t, newTup); err != nil {
+	ks := string(key.AppendKey(tx.kb[:0]))
+	old, ok := tx.pkGet(t, ks)
+	if !ok {
+		return fmt.Errorf("%w: no %s tuple with key %v", ErrNoSuchTuple, t.name, key)
+	}
+	eff.remove(tx, t, old, ks)
+	// A key-preserving update stores the new tuple under the old key string.
+	if !sameAt(old, newTup, t.pkPos) {
+		ks = tx.keyOf(t, newTup)
+	}
+	if err := db.checkDeclarative(tx, t, newTup, ks); err != nil {
 		return err
 	}
 	if err := db.fireInsertTriggers(tx, t, newTup); err != nil {
 		return err
 	}
 	// Referenced-side integrity for the vanishing old values.
-	for _, ind := range db.indsInto[name] {
+	for _, ip := range t.in {
 		tx.countTrig()
-		oldRef := projectAttrs(t, old, ind.RightAttrs)
-		newRef := projectAttrs(t, newTup, ind.RightAttrs)
-		if !oldRef.IsTotal() || oldRef.Identical(newRef) {
+		if !old.TotalAt(ip.rightPos) || sameAt(old, newTup, ip.rightPos) {
 			continue
 		}
 		tx.countIdx()
-		if len(tx.bucket(db.tables[ind.Left], secondaryKey(ind.LeftAttrs), oldRef.EncodeKey())) > 0 {
-			return db.violation(&ConstraintViolation{Kind: RestrictViolation, Relation: name, Constraint: ind.String(), Op: "update"})
-		}
-		hit, err := db.probeReferencing(ind, oldRef.EncodeKey())
-		if err != nil {
+		if err := db.restrict(tx, ip, old, "update"); err != nil {
 			return err
 		}
-		if hit {
-			return db.violation(&ConstraintViolation{Kind: RestrictViolation, Relation: name, Constraint: ind.String(), Op: "update"})
-		}
 	}
-	eff.apply(tx, t, newTup)
+	eff.apply(tx, t, newTup, ks)
 	tx.countUpdate()
 	return nil
+}
+
+// sameAt reports whether a and b are identical at every given position.
+func sameAt(a, b relation.Tuple, positions []int) bool {
+	for _, p := range positions {
+		if !a[p].Identical(b[p]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Load bulk-inserts a consistent database state, relation by relation in an
@@ -305,7 +322,7 @@ func stateOf(snap *dbSnapshot) *state.DB {
 	out := &state.DB{Relations: make(map[string]*relation.Relation, len(tables))}
 	for name, t := range tables {
 		r := relation.New(t.hdr.Attrs()...)
-		snap.tables[name].pk.Range(func(_ string, tup relation.Tuple) bool {
+		snap.tables[t.ord].pk.Range(func(_ string, tup relation.Tuple) bool {
 			r.Add(tup.Clone())
 			return true
 		})

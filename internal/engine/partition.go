@@ -24,9 +24,9 @@ import (
 type ShardProbes struct {
 	// Referenced reports whether the referenced side of ind holds the probed
 	// value beyond this partition. For a key-based dependency, key is the
-	// referenced relation's encoded primary key (orderAsKey); otherwise it is
-	// the encoded RightAttrs value probed against the prebuilt secondary
-	// index.
+	// referenced relation's encoded primary key (the LeftAttrs value put in
+	// that key's attribute order); otherwise it is the encoded RightAttrs
+	// value probed against the prebuilt secondary index.
 	Referenced func(ind schema.IND, key string) (bool, error)
 	// Referencing reports whether any tuple referencing the encoded
 	// RightAttrs value refKey survives beyond this partition (the restrict
@@ -51,8 +51,9 @@ func (db *DB) SetShardProbes(p ShardProbes) { db.probes.Store(&p) }
 // local staged view. Non-partition engines answer false (the local miss is
 // final); partition engines ask the router, or pass during the bootstrap
 // window before the probes are installed (recovery replays writes that were
-// fully validated when first applied).
-func (db *DB) probeReferenced(ind schema.IND, key string) (bool, error) {
+// fully validated when first applied). Only here does the probe key become a
+// string: the router routes and caches by it.
+func (db *DB) probeReferenced(ip *indPlan, key []byte) (bool, error) {
 	if !db.partition {
 		return false, nil
 	}
@@ -60,13 +61,13 @@ func (db *DB) probeReferenced(ind schema.IND, key string) (bool, error) {
 	if p == nil || p.Referenced == nil {
 		return true, nil
 	}
-	return p.Referenced(ind, key)
+	return p.Referenced(ip.ind, string(key))
 }
 
 // probeReferencing resolves a restrict check whose local referencing bucket
 // was empty: false means no surviving reference anywhere, so the delete (or
 // update) may proceed.
-func (db *DB) probeReferencing(ind schema.IND, refKey string) (bool, error) {
+func (db *DB) probeReferencing(ip *indPlan, refKey []byte) (bool, error) {
 	if !db.partition {
 		return false, nil
 	}
@@ -74,7 +75,7 @@ func (db *DB) probeReferencing(ind schema.IND, refKey string) (bool, error) {
 	if p == nil || p.Referencing == nil {
 		return false, nil
 	}
-	return p.Referencing(ind, refKey)
+	return p.Referencing(ip.ind, string(refKey))
 }
 
 // HasKey reports whether the current published version of the relation holds
@@ -82,11 +83,12 @@ func (db *DB) probeReferencing(ind schema.IND, refKey string) (bool, error) {
 // is what makes remote shards probe each other without entangling their lock
 // managers.
 func (db *DB) HasKey(name, encodedKey string) bool {
-	v := db.current.Load().tables[name]
-	if v == nil {
+	snap := db.current.Load()
+	t := snap.bind.tables[name]
+	if t == nil {
 		return false
 	}
-	_, ok := v.pk.Get(encodedKey)
+	_, ok := snap.tables[t.ord].pk.Get(encodedKey)
 	return ok
 }
 
@@ -96,46 +98,40 @@ func (db *DB) HasKey(name, encodedKey string) bool {
 // encoding). Lock-free.
 func (db *DB) HasReferenced(ind schema.IND, valKey string) bool {
 	snap := db.current.Load()
-	v := snap.tables[ind.Right]
-	if v == nil {
+	ip := snap.bind.planOf(ind)
+	if ip == nil {
 		return false
 	}
-	if ind.KeyBased(snap.bind.schema) {
+	v := snap.tables[ip.right.ord]
+	if ip.keyBased {
 		_, ok := v.pk.Get(valKey)
 		return ok
 	}
-	idx := v.sec[secondaryKey(ind.RightAttrs)]
-	if idx == nil {
-		return false
-	}
-	b, _ := idx.Get(valKey)
-	return len(b) > 0
+	rows, _ := v.sec[ip.rightSlot].Get(valKey)
+	return len(rows) > 0
 }
 
 // ReferencingKeys returns the encoded primary keys of every tuple in the
 // current published version of ind.Left whose LeftAttrs projection equals
 // refKey. The router filters them against a cross-shard batch's pending
-// deletes before calling a reference "surviving". Lock-free.
+// deletes before calling a reference "surviving". The result is the index's
+// own bucket: read it, do not change it. Lock-free.
 func (db *DB) ReferencingKeys(ind schema.IND, refKey string) []string {
 	snap := db.current.Load()
-	t := snap.bind.tables[ind.Left]
-	if t == nil {
+	ip := snap.bind.planOf(ind)
+	if ip == nil {
 		return nil
 	}
-	v := snap.tables[ind.Left]
-	idx := v.sec[secondaryKey(ind.LeftAttrs)]
-	if idx == nil {
+	v := snap.tables[ip.left.ord]
+	if ip.leftSlot == pkSlot {
+		// LeftAttrs is the primary key: refKey names the one candidate row.
+		if _, ok := v.pk.Get(refKey); ok {
+			return []string{refKey}
+		}
 		return nil
 	}
-	b, _ := idx.Get(refKey)
-	if len(b) == 0 {
-		return nil
-	}
-	keys := make([]string, len(b))
-	for i, tup := range b {
-		keys[i] = t.keyOfIncoming(tup)
-	}
-	return keys
+	rows, _ := v.sec[ip.leftSlot].Get(refKey)
+	return rows
 }
 
 // StatsTotals returns the monotonic lifetime counters stamped with the
@@ -184,7 +180,7 @@ func (db *DB) PrevalidateBatchCtx(ctx context.Context, ops []BatchOp) error {
 		var opErr error
 		switch op.Kind {
 		case BatchInsert:
-			opErr = db.insertLocked(tx, t, op.Tuple, &eff)
+			opErr = db.insertOne(tx, t, op.Tuple, &eff)
 		case BatchDelete:
 			opErr = db.deleteLocked(tx, t, op.Key, &eff)
 		case BatchUpdate:

@@ -110,10 +110,11 @@ func (db *DB) applyReplicated(ops []walOp, lsn uint64) error {
 		if t == nil {
 			return fmt.Errorf("%w: replicated record names unknown relation %s", ErrRecovery, op.rel)
 		}
+		key := tx.keyOf(t, op.tup)
 		if op.insert {
-			tx.apply(t, op.tup)
+			tx.apply(t, op.tup, key)
 		} else {
-			tx.remove(t, op.tup)
+			tx.remove(t, op.tup, key)
 		}
 	}
 	db.publish(tx, lsn)
@@ -170,35 +171,18 @@ func (db *DB) IngestSnapshot(data []byte, lsn uint64) error {
 }
 
 // replaceState publishes st as a wholesale replacement of every table's
-// current version, stamped lsn. Staging every table over an EMPTY base
-// version makes publish (which merges staged tables over current) a full
-// replacement: tables absent from st publish empty. Caller holds schemaMu
-// (shared or exclusive); local writers are additionally quiesced via the
-// all-write lock set so a concurrent writer cannot publish between the swap
-// decision and the swap.
+// current version, stamped lsn: stateTx stages every table over an EMPTY
+// base version, which makes publish (it merges staged tables over current) a
+// full replacement — tables absent from st publish empty. Caller holds
+// schemaMu (shared or exclusive); local writers are additionally quiesced via
+// the all-write lock set so a concurrent writer cannot publish between the
+// swap decision and the swap.
 func (db *DB) replaceState(st *state.DB, lsn uint64) {
 	bind := db.bind
 	ls := bind.lm.allWrite()
 	db.acquire(ls)
 	defer ls.release()
-	tx := &writeTx{db: db, snap: &dbSnapshot{tables: emptyVersions(bind), bind: bind}, work: make(map[*table]*workTable, len(bind.tables))}
-	for _, t := range bind.tables {
-		tx.stage(t)
-	}
-	for name, t := range bind.tables {
-		r := st.Relation(name)
-		if r == nil {
-			continue
-		}
-		src := r
-		if !sameAttrs(src.Attrs(), t.hdr.Attrs()) {
-			src = src.Project(t.hdr.Attrs())
-		}
-		for _, tup := range src.Tuples() {
-			tx.apply(t, tup)
-		}
-	}
-	db.publish(tx, lsn)
+	db.publish(db.stateTx(bind, st), lsn)
 }
 
 // ReplRead is the primary-side read half of the shipping loop: the committed

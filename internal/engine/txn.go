@@ -101,10 +101,11 @@ func (db *DB) Rollback() error {
 	for i := len(db.undo) - 1; i >= 0; i-- {
 		op := db.undo[i]
 		// Reverse directly through the staged transaction (no logging).
+		key := tx.keyOf(op.table, op.tuple)
 		if op.insert {
-			tx.remove(op.table, op.tuple)
+			tx.remove(op.table, op.tuple, key)
 		} else {
-			tx.apply(op.table, op.tuple)
+			tx.apply(op.table, op.tuple, key)
 		}
 	}
 	reversed := len(db.undo) > 0

@@ -11,7 +11,7 @@ import (
 // table snapshots with copy-on-write publication.
 //
 //   - tableVersion is one immutable version of a table's contents: the
-//     primary-key index and every prebuilt secondary index as persistent
+//     primary-key index and every secondary index as persistent
 //     (structurally shared) maps. A published version is never modified.
 //   - dbSnapshot bundles one version per table plus the WAL LSN of the last
 //     operation it contains. DB.current holds the latest published snapshot;
@@ -21,49 +21,69 @@ import (
 //   - Writers still serialize through the per-table lock plans (locks.go):
 //     the held write locks guarantee the pinned snapshot is the latest
 //     version of every table the writer mutates. Mutations are staged in a
-//     writeTx — fresh map versions derived from the pinned snapshot — and
-//     become visible in ONE publish after the WAL accepts the record
-//     (commitEffects, locks.go). A failed or violating operation simply
-//     drops its writeTx: the published state was never touched, so there is
-//     nothing to revert.
+//     writeTx — one immap.Editor per index the operation writes, opened on
+//     the pinned version — and become visible in ONE publish after the WAL
+//     accepts the record (commitEffects, locks.go). An editor never outlives
+//     its writeTx: publish freezes it into the next immutable version, and a
+//     failed or violating operation simply drops its writeTx, editors and
+//     all — the published state was never touched, so there is nothing to
+//     revert.
 //   - Old versions are reclaimed by the garbage collector once the last
 //     reader drops its snapshot pointer; no epoch or hazard bookkeeping.
 
 // tableVersion is one immutable published version of a table's indexes.
-// The pk map is keyed by the encoded primary-key value; each secondary map
-// (one per prebuilt index, keyed like table.secIdx) maps an encoded attribute
-// value to the bucket of tuples holding it.
+// The pk map is keyed by the encoded primary-key value. Each secondary map
+// (one per slot of table.sec) maps an encoded attribute value to the bucket
+// of rows holding it, a row being the very key string the pk map stores it
+// under: 16 bytes a row, and a reader resolves it with one more pk lookup.
+// Buckets are flat slices copied on every change, not nested persistent
+// sets: nearly all of them hold one row, and a map header and node per
+// bucket would cost more memory than the copies of the few long ones save.
 type tableVersion struct {
 	pk  *immap.Map[relation.Tuple]
-	sec map[string]*immap.Map[[]relation.Tuple]
+	sec []*immap.Map[[]string]
 }
 
 // dbSnapshot is one immutable, cross-table-consistent version of the whole
 // database, stamped with the WAL LSN of the newest operation it contains
 // (a logical sequence number for non-durable engines). It carries the schema
-// binding it was published under, so a pinned reader resolves relation names,
-// dependency hops, and index layouts against the design that produced the
-// snapshot — a live schema migration never changes what an already-pinned
-// View answers.
+// binding it was published under — tables is indexed by that binding's table
+// ordinals — so a pinned reader resolves relation names, dependency hops,
+// and index layouts against the design that produced the snapshot: a live
+// schema migration never changes what an already-pinned View answers.
 type dbSnapshot struct {
 	lsn    uint64
-	tables map[string]*tableVersion
+	tables []*tableVersion
 	bind   *binding
 }
 
+// count returns the tuple count of the named relation (0 if unknown).
+func (s *dbSnapshot) count(name string) int {
+	t := s.bind.tables[name]
+	if t == nil {
+		return 0
+	}
+	return s.tables[t.ord].pk.Len()
+}
+
 // writeTx stages the mutations of one operation (or one whole batch) as
-// unpublished map versions derived from a pinned snapshot. Validation reads
+// unpublished index versions derived from a pinned snapshot. Validation reads
 // go through the writeTx so earlier staged mutations are visible to later
 // checks of the same batch; concurrent readers see none of it until publish.
 type writeTx struct {
 	db   *DB
 	snap *dbSnapshot
-	work map[*table]*workTable
+	// work holds the staged tables, few enough to search linearly.
+	work []*workTable
 	// dry marks a prevalidation pass (PrevalidateBatchCtx): the same checks
 	// run against the same staged semantics, but nothing publishes and the
 	// cost counters stay silent, so a cross-shard prevalidate-then-apply pair
 	// accounts each operation exactly once.
 	dry bool
+	// kb is the scratch space probe keys are encoded into: a key is looked up
+	// as bytes and becomes a string only when an index stores it. One probe
+	// key is live at a time.
+	kb [64]byte
 }
 
 // Cost-accounting forwarders: identical to the db.countX helpers except that
@@ -86,9 +106,9 @@ func (tx *writeTx) countUpdate() {
 	}
 }
 
-func (tx *writeTx) countDecl() {
+func (tx *writeTx) countDecl(n int) {
 	if !tx.dry {
-		tx.db.countDecl()
+		tx.db.countDecl(n)
 	}
 }
 
@@ -104,10 +124,13 @@ func (tx *writeTx) countIdx() {
 	}
 }
 
-// workTable holds the in-progress next version of one table's indexes.
+// workTable holds the in-progress next version of one table: an editor per
+// index the transaction has written, opened on base at the first write.
 type workTable struct {
-	pk  *immap.Map[relation.Tuple]
-	sec map[string]*immap.Map[[]relation.Tuple]
+	t    *table
+	base *tableVersion
+	pk   *immap.Editor[relation.Tuple]
+	sec  []*immap.Editor[[]string] // by slot; nil until written
 }
 
 // beginWrite pins the current snapshot as the base of a new write
@@ -115,95 +138,161 @@ type workTable struct {
 // the held write locks guarantee no concurrent writer publishes a newer
 // version of any table this transaction will mutate.
 func (db *DB) beginWrite() *writeTx {
-	return &writeTx{db: db, snap: db.current.Load(), work: make(map[*table]*workTable, 1)}
+	return &writeTx{db: db, snap: db.current.Load()}
+}
+
+// staged returns the working version of t, or nil if the transaction has not
+// written t.
+func (tx *writeTx) staged(t *table) *workTable {
+	for _, wt := range tx.work {
+		if wt.t == t {
+			return wt
+		}
+	}
+	return nil
 }
 
 // stage returns (creating on first mutation) the working version of t.
 func (tx *writeTx) stage(t *table) *workTable {
-	if wt, ok := tx.work[t]; ok {
+	if wt := tx.staged(t); wt != nil {
 		return wt
 	}
-	v := tx.snap.tables[t.name]
-	wt := &workTable{pk: v.pk, sec: make(map[string]*immap.Map[[]relation.Tuple], len(v.sec))}
-	for k, idx := range v.sec {
-		wt.sec[k] = idx
+	wt := &workTable{t: t, base: tx.snap.tables[t.ord]}
+	if len(t.sec) > 0 {
+		wt.sec = make([]*immap.Editor[[]string], len(t.sec))
 	}
-	tx.work[t] = wt
+	tx.work = append(tx.work, wt)
 	return wt
 }
 
+func (wt *workTable) pkEditor() *immap.Editor[relation.Tuple] {
+	if wt.pk == nil {
+		wt.pk = wt.base.pk.Edit()
+	}
+	return wt.pk
+}
+
+func (wt *workTable) secEditor(slot int) *immap.Editor[[]string] {
+	if wt.sec[slot] == nil {
+		wt.sec[slot] = wt.base.sec[slot].Edit()
+	}
+	return wt.sec[slot]
+}
+
+// freeze ends the table's editors and returns the version they built; the
+// indexes the transaction never wrote are base's own.
+func (wt *workTable) freeze() *tableVersion {
+	tv := &tableVersion{pk: wt.base.pk, sec: wt.base.sec}
+	if wt.pk != nil {
+		tv.pk = wt.pk.Freeze()
+	}
+	shared := true
+	for slot, ed := range wt.sec {
+		if ed == nil {
+			continue
+		}
+		if shared {
+			tv.sec, shared = append([]*immap.Map[[]string](nil), wt.base.sec...), false
+		}
+		tv.sec[slot] = ed.Freeze()
+	}
+	return tv
+}
+
+// keyOf encodes tup's primary key for t as the string the pk index stores.
+func (tx *writeTx) keyOf(t *table, tup relation.Tuple) string {
+	return string(tup.AppendKeyAt(tx.kb[:0], t.pkPos))
+}
+
 // pkGet reads the primary-key index of t: staged version if this transaction
-// mutated t, pinned snapshot otherwise.
+// wrote it, pinned snapshot otherwise.
 func (tx *writeTx) pkGet(t *table, key string) (relation.Tuple, bool) {
-	if wt, ok := tx.work[t]; ok {
+	if wt := tx.staged(t); wt != nil && wt.pk != nil {
 		return wt.pk.Get(key)
 	}
-	return tx.snap.tables[t.name].pk.Get(key)
+	return tx.snap.tables[t.ord].pk.Get(key)
+}
+
+// pkHas is pkGet for a probe key still in its scratch buffer.
+func (tx *writeTx) pkHas(t *table, key []byte) bool {
+	var ok bool
+	if wt := tx.staged(t); wt != nil && wt.pk != nil {
+		_, ok = wt.pk.GetBytes(key)
+	} else {
+		_, ok = tx.snap.tables[t.ord].pk.GetBytes(key)
+	}
+	return ok
 }
 
 // bucket reads one secondary-index bucket of t (staged or pinned, like pkGet).
-func (tx *writeTx) bucket(t *table, idxKey, valKey string) []relation.Tuple {
-	var idx *immap.Map[[]relation.Tuple]
-	if wt, ok := tx.work[t]; ok {
-		idx = wt.sec[idxKey]
+func (tx *writeTx) bucket(t *table, slot int, key []byte) []string {
+	var b []string
+	if wt := tx.staged(t); wt != nil && wt.sec[slot] != nil {
+		b, _ = wt.sec[slot].GetBytes(key)
 	} else {
-		idx = tx.snap.tables[t.name].sec[idxKey]
+		b, _ = tx.snap.tables[t.ord].sec[slot].GetBytes(key)
 	}
-	if idx == nil {
-		return nil
-	}
-	b, _ := idx.Get(valKey)
 	return b
 }
 
-// apply stages one tuple insertion into t: the pk index and every secondary
-// index derive fresh versions. The published snapshot is untouched.
-func (tx *writeTx) apply(t *table, tup relation.Tuple) {
+// references reports whether any staged-or-pinned tuple of ip.left carries
+// the encoded LeftAttrs value key: the restrict probe of deletes and updates
+// on the referenced side.
+func (tx *writeTx) references(ip *indPlan, key []byte) bool {
+	if ip.leftSlot == pkSlot {
+		return tx.pkHas(ip.left, key)
+	}
+	return len(tx.bucket(ip.left, ip.leftSlot, key)) > 0
+}
+
+// apply stages one tuple insertion into t under its encoded primary key: the
+// pk index and every secondary index the tuple is total on. The published
+// snapshot is untouched.
+func (tx *writeTx) apply(t *table, tup relation.Tuple, key string) {
 	wt := tx.stage(t)
-	wt.pk = wt.pk.Set(t.keyOfIncoming(tup), tup)
-	for key, ps := range t.secIdx {
-		sub := tup.Project(ps)
-		if !sub.IsTotal() {
+	wt.pkEditor().Set(key, tup)
+	for slot, ps := range t.sec {
+		if !tup.TotalAt(ps) {
 			continue
 		}
-		ek := sub.EncodeKey()
-		old, _ := wt.sec[key].Get(ek)
-		bucket := make([]relation.Tuple, 0, len(old)+1)
-		bucket = append(bucket, old...)
-		bucket = append(bucket, tup)
-		wt.sec[key] = wt.sec[key].Set(ek, bucket)
+		ek := tup.AppendKeyAt(tx.kb[:0], ps)
+		idx := wt.secEditor(slot)
+		old, _ := idx.GetBytes(ek)
+		bucket := make([]string, len(old)+1)
+		copy(bucket, old)
+		bucket[len(old)] = key
+		idx.Set(string(ek), bucket)
 	}
 }
 
-// remove stages one tuple removal from t. Emptied secondary buckets are
-// deleted outright, so delete/insert churn over fresh keys never grows an
-// index by retired empty buckets.
-func (tx *writeTx) remove(t *table, tup relation.Tuple) {
+// remove stages the removal of the tuple stored under key from t. Emptied
+// secondary buckets are deleted outright, so delete/insert churn over fresh
+// keys never grows an index by retired empty buckets.
+func (tx *writeTx) remove(t *table, tup relation.Tuple, key string) {
 	wt := tx.stage(t)
-	wt.pk = wt.pk.Delete(t.keyOfIncoming(tup))
-	for key, ps := range t.secIdx {
-		sub := tup.Project(ps)
-		if !sub.IsTotal() {
+	wt.pkEditor().Delete(key)
+	for slot, ps := range t.sec {
+		if !tup.TotalAt(ps) {
 			continue
 		}
-		ek := sub.EncodeKey()
-		old, ok := wt.sec[key].Get(ek)
-		if !ok {
-			continue
-		}
-		bucket := make([]relation.Tuple, 0, len(old))
-		dropped := false
-		for _, cand := range old {
-			if !dropped && cand.Identical(tup) {
-				dropped = true
-				continue
+		ek := tup.AppendKeyAt(tx.kb[:0], ps)
+		idx := wt.secEditor(slot)
+		old, _ := idx.GetBytes(ek)
+		at := -1
+		for i, row := range old {
+			if row == key {
+				at = i
+				break
 			}
-			bucket = append(bucket, cand)
 		}
-		if len(bucket) == 0 {
-			wt.sec[key] = wt.sec[key].Delete(ek)
-		} else {
-			wt.sec[key] = wt.sec[key].Set(ek, bucket)
+		switch {
+		case at < 0:
+		case len(old) == 1:
+			idx.Delete(string(ek))
+		default:
+			bucket := make([]string, 0, len(old)-1)
+			bucket = append(append(bucket, old[:at]...), old[at+1:]...)
+			idx.Set(string(ek), bucket)
 		}
 	}
 }
@@ -226,12 +315,9 @@ func (db *DB) publish(tx *writeTx, lsn uint64) {
 	start := now()
 	db.pubMu.Lock()
 	cur := db.current.Load()
-	tables := make(map[string]*tableVersion, len(cur.tables))
-	for name, v := range cur.tables {
-		tables[name] = v
-	}
-	for t, wt := range tx.work {
-		tables[t.name] = &tableVersion{pk: wt.pk, sec: wt.sec}
+	tables := append([]*tableVersion(nil), cur.tables...)
+	for _, wt := range tx.work {
+		tables[wt.t.ord] = wt.freeze()
 	}
 	if lsn < cur.lsn {
 		// Concurrent writers can commit WAL records out of publish order;
@@ -264,13 +350,7 @@ func (db *DB) View() *View {
 func (v *View) LSN() uint64 { return v.snap.lsn }
 
 // Count returns the tuple count of a relation in the pinned version.
-func (v *View) Count(name string) int {
-	tv := v.snap.tables[name]
-	if tv == nil {
-		return 0
-	}
-	return tv.pk.Len()
-}
+func (v *View) Count(name string) int { return v.snap.count(name) }
 
 // GetByKey is DB.GetByKey against the pinned version.
 func (v *View) GetByKey(name string, key relation.Tuple) (relation.Tuple, bool) {
@@ -321,7 +401,8 @@ func (db *DB) getAt(snap *dbSnapshot, name string, key relation.Tuple) (relation
 	if t == nil {
 		return nil, false, fmt.Errorf("%w %s", ErrUnknownRelation, name)
 	}
-	tup, ok := snap.tables[name].pk.Get(key.EncodeKey())
+	var kb [64]byte
+	tup, ok := snap.tables[t.ord].pk.GetBytes(key.AppendKey(kb[:0]))
 	db.countLookup()
 	db.countIdx()
 	db.countSnapRead()
@@ -338,7 +419,7 @@ func (db *DB) scanAt(snap *dbSnapshot, name string, pred func(relation.Tuple) bo
 	if t == nil {
 		return fmt.Errorf("%w %s", ErrUnknownRelation, name)
 	}
-	v := snap.tables[name]
+	v := snap.tables[t.ord]
 	db.countScan(v.pk.Len())
 	db.countSnapRead()
 	v.pk.Range(func(_ string, tup relation.Tuple) bool {
@@ -365,38 +446,36 @@ func (db *DB) fetchAt(snap *dbSnapshot, name string, key relation.Tuple) (relati
 	db.countIdx()
 	db.countSnapRead()
 	db.noteFetch(bind, name)
-	tup, ok := snap.tables[name].pk.Get(key.EncodeKey())
+	var kb [64]byte
+	tup, ok := snap.tables[t.ord].pk.GetBytes(key.AppendKey(kb[:0]))
 	if !ok {
 		return nil, nil, fmt.Errorf("%w: no %s tuple with key %v", ErrNoSuchTuple, name, key)
 	}
 	var related []Related
-	for _, ind := range bind.indsFrom[name] {
-		rel := Related{From: name, To: ind.Right, FK: ind.LeftAttrs}
-		fk := projectAttrs(t, tup, ind.LeftAttrs)
-		if !fk.IsTotal() {
+	if len(t.out) > 0 {
+		related = make([]Related, 0, len(t.out))
+	}
+	for _, ip := range t.out {
+		rel := Related{From: name, To: ip.right.name, FK: ip.ind.LeftAttrs}
+		if !tup.TotalAt(ip.probePos) {
 			rel.IsNull = true
 			related = append(related, rel)
 			continue
 		}
-		target := bind.tables[ind.Right]
-		tv := snap.tables[ind.Right]
-		if ind.KeyBased(bind.schema) {
-			db.countLookup()
-			db.countIdx()
-			if hit, ok := tv.pk.Get(orderAsKey(target, ind.RightAttrs, fk)); ok {
-				rel.Tuple = hit
-			}
-		} else {
-			db.countLookup()
-			db.countIdx()
-			if idx := tv.sec[secondaryKey(ind.RightAttrs)]; idx != nil {
-				if hits, _ := idx.Get(fk.EncodeKey()); len(hits) > 0 {
-					rel.Tuple = hits[0]
-				}
-			}
+		db.countLookup()
+		db.countIdx()
+		fk := tup.AppendKeyAt(kb[:0], ip.probePos)
+		tv := snap.tables[ip.right.ord]
+		if ip.keyBased {
+			rel.Tuple, _ = tv.pk.GetBytes(fk)
+		} else if rows, _ := tv.sec[ip.rightSlot].GetBytes(fk); len(rows) > 0 {
+			// Any row carrying the value will do; the bucket names it by its
+			// primary key.
+			rel.Tuple, _ = tv.pk.Get(rows[0])
 		}
 		if rel.Tuple != nil {
-			db.noteFetchHop(bind, name, ind.Right)
+			ip.edge.hits.Add(1)
+			db.countCoAccess()
 		}
 		related = append(related, rel)
 	}

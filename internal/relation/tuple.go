@@ -105,8 +105,11 @@ func (t Tuple) String() string {
 	return b.String()
 }
 
-// encode appends an injective encoding of the tuple for set membership.
-func (t Tuple) encode(dst []byte) []byte {
+// AppendKey appends the tuple's key encoding to dst: an injective encoding
+// under set semantics (all nulls encode identically), the bytes of EncodeKey.
+// Callers that only probe an index pass a scratch buffer and never build the
+// string.
+func (t Tuple) AppendKey(dst []byte) []byte {
 	for _, v := range t {
 		dst = v.appendEncoded(dst)
 		dst = append(dst, '|')
@@ -114,8 +117,30 @@ func (t Tuple) encode(dst []byte) []byte {
 	return dst
 }
 
+// AppendKeyAt appends the key encoding of the subtuple at the given
+// positions — byte for byte t.Project(positions).AppendKey(dst) — without
+// building the subtuple.
+func (t Tuple) AppendKeyAt(dst []byte, positions []int) []byte {
+	for _, p := range positions {
+		dst = t[p].appendEncoded(dst)
+		dst = append(dst, '|')
+	}
+	return dst
+}
+
+// TotalAt reports whether the tuple is non-null at every given position
+// (t.Project(positions).IsTotal() without the subtuple).
+func (t Tuple) TotalAt(positions []int) bool {
+	for _, p := range positions {
+		if t[p].IsNull() {
+			return false
+		}
+	}
+	return true
+}
+
 // EncodeKey returns the string encoding of the tuple, suitable as a map key.
 // All-null tuples of the same arity encode identically.
 func (t Tuple) EncodeKey() string {
-	return string(t.encode(make([]byte, 0, 16*len(t))))
+	return string(t.AppendKey(make([]byte, 0, 16*len(t))))
 }

@@ -693,7 +693,7 @@ func TestAllocBudget(t *testing.T) {
 	if after := r.ProbeStats(); after.RemoteProbes != before.RemoteProbes {
 		t.Fatalf("co-located inserts issued %d remote probes", after.RemoteProbes-before.RemoteProbes)
 	}
-	const budget = 4226 // 66 per insert
+	const budget = 1373 // 21.5 per insert
 	if inserts > budget {
 		t.Errorf("%d co-located inserts allocate %.0f, budget %d", ops, inserts, budget)
 	}
