@@ -137,7 +137,7 @@ func closure(s *schema.Schema, root string, used map[string]bool) []string {
 // Advise prices every cluster under the workload and cost model. Clusters
 // whose merge fails (e.g. nullable member attributes) are skipped.
 //
-// Clusters are independent — MergeWith clones the schema before mutating and
+// Clusters are independent — MergeSet clones the schema before mutating and
 // the pricing reads are pure — so each cluster's merge + removal + pricing
 // runs on its own goroutine, bounded by GOMAXPROCS. Results are collected by
 // cluster position and then stably sorted by net benefit, so the output is
@@ -182,7 +182,7 @@ func Advise(s *schema.Schema, w Workload, cm CostModel) ([]Recommendation, error
 // "not worth it".
 func PriceCluster(s *schema.Schema, cluster []string, w Workload, cm CostModel) (Recommendation, error) {
 	name := cluster[0] + "+"
-	m, err := core.MergeWith(s, cluster, name, core.Options{KeyRelation: cluster[0]})
+	m, err := core.MergeSet(s, cluster, core.WithName(name), core.WithKeyRelation(cluster[0]))
 	if err != nil {
 		return Recommendation{}, err
 	}

@@ -195,7 +195,7 @@ func Apply(t Target, sug Suggestion) error {
 // cleanly instead of installing a plan for a schema that no longer exists.
 func ApplyCluster(t Target, cluster []string, mergedName, keyRelation string) error {
 	s, _, _ := t.DesignSnapshot()
-	m, err := core.MergeWith(s, cluster, mergedName, core.Options{KeyRelation: keyRelation})
+	m, err := core.MergeSet(s, cluster, core.WithName(mergedName), core.WithKeyRelation(keyRelation))
 	if err != nil {
 		return fmt.Errorf("advisor: re-deriving merge %s on the current design: %w", mergedName, err)
 	}

@@ -138,27 +138,27 @@ func TestCompositeKeyRoundTrip(t *testing.T) {
 func TestMergeWithExplicitKeyRelation(t *testing.T) {
 	s := figures.Fig3()
 	// COURSE qualifies; explicitly selecting it works.
-	m, err := MergeWith(s, []string{"COURSE", "OFFER", "TEACH"}, "COURSE'",
-		Options{KeyRelation: "COURSE"})
+	m, err := MergeSet(s, []string{"COURSE", "OFFER", "TEACH"},
+		WithName("COURSE'"), WithKeyRelation("COURSE"))
 	if err != nil || m.KeyRelation != "COURSE" {
 		t.Fatalf("explicit key-relation: %v / %q", err, m.KeyRelation)
 	}
 	// OFFER does not qualify for this set.
-	if _, err := MergeWith(s, []string{"COURSE", "OFFER", "TEACH"}, "X",
-		Options{KeyRelation: "OFFER"}); err == nil {
+	if _, err := MergeSet(s, []string{"COURSE", "OFFER", "TEACH"},
+		WithName("X"), WithKeyRelation("OFFER")); err == nil {
 		t.Error("non-qualifying key-relation must be rejected")
 	}
 	// Conflicting options.
-	if _, err := MergeWith(s, []string{"COURSE", "OFFER"}, "X",
-		Options{KeyRelation: "COURSE", ForceSynthetic: true}); err == nil {
+	if _, err := MergeSet(s, []string{"COURSE", "OFFER"},
+		WithName("X"), WithKeyRelation("COURSE"), WithSyntheticKey()); err == nil {
 		t.Error("conflicting options must be rejected")
 	}
 }
 
 func TestMergeWithForceSynthetic(t *testing.T) {
 	s := figures.Fig2(true) // OFFER qualifies, but we force a synthetic key
-	m, err := MergeWith(s, []string{"OFFER", "TEACH"}, "ASSIGN",
-		Options{ForceSynthetic: true})
+	m, err := MergeSet(s, []string{"OFFER", "TEACH"},
+		WithName("ASSIGN"), WithSyntheticKey())
 	if err != nil {
 		t.Fatal(err)
 	}

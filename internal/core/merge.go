@@ -148,32 +148,6 @@ func Merge(s *schema.Schema, names []string, mergedName string) (*MergedScheme, 
 	return MergeSet(s, names, WithName(mergedName))
 }
 
-// Options tune Merge beyond the paper's defaults.
-//
-// Deprecated: Options predates the functional options of MergeSet; new code
-// should pass WithKeyRelation / WithSyntheticKey directly.
-type Options struct {
-	// KeyRelation names the member to use as the key-relation Rk. It must
-	// satisfy the Prop. 3.1 condition; Merge fails otherwise. Empty selects
-	// the first qualifying member in names order.
-	KeyRelation string
-	// ForceSynthetic creates a synthetic key-relation even when a member
-	// qualifies (Def. 3.1's "a new relation-scheme Rk(Kk) can be specified").
-	ForceSynthetic bool
-}
-
-// MergeWith is Merge with explicit Options.
-func MergeWith(s *schema.Schema, names []string, mergedName string, opts Options) (*MergedScheme, error) {
-	fo := []Option{WithName(mergedName)}
-	if opts.KeyRelation != "" {
-		fo = append(fo, WithKeyRelation(opts.KeyRelation))
-	}
-	if opts.ForceSynthetic {
-		fo = append(fo, WithSyntheticKey())
-	}
-	return MergeSet(s, names, fo...)
-}
-
 // MergeSet is the canonical Definition 4.1 entry point: it merges the named
 // relation-schemes under the given options. Without WithName the merged
 // scheme is named after the first member with enough trailing primes to be

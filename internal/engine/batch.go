@@ -43,7 +43,7 @@ func Upd(relName string, key, tup relation.Tuple) BatchOp {
 }
 
 // InsertBatch inserts tuples into the named relation as one atomic group:
-// the lock set is acquired once for the whole batch (amortizing per-op
+// the writer mutex is taken once for the whole batch (amortizing per-op
 // locking), constraints are validated group-wise, and a violation anywhere
 // drops the whole staged batch. Tuples earlier in the batch are visible to
 // the constraint checks of later ones, so self-referencing chains load in
@@ -62,20 +62,14 @@ func (db *DB) InsertBatchCtx(ctx context.Context, name string, tuples []relation
 	if len(tuples) == 0 {
 		return nil
 	}
-	db.schemaMu.RLock()
-	defer db.schemaMu.RUnlock()
 	start := now()
-	t := db.tables[name]
+	if err := db.lockWriterCtx(ctx); err != nil {
+		return err
+	}
+	defer db.wmu.Unlock()
+	t := db.bind.tables[name]
 	if t == nil {
 		return fmt.Errorf("%w %s", ErrUnknownRelation, name)
-	}
-	ls := db.lm.insert[name]
-	db.acquire(ls)
-	defer ls.release()
-	// Re-check after acquisition: a deadline that expired while the batch was
-	// queued behind a contended lock plan must not still commit.
-	if err := ctx.Err(); err != nil {
-		return err
 	}
 	defer db.m.insertLat.ObserveSince(start)
 	// Group-wise validation first: arity and intra-batch primary-key
@@ -110,12 +104,11 @@ func (db *DB) InsertBatchCtx(ctx context.Context, name string, tuples []relation
 }
 
 // ApplyBatchCtx applies a mixed batch of inserts, deletes, and updates as
-// one atomic group under a single acquisition of the union lock set of all
-// its operations (deterministically ordered, so concurrent batches cannot
-// deadlock). A violation anywhere drops the whole staged batch; on success
-// the batch publishes as ONE new version, so a concurrent reader — however
-// it interleaves with the batch — observes either none or all of its
-// effects, never a torn middle.
+// one atomic group under a single acquisition of the writer mutex. A
+// violation anywhere drops the whole staged batch; on success the batch
+// publishes as ONE new version, so a concurrent reader — however it
+// interleaves with the batch — observes either none or all of its effects,
+// never a torn middle.
 func (db *DB) ApplyBatchCtx(ctx context.Context, ops []BatchOp) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -123,36 +116,46 @@ func (db *DB) ApplyBatchCtx(ctx context.Context, ops []BatchOp) error {
 	if len(ops) == 0 {
 		return nil
 	}
-	db.schemaMu.RLock()
-	defer db.schemaMu.RUnlock()
-	ls, err := db.batchPlan(ops)
-	if err != nil {
+	if err := db.lockWriterCtx(ctx); err != nil {
 		return err
 	}
-	db.acquire(ls)
-	defer ls.release()
-	// Re-check after acquisition (see InsertBatchCtx).
-	if err := ctx.Err(); err != nil {
-		return err
-	}
+	defer db.wmu.Unlock()
 	tx := db.beginWrite()
 	var eff effects
+	if err := db.stageBatch(tx, ops, &eff); err != nil {
+		return err
+	}
+	return db.commitEffects(tx, eff)
+}
+
+// stageBatch checks and stages every op of a mixed batch in tx, with the
+// writer mutex held. An unknown relation or op kind anywhere in the batch is
+// reported before any op runs.
+func (db *DB) stageBatch(tx *writeTx, ops []BatchOp, eff *effects) error {
+	for _, op := range ops {
+		if op.Kind < BatchInsert || op.Kind > BatchUpdate {
+			return fmt.Errorf("engine: unknown batch op kind %d", op.Kind)
+		}
+		if db.bind.tables[op.Relation] == nil {
+			return fmt.Errorf("%w %s", ErrUnknownRelation, op.Relation)
+		}
+	}
 	for i, op := range ops {
-		t := db.tables[op.Relation]
+		t := db.bind.tables[op.Relation]
 		var opErr error
 		switch op.Kind {
 		case BatchInsert:
-			opErr = db.insertOne(tx, t, op.Tuple, &eff)
+			opErr = db.insertOne(tx, t, op.Tuple, eff)
 		case BatchDelete:
-			opErr = db.deleteLocked(tx, t, op.Key, &eff)
+			opErr = db.deleteLocked(tx, t, op.Key, eff)
 		case BatchUpdate:
-			opErr = db.updateLocked(tx, t, op.Key, op.Tuple, &eff)
+			opErr = db.updateLocked(tx, t, op.Key, op.Tuple, eff)
 		}
 		if opErr != nil {
 			return fmt.Errorf("engine: batch op %d/%d (%s on %s): %w", i+1, len(ops), op.Kind, op.Relation, opErr)
 		}
 	}
-	return db.commitEffects(tx, eff)
+	return nil
 }
 
 // String renders the batch kind for error messages.

@@ -48,7 +48,7 @@ func TestPhysicalRemoveDropsEmptyBuckets(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	child := db.tables["CHILD"]
+	child := db.bind.tables["CHILD"]
 	if len(child.sec) != 1 || child.hdr.Attrs()[child.sec[0][0]] != "C.P" {
 		t.Fatalf("CHILD should carry exactly the secondary index on C.P, has %v", child.sec)
 	}
@@ -105,15 +105,14 @@ func TestOpenRejectsMalformedIND(t *testing.T) {
 }
 
 // TestRollbackNoTxnSkipsLocks is the regression test for the Rollback
-// stall: with no open transaction Rollback used to acquire the all-tables
-// write lock set before discovering there was nothing to do. It must now
-// return without touching a single table lock — asserted by holding one
-// table's write lock while calling it.
+// stall: with no open transaction Rollback used to queue behind every
+// concurrent writer before discovering there was nothing to do. It must
+// return without touching the writer mutex — asserted by holding the mutex
+// while calling it.
 func TestRollbackNoTxnSkipsLocks(t *testing.T) {
 	db := openFig3(t)
-	tab := db.tables["COURSE"]
-	tab.mu.Lock()
-	defer tab.mu.Unlock()
+	db.lockWriter()
+	defer db.wmu.Unlock()
 	done := make(chan error, 1)
 	go func() { done <- db.Rollback() }()
 	select {
@@ -122,7 +121,7 @@ func TestRollbackNoTxnSkipsLocks(t *testing.T) {
 			t.Fatal("Rollback without a transaction returned nil")
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("Rollback blocked on table locks despite no open transaction")
+		t.Fatal("Rollback blocked on the writer mutex despite no open transaction")
 	}
 }
 

@@ -11,35 +11,34 @@ import (
 	"repro/internal/relation"
 )
 
-// endWhileQueued runs call against a COURSE write plan the test itself
-// holds, ends call's context once call is queued behind that plan, and only
-// then releases it — so call's entry check saw a live context and its
+// endWhileQueued runs call while the test itself holds the writer mutex,
+// ends call's context once call is queued behind the mutex, and only then
+// releases it — so call's entry check saw a live context and its
 // post-acquisition re-check sees an ended one, with no timing involved.
 func endWhileQueued(t *testing.T, db *DB, call func(ctx context.Context) error) error {
 	t.Helper()
-	held := db.lm.insert["COURSE"]
-	db.acquire(held)
+	db.lockWriter()
 	acquired := db.lockAcq.Load()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := make(chan error, 1)
 	go func() { done <- call(ctx) }()
-	// acquire counts before it blocks: a moved counter means call is past
-	// its entry check and waiting on the held plan.
+	// lockWriter counts before it blocks: a moved counter means call is past
+	// its entry check and waiting on the held mutex.
 	for giveUp := time.Now().Add(10 * time.Second); db.lockAcq.Load() == acquired; {
 		if time.Now().After(giveUp) {
-			held.release()
-			t.Fatal("contender never reached the held lock plan")
+			db.wmu.Unlock()
+			t.Fatal("contender never reached the held writer mutex")
 		}
 		runtime.Gosched()
 	}
 	cancel()
-	held.release()
+	db.wmu.Unlock()
 	return <-done
 }
 
-// A context that ends while an op is queued behind a contended lock plan
-// must abort the op after lock acquisition, not commit it. Regression test
+// A context that ends while an op is queued behind another writer must abort
+// the op after it gets the writer mutex, not commit it. Regression test
 // for the entry-only cancellation check, which let the queued op's ended
 // context slip through to commit.
 func TestCtxExpiredUnderContendedLockDoesNotCommit(t *testing.T) {
@@ -56,13 +55,13 @@ func TestCtxExpiredUnderContendedLockDoesNotCommit(t *testing.T) {
 	if _, ok := db.GetByKey("COURSE", tup("late")); ok {
 		t.Fatal("insert with an ended context still committed")
 	}
-	// The plan was released: the next writer goes through.
+	// The mutex was released: the next writer goes through.
 	if err := db.Insert("COURSE", tup("next")); err != nil {
 		t.Fatalf("insert after release: %v", err)
 	}
 }
 
-// Every mutating Ctx op re-checks cancellation after lock acquisition.
+// Every mutating Ctx op re-checks cancellation once it holds the writer mutex.
 func TestCtxExpiredAfterAcquisitionAllOps(t *testing.T) {
 	db, err := Open(figures.Fig3())
 	if err != nil {

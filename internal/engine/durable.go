@@ -16,11 +16,11 @@ import (
 // Logging discipline: every successful mutating operation — single op or
 // whole batch — is logged as ONE record holding all of its physical effects,
 // appended and made durable in one wal.Commit while the operation still
-// holds its table locks. If the log rejects the record the operation reverts
-// its in-memory effects and fails, so memory and disk always agree on the
+// holds the writer mutex. If the log rejects the record the operation drops
+// its staged effects and fails, so memory and disk always agree on the
 // committed prefix. Transaction Begin/Commit/Rollback are logged as marker
-// records under txnMu, the same mutex that orders the transaction's effect
-// records, so replay sees markers and effects in a consistent order.
+// records under the same mutex, so replay sees markers and effects in the
+// order the engine applied them.
 //
 // Recovery (on Open): load the newest snapshot, replay the surviving log
 // suffix — buffering records flagged in-transaction and applying them only
@@ -88,43 +88,20 @@ func (db *DB) Recovered() RecoveryInfo { return db.recovery }
 func (db *DB) Durable() bool { return db.wal != nil }
 
 // Checkpoint serializes the full current state, makes it the log's recovery
-// baseline, and truncates the superseded log (wal.Log.Checkpoint). It takes
-// every table's read lock to quiesce writers — the WAL's covered LSN must
-// match the serialized state — but concurrent lock-free readers proceed
-// unimpeded on their pinned versions throughout (the P8 benchmark suite
-// measures exactly this: fetch p99 stays bounded during checkpoints).
-// Checkpointing inside an open transaction is refused with
-// ErrOpenTransaction.
+// baseline, and truncates the superseded log (wal.Log.Checkpoint). It holds
+// the writer mutex — the WAL's covered LSN must match the serialized state,
+// on a follower too, where IngestReplicated appends to the log before it
+// applies — but concurrent lock-free readers proceed unimpeded on their
+// pinned versions throughout. Checkpointing inside an open transaction is
+// refused with ErrOpenTransaction.
 func (db *DB) Checkpoint() error {
 	if db.wal == nil {
 		return ErrNotDurable
 	}
-	// schemaMu first (the global order is schemaMu → replMu → table locks →
-	// txnMu): the snapshot must serialize one design — never a schema mid-swap.
-	db.schemaMu.RLock()
-	defer db.schemaMu.RUnlock()
-	// replMu next (the replication paths order replMu before table locks):
-	// holding it for the whole checkpoint closes the window inside
-	// IngestReplicated between the durable append (which advances the WAL
-	// LSN) and the state apply — a snapshot stamped in that window would
-	// cover records whose effects it does not contain.
-	db.replMu.Lock()
-	defer db.replMu.Unlock()
-	ls := db.lm.allRead()
-	db.acquire(ls)
-	defer ls.release()
-	db.txnMu.Lock()
-	defer db.txnMu.Unlock()
-	if db.inTxn.Load() {
-		return fmt.Errorf("%w: cannot checkpoint until it commits or rolls back", ErrOpenTransaction)
-	}
-	if len(db.replPending) > 0 {
-		// A shipped transaction is buffered: the WAL LSN is already past its
-		// op records but their effects are not in the state. A snapshot
-		// stamped here would truncate those records; after a restart the
-		// commit marker would apply an empty buffer and the transaction
-		// would silently vanish from the replica.
-		return fmt.Errorf("%w: a replicated transaction (%d buffered ops) awaits its commit marker; cannot checkpoint until it arrives", ErrOpenTransaction, len(db.replPending))
+	db.lockWriter()
+	defer db.wmu.Unlock()
+	if err := db.refuseOpenUnit("checkpoint"); err != nil {
+		return err
 	}
 	// Writers are quiesced, so the current published version IS the
 	// committed state the log's LSN refers to. The snapshot is framed with
@@ -134,6 +111,23 @@ func (db *DB) Checkpoint() error {
 	payload := encodeSnapshot(sdl.PrintSchema(db.Schema), sdl.PrintState(db.Schema, st))
 	if err := db.wal.Checkpoint(payload); err != nil {
 		return fmt.Errorf("engine: checkpoint: %w", err)
+	}
+	return nil
+}
+
+// refuseOpenUnit keeps a checkpoint or a migration from landing inside
+// someone else's atomic unit: an open transaction, or a shipped one still
+// buffered. In the second case the WAL LSN is already past the buffered op
+// records but their effects are not in the state: a snapshot stamped here
+// would truncate those records, and after a restart the commit marker would
+// apply an empty buffer — the transaction would silently vanish from the
+// replica. Called with the writer mutex held.
+func (db *DB) refuseOpenUnit(verb string) error {
+	if db.InTxn() {
+		return fmt.Errorf("%w: cannot %s until it commits or rolls back", ErrOpenTransaction, verb)
+	}
+	if n := len(db.replPending); n > 0 {
+		return fmt.Errorf("%w: a replicated transaction (%d buffered ops) awaits its commit marker; cannot %s until it arrives", ErrOpenTransaction, n, verb)
 	}
 	return nil
 }
@@ -177,15 +171,14 @@ func (db *DB) recover(rec *Recovery) error {
 	}
 	st := state.New(db.Schema)
 	if rec.Snapshot != nil {
-		schemaSDL, stateSDL, framed, err := decodeSnapshot(rec.Snapshot)
+		schemaSDL, stateSDL, err := decodeSnapshot(rec.Snapshot)
 		if err != nil {
 			return fmt.Errorf("%w: parsing snapshot: %v", ErrRecovery, err)
 		}
-		// A framed snapshot is self-describing: if it was taken after a live
+		// The snapshot is self-describing: if it was taken after a live
 		// migration its schema differs from the Open-time one, and the engine
-		// rebinds onto the serialized design before parsing the state. Legacy
-		// (unframed) snapshots parse against the Open-time schema as before.
-		if framed && schemaSDL != sdl.PrintSchema(db.Schema) {
+		// rebinds onto the serialized design before parsing the state.
+		if schemaSDL != sdl.PrintSchema(db.Schema) {
 			if err := db.rebind(schemaSDL); err != nil {
 				return fmt.Errorf("%w: rebinding onto snapshot schema: %v", ErrRecovery, err)
 			}
@@ -211,6 +204,9 @@ func (db *DB) recover(rec *Recovery) error {
 	// the end of the log — discards the buffered suffix, which is exactly
 	// the all-or-nothing transaction semantics the live engine enforces.
 	var pending []walOp
+	// applied is the LSN the recovered state stands for: the snapshot's, then
+	// that of every record that leaves no transaction buffered behind it.
+	applied := rec.SnapshotLSN
 	for _, r := range rec.Records {
 		kind, ops, inTxn, err := decodeWalRecord(r.Payload)
 		if err != nil {
@@ -259,6 +255,9 @@ func (db *DB) recover(rec *Recovery) error {
 		default:
 			return fmt.Errorf("%w: unknown record kind %d at LSN %d", ErrRecovery, kind, r.LSN)
 		}
+		if len(pending) == 0 {
+			applied = r.LSN
+		}
 	}
 	db.recovery.DiscardedOps += len(pending)
 	// The unterminated suffix is discarded from the recovered state (the
@@ -296,6 +295,12 @@ func (db *DB) recover(rec *Recovery) error {
 	if err := db.Load(st); err != nil {
 		return fmt.Errorf("%w: reloading recovered state: %v", ErrRecovery, err)
 	}
+	// Load stamped its versions from seq (the log is attached only after
+	// recovery). Restamp the result with its log position, so that the WAL
+	// LSNs of the versions to come only go up from it.
+	cur := db.current.Load()
+	db.current.Store(&dbSnapshot{lsn: applied, tables: cur.tables, bind: cur.bind})
+	db.m.versionLSN.Set(float64(applied))
 	return nil
 }
 
@@ -337,9 +342,7 @@ func (db *DB) rebind(schemaSDL string) error {
 	return nil
 }
 
-// snapMagic frames checkpoint snapshots that embed their own schema.
-// Payloads without the magic are legacy: raw state SDL against the Open-time
-// schema.
+// snapMagic opens every checkpoint payload.
 const snapMagic = "RMSNAP2\n"
 
 // encodeSnapshot frames a checkpoint payload: magic, length-prefixed schema
@@ -354,18 +357,16 @@ func encodeSnapshot(schemaSDL, stateSDL string) []byte {
 }
 
 // decodeSnapshot splits a checkpoint payload into schema and state SDL.
-// Unframed (legacy) payloads return framed=false with the whole payload as
-// state SDL.
-func decodeSnapshot(b []byte) (schemaSDL, stateSDL string, framed bool, err error) {
+func decodeSnapshot(b []byte) (schemaSDL, stateSDL string, err error) {
 	if len(b) < len(snapMagic) || string(b[:len(snapMagic)]) != snapMagic {
-		return "", string(b), false, nil
+		return "", "", fmt.Errorf("snapshot payload does not start with the %q magic", snapMagic)
 	}
 	d := &walDecoder{b: b[len(snapMagic):]}
 	schemaSDL = d.str()
 	if d.err != nil {
-		return "", "", false, fmt.Errorf("corrupt snapshot frame: %w", d.err)
+		return "", "", fmt.Errorf("corrupt snapshot frame: %w", d.err)
 	}
-	return schemaSDL, string(d.b), true, nil
+	return schemaSDL, string(d.b), nil
 }
 
 // encodeSchemaRecord renders one schema-change record:
@@ -406,10 +407,10 @@ type walOp struct {
 // whole batch costs one write and at most one fsync) and returns the
 // record's LSN — the version stamp the publish carries. Non-durable engines
 // draw the stamp from a logical sequence counter instead. Called with the
-// operation's table locks held; a failure means the record is not on disk
-// (the log truncates its own torn tail) and the caller must not publish.
+// writer mutex held; a failure means the record is not on disk (the log
+// truncates its own torn tail) and the caller must not publish.
 func (db *DB) logOp(eff effects, inTxn bool) (uint64, error) {
-	if db.wal == nil || len(eff) == 0 {
+	if db.wal == nil {
 		return db.seq.Add(1), nil
 	}
 	lsn, err := db.wal.Commit(encodeOpRecord(eff, inTxn))

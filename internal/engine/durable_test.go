@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/figures"
 	"repro/internal/relation"
+	"repro/internal/sdl"
 	"repro/internal/state"
 	"repro/internal/wal"
 )
@@ -169,7 +170,7 @@ func TestRecoveryRevalidatesConstraints(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Forge the record with the engine's own encoder so it decodes cleanly.
-	forged := encodeOpRecord(effects{{table: db.tables["PERSON"], tuple: tup("p1"), insert: false}}, false)
+	forged := encodeOpRecord(effects{{table: db.bind.tables["PERSON"], tuple: tup("p1"), insert: false}}, false)
 	db.Close()
 	l, _, err := wal.Open(dir, wal.Options{Policy: wal.SyncAlways})
 	if err != nil {
@@ -183,6 +184,30 @@ func TestRecoveryRevalidatesConstraints(t *testing.T) {
 	_, err = Open(figures.Fig3(), WithWALOptions(dir, wal.Options{}))
 	if !errors.Is(err, ErrRecovery) {
 		t.Fatalf("Open over constraint-violating log = %v, want ErrRecovery", err)
+	}
+}
+
+// A checkpoint payload without the schema frame — bare state SDL, which no
+// writer has produced since snapshots became self-describing — is refused by
+// recovery and by a follower's snapshot ingest alike.
+func TestRecoveryRefusesUnframedCheckpointPayload(t *testing.T) {
+	raw := []byte(sdl.PrintState(figures.Fig3(), figures.Fig3State()))
+	dir := t.TempDir()
+	l, _, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Checkpoint(raw); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	if _, err := Open(figures.Fig3(), WithWALOptions(dir, wal.Options{})); !errors.Is(err, ErrRecovery) {
+		t.Fatalf("Open over an unframed checkpoint payload = %v, want ErrRecovery", err)
+	}
+	f := openReplica(t, t.TempDir())
+	defer f.Close()
+	if err := f.IngestSnapshot(raw, 1); !errors.Is(err, ErrRecovery) {
+		t.Fatalf("IngestSnapshot of an unframed payload = %v, want ErrRecovery", err)
 	}
 }
 
@@ -248,7 +273,7 @@ func (d *crashDriver) step() {
 		if victim == nil {
 			return
 		}
-		key := victim.Project(d.db.tables[rel].hdr.Positions(d.db.tables[rel].rs.PrimaryKey))
+		key := victim.Project(d.db.bind.tables[rel].hdr.Positions(d.db.bind.tables[rel].rs.PrimaryKey))
 		if err := d.db.Delete(rel, key); err == nil {
 			d.deleted = append(d.deleted, struct {
 				rel string
@@ -266,7 +291,7 @@ func (d *crashDriver) step() {
 		if victim == nil {
 			return
 		}
-		key := victim.Project(d.db.tables[rel].hdr.Positions(d.db.tables[rel].rs.PrimaryKey))
+		key := victim.Project(d.db.bind.tables[rel].hdr.Positions(d.db.bind.tables[rel].rs.PrimaryKey))
 		d.db.Update(rel, key, victim)
 	case 5: // batch of fresh root inserts — one log record for the group
 		d.fresh++

@@ -17,14 +17,15 @@
 // costs, reproducing the paper's argument for why only-NNA schemas
 // (Prop. 5.2) are preferable on 1992-era systems.
 //
-// Concurrency — MVCC snapshot reads: the committed state lives in immutable
-// versioned snapshots (version.go). Readers (GetByKey, Scan,
+// Concurrency — MVCC snapshot reads, one writer: the committed state lives in
+// immutable versioned snapshots (version.go). Readers (GetByKey, Scan,
 // FetchWithReferences, View) pin the current version with one atomic pointer
-// load and run entirely lock-free; writers never block them. Writers
-// serialize through per-table sync.RWMutex lock plans acquired in a
-// deterministic order (locks.go), stage their mutations copy-on-write, and
-// publish one new version per committed operation, stamped with its WAL
-// LSN. All cost accounting is atomic and never takes a lock.
+// load and run entirely lock-free; writers never block them. Every mutating
+// entry point holds the one writer mutex (DB.wmu) from its cancellation
+// re-check to its publish, stages its mutations copy-on-write, and publishes
+// one new version per committed operation, stamped with its WAL LSN — so log
+// order is publish order. All cost accounting is atomic and never takes a
+// lock.
 package engine
 
 import (
@@ -44,13 +45,10 @@ import (
 
 // table is the immutable per-relation metadata: scheme, positional layout,
 // and the write plan compiled from the schema (plan.go). Contents live in
-// versioned snapshots (version.go); the mutex serializes writers of this
-// table (the unit of write locking, acquired via the lock plans in locks.go)
-// and is never taken by readers.
+// versioned snapshots (version.go).
 type table struct {
-	mu sync.RWMutex
-	// ord is the table's position in the binding's name order: the
-	// deterministic lock order, and its index in dbSnapshot.tables.
+	// ord is the table's position in the binding's name order: its index in
+	// dbSnapshot.tables.
 	ord  int
 	name string
 	rs   *schema.RelationScheme
@@ -71,19 +69,17 @@ type table struct {
 }
 
 // binding bundles every schema-derived structure of the engine: the schema
-// itself, the table catalog with each table's write plan, the lock plans, and
-// the co-access edge counters. A binding is
-// immutable once built; a live schema migration (migrate.go) builds a fresh
-// binding and installs it wholesale under schemaMu, and every published
-// snapshot carries the binding it was produced under, so a pinned read view
-// keeps resolving names, indexes, and dependencies against the design it was
-// pinned on — even across a migration.
+// itself, the table catalog with each table's write plan, and the co-access
+// edge counters. A binding is immutable once built; a live schema migration
+// (migrate.go) builds a fresh binding and installs it wholesale under the
+// writer mutex, and every published snapshot carries the binding it was
+// produced under, so a pinned read view keeps resolving names, indexes, and
+// dependencies against the design it was pinned on — even across a migration.
 type binding struct {
 	schema *schema.Schema
 	tables map[string]*table
 	// ordered lists the tables by ordinal (name order).
 	ordered []*table
-	lm      *lockManager
 	// coEdges holds one co-access counter per inclusion-dependency edge
 	// Left->Right; coPairs resolves an (A fetched, then B fetched) relation
 	// pair to its edge, in either direction. Fed from the lock-free fetch
@@ -104,53 +100,38 @@ type DB struct {
 	reg     *obs.Registry
 	obsName string
 	m       *dbMetrics
-	// schemaMu guards the schema-derived structures below (Schema, tables,
-	// lm, bind) against live schema migration: every mutating entry point
-	// holds it shared for the operation's duration, MigrateSchema holds it
-	// exclusive. Lock order:
-	// schemaMu before replMu before table locks before txnMu. Lock-free
-	// readers never touch it — they resolve metadata through the binding
-	// carried by their pinned snapshot.
-	schemaMu sync.RWMutex
-	// bind is the current schema binding; replaced only by install (under
-	// schemaMu exclusive). The mirror fields below alias its contents for the
-	// write paths, which already hold schemaMu shared.
+	// wmu is the writer mutex: every mutating entry point — single ops,
+	// batches, Begin/Commit/Rollback, Checkpoint, MigrateSchema, the
+	// replication ingest — holds it from its cancellation re-check to its
+	// publish (lockWriter). It guards Schema, bind, undo and replPending, and
+	// makes the holder the only publisher. Readers never take it: they resolve
+	// metadata through the binding carried by their pinned snapshot.
+	wmu sync.Mutex
+	// lockAcq counts writer-mutex acquisitions, each before it blocks.
+	lockAcq atomic.Uint64
+	// bind is the current schema binding; replaced only by install.
 	bind *binding
-	// tables aliases bind.tables (immutable between migrations).
-	tables map[string]*table
 	// current is the latest published snapshot (version.go): the single
-	// atomic load every reader pins. pubMu serializes publishers; seq issues
-	// version stamps for non-durable engines; lastPublish feeds the
-	// version-age gauge.
+	// atomic load every reader pins. seq issues version stamps for non-durable
+	// engines; lastPublish feeds the version-age gauge.
 	current     atomic.Pointer[dbSnapshot]
-	pubMu       sync.Mutex
 	seq         atomic.Uint64
 	lastPublish atomic.Int64
-	// lm holds the precomputed per-operation lock plans (locks.go).
-	lm *lockManager
-	// lockAcq counts lock-plan acquisitions for the engine's lifetime (it
-	// lives on the DB, not the lock manager, so a migration's fresh lock
-	// plans never reset it).
-	lockAcq atomic.Uint64
 	// lastFetch is the relation name of the most recent key-shaped fetch, the
 	// co-access pair detector's one-deep history (coaccess.go).
 	lastFetch atomic.Value
-	// transaction state (see txn.go). txnMu guards undo and txnSnap; inTxn is
-	// read on the fast path without the mutex. Lock order: table locks before
-	// txnMu.
-	txnMu   sync.Mutex
-	inTxn   atomic.Bool
-	undo    []undoOp
-	txnSnap *dbSnapshot // read view pinned at Begin
+	// txn is the version pinned when the open transaction began, nil when none
+	// is open (txn.go); undo is that transaction's undo log.
+	txn  atomic.Pointer[dbSnapshot]
+	undo []undoOp
 	// wal is the write-ahead log (durable.go); nil for an in-memory engine.
 	// Assigned once during Open (after recovery) and immutable afterwards.
 	wal      *wal.Log
 	recovery RecoveryInfo
-	// replMu serializes the replicated-apply stream (replica.go); replPending
-	// buffers a shipped transaction's ops until its commit marker arrives.
-	// Recovery seeds it: a follower restarted mid-transaction resumes the
-	// buffer instead of losing the suffix the primary will never resend.
-	replMu      sync.Mutex
+	// replPending buffers a shipped transaction's ops until its commit marker
+	// arrives (replica.go). Recovery seeds it: a follower restarted
+	// mid-transaction resumes the buffer instead of losing the suffix the
+	// primary will never resend.
 	replPending []walOp
 	// replica marks an engine opened with AsReplica: its log's unterminated
 	// transactional suffix is resumable (the primary's commit marker is still
@@ -225,9 +206,9 @@ func Open(s *schema.Schema, opts ...Option) (*DB, error) {
 
 // newBinding validates s and builds the full set of schema-derived
 // structures: the table catalog in name order, every table's write plan and
-// secondary-index set (plan.go), the lock plans, and the co-access edge
-// counters. It mutates nothing on db — the caller decides when (and whether)
-// to install the binding.
+// secondary-index set (plan.go), and the co-access edge counters. It mutates
+// nothing on db — the caller decides when (and whether) to install the
+// binding.
 func (db *DB) newBinding(s *schema.Schema) (*binding, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -246,20 +227,37 @@ func (db *DB) newBinding(s *schema.Schema) (*binding, error) {
 	if err := b.compilePlans(); err != nil {
 		return nil, err
 	}
-	b.lm = newLockManager(b)
 	buildCoEdges(b)
 	return b, nil
 }
 
-// install makes b the engine's current binding. The mirror fields alias the
-// binding's contents so the write paths (which hold schemaMu shared) keep
-// their direct field access. Called from Open (before any concurrency) and
-// from migration paths holding schemaMu exclusively.
+// install makes b the engine's current binding. Called from Open (before any
+// concurrency) and from migration paths holding the writer mutex.
 func (db *DB) install(b *binding) {
 	db.Schema = b.schema
-	db.tables = b.tables
-	db.lm = b.lm
 	db.bind = b
+}
+
+// lockWriter takes the writer mutex. The acquisition is counted before it
+// blocks, so a zero delta of the counter over a phase proves the phase took
+// no lock, and a moved counter shows a contender queued behind the holder.
+func (db *DB) lockWriter() {
+	db.lockAcq.Add(1)
+	db.m.lockAcquisitions.Inc()
+	db.wmu.Lock()
+}
+
+// lockWriterCtx is lockWriter for an operation that can be cancelled: a
+// context that ended while the operation was queued behind another writer
+// must not still commit, so it is checked again once the mutex is held. On
+// error the mutex is not held.
+func (db *DB) lockWriterCtx(ctx context.Context) error {
+	db.lockWriter()
+	if err := ctx.Err(); err != nil {
+		db.wmu.Unlock()
+		return err
+	}
+	return nil
 }
 
 // emptyVersions builds the version-zero table set of a binding: every table
@@ -333,19 +331,13 @@ func (db *DB) InsertCtx(ctx context.Context, name string, tup relation.Tuple) er
 		return err
 	}
 	start := now()
-	db.schemaMu.RLock()
-	defer db.schemaMu.RUnlock()
-	t := db.tables[name]
+	if err := db.lockWriterCtx(ctx); err != nil {
+		return err
+	}
+	defer db.wmu.Unlock()
+	t := db.bind.tables[name]
 	if t == nil {
 		return fmt.Errorf("%w %s", ErrUnknownRelation, name)
-	}
-	ls := db.lm.insert[name]
-	db.acquire(ls)
-	defer ls.release()
-	// Re-check after acquisition: a deadline that expired while this op was
-	// queued behind a contended lock plan must not still commit.
-	if err := ctx.Err(); err != nil {
-		return err
 	}
 	defer db.m.insertLat.ObserveSince(start)
 	tx := db.beginWrite()
@@ -366,10 +358,9 @@ func (db *DB) insertOne(tx *writeTx, t *table, tup relation.Tuple, eff *effects)
 }
 
 // insertLocked validates and stages one tuple of t's arity under its encoded
-// primary key (encoded once by the caller and carried to the index), assuming
-// the insert lock set of t is held. Mutations are staged in tx and recorded
-// in eff; on error the caller simply drops tx (the published state was never
-// touched).
+// primary key (encoded once by the caller and carried to the index), with the
+// writer mutex held. Mutations are staged in tx and recorded in eff; on error
+// the caller simply drops tx (the published state was never touched).
 func (db *DB) insertLocked(tx *writeTx, t *table, tup relation.Tuple, key string, eff *effects) error {
 	if err := db.checkDeclarative(tx, t, tup, key); err != nil {
 		return err

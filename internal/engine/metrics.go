@@ -140,8 +140,8 @@ const (
 
 	// MVCC read-path series (version.go): publication count and latency, the
 	// LSN stamp and age of the current version, lock-free snapshot reads,
-	// and write-path lock-plan acquisitions (zero delta over a read-only
-	// phase = the lock-free proof TestMVCCReadPathLockFree asserts).
+	// and writer-mutex acquisitions (zero delta over a read-only phase = the
+	// lock-free proof TestMVCCReadPathLockFree asserts).
 	metricPublishes        = "engine.mvcc.publishes"
 	metricPublishSeconds   = "engine.mvcc.publish_seconds"
 	metricVersionLSN       = "engine.mvcc.version_lsn"

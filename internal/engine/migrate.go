@@ -13,11 +13,10 @@ import (
 // serving traffic, with the state carried across through a caller-supplied
 // transform (the η mapping of a MergedScheme).
 //
-// Protocol, in lock order (schemaMu → replMu → table locks → txnMu → pubMu):
+// Protocol, all of it under the writer mutex:
 //
-//  1. schemaMu EXCLUSIVE — the "brief schema lock". Every mutating entry
-//     point holds schemaMu shared for its duration, so once the exclusive
-//     lock is held no write is in flight and none can start. Lock-free
+//  1. Take the writer mutex. Every mutating entry point holds it for its
+//     duration, so no write is in flight and none can start. Lock-free
 //     readers are untouched: a pinned snapshot carries its own binding and
 //     keeps answering on the old design.
 //  2. Refuse open transactions and buffered replicated suffixes: a migration
@@ -40,29 +39,16 @@ import (
 // (one WAL record). It refuses to run inside an open transaction or while a
 // replicated transaction is buffered.
 func (db *DB) MigrateSchema(ns *schema.Schema, transform func(*state.DB) (*state.DB, error)) error {
-	db.schemaMu.Lock()
-	defer db.schemaMu.Unlock()
-	db.replMu.Lock()
-	defer db.replMu.Unlock()
-	db.txnMu.Lock()
-	inTxn := db.inTxn.Load()
-	pending := len(db.replPending)
-	db.txnMu.Unlock()
-	if inTxn {
-		return fmt.Errorf("%w: cannot migrate schema until it commits or rolls back", ErrOpenTransaction)
+	db.lockWriter()
+	defer db.wmu.Unlock()
+	if err := db.refuseOpenUnit("migrate schema"); err != nil {
+		return err
 	}
-	if pending > 0 {
-		return fmt.Errorf("%w: a replicated transaction (%d buffered ops) awaits its commit marker; cannot migrate schema until it arrives", ErrOpenTransaction, pending)
-	}
-
-	// Everything below runs with writers quiesced (they all hold schemaMu
-	// shared), so the current published version IS the committed state.
 	b, err := db.newBinding(ns)
 	if err != nil {
 		return fmt.Errorf("engine: migrate: %w", err)
 	}
-	cur := db.current.Load()
-	st := stateOf(cur)
+	st := stateOf(db.current.Load())
 	mapped := st
 	if transform != nil {
 		mapped, err = transform(st)
@@ -100,13 +86,7 @@ func (db *DB) MigrateSchema(ns *schema.Schema, transform func(*state.DB) (*state
 	// Install and publish. The mapped versions build over the NEW binding's
 	// empty version-zero; the single Store is the readers' cutover point.
 	db.install(b)
-	tables := db.versionsOf(b, mapped)
-	db.pubMu.Lock()
-	if lsn < cur.lsn {
-		lsn = cur.lsn
-	}
-	db.current.Store(&dbSnapshot{lsn: lsn, tables: tables, bind: b})
-	db.pubMu.Unlock()
+	db.current.Store(&dbSnapshot{lsn: lsn, tables: db.versionsOf(b, mapped), bind: b})
 	db.lastPublish.Store(now().UnixNano())
 	db.m.publishes.Inc()
 	db.m.migrations.Inc()

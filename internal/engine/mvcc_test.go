@@ -114,16 +114,17 @@ func TestMVCCTxnViewReadsBeginVersion(t *testing.T) {
 
 // The read hot path takes no locks: a read-only phase of point lookups,
 // scans, and navigational fetches — concurrent, under the race detector —
-// leaves the lock-plan acquisition counter exactly where it was.
+// leaves the engine.lock_acquisitions series (writer-mutex acquisitions,
+// counted before they block) exactly where it was.
 func TestMVCCReadPathLockFree(t *testing.T) {
 	b, err := workload.NewBench(workload.StarEER(3), "E0", 40, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	db, root := b.Base, b.Root
-	baseline := db.LockAcquisitions()
+	baseline := registrySeries(t, db, "engine.lock_acquisitions")
 	if baseline == 0 {
-		t.Fatal("seeding took no lock-plan acquisitions; counter seems dead")
+		t.Fatal("seeding took no writer-mutex acquisitions; counter seems dead")
 	}
 	var wg sync.WaitGroup
 	for r := 0; r < 4; r++ {
@@ -147,8 +148,8 @@ func TestMVCCReadPathLockFree(t *testing.T) {
 		}(r)
 	}
 	wg.Wait()
-	if got := db.LockAcquisitions(); got != baseline {
-		t.Errorf("read-only phase acquired %d lock plans (baseline %d): read path is not lock-free", got-baseline, baseline)
+	if got := registrySeries(t, db, "engine.lock_acquisitions"); got != baseline {
+		t.Errorf("read-only phase took the writer mutex %d times (baseline %d): read path is not lock-free", got-baseline, baseline)
 	}
 }
 

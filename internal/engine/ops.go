@@ -64,20 +64,14 @@ func (db *DB) DeleteCtx(ctx context.Context, name string, key relation.Tuple) er
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	db.schemaMu.RLock()
-	defer db.schemaMu.RUnlock()
 	start := now()
-	t := db.tables[name]
+	if err := db.lockWriterCtx(ctx); err != nil {
+		return err
+	}
+	defer db.wmu.Unlock()
+	t := db.bind.tables[name]
 	if t == nil {
 		return fmt.Errorf("%w %s", ErrUnknownRelation, name)
-	}
-	ls := db.lm.remove[name]
-	db.acquire(ls)
-	defer ls.release()
-	// Re-check after acquisition: a deadline that expired while this op was
-	// queued behind a contended lock plan must not still commit.
-	if err := ctx.Err(); err != nil {
-		return err
 	}
 	defer db.m.deleteLat.ObserveSince(start)
 	tx := db.beginWrite()
@@ -88,8 +82,7 @@ func (db *DB) DeleteCtx(ctx context.Context, name string, key relation.Tuple) er
 	return db.commitEffects(tx, eff)
 }
 
-// deleteLocked checks and stages one delete, assuming the delete lock set
-// of t is held.
+// deleteLocked checks and stages one delete, with the writer mutex held.
 func (db *DB) deleteLocked(tx *writeTx, t *table, key relation.Tuple, eff *effects) error {
 	ks := string(key.AppendKey(tx.kb[:0]))
 	tup, ok := tx.pkGet(t, ks)
@@ -143,19 +136,14 @@ func (db *DB) UpdateCtx(ctx context.Context, name string, key relation.Tuple, ne
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	db.schemaMu.RLock()
-	defer db.schemaMu.RUnlock()
 	start := now()
-	t := db.tables[name]
+	if err := db.lockWriterCtx(ctx); err != nil {
+		return err
+	}
+	defer db.wmu.Unlock()
+	t := db.bind.tables[name]
 	if t == nil {
 		return fmt.Errorf("%w %s", ErrUnknownRelation, name)
-	}
-	ls := db.lm.update[name]
-	db.acquire(ls)
-	defer ls.release()
-	// Re-check after acquisition (see InsertCtx).
-	if err := ctx.Err(); err != nil {
-		return err
 	}
 	defer db.m.updateLat.ObserveSince(start)
 	tx := db.beginWrite()
@@ -166,11 +154,10 @@ func (db *DB) UpdateCtx(ctx context.Context, name string, key relation.Tuple, ne
 	return db.commitEffects(tx, eff)
 }
 
-// updateLocked checks and stages one update, assuming the update lock set of
-// t is held. The old tuple's staged removal precedes the checks, so the new
-// tuple validates against a view without it (a key-preserving update cannot
-// trip the PK check on its own old row); a violation drops the whole staged
-// transaction.
+// updateLocked checks and stages one update, with the writer mutex held. The
+// old tuple's staged removal precedes the checks, so the new tuple validates
+// against a view without it (a key-preserving update cannot trip the PK check
+// on its own old row); a violation drops the whole staged transaction.
 func (db *DB) updateLocked(tx *writeTx, t *table, key, newTup relation.Tuple, eff *effects) error {
 	if len(newTup) != len(t.rs.Attrs) {
 		return fmt.Errorf("%w for %s", ErrArityMismatch, t.name)
@@ -229,9 +216,7 @@ func (db *DB) Load(st *state.DB) error {
 // bulk load can be abandoned at a consistent prefix.
 func (db *DB) LoadCtx(ctx context.Context, st *state.DB) error {
 	// Pin one binding for the read-only planning; each InsertBatchCtx takes
-	// the schema read lock itself (holding it across the whole load would
-	// block a concurrent migration for the load's full duration — and a
-	// waiting writer would deadlock a re-entrant read lock).
+	// the writer mutex itself.
 	bind := db.current.Load().bind
 	order, err := loadOrder(bind.schema)
 	if err != nil {

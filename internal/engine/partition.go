@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/schema"
 )
@@ -80,8 +79,8 @@ func (db *DB) probeReferencing(ip *indPlan, refKey []byte) (bool, error) {
 
 // HasKey reports whether the current published version of the relation holds
 // a tuple under the encoded primary key. Lock-free (one snapshot pin), which
-// is what makes remote shards probe each other without entangling their lock
-// managers.
+// is what lets a shard probe another from inside its own write without
+// waiting on the other's writer mutex.
 func (db *DB) HasKey(name, encodedKey string) bool {
 	snap := db.current.Load()
 	t := snap.bind.tables[name]
@@ -144,7 +143,7 @@ func (db *DB) StatsTotals() StatsSnapshot {
 }
 
 // PrevalidateBatchCtx runs a mixed batch through exactly the checks of
-// ApplyBatchCtx — same lock plan, same staged-view semantics, same error
+// ApplyBatchCtx — same writer mutex, same staged-view semantics, same error
 // text — and then drops the staged transaction instead of publishing it.
 // Nothing is logged, published, or counted (cost counters are suppressed so
 // a prevalidate-then-apply pair accounts each op once); constraint
@@ -161,34 +160,12 @@ func (db *DB) PrevalidateBatchCtx(ctx context.Context, ops []BatchOp) error {
 	if len(ops) == 0 {
 		return nil
 	}
-	db.schemaMu.RLock()
-	defer db.schemaMu.RUnlock()
-	ls, err := db.batchPlan(ops)
-	if err != nil {
+	if err := db.lockWriterCtx(ctx); err != nil {
 		return err
 	}
-	db.acquire(ls)
-	defer ls.release()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
+	defer db.wmu.Unlock()
 	tx := db.beginWrite()
 	tx.dry = true
 	var eff effects
-	for i, op := range ops {
-		t := db.tables[op.Relation]
-		var opErr error
-		switch op.Kind {
-		case BatchInsert:
-			opErr = db.insertOne(tx, t, op.Tuple, &eff)
-		case BatchDelete:
-			opErr = db.deleteLocked(tx, t, op.Key, &eff)
-		case BatchUpdate:
-			opErr = db.updateLocked(tx, t, op.Key, op.Tuple, &eff)
-		}
-		if opErr != nil {
-			return fmt.Errorf("engine: batch op %d/%d (%s on %s): %w", i+1, len(ops), op.Kind, op.Relation, opErr)
-		}
-	}
-	return nil
+	return db.stageBatch(tx, ops, &eff)
 }

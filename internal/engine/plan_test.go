@@ -107,7 +107,7 @@ func TestRedundantKeyIndexDropped(t *testing.T) {
 	db := MustOpen(figures.Fig3())
 	// OFFER[O.C.NR] ⊆ COURSE[C.NR] with O.C.NR the key of OFFER; its other
 	// dependency, OFFER[O.D.NAME] ⊆ DEPARTMENT[D.NAME], does need an index.
-	offer := db.tables["OFFER"]
+	offer := db.bind.tables["OFFER"]
 	if len(offer.sec) != 1 || offer.hdr.Attrs()[offer.sec[0][0]] != "O.D.NAME" {
 		t.Fatalf("OFFER should carry exactly the index on O.D.NAME, has %v", offer.sec)
 	}

@@ -35,15 +35,11 @@ func (db *DB) IngestReplicated(recs []wal.Record) (uint64, error) {
 	if db.wal == nil {
 		return 0, ErrNotDurable
 	}
-	// schemaMu held EXCLUSIVELY (not shared): a shipped batch may carry a
-	// schema-change record, and applying one means swapping the binding —
-	// taking the exclusive lock up front avoids an upgrade mid-batch. A
-	// follower has no concurrent local writers to starve, so exclusivity
-	// costs nothing; lock-free readers are untouched either way.
-	db.schemaMu.Lock()
-	defer db.schemaMu.Unlock()
-	db.replMu.Lock()
-	defer db.replMu.Unlock()
+	// One acquisition covers the durable append and every apply, so neither a
+	// Checkpoint nor (after a promotion) a local writer can see the log ahead
+	// of the state.
+	db.lockWriter()
+	defer db.wmu.Unlock()
 	accepted, err := db.wal.CommitShipped(recs)
 	if err != nil {
 		return db.wal.LSN(), err
@@ -96,17 +92,12 @@ func (db *DB) IngestReplicated(recs []wal.Record) (uint64, error) {
 }
 
 // applyReplicated publishes one committed batch of physical effects, stamped
-// with the WAL LSN of the record (or commit marker) that carried it.
+// with the WAL LSN of the record (or commit marker) that carried it. Called
+// with the writer mutex held.
 func (db *DB) applyReplicated(ops []walOp, lsn uint64) error {
-	if len(ops) == 0 {
-		return nil
-	}
-	ls := db.lm.allWrite()
-	db.acquire(ls)
-	defer ls.release()
 	tx := db.beginWrite()
 	for _, op := range ops {
-		t := db.tables[op.rel]
+		t := db.bind.tables[op.rel]
 		if t == nil {
 			return fmt.Errorf("%w: replicated record names unknown relation %s", ErrRecovery, op.rel)
 		}
@@ -133,18 +124,15 @@ func (db *DB) IngestSnapshot(data []byte, lsn uint64) error {
 	if db.wal == nil {
 		return ErrNotDurable
 	}
-	// Exclusive for the same reason as IngestReplicated: a shipped snapshot
-	// may be framed with a schema the primary migrated onto, and adopting it
-	// swaps the binding.
-	db.schemaMu.Lock()
-	defer db.schemaMu.Unlock()
-	db.replMu.Lock()
-	defer db.replMu.Unlock()
-	schemaSDL, stateSDL, framed, err := decodeSnapshot(data)
+	db.lockWriter()
+	defer db.wmu.Unlock()
+	schemaSDL, stateSDL, err := decodeSnapshot(data)
 	if err != nil {
 		return fmt.Errorf("%w: parsing shipped snapshot: %v", ErrRecovery, err)
 	}
-	if framed && schemaSDL != sdl.PrintSchema(db.Schema) {
+	// The snapshot may be framed with a schema the primary migrated onto;
+	// adopting it swaps the binding.
+	if schemaSDL != sdl.PrintSchema(db.Schema) {
 		if err := db.rebind(schemaSDL); err != nil {
 			return fmt.Errorf("%w: rebinding onto shipped snapshot schema: %v", ErrRecovery, err)
 		}
@@ -173,16 +161,10 @@ func (db *DB) IngestSnapshot(data []byte, lsn uint64) error {
 // replaceState publishes st as a wholesale replacement of every table's
 // current version, stamped lsn: stateTx stages every table over an EMPTY
 // base version, which makes publish (it merges staged tables over current) a
-// full replacement — tables absent from st publish empty. Caller holds
-// schemaMu (shared or exclusive); local writers are additionally quiesced via
-// the all-write lock set so a concurrent writer cannot publish between the
-// swap decision and the swap.
+// full replacement — tables absent from st publish empty. Called with the
+// writer mutex held.
 func (db *DB) replaceState(st *state.DB, lsn uint64) {
-	bind := db.bind
-	ls := bind.lm.allWrite()
-	db.acquire(ls)
-	defer ls.release()
-	db.publish(db.stateTx(bind, st), lsn)
+	db.publish(db.stateTx(db.bind, st), lsn)
 }
 
 // ReplRead is the primary-side read half of the shipping loop: the committed

@@ -13,6 +13,50 @@ type undoOp struct {
 	insert bool // true: the mutation was an apply (undo = remove)
 }
 
+// effects records the staged mutations of one operation (or one batch): the
+// change list that becomes the WAL record and, inside a transaction, the
+// undo-log entries. The mutations live only in the writeTx until
+// commitEffects publishes them, so a failed operation leaves no trace — its
+// writeTx is simply dropped.
+type effects []undoOp
+
+// apply stages tup into t under its encoded primary key via tx and records
+// the mutation.
+func (e *effects) apply(tx *writeTx, t *table, tup relation.Tuple, key string) {
+	tx.apply(t, tup, key)
+	*e = append(*e, undoOp{table: t, tuple: tup, insert: true})
+}
+
+// remove stages the removal of tup, stored under key, from t via tx and
+// records the mutation.
+func (e *effects) remove(tx *writeTx, t *table, tup relation.Tuple, key string) {
+	tx.remove(t, tup, key)
+	*e = append(*e, undoOp{table: t, tuple: tup})
+}
+
+// commitEffects finishes a successful operation, with the writer mutex held:
+// its mutations are logged to the write-ahead log (one record per operation,
+// durable.go), the staged table versions are published under the record's
+// LSN — the single point where the operation becomes visible to readers —
+// and, inside a transaction, the effects are appended to the undo log. A
+// non-nil error means the record is not on disk and nothing was published:
+// memory and log stay in agreement with no revert needed.
+func (db *DB) commitEffects(tx *writeTx, eff effects) error {
+	if len(eff) == 0 {
+		return nil
+	}
+	inTxn := db.InTxn()
+	lsn, err := db.logOp(eff, inTxn)
+	if err != nil {
+		return err
+	}
+	if inTxn {
+		db.undo = append(db.undo, eff...)
+	}
+	db.publish(tx, lsn)
+	return nil
+}
+
 // Begin starts a transaction: subsequent mutations are recorded in an undo
 // log until Commit or Rollback, and the current published version is pinned
 // as the transaction's consistent read view (TxnView). Transactions do not
@@ -25,14 +69,9 @@ type undoOp struct {
 // racing with Begin/Rollback are applied either inside or outside the
 // transaction, never half-way.
 func (db *DB) Begin() error {
-	// Hold the schema read lock for the marker write: a transaction must open
-	// entirely on one design — a live migration (which refuses to run while a
-	// transaction is open) cannot slip between the inTxn check and the pin.
-	db.schemaMu.RLock()
-	defer db.schemaMu.RUnlock()
-	db.txnMu.Lock()
-	defer db.txnMu.Unlock()
-	if db.inTxn.Load() {
+	db.lockWriter()
+	defer db.wmu.Unlock()
+	if db.InTxn() {
 		return fmt.Errorf("engine: transaction already open")
 	}
 	// Log the marker before opening the transaction: if the log refuses it,
@@ -41,8 +80,7 @@ func (db *DB) Begin() error {
 		return err
 	}
 	db.undo = db.undo[:0]
-	db.txnSnap = db.current.Load()
-	db.inTxn.Store(true)
+	db.txn.Store(db.current.Load())
 	return nil
 }
 
@@ -52,51 +90,40 @@ func (db *DB) Begin() error {
 // Rollback (restoring agreement between memory and log) and reopen the
 // engine.
 func (db *DB) Commit() error {
-	db.schemaMu.RLock()
-	defer db.schemaMu.RUnlock()
-	db.txnMu.Lock()
-	defer db.txnMu.Unlock()
-	if !db.inTxn.Load() {
+	db.lockWriter()
+	defer db.wmu.Unlock()
+	if !db.InTxn() {
 		return fmt.Errorf("engine: no open transaction")
 	}
 	if _, err := db.logMarker(walRecCommit); err != nil {
 		return err
 	}
-	db.inTxn.Store(false)
+	db.txn.Store(nil)
 	db.undo = nil
-	db.txnSnap = nil
 	return nil
 }
 
 // Rollback ends the transaction, reversing every mutation it made, most
-// recent first. It locks every table for writing (in ordinal order, like any
-// other multi-table operation) before touching the log, so in-flight
-// operations finish — and log their effects — before the reversal starts.
-// The reversal is staged copy-on-write and published as ONE new version:
-// concurrent lock-free readers see the pre-rollback state or the restored
-// state, never an intermediate.
+// recent first. The reversal is staged copy-on-write and published as ONE
+// new version: concurrent lock-free readers see the pre-rollback state or
+// the restored state, never an intermediate.
 //
-// The no-transaction case returns before acquiring any table lock: honest
+// The no-transaction case returns before taking the writer mutex: honest
 // callers hit it only on bugs, but RunAtomic-style wrappers probe it under
-// contention, and stalling every concurrent writer just to report an error
-// was a measurable regression (see TestRollbackNoTxnConcurrent*).
+// contention, and stalling behind every concurrent writer just to report an
+// error was a measurable regression (see TestRollbackNoTxnConcurrent*).
 func (db *DB) Rollback() error {
-	if !db.inTxn.Load() {
+	if !db.InTxn() {
 		return fmt.Errorf("engine: no open transaction")
 	}
-	db.schemaMu.RLock()
-	defer db.schemaMu.RUnlock()
-	ls := db.lm.allWrite()
-	db.acquire(ls)
-	defer ls.release()
-	db.txnMu.Lock()
-	defer db.txnMu.Unlock()
-	// Re-check under the mutex: the transaction may have closed while the
-	// lock set was being acquired (the fast path above is advisory only).
-	if !db.inTxn.Load() {
+	db.lockWriter()
+	defer db.wmu.Unlock()
+	// Re-check under the mutex: the transaction may have closed while this
+	// call was queued (the fast path above is advisory only).
+	if !db.InTxn() {
 		return fmt.Errorf("engine: no open transaction")
 	}
-	db.inTxn.Store(false)
+	db.txn.Store(nil)
 	tx := db.beginWrite()
 	for i := len(db.undo) - 1; i >= 0; i-- {
 		op := db.undo[i]
@@ -108,24 +135,23 @@ func (db *DB) Rollback() error {
 			tx.apply(op.table, op.tuple, key)
 		}
 	}
-	reversed := len(db.undo) > 0
 	db.undo = nil
-	db.txnSnap = nil
 	// Best-effort marker: if the log is crashed the replay discards the
 	// unterminated transaction anyway, which equals the rollback just
 	// performed, so the rollback itself still succeeded.
 	lsn, _ := db.logMarker(walRecRollback)
-	if reversed {
-		if lsn == 0 {
-			lsn = db.seq.Add(1)
-		}
-		db.publish(tx, lsn)
+	if lsn == 0 {
+		// No marker LSN (no log, or a crashed one): the stamp comes from seq,
+		// which on a durable engine runs far behind the WAL LSNs the earlier
+		// versions carry, so it is raised to the version being replaced.
+		lsn = max(db.seq.Add(1), tx.snap.lsn)
 	}
+	db.publish(tx, lsn)
 	return nil
 }
 
-// InTxn reports whether a transaction is open.
-func (db *DB) InTxn() bool { return db.inTxn.Load() }
+// InTxn reports whether a transaction is open (lock-free).
+func (db *DB) InTxn() bool { return db.txn.Load() != nil }
 
 // RunAtomic executes fn inside a transaction, rolling back if fn returns an
 // error and committing otherwise.

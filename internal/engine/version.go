@@ -18,16 +18,15 @@ import (
 //     a single atomic pointer load pins a consistent cross-table view.
 //   - Readers (GetByKey, Scan, FetchWithReferences, View) pin a snapshot and
 //     run entirely lock-free; writers never block them.
-//   - Writers still serialize through the per-table lock plans (locks.go):
-//     the held write locks guarantee the pinned snapshot is the latest
-//     version of every table the writer mutates. Mutations are staged in a
-//     writeTx — one immap.Editor per index the operation writes, opened on
-//     the pinned version — and become visible in ONE publish after the WAL
-//     accepts the record (commitEffects, locks.go). An editor never outlives
-//     its writeTx: publish freezes it into the next immutable version, and a
-//     failed or violating operation simply drops its writeTx, editors and
-//     all — the published state was never touched, so there is nothing to
-//     revert.
+//   - Writers serialize on the writer mutex (DB.wmu), so the snapshot a
+//     writer pins is the latest version and stays so until it publishes.
+//     Mutations are staged in a writeTx — one immap.Editor per index the
+//     operation writes, opened on the pinned version — and become visible in
+//     ONE publish after the WAL accepts the record (commitEffects, txn.go).
+//     An editor never outlives its writeTx: publish freezes it into the next
+//     immutable version, and a failed or violating operation simply drops
+//     its writeTx, editors and all — the published state was never touched,
+//     so there is nothing to revert.
 //   - Old versions are reclaimed by the garbage collector once the last
 //     reader drops its snapshot pointer; no epoch or hazard bookkeeping.
 
@@ -134,9 +133,8 @@ type workTable struct {
 }
 
 // beginWrite pins the current snapshot as the base of a new write
-// transaction. It must be called after the operation's lock set is acquired:
-// the held write locks guarantee no concurrent writer publishes a newer
-// version of any table this transaction will mutate.
+// transaction. It must be called with the writer mutex held, which guarantees
+// nobody publishes a newer version before this transaction does.
 func (db *DB) beginWrite() *writeTx {
 	return &writeTx{db: db, snap: db.current.Load()}
 }
@@ -303,29 +301,22 @@ func (tx *writeTx) remove(t *table, tup relation.Tuple, key string) {
 // atomic pointer swap covers every table the operation touched, so a
 // concurrent reader sees either all of a batch or none of it.
 //
-// pubMu serializes publishers only (writers on disjoint tables can reach
-// here concurrently); readers never take it. The per-table write locks
-// guarantee the staged versions are derived from the latest published
-// version of each staged table, so merging them over the current snapshot
-// never loses a concurrent writer's update to an unrelated table.
+// The caller holds the writer mutex from before it logged the record, so it
+// is the only publisher and log order is publish order: the version stamped
+// lsn holds exactly the effects of the log prefix up to lsn. The staged tables
+// are merged over the current snapshot rather than tx.snap because a stateTx
+// stages over an empty base (migrate.go).
 func (db *DB) publish(tx *writeTx, lsn uint64) {
 	if len(tx.work) == 0 {
 		return
 	}
 	start := now()
-	db.pubMu.Lock()
 	cur := db.current.Load()
 	tables := append([]*tableVersion(nil), cur.tables...)
 	for _, wt := range tx.work {
 		tables[wt.t.ord] = wt.freeze()
 	}
-	if lsn < cur.lsn {
-		// Concurrent writers can commit WAL records out of publish order;
-		// the snapshot stamp is the highest LSN it contains.
-		lsn = cur.lsn
-	}
 	db.current.Store(&dbSnapshot{lsn: lsn, tables: tables, bind: cur.bind})
-	db.pubMu.Unlock()
 	db.lastPublish.Store(now().UnixNano())
 	db.m.publishes.Inc()
 	db.m.versionLSN.Set(float64(lsn))
@@ -379,21 +370,14 @@ func (db *DB) VersionLSN() uint64 { return db.current.Load().lsn }
 // TxnView returns the consistent read view pinned when the open transaction
 // began, or false if no transaction is open. Within the transaction, reads
 // through the DB methods see the transaction's own (published) writes, while
-// the TxnView keeps answering from the begin-LSN version.
+// the TxnView keeps answering from the begin-LSN version. Lock-free.
 func (db *DB) TxnView() (*View, bool) {
-	db.txnMu.Lock()
-	defer db.txnMu.Unlock()
-	if !db.inTxn.Load() || db.txnSnap == nil {
+	snap := db.txn.Load()
+	if snap == nil {
 		return nil, false
 	}
-	return &View{db: db, snap: db.txnSnap}, true
+	return &View{db: db, snap: snap}, true
 }
-
-// LockAcquisitions returns the total number of lock-plan acquisitions since
-// Open. Read-only phases leave it unchanged — the observable witness that
-// the fetch/scan hot path takes no locks (the MVCC stress tests assert a
-// zero delta).
-func (db *DB) LockAcquisitions() uint64 { return db.lockAcq.Load() }
 
 // getAt answers a key lookup from one pinned snapshot.
 func (db *DB) getAt(snap *dbSnapshot, name string, key relation.Tuple) (relation.Tuple, bool, error) {

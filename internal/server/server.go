@@ -513,7 +513,7 @@ func (s *Server) worker() {
 			batch := []*task{t}
 		drain:
 			// Opportunistically fold queued writes into one engine batch:
-			// one lock-plan acquisition, one WAL record, one fsync for the
+			// one writer-mutex acquisition, one WAL record, one fsync for the
 			// whole group. Reads and txn ops dequeued along the way execute
 			// inline (cross-request ordering is only promised to clients
 			// that wait for responses, which cannot have two in flight).

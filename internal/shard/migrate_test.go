@@ -31,9 +31,9 @@ func mtup(vals ...any) relation.Tuple {
 
 func fig3RouterMerge(t *testing.T) *core.MergedScheme {
 	t.Helper()
-	m, err := core.MergeWith(figures.Fig3(), []string{"OFFER", "TEACH", "ASSIST"}, "OFFER+", core.Options{KeyRelation: "OFFER"})
+	m, err := core.MergeSet(figures.Fig3(), []string{"OFFER", "TEACH", "ASSIST"}, core.WithName("OFFER+"), core.WithKeyRelation("OFFER"))
 	if err != nil {
-		t.Fatalf("MergeWith: %v", err)
+		t.Fatalf("MergeSet: %v", err)
 	}
 	m.RemoveAll()
 	return m

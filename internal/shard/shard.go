@@ -1,5 +1,5 @@
 // Package shard implements horizontal partitioning for the engine: a Router
-// fronts N independent engine instances — each with its own lock manager,
+// fronts N independent engine instances — each with its own writer mutex,
 // MVCC version chain, and WAL directory — and partitions tuples by a
 // deterministic hash of their primary key. The Router exposes the same
 // operational surface as a single engine (it satisfies the relmerge.Session
@@ -21,10 +21,11 @@
 // Concurrency control above the shards is two-level. A router-wide RWMutex
 // (gmu) admits single-shard writes shared and serializes cross-shard
 // batches, transaction control, and checkpoints exclusively. Per-IND "edge"
-// RWMutexes mirror the engine's lock plans across shards: an insert into the
-// referencing side holds the edge shared while its probe and publish happen;
-// a delete on the referenced side holds it exclusively — so a cross-shard
-// foreign-key check and the delete that would falsify it cannot interleave.
+// RWMutexes order foreign-key checks across shards, which no shard's own
+// writer mutex can: an insert into the referencing side holds the edge shared
+// while its probe and publish happen; a delete on the referenced side holds
+// it exclusively — so a cross-shard foreign-key check and the delete that
+// would falsify it cannot interleave.
 // Relations untouched by any dependency take no router locks at all, which
 // is what lets independent shard-local writes scale with the shard count.
 //
@@ -236,12 +237,11 @@ func Open(s *schema.Schema, cfg Config) (*Router, error) {
 }
 
 // buildEdgePlans allocates one RWMutex per inclusion dependency and
-// precomputes each relation's router-level lock plan over them, mirroring
-// the engine's per-table plans one level up: insert holds its outgoing
-// edges shared (the cross-shard FK probe must not race the referenced row's
-// delete), delete holds its incoming edges exclusive, update the write-wins
-// union. Plans are sorted by the dependency's canonical key, so two plans
-// always request their common edges in the same order.
+// precomputes each relation's router-level lock plan over them: insert holds
+// its outgoing edges shared (the cross-shard FK probe must not race the
+// referenced row's delete), delete holds its incoming edges exclusive, update
+// the write-wins union. Plans are sorted by the dependency's canonical key, so
+// two plans always request their common edges in the same order.
 func (r *Router) buildEdgePlans() {
 	for _, ind := range r.schema.INDs {
 		if _, ok := r.edges[ind.Key()]; !ok {

@@ -15,12 +15,9 @@ import (
 //
 // so bit-rot and filesystem truncation are detected on load instead of being
 // silently adopted as the recovery baseline. The magic header versions the
-// format: a file that does not start with it is a legacy footer-less snapshot
-// and loads as-is (old directories keep recovering), while a file that does
-// start with it MUST verify. Truncation cannot masquerade as legacy: a cut
-// inside the payload or footer keeps the full header, and a cut inside the
-// header itself leaves a prefix of the magic, which decodeSnapshot treats as
-// corrupt rather than legacy.
+// format: a file that does not start with it — cut inside the header, or
+// written by nothing this package knows — is corrupt, and one that does MUST
+// verify.
 const snapMagic = "RMSNAP01"
 
 const snapOverhead = len(snapMagic) + 8 // header + [len][CRC32] footer
@@ -34,21 +31,10 @@ func encodeSnapshot(payload []byte) []byte {
 	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
 }
 
-// decodeSnapshot verifies and strips the snapshot framing. Legacy files
-// (no magic header) pass through unchanged — but a file shorter than the
-// header that is a prefix of the magic (including an empty file, the classic
-// filesystem-truncation artifact) is a new-format snapshot cut inside its
-// header, and must read as corrupt rather than be adopted as a legacy
-// baseline.
+// decodeSnapshot verifies and strips the snapshot framing.
 func decodeSnapshot(data []byte) ([]byte, error) {
-	if len(data) < len(snapMagic) {
-		if strings.HasPrefix(snapMagic, string(data)) {
-			return nil, fmt.Errorf("%w: %d bytes is a truncated header", ErrSnapshotCorrupt, len(data))
-		}
-		return data, nil // legacy footer-less snapshot
-	}
-	if string(data[:len(snapMagic)]) != snapMagic {
-		return data, nil // legacy footer-less snapshot
+	if len(data) < len(snapMagic) || string(data[:len(snapMagic)]) != snapMagic {
+		return nil, fmt.Errorf("%w: %d bytes without the %q header", ErrSnapshotCorrupt, len(data), snapMagic)
 	}
 	if len(data) < snapOverhead {
 		return nil, fmt.Errorf("%w: %d bytes is too short for the integrity footer", ErrSnapshotCorrupt, len(data))
@@ -78,7 +64,7 @@ func decodeSnapshot(data []byte) ([]byte, error) {
 //     snapshots are harmless until deletion finishes.
 //
 // The caller must guarantee no Commit runs concurrently that the snapshot
-// does not already include (the engine holds every table lock while it
+// does not already include (the engine holds its writer mutex while it
 // serializes the state and calls Checkpoint).
 func (l *Log) Checkpoint(data []byte) error {
 	l.mu.Lock()

@@ -218,21 +218,19 @@ func TestCorruptSnapshotRefusesStaleFallback(t *testing.T) {
 	}
 }
 
-// Legacy footer-less snapshots (written before the integrity framing) must
-// keep loading unchanged.
-func TestLegacySnapshotLoads(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, fmt.Sprintf("%020d%s", 5, snapSuffix))
-	if err := os.WriteFile(path, []byte("LEGACY"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	l, rec := reopen(t, dir, Options{})
-	defer l.Close()
-	if string(rec.Snapshot) != "LEGACY" || rec.SnapshotLSN != 5 {
-		t.Fatalf("legacy snapshot loaded as %q at LSN %d", rec.Snapshot, rec.SnapshotLSN)
-	}
-	if l.LSN() != 5 {
-		t.Fatalf("LSN = %d, want 5", l.LSN())
+// A snapshot file that does not start with the magic header — the footer-less
+// format no writer has produced since the integrity framing, or anything else
+// — is refused, whatever its length: nothing in it can be verified.
+func TestUnframedSnapshotRefused(t *testing.T) {
+	for _, data := range []string{"LEGACY-STATE", "LEG"} {
+		dir := t.TempDir()
+		path := filepath.Join(dir, fmt.Sprintf("%020d%s", 5, snapSuffix))
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := Open(dir, Options{}); !errors.Is(err, ErrSnapshotCorrupt) {
+			t.Fatalf("Open over unframed snapshot %q = %v, want ErrSnapshotCorrupt", data, err)
+		}
 	}
 }
 
@@ -474,9 +472,7 @@ func TestCommitShippedRejectsMalformedRecords(t *testing.T) {
 	}
 }
 
-// A new-format snapshot truncated inside its magic header is corrupt, not a
-// legacy footer-less snapshot: the prefix proves the writer intended the
-// framed format and the crash ate the rest.
+// A snapshot truncated inside its magic header is corrupt.
 func TestTruncatedSnapshotHeaderIsCorrupt(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -497,17 +493,6 @@ func TestTruncatedSnapshotHeaderIsCorrupt(t *testing.T) {
 		})
 	}
 
-	// A short file that is NOT a magic prefix is still a legacy snapshot.
-	dir := t.TempDir()
-	path := filepath.Join(dir, fmt.Sprintf("%020d%s", 3, snapSuffix))
-	if err := os.WriteFile(path, []byte("LEG"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	l, rec := reopen(t, dir, Options{})
-	defer l.Close()
-	if string(rec.Snapshot) != "LEG" || rec.SnapshotLSN != 3 {
-		t.Fatalf("short legacy snapshot loaded as %q at LSN %d", rec.Snapshot, rec.SnapshotLSN)
-	}
 }
 
 // ReadCommitted must return the same records whether or not segments below

@@ -10,8 +10,8 @@ import (
 // Engine-side types, re-exported so callers can run the in-memory engine —
 // loads, lookups, batched mutations, stats — without importing internal/engine.
 type (
-	// Engine is the concurrent in-memory engine: per-table reader/writer
-	// locks, atomic stats, and batched mutation APIs.
+	// Engine is the concurrent in-memory engine: lock-free snapshot reads,
+	// one writer mutex, atomic stats, and batched mutation APIs.
 	Engine = engine.DB
 	// EngineOption configures OpenEngine.
 	EngineOption = engine.Option
@@ -53,8 +53,8 @@ var (
 )
 
 // OpenEngine opens an engine over the schema: validates the constraint set,
-// builds the primary-key indexes and per-table lock plans, and registers the
-// metric series.
+// compiles the per-table write plans and indexes, and registers the metric
+// series.
 func OpenEngine(s *Schema, opts ...EngineOption) (*Engine, error) {
 	return engine.Open(s, opts...)
 }

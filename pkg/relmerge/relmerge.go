@@ -84,12 +84,6 @@ var (
 	WithKeyRelation = core.WithKeyRelation
 	// WithSyntheticKey forces a synthetic key even when Prop. 3.1 holds.
 	WithSyntheticKey = core.WithSyntheticKey
-	// WithContext attaches a context; cancellation is honored between plan
-	// clusters and carried into span events.
-	//
-	// Deprecated: pass the context through MergeCtx, PlanCtx, or ApplyCtx
-	// instead; the option remains for callers composing option slices.
-	WithContext = core.WithContext
 	// WithTrace records the pipeline's spans into a Tracer.
 	WithTrace = core.WithTrace
 	// WithObserver streams the Def. 4.1/4.3 trace lines as they are produced.
@@ -182,8 +176,7 @@ func ApplyCtx(ctx context.Context, s *Schema, clusters [][]string, opts ...Optio
 	return core.ApplyPlan(s, clusters, withCtx(ctx, opts)...)
 }
 
-// withCtx prepends the context option so an explicit WithContext in opts
-// still wins (last option applies).
+// withCtx prepends the context as an option.
 func withCtx(ctx context.Context, opts []Option) []Option {
 	if ctx == context.Background() {
 		return opts
