@@ -1,12 +1,12 @@
 GO ?= go
 
-SUITES = fmt vet metriclint build race stress crash serve-test shard-test proto-test repl-test advise-test relbench-test
+SUITES := $(shell sh scripts/check.sh -l)
 
 .PHONY: check $(SUITES) test fuzz-short bench microbench allocs
 
 export GO
 
-## check: the full CI gate. scripts/check.sh holds the commands, one suite per name in SUITES (what each covers is written next to it there); `make <suite>` runs one of them.
+## check: the full CI gate. scripts/check.sh holds the commands and the suite names (SUITES is `check.sh -l`; what each suite covers is written next to it there); `make <suite>` runs one of them.
 check:
 	sh scripts/check.sh
 

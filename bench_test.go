@@ -11,6 +11,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -324,11 +325,11 @@ func BenchmarkP5QueryPlanner(b *testing.B) {
 	rng := rand.New(rand.NewSource(12))
 	st := state.MustGenerate(s, rng, state.GenOptions{Rows: 200})
 	baseDB := engine.MustOpen(s)
-	if err := baseDB.Load(st); err != nil {
+	if err := baseDB.LoadCtx(context.Background(), st); err != nil {
 		b.Fatal(err)
 	}
 	mergedDB := engine.MustOpen(m.Schema)
-	if err := mergedDB.Load(m.MapState(st)); err != nil {
+	if err := mergedDB.LoadCtx(context.Background(), m.MapState(st)); err != nil {
 		b.Fatal(err)
 	}
 	var keys []relation.Tuple

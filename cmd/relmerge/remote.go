@@ -14,7 +14,7 @@ import (
 
 // runRemoteLoad replays a database state into a running relmerged server:
 // dial with the requested wire codec, replay in inclusion-dependency order
-// (one atomic InsertBatch per relation), then print the negotiated codec,
+// (one atomic InsertBatchCtx per relation), then print the negotiated codec,
 // the server's engine counters, and the client-side wire counters. It is
 // the CLI counterpart of the in-process metrics replay — same state
 // selection (-data, -fig3, or a seeded generated state), different engine.
@@ -45,7 +45,7 @@ func runRemoteLoad(w io.Writer, addr string, wire relmerge.Wire, s *schema.Schem
 	if rs.WireVersion() > 1 {
 		codec = "binary"
 	}
-	stats, err := sess.Stats()
+	stats, err := sess.StatsCtx(ctx)
 	if err != nil {
 		return err
 	}

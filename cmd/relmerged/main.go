@@ -291,7 +291,7 @@ func buildEngine(s, orig *relmerge.Schema, merges []*relmerge.Merged, dataPath s
 	for _, m := range merges {
 		st = m.MapState(st)
 	}
-	if err := eng.Load(st); err != nil {
+	if err := eng.LoadCtx(context.Background(), st); err != nil {
 		eng.Close()
 		return nil, err
 	}
@@ -326,7 +326,7 @@ func buildRouter(s, orig *relmerge.Schema, merges []*relmerge.Merged, dataPath s
 	for _, m := range merges {
 		st = m.MapState(st)
 	}
-	if err := router.Load(st); err != nil {
+	if err := router.LoadCtx(context.Background(), st); err != nil {
 		router.Close()
 		return nil, err
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -70,9 +71,9 @@ func main() {
 		RowsPer: map[string]int{"HOSTED": 25, "RUNS": 20, "BACKED": 10},
 	})
 	baseDB := engine.MustOpen(base)
-	check(baseDB.Load(st))
+	check(baseDB.LoadCtx(context.Background(), st))
 	mergedDB := engine.MustOpen(m.Schema)
-	check(mergedDB.Load(m.MapState(st)))
+	check(mergedDB.LoadCtx(context.Background(), m.MapState(st)))
 
 	basePlanner := &query.BasePlanner{DB: baseDB}
 	mergedPlanner := &query.MergedPlanner{DB: mergedDB, M: m}
@@ -82,10 +83,9 @@ func main() {
 		Root: "EVENT", Key: eventKey,
 		Want: []string{"E.ID", "H.V.NAME", "R.OG.ID", "BK.SP.NAME"},
 	}
-	baseDB.Stats.Reset()
+	base0, merged0 := baseDB.StatsTotals(), mergedDB.StatsTotals()
 	a, err := basePlanner.Answer(q)
 	check(err)
-	mergedDB.Stats.Reset()
 	b, err := mergedPlanner.Answer(q)
 	check(err)
 
@@ -94,7 +94,7 @@ func main() {
 		fmt.Printf("  %-12s base=%-14v merged=%-14v agree=%v\n",
 			attr, a[attr], b[attr], a[attr].Identical(b[attr]) || (a[attr].IsNull() && b[attr].IsNull()))
 	}
-	fmt.Printf("lookups: base=%d merged=%d\n", baseDB.Stats.Lookups(), mergedDB.Stats.Lookups())
+	fmt.Printf("lookups: base=%d merged=%d\n", baseDB.StatsTotals().Sub(base0).Lookups, mergedDB.StatsTotals().Sub(merged0).Lookups)
 }
 
 func check(err error) {

@@ -16,15 +16,14 @@ func main() {
 	for _, n := range []int{2, 4, 8} {
 		b, err := workload.NewBench(workload.StarEER(n), "E0", 200, int64(n))
 		check(err)
-		b.Base.Stats.Reset()
-		b.Merged.Stats.Reset()
+		base0, merged0 := b.Base.StatsTotals(), b.Merged.StatsTotals()
 		for _, k := range b.Keys {
 			b.ProfileBase(k)
 			b.ProfileMerged(k)
 		}
 		q := float64(len(b.Keys))
-		base := float64(b.Base.Stats.IndexLookups()) / q
-		merged := float64(b.Merged.Stats.IndexLookups()) / q
+		base := float64(b.Base.StatsTotals().Sub(base0).IndexLookups) / q
+		merged := float64(b.Merged.StatsTotals().Sub(merged0).IndexLookups) / q
 		fmt.Printf("%-4d %-20.1f %-20.1f %.1fx\n", n, base, merged, base/merged)
 	}
 
@@ -43,14 +42,14 @@ func main() {
 	} {
 		b, err := c.mk()
 		check(err)
-		b.Merged.Stats.Reset()
+		before := b.Merged.StatsTotals()
 		done := 0
 		for i := 0; i < 50; i++ {
 			if err := b.InsertMergedRow(); err == nil {
 				done++
 			}
 		}
-		st := b.Merged.Stats.Snapshot()
+		st := b.Merged.StatsTotals().Sub(before)
 		fmt.Printf("%-24s %-24.1f %.1f\n", c.label,
 			float64(st.DeclarativeChecks)/float64(done),
 			float64(st.TriggerFirings)/float64(done))

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"repro/pkg/relmerge"
@@ -81,10 +82,11 @@ func main() {
 		panic(err)
 	}
 	defer sess.Close()
-	if err := sess.InsertBatch("ASSIGN", merged.Relation("ASSIGN").Tuples()); err != nil {
+	ctx := context.Background()
+	if err := sess.InsertBatchCtx(ctx, "ASSIGN", merged.Relation("ASSIGN").Tuples()); err != nil {
 		panic(err)
 	}
-	tup, found, err := sess.Fetch("ASSIGN", relmerge.Tuple{relmerge.NewString("cs101")})
+	tup, found, err := sess.FetchCtx(ctx, "ASSIGN", relmerge.Tuple{relmerge.NewString("cs101")})
 	if err != nil || !found {
 		panic(fmt.Sprintf("fetch cs101: found=%v err=%v", found, err))
 	}

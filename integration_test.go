@@ -1,8 +1,8 @@
 package repro
 
 import (
+	"context"
 	"math/rand"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -16,6 +16,7 @@ import (
 	"repro/internal/sdl"
 	"repro/internal/state"
 	"repro/internal/translate"
+	"repro/internal/wal"
 )
 
 // The library-system pipeline: a fresh domain (not one of the paper's
@@ -98,11 +99,11 @@ func TestLibraryPipeline(t *testing.T) {
 		RowsPer: map[string]int{"HELD": 30, "LOANED": 15, "ISSUED": 25},
 	})
 	baseDB := engine.MustOpen(base)
-	if err := baseDB.Load(st); err != nil {
+	if err := baseDB.LoadCtx(context.Background(), st); err != nil {
 		t.Fatal(err)
 	}
 	mergedDB := engine.MustOpen(m.Schema)
-	if err := mergedDB.Load(m.MapState(st)); err != nil {
+	if err := mergedDB.LoadCtx(context.Background(), m.MapState(st)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -112,14 +113,14 @@ func TestLibraryPipeline(t *testing.T) {
 	mergedRel := mergedDB.Relation("BOOK+")
 	for _, bk := range books.Tuples() {
 		key := relation.Tuple{bk[0]}
-		row, ok := mergedDB.GetByKey("BOOK+", key)
+		row, ok, _ := mergedDB.GetByKeyCtx(context.Background(), "BOOK+", key)
 		if !ok {
 			t.Fatalf("book %v missing from merged engine", key)
 		}
 		for member, attr := range map[string]string{
 			"HELD": "H.BR.NAME", "LOANED": "L.M.ID", "ISSUED": "I.PB.NAME",
 		} {
-			baseTup, baseOK := baseDB.GetByKey(member, key)
+			baseTup, baseOK, _ := baseDB.GetByKeyCtx(context.Background(), member, key)
 			mergedVal := row[mergedRel.Position(attr)]
 			switch {
 			case baseOK && mergedVal.IsNull():
@@ -136,29 +137,42 @@ func TestLibraryPipeline(t *testing.T) {
 	}
 
 	// 7. The merged engine costs one lookup per profile vs. four.
-	baseDB.Stats.Reset()
-	mergedDB.Stats.Reset()
+	base0, merged0 := baseDB.StatsTotals(), mergedDB.StatsTotals()
 	for _, bk := range books.Tuples() {
 		key := relation.Tuple{bk[0]}
 		for _, member := range []string{"BOOK", "HELD", "LOANED", "ISSUED"} {
-			baseDB.GetByKey(member, key)
+			baseDB.GetByKeyCtx(context.Background(), member, key)
 		}
-		mergedDB.GetByKey("BOOK+", key)
+		mergedDB.GetByKeyCtx(context.Background(), "BOOK+", key)
 	}
-	if mergedDB.Stats.IndexLookups()*4 != baseDB.Stats.IndexLookups() {
-		t.Errorf("lookups: base %d, merged %d", baseDB.Stats.IndexLookups(), mergedDB.Stats.IndexLookups())
+	baseLookups := baseDB.StatsTotals().Sub(base0).IndexLookups
+	mergedLookups := mergedDB.StatsTotals().Sub(merged0).IndexLookups
+	if mergedLookups*4 != baseLookups {
+		t.Errorf("lookups: base %d, merged %d", baseLookups, mergedLookups)
 	}
 
-	// 8. Persistence round trip of the merged engine.
-	path := filepath.Join(t.TempDir(), "library.data")
-	if err := mergedDB.SaveFile(path); err != nil {
+	// 8. Persistence round trip of the merged engine: load into a durable
+	// twin, checkpoint, close, recover.
+	dir := t.TempDir()
+	durable, err := engine.Open(m.Schema, engine.WithDurability(dir, wal.SyncNever))
+	if err != nil {
 		t.Fatal(err)
 	}
-	mergedDB2 := engine.MustOpen(m.Schema)
-	if err := mergedDB2.LoadFile(path); err != nil {
+	if err := durable.LoadCtx(context.Background(), m.MapState(st)); err != nil {
 		t.Fatal(err)
 	}
-	if !mergedDB2.Snapshot().Equal(mergedDB.Snapshot()) {
+	if err := durable.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := durable.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recovered, err := engine.Open(m.Schema, engine.WithDurability(dir, wal.SyncNever))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recovered.Close()
+	if !recovered.Snapshot().Equal(mergedDB.Snapshot()) {
 		t.Error("persistence round trip failed")
 	}
 

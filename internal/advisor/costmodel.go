@@ -5,7 +5,7 @@ import "repro/internal/engine"
 // CostModelFromStats calibrates a CostModel from the engine's own measured
 // operation mix instead of DefaultCostModel's fixed guesses. The engine
 // counts index probes, declarative checks, and trigger firings for every
-// workload it serves (engine.Stats); the ratio of probes to checks observed
+// workload it serves (engine.StatsSnapshot); the ratio of probes to checks observed
 // in a window tells us what a constraint check actually cost *on this
 // deployment* relative to a lookup, which is the only quantity the pricing
 // in Advise consumes (only ratios matter — IndexLookup stays the unit).

@@ -2,7 +2,7 @@
 // pricing a workload description someone wrote down, it watches the engine's
 // own measurements — the per-IND-edge co-access counters the fetch path
 // maintains (engine.CoAccessStats) and the operation-mix window
-// (engine.Stats) — decides whether a merge would pay for itself, and applies
+// (engine.StatsSnapshot) — decides whether a merge would pay for itself, and applies
 // the winning merge to the LIVE engine through MigrateSchema.
 //
 // The decision pipeline is the paper's machinery used as an admission filter:
@@ -171,7 +171,7 @@ type dbTarget struct{ db *engine.DB }
 func ForDB(db *engine.DB) Target { return dbTarget{db} }
 
 func (t dbTarget) DesignSnapshot() (*schema.Schema, []engine.CoAccessStat, engine.StatsSnapshot) {
-	return t.db.Schema, t.db.CoAccessStats(), t.db.Stats.Totals()
+	return t.db.Schema, t.db.CoAccessStats(), t.db.StatsTotals()
 }
 
 func (t dbTarget) Migrate(ns *schema.Schema, transform func(*state.DB) (*state.DB, error)) error {

@@ -1,6 +1,7 @@
 package online
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -95,7 +96,7 @@ func TestDecidePure(t *testing.T) {
 
 func TestApplyToLiveEngine(t *testing.T) {
 	db := engine.MustOpen(figures.Fig3())
-	if err := db.Load(figures.Fig3State()); err != nil {
+	if err := db.LoadCtx(context.Background(), figures.Fig3State()); err != nil {
 		t.Fatal(err)
 	}
 	// Generate genuine join-shaped heat through the real fetch path.
@@ -119,7 +120,7 @@ func TestApplyToLiveEngine(t *testing.T) {
 	if !strings.Contains(sdl.PrintSchema(db.Schema), sugs[0].Rec.MergedName) {
 		t.Fatalf("live engine not migrated to %s:\n%s", sugs[0].Rec.MergedName, sdl.PrintSchema(db.Schema))
 	}
-	if _, ok := db.GetByKey(sugs[0].Rec.MergedName, tup("c1")); !ok {
+	if _, ok, _ := db.GetByKeyCtx(context.Background(), sugs[0].Rec.MergedName, tup("c1")); !ok {
 		t.Fatal("merged relation does not serve")
 	}
 	// Applying the same (now stale) suggestion again fails cleanly: the
@@ -135,7 +136,7 @@ func TestApplyToLiveEngine(t *testing.T) {
 
 func TestRunLoopAutoMigrates(t *testing.T) {
 	db := engine.MustOpen(figures.Fig3())
-	if err := db.Load(figures.Fig3State()); err != nil {
+	if err := db.LoadCtx(context.Background(), figures.Fig3State()); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < DefaultMinCoAccess*2; i++ {
@@ -159,7 +160,7 @@ func TestRunLoopAutoMigrates(t *testing.T) {
 	defer stop()
 	select {
 	case s := <-applied:
-		if _, ok := db.GetByKey(s.Rec.MergedName, tup("c1")); !ok {
+		if _, ok, _ := db.GetByKeyCtx(context.Background(), s.Rec.MergedName, tup("c1")); !ok {
 			t.Fatalf("loop reported applying %s but it does not serve", s.Rec.MergedName)
 		}
 	case <-time.After(10 * time.Second):
@@ -171,7 +172,7 @@ func TestRunLoopAutoMigrates(t *testing.T) {
 
 func TestRunLoopSuggestNeverMigrates(t *testing.T) {
 	db := engine.MustOpen(figures.Fig3())
-	if err := db.Load(figures.Fig3State()); err != nil {
+	if err := db.LoadCtx(context.Background(), figures.Fig3State()); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < DefaultMinCoAccess*2; i++ {

@@ -42,19 +42,15 @@ func Upd(relName string, key, tup relation.Tuple) BatchOp {
 	return BatchOp{Kind: BatchUpdate, Relation: relName, Key: key, Tuple: tup}
 }
 
-// InsertBatch inserts tuples into the named relation as one atomic group:
+// InsertBatchCtx inserts tuples into the named relation as one atomic group:
 // the writer mutex is taken once for the whole batch (amortizing per-op
 // locking), constraints are validated group-wise, and a violation anywhere
 // drops the whole staged batch. Tuples earlier in the batch are visible to
 // the constraint checks of later ones, so self-referencing chains load in
 // one batch. Concurrent readers see the batch appear atomically: its staged
 // effects publish as ONE new version after the WAL accepts the record.
-func (db *DB) InsertBatch(name string, tuples []relation.Tuple) error {
-	return db.InsertBatchCtx(context.Background(), name, tuples)
-}
-
-// InsertBatchCtx is InsertBatch with cancellation, checked once up front:
-// the batch is atomic, so there is no consistent prefix to abandon at.
+// Cancellation is checked once up front: the batch is atomic, so there is no
+// consistent prefix to abandon at.
 func (db *DB) InsertBatchCtx(ctx context.Context, name string, tuples []relation.Tuple) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -78,7 +74,7 @@ func (db *DB) InsertBatchCtx(ctx context.Context, name string, tuples []relation
 	// once, and carried to the index. Not counted as
 	// declarative checks — the authoritative per-tuple PK check still runs in
 	// insertLocked, and counting here too would make a batch of one tuple
-	// cost more checks than a plain Insert.
+	// cost more checks than a plain InsertCtx.
 	keys := make([]string, len(tuples))
 	seen := make(map[string]struct{}, len(tuples))
 	tx := db.beginWrite()

@@ -18,15 +18,15 @@ func BenchmarkInsertDeclarative(b *testing.B) {
 	// Figure 3's OFFER: NOT NULL + PK + two key-based FKs, all indexed.
 	db := engine.MustOpen(figures.Fig3())
 	for i := 0; i < 1024; i++ {
-		db.Insert("COURSE", relation.Tuple{relation.NewString(fmt.Sprintf("c%d", i))})
+		db.InsertCtx(context.Background(), "COURSE", relation.Tuple{relation.NewString(fmt.Sprintf("c%d", i))})
 	}
-	db.Insert("DEPARTMENT", relation.Tuple{relation.NewString("math")})
+	db.InsertCtx(context.Background(), "DEPARTMENT", relation.Tuple{relation.NewString("math")})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		course := fmt.Sprintf("c%d", i%1024)
-		db.Insert("OFFER", relation.Tuple{relation.NewString(course), relation.NewString("math")})
+		db.InsertCtx(context.Background(), "OFFER", relation.Tuple{relation.NewString(course), relation.NewString("math")})
 		b.StopTimer()
-		db.Delete("OFFER", relation.Tuple{relation.NewString(course)})
+		db.DeleteCtx(context.Background(), "OFFER", relation.Tuple{relation.NewString(course)})
 		b.StartTimer()
 	}
 }
@@ -39,16 +39,16 @@ func BenchmarkInsertProcedural(b *testing.B) {
 	}
 	m.RemoveAll()
 	db := engine.MustOpen(m.Schema)
-	db.Insert("DEPARTMENT", relation.Tuple{relation.NewString("math")})
+	db.InsertCtx(context.Background(), "DEPARTMENT", relation.Tuple{relation.NewString("math")})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		key := relation.NewString(fmt.Sprintf("c%d", i))
 		tup := relation.Tuple{key, relation.NewString("math"), relation.Null(), relation.Null()}
-		if err := db.Insert("COURSE''", tup); err != nil {
+		if err := db.InsertCtx(context.Background(), "COURSE''", tup); err != nil {
 			b.Fatal(err)
 		}
 		b.StopTimer()
-		db.Delete("COURSE''", relation.Tuple{key})
+		db.DeleteCtx(context.Background(), "COURSE''", relation.Tuple{key})
 		b.StartTimer()
 	}
 }
@@ -56,22 +56,22 @@ func BenchmarkInsertProcedural(b *testing.B) {
 func BenchmarkGetByKey(b *testing.B) {
 	db := engine.MustOpen(figures.Fig3())
 	for i := 0; i < 4096; i++ {
-		db.Insert("COURSE", relation.Tuple{relation.NewString(fmt.Sprintf("c%d", i))})
+		db.InsertCtx(context.Background(), "COURSE", relation.Tuple{relation.NewString(fmt.Sprintf("c%d", i))})
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		db.GetByKey("COURSE", relation.Tuple{relation.NewString(fmt.Sprintf("c%d", i%4096))})
+		db.GetByKeyCtx(context.Background(), "COURSE", relation.Tuple{relation.NewString(fmt.Sprintf("c%d", i%4096))})
 	}
 }
 
 func BenchmarkFetchWithReferences(b *testing.B) {
 	db := engine.MustOpen(figures.Fig3())
-	db.Insert("COURSE", relation.Tuple{relation.NewString("c1")})
-	db.Insert("DEPARTMENT", relation.Tuple{relation.NewString("math")})
-	db.Insert("PERSON", relation.Tuple{relation.NewString("p1")})
-	db.Insert("FACULTY", relation.Tuple{relation.NewString("p1")})
-	db.Insert("OFFER", relation.Tuple{relation.NewString("c1"), relation.NewString("math")})
-	db.Insert("TEACH", relation.Tuple{relation.NewString("c1"), relation.NewString("p1")})
+	db.InsertCtx(context.Background(), "COURSE", relation.Tuple{relation.NewString("c1")})
+	db.InsertCtx(context.Background(), "DEPARTMENT", relation.Tuple{relation.NewString("math")})
+	db.InsertCtx(context.Background(), "PERSON", relation.Tuple{relation.NewString("p1")})
+	db.InsertCtx(context.Background(), "FACULTY", relation.Tuple{relation.NewString("p1")})
+	db.InsertCtx(context.Background(), "OFFER", relation.Tuple{relation.NewString("c1"), relation.NewString("math")})
+	db.InsertCtx(context.Background(), "TEACH", relation.Tuple{relation.NewString("c1"), relation.NewString("p1")})
 	key := relation.Tuple{relation.NewString("c1")}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -33,18 +34,18 @@ func TestPhysicalRemoveDropsEmptyBuckets(t *testing.T) {
 	const churn = 200
 	for i := 0; i < churn; i++ {
 		p := fmt.Sprintf("p%d", i)
-		if err := db.Insert("PARENT", tup(p)); err != nil {
+		if err := db.InsertCtx(context.Background(), "PARENT", tup(p)); err != nil {
 			t.Fatal(err)
 		}
-		if err := db.Insert("CHILD", tup(fmt.Sprintf("c%d", i), p)); err != nil {
+		if err := db.InsertCtx(context.Background(), "CHILD", tup(fmt.Sprintf("c%d", i), p)); err != nil {
 			t.Fatal(err)
 		}
-		if err := db.Delete("CHILD", tup(fmt.Sprintf("c%d", i))); err != nil {
+		if err := db.DeleteCtx(context.Background(), "CHILD", tup(fmt.Sprintf("c%d", i))); err != nil {
 			t.Fatal(err)
 		}
 		// Deleting the parent probes CHILD's secondary index on C.P (prebuilt
 		// at Open, published with every version) — the structure under test.
-		if err := db.Delete("PARENT", tup(p)); err != nil {
+		if err := db.DeleteCtx(context.Background(), "PARENT", tup(p)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -130,7 +131,7 @@ func TestRollbackNoTxnSkipsLocks(t *testing.T) {
 // neither stall the readers nor race the transaction state.
 func TestRollbackNoTxnConcurrentReaders(t *testing.T) {
 	db := openFig3(t)
-	if err := db.Load(figures.Fig3State()); err != nil {
+	if err := db.LoadCtx(context.Background(), figures.Fig3State()); err != nil {
 		t.Fatal(err)
 	}
 	stop := make(chan struct{})
@@ -145,7 +146,7 @@ func TestRollbackNoTxnConcurrentReaders(t *testing.T) {
 					return
 				default:
 				}
-				if _, ok := db.GetByKey("COURSE", tup("c1")); !ok {
+				if _, ok, _ := db.GetByKeyCtx(context.Background(), "COURSE", tup("c1")); !ok {
 					t.Error("seeded tuple vanished")
 					return
 				}
@@ -166,7 +167,7 @@ func TestRollbackNoTxnConcurrentReaders(t *testing.T) {
 			if err := db.Begin(); err != nil {
 				continue
 			}
-			db.Insert("PERSON", tup(fmt.Sprintf("txn-%d", i)))
+			db.InsertCtx(context.Background(), "PERSON", tup(fmt.Sprintf("txn-%d", i)))
 			db.Rollback()
 		}
 	}()

@@ -18,14 +18,14 @@ import (
 func endWhileQueued(t *testing.T, db *DB, call func(ctx context.Context) error) error {
 	t.Helper()
 	db.lockWriter()
-	acquired := db.lockAcq.Load()
+	acquired := db.m.lockAcquisitions.Value()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := make(chan error, 1)
 	go func() { done <- call(ctx) }()
 	// lockWriter counts before it blocks: a moved counter means call is past
 	// its entry check and waiting on the held mutex.
-	for giveUp := time.Now().Add(10 * time.Second); db.lockAcq.Load() == acquired; {
+	for giveUp := time.Now().Add(10 * time.Second); db.m.lockAcquisitions.Value() == acquired; {
 		if time.Now().After(giveUp) {
 			db.wmu.Unlock()
 			t.Fatal("contender never reached the held writer mutex")
@@ -52,11 +52,11 @@ func TestCtxExpiredUnderContendedLockDoesNotCommit(t *testing.T) {
 	if !errors.Is(insErr, context.Canceled) {
 		t.Fatalf("InsertCtx under ended context: got %v, want Canceled", insErr)
 	}
-	if _, ok := db.GetByKey("COURSE", tup("late")); ok {
+	if _, ok, _ := db.GetByKeyCtx(context.Background(), "COURSE", tup("late")); ok {
 		t.Fatal("insert with an ended context still committed")
 	}
 	// The mutex was released: the next writer goes through.
-	if err := db.Insert("COURSE", tup("next")); err != nil {
+	if err := db.InsertCtx(context.Background(), "COURSE", tup("next")); err != nil {
 		t.Fatalf("insert after release: %v", err)
 	}
 }
@@ -67,7 +67,7 @@ func TestCtxExpiredAfterAcquisitionAllOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Insert("COURSE", tup("c1")); err != nil {
+	if err := db.InsertCtx(context.Background(), "COURSE", tup("c1")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -93,11 +93,11 @@ func TestCtxExpiredAfterAcquisitionAllOps(t *testing.T) {
 				t.Fatalf("%s: got %v, want Canceled", op.name, err)
 			}
 			for _, gone := range []string{"c2", "c3", "c9"} {
-				if _, ok := db.GetByKey("COURSE", tup(gone)); ok {
+				if _, ok, _ := db.GetByKeyCtx(context.Background(), "COURSE", tup(gone)); ok {
 					t.Fatalf("%s: op committed %s despite its ended context", op.name, gone)
 				}
 			}
-			if _, ok := db.GetByKey("COURSE", tup("c1")); !ok {
+			if _, ok, _ := db.GetByKeyCtx(context.Background(), "COURSE", tup("c1")); !ok {
 				t.Fatalf("%s: pre-existing tuple disturbed", op.name)
 			}
 		})
@@ -111,7 +111,7 @@ func TestGetByKeyCtx(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Insert("COURSE", tup("c1")); err != nil {
+	if err := db.InsertCtx(context.Background(), "COURSE", tup("c1")); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := db.GetByKeyCtx(context.Background(), "NOPE", tup("x")); !errors.Is(err, ErrUnknownRelation) {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"repro/internal/relation"
 	"sync"
@@ -11,7 +12,7 @@ import (
 // ranges plus parallel readers leave a consistent catalog. Run with -race.
 func TestConcurrentAccess(t *testing.T) {
 	db := openFig3(t)
-	db.Insert("DEPARTMENT", tup("math"))
+	db.InsertCtx(context.Background(), "DEPARTMENT", tup("math"))
 
 	const writers = 4
 	const perWriter = 50
@@ -23,11 +24,11 @@ func TestConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
 				key := fmt.Sprintf("c%d-%d", w, i)
-				if err := db.Insert("COURSE", tup(key)); err != nil {
+				if err := db.InsertCtx(context.Background(), "COURSE", tup(key)); err != nil {
 					t.Errorf("insert %s: %v", key, err)
 					return
 				}
-				if err := db.Insert("OFFER", tup(key, "math")); err != nil {
+				if err := db.InsertCtx(context.Background(), "OFFER", tup(key, "math")); err != nil {
 					t.Errorf("offer %s: %v", key, err)
 					return
 				}
@@ -40,7 +41,7 @@ func TestConcurrentAccess(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				db.GetByKey("COURSE", tup("c0-0"))
+				db.GetByKeyCtx(context.Background(), "COURSE", tup("c0-0"))
 				db.Count("OFFER")
 				db.Scan("COURSE", nil, func(relation.Tuple) {})
 			}
@@ -57,7 +58,7 @@ func TestConcurrentAccess(t *testing.T) {
 	// Every inserted key resolves.
 	for w := 0; w < writers; w++ {
 		for i := 0; i < perWriter; i++ {
-			if _, ok := db.GetByKey("OFFER", tup(fmt.Sprintf("c%d-%d", w, i))); !ok {
+			if _, ok, _ := db.GetByKeyCtx(context.Background(), "OFFER", tup(fmt.Sprintf("c%d-%d", w, i))); !ok {
 				t.Fatalf("offer c%d-%d missing", w, i)
 			}
 		}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -292,10 +293,10 @@ func (db *DB) recover(rec *Recovery) error {
 	if err := state.Consistent(valSchema, st); err != nil {
 		return fmt.Errorf("%w: recovered state fails constraint re-validation: %v", ErrRecovery, err)
 	}
-	if err := db.Load(st); err != nil {
+	if err := db.LoadCtx(context.Background(), st); err != nil {
 		return fmt.Errorf("%w: reloading recovered state: %v", ErrRecovery, err)
 	}
-	// Load stamped its versions from seq (the log is attached only after
+	// LoadCtx stamped its versions from seq (the log is attached only after
 	// recovery). Restamp the result with its log position, so that the WAL
 	// LSNs of the versions to come only go up from it.
 	cur := db.current.Load()

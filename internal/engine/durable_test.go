@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -31,26 +32,30 @@ func TestDurableRoundtripRecovery(t *testing.T) {
 	dir := t.TempDir()
 	db := openDurable(t, dir, wal.Options{Policy: wal.SyncAlways})
 
-	if err := db.Load(figures.Fig3State()); err != nil {
+	if err := db.LoadCtx(context.Background(), figures.Fig3State()); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Insert("COURSE", tup("c9")); err != nil {
+	if err := db.InsertCtx(context.Background(), "COURSE", tup("c9")); err != nil {
 		t.Fatal(err)
 	}
 	// A committed transaction: its effects must survive.
-	if err := db.RunAtomic(func() error {
-		if err := db.Insert("PERSON", tup("p-txn")); err != nil {
-			return err
-		}
-		return db.Insert("STUDENT", tup("p-txn"))
-	}); err != nil {
+	if err := db.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.InsertCtx(context.Background(), "PERSON", tup("p-txn")); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.InsertCtx(context.Background(), "STUDENT", tup("p-txn")); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	// A rolled-back transaction: its effects must not.
 	if err := db.Begin(); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Insert("DEPARTMENT", tup("doomed")); err != nil {
+	if err := db.InsertCtx(context.Background(), "DEPARTMENT", tup("doomed")); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Rollback(); err != nil {
@@ -60,10 +65,10 @@ func TestDurableRoundtripRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Post-checkpoint tail, replayed on top of the snapshot.
-	if err := db.Delete("ASSIST", tup("c1")); err != nil {
+	if err := db.DeleteCtx(context.Background(), "ASSIST", tup("c1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Insert("DEPARTMENT", tup("physics")); err != nil {
+	if err := db.InsertCtx(context.Background(), "DEPARTMENT", tup("physics")); err != nil {
 		t.Fatal(err)
 	}
 	want := db.Snapshot()
@@ -84,7 +89,7 @@ func TestDurableRoundtripRecovery(t *testing.T) {
 		t.Fatalf("ReplayedOps = %d, want the 2 post-checkpoint mutations", info.ReplayedOps)
 	}
 	// The recovered engine keeps logging: one more op, one more reopen.
-	if err := db2.Insert("COURSE", tup("c10")); err != nil {
+	if err := db2.InsertCtx(context.Background(), "COURSE", tup("c10")); err != nil {
 		t.Fatal(err)
 	}
 	want2 := db2.Snapshot()
@@ -101,17 +106,17 @@ func TestDurableRoundtripRecovery(t *testing.T) {
 func TestRecoveryDiscardsUncommittedTxnSuffix(t *testing.T) {
 	dir := t.TempDir()
 	db := openDurable(t, dir, wal.Options{Policy: wal.SyncAlways})
-	if err := db.Insert("PERSON", tup("keep")); err != nil {
+	if err := db.InsertCtx(context.Background(), "PERSON", tup("keep")); err != nil {
 		t.Fatal(err)
 	}
 	want := db.Snapshot()
 	if err := db.Begin(); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Insert("PERSON", tup("lost-1")); err != nil {
+	if err := db.InsertCtx(context.Background(), "PERSON", tup("lost-1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Insert("COURSE", tup("lost-2")); err != nil {
+	if err := db.InsertCtx(context.Background(), "COURSE", tup("lost-2")); err != nil {
 		t.Fatal(err)
 	}
 	// Crash here: no Commit, no Close.
@@ -163,10 +168,10 @@ func TestCheckpointWithoutDurability(t *testing.T) {
 func TestRecoveryRevalidatesConstraints(t *testing.T) {
 	dir := t.TempDir()
 	db := openDurable(t, dir, wal.Options{Policy: wal.SyncAlways})
-	if err := db.Insert("PERSON", tup("p1")); err != nil {
+	if err := db.InsertCtx(context.Background(), "PERSON", tup("p1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Insert("FACULTY", tup("p1")); err != nil {
+	if err := db.InsertCtx(context.Background(), "FACULTY", tup("p1")); err != nil {
 		t.Fatal(err)
 	}
 	// Forge the record with the engine's own encoder so it decodes cleanly.
@@ -216,10 +221,10 @@ func TestRecoveryRefusesUnframedCheckpointPayload(t *testing.T) {
 func TestRecoverySurvivesDuplicatedSegment(t *testing.T) {
 	dir := t.TempDir()
 	db := openDurable(t, dir, wal.Options{Policy: wal.SyncAlways})
-	if err := db.Load(figures.Fig3State()); err != nil {
+	if err := db.LoadCtx(context.Background(), figures.Fig3State()); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Delete("TEACH", tup("c2")); err != nil {
+	if err := db.DeleteCtx(context.Background(), "TEACH", tup("c2")); err != nil {
 		t.Fatal(err)
 	}
 	want := db.Snapshot()
@@ -267,14 +272,14 @@ func (d *crashDriver) step() {
 	case 0: // fresh root insert
 		rels := []string{"PERSON", "COURSE", "DEPARTMENT"}
 		d.fresh++
-		d.db.Insert(rels[d.rng.Intn(len(rels))], tup(fmt.Sprintf("fresh-%d", d.fresh)))
+		d.db.InsertCtx(context.Background(), rels[d.rng.Intn(len(rels))], tup(fmt.Sprintf("fresh-%d", d.fresh)))
 	case 1, 2: // delete a random existing tuple (may be restricted)
 		rel, victim := d.randomTuple()
 		if victim == nil {
 			return
 		}
 		key := victim.Project(d.db.bind.tables[rel].hdr.Positions(d.db.bind.tables[rel].rs.PrimaryKey))
-		if err := d.db.Delete(rel, key); err == nil {
+		if err := d.db.DeleteCtx(context.Background(), rel, key); err == nil {
 			d.deleted = append(d.deleted, struct {
 				rel string
 				tup relation.Tuple
@@ -285,17 +290,17 @@ func (d *crashDriver) step() {
 			return
 		}
 		i := d.rng.Intn(len(d.deleted))
-		d.db.Insert(d.deleted[i].rel, d.deleted[i].tup)
+		d.db.InsertCtx(context.Background(), d.deleted[i].rel, d.deleted[i].tup)
 	case 4: // no-op-shaped update (remove + reinsert, two logged effects)
 		rel, victim := d.randomTuple()
 		if victim == nil {
 			return
 		}
 		key := victim.Project(d.db.bind.tables[rel].hdr.Positions(d.db.bind.tables[rel].rs.PrimaryKey))
-		d.db.Update(rel, key, victim)
+		d.db.UpdateCtx(context.Background(), rel, key, victim)
 	case 5: // batch of fresh root inserts — one log record for the group
 		d.fresh++
-		d.db.InsertBatch("PERSON", []relation.Tuple{
+		d.db.InsertBatchCtx(context.Background(), "PERSON", []relation.Tuple{
 			tup(fmt.Sprintf("batch-%d-a", d.fresh)),
 			tup(fmt.Sprintf("batch-%d-b", d.fresh)),
 		})
@@ -370,7 +375,7 @@ func runCrashCell(t *testing.T, policy wal.SyncPolicy, mkfp func(*rand.Rand) *wa
 
 	// Random consistent initial state (internal/state/generate.go).
 	init := state.MustGenerate(figures.Fig3(), rng, state.GenOptions{Rows: 4})
-	db.Load(init)
+	db.LoadCtx(context.Background(), init)
 	d.sync()
 
 	for i := 0; i < 40; i++ {

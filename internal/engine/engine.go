@@ -13,12 +13,12 @@
 //     per modified tuple) and non-key-based inclusion dependencies (probing
 //     a secondary index on the referenced side, prebuilt at Open).
 //
-// The Stats counters let benchmarks report exactly how much each regime
-// costs, reproducing the paper's argument for why only-NNA schemas
+// The cost counters (StatsTotals) let benchmarks report exactly how much each
+// regime costs, reproducing the paper's argument for why only-NNA schemas
 // (Prop. 5.2) are preferable on 1992-era systems.
 //
 // Concurrency — MVCC snapshot reads, one writer: the committed state lives in
-// immutable versioned snapshots (version.go). Readers (GetByKey, Scan,
+// immutable versioned snapshots (version.go). Readers (GetByKeyCtx, Scan,
 // FetchWithReferences, View) pin the current version with one atomic pointer
 // load and run entirely lock-free; writers never block them. Every mutating
 // entry point holds the one writer mutex (DB.wmu) from its cancellation
@@ -93,10 +93,9 @@ type binding struct {
 // for the locking discipline.
 type DB struct {
 	Schema *schema.Schema
-	// Stats accumulates the cost counters atomically; reads never block
-	// operations and operations never block on stats.
-	Stats Stats
-	// reg/obsName/m back the Stats fields with registry series (metrics.go).
+	// reg/obsName/m are the registry, the db=<name> label and the series
+	// handles the cost counters live in (metrics.go); all atomic, so reads
+	// never block operations and operations never block on stats.
 	reg     *obs.Registry
 	obsName string
 	m       *dbMetrics
@@ -107,8 +106,6 @@ type DB struct {
 	// makes the holder the only publisher. Readers never take it: they resolve
 	// metadata through the binding carried by their pinned snapshot.
 	wmu sync.Mutex
-	// lockAcq counts writer-mutex acquisitions, each before it blocks.
-	lockAcq atomic.Uint64
 	// bind is the current schema binding; replaced only by install.
 	bind *binding
 	// current is the latest published snapshot (version.go): the single
@@ -242,7 +239,6 @@ func (db *DB) install(b *binding) {
 // blocks, so a zero delta of the counter over a phase proves the phase took
 // no lock, and a moved counter shows a contender queued behind the holder.
 func (db *DB) lockWriter() {
-	db.lockAcq.Add(1)
 	db.m.lockAcquisitions.Inc()
 	db.wmu.Lock()
 }
@@ -318,14 +314,10 @@ func (db *DB) Count(name string) int {
 	return db.current.Load().count(name)
 }
 
-// Insert adds a tuple to the named relation, enforcing all constraints. On
-// violation the state is unchanged and a descriptive error is returned.
-func (db *DB) Insert(name string, tup relation.Tuple) error {
-	return db.InsertCtx(context.Background(), name, tup)
-}
-
-// InsertCtx is Insert with cancellation: a context already cancelled when
-// the operation starts aborts it before any state change.
+// InsertCtx adds a tuple to the named relation, enforcing all constraints. On
+// violation the state is unchanged and a descriptive error is returned. A
+// context already cancelled when the operation starts aborts it before any
+// state change.
 func (db *DB) InsertCtx(ctx context.Context, name string, tup relation.Tuple) error {
 	if err := ctx.Err(); err != nil {
 		return err

@@ -41,14 +41,14 @@ func openFig3(t *testing.T) *DB {
 
 func TestInsertAndLookup(t *testing.T) {
 	db := openFig3(t)
-	if err := db.Insert("COURSE", tup("c1")); err != nil {
+	if err := db.InsertCtx(context.Background(), "COURSE", tup("c1")); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := db.GetByKey("COURSE", tup("c1"))
+	got, ok, _ := db.GetByKeyCtx(context.Background(), "COURSE", tup("c1"))
 	if !ok || !got.Identical(tup("c1")) {
 		t.Error("GetByKey after insert")
 	}
-	if _, ok := db.GetByKey("COURSE", tup("c2")); ok {
+	if _, ok, _ := db.GetByKeyCtx(context.Background(), "COURSE", tup("c2")); ok {
 		t.Error("missing key should not be found")
 	}
 	if db.Count("COURSE") != 1 {
@@ -58,7 +58,7 @@ func TestInsertAndLookup(t *testing.T) {
 
 func TestInsertNotNull(t *testing.T) {
 	db := openFig3(t)
-	err := db.Insert("COURSE", tup(nil))
+	err := db.InsertCtx(context.Background(), "COURSE", tup(nil))
 	var cv *ConstraintViolation
 	if !errors.As(err, &cv) || cv.Kind != NotNullViolation {
 		t.Fatalf("want NotNullViolation, got %v", err)
@@ -76,13 +76,13 @@ func TestInsertNotNull(t *testing.T) {
 
 func TestInsertDuplicateKey(t *testing.T) {
 	db := openFig3(t)
-	db.Insert("COURSE", tup("c1"))
-	db.Insert("DEPARTMENT", tup("math"))
-	if err := db.Insert("OFFER", tup("c1", "math")); err != nil {
+	db.InsertCtx(context.Background(), "COURSE", tup("c1"))
+	db.InsertCtx(context.Background(), "DEPARTMENT", tup("math"))
+	if err := db.InsertCtx(context.Background(), "OFFER", tup("c1", "math")); err != nil {
 		t.Fatal(err)
 	}
-	db.Insert("DEPARTMENT", tup("cs"))
-	err := db.Insert("OFFER", tup("c1", "cs"))
+	db.InsertCtx(context.Background(), "DEPARTMENT", tup("cs"))
+	err := db.InsertCtx(context.Background(), "OFFER", tup("c1", "cs"))
 	var cv *ConstraintViolation
 	if !errors.As(err, &cv) || cv.Kind != PrimaryKeyViolation {
 		t.Fatalf("want PrimaryKeyViolation, got %v", err)
@@ -94,16 +94,16 @@ func TestInsertDuplicateKey(t *testing.T) {
 
 func TestInsertForeignKey(t *testing.T) {
 	db := openFig3(t)
-	err := db.Insert("OFFER", tup("c1", "math"))
+	err := db.InsertCtx(context.Background(), "OFFER", tup("c1", "math"))
 	if err == nil {
 		t.Fatal("dangling foreign key should be rejected")
 	}
-	db.Insert("COURSE", tup("c1"))
-	db.Insert("DEPARTMENT", tup("math"))
-	if err := db.Insert("OFFER", tup("c1", "math")); err != nil {
+	db.InsertCtx(context.Background(), "COURSE", tup("c1"))
+	db.InsertCtx(context.Background(), "DEPARTMENT", tup("math"))
+	if err := db.InsertCtx(context.Background(), "OFFER", tup("c1", "math")); err != nil {
 		t.Fatal(err)
 	}
-	before := db.Stats.TriggerFirings()
+	before := db.StatsTotals().TriggerFirings
 	if before != 0 {
 		t.Errorf("figure 3 is fully declarative; no triggers should fire, got %d", before)
 	}
@@ -111,10 +111,10 @@ func TestInsertForeignKey(t *testing.T) {
 
 func TestDeleteRestrict(t *testing.T) {
 	db := openFig3(t)
-	db.Insert("COURSE", tup("c1"))
-	db.Insert("DEPARTMENT", tup("math"))
-	db.Insert("OFFER", tup("c1", "math"))
-	err := db.Delete("COURSE", tup("c1"))
+	db.InsertCtx(context.Background(), "COURSE", tup("c1"))
+	db.InsertCtx(context.Background(), "DEPARTMENT", tup("math"))
+	db.InsertCtx(context.Background(), "OFFER", tup("c1", "math"))
+	err := db.DeleteCtx(context.Background(), "COURSE", tup("c1"))
 	var cv *ConstraintViolation
 	if !errors.As(err, &cv) || cv.Kind != RestrictViolation {
 		t.Fatalf("want RestrictViolation, got %v", err)
@@ -122,42 +122,42 @@ func TestDeleteRestrict(t *testing.T) {
 	if cv.Op != "delete" || cv.Kind.Declarative() {
 		t.Errorf("restrict violation should be a trigger-regime delete, got %+v", cv)
 	}
-	if err := db.Delete("OFFER", tup("c1")); err != nil {
+	if err := db.DeleteCtx(context.Background(), "OFFER", tup("c1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Delete("COURSE", tup("c1")); err != nil {
+	if err := db.DeleteCtx(context.Background(), "COURSE", tup("c1")); err != nil {
 		t.Fatalf("after removing the referencing tuple the delete should pass: %v", err)
 	}
-	if err := db.Delete("COURSE", tup("c1")); err == nil {
+	if err := db.DeleteCtx(context.Background(), "COURSE", tup("c1")); err == nil {
 		t.Error("deleting a missing tuple should fail")
 	}
 }
 
 func TestUpdate(t *testing.T) {
 	db := openFig3(t)
-	db.Insert("COURSE", tup("c1"))
-	db.Insert("DEPARTMENT", tup("math"))
-	db.Insert("DEPARTMENT", tup("cs"))
-	db.Insert("OFFER", tup("c1", "math"))
-	if err := db.Update("OFFER", tup("c1"), tup("c1", "cs")); err != nil {
+	db.InsertCtx(context.Background(), "COURSE", tup("c1"))
+	db.InsertCtx(context.Background(), "DEPARTMENT", tup("math"))
+	db.InsertCtx(context.Background(), "DEPARTMENT", tup("cs"))
+	db.InsertCtx(context.Background(), "OFFER", tup("c1", "math"))
+	if err := db.UpdateCtx(context.Background(), "OFFER", tup("c1"), tup("c1", "cs")); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := db.GetByKey("OFFER", tup("c1"))
+	got, _, _ := db.GetByKeyCtx(context.Background(), "OFFER", tup("c1"))
 	if !got.Identical(tup("c1", "cs")) {
 		t.Errorf("update not applied: %v", got)
 	}
 	// Updating to a dangling FK rolls back.
-	if err := db.Update("OFFER", tup("c1"), tup("c1", "physics")); err == nil {
+	if err := db.UpdateCtx(context.Background(), "OFFER", tup("c1"), tup("c1", "physics")); err == nil {
 		t.Fatal("dangling FK update should fail")
 	}
-	got, _ = db.GetByKey("OFFER", tup("c1"))
+	got, _, _ = db.GetByKeyCtx(context.Background(), "OFFER", tup("c1"))
 	if !got.Identical(tup("c1", "cs")) {
 		t.Errorf("failed update must roll back, got %v", got)
 	}
 	// Updating a referenced key is restricted.
-	db.Insert("PERSON", tup("p1"))
-	db.Insert("FACULTY", tup("p1"))
-	if err := db.Update("PERSON", tup("p1"), tup("p9")); err == nil {
+	db.InsertCtx(context.Background(), "PERSON", tup("p1"))
+	db.InsertCtx(context.Background(), "FACULTY", tup("p1"))
+	if err := db.UpdateCtx(context.Background(), "PERSON", tup("p1"), tup("p9")); err == nil {
 		t.Error("updating a referenced key should be restricted")
 	}
 }
@@ -171,13 +171,13 @@ func TestProceduralNullConstraints(t *testing.T) {
 	}
 	m.RemoveAll()
 	db := MustOpen(m.Schema)
-	db.Insert("DEPARTMENT", tup("math"))
-	db.Insert("PERSON", tup("p1"))
-	db.Insert("FACULTY", tup("p1"))
+	db.InsertCtx(context.Background(), "DEPARTMENT", tup("math"))
+	db.InsertCtx(context.Background(), "PERSON", tup("p1"))
+	db.InsertCtx(context.Background(), "FACULTY", tup("p1"))
 
 	// A course with a TEACH part but no OFFER part violates
 	// T.F.SSN ⊑ O.D.NAME.
-	err = db.Insert("COURSE''", tup("c1", nil, "p1", nil))
+	err = db.InsertCtx(context.Background(), "COURSE''", tup("c1", nil, "p1", nil))
 	var cv *ConstraintViolation
 	if !errors.As(err, &cv) || cv.Kind != NullConstraintViolation {
 		t.Fatalf("want NullConstraintViolation, got %v", err)
@@ -185,11 +185,11 @@ func TestProceduralNullConstraints(t *testing.T) {
 	if cv.Constraint == "" || cv.Kind.Declarative() {
 		t.Errorf("null constraint should carry its rendering and be trigger-regime, got %+v", cv)
 	}
-	if db.Stats.TriggerFirings() == 0 {
+	if db.StatsTotals().TriggerFirings == 0 {
 		t.Error("procedural constraint should count as a trigger firing")
 	}
 	// With the OFFER part present it passes.
-	if err := db.Insert("COURSE''", tup("c1", "math", "p1", nil)); err != nil {
+	if err := db.InsertCtx(context.Background(), "COURSE''", tup("c1", "math", "p1", nil)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -201,31 +201,31 @@ func TestNonKeyBasedINDTrigger(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := MustOpen(m.Schema)
-	db.Insert("DEPARTMENT", tup("math"))
-	db.Insert("PERSON", tup("p2"))
-	db.Insert("STUDENT", tup("p2"))
+	db.InsertCtx(context.Background(), "DEPARTMENT", tup("math"))
+	db.InsertCtx(context.Background(), "PERSON", tup("p2"))
+	db.InsertCtx(context.Background(), "STUDENT", tup("p2"))
 	// COURSE' rows: c1 with an OFFER part, c2 without.
-	if err := db.Insert("COURSE'", tup("c1", "c1", "math", nil, nil)); err != nil {
+	if err := db.InsertCtx(context.Background(), "COURSE'", tup("c1", "c1", "math", nil, nil)); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Insert("COURSE'", tup("c2", nil, nil, nil, nil)); err != nil {
+	if err := db.InsertCtx(context.Background(), "COURSE'", tup("c2", nil, nil, nil, nil)); err != nil {
 		t.Fatal(err)
 	}
 
-	fires := db.Stats.TriggerFirings()
+	fires := db.StatsTotals().TriggerFirings
 	// ASSIST referencing c1 (an offered course) passes.
-	if err := db.Insert("ASSIST", tup("c1", "p2")); err != nil {
+	if err := db.InsertCtx(context.Background(), "ASSIST", tup("c1", "p2")); err != nil {
 		t.Fatal(err)
 	}
-	if db.Stats.TriggerFirings() <= fires {
+	if db.StatsTotals().TriggerFirings <= fires {
 		t.Error("non-key-based dependency must fire a trigger")
 	}
 	// ASSIST referencing c2 (not offered: O.C.NR is null) fails.
-	if err := db.Insert("ASSIST", tup("c2", "p2")); err == nil {
+	if err := db.InsertCtx(context.Background(), "ASSIST", tup("c2", "p2")); err == nil {
 		t.Error("referencing a null O.C.NR should fail the inclusion dependency")
 	}
 	// ASSIST referencing an unknown course fails.
-	if err := db.Insert("ASSIST", tup("c9", "p2")); err == nil {
+	if err := db.InsertCtx(context.Background(), "ASSIST", tup("c9", "p2")); err == nil {
 		t.Error("dangling non-key-based reference should fail")
 	}
 }
@@ -235,7 +235,7 @@ func TestLoadAndSnapshot(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	st := state.MustGenerate(s, rng, state.GenOptions{Rows: 10})
 	db := MustOpen(s)
-	if err := db.Load(st); err != nil {
+	if err := db.LoadCtx(context.Background(), st); err != nil {
 		t.Fatal(err)
 	}
 	snap := db.Snapshot()
@@ -249,32 +249,32 @@ func TestLoadAndSnapshot(t *testing.T) {
 
 func TestStatsAccounting(t *testing.T) {
 	db := openFig3(t)
-	db.Insert("COURSE", tup("c1"))
-	st := db.Stats.Snapshot()
+	db.InsertCtx(context.Background(), "COURSE", tup("c1"))
+	st := db.StatsTotals()
 	if st.Inserts != 1 || st.DeclarativeChecks == 0 || st.IndexLookups == 0 {
 		t.Errorf("stats = %+v", st)
 	}
-	db.Stats.Reset()
-	if db.Stats.Inserts() != 0 {
-		t.Error("Reset")
+	db.InsertCtx(context.Background(), "COURSE", tup("c2"))
+	if w := db.StatsTotals().Sub(st); w.Inserts != 1 || w.DeclarativeChecks != st.DeclarativeChecks || w.Lookups != 0 {
+		t.Errorf("window after one more insert = %+v, first insert = %+v", w, st)
 	}
 }
 
 func TestErrors(t *testing.T) {
 	db := openFig3(t)
-	if err := db.Insert("NOPE", tup("x")); !errors.Is(err, ErrUnknownRelation) {
+	if err := db.InsertCtx(context.Background(), "NOPE", tup("x")); !errors.Is(err, ErrUnknownRelation) {
 		t.Errorf("unknown relation insert: %v", err)
 	}
-	if err := db.Insert("COURSE", tup("a", "b")); !errors.Is(err, ErrArityMismatch) {
+	if err := db.InsertCtx(context.Background(), "COURSE", tup("a", "b")); !errors.Is(err, ErrArityMismatch) {
 		t.Errorf("arity mismatch: %v", err)
 	}
-	if err := db.Delete("NOPE", tup("x")); !errors.Is(err, ErrUnknownRelation) {
+	if err := db.DeleteCtx(context.Background(), "NOPE", tup("x")); !errors.Is(err, ErrUnknownRelation) {
 		t.Errorf("unknown relation delete: %v", err)
 	}
-	if err := db.Update("NOPE", tup("x"), tup("y")); !errors.Is(err, ErrUnknownRelation) {
+	if err := db.UpdateCtx(context.Background(), "NOPE", tup("x"), tup("y")); !errors.Is(err, ErrUnknownRelation) {
 		t.Errorf("unknown relation update: %v", err)
 	}
-	if err := db.Update("COURSE", tup("missing"), tup("x")); !errors.Is(err, ErrNoSuchTuple) {
+	if err := db.UpdateCtx(context.Background(), "COURSE", tup("missing"), tup("x")); !errors.Is(err, ErrNoSuchTuple) {
 		t.Errorf("updating a missing tuple: %v", err)
 	}
 	if db.Relation("NOPE") != nil || db.Count("NOPE") != 0 {
@@ -287,8 +287,8 @@ func TestErrors(t *testing.T) {
 
 func TestScan(t *testing.T) {
 	db := openFig3(t)
-	db.Insert("COURSE", tup("c1"))
-	db.Insert("COURSE", tup("c2"))
+	db.InsertCtx(context.Background(), "COURSE", tup("c1"))
+	db.InsertCtx(context.Background(), "COURSE", tup("c2"))
 	var seen int
 	db.Scan("COURSE", func(tp relation.Tuple) bool {
 		return tp[0].AsString() == "c2"
@@ -296,8 +296,8 @@ func TestScan(t *testing.T) {
 	if seen != 1 {
 		t.Errorf("Scan matched %d", seen)
 	}
-	if db.Stats.TuplesScanned() != 2 {
-		t.Errorf("TuplesScanned = %d", db.Stats.TuplesScanned())
+	if n := db.StatsTotals().TuplesScanned; n != 2 {
+		t.Errorf("TuplesScanned = %d", n)
 	}
 }
 
@@ -311,7 +311,7 @@ func TestContextCancellation(t *testing.T) {
 	if db.Count("COURSE") != 0 {
 		t.Error("cancelled insert must not mutate state")
 	}
-	db.Insert("COURSE", tup("c1"))
+	db.InsertCtx(context.Background(), "COURSE", tup("c1"))
 	if err := db.DeleteCtx(ctx, "COURSE", tup("c1")); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled delete: %v", err)
 	}
@@ -326,8 +326,9 @@ func TestContextCancellation(t *testing.T) {
 	}
 }
 
-// TestRegistryReconciliation checks the tentpole invariant: over a window with
-// no Stats.Reset(), every registry series equals its legacy Stats field.
+// TestRegistryReconciliation checks that StatsTotals is a view of the
+// registry: every cost counter equals its series, and a measurement window
+// (Sub) never rewinds the monotonic series behind it.
 func TestRegistryReconciliation(t *testing.T) {
 	reg := obs.NewRegistry()
 	db, err := Open(figures.Fig3(), WithRegistry(reg), WithName("base"))
@@ -336,21 +337,22 @@ func TestRegistryReconciliation(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(11))
 	st := state.MustGenerate(figures.Fig3(), rng, state.GenOptions{Rows: 20})
-	if err := db.Load(st); err != nil {
+	if err := db.LoadCtx(context.Background(), st); err != nil {
 		t.Fatal(err)
 	}
-	db.Insert("COURSE", tup(nil)) // one violation
-	db.GetByKey("COURSE", tup("c1"))
+	db.InsertCtx(context.Background(), "COURSE", tup(nil)) // one violation
+	db.GetByKeyCtx(context.Background(), "COURSE", tup("c1"))
 
+	totals := db.StatsTotals()
 	want := map[string]int{
-		"engine.inserts":            db.Stats.Inserts(),
-		"engine.deletes":            db.Stats.Deletes(),
-		"engine.updates":            db.Stats.Updates(),
-		"engine.lookups":            db.Stats.Lookups(),
-		"engine.declarative_checks": db.Stats.DeclarativeChecks(),
-		"engine.trigger_firings":    db.Stats.TriggerFirings(),
-		"engine.index_lookups":      db.Stats.IndexLookups(),
-		"engine.tuples_scanned":     db.Stats.TuplesScanned(),
+		"engine.inserts":            totals.Inserts,
+		"engine.deletes":            totals.Deletes,
+		"engine.updates":            totals.Updates,
+		"engine.lookups":            totals.Lookups,
+		"engine.declarative_checks": totals.DeclarativeChecks,
+		"engine.trigger_firings":    totals.TriggerFirings,
+		"engine.index_lookups":      totals.IndexLookups,
+		"engine.tuples_scanned":     totals.TuplesScanned,
 	}
 	got := map[string]int{}
 	for _, p := range reg.Snapshot() {
@@ -360,7 +362,7 @@ func TestRegistryReconciliation(t *testing.T) {
 	}
 	for name, w := range want {
 		if got[name] != w {
-			t.Errorf("%s: registry %d != Stats %d", name, got[name], w)
+			t.Errorf("%s: registry %d != StatsTotals %d", name, got[name], w)
 		}
 	}
 	if got["engine.constraint_violations"] != 1 {
@@ -369,33 +371,21 @@ func TestRegistryReconciliation(t *testing.T) {
 	if db.Registry() != reg || db.MetricName() != "base" {
 		t.Error("WithRegistry/WithName accessors")
 	}
-	// Reset zeroes only the struct; registry totals stay monotonic.
+	// A window opened now sees only what follows; the series keep growing.
 	pre := got["engine.inserts"]
-	db.Stats.Reset()
-	if db.Stats.Inserts() != 0 {
-		t.Error("Reset")
-	}
-	for _, p := range reg.Snapshot() {
-		if p.Name == "engine.inserts" && int(p.Value) != pre {
-			t.Error("Reset must not rewind the registry")
-		}
-	}
-
-	// Operations after a mid-run Reset keep Totals() — not the windowed
-	// accessors — in lockstep with the registry: the invariant the relmerge
-	// -metrics reconciliation relies on.
-	if err := db.Insert("COURSE", tup("c-post-reset")); err != nil {
+	if err := db.InsertCtx(context.Background(), "COURSE", tup("c-windowed")); err != nil {
 		t.Fatal(err)
 	}
-	if got := db.Stats.Inserts(); got != 1 {
-		t.Errorf("windowed inserts after reset = %d, want 1", got)
+	after := db.StatsTotals()
+	if got := after.Sub(totals).Inserts; got != 1 {
+		t.Errorf("windowed inserts = %d, want 1", got)
 	}
-	if got, want := db.Stats.Totals().Inserts, pre+1; got != want {
-		t.Errorf("total inserts after reset = %d, want %d", got, want)
+	if after.Inserts != pre+1 {
+		t.Errorf("total inserts = %d, want %d", after.Inserts, pre+1)
 	}
 	for _, p := range reg.Snapshot() {
-		if p.Name == "engine.inserts" && int(p.Value) != db.Stats.Totals().Inserts {
-			t.Errorf("registry %v != Totals %d after mid-run reset", p.Value, db.Stats.Totals().Inserts)
+		if p.Name == "engine.inserts" && int(p.Value) != after.Inserts {
+			t.Errorf("registry %v != StatsTotals %d", p.Value, after.Inserts)
 		}
 	}
 }

@@ -1,79 +1,13 @@
 package engine
 
 import (
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
 )
 
-// Stats accumulates operation and cost counters atomically, so hot-path
-// accounting never takes a lock and concurrent operations never contend on
-// it. Every counter is mirrored into a registry-backed series (below), so
-// the same numbers are exportable through DB.Registry().
-//
-// Each counter has two readings: the windowed value (since the last Reset,
-// what the accessor methods return) and the monotonic total (process
-// lifetime, Totals). Registry series are monotonic, so they reconcile with
-// Totals at any moment — even across a mid-run Reset.
-type Stats struct {
-	inserts, deletes, updates, lookups statCounter
-	declarativeChecks, triggerFirings  statCounter
-	indexLookups, tuplesScanned        statCounter
-}
-
-// statCounter is one atomic counter with a reset baseline: cum only grows
-// (mirroring the registry), Reset advances base, and the windowed value is
-// cum - base.
-type statCounter struct{ cum, base atomic.Int64 }
-
-func (c *statCounter) add(n int64) { c.cum.Add(n) }
-func (c *statCounter) value() int  { return int(c.cum.Load() - c.base.Load()) }
-func (c *statCounter) total() int  { return int(c.cum.Load()) }
-func (c *statCounter) reset()      { c.base.Store(c.cum.Load()) }
-
-// Inserts returns the insert count since the last Reset.
-func (st *Stats) Inserts() int { return st.inserts.value() }
-
-// Deletes returns the delete count since the last Reset.
-func (st *Stats) Deletes() int { return st.deletes.value() }
-
-// Updates returns the update count since the last Reset.
-func (st *Stats) Updates() int { return st.updates.value() }
-
-// Lookups returns the key-lookup count since the last Reset.
-func (st *Stats) Lookups() int { return st.lookups.value() }
-
-// DeclarativeChecks returns the NOT NULL / primary-key / foreign-key check
-// count since the last Reset.
-func (st *Stats) DeclarativeChecks() int { return st.declarativeChecks.value() }
-
-// TriggerFirings returns the procedural constraint evaluation count (general
-// null constraints, non-key-based inclusion dependencies) since the last
-// Reset.
-func (st *Stats) TriggerFirings() int { return st.triggerFirings.value() }
-
-// IndexLookups returns the hash-index probe count since the last Reset.
-func (st *Stats) IndexLookups() int { return st.indexLookups.value() }
-
-// TuplesScanned returns the scan-visited tuple count since the last Reset.
-func (st *Stats) TuplesScanned() int { return st.tuplesScanned.value() }
-
-// Reset starts a new measurement window: the accessors return 0 until new
-// operations arrive. The monotonic Totals — and the registry series behind
-// them — are unaffected.
-func (st *Stats) Reset() {
-	st.inserts.reset()
-	st.deletes.reset()
-	st.updates.reset()
-	st.lookups.reset()
-	st.declarativeChecks.reset()
-	st.triggerFirings.reset()
-	st.indexLookups.reset()
-	st.tuplesScanned.reset()
-}
-
-// StatsSnapshot is a point-in-time copy of the counters as plain integers.
+// StatsSnapshot is a point-in-time copy of an engine's monotonic cost
+// counters as plain integers: a view of its registry series (StatsTotals).
 type StatsSnapshot struct {
 	Inserts           int
 	Deletes           int
@@ -84,39 +18,39 @@ type StatsSnapshot struct {
 	IndexLookups      int
 	TuplesScanned     int
 	// VersionLSN is the LSN stamp of the published version current when the
-	// snapshot was taken. Stats itself cannot see the version chain, so
-	// Snapshot/Totals leave it zero; the session and server layers stamp it
-	// from DB.VersionLSN() (older peers omit it on the wire — it reads zero).
+	// snapshot was taken (older peers omit it on the wire — it reads zero).
 	VersionLSN uint64
 }
 
-// Snapshot copies the windowed counters (since the last Reset).
-func (st *Stats) Snapshot() StatsSnapshot {
-	return StatsSnapshot{
-		Inserts:           st.inserts.value(),
-		Deletes:           st.deletes.value(),
-		Updates:           st.updates.value(),
-		Lookups:           st.lookups.value(),
-		DeclarativeChecks: st.declarativeChecks.value(),
-		TriggerFirings:    st.triggerFirings.value(),
-		IndexLookups:      st.indexLookups.value(),
-		TuplesScanned:     st.tuplesScanned.value(),
-	}
+// Sub returns the counts accumulated between an earlier reading and this
+// one: a measurement window is StatsTotals() before, StatsTotals() after,
+// after.Sub(before). VersionLSN stays the later reading's.
+func (st StatsSnapshot) Sub(before StatsSnapshot) StatsSnapshot {
+	st.Inserts -= before.Inserts
+	st.Deletes -= before.Deletes
+	st.Updates -= before.Updates
+	st.Lookups -= before.Lookups
+	st.DeclarativeChecks -= before.DeclarativeChecks
+	st.TriggerFirings -= before.TriggerFirings
+	st.IndexLookups -= before.IndexLookups
+	st.TuplesScanned -= before.TuplesScanned
+	return st
 }
 
-// Totals copies the monotonic process-lifetime counters, which equal the
-// registry series at every instant regardless of Resets — the invariant the
-// relmerge -metrics reconciliation checks.
-func (st *Stats) Totals() StatsSnapshot {
+// StatsTotals reads the monotonic cost counters from the registry series and
+// stamps them with the current version LSN — the snapshot sessions and
+// servers report, and the per-shard term of a router's aggregated stats.
+func (db *DB) StatsTotals() StatsSnapshot {
 	return StatsSnapshot{
-		Inserts:           st.inserts.total(),
-		Deletes:           st.deletes.total(),
-		Updates:           st.updates.total(),
-		Lookups:           st.lookups.total(),
-		DeclarativeChecks: st.declarativeChecks.total(),
-		TriggerFirings:    st.triggerFirings.total(),
-		IndexLookups:      st.indexLookups.total(),
-		TuplesScanned:     st.tuplesScanned.total(),
+		Inserts:           int(db.m.inserts.Value()),
+		Deletes:           int(db.m.deletes.Value()),
+		Updates:           int(db.m.updates.Value()),
+		Lookups:           int(db.m.lookups.Value()),
+		DeclarativeChecks: int(db.m.declChecks.Value()),
+		TriggerFirings:    int(db.m.triggerFirings.Value()),
+		IndexLookups:      int(db.m.indexLookups.Value()),
+		TuplesScanned:     int(db.m.tuplesScanned.Value()),
+		VersionLSN:        db.VersionLSN(),
 	}
 }
 
@@ -155,10 +89,9 @@ const (
 	metricMigrations = "advisor.migrations"
 )
 
-// dbMetrics holds the registry-backed counter and histogram handles behind
-// the Stats API. The registry series are monotonic: Stats.Reset() starts a
-// new Stats window but never rewinds the registry, which records
-// process-lifetime totals (= Stats.Totals()).
+// dbMetrics holds the engine's registry-backed counter and histogram
+// handles. The series are monotonic process-lifetime totals; StatsTotals is
+// the view of the eight cost counters among them.
 type dbMetrics struct {
 	inserts, deletes, updates, lookups         *obs.Counter
 	declChecks, triggerFirings                 *obs.Counter
@@ -207,32 +140,22 @@ func (m *dbMetrics) registerVersionAge(r *obs.Registry, name string, db *DB) {
 }
 
 // The accounting helpers below are the single mutation points for the cost
-// counters: each keeps the Stats counter and its registry series in
-// lockstep — both atomic, so they are callable from any point of any
+// counters — one atomic add each, so they are callable from any point of any
 // operation, locked or not.
 
-func (db *DB) countInsert() { db.Stats.inserts.add(1); db.m.inserts.Inc() }
-func (db *DB) countDelete() { db.Stats.deletes.add(1); db.m.deletes.Inc() }
-func (db *DB) countUpdate() { db.Stats.updates.add(1); db.m.updates.Inc() }
-func (db *DB) countLookup() { db.Stats.lookups.add(1); db.m.lookups.Inc() }
+func (db *DB) countInsert()    { db.m.inserts.Inc() }
+func (db *DB) countDelete()    { db.m.deletes.Inc() }
+func (db *DB) countUpdate()    { db.m.updates.Inc() }
+func (db *DB) countLookup()    { db.m.lookups.Inc() }
+func (db *DB) countDecl(n int) { db.m.declChecks.Add(int64(n)) }
+func (db *DB) countTrig()      { db.m.triggerFirings.Inc() }
+func (db *DB) countIdx()       { db.m.indexLookups.Inc() }
+func (db *DB) countScan(n int) { db.m.tuplesScanned.Add(int64(n)) }
 
-func (db *DB) countDecl(n int) {
-	db.Stats.declarativeChecks.add(int64(n))
-	db.m.declChecks.Add(int64(n))
-}
-func (db *DB) countTrig() { db.Stats.triggerFirings.add(1); db.m.triggerFirings.Inc() }
-func (db *DB) countIdx()  { db.Stats.indexLookups.add(1); db.m.indexLookups.Inc() }
-
-func (db *DB) countScan(n int) {
-	db.Stats.tuplesScanned.add(int64(n))
-	db.m.tuplesScanned.Add(int64(n))
-}
-
-// countSnapRead counts one lock-free snapshot-pinned read (registry only:
-// the Stats window API stays wire-compatible).
+// countSnapRead counts one lock-free snapshot-pinned read.
 func (db *DB) countSnapRead() { db.m.snapshotReads.Inc() }
 
-// countCoAccess counts one co-access edge hit (registry only).
+// countCoAccess counts one co-access edge hit.
 func (db *DB) countCoAccess() { db.m.coAccess.Inc() }
 
 // violation counts a rejected mutation and returns the error unchanged, so

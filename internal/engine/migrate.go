@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/schema"
 	"repro/internal/sdl"
@@ -108,7 +109,7 @@ func (db *DB) stateTx(b *binding, st *state.DB) *writeTx {
 		if r == nil {
 			continue
 		}
-		if !sameAttrs(r.Attrs(), t.hdr.Attrs()) {
+		if !slices.Equal(r.Attrs(), t.hdr.Attrs()) {
 			r = r.Project(t.hdr.Attrs())
 		}
 		for _, tup := range r.Tuples() {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -34,7 +35,7 @@ func etaOf(m *core.MergedScheme) func(*state.DB) (*state.DB, error) {
 
 func TestMigrateSchemaLive(t *testing.T) {
 	db := MustOpen(figures.Fig3())
-	if err := db.Load(figures.Fig3State()); err != nil {
+	if err := db.LoadCtx(context.Background(), figures.Fig3State()); err != nil {
 		t.Fatal(err)
 	}
 	pre := db.Snapshot()
@@ -55,10 +56,10 @@ func TestMigrateSchemaLive(t *testing.T) {
 		t.Fatalf("migration published LSN %d, want > %d", db.VersionLSN(), preLSN)
 	}
 	// The new design serves reads and FK-chasing fetches.
-	if _, ok := db.GetByKey("OFFER+", tup("c1")); !ok {
+	if _, ok, _ := db.GetByKeyCtx(context.Background(), "OFFER+", tup("c1")); !ok {
 		t.Fatal("merged relation does not answer on the new design")
 	}
-	if _, ok := db.GetByKey("TEACH", tup("c1")); ok {
+	if _, ok, _ := db.GetByKeyCtx(context.Background(), "TEACH", tup("c1")); ok {
 		t.Fatal("pre-merge relation still answers on the current design")
 	}
 	if _, _, err := db.FetchWithReferences("OFFER+", tup("c1")); err != nil {
@@ -77,10 +78,10 @@ func TestMigrateSchemaLive(t *testing.T) {
 		t.Fatalf("pinned view fetch = (%v, %d related), want 2 dependency hops", err, len(related))
 	}
 	// Writes work on the new design, with constraints enforced against it.
-	if err := db.Insert("OFFER+", tup("c3", "math", "s1", nil)); err != nil {
+	if err := db.InsertCtx(context.Background(), "OFFER+", tup("c3", "math", "s1", nil)); err != nil {
 		t.Fatalf("insert into merged relation: %v", err)
 	}
-	if err := db.Insert("OFFER+", tup("c9", "math", nil, nil)); err == nil {
+	if err := db.InsertCtx(context.Background(), "OFFER+", tup("c9", "math", nil, nil)); err == nil {
 		t.Fatal("insert referencing unknown COURSE c9 must violate the rewritten IND")
 	}
 	if err := state.Consistent(db.Schema, db.Snapshot()); err != nil {
@@ -90,7 +91,7 @@ func TestMigrateSchemaLive(t *testing.T) {
 
 func TestMigrateSchemaRefusals(t *testing.T) {
 	db := MustOpen(figures.Fig3())
-	if err := db.Load(figures.Fig3State()); err != nil {
+	if err := db.LoadCtx(context.Background(), figures.Fig3State()); err != nil {
 		t.Fatal(err)
 	}
 	pre := db.Snapshot()
@@ -125,7 +126,7 @@ func TestMigrateSchemaRefusals(t *testing.T) {
 	if got := db.Snapshot(); !got.Equal(pre) {
 		t.Fatalf("failed migration changed state:\n%s", got)
 	}
-	if _, ok := db.GetByKey("OFFER", tup("c1")); !ok {
+	if _, ok, _ := db.GetByKeyCtx(context.Background(), "OFFER", tup("c1")); !ok {
 		t.Fatal("failed migration changed the design")
 	}
 }
@@ -142,7 +143,7 @@ func TestMigrateCrashMatrix(t *testing.T) {
 	// seed builds a durable pre-merge engine in dir and returns its state.
 	seed := func(t *testing.T, dir string) *state.DB {
 		db := openDurable(t, dir, wal.Options{Policy: wal.SyncAlways})
-		if err := db.Load(figures.Fig3State()); err != nil {
+		if err := db.LoadCtx(context.Background(), figures.Fig3State()); err != nil {
 			t.Fatal(err)
 		}
 		pre := db.Snapshot()
@@ -171,7 +172,7 @@ func TestMigrateCrashMatrix(t *testing.T) {
 				t.Fatal("migration must fail when its WAL record cannot commit")
 			}
 			// The live engine stayed on the old design.
-			if _, ok := db.GetByKey("OFFER", tup("c1")); !ok {
+			if _, ok, _ := db.GetByKeyCtx(context.Background(), "OFFER", tup("c1")); !ok {
 				t.Fatal("failed migration left the live engine off the old design")
 			}
 			// Crash (drop without Close) and recover: exactly pre-merge.
@@ -203,10 +204,10 @@ func TestMigrateCrashMatrix(t *testing.T) {
 				t.Fatalf("MigrateSchema: %v", err)
 			}
 			if tailOps {
-				if err := db.Insert("OFFER+", tup("c3", "math", "s1", nil)); err != nil {
+				if err := db.InsertCtx(context.Background(), "OFFER+", tup("c3", "math", "s1", nil)); err != nil {
 					t.Fatalf("post-migration insert: %v", err)
 				}
-				if err := db.Delete("OFFER+", tup("c2")); err != nil {
+				if err := db.DeleteCtx(context.Background(), "OFFER+", tup("c2")); err != nil {
 					t.Fatalf("post-migration delete: %v", err)
 				}
 			}
@@ -259,7 +260,7 @@ func got3(t *testing.T, db *DB, pre *state.DB) bool {
 // new hops — and never a mix or a spurious error.
 func TestMigrateReaderUnderMigration(t *testing.T) {
 	db := MustOpen(figures.Fig3())
-	if err := db.Load(figures.Fig3State()); err != nil {
+	if err := db.LoadCtx(context.Background(), figures.Fig3State()); err != nil {
 		t.Fatal(err)
 	}
 	m := fig3Merge(t)
@@ -337,7 +338,7 @@ func TestMigrateShipsToFollower(t *testing.T) {
 	defer p.Close()
 	f := openReplica(t, fdir)
 	defer f.Close()
-	if err := p.Load(figures.Fig3State()); err != nil {
+	if err := p.LoadCtx(context.Background(), figures.Fig3State()); err != nil {
 		t.Fatal(err)
 	}
 	shipAll(t, p, f)
@@ -346,7 +347,7 @@ func TestMigrateShipsToFollower(t *testing.T) {
 	if err := p.MigrateSchema(m.Schema, etaOf(m)); err != nil {
 		t.Fatalf("MigrateSchema on primary: %v", err)
 	}
-	if err := p.Insert("OFFER+", tup("c3", "cs", "s2", nil)); err != nil {
+	if err := p.InsertCtx(context.Background(), "OFFER+", tup("c3", "cs", "s2", nil)); err != nil {
 		t.Fatal(err)
 	}
 	shipAll(t, p, f)
@@ -361,7 +362,7 @@ func TestMigrateShipsToFollower(t *testing.T) {
 		t.Fatalf("follower LSN %d != primary %d", f.VersionLSN(), p.VersionLSN())
 	}
 	// Follower reads serve the merged design.
-	if _, ok := f.GetByKey("OFFER+", tup("c3")); !ok {
+	if _, ok, _ := f.GetByKeyCtx(context.Background(), "OFFER+", tup("c3")); !ok {
 		t.Fatal("follower does not answer on the merged design")
 	}
 	// And a follower restart recovers onto it from its own log.
@@ -384,7 +385,7 @@ func TestMigrateShipsToFollower(t *testing.T) {
 // with the new binding.
 func TestCoAccessCounters(t *testing.T) {
 	db := MustOpen(figures.Fig3())
-	if err := db.Load(figures.Fig3State()); err != nil {
+	if err := db.LoadCtx(context.Background(), figures.Fig3State()); err != nil {
 		t.Fatal(err)
 	}
 	hits := func(left, right string) int64 {
@@ -411,15 +412,15 @@ func TestCoAccessCounters(t *testing.T) {
 	// Pair signal: GetByKey STUDENT then PERSON (an IND edge) bumps the edge
 	// even without FetchWithReferences.
 	before := hits("STUDENT", "PERSON")
-	db.GetByKey("STUDENT", tup("s3"))
-	db.GetByKey("PERSON", tup("s3"))
+	db.GetByKeyCtx(context.Background(), "STUDENT", tup("s3"))
+	db.GetByKeyCtx(context.Background(), "PERSON", tup("s3"))
 	if h := hits("STUDENT", "PERSON"); h <= before {
 		t.Fatalf("STUDENT->PERSON hits = %d, want a pair bump over %d", h, before)
 	}
 	// Unrelated consecutive fetches (no IND between COURSE and DEPARTMENT)
 	// bump nothing.
-	db.GetByKey("COURSE", tup("c1"))
-	db.GetByKey("DEPARTMENT", tup("math"))
+	db.GetByKeyCtx(context.Background(), "COURSE", tup("c1"))
+	db.GetByKeyCtx(context.Background(), "DEPARTMENT", tup("math"))
 	for _, e := range db.CoAccessStats() {
 		if e.Left == "COURSE" && e.Right == "DEPARTMENT" {
 			t.Fatal("co-access edge exists for unrelated pair")

@@ -39,7 +39,7 @@ func TestMVCCViewPinsVersion(t *testing.T) {
 	}
 	before := v.Count(root)
 
-	if err := db.Insert(root, key("after-pin")); err != nil {
+	if err := db.InsertCtx(context.Background(), root, key("after-pin")); err != nil {
 		t.Fatal(err)
 	}
 	if got := v.Count(root); got != before {
@@ -88,10 +88,10 @@ func TestMVCCTxnViewReadsBeginVersion(t *testing.T) {
 		t.Fatal("no TxnView inside an open transaction")
 	}
 	before := tv.Count(root)
-	if err := db.Insert(root, key("in-txn")); err != nil {
+	if err := db.InsertCtx(context.Background(), root, key("in-txn")); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := db.GetByKey(root, key("in-txn")); !ok {
+	if _, ok, _ := db.GetByKeyCtx(context.Background(), root, key("in-txn")); !ok {
 		t.Error("transaction's own write invisible through DB.GetByKey")
 	}
 	if _, ok := tv.GetByKey(root, key("in-txn")); ok {
@@ -133,7 +133,7 @@ func TestMVCCReadPathLockFree(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				k := b.Keys[(r+i)%len(b.Keys)]
-				if _, ok := db.GetByKey(root, k); !ok {
+				if _, ok, _ := db.GetByKeyCtx(context.Background(), root, k); !ok {
 					t.Errorf("seeded key %v missing", k)
 				}
 				if _, _, err := db.FetchWithReferences(root, k); err != nil {
@@ -241,7 +241,7 @@ func TestStressMVCCReadUnderWriteCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Load(figures.Fig3State()); err != nil {
+	if err := db.LoadCtx(context.Background(), figures.Fig3State()); err != nil {
 		t.Fatal(err)
 	}
 	seeded := db.Count("COURSE")
@@ -258,7 +258,7 @@ func TestStressMVCCReadUnderWriteCheckpoint(t *testing.T) {
 					return
 				default:
 				}
-				if _, ok := db.GetByKey("COURSE", key("c1")); !ok {
+				if _, ok, _ := db.GetByKeyCtx(context.Background(), "COURSE", key("c1")); !ok {
 					t.Error("seeded COURSE key vanished mid-run")
 					return
 				}
@@ -301,11 +301,11 @@ func TestStressMVCCReadUnderWriteCheckpoint(t *testing.T) {
 			for j := 0; j < batchSize; j++ {
 				batch = append(batch, key(fmt.Sprintf("p8-%d-%d", i, j)))
 			}
-			if err := db.InsertBatch("COURSE", batch); err != nil {
+			if err := db.InsertBatchCtx(context.Background(), "COURSE", batch); err != nil {
 				t.Fatalf("writer batch %d: %v", i, err)
 			}
 		} else {
-			if err := db.Insert("COURSE", key(fmt.Sprintf("solo-%d", i))); err != nil {
+			if err := db.InsertCtx(context.Background(), "COURSE", key(fmt.Sprintf("solo-%d", i))); err != nil {
 				t.Fatalf("writer insert %d: %v", i, err)
 			}
 		}
@@ -398,7 +398,7 @@ func TestConcurrentReadersUnderEditorBatch(t *testing.T) {
 	if db.VersionLSN() != lsn || db.Count("MERGED") != 2000+rows {
 		t.Fatalf("a dropped batch published: LSN %d → %d, %d rows", lsn, db.VersionLSN(), db.Count("MERGED"))
 	}
-	if _, ok := db.GetByKey("MERGED", key("bad-0")); ok {
+	if _, ok, _ := db.GetByKeyCtx(context.Background(), "MERGED", key("bad-0")); ok {
 		t.Error("a row of the dropped batch is visible")
 	}
 	// Nor did its 500 references reach the foreign-key index: the target is

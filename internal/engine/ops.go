@@ -5,25 +5,15 @@ import (
 	"fmt"
 
 	"repro/internal/relation"
-	"repro/internal/schema"
 	"repro/internal/state"
 )
 
-// GetByKey returns the tuple of the named relation with the given primary
-// key value (in primary-key attribute order), or false. The lookup pins the
-// current published version with one atomic load and takes no locks, so it
-// never contends with writers or other readers.
-func (db *DB) GetByKey(name string, key relation.Tuple) (relation.Tuple, bool) {
-	tup, ok, err := db.GetByKeyCtx(context.Background(), name, key)
-	if err != nil {
-		return nil, false
-	}
-	return tup, ok
-}
-
-// GetByKeyCtx is GetByKey with cancellation and a typed error for unknown
-// relations. The read is lock-free (it cannot queue behind a writer), so
-// cancellation is checked once at entry.
+// GetByKeyCtx returns the tuple of the named relation with the given primary
+// key value (in primary-key attribute order), or false; an unknown relation
+// is a typed error. The lookup pins the current published version with one
+// atomic load and takes no locks, so it never contends with writers or other
+// readers — and cannot queue behind one, so cancellation is checked once at
+// entry.
 func (db *DB) GetByKeyCtx(ctx context.Context, name string, key relation.Tuple) (relation.Tuple, bool, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
@@ -49,17 +39,12 @@ func (db *DB) Scan(name string, pred func(relation.Tuple) bool, visit func(relat
 	return db.scanAt(db.current.Load(), name, pred, visit)
 }
 
-// Delete removes the tuple with the given primary key, enforcing referential
-// integrity on the referenced side: any inclusion dependency pointing at
-// this relation restricts the delete when a referencing tuple exists (a
-// trigger-style probe of the referencing relation's prebuilt secondary
-// index).
-func (db *DB) Delete(name string, key relation.Tuple) error {
-	return db.DeleteCtx(context.Background(), name, key)
-}
-
-// DeleteCtx is Delete with cancellation: a context already cancelled when
-// the operation starts aborts it before any state change.
+// DeleteCtx removes the tuple with the given primary key, enforcing
+// referential integrity on the referenced side: any inclusion dependency
+// pointing at this relation restricts the delete when a referencing tuple
+// exists (a trigger-style probe of the referencing relation's prebuilt
+// secondary index). A context already cancelled when the operation starts
+// aborts it before any state change.
 func (db *DB) DeleteCtx(ctx context.Context, name string, key relation.Tuple) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -123,15 +108,10 @@ func (db *DB) restrict(tx *writeTx, ip *indPlan, tup relation.Tuple, op string) 
 	return nil
 }
 
-// Update replaces the tuple with the given primary key by the new tuple
+// UpdateCtx replaces the tuple with the given primary key by the new tuple
 // (which may change the key), enforcing the same constraints as
-// Delete+Insert without intermediate visibility.
-func (db *DB) Update(name string, key relation.Tuple, newTup relation.Tuple) error {
-	return db.UpdateCtx(context.Background(), name, key, newTup)
-}
-
-// UpdateCtx is Update with cancellation: a context already cancelled when
-// the operation starts aborts it before any state change.
+// delete+insert without intermediate visibility. A context already cancelled
+// when the operation starts aborts it before any state change.
 func (db *DB) UpdateCtx(ctx context.Context, name string, key relation.Tuple, newTup relation.Tuple) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -204,91 +184,13 @@ func sameAt(a, b relation.Tuple, positions []int) bool {
 	return true
 }
 
-// Load bulk-inserts a consistent database state, relation by relation in an
-// order that respects inclusion dependencies. Each relation loads as one
-// atomic batch (InsertBatch): a violation rolls the offending relation back
-// and stops the load at a relation boundary.
-func (db *DB) Load(st *state.DB) error {
-	return db.LoadCtx(context.Background(), st)
-}
-
-// LoadCtx is Load with cancellation, checked between relations so a large
-// bulk load can be abandoned at a consistent prefix.
+// LoadCtx bulk-inserts a consistent database state, relation by relation in
+// an order that respects inclusion dependencies (state.DB.Replay). Each
+// relation loads as one atomic batch (InsertBatchCtx, which takes the writer
+// mutex itself): a violation drops the offending relation's batch and stops
+// the load at a relation boundary, as does a cancelled context.
 func (db *DB) LoadCtx(ctx context.Context, st *state.DB) error {
-	// Pin one binding for the read-only planning; each InsertBatchCtx takes
-	// the writer mutex itself.
-	bind := db.current.Load().bind
-	order, err := loadOrder(bind.schema)
-	if err != nil {
-		return err
-	}
-	for _, name := range order {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		r := st.Relation(name)
-		if r == nil {
-			continue
-		}
-		src := r
-		// Reorder columns if needed.
-		if !sameAttrs(src.Attrs(), bind.tables[name].hdr.Attrs()) {
-			src = src.Project(bind.tables[name].hdr.Attrs())
-		}
-		if err := db.InsertBatchCtx(ctx, name, src.Tuples()); err != nil {
-			return fmt.Errorf("engine: loading %s: %w", name, err)
-		}
-	}
-	return nil
-}
-
-// loadOrder topologically orders relations so referenced relations load
-// before referencing ones (cycles rejected).
-func loadOrder(s *schema.Schema) ([]string, error) {
-	deg := make(map[string]int, len(s.Relations))
-	succ := make(map[string][]string)
-	for _, rs := range s.Relations {
-		deg[rs.Name] = 0
-	}
-	for _, ind := range s.INDs {
-		if ind.Left == ind.Right {
-			continue
-		}
-		succ[ind.Right] = append(succ[ind.Right], ind.Left)
-		deg[ind.Left]++
-	}
-	var queue, order []string
-	for _, rs := range s.Relations {
-		if deg[rs.Name] == 0 {
-			queue = append(queue, rs.Name)
-		}
-	}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		order = append(order, n)
-		for _, m := range succ[n] {
-			if deg[m]--; deg[m] == 0 {
-				queue = append(queue, m)
-			}
-		}
-	}
-	if len(order) != len(s.Relations) {
-		return nil, fmt.Errorf("engine: cyclic inclusion dependencies; cannot bulk-load")
-	}
-	return order, nil
-}
-
-func sameAttrs(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return st.Replay(ctx, db.current.Load().bind.schema, db.InsertBatchCtx)
 }
 
 // Snapshot exports the current contents as a state.DB (deep copy). It pins

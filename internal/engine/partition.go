@@ -133,15 +133,6 @@ func (db *DB) ReferencingKeys(ind schema.IND, refKey string) []string {
 	return rows
 }
 
-// StatsTotals returns the monotonic lifetime counters stamped with the
-// current version LSN — the snapshot sessions and servers report, and the
-// per-shard term of a router's aggregated stats.
-func (db *DB) StatsTotals() StatsSnapshot {
-	st := db.Stats.Totals()
-	st.VersionLSN = db.VersionLSN()
-	return st
-}
-
 // PrevalidateBatchCtx runs a mixed batch through exactly the checks of
 // ApplyBatchCtx — same writer mutex, same staged-view semantics, same error
 // text — and then drops the staged transaction instead of publishing it.

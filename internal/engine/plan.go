@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/relation"
@@ -152,7 +153,7 @@ func (b *binding) compilePlans() error {
 	}
 	slots := make(map[slotKey]int)
 	slotOf := func(t *table, attrs []string) int {
-		if sameAttrs(attrs, t.rs.PrimaryKey) {
+		if slices.Equal(attrs, t.rs.PrimaryKey) {
 			return pkSlot
 		}
 		k := slotKey{t, strings.Join(attrs, ",")}
@@ -241,7 +242,7 @@ func (b *binding) planOf(ind schema.IND) *indPlan {
 		return nil
 	}
 	for _, ip := range t.out {
-		if ip.ind.Right == ind.Right && sameAttrs(ip.ind.LeftAttrs, ind.LeftAttrs) && sameAttrs(ip.ind.RightAttrs, ind.RightAttrs) {
+		if ip.ind.Right == ind.Right && slices.Equal(ip.ind.LeftAttrs, ind.LeftAttrs) && slices.Equal(ip.ind.RightAttrs, ind.RightAttrs) {
 			return ip
 		}
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -124,28 +125,28 @@ func TestRedundantKeyIndexDropped(t *testing.T) {
 		rel string
 		row relation.Tuple
 	}{{"COURSE", tup("c1")}, {"DEPARTMENT", tup("math")}, {"OFFER", tup("c1", "math")}} {
-		if err := db.Insert(ins.rel, ins.row); err != nil {
+		if err := db.InsertCtx(context.Background(), ins.rel, ins.row); err != nil {
 			t.Fatal(err)
 		}
 	}
-	before := db.Stats.IndexLookups()
-	err := db.Delete("COURSE", tup("c1"))
+	before := db.StatsTotals()
+	err := db.DeleteCtx(context.Background(), "COURSE", tup("c1"))
 	if cv, ok := err.(*ConstraintViolation); !ok || cv.Kind != RestrictViolation {
 		t.Fatalf("deleting a referenced COURSE = %v, want a restrict violation", err)
 	}
-	if got := db.Stats.IndexLookups() - before; got != 1 {
+	if got := db.StatsTotals().Sub(before).IndexLookups; got != 1 {
 		t.Errorf("the restrict probe cost %d index lookups, want 1", got)
 	}
 	if keys := db.ReferencingKeys(onKey.ind, tup("c1").EncodeKey()); len(keys) != 1 || keys[0] != tup("c1").EncodeKey() {
 		t.Errorf("ReferencingKeys through the pk index = %q", keys)
 	}
-	if err := db.Delete("OFFER", tup("c1")); err != nil {
+	if err := db.DeleteCtx(context.Background(), "OFFER", tup("c1")); err != nil {
 		t.Fatal(err)
 	}
 	if keys := db.ReferencingKeys(onKey.ind, tup("c1").EncodeKey()); keys != nil {
 		t.Errorf("ReferencingKeys after the delete = %q", keys)
 	}
-	if err := db.Delete("COURSE", tup("c1")); err != nil {
+	if err := db.DeleteCtx(context.Background(), "COURSE", tup("c1")); err != nil {
 		t.Fatalf("deleting an unreferenced COURSE: %v", err)
 	}
 }

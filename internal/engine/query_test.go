@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -9,12 +10,12 @@ import (
 
 func TestFetchWithReferences(t *testing.T) {
 	db := openFig3(t)
-	db.Insert("COURSE", tup("c1"))
-	db.Insert("DEPARTMENT", tup("math"))
-	db.Insert("PERSON", tup("p1"))
-	db.Insert("FACULTY", tup("p1"))
-	db.Insert("OFFER", tup("c1", "math"))
-	db.Insert("TEACH", tup("c1", "p1"))
+	db.InsertCtx(context.Background(), "COURSE", tup("c1"))
+	db.InsertCtx(context.Background(), "DEPARTMENT", tup("math"))
+	db.InsertCtx(context.Background(), "PERSON", tup("p1"))
+	db.InsertCtx(context.Background(), "FACULTY", tup("p1"))
+	db.InsertCtx(context.Background(), "OFFER", tup("c1", "math"))
+	db.InsertCtx(context.Background(), "TEACH", tup("c1", "p1"))
 
 	tuple, related, err := db.FetchWithReferences("TEACH", tup("c1"))
 	if err != nil {
@@ -46,7 +47,7 @@ func TestFetchWithReferencesNullFK(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := MustOpen(m.Schema)
-	if err := db.Insert("COURSE'", tup("c2", nil, nil, nil, nil)); err != nil {
+	if err := db.InsertCtx(context.Background(), "COURSE'", tup("c2", nil, nil, nil, nil)); err != nil {
 		t.Fatal(err)
 	}
 	_, related, err := db.FetchWithReferences("COURSE'", tup("c2"))
@@ -68,11 +69,11 @@ func TestFetchWithReferencesNonKeyBased(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := MustOpen(m.Schema)
-	db.Insert("DEPARTMENT", tup("math"))
-	db.Insert("PERSON", tup("p2"))
-	db.Insert("STUDENT", tup("p2"))
-	db.Insert("COURSE'", tup("c1", "c1", "math", nil, nil))
-	db.Insert("ASSIST", tup("c1", "p2"))
+	db.InsertCtx(context.Background(), "DEPARTMENT", tup("math"))
+	db.InsertCtx(context.Background(), "PERSON", tup("p2"))
+	db.InsertCtx(context.Background(), "STUDENT", tup("p2"))
+	db.InsertCtx(context.Background(), "COURSE'", tup("c1", "c1", "math", nil, nil))
+	db.InsertCtx(context.Background(), "ASSIST", tup("c1", "p2"))
 
 	_, related, err := db.FetchWithReferences("ASSIST", tup("c1"))
 	if err != nil {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -47,18 +48,22 @@ func TestReplicatedApplyMirrorsPrimary(t *testing.T) {
 	pdir, fdir := t.TempDir(), t.TempDir()
 	p := openDurable(t, pdir, wal.Options{Policy: wal.SyncAlways})
 	defer p.Close()
-	if err := p.Load(figures.Fig3State()); err != nil {
+	if err := p.LoadCtx(context.Background(), figures.Fig3State()); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Insert("COURSE", tup("c9")); err != nil {
+	if err := p.InsertCtx(context.Background(), "COURSE", tup("c9")); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.RunAtomic(func() error {
-		if err := p.Insert("PERSON", tup("p-txn")); err != nil {
-			return err
-		}
-		return p.Insert("STUDENT", tup("p-txn"))
-	}); err != nil {
+	if err := p.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.InsertCtx(context.Background(), "PERSON", tup("p-txn")); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.InsertCtx(context.Background(), "STUDENT", tup("p-txn")); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	// A rolled-back transaction ships too (its records are in the log) but
@@ -66,13 +71,13 @@ func TestReplicatedApplyMirrorsPrimary(t *testing.T) {
 	if err := p.Begin(); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Insert("DEPARTMENT", tup("doomed")); err != nil {
+	if err := p.InsertCtx(context.Background(), "DEPARTMENT", tup("doomed")); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Rollback(); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Delete("ASSIST", tup("c1")); err != nil {
+	if err := p.DeleteCtx(context.Background(), "ASSIST", tup("c1")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -109,7 +114,7 @@ func TestReplicatedApplyMirrorsPrimary(t *testing.T) {
 	if got, want := f2.Snapshot(), p.Snapshot(); !got.Equal(want) {
 		t.Fatalf("recovered follower state differs")
 	}
-	if err := p.Insert("DEPARTMENT", tup("physics")); err != nil {
+	if err := p.InsertCtx(context.Background(), "DEPARTMENT", tup("physics")); err != nil {
 		t.Fatal(err)
 	}
 	shipAll(t, p, f2)
@@ -124,16 +129,16 @@ func TestReplicatedTxnSpansBatchesAndRestart(t *testing.T) {
 	pdir, fdir := t.TempDir(), t.TempDir()
 	p := openDurable(t, pdir, wal.Options{Policy: wal.SyncAlways})
 	defer p.Close()
-	if err := p.Load(figures.Fig3State()); err != nil {
+	if err := p.LoadCtx(context.Background(), figures.Fig3State()); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Begin(); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Insert("PERSON", tup("p-mid")); err != nil {
+	if err := p.InsertCtx(context.Background(), "PERSON", tup("p-mid")); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Insert("STUDENT", tup("p-mid")); err != nil {
+	if err := p.InsertCtx(context.Background(), "STUDENT", tup("p-mid")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -141,7 +146,7 @@ func TestReplicatedTxnSpansBatchesAndRestart(t *testing.T) {
 	// nothing of it.
 	f := openReplica(t, fdir)
 	shipAll(t, p, f)
-	if _, ok := f.GetByKey("PERSON", tup("p-mid")); ok {
+	if _, ok, _ := f.GetByKeyCtx(context.Background(), "PERSON", tup("p-mid")); ok {
 		t.Fatal("follower published an uncommitted transactional insert")
 	}
 
@@ -152,7 +157,7 @@ func TestReplicatedTxnSpansBatchesAndRestart(t *testing.T) {
 	}
 	f2 := openReplica(t, fdir)
 	defer f2.Close()
-	if _, ok := f2.GetByKey("PERSON", tup("p-mid")); ok {
+	if _, ok, _ := f2.GetByKeyCtx(context.Background(), "PERSON", tup("p-mid")); ok {
 		t.Fatal("restarted follower published an uncommitted transactional insert")
 	}
 
@@ -161,7 +166,7 @@ func TestReplicatedTxnSpansBatchesAndRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	shipAll(t, p, f2)
-	if _, ok := f2.GetByKey("PERSON", tup("p-mid")); !ok {
+	if _, ok, _ := f2.GetByKeyCtx(context.Background(), "PERSON", tup("p-mid")); !ok {
 		t.Fatal("follower missing the committed transactional insert")
 	}
 	if got, want := f2.Snapshot(), p.Snapshot(); !got.Equal(want) {
@@ -175,13 +180,13 @@ func TestReplicatedSnapshotBootstrap(t *testing.T) {
 	pdir, fdir := t.TempDir(), t.TempDir()
 	p := openDurable(t, pdir, wal.Options{Policy: wal.SyncAlways})
 	defer p.Close()
-	if err := p.Load(figures.Fig3State()); err != nil {
+	if err := p.LoadCtx(context.Background(), figures.Fig3State()); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Insert("COURSE", tup("c9")); err != nil {
+	if err := p.InsertCtx(context.Background(), "COURSE", tup("c9")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -205,7 +210,7 @@ func TestReplicatedSnapshotBootstrap(t *testing.T) {
 	if got, want := f.Snapshot(), p.Snapshot(); !got.Equal(want) {
 		t.Fatalf("bootstrapped follower state differs:\ngot:\n%s\nwant:\n%s", got, want)
 	}
-	if _, ok := f.GetByKey("COURSE", tup("c9")); !ok {
+	if _, ok, _ := f.GetByKeyCtx(context.Background(), "COURSE", tup("c9")); !ok {
 		t.Fatal("follower missing the post-checkpoint tail record")
 	}
 }
@@ -217,16 +222,16 @@ func TestCheckpointRefusesBufferedReplicatedTxn(t *testing.T) {
 	pdir, fdir := t.TempDir(), t.TempDir()
 	p := openDurable(t, pdir, wal.Options{Policy: wal.SyncAlways})
 	defer p.Close()
-	if err := p.Load(figures.Fig3State()); err != nil {
+	if err := p.LoadCtx(context.Background(), figures.Fig3State()); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Begin(); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Insert("PERSON", tup("p-buf")); err != nil {
+	if err := p.InsertCtx(context.Background(), "PERSON", tup("p-buf")); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Insert("STUDENT", tup("p-buf")); err != nil {
+	if err := p.InsertCtx(context.Background(), "STUDENT", tup("p-buf")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -263,7 +268,7 @@ func TestCheckpointRefusesBufferedReplicatedTxn(t *testing.T) {
 	if got, want := f3.Snapshot(), p.Snapshot(); !got.Equal(want) {
 		t.Fatalf("follower state differs after checkpoint+restart:\ngot:\n%s\nwant:\n%s", got, want)
 	}
-	if _, ok := f3.GetByKey("PERSON", tup("p-buf")); !ok {
+	if _, ok, _ := f3.GetByKeyCtx(context.Background(), "PERSON", tup("p-buf")); !ok {
 		t.Fatal("follower missing the committed transactional insert after checkpoint")
 	}
 }

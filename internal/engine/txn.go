@@ -109,7 +109,7 @@ func (db *DB) Commit() error {
 // the restored state, never an intermediate.
 //
 // The no-transaction case returns before taking the writer mutex: honest
-// callers hit it only on bugs, but RunAtomic-style wrappers probe it under
+// callers hit it only on bugs, but begin/rollback wrappers probe it under
 // contention, and stalling behind every concurrent writer just to report an
 // error was a measurable regression (see TestRollbackNoTxnConcurrent*).
 func (db *DB) Rollback() error {
@@ -152,18 +152,3 @@ func (db *DB) Rollback() error {
 
 // InTxn reports whether a transaction is open (lock-free).
 func (db *DB) InTxn() bool { return db.txn.Load() != nil }
-
-// RunAtomic executes fn inside a transaction, rolling back if fn returns an
-// error and committing otherwise.
-func (db *DB) RunAtomic(fn func() error) error {
-	if err := db.Begin(); err != nil {
-		return err
-	}
-	if err := fn(); err != nil {
-		if rbErr := db.Rollback(); rbErr != nil {
-			return fmt.Errorf("%w (rollback also failed: %v)", err, rbErr)
-		}
-		return err
-	}
-	return db.Commit()
-}

@@ -1,7 +1,7 @@
 package engine
 
 import (
-	"errors"
+	"context"
 	"testing"
 )
 
@@ -13,7 +13,7 @@ func TestTransactionCommit(t *testing.T) {
 	if !db.InTxn() {
 		t.Fatal("InTxn")
 	}
-	db.Insert("COURSE", tup("c1"))
+	db.InsertCtx(context.Background(), "COURSE", tup("c1"))
 	if err := db.Commit(); err != nil {
 		t.Fatal(err)
 	}
@@ -24,14 +24,14 @@ func TestTransactionCommit(t *testing.T) {
 
 func TestTransactionRollback(t *testing.T) {
 	db := openFig3(t)
-	db.Insert("COURSE", tup("c0"))
+	db.InsertCtx(context.Background(), "COURSE", tup("c0"))
 	before := db.Snapshot()
 
 	db.Begin()
-	db.Insert("COURSE", tup("c1"))
-	db.Insert("DEPARTMENT", tup("math"))
-	db.Insert("OFFER", tup("c1", "math"))
-	db.Delete("COURSE", tup("c0"))
+	db.InsertCtx(context.Background(), "COURSE", tup("c1"))
+	db.InsertCtx(context.Background(), "DEPARTMENT", tup("math"))
+	db.InsertCtx(context.Background(), "OFFER", tup("c1", "math"))
+	db.DeleteCtx(context.Background(), "COURSE", tup("c0"))
 	if err := db.Rollback(); err != nil {
 		t.Fatal(err)
 	}
@@ -39,56 +39,32 @@ func TestTransactionRollback(t *testing.T) {
 		t.Errorf("rollback should restore the snapshot:\n%s\nvs\n%s", db.Snapshot(), before)
 	}
 	// Indexes stay coherent: re-inserting works, lookups agree.
-	if _, ok := db.GetByKey("COURSE", tup("c0")); !ok {
+	if _, ok, _ := db.GetByKeyCtx(context.Background(), "COURSE", tup("c0")); !ok {
 		t.Error("c0 should be back")
 	}
-	if _, ok := db.GetByKey("COURSE", tup("c1")); ok {
+	if _, ok, _ := db.GetByKeyCtx(context.Background(), "COURSE", tup("c1")); ok {
 		t.Error("c1 should be gone")
 	}
-	if err := db.Insert("COURSE", tup("c1")); err != nil {
+	if err := db.InsertCtx(context.Background(), "COURSE", tup("c1")); err != nil {
 		t.Errorf("re-insert after rollback: %v", err)
 	}
 }
 
 func TestTransactionRollbackUpdate(t *testing.T) {
 	db := openFig3(t)
-	db.Insert("COURSE", tup("c1"))
-	db.Insert("DEPARTMENT", tup("math"))
-	db.Insert("DEPARTMENT", tup("cs"))
-	db.Insert("OFFER", tup("c1", "math"))
+	db.InsertCtx(context.Background(), "COURSE", tup("c1"))
+	db.InsertCtx(context.Background(), "DEPARTMENT", tup("math"))
+	db.InsertCtx(context.Background(), "DEPARTMENT", tup("cs"))
+	db.InsertCtx(context.Background(), "OFFER", tup("c1", "math"))
 	before := db.Snapshot()
 
 	db.Begin()
-	if err := db.Update("OFFER", tup("c1"), tup("c1", "cs")); err != nil {
+	if err := db.UpdateCtx(context.Background(), "OFFER", tup("c1"), tup("c1", "cs")); err != nil {
 		t.Fatal(err)
 	}
 	db.Rollback()
 	if !db.Snapshot().Equal(before) {
 		t.Error("rollback should undo the update")
-	}
-}
-
-func TestRunAtomic(t *testing.T) {
-	db := openFig3(t)
-	boom := errors.New("boom")
-	err := db.RunAtomic(func() error {
-		db.Insert("COURSE", tup("c1"))
-		return boom
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
-	}
-	if db.Count("COURSE") != 0 {
-		t.Error("failed atomic batch should leave no trace")
-	}
-
-	if err := db.RunAtomic(func() error {
-		return db.Insert("COURSE", tup("c2"))
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if db.Count("COURSE") != 1 {
-		t.Error("successful atomic batch should commit")
 	}
 }
 
@@ -111,19 +87,22 @@ func TestTransactionErrors(t *testing.T) {
 // batch rolls back when a constraint fires mid-way.
 func TestAtomicBatchWithConstraintViolation(t *testing.T) {
 	db := openFig3(t)
-	db.Insert("COURSE", tup("c1"))
-	db.Insert("DEPARTMENT", tup("math"))
+	db.InsertCtx(context.Background(), "COURSE", tup("c1"))
+	db.InsertCtx(context.Background(), "DEPARTMENT", tup("math"))
 	before := db.Snapshot()
 
-	err := db.RunAtomic(func() error {
-		if err := db.Insert("OFFER", tup("c1", "math")); err != nil {
-			return err
-		}
-		// Dangling FK: fires the referential check.
-		return db.Insert("TEACH", tup("c9", "p9"))
-	})
-	if err == nil {
+	if err := db.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.InsertCtx(context.Background(), "OFFER", tup("c1", "math")); err != nil {
+		t.Fatal(err)
+	}
+	// Dangling FK: fires the referential check.
+	if err := db.InsertCtx(context.Background(), "TEACH", tup("c9", "p9")); err == nil {
 		t.Fatal("batch should fail")
+	}
+	if err := db.Rollback(); err != nil {
+		t.Fatal(err)
 	}
 	if !db.Snapshot().Equal(before) {
 		t.Error("failed batch must leave no partial effects")

@@ -16,7 +16,7 @@ import (
 //   - dbSnapshot bundles one version per table plus the WAL LSN of the last
 //     operation it contains. DB.current holds the latest published snapshot;
 //     a single atomic pointer load pins a consistent cross-table view.
-//   - Readers (GetByKey, Scan, FetchWithReferences, View) pin a snapshot and
+//   - Readers (GetByKeyCtx, Scan, FetchWithReferences, View) pin a snapshot and
 //     run entirely lock-free; writers never block them.
 //   - Writers serialize on the writer mutex (DB.wmu), so the snapshot a
 //     writer pins is the latest version and stays so until it publishes.
@@ -343,7 +343,7 @@ func (v *View) LSN() uint64 { return v.snap.lsn }
 // Count returns the tuple count of a relation in the pinned version.
 func (v *View) Count(name string) int { return v.snap.count(name) }
 
-// GetByKey is DB.GetByKey against the pinned version.
+// GetByKey is DB.GetByKeyCtx against the pinned version.
 func (v *View) GetByKey(name string, key relation.Tuple) (relation.Tuple, bool) {
 	tup, ok, err := v.db.getAt(v.snap, name, key)
 	if err != nil {

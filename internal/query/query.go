@@ -93,7 +93,10 @@ func (p *BasePlanner) AnswerCtx(ctx context.Context, q Query) (Result, error) {
 	out := make(Result, len(q.Want))
 	for name, attrs := range byScheme {
 		p.Obs.Counter(metricBaseLookups).Inc()
-		tup, ok := p.DB.GetByKey(name, q.Key)
+		tup, ok, err := p.DB.GetByKeyCtx(ctx, name, q.Key)
+		if err != nil {
+			return nil, err
+		}
 		rel := p.DB.Header(name)
 		for _, a := range attrs {
 			if ok {
@@ -137,7 +140,10 @@ func (p *MergedPlanner) AnswerCtx(ctx context.Context, q Query) (Result, error) 
 		return nil, fmt.Errorf("query: root %s is not a member of the merge", q.Root)
 	}
 	rel := p.DB.Header(p.M.Name)
-	row, ok := p.DB.GetByKey(p.M.Name, q.Key)
+	row, ok, err := p.DB.GetByKeyCtx(ctx, p.M.Name, q.Key)
+	if err != nil {
+		return nil, err
+	}
 
 	out := make(Result, len(q.Want))
 	for _, a := range q.Want {

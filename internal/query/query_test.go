@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -28,11 +29,11 @@ func setup(t *testing.T, seed int64) (*BasePlanner, *MergedPlanner, []relation.T
 		RowsPer: map[string]int{"OFFER": 8, "TEACH": 4, "ASSIST": 6},
 	})
 	baseDB := engine.MustOpen(s)
-	if err := baseDB.Load(st); err != nil {
+	if err := baseDB.LoadCtx(context.Background(), st); err != nil {
 		t.Fatal(err)
 	}
 	mergedDB := engine.MustOpen(m.Schema)
-	if err := mergedDB.Load(m.MapState(st)); err != nil {
+	if err := mergedDB.LoadCtx(context.Background(), m.MapState(st)); err != nil {
 		t.Fatal(err)
 	}
 	var keys []relation.Tuple
@@ -78,19 +79,19 @@ func TestPlannerLookupCounts(t *testing.T) {
 	q := Query{Root: "COURSE", Key: keys[0],
 		Want: []string{"C.NR", "O.D.NAME", "T.F.SSN", "A.S.SSN"}}
 
-	base.DB.Stats.Reset()
+	before := base.DB.StatsTotals()
 	if _, err := base.Answer(q); err != nil {
 		t.Fatal(err)
 	}
-	if got := base.DB.Stats.Lookups(); got != 4 {
+	if got := base.DB.StatsTotals().Sub(before).Lookups; got != 4 {
 		t.Errorf("base lookups = %d, want 4", got)
 	}
 
-	merged.DB.Stats.Reset()
+	before = merged.DB.StatsTotals()
 	if _, err := merged.Answer(q); err != nil {
 		t.Fatal(err)
 	}
-	if got := merged.DB.Stats.Lookups(); got != 1 {
+	if got := merged.DB.StatsTotals().Sub(before).Lookups; got != 1 {
 		t.Errorf("merged lookups = %d, want 1", got)
 	}
 }

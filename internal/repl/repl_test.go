@@ -102,10 +102,10 @@ func fastOpts(reg *obs.Registry) repl.Options {
 func TestFollowerCatchesUpServesAndStaysReadOnly(t *testing.T) {
 	p := openEngine(t, t.TempDir())
 	defer p.Close()
-	if err := p.Load(figures.Fig3State()); err != nil {
+	if err := p.LoadCtx(context.Background(), figures.Fig3State()); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Insert("COURSE", tup("c9")); err != nil {
+	if err := p.InsertCtx(context.Background(), "COURSE", tup("c9")); err != nil {
 		t.Fatal(err)
 	}
 	addr, srv := startServer(t, p)
@@ -141,7 +141,7 @@ func TestFollowerCatchesUpServesAndStaysReadOnly(t *testing.T) {
 	}
 
 	// New primary commits keep flowing.
-	if err := p.Insert("DEPARTMENT", tup("physics")); err != nil {
+	if err := p.InsertCtx(context.Background(), "DEPARTMENT", tup("physics")); err != nil {
 		t.Fatal(err)
 	}
 	waitCaughtUp(t, f, p.DurableLSN())
@@ -175,13 +175,13 @@ func TestFollowerCatchesUpServesAndStaysReadOnly(t *testing.T) {
 func TestFollowerBootstrapsFromSnapshotOverWire(t *testing.T) {
 	p := openEngine(t, t.TempDir())
 	defer p.Close()
-	if err := p.Load(figures.Fig3State()); err != nil {
+	if err := p.LoadCtx(context.Background(), figures.Fig3State()); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Insert("COURSE", tup("c9")); err != nil {
+	if err := p.InsertCtx(context.Background(), "COURSE", tup("c9")); err != nil {
 		t.Fatal(err)
 	}
 	addr, srv := startServer(t, p)
@@ -198,7 +198,7 @@ func TestFollowerBootstrapsFromSnapshotOverWire(t *testing.T) {
 	if got, want := fdb.Snapshot(), p.Snapshot(); !got.Equal(want) {
 		t.Fatalf("bootstrapped follower state differs:\ngot:\n%s\nwant:\n%s", got, want)
 	}
-	if _, ok := fdb.GetByKey("COURSE", tup("c9")); !ok {
+	if _, ok, _ := fdb.GetByKeyCtx(context.Background(), "COURSE", tup("c9")); !ok {
 		t.Fatal("follower missing the post-checkpoint tail record")
 	}
 }
@@ -209,10 +209,10 @@ func TestFollowerBootstrapsFromSnapshotOverWire(t *testing.T) {
 func TestFailoverPromoteRecoversAckedPrefix(t *testing.T) {
 	p := openEngine(t, t.TempDir())
 	defer p.Close()
-	if err := p.Load(figures.Fig3State()); err != nil {
+	if err := p.LoadCtx(context.Background(), figures.Fig3State()); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Insert("COURSE", tup("c-acked")); err != nil {
+	if err := p.InsertCtx(context.Background(), "COURSE", tup("c-acked")); err != nil {
 		t.Fatal(err)
 	}
 	addr, srv := startServer(t, p)
@@ -235,10 +235,10 @@ func TestFailoverPromoteRecoversAckedPrefix(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Insert("COURSE", tup("c-lost1")); err != nil {
+	if err := p.InsertCtx(context.Background(), "COURSE", tup("c-lost1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Insert("COURSE", tup("c-lost2")); err != nil {
+	if err := p.InsertCtx(context.Background(), "COURSE", tup("c-lost2")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -265,7 +265,7 @@ func TestFailoverPromoteRecoversAckedPrefix(t *testing.T) {
 	if got := fdb.Snapshot(); !got.Equal(ackedState) {
 		t.Fatalf("promoted follower state differs from acked prefix:\ngot:\n%s\nwant:\n%s", got, ackedState)
 	}
-	if _, ok := fdb.GetByKey("COURSE", tup("c-lost1")); ok {
+	if _, ok, _ := fdb.GetByKeyCtx(context.Background(), "COURSE", tup("c-lost1")); ok {
 		t.Fatal("promoted follower holds a commit that was never shipped")
 	}
 
@@ -312,7 +312,7 @@ func (g *faultBackend) ReplRead(afterLSN uint64, maxRecords int) ([]wal.Record, 
 func testStreamFaultBreaksFollower(t *testing.T, mode string) {
 	p := openEngine(t, t.TempDir())
 	defer p.Close()
-	if err := p.Load(figures.Fig3State()); err != nil {
+	if err := p.LoadCtx(context.Background(), figures.Fig3State()); err != nil {
 		t.Fatal(err)
 	}
 	fb := &faultBackend{DB: p, mode: mode}
@@ -329,10 +329,10 @@ func testStreamFaultBreaksFollower(t *testing.T, mode string) {
 	waitCaughtUp(t, f, p.DurableLSN())
 
 	fb.armed.Store(true)
-	if err := p.Insert("COURSE", tup("c-a")); err != nil {
+	if err := p.InsertCtx(context.Background(), "COURSE", tup("c-a")); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Insert("COURSE", tup("c-b")); err != nil {
+	if err := p.InsertCtx(context.Background(), "COURSE", tup("c-b")); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "sticky break on "+mode+" stream", func() bool { return f.Err() != nil })
@@ -352,7 +352,7 @@ func testStreamFaultBreaksFollower(t *testing.T, mode string) {
 		t.Fatalf("Promote on broken follower = %v, want refusal", err)
 	}
 	// The local engine never applied anything past the fault.
-	if _, ok := fdb.GetByKey("COURSE", tup("c-b")); ok {
+	if _, ok, _ := fdb.GetByKeyCtx(context.Background(), "COURSE", tup("c-b")); ok {
 		t.Fatal("broken follower applied records past the stream fault")
 	}
 }
@@ -377,7 +377,7 @@ func (g *rewindBackend) ReplRead(afterLSN uint64, maxRecords int) ([]wal.Record,
 func TestDuplicateDeliveryIsIdempotent(t *testing.T) {
 	p := openEngine(t, t.TempDir())
 	defer p.Close()
-	if err := p.Load(figures.Fig3State()); err != nil {
+	if err := p.LoadCtx(context.Background(), figures.Fig3State()); err != nil {
 		t.Fatal(err)
 	}
 	rb := &rewindBackend{DB: p}
@@ -394,15 +394,19 @@ func TestDuplicateDeliveryIsIdempotent(t *testing.T) {
 	waitCaughtUp(t, f, p.DurableLSN())
 
 	rb.armed.Store(true)
-	if err := p.Insert("COURSE", tup("c-dup")); err != nil {
+	if err := p.InsertCtx(context.Background(), "COURSE", tup("c-dup")); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.RunAtomic(func() error {
-		if err := p.Insert("PERSON", tup("p-dup")); err != nil {
-			return err
-		}
-		return p.Insert("STUDENT", tup("p-dup"))
-	}); err != nil {
+	if err := p.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.InsertCtx(context.Background(), "PERSON", tup("p-dup")); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.InsertCtx(context.Background(), "STUDENT", tup("p-dup")); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	waitCaughtUp(t, f, p.DurableLSN())
@@ -419,7 +423,7 @@ func TestDuplicateDeliveryIsIdempotent(t *testing.T) {
 func TestFollowerRestartResumes(t *testing.T) {
 	p := openEngine(t, t.TempDir())
 	defer p.Close()
-	if err := p.Load(figures.Fig3State()); err != nil {
+	if err := p.LoadCtx(context.Background(), figures.Fig3State()); err != nil {
 		t.Fatal(err)
 	}
 	addr, srv := startServer(t, p)
@@ -441,7 +445,7 @@ func TestFollowerRestartResumes(t *testing.T) {
 	if err := fdb.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Insert("COURSE", tup("c-while-down")); err != nil {
+	if err := p.InsertCtx(context.Background(), "COURSE", tup("c-while-down")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -463,7 +467,7 @@ func TestFollowerRestartResumes(t *testing.T) {
 func TestCascadingReplication(t *testing.T) {
 	p := openEngine(t, t.TempDir())
 	defer p.Close()
-	if err := p.Load(figures.Fig3State()); err != nil {
+	if err := p.LoadCtx(context.Background(), figures.Fig3State()); err != nil {
 		t.Fatal(err)
 	}
 	addr, srv := startServer(t, p)
@@ -487,7 +491,7 @@ func TestCascadingReplication(t *testing.T) {
 	}
 	defer fb.Close()
 
-	if err := p.Insert("COURSE", tup("c-chain")); err != nil {
+	if err := p.InsertCtx(context.Background(), "COURSE", tup("c-chain")); err != nil {
 		t.Fatal(err)
 	}
 	waitCaughtUp(t, fa, p.DurableLSN())

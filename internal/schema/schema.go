@@ -48,6 +48,44 @@ func (s *Schema) SchemeNames() []string {
 	return names
 }
 
+// LoadOrder returns the relation-scheme names ordered so that every inclusion
+// dependency's right scheme precedes its left scheme: the order in which a
+// state can be loaded, or generated, without a dangling reference.
+// Self-referential dependencies are ignored, ties keep declaration order, and
+// a cycle is an error.
+func (s *Schema) LoadOrder() ([]string, error) {
+	deg := make(map[string]int, len(s.Relations))
+	succ := make(map[string][]string)
+	for _, ind := range s.INDs {
+		if ind.Left == ind.Right {
+			continue
+		}
+		succ[ind.Right] = append(succ[ind.Right], ind.Left)
+		deg[ind.Left]++
+	}
+	var queue []string
+	for _, rs := range s.Relations {
+		if deg[rs.Name] == 0 {
+			queue = append(queue, rs.Name)
+		}
+	}
+	var order []string
+	for len(queue) > 0 {
+		n := queue[0]
+		queue = queue[1:]
+		order = append(order, n)
+		for _, m := range succ[n] {
+			if deg[m]--; deg[m] == 0 {
+				queue = append(queue, m)
+			}
+		}
+	}
+	if len(order) != len(s.Relations) {
+		return nil, fmt.Errorf("schema: inclusion dependencies form a cycle; no load order exists")
+	}
+	return order, nil
+}
+
 // SchemeOf returns the relation-scheme owning the named (globally unique)
 // attribute, or nil.
 func (s *Schema) SchemeOf(attr string) *RelationScheme {

@@ -429,7 +429,7 @@ func TestKillMidBatchRecoversAckedPrefix(t *testing.T) {
 		t.Fatalf("recovered %d rows, want exactly the %d acked", got, len(acked))
 	}
 	for _, k := range acked {
-		if _, ok := re.GetByKey("R", key(k)); !ok {
+		if _, ok, _ := re.GetByKeyCtx(context.Background(), "R", key(k)); !ok {
 			t.Errorf("acknowledged write %s lost in recovery", k)
 		}
 	}

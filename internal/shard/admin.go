@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/engine"
 	"repro/internal/relation"
@@ -167,36 +166,11 @@ func (v *View) Scan(name string, pred func(relation.Tuple) bool, visit func(rela
 	return nil
 }
 
-// Load bulk-inserts a consistent state across the shards. See LoadCtx.
-func (r *Router) Load(st *state.DB) error {
-	return r.LoadCtx(context.Background(), st)
-}
-
-// LoadCtx mirrors the engine's bulk load one level up: relations load in an
-// order that respects inclusion dependencies, each as one atomic (possibly
-// cross-shard) insert group, with the engine's error surface.
+// LoadCtx is the engine's bulk load one level up (state.DB.Replay): relations
+// load in an order that respects inclusion dependencies, each as one atomic
+// (possibly cross-shard) insert group.
 func (r *Router) LoadCtx(ctx context.Context, st *state.DB) error {
-	order, err := r.loadOrder()
-	if err != nil {
-		return err
-	}
-	for _, name := range order {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		rel := st.Relation(name)
-		if rel == nil {
-			continue
-		}
-		src := rel
-		if !sameAttrs(src.Attrs(), r.meta[name].hdr.Attrs()) {
-			src = src.Project(r.meta[name].hdr.Attrs())
-		}
-		if err := r.InsertBatchCtx(ctx, name, src.Tuples()); err != nil {
-			return fmt.Errorf("engine: loading %s: %w", name, err)
-		}
-	}
-	return nil
+	return st.Replay(ctx, r.schema, r.InsertBatchCtx)
 }
 
 // Snapshot exports the union of the shards' contents as one state.DB. Each
@@ -215,53 +189,4 @@ func (r *Router) Snapshot() *state.DB {
 		})
 	}
 	return out
-}
-
-// loadOrder topologically orders relations so referenced relations load
-// before referencing ones (cycles rejected), mirroring the engine's.
-func (r *Router) loadOrder() ([]string, error) {
-	deg := make(map[string]int, len(r.schema.Relations))
-	succ := make(map[string][]string)
-	for _, rs := range r.schema.Relations {
-		deg[rs.Name] = 0
-	}
-	for _, ind := range r.schema.INDs {
-		if ind.Left == ind.Right {
-			continue
-		}
-		succ[ind.Right] = append(succ[ind.Right], ind.Left)
-		deg[ind.Left]++
-	}
-	var queue, order []string
-	for _, rs := range r.schema.Relations {
-		if deg[rs.Name] == 0 {
-			queue = append(queue, rs.Name)
-		}
-	}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		order = append(order, n)
-		for _, s := range succ[n] {
-			if deg[s]--; deg[s] == 0 {
-				queue = append(queue, s)
-			}
-		}
-	}
-	if len(order) != len(r.schema.Relations) {
-		return nil, fmt.Errorf("engine: cyclic inclusion dependencies; cannot bulk-load")
-	}
-	return order, nil
-}
-
-func sameAttrs(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -16,11 +16,6 @@ type subBatch struct {
 	old   []relation.Tuple // pre-image per op (delete/update), nil otherwise
 }
 
-// InsertBatch inserts tuples as one atomic group. See InsertBatchCtx.
-func (r *Router) InsertBatch(name string, tuples []relation.Tuple) error {
-	return r.InsertBatchCtx(context.Background(), name, tuples)
-}
-
 // InsertBatchCtx splits the group by primary-key hash. A group that lands
 // on one shard runs there as a native insert batch (identical semantics and
 // error surface to the engine's). A group that spans shards runs
@@ -102,11 +97,6 @@ func (r *Router) InsertBatchCtx(ctx context.Context, name string, tuples []relat
 		}
 	}
 	return r.applyPhase(ctx, name, subs)
-}
-
-// ApplyBatch applies a mixed batch atomically. See ApplyBatchCtx.
-func (r *Router) ApplyBatch(ops []engine.BatchOp) error {
-	return r.ApplyBatchCtx(context.Background(), ops)
 }
 
 // ApplyBatchCtx routes a mixed batch. Ops are assigned to shards by primary
@@ -191,6 +181,7 @@ func (r *Router) ApplyBatchCtx(ctx context.Context, ops []engine.BatchOp) error 
 			continue
 		}
 		sb := subBatch{shard: sh, ops: sub, old: make([]relation.Tuple, len(sub))}
+		var err error
 		for i, op := range sub {
 			m := r.meta[op.Relation]
 			switch op.Kind {
@@ -200,16 +191,16 @@ func (r *Router) ApplyBatchCtx(ctx context.Context, ops []engine.BatchOp) error 
 				}
 			case engine.BatchDelete:
 				r.pending.addDel(op.Relation, op.Key.EncodeKey())
-				if old, ok := r.shards[sh].GetByKey(op.Relation, op.Key); ok {
-					sb.old[i] = old
+				if sb.old[i], _, err = r.shards[sh].GetByKeyCtx(ctx, op.Relation, op.Key); err != nil {
+					return err
 				}
 			case engine.BatchUpdate:
 				r.pending.addDel(op.Relation, op.Key.EncodeKey())
 				if len(op.Tuple) == m.arity {
 					r.pending.addIns(op.Relation, m.pkOf(op.Tuple), op.Tuple)
 				}
-				if old, ok := r.shards[sh].GetByKey(op.Relation, op.Key); ok {
-					sb.old[i] = old
+				if sb.old[i], _, err = r.shards[sh].GetByKeyCtx(ctx, op.Relation, op.Key); err != nil {
+					return err
 				}
 			}
 		}

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -74,12 +75,12 @@ func (r *Router) Migrate(ns *schema.Schema, transform func(*state.DB) (*state.DB
 		return fmt.Errorf("shard: migrate: mapped state fails constraint validation: %w", err)
 	}
 
-	slices, err := r.partitionState(ns, mapped)
+	parts, err := r.partitionState(ns, mapped)
 	if err != nil {
 		return fmt.Errorf("shard: migrate: %w", err)
 	}
 	for i, db := range r.shards {
-		slice := slices[i]
+		slice := parts[i]
 		if err := db.MigrateSchema(ns, func(*state.DB) (*state.DB, error) { return slice, nil }); err != nil {
 			if i == 0 {
 				// Nothing installed anywhere: the old design stands.
@@ -97,9 +98,9 @@ func (r *Router) Migrate(ns *schema.Schema, transform func(*state.DB) (*state.DB
 // primary key under the NEW schema — the same placement rule every
 // post-migration operation will use.
 func (r *Router) partitionState(ns *schema.Schema, st *state.DB) ([]*state.DB, error) {
-	slices := make([]*state.DB, len(r.shards))
-	for i := range slices {
-		slices[i] = state.New(ns)
+	parts := make([]*state.DB, len(r.shards))
+	for i := range parts {
+		parts[i] = state.New(ns)
 	}
 	for _, rs := range ns.Relations {
 		src := st.Relation(rs.Name)
@@ -107,16 +108,16 @@ func (r *Router) partitionState(ns *schema.Schema, st *state.DB) ([]*state.DB, e
 			continue
 		}
 		hdr := relation.New(rs.AttrNames()...)
-		if !sameAttrs(src.Attrs(), hdr.Attrs()) {
+		if !slices.Equal(src.Attrs(), hdr.Attrs()) {
 			src = src.Project(hdr.Attrs())
 		}
 		pkPos := hdr.Positions(rs.PrimaryKey)
 		for _, tup := range src.Tuples() {
 			key := tup.Project(pkPos).EncodeKey()
-			slices[r.ShardOf(key)].Relation(rs.Name).Add(tup.Clone())
+			parts[r.ShardOf(key)].Relation(rs.Name).Add(tup.Clone())
 		}
 	}
-	return slices, nil
+	return parts, nil
 }
 
 // Schema returns the design the router currently serves.

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -45,7 +46,7 @@ func TestRouterMigrateLive(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if err := r.Load(figures.Fig3State()); err != nil {
+	if err := r.LoadCtx(context.Background(), figures.Fig3State()); err != nil {
 		t.Fatal(err)
 	}
 	pre := r.Snapshot()
@@ -61,18 +62,18 @@ func TestRouterMigrateLive(t *testing.T) {
 		t.Fatalf("router schema did not move:\n%s", got)
 	}
 	// Merged relation answers through the router's hash placement.
-	if _, ok := r.GetByKey("OFFER+", mtup("c1")); !ok {
+	if _, ok, _ := r.GetByKeyCtx(context.Background(), "OFFER+", mtup("c1")); !ok {
 		t.Fatal("merged relation does not answer")
 	}
-	if _, ok := r.GetByKey("TEACH", mtup("c1")); ok {
+	if _, ok, _ := r.GetByKeyCtx(context.Background(), "TEACH", mtup("c1")); ok {
 		t.Fatal("pre-merge relation still answers")
 	}
 	// Writes enforce the new design's cross-shard dependencies: c9 is not a
 	// COURSE anywhere.
-	if err := r.Insert("OFFER+", mtup("c3", "math", "s1", nil)); err != nil {
+	if err := r.InsertCtx(context.Background(), "OFFER+", mtup("c3", "math", "s1", nil)); err != nil {
 		t.Fatalf("insert on merged design: %v", err)
 	}
-	if err := r.Insert("OFFER+", mtup("c9", "math", nil, nil)); err == nil {
+	if err := r.InsertCtx(context.Background(), "OFFER+", mtup("c9", "math", nil, nil)); err == nil {
 		t.Fatal("dangling OFFER+ insert must violate the rewritten cross-shard IND")
 	}
 	// Refusals: open transaction, and a transform whose output breaks the
@@ -118,7 +119,7 @@ func TestRouterMigrateDurableAdoption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Load(figures.Fig3State()); err != nil {
+	if err := r.LoadCtx(context.Background(), figures.Fig3State()); err != nil {
 		t.Fatal(err)
 	}
 	m := fig3RouterMerge(t)
@@ -144,11 +145,11 @@ func TestRouterMigrateDurableAdoption(t *testing.T) {
 	if got := r2.Snapshot(); !got.Equal(want) {
 		t.Fatalf("recovered union state:\ngot:\n%s\nwant:\n%s", got, want)
 	}
-	if _, ok := r2.GetByKey("OFFER+", mtup("c1")); !ok {
+	if _, ok, _ := r2.GetByKeyCtx(context.Background(), "OFFER+", mtup("c1")); !ok {
 		t.Fatal("adopted design does not serve")
 	}
 	// Post-adoption writes validate against the adopted design.
-	if err := r2.Insert("OFFER+", mtup("c9", "math", nil, nil)); err == nil {
+	if err := r2.InsertCtx(context.Background(), "OFFER+", mtup("c9", "math", nil, nil)); err == nil {
 		t.Fatal("dangling insert accepted after adoption")
 	}
 }
@@ -160,7 +161,7 @@ func TestRouterMixedRecoveredDesignsRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Load(figures.Fig3State()); err != nil {
+	if err := r.LoadCtx(context.Background(), figures.Fig3State()); err != nil {
 		t.Fatal(err)
 	}
 	// Simulate a migration interrupted mid-rollout: migrate ONE shard's
@@ -183,7 +184,7 @@ func TestRouterCoAccessAggregation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if err := r.Load(figures.Fig3State()); err != nil {
+	if err := r.LoadCtx(context.Background(), figures.Fig3State()); err != nil {
 		t.Fatal(err)
 	}
 	// Drive each shard's fetch path directly so hop signals land on both.

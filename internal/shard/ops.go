@@ -10,11 +10,6 @@ import (
 	"repro/internal/relation"
 )
 
-// Insert routes one insert to the owning shard. See InsertCtx.
-func (r *Router) Insert(name string, tup relation.Tuple) error {
-	return r.InsertCtx(context.Background(), name, tup)
-}
-
 // InsertCtx hashes the tuple's primary key to its owning shard and inserts
 // there under the router lock (shared — independent single-shard writes run
 // concurrently) and the relation's outgoing edge locks (shared — the
@@ -33,11 +28,6 @@ func (r *Router) InsertCtx(ctx context.Context, name string, tup relation.Tuple)
 	unlock := lockEdges(r.insertPlan[name])
 	defer unlock()
 	return r.shards[r.ShardOf(m.pkOf(tup))].InsertCtx(ctx, name, tup)
-}
-
-// Delete routes one delete to the owning shard. See DeleteCtx.
-func (r *Router) Delete(name string, key relation.Tuple) error {
-	return r.DeleteCtx(context.Background(), name, key)
 }
 
 // DeleteCtx routes by the primary key, holding the relation's incoming edge
@@ -61,11 +51,6 @@ func (r *Router) DeleteCtx(ctx context.Context, name string, key relation.Tuple)
 		r.invalidate(name, ek)
 	}
 	return err
-}
-
-// Update routes one update. See UpdateCtx.
-func (r *Router) Update(name string, key, newTup relation.Tuple) error {
-	return r.UpdateCtx(context.Background(), name, key, newTup)
 }
 
 // UpdateCtx routes by the OLD primary key. When the new tuple's key hashes
@@ -168,16 +153,6 @@ func updateParity(err error) error {
 		}
 	}
 	return err
-}
-
-// GetByKey looks up one tuple by primary key on its owning shard. See
-// GetByKeyCtx.
-func (r *Router) GetByKey(name string, key relation.Tuple) (relation.Tuple, bool) {
-	tup, ok, err := r.GetByKeyCtx(context.Background(), name, key)
-	if err != nil {
-		return nil, false
-	}
-	return tup, ok
 }
 
 // GetByKeyCtx routes the lookup to the key's owning shard. Like the

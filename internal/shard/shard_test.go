@@ -119,32 +119,32 @@ func keysOnDifferentShards(t *testing.T, r *Router, prefix string) (string, stri
 
 func TestRouterSingleOps(t *testing.T) {
 	r := openRouter(t, 4)
-	if err := r.Insert("COURSE", tup("c1")); err != nil {
+	if err := r.InsertCtx(context.Background(), "COURSE", tup("c1")); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := r.GetByKey("COURSE", tup("c1"))
+	got, ok, _ := r.GetByKeyCtx(context.Background(), "COURSE", tup("c1"))
 	if !ok || !got.Identical(tup("c1")) {
 		t.Error("GetByKey after insert")
 	}
-	if _, ok := r.GetByKey("COURSE", tup("zzz")); ok {
+	if _, ok, _ := r.GetByKeyCtx(context.Background(), "COURSE", tup("zzz")); ok {
 		t.Error("missing key found")
 	}
 	// The row lives only on its hash owner.
 	owner := r.ShardOf(tup("c1").EncodeKey())
 	for i := 0; i < r.Shards(); i++ {
-		_, ok := r.Shard(i).GetByKey("COURSE", tup("c1"))
+		_, ok, _ := r.Shard(i).GetByKeyCtx(context.Background(), "COURSE", tup("c1"))
 		if ok != (i == owner) {
 			t.Errorf("shard %d has row = %v, owner is %d", i, ok, owner)
 		}
 	}
 	// Unknown relation keeps the engine's error.
-	if err := r.Insert("NOPE", tup("x")); !errors.Is(err, engine.ErrUnknownRelation) {
+	if err := r.InsertCtx(context.Background(), "NOPE", tup("x")); !errors.Is(err, engine.ErrUnknownRelation) {
 		t.Errorf("unknown relation error = %v", err)
 	}
-	if err := r.Delete("COURSE", tup("zzz")); !errors.Is(err, engine.ErrNoSuchTuple) {
+	if err := r.DeleteCtx(context.Background(), "COURSE", tup("zzz")); !errors.Is(err, engine.ErrNoSuchTuple) {
 		t.Errorf("delete missing = %v", err)
 	}
-	if err := r.Delete("COURSE", tup("c1")); err != nil {
+	if err := r.DeleteCtx(context.Background(), "COURSE", tup("c1")); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -165,12 +165,12 @@ func TestCrossShardForeignKey(t *testing.T) {
 		{"DEPARTMENT", tup("d1")},
 		{"OFFER", tup(cnr, "d1")},
 	} {
-		if err := r.Insert(ins.rel, ins.tp); err != nil {
+		if err := r.InsertCtx(context.Background(), ins.rel, ins.tp); err != nil {
 			t.Fatalf("insert %s: %v", ins.rel, err)
 		}
 	}
 	before := r.ProbeStats()
-	if err := r.Insert("TEACH", tup(cnr, ssn)); err != nil {
+	if err := r.InsertCtx(context.Background(), "TEACH", tup(cnr, ssn)); err != nil {
 		t.Fatalf("cross-shard FK insert: %v", err)
 	}
 	after := r.ProbeStats()
@@ -178,22 +178,22 @@ func TestCrossShardForeignKey(t *testing.T) {
 		t.Error("expected a remote probe for the cross-shard FACULTY reference")
 	}
 	// A dangling reference is rejected with the engine's violation kind.
-	err := r.Insert("TEACH", tup("other-"+cnr, "missing-ssn"))
+	err := r.InsertCtx(context.Background(), "TEACH", tup("other-"+cnr, "missing-ssn"))
 	var cv *engine.ConstraintViolation
 	if !errors.As(err, &cv) || cv.Kind != engine.ForeignKeyViolation || cv.Op != "insert" {
 		t.Errorf("dangling FK = %v", err)
 	}
 	// Referenced-side restrict crosses shards too: FACULTY's owner shard has
 	// no local TEACH referencing it.
-	err = r.Delete("FACULTY", tup(ssn))
+	err = r.DeleteCtx(context.Background(), "FACULTY", tup(ssn))
 	if !errors.As(err, &cv) || cv.Kind != engine.RestrictViolation || cv.Op != "delete" {
 		t.Errorf("cross-shard restrict = %v", err)
 	}
 	// Unreference, then the delete goes through.
-	if err := r.Delete("TEACH", tup(cnr)); err != nil {
+	if err := r.DeleteCtx(context.Background(), "TEACH", tup(cnr)); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Delete("FACULTY", tup(ssn)); err != nil {
+	if err := r.DeleteCtx(context.Background(), "FACULTY", tup(ssn)); err != nil {
 		t.Errorf("delete after unreference: %v", err)
 	}
 }
@@ -214,20 +214,20 @@ func TestProbeCacheInvalidation(t *testing.T) {
 		{"DEPARTMENT", tup("d1")},
 		{"OFFER", tup(cnr, "d1")},
 	} {
-		if err := r.Insert(ins.rel, ins.tp); err != nil {
+		if err := r.InsertCtx(context.Background(), ins.rel, ins.tp); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Seed the cache with the cross-shard positive.
-	if err := r.Insert("TEACH", tup(cnr, ssn)); err != nil {
+	if err := r.InsertCtx(context.Background(), "TEACH", tup(cnr, ssn)); err != nil {
 		t.Fatal(err)
 	}
 	before := r.ProbeStats()
-	if err := r.Delete("TEACH", tup(cnr)); err != nil {
+	if err := r.DeleteCtx(context.Background(), "TEACH", tup(cnr)); err != nil {
 		t.Fatal(err)
 	}
 	// Re-insert hits the cache (no new remote probe for FACULTY)...
-	if err := r.Insert("TEACH", tup(cnr, ssn)); err != nil {
+	if err := r.InsertCtx(context.Background(), "TEACH", tup(cnr, ssn)); err != nil {
 		t.Fatal(err)
 	}
 	after := r.ProbeStats()
@@ -236,13 +236,13 @@ func TestProbeCacheInvalidation(t *testing.T) {
 	}
 	// ...but once the referenced row is gone, the cached positive must not
 	// survive it.
-	if err := r.Delete("TEACH", tup(cnr)); err != nil {
+	if err := r.DeleteCtx(context.Background(), "TEACH", tup(cnr)); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Delete("FACULTY", tup(ssn)); err != nil {
+	if err := r.DeleteCtx(context.Background(), "FACULTY", tup(ssn)); err != nil {
 		t.Fatal(err)
 	}
-	err := r.Insert("TEACH", tup(cnr, ssn))
+	err := r.InsertCtx(context.Background(), "TEACH", tup(cnr, ssn))
 	var cv *engine.ConstraintViolation
 	if !errors.As(err, &cv) || cv.Kind != engine.ForeignKeyViolation {
 		t.Errorf("insert after referenced delete = %v (stale probe cache?)", err)
@@ -264,10 +264,10 @@ func TestCrossShardBatch(t *testing.T) {
 		engine.Ins("FACULTY", tup(ssn)),
 		engine.Ins("TEACH", tup(cnr, ssn)),
 	}
-	if err := r.ApplyBatch(ops); err != nil {
+	if err := r.ApplyBatchCtx(context.Background(), ops); err != nil {
 		t.Fatalf("cross-shard batch: %v", err)
 	}
-	if _, ok := r.GetByKey("TEACH", tup(cnr)); !ok {
+	if _, ok, _ := r.GetByKeyCtx(context.Background(), "TEACH", tup(cnr)); !ok {
 		t.Fatal("TEACH row missing after batch")
 	}
 	// All-or-nothing: one dangling op anywhere drops every shard's share.
@@ -275,12 +275,12 @@ func TestCrossShardBatch(t *testing.T) {
 		engine.Ins("COURSE", tup(cnr+"-x")),
 		engine.Ins("OFFER", tup(cnr+"-x", "no-such-dept")),
 	}
-	err := r.ApplyBatch(bad)
+	err := r.ApplyBatchCtx(context.Background(), bad)
 	var cv *engine.ConstraintViolation
 	if !errors.As(err, &cv) || cv.Kind != engine.ForeignKeyViolation {
 		t.Fatalf("violating batch = %v", err)
 	}
-	if _, ok := r.GetByKey("COURSE", tup(cnr+"-x")); ok {
+	if _, ok, _ := r.GetByKeyCtx(context.Background(), "COURSE", tup(cnr+"-x")); ok {
 		t.Error("partial batch effect survived on another shard")
 	}
 	// Cross-shard delete batch with in-batch re-ordering freedom: deleting
@@ -290,10 +290,10 @@ func TestCrossShardBatch(t *testing.T) {
 		engine.Del("FACULTY", tup(ssn)),
 		engine.Del("TEACH", tup(cnr)),
 	}
-	if err := r.ApplyBatch(unlink); err != nil {
+	if err := r.ApplyBatchCtx(context.Background(), unlink); err != nil {
 		t.Fatalf("cross-shard unlink batch: %v", err)
 	}
-	if _, ok := r.GetByKey("FACULTY", tup(ssn)); ok {
+	if _, ok, _ := r.GetByKeyCtx(context.Background(), "FACULTY", tup(ssn)); ok {
 		t.Error("FACULTY survived unlink batch")
 	}
 }
@@ -312,41 +312,41 @@ func TestCrossShardUpdateMigration(t *testing.T) {
 		{"DEPARTMENT", tup("d1")},
 		{"OFFER", tup(c1, "d1")},
 	} {
-		if err := r.Insert(ins.rel, ins.tp); err != nil {
+		if err := r.InsertCtx(context.Background(), ins.rel, ins.tp); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := r.Update("OFFER", tup(c1), tup(c2, "d1")); err != nil {
+	if err := r.UpdateCtx(context.Background(), "OFFER", tup(c1), tup(c2, "d1")); err != nil {
 		t.Fatalf("cross-shard update: %v", err)
 	}
-	if _, ok := r.GetByKey("OFFER", tup(c1)); ok {
+	if _, ok, _ := r.GetByKeyCtx(context.Background(), "OFFER", tup(c1)); ok {
 		t.Error("old row survived migration")
 	}
-	if got, ok := r.GetByKey("OFFER", tup(c2)); !ok || !got.Identical(tup(c2, "d1")) {
+	if got, ok, _ := r.GetByKeyCtx(context.Background(), "OFFER", tup(c2)); !ok || !got.Identical(tup(c2, "d1")) {
 		t.Error("migrated row missing")
 	}
 	// The row landed on the new key's owner, physically.
-	if _, ok := r.Shard(r.ShardOf(tup(c2).EncodeKey())).GetByKey("OFFER", tup(c2)); !ok {
+	if _, ok, _ := r.Shard(r.ShardOf(tup(c2).EncodeKey())).GetByKeyCtx(context.Background(), "OFFER", tup(c2)); !ok {
 		t.Error("migrated row not on its hash owner")
 	}
 	// A referenced-side restrict across the migration reports Op "update",
 	// as the one-shard engine would.
-	if err := r.Insert("PERSON", tup("p1")); err != nil {
+	if err := r.InsertCtx(context.Background(), "PERSON", tup("p1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Insert("FACULTY", tup("p1")); err != nil {
+	if err := r.InsertCtx(context.Background(), "FACULTY", tup("p1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Insert("TEACH", tup(c2, "p1")); err != nil {
+	if err := r.InsertCtx(context.Background(), "TEACH", tup(c2, "p1")); err != nil {
 		t.Fatal(err)
 	}
-	err := r.Update("OFFER", tup(c2), tup(c1, "d1"))
+	err := r.UpdateCtx(context.Background(), "OFFER", tup(c2), tup(c1, "d1"))
 	var cv *engine.ConstraintViolation
 	if !errors.As(err, &cv) || cv.Kind != engine.RestrictViolation || cv.Op != "update" {
 		t.Errorf("restricted migration = %v", err)
 	}
 	// Migrating a missing row keeps the engine's error.
-	if err := r.Update("OFFER", tup("absent"), tup(c1, "d1")); !errors.Is(err, engine.ErrNoSuchTuple) {
+	if err := r.UpdateCtx(context.Background(), "OFFER", tup("absent"), tup(c1, "d1")); !errors.Is(err, engine.ErrNoSuchTuple) {
 		t.Errorf("update missing = %v", err)
 	}
 }
@@ -366,7 +366,7 @@ func TestNonKeyINDProbe(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if err := r.Insert("R", tup("a1", "b1")); err != nil {
+	if err := r.InsertCtx(context.Background(), "R", tup("a1", "b1")); err != nil {
 		t.Fatal(err)
 	}
 	// Find an S key on a different shard than R's row, so the referenced
@@ -379,16 +379,16 @@ func TestNonKeyINDProbe(t *testing.T) {
 			break
 		}
 	}
-	if err := r.Insert("S", tup(sKey, "b1")); err != nil {
+	if err := r.InsertCtx(context.Background(), "S", tup(sKey, "b1")); err != nil {
 		t.Fatalf("non-key cross-shard reference: %v", err)
 	}
 	var cv *engine.ConstraintViolation
-	if err := r.Insert("S", tup(sKey+"-2", "no-such-b")); !errors.As(err, &cv) || cv.Kind != engine.ForeignKeyViolation {
+	if err := r.InsertCtx(context.Background(), "S", tup(sKey+"-2", "no-such-b")); !errors.As(err, &cv) || cv.Kind != engine.ForeignKeyViolation {
 		t.Errorf("dangling non-key reference = %v", err)
 	}
 	// Referenced-side restrict: R's row is referenced by a (possibly
 	// remote) S row.
-	if err := r.Delete("R", tup("a1")); !errors.As(err, &cv) || cv.Kind != engine.RestrictViolation {
+	if err := r.DeleteCtx(context.Background(), "R", tup("a1")); !errors.As(err, &cv) || cv.Kind != engine.RestrictViolation {
 		t.Errorf("non-key restrict = %v", err)
 	}
 }
@@ -399,7 +399,7 @@ func TestRouterTxn(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		if err := r.Insert("COURSE", tup(fmt.Sprintf("t-%d", i))); err != nil {
+		if err := r.InsertCtx(context.Background(), "COURSE", tup(fmt.Sprintf("t-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -415,7 +415,7 @@ func TestRouterTxn(t *testing.T) {
 	if err := r.Begin(); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Insert("COURSE", tup("kept")); err != nil {
+	if err := r.InsertCtx(context.Background(), "COURSE", tup("kept")); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Commit(); err != nil {
@@ -429,7 +429,7 @@ func TestRouterTxn(t *testing.T) {
 func TestRouterStatsAggregation(t *testing.T) {
 	r := openRouter(t, 4)
 	for i := 0; i < 32; i++ {
-		if err := r.Insert("COURSE", tup(fmt.Sprintf("s-%d", i))); err != nil {
+		if err := r.InsertCtx(context.Background(), "COURSE", tup(fmt.Sprintf("s-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -471,14 +471,14 @@ func TestShardDurableReopen(t *testing.T) {
 	for i := 0; i < 24; i++ {
 		k := fmt.Sprintf("dur-%d", i)
 		keys = append(keys, k)
-		if err := r.Insert("COURSE", tup(k)); err != nil {
+		if err := r.InsertCtx(context.Background(), "COURSE", tup(k)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := r.Insert("PERSON", tup("pp")); err != nil {
+	if err := r.InsertCtx(context.Background(), "PERSON", tup("pp")); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Insert("FACULTY", tup("pp")); err != nil {
+	if err := r.InsertCtx(context.Background(), "FACULTY", tup("pp")); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Close(); err != nil {
@@ -490,18 +490,18 @@ func TestShardDurableReopen(t *testing.T) {
 		t.Fatal("reopen did not recover")
 	}
 	for _, k := range keys {
-		got, ok := r2.GetByKey("COURSE", tup(k))
+		got, ok, _ := r2.GetByKeyCtx(context.Background(), "COURSE", tup(k))
 		if !ok || !got.Identical(tup(k)) {
 			t.Fatalf("row %s lost across reopen", k)
 		}
 		owner := r2.ShardOf(tup(k).EncodeKey())
-		if _, ok := r2.Shard(owner).GetByKey("COURSE", tup(k)); !ok {
+		if _, ok, _ := r2.Shard(owner).GetByKeyCtx(context.Background(), "COURSE", tup(k)); !ok {
 			t.Fatalf("row %s not on its owner after reopen", k)
 		}
 	}
 	// Cross-shard IND re-validation ran and constraints still hold.
 	var cv *engine.ConstraintViolation
-	if err := r2.Delete("PERSON", tup("pp")); !errors.As(err, &cv) || cv.Kind != engine.RestrictViolation {
+	if err := r2.DeleteCtx(context.Background(), "PERSON", tup("pp")); !errors.As(err, &cv) || cv.Kind != engine.RestrictViolation {
 		t.Errorf("restrict after recovery = %v", err)
 	}
 }
@@ -509,7 +509,7 @@ func TestShardDurableReopen(t *testing.T) {
 func TestRouterLoadAndSnapshot(t *testing.T) {
 	r := openRouter(t, 3)
 	st := figures.Fig3State()
-	if err := r.Load(st); err != nil {
+	if err := r.LoadCtx(context.Background(), st); err != nil {
 		t.Fatal(err)
 	}
 	snap := r.Snapshot()
@@ -530,22 +530,22 @@ func TestCrossShardINDStress(t *testing.T) {
 	const ssns = 8
 	for i := 0; i < ssns; i++ {
 		ssn := fmt.Sprintf("ssn-%d", i)
-		if err := r.Insert("PERSON", tup(ssn)); err != nil {
+		if err := r.InsertCtx(context.Background(), "PERSON", tup(ssn)); err != nil {
 			t.Fatal(err)
 		}
-		if err := r.Insert("FACULTY", tup(ssn)); err != nil {
+		if err := r.InsertCtx(context.Background(), "FACULTY", tup(ssn)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 64; i++ {
 		cnr := fmt.Sprintf("cn-%d", i)
-		if err := r.Insert("COURSE", tup(cnr)); err != nil {
+		if err := r.InsertCtx(context.Background(), "COURSE", tup(cnr)); err != nil {
 			t.Fatal(err)
 		}
-		if err := r.Insert("DEPARTMENT", tup(fmt.Sprintf("dp-%d", i))); err != nil {
+		if err := r.InsertCtx(context.Background(), "DEPARTMENT", tup(fmt.Sprintf("dp-%d", i))); err != nil {
 			t.Fatal(err)
 		}
-		if err := r.Insert("OFFER", tup(cnr, fmt.Sprintf("dp-%d", i))); err != nil {
+		if err := r.InsertCtx(context.Background(), "OFFER", tup(cnr, fmt.Sprintf("dp-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -555,14 +555,14 @@ func TestCrossShardINDStress(t *testing.T) {
 		for i := 0; i < 64; i++ {
 			cnr := fmt.Sprintf("cn-%d", i)
 			ssn := fmt.Sprintf("ssn-%d", i%ssns)
-			err := r.Insert("TEACH", tup(cnr, ssn))
+			err := r.InsertCtx(context.Background(), "TEACH", tup(cnr, ssn))
 			var cv *engine.ConstraintViolation
 			if err != nil && !errors.As(err, &cv) {
 				done <- fmt.Errorf("teach insert %d: %v", i, err)
 				return
 			}
 			if err == nil {
-				if derr := r.Delete("TEACH", tup(cnr)); derr != nil {
+				if derr := r.DeleteCtx(context.Background(), "TEACH", tup(cnr)); derr != nil {
 					done <- fmt.Errorf("teach delete %d: %v", i, derr)
 					return
 				}
@@ -575,14 +575,14 @@ func TestCrossShardINDStress(t *testing.T) {
 	go func() {
 		for i := 0; i < 96; i++ {
 			ssn := fmt.Sprintf("ssn-%d", i%ssns)
-			err := r.Delete("FACULTY", tup(ssn))
+			err := r.DeleteCtx(context.Background(), "FACULTY", tup(ssn))
 			var cv *engine.ConstraintViolation
 			if err != nil && !errors.As(err, &cv) {
 				done <- fmt.Errorf("faculty delete: %v", err)
 				return
 			}
 			if err == nil {
-				if ierr := r.Insert("FACULTY", tup(ssn)); ierr != nil {
+				if ierr := r.InsertCtx(context.Background(), "FACULTY", tup(ssn)); ierr != nil {
 					done <- fmt.Errorf("faculty reinsert: %v", ierr)
 					return
 				}
@@ -595,11 +595,11 @@ func TestCrossShardINDStress(t *testing.T) {
 	go func() {
 		for i := 0; i < 128; i++ {
 			k := fmt.Sprintf("free-%d", i)
-			if err := r.Insert("COURSE", tup(k)); err != nil {
+			if err := r.InsertCtx(context.Background(), "COURSE", tup(k)); err != nil {
 				done <- fmt.Errorf("course insert: %v", err)
 				return
 			}
-			if err := r.Delete("COURSE", tup(k)); err != nil {
+			if err := r.DeleteCtx(context.Background(), "COURSE", tup(k)); err != nil {
 				done <- fmt.Errorf("course delete: %v", err)
 				return
 			}
@@ -636,7 +636,7 @@ func TestCrossShardBatchCompensation(t *testing.T) {
 		engine.Ins("PERSON", tup(ssn)),
 		engine.Ins("FACULTY", tup(ssn)),
 	}
-	if err := r.ApplyBatch(setup); err != nil {
+	if err := r.ApplyBatchCtx(context.Background(), setup); err != nil {
 		t.Fatal(err)
 	}
 	// A cancelled context fails the first shard's apply; nothing must
@@ -650,10 +650,10 @@ func TestCrossShardBatchCompensation(t *testing.T) {
 	if err := r.ApplyBatchCtx(ctx, batch); err == nil {
 		t.Fatal("cancelled cross-shard batch succeeded")
 	}
-	if _, ok := r.GetByKey("COURSE", tup(cnr+"-n")); ok {
+	if _, ok, _ := r.GetByKeyCtx(context.Background(), "COURSE", tup(cnr+"-n")); ok {
 		t.Error("torn batch: COURSE row survived")
 	}
-	if _, ok := r.GetByKey("PERSON", tup(ssn+"-n")); ok {
+	if _, ok, _ := r.GetByKeyCtx(context.Background(), "PERSON", tup(ssn+"-n")); ok {
 		t.Error("torn batch: PERSON row survived")
 	}
 }
@@ -666,7 +666,7 @@ func TestCrossShardBatchCompensation(t *testing.T) {
 func TestAllocBudget(t *testing.T) {
 	const ops, runs = 64, 4
 	r := openRouter(t, 4)
-	if err := r.Insert("DEPARTMENT", tup("d1")); err != nil {
+	if err := r.InsertCtx(context.Background(), "DEPARTMENT", tup("d1")); err != nil {
 		t.Fatal(err)
 	}
 	home := r.ShardOf(tup("d1").EncodeKey())
@@ -676,7 +676,7 @@ func TestAllocBudget(t *testing.T) {
 		if r.ShardOf(tup(cnr).EncodeKey()) != home {
 			continue
 		}
-		if err := r.Insert("COURSE", tup(cnr)); err != nil {
+		if err := r.InsertCtx(context.Background(), "COURSE", tup(cnr)); err != nil {
 			t.Fatal(err)
 		}
 		rows = append(rows, tup(cnr, "d1"))

@@ -43,7 +43,7 @@ func Generate(s *schema.Schema, rng *rand.Rand, opts GenOptions) (*DB, error) {
 	if opts.DomainSize <= 0 {
 		opts.DomainSize = 4 * opts.Rows
 	}
-	order, err := topoOrder(s)
+	order, err := s.LoadOrder()
 	if err != nil {
 		return nil, err
 	}
@@ -81,45 +81,6 @@ func MustGenerate(s *schema.Schema, rng *rand.Rand, opts GenOptions) *DB {
 		panic(err)
 	}
 	return db
-}
-
-// topoOrder orders schemes so that every IND's right scheme precedes its
-// left scheme. Self-referential INDs are ignored for ordering.
-func topoOrder(s *schema.Schema) ([]string, error) {
-	deg := make(map[string]int, len(s.Relations))
-	succ := make(map[string][]string)
-	for _, rs := range s.Relations {
-		deg[rs.Name] = 0
-	}
-	for _, ind := range s.INDs {
-		if ind.Left == ind.Right {
-			continue
-		}
-		succ[ind.Right] = append(succ[ind.Right], ind.Left)
-		deg[ind.Left]++
-	}
-	var queue []string
-	for _, rs := range s.Relations { // declaration order for determinism
-		if deg[rs.Name] == 0 {
-			queue = append(queue, rs.Name)
-		}
-	}
-	var order []string
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		order = append(order, n)
-		for _, m := range succ[n] {
-			deg[m]--
-			if deg[m] == 0 {
-				queue = append(queue, m)
-			}
-		}
-	}
-	if len(order) != len(s.Relations) {
-		return nil, fmt.Errorf("state: inclusion-dependency graph has a cycle; generation unsupported")
-	}
-	return order, nil
 }
 
 func populate(s *schema.Schema, rs *schema.RelationScheme, db *DB, rng *rand.Rand, opts GenOptions, pool func(string) []relation.Value) error {

@@ -6,7 +6,9 @@
 package state
 
 import (
+	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -89,6 +91,35 @@ func (db *DB) TotalTuples() int {
 		n += r.Len()
 	}
 	return n
+}
+
+// Replay feeds the state to insertBatch one relation at a time, in the
+// schema's load order, so every inclusion-dependency target is loaded before
+// the relations referencing it. Relations absent from the state (or empty)
+// are skipped; one whose columns are ordered differently from its scheme is
+// re-projected first. Cancellation is checked between relations, so an
+// abandoned replay stops at a relation boundary.
+func (db *DB) Replay(ctx context.Context, s *schema.Schema, insertBatch func(ctx context.Context, name string, tuples []relation.Tuple) error) error {
+	order, err := s.LoadOrder()
+	if err != nil {
+		return err
+	}
+	for _, name := range order {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		r := db.Relation(name)
+		if r == nil || r.Len() == 0 {
+			continue
+		}
+		if want := s.Scheme(name).AttrNames(); !slices.Equal(r.Attrs(), want) {
+			r = r.Project(want)
+		}
+		if err := insertBatch(ctx, name, r.Tuples()); err != nil {
+			return fmt.Errorf("loading %s: %w", name, err)
+		}
+	}
+	return nil
 }
 
 // String renders the state deterministically (schemes in name order).

@@ -1,6 +1,7 @@
 package translate
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -124,7 +125,7 @@ func TestTranslateRandomizedEER(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if err := eng.Load(db); err != nil {
+		if err := eng.LoadCtx(context.Background(), db); err != nil {
 			t.Fatalf("trial %d: load: %v\nschema:\n%s\nstate:\n%s", trial, err, rs, db)
 		}
 		tested++

@@ -17,6 +17,7 @@
 package workload
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -153,14 +154,14 @@ func NewBench(es *eer.Schema, root string, rows int, seed int64) (*Bench, error)
 	if err != nil {
 		return nil, err
 	}
-	if err := b.Base.Load(st); err != nil {
+	if err := b.Base.LoadCtx(context.Background(), st); err != nil {
 		return nil, err
 	}
 	b.Merged, err = engine.Open(m.Schema)
 	if err != nil {
 		return nil, err
 	}
-	if err := b.Merged.Load(m.MapState(st)); err != nil {
+	if err := b.Merged.LoadCtx(context.Background(), m.MapState(st)); err != nil {
 		return nil, err
 	}
 
@@ -178,7 +179,7 @@ func NewBench(es *eer.Schema, root string, rows int, seed int64) (*Bench, error)
 func (b *Bench) ProfileBase(key relation.Tuple) int {
 	found := 0
 	for _, name := range b.MemberNames {
-		if _, ok := b.Base.GetByKey(name, key); ok {
+		if _, ok, _ := b.Base.GetByKeyCtx(context.Background(), name, key); ok {
 			found++
 		}
 	}
@@ -188,7 +189,7 @@ func (b *Bench) ProfileBase(key relation.Tuple) int {
 // ProfileMerged runs the same query on the merged engine: a single key
 // lookup. It returns 1 if the key exists.
 func (b *Bench) ProfileMerged(key relation.Tuple) int {
-	if _, ok := b.Merged.GetByKey(b.Scheme.Name, key); ok {
+	if _, ok, _ := b.Merged.GetByKeyCtx(context.Background(), b.Scheme.Name, key); ok {
 		return 1
 	}
 	return 0
@@ -247,7 +248,7 @@ func (b *Bench) InsertMergedRow() error {
 				row[i] = relation.NewString(fmt.Sprintf("fill-%d", b.nextKey))
 			}
 		}
-		if err := b.Base.Insert(name, row); err != nil {
+		if err := b.Base.InsertCtx(context.Background(), name, row); err != nil {
 			return fmt.Errorf("workload: base insert into %s: %w", name, err)
 		}
 		// Mirror the non-key attributes into the merged row.
@@ -257,7 +258,7 @@ func (b *Bench) InsertMergedRow() error {
 			}
 		}
 	}
-	if err := b.Merged.Insert(b.Scheme.Name, mt); err != nil {
+	if err := b.Merged.InsertCtx(context.Background(), b.Scheme.Name, mt); err != nil {
 		return fmt.Errorf("workload: merged insert: %w", err)
 	}
 	return nil

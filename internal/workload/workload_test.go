@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -93,16 +94,15 @@ func TestNewBenchStar(t *testing.T) {
 
 	// The profile query finds the same object both ways, with fewer lookups
 	// on the merged side.
-	b.Base.Stats.Reset()
-	b.Merged.Stats.Reset()
+	base0, merged0 := b.Base.StatsTotals(), b.Merged.StatsTotals()
 	for _, k := range b.Keys {
 		b.ProfileBase(k)
 		if got := b.ProfileMerged(k); got != 1 {
 			t.Errorf("merged profile missing key %v", k)
 		}
 	}
-	baseLookups := b.Base.Stats.IndexLookups()
-	mergedLookups := b.Merged.Stats.IndexLookups()
+	baseLookups := b.Base.StatsTotals().Sub(base0).IndexLookups
+	mergedLookups := b.Merged.StatsTotals().Sub(merged0).IndexLookups
 	if mergedLookups*4 > baseLookups {
 		t.Errorf("merged lookups %d should be ~5x below base %d", mergedLookups, baseLookups)
 	}
@@ -111,7 +111,7 @@ func TestNewBenchStar(t *testing.T) {
 	// member parts in the merged row.
 	for _, k := range b.Keys {
 		baseFound := b.ProfileBase(k)
-		row, ok := b.Merged.GetByKey(b.Scheme.Name, k)
+		row, ok, _ := b.Merged.GetByKeyCtx(context.Background(), b.Scheme.Name, k)
 		if !ok {
 			t.Fatalf("key %v missing from merged relation", k)
 		}
@@ -140,29 +140,27 @@ func TestInsertMergedRowBothRegimes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	star.Base.Stats.Reset()
-	star.Merged.Stats.Reset()
+	before := star.Merged.StatsTotals()
 	for i := 0; i < 5; i++ {
 		if err := star.InsertMergedRow(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if star.Merged.Stats.TriggerFirings() != 0 {
-		t.Errorf("star merged inserts should be fully declarative, fired %d triggers",
-			star.Merged.Stats.TriggerFirings())
+	if n := star.Merged.StatsTotals().Sub(before).TriggerFirings; n != 0 {
+		t.Errorf("star merged inserts should be fully declarative, fired %d triggers", n)
 	}
 
 	chain, err := NewBench(ChainEER(3), "E0", 10, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chain.Merged.Stats.Reset()
+	before = chain.Merged.StatsTotals()
 	for i := 0; i < 5; i++ {
 		if err := chain.InsertMergedRow(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if chain.Merged.Stats.TriggerFirings() == 0 {
+	if chain.Merged.StatsTotals().Sub(before).TriggerFirings == 0 {
 		t.Error("chain merged inserts must fire null-constraint triggers")
 	}
 }

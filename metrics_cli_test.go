@@ -24,18 +24,14 @@ type metricsDoc struct {
 		Name  string `json:"name"`
 		Depth int    `json:"depth"`
 	} `json:"spans"`
-	Reconcile []struct {
-		DB         string `json:"db"`
-		Reconciled bool   `json:"reconciled"`
-	} `json:"reconcile"`
 }
 
 // normalizeMetrics reduces the -metrics json output to its deterministic
 // core: engine/query counter values and histogram observation counts (replay
 // of a fixed state), the sorted list of every registered metric name (cache
-// counters exist but their values depend on scheduling), span names with
-// nesting depth, and the reconciliation verdicts. Timing-dependent fields
-// (histogram sums, span durations) are dropped.
+// counters exist but their values depend on scheduling), and span names with
+// nesting depth. Timing-dependent fields (histogram sums, span durations) are
+// dropped.
 func normalizeMetrics(t *testing.T, raw string) string {
 	t.Helper()
 	var doc metricsDoc
@@ -76,9 +72,6 @@ func normalizeMetrics(t *testing.T, raw string) string {
 	out += strings.Join(lines, "\n") + "\n"
 	for _, sp := range doc.Spans {
 		out += fmt.Sprintf("span %s depth=%d\n", sp.Name, sp.Depth)
-	}
-	for _, r := range doc.Reconcile {
-		out += fmt.Sprintf("reconcile %s %v\n", r.DB, r.Reconciled)
 	}
 	return out
 }
@@ -128,8 +121,6 @@ func TestRelmergeCLIMetricsRegimes(t *testing.T) {
 		`engine.trigger_firings{db="merged"} 6`,
 		`engine.declarative_checks{db="base"} 50`,
 		`engine.declarative_checks{db="merged"} 43`,
-		`reconcile{db="base"} true`,
-		`reconcile{db="merged"} true`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in:\n%s", want, out)

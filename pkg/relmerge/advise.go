@@ -123,11 +123,8 @@ func (cfg AdvisorConfig) decide() online.Config {
 // backend does not own one (remote: the design is the server's; follower:
 // the design is dictated by the primary's shipped log).
 func advisorTarget(sess Session) online.Target {
-	switch s := sess.(type) {
-	case *EmbeddedSession:
-		return online.ForDB(s.eng)
-	case *ShardedSession:
-		return routerTarget{s.r}
+	if s, ok := sess.(interface{ designTarget() online.Target }); ok {
+		return s.designTarget()
 	}
 	return nil
 }
@@ -162,8 +159,8 @@ func Advise(sess Session, cfg AdvisorConfig) ([]Recommendation, error) {
 	return out, nil
 }
 
-// applyRecommendation is the embedded/sharded implementation behind
-// Session.ApplyRecommendation.
+// applyRecommendation is the implementation behind ApplyRecommendation on a
+// session that owns its design.
 func applyRecommendation(t online.Target, rec Recommendation) error {
 	if len(rec.Cluster) < 2 || rec.MergedName == "" || rec.KeyRelation == "" {
 		return fmt.Errorf("relmerge: ApplyRecommendation requires a recommendation produced by Advise (cluster, key-relation, and merged name)")
@@ -209,30 +206,6 @@ func StartAdvisor(sess Session, cfg AdvisorConfig) (stop func(), err error) {
 	return stop, nil
 }
 
-// ApplyRecommendation on the four Session backends. Embedded and sharded
-// sessions migrate the live design; the others return ErrUnsupported.
-
-// ApplyRecommendation migrates the embedded engine onto the recommended
-// merged design. The merge is re-derived from the engine's current schema at
-// apply time, so a recommendation computed against a design that has since
-// moved fails cleanly instead of half-applying.
-func (s *EmbeddedSession) ApplyRecommendation(ctx context.Context, rec Recommendation) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return applyRecommendation(online.ForDB(s.eng), rec)
-}
-
-// ApplyRecommendation migrates every shard onto the recommended merged
-// design through the router (union state, re-partition by the new keys, one
-// schema-change WAL record per shard).
-func (s *ShardedSession) ApplyRecommendation(ctx context.Context, rec Recommendation) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return applyRecommendation(routerTarget{s.r}, rec)
-}
-
 // ApplyRecommendation returns ErrUnsupported: a remote server's design is
 // its own to adapt (run the advisor server-side with relmerged -advise).
 func (s *RemoteSession) ApplyRecommendation(ctx context.Context, rec Recommendation) error {
@@ -240,16 +213,6 @@ func (s *RemoteSession) ApplyRecommendation(ctx context.Context, rec Recommendat
 		return err
 	}
 	return fmt.Errorf("%w: a remote session cannot migrate the server's design; run the advisor on the server (relmerged -advise)", ErrUnsupported)
-}
-
-// ApplyRecommendation returns ErrUnsupported: a follower's design is
-// dictated by the primary's shipped log — migrate the primary and the
-// schema-change record replicates like any other.
-func (s *FollowerSession) ApplyRecommendation(ctx context.Context, rec Recommendation) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return fmt.Errorf("%w: a follower replays the primary's design; apply the recommendation on the primary", ErrUnsupported)
 }
 
 // Offline advisor facade: the §6 design-tool loop over a written-down
@@ -269,7 +232,7 @@ var (
 	// DefaultCostModel is the fixed-ratio cost model.
 	DefaultCostModel = advisor.DefaultCostModel
 	// CostModelFromStats calibrates a cost model from a session's measured
-	// operation mix (Session.Stats).
+	// operation mix (Session.StatsCtx).
 	CostModelFromStats = advisor.CostModelFromStats
 	// AdviseDesign prices every merge cluster of a schema under an explicit
 	// workload description (the offline §6 loop).

@@ -10,16 +10,27 @@ import (
 	"repro/pkg/relmerge"
 )
 
+// ownsDesign reports whether the session's backend may measure and migrate
+// its own design: a remote session's is the server's, a follower's — even a
+// promoted one's — is the one its primary shipped.
+func ownsDesign(sess relmerge.Session) bool {
+	switch sess.(type) {
+	case *relmerge.RemoteSession, *relmerge.FollowerSession:
+		return false
+	}
+	return true
+}
+
 // TestAdviseConformance pins the Advise contract per backend: backends that
 // own their design answer (with zero recommendations on the cluster-free
 // conformance schema), the others fail with the typed unsupported error.
 func TestAdviseConformance(t *testing.T) {
 	withBackends(t, func(t *testing.T, sess relmerge.Session) {
 		recs, err := relmerge.Advise(sess, relmerge.AdvisorConfig{})
-		switch sess.(type) {
-		case *relmerge.RemoteSession:
+		switch {
+		case !ownsDesign(sess):
 			if !errors.Is(err, relmerge.ErrUnsupported) {
-				t.Fatalf("remote Advise = %v, want ErrUnsupported", err)
+				t.Fatalf("Advise without an owned design = %v, want ErrUnsupported", err)
 			}
 			if got := relmerge.Code(err); got != relmerge.CodeUnsupported {
 				t.Fatalf("Code = %v, want %v", got, relmerge.CodeUnsupported)
@@ -36,17 +47,18 @@ func TestAdviseConformance(t *testing.T) {
 }
 
 // TestApplyRecommendationConformance pins ApplyRecommendation's error
-// behavior: unsupported (typed) on remote, a plain validation error for a
-// recommendation that never came from Advise on the owning backends.
+// behavior: unsupported (typed) on remote and follower, a plain validation
+// error for a recommendation that never came from Advise on the owning
+// backends.
 func TestApplyRecommendationConformance(t *testing.T) {
 	withBackends(t, func(t *testing.T, sess relmerge.Session) {
 		err := sess.ApplyRecommendation(context.Background(), relmerge.Recommendation{})
 		if err == nil {
 			t.Fatal("empty recommendation must not apply")
 		}
-		if _, remote := sess.(*relmerge.RemoteSession); remote {
+		if !ownsDesign(sess) {
 			if !errors.Is(err, relmerge.ErrUnsupported) || relmerge.Code(err) != relmerge.CodeUnsupported {
-				t.Fatalf("remote ApplyRecommendation = %v (code %v), want ErrUnsupported/CodeUnsupported", err, relmerge.Code(err))
+				t.Fatalf("ApplyRecommendation without an owned design = %v (code %v), want ErrUnsupported/CodeUnsupported", err, relmerge.Code(err))
 			}
 		} else if errors.Is(err, relmerge.ErrUnsupported) {
 			t.Fatalf("owning backend must reject the rec itself, not the capability: %v", err)
@@ -98,7 +110,7 @@ func TestAdviseApplyEndToEnd(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := sess.(*relmerge.EmbeddedSession).Engine().Load(figures.Fig3State()); err != nil {
+			if err := sess.(*relmerge.EmbeddedSession).Engine().LoadCtx(context.Background(), figures.Fig3State()); err != nil {
 				t.Fatal(err)
 			}
 			return sess
@@ -108,7 +120,7 @@ func TestAdviseApplyEndToEnd(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := sess.(*relmerge.ShardedSession).Router().Load(figures.Fig3State()); err != nil {
+			if err := sess.(*relmerge.ShardedSession).Router().LoadCtx(context.Background(), figures.Fig3State()); err != nil {
 				t.Fatal(err)
 			}
 			return sess
@@ -135,10 +147,10 @@ func TestAdviseApplyEndToEnd(t *testing.T) {
 			if err := sess.ApplyRecommendation(context.Background(), best); err != nil {
 				t.Fatalf("ApplyRecommendation: %v", err)
 			}
-			if _, found, err := sess.Fetch(best.MergedName, k("c1")); err != nil || !found {
+			if _, found, err := sess.FetchCtx(context.Background(), best.MergedName, k("c1")); err != nil || !found {
 				t.Fatalf("merged design does not serve: %v %v", found, err)
 			}
-			if _, _, err := sess.Fetch("TEACH", k("c1")); !errors.Is(err, relmerge.ErrUnknownRelation) {
+			if _, _, err := sess.FetchCtx(context.Background(), "TEACH", k("c1")); !errors.Is(err, relmerge.ErrUnknownRelation) {
 				t.Fatalf("pre-merge relation still resolves: %v", err)
 			}
 			// The recommendation is now stale: the cluster no longer exists on
@@ -178,7 +190,7 @@ func TestOpenWithAdvisorAuto(t *testing.T) {
 	}
 	defer sess.Close()
 	es := sess.(*relmerge.EmbeddedSession)
-	if err := es.Engine().Load(figures.Fig3State()); err != nil {
+	if err := es.Engine().LoadCtx(context.Background(), figures.Fig3State()); err != nil {
 		t.Fatal(err)
 	}
 	heatFig3(t, sess, 100)
@@ -190,7 +202,7 @@ func TestOpenWithAdvisorAuto(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("advisor never applied the hot merge")
 	}
-	if _, found, err := sess.Fetch("OFFER+", k("c1")); err != nil || !found {
+	if _, found, err := sess.FetchCtx(context.Background(), "OFFER+", k("c1")); err != nil || !found {
 		t.Fatalf("auto-merged design does not serve: %v %v", found, err)
 	}
 	// Close stops the loop (and is what would catch a leaked goroutine under
@@ -216,7 +228,7 @@ func TestOpenWithAdvisorSuggestNeverMigrates(t *testing.T) {
 	}
 	defer sess.Close()
 	es := sess.(*relmerge.EmbeddedSession)
-	if err := es.Engine().Load(figures.Fig3State()); err != nil {
+	if err := es.Engine().LoadCtx(context.Background(), figures.Fig3State()); err != nil {
 		t.Fatal(err)
 	}
 	heatFig3(t, sess, 100)
@@ -228,7 +240,7 @@ func TestOpenWithAdvisorSuggestNeverMigrates(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("advisor never suggested the hot merge")
 	}
-	if _, _, err := sess.Fetch("TEACH", k("c1")); err != nil {
+	if _, _, err := sess.FetchCtx(context.Background(), "TEACH", k("c1")); err != nil {
 		t.Fatalf("suggest mode must not migrate: %v", err)
 	}
 }

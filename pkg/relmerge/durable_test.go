@@ -20,13 +20,13 @@ func TestFacadeDurableEngine(t *testing.T) {
 	if !e.Durable() {
 		t.Fatal("engine opened with WithDurability is not durable")
 	}
-	if err := e.Insert("COURSE", relmerge.Tuple{relmerge.NewString("c9")}); err != nil {
+	if err := e.InsertCtx(context.Background(), "COURSE", relmerge.Tuple{relmerge.NewString("c9")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Checkpoint(); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
-	if err := e.Insert("COURSE", relmerge.Tuple{relmerge.NewString("c10")}); err != nil {
+	if err := e.InsertCtx(context.Background(), "COURSE", relmerge.Tuple{relmerge.NewString("c10")}); err != nil {
 		t.Fatal(err)
 	}
 	want := e.Snapshot()

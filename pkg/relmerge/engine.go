@@ -59,20 +59,11 @@ func OpenEngine(s *Schema, opts ...EngineOption) (*Engine, error) {
 	return engine.Open(s, opts...)
 }
 
-// Replay loads a database state into a fresh engine over s — each relation as
-// one atomic batch — and returns the engine. Use it to stand up a queryable
-// engine from a state built by hand, parsed from SDL, or mapped through a
-// merge's η mapping.
-//
-// Historically Replay took a context as its first argument; that spelling is
-// now ReplayCtx, matching the package-wide convention that every operation
-// has a Ctx variant and the plain form delegates to it.
-func Replay(s *Schema, db *state.DB, opts ...EngineOption) (*Engine, error) {
-	return ReplayCtx(context.Background(), s, db, opts...)
-}
-
-// ReplayCtx is Replay with cancellation, checked between relation batches so
-// a large load can be abandoned at a consistent prefix.
+// ReplayCtx loads a database state into a fresh engine over s — each relation
+// as one atomic batch — and returns the engine. Use it to stand up a
+// queryable engine from a state built by hand, parsed from SDL, or mapped
+// through a merge's η mapping. Cancellation is checked between relation
+// batches, so a large load can be abandoned at a consistent prefix.
 func ReplayCtx(ctx context.Context, s *Schema, db *state.DB, opts ...EngineOption) (*Engine, error) {
 	e, err := engine.Open(s, opts...)
 	if err != nil {
@@ -82,4 +73,18 @@ func ReplayCtx(ctx context.Context, s *Schema, db *state.DB, opts ...EngineOptio
 		return nil, err
 	}
 	return e, nil
+}
+
+// ReplayState replays a database state through a Session, one atomic
+// InsertBatchCtx per relation, in an order where every inclusion-dependency
+// target loads before its referencing relation. It is the Session-level
+// counterpart of Engine.LoadCtx: the same replay works against an embedded
+// engine or across the wire to a relmerged server.
+//
+// The schema must be the one the session's engine serves; relations present
+// in the schema but absent from the state are skipped. Cancellation is
+// checked between relations, so an abandoned replay stops at a consistent
+// prefix (whole relations either fully loaded or untouched).
+func ReplayState(ctx context.Context, sess Session, s *Schema, db *DB) error {
+	return db.Replay(ctx, s, sess.InsertBatchCtx)
 }

@@ -18,7 +18,7 @@ func TestFacadeEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := relmerge.Tuple{relmerge.NewString("c1")}
-	if _, ok := e.GetByKey("COURSE", key); !ok {
+	if _, ok, _ := e.GetByKeyCtx(context.Background(), "COURSE", key); !ok {
 		t.Fatal("replayed engine is missing COURSE c1")
 	}
 
@@ -31,7 +31,7 @@ func TestFacadeEngine(t *testing.T) {
 	if err != nil {
 		t.Fatalf("batch: %v", err)
 	}
-	if _, ok := e.GetByKey("OFFER", relmerge.Tuple{relmerge.NewString("c9")}); !ok {
+	if _, ok, _ := e.GetByKeyCtx(context.Background(), "OFFER", relmerge.Tuple{relmerge.NewString("c9")}); !ok {
 		t.Error("batched OFFER row did not land")
 	}
 
@@ -49,8 +49,8 @@ func TestFacadeEngine(t *testing.T) {
 		t.Errorf("failed batch leaked a COURSE row: %d -> %d", before, got)
 	}
 
-	// Stats and the shared registry stay reconciled through the facade.
-	totals := e.Stats.Totals()
+	// The facade's stats are the shared registry's series.
+	totals := e.StatsTotals()
 	var regLookups int
 	for _, p := range relmerge.Snapshot(reg) {
 		if p.Name == "engine.lookups" && p.Labels["db"] == "base" {

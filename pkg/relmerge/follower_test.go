@@ -1,6 +1,7 @@
 package relmerge_test
 
 import (
+	"context"
 	"errors"
 	"net"
 	"testing"
@@ -66,13 +67,13 @@ func waitApplied(t *testing.T, fs *relmerge.FollowerSession, horizon uint64) {
 // an embedded session over the same state would.
 func TestFollowerSessionConformanceReads(t *testing.T) {
 	eng, _, fs := startFollowerPair(t)
-	if err := eng.Insert("D", d("d1", "eng")); err != nil {
+	if err := eng.InsertCtx(context.Background(), "D", d("d1", "eng")); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Insert("D", d("d2", "ops")); err != nil {
+	if err := eng.InsertCtx(context.Background(), "D", d("d2", "ops")); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Insert("E", e("e1", "d1", "90")); err != nil {
+	if err := eng.InsertCtx(context.Background(), "E", e("e1", "d1", "90")); err != nil {
 		t.Fatal(err)
 	}
 	waitApplied(t, fs, eng.DurableLSN())
@@ -86,7 +87,7 @@ func TestFollowerSessionConformanceReads(t *testing.T) {
 		rel string
 		tup relmerge.Tuple
 	}{{"D", d("d1", "eng")}, {"D", d("d2", "ops")}, {"E", e("e1", "d1", "90")}} {
-		if err := ref.Insert(ins.rel, ins.tup); err != nil {
+		if err := ref.InsertCtx(context.Background(), ins.rel, ins.tup); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -97,28 +98,28 @@ func TestFollowerSessionConformanceReads(t *testing.T) {
 		if rel == "E" {
 			key = k("e1")
 		}
-		got, ok, err := fs.Fetch(rel, key)
+		got, ok, err := fs.FetchCtx(context.Background(), rel, key)
 		if err != nil || !ok {
 			t.Fatalf("follower Fetch(%s): ok=%v err=%v", rel, ok, err)
 		}
-		want, _, _ := ref.Fetch(rel, key)
+		want, _, _ := ref.FetchCtx(context.Background(), rel, key)
 		if !got.Identical(want) {
 			t.Fatalf("follower Fetch(%s) = %v, embedded = %v", rel, got, want)
 		}
 	}
 	// Clean miss: found=false, nil error — not an error condition.
-	if _, ok, err := fs.Fetch("D", k("dx")); ok || err != nil {
+	if _, ok, err := fs.FetchCtx(context.Background(), "D", k("dx")); ok || err != nil {
 		t.Fatalf("follower miss: ok=%v err=%v, want false,nil", ok, err)
 	}
 	// Unknown relation: same sentinel and code as embedded.
-	_, _, ferr := fs.Fetch("NOPE", k("x"))
-	_, _, rerr := ref.Fetch("NOPE", k("x"))
+	_, _, ferr := fs.FetchCtx(context.Background(), "NOPE", k("x"))
+	_, _, rerr := ref.FetchCtx(context.Background(), "NOPE", k("x"))
 	if !errors.Is(ferr, relmerge.ErrUnknownRelation) || relmerge.Code(ferr) != relmerge.Code(rerr) {
 		t.Fatalf("follower unknown-relation = %v (code %s), embedded code %s",
 			ferr, relmerge.Code(ferr), relmerge.Code(rerr))
 	}
 	// Stats: stamped at the follower's applied version.
-	st, err := fs.Stats()
+	st, err := fs.StatsCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,18 +133,20 @@ func TestFollowerSessionConformanceReads(t *testing.T) {
 // constraint taxonomy intact.
 func TestFollowerSessionWritesRefuseUntilPromoted(t *testing.T) {
 	eng, srv, fs := startFollowerPair(t)
-	if err := eng.Insert("D", d("d1", "eng")); err != nil {
+	if err := eng.InsertCtx(context.Background(), "D", d("d1", "eng")); err != nil {
 		t.Fatal(err)
 	}
 	waitApplied(t, fs, eng.DurableLSN())
 
 	writes := map[string]error{
-		"Insert":      fs.Insert("D", d("d9", "x")),
-		"Delete":      fs.Delete("D", k("d1")),
-		"Update":      fs.Update("D", k("d1"), d("d1", "y")),
-		"InsertBatch": fs.InsertBatch("D", []relmerge.Tuple{d("d9", "x")}),
-		"ApplyBatch":  fs.ApplyBatch([]relmerge.BatchOp{relmerge.Ins("D", d("d9", "x"))}),
-		"Begin":       fs.Begin(),
+		"Insert":      fs.InsertCtx(context.Background(), "D", d("d9", "x")),
+		"Delete":      fs.DeleteCtx(context.Background(), "D", k("d1")),
+		"Update":      fs.UpdateCtx(context.Background(), "D", k("d1"), d("d1", "y")),
+		"InsertBatch": fs.InsertBatchCtx(context.Background(), "D", []relmerge.Tuple{d("d9", "x")}),
+		"ApplyBatch":  fs.ApplyBatchCtx(context.Background(), []relmerge.BatchOp{relmerge.Ins("D", d("d9", "x"))}),
+		"Begin":       fs.BeginCtx(context.Background()),
+		"Commit":      fs.CommitCtx(context.Background()),
+		"Rollback":    fs.RollbackCtx(context.Background()),
 	}
 	for op, err := range writes {
 		if !errors.Is(err, relmerge.ErrReadOnly) {
@@ -164,16 +167,16 @@ func TestFollowerSessionWritesRefuseUntilPromoted(t *testing.T) {
 	if !fs.ReplicationInfo().Promoted {
 		t.Fatal("ReplicationInfo().Promoted false after Promote")
 	}
-	if err := fs.Insert("D", d("d2", "ops")); err != nil {
+	if err := fs.InsertCtx(context.Background(), "D", d("d2", "ops")); err != nil {
 		t.Fatalf("promoted insert: %v", err)
 	}
 	// Constraint taxonomy survives promotion: a dangling IND insert reports
 	// a ConstraintViolation exactly as an embedded session would.
 	var cv *relmerge.ConstraintViolation
-	if err := fs.Insert("E", e("e9", "d-missing", "10")); !errors.As(err, &cv) {
+	if err := fs.InsertCtx(context.Background(), "E", e("e9", "d-missing", "10")); !errors.As(err, &cv) {
 		t.Fatalf("promoted dangling-IND insert = %v, want ConstraintViolation", err)
 	}
-	if _, ok, err := fs.Fetch("D", k("d2")); !ok || err != nil {
+	if _, ok, err := fs.FetchCtx(context.Background(), "D", k("d2")); !ok || err != nil {
 		t.Fatalf("promoted read-back: ok=%v err=%v", ok, err)
 	}
 }

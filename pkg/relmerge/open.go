@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/advisor/online"
 	"repro/internal/repl"
 	"repro/internal/server"
 	"repro/internal/shard"
@@ -132,8 +131,9 @@ func WithAdvisorConfig(ac AdvisorConfig) OpenOption {
 // taxonomy (sentinels, *ConstraintViolation, Code), as enforced by the
 // cross-backend conformance suite.
 //
-// OpenSession and NewShardedSession remain as typed wrappers for callers
-// that want the concrete session type.
+// The concrete session types (*EmbeddedSession, *ShardedSession,
+// *FollowerSession, *RemoteSession) add what only their backend has —
+// Engine, Router, View, Promote, PingCtx; assert for them where needed.
 func Open(cfg Config, options ...OpenOption) (Session, error) {
 	for _, opt := range options {
 		opt(&cfg)
@@ -163,7 +163,7 @@ func Open(cfg Config, options ...OpenOption) (Session, error) {
 			return nil, err
 		}
 		sess := NewSession(eng)
-		sess.advStop = startAdvisor(online.ForDB(eng), cfg.Advisor)
+		sess.advStop = startAdvisor(sess.target, cfg.Advisor)
 		return sess, nil
 
 	case Remote:
@@ -201,7 +201,7 @@ func Open(cfg Config, options ...OpenOption) (Session, error) {
 			return nil, err
 		}
 		sess := NewShardedSession(r)
-		sess.advStop = startAdvisor(routerTarget{r}, cfg.Advisor)
+		sess.advStop = startAdvisor(sess.target, cfg.Advisor)
 		return sess, nil
 
 	case Follower:

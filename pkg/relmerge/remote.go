@@ -100,83 +100,44 @@ func WithWire(w Wire) RemoteOption {
 	return func(o *server.ClientOptions) { o.MaxWire = w.maxWire() }
 }
 
-func (s *RemoteSession) Insert(relName string, tup Tuple) error {
-	return s.InsertCtx(context.Background(), relName, tup)
-}
-
 func (s *RemoteSession) InsertCtx(ctx context.Context, relName string, tup Tuple) error {
 	return s.c.InsertCtx(ctx, relName, tup)
-}
-
-func (s *RemoteSession) Delete(relName string, key Tuple) error {
-	return s.DeleteCtx(context.Background(), relName, key)
 }
 
 func (s *RemoteSession) DeleteCtx(ctx context.Context, relName string, key Tuple) error {
 	return s.c.DeleteCtx(ctx, relName, key)
 }
 
-func (s *RemoteSession) Update(relName string, key, tup Tuple) error {
-	return s.UpdateCtx(context.Background(), relName, key, tup)
-}
-
 func (s *RemoteSession) UpdateCtx(ctx context.Context, relName string, key, tup Tuple) error {
 	return s.c.UpdateCtx(ctx, relName, key, tup)
-}
-
-func (s *RemoteSession) Fetch(relName string, key Tuple) (Tuple, bool, error) {
-	return s.FetchCtx(context.Background(), relName, key)
 }
 
 func (s *RemoteSession) FetchCtx(ctx context.Context, relName string, key Tuple) (Tuple, bool, error) {
 	return s.c.FetchCtx(ctx, relName, key)
 }
 
-func (s *RemoteSession) InsertBatch(relName string, tuples []Tuple) error {
-	return s.InsertBatchCtx(context.Background(), relName, tuples)
-}
-
 func (s *RemoteSession) InsertBatchCtx(ctx context.Context, relName string, tuples []Tuple) error {
 	return s.c.InsertBatchCtx(ctx, relName, tuples)
-}
-
-func (s *RemoteSession) ApplyBatch(ops []BatchOp) error {
-	return s.ApplyBatchCtx(context.Background(), ops)
 }
 
 func (s *RemoteSession) ApplyBatchCtx(ctx context.Context, ops []BatchOp) error {
 	return s.c.ApplyBatchCtx(ctx, ops)
 }
 
-func (s *RemoteSession) Begin() error { return s.BeginCtx(context.Background()) }
-
 func (s *RemoteSession) BeginCtx(ctx context.Context) error { return s.c.BeginCtx(ctx) }
-
-func (s *RemoteSession) Commit() error { return s.CommitCtx(context.Background()) }
 
 func (s *RemoteSession) CommitCtx(ctx context.Context) error { return s.c.CommitCtx(ctx) }
 
-func (s *RemoteSession) Rollback() error { return s.RollbackCtx(context.Background()) }
-
 func (s *RemoteSession) RollbackCtx(ctx context.Context) error { return s.c.RollbackCtx(ctx) }
-
-func (s *RemoteSession) Stats() (EngineStats, error) {
-	return s.StatsCtx(context.Background())
-}
 
 func (s *RemoteSession) StatsCtx(ctx context.Context) (EngineStats, error) {
 	return s.c.StatsCtx(ctx)
 }
 
-func (s *RemoteSession) Checkpoint() error { return s.CheckpointCtx(context.Background()) }
-
 func (s *RemoteSession) CheckpointCtx(ctx context.Context) error { return s.c.CheckpointCtx(ctx) }
 
-// Ping round-trips a no-op request, verifying the connection and the
+// PingCtx round-trips a no-op request, verifying the connection and the
 // server's liveness.
-func (s *RemoteSession) Ping() error { return s.PingCtx(context.Background()) }
-
-// PingCtx is Ping with cancellation.
 func (s *RemoteSession) PingCtx(ctx context.Context) error { return s.c.PingCtx(ctx) }
 
 // WireVersion reports the protocol version negotiated on the most recent

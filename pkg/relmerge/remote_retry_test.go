@@ -112,7 +112,7 @@ func TestRemoteRetryIdempotentFetchSucceeds(t *testing.T) {
 	})
 	sess := dialScripted(t, srv, relmerge.WithRetries(2), relmerge.WithRetryBackoff(time.Millisecond))
 
-	tup, found, err := sess.Fetch("D", relmerge.Tuple{relmerge.NewString("k1")})
+	tup, found, err := sess.FetchCtx(context.Background(), "D", relmerge.Tuple{relmerge.NewString("k1")})
 	if err != nil || !found {
 		t.Fatalf("Fetch after retries: tup=%v found=%v err=%v", tup, found, err)
 	}
@@ -132,7 +132,7 @@ func TestRemoteRetryTransportError(t *testing.T) {
 	})
 	sess := dialScripted(t, srv, relmerge.WithRetries(2), relmerge.WithRetryBackoff(time.Millisecond))
 
-	_, found, err := sess.Fetch("D", relmerge.Tuple{relmerge.NewString("k1")})
+	_, found, err := sess.FetchCtx(context.Background(), "D", relmerge.Tuple{relmerge.NewString("k1")})
 	if err != nil || found {
 		t.Fatalf("Fetch after reconnect: found=%v err=%v", found, err)
 	}
@@ -149,7 +149,7 @@ func TestRemoteRetryMutationsNotRetried(t *testing.T) {
 	})
 	sess := dialScripted(t, srv, relmerge.WithRetries(5), relmerge.WithRetryBackoff(time.Millisecond))
 
-	err := sess.Insert("D", relmerge.Tuple{relmerge.NewString("k1"), relmerge.NewString("n")})
+	err := sess.InsertCtx(context.Background(), "D", relmerge.Tuple{relmerge.NewString("k1"), relmerge.NewString("n")})
 	if !errors.Is(err, relmerge.ErrOverloaded) {
 		t.Fatalf("Insert error = %v, want ErrOverloaded", err)
 	}
@@ -167,7 +167,7 @@ func TestRemoteRetryExhaustionPreservesTaxonomy(t *testing.T) {
 	})
 	sess := dialScripted(t, srv, relmerge.WithRetries(2), relmerge.WithRetryBackoff(time.Millisecond))
 
-	_, _, err := sess.Fetch("D", relmerge.Tuple{relmerge.NewString("k1")})
+	_, _, err := sess.FetchCtx(context.Background(), "D", relmerge.Tuple{relmerge.NewString("k1")})
 	if !errors.Is(err, relmerge.ErrOverloaded) {
 		t.Fatalf("exhausted fetch error = %v, want ErrOverloaded", err)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/server"
+	"repro/internal/shard"
 	"repro/pkg/relmerge"
 )
 
@@ -45,12 +47,12 @@ func e(id, dept, pay string) relmerge.Tuple {
 func k(id string) relmerge.Tuple { return relmerge.Tuple{relmerge.NewString(id)} }
 
 // withBackends runs one conformance body against a fresh embedded session,
-// a fresh remote session (relmerged server over loopback), and a fresh
-// sharded session (3-way hash-partitioned router) — every one constructed
-// through the unified relmerge.Open entrypoint. The Session contract —
-// results, error sentinels, error codes, constraint-violation kinds (
-// including for dependencies whose two sides land on different shards) —
-// must be identical.
+// a fresh remote session (relmerged server over loopback), a fresh sharded
+// session (3-way hash-partitioned router), and a follower session promoted
+// over an empty primary — every one constructed through the unified
+// relmerge.Open entrypoint. The Session contract — results, error sentinels,
+// error codes, constraint-violation kinds (including for dependencies whose
+// two sides land on different shards) — must be identical.
 func withBackends(t *testing.T, body func(t *testing.T, sess relmerge.Session)) {
 	t.Helper()
 	t.Run("embedded", func(t *testing.T) {
@@ -111,17 +113,49 @@ func withBackends(t *testing.T, body func(t *testing.T, sess relmerge.Session)) 
 		t.Cleanup(func() { sess.Close() })
 		body(t, sess)
 	})
+	t.Run("promoted-follower", func(t *testing.T) {
+		_, srv, fs := startFollowerPair(t)
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.Promote(); err != nil {
+			t.Fatal(err)
+		}
+		body(t, fs)
+	})
+}
+
+// Each operation exists in one spelling at each layer: no type of the
+// operational surface carries both X and XCtx.
+func TestNoCtxTwins(t *testing.T) {
+	for _, typ := range []reflect.Type{
+		reflect.TypeOf((*relmerge.Session)(nil)).Elem(),
+		reflect.TypeOf((*relmerge.EmbeddedSession)(nil)),
+		reflect.TypeOf((*relmerge.ShardedSession)(nil)),
+		reflect.TypeOf((*relmerge.FollowerSession)(nil)),
+		reflect.TypeOf((*relmerge.RemoteSession)(nil)),
+		reflect.TypeOf((*engine.DB)(nil)),
+		reflect.TypeOf((*shard.Router)(nil)),
+		reflect.TypeOf((*server.Client)(nil)),
+	} {
+		for i := 0; i < typ.NumMethod(); i++ {
+			name := typ.Method(i).Name
+			if _, twin := typ.MethodByName(name + "Ctx"); twin {
+				t.Errorf("%v has both %s and %sCtx", typ, name, name)
+			}
+		}
+	}
 }
 
 func TestSessionRoundTrip(t *testing.T) {
 	withBackends(t, func(t *testing.T, sess relmerge.Session) {
-		if err := sess.Insert("D", d("d1", "eng")); err != nil {
+		if err := sess.InsertCtx(context.Background(), "D", d("d1", "eng")); err != nil {
 			t.Fatal(err)
 		}
-		if err := sess.Insert("E", e("e1", "d1", "100")); err != nil {
+		if err := sess.InsertCtx(context.Background(), "E", e("e1", "d1", "100")); err != nil {
 			t.Fatal(err)
 		}
-		tup, found, err := sess.Fetch("E", k("e1"))
+		tup, found, err := sess.FetchCtx(context.Background(), "E", k("e1"))
 		if err != nil || !found {
 			t.Fatalf("fetch: found=%v err=%v", found, err)
 		}
@@ -129,20 +163,20 @@ func TestSessionRoundTrip(t *testing.T) {
 			t.Fatalf("fetched %v", tup)
 		}
 		// Clean miss: found=false with a nil error, not a sentinel.
-		if _, found, err := sess.Fetch("E", k("nobody")); err != nil || found {
+		if _, found, err := sess.FetchCtx(context.Background(), "E", k("nobody")); err != nil || found {
 			t.Fatalf("miss: found=%v err=%v", found, err)
 		}
-		if err := sess.Update("E", k("e1"), e("e1", "d1", "200")); err != nil {
+		if err := sess.UpdateCtx(context.Background(), "E", k("e1"), e("e1", "d1", "200")); err != nil {
 			t.Fatal(err)
 		}
-		tup, _, _ = sess.Fetch("E", k("e1"))
+		tup, _, _ = sess.FetchCtx(context.Background(), "E", k("e1"))
 		if tup[2].AsString() != "200" {
 			t.Fatalf("update not visible: %v", tup)
 		}
-		if err := sess.Delete("E", k("e1")); err != nil {
+		if err := sess.DeleteCtx(context.Background(), "E", k("e1")); err != nil {
 			t.Fatal(err)
 		}
-		if _, found, _ := sess.Fetch("E", k("e1")); found {
+		if _, found, _ := sess.FetchCtx(context.Background(), "E", k("e1")); found {
 			t.Fatal("delete not visible")
 		}
 	})
@@ -150,12 +184,12 @@ func TestSessionRoundTrip(t *testing.T) {
 
 func TestSessionErrorTaxonomy(t *testing.T) {
 	withBackends(t, func(t *testing.T, sess relmerge.Session) {
-		if err := sess.Insert("D", d("d1", "eng")); err != nil {
+		if err := sess.InsertCtx(context.Background(), "D", d("d1", "eng")); err != nil {
 			t.Fatal(err)
 		}
 
 		// Unknown relation.
-		err := sess.Insert("NOPE", d("x", "y"))
+		err := sess.InsertCtx(context.Background(), "NOPE", d("x", "y"))
 		if !errors.Is(err, relmerge.ErrUnknownRelation) {
 			t.Fatalf("unknown relation: %v", err)
 		}
@@ -164,13 +198,13 @@ func TestSessionErrorTaxonomy(t *testing.T) {
 		}
 
 		// No such tuple.
-		err = sess.Delete("D", k("ghost"))
+		err = sess.DeleteCtx(context.Background(), "D", k("ghost"))
 		if !errors.Is(err, relmerge.ErrNoSuchTuple) || relmerge.Code(err) != relmerge.CodeNoSuchTuple {
 			t.Fatalf("no such tuple: %v (%q)", err, relmerge.Code(err))
 		}
 
 		// Arity mismatch.
-		err = sess.Insert("D", k("short"))
+		err = sess.InsertCtx(context.Background(), "D", k("short"))
 		if !errors.Is(err, relmerge.ErrArityMismatch) || relmerge.Code(err) != relmerge.CodeArityMismatch {
 			t.Fatalf("arity: %v (%q)", err, relmerge.Code(err))
 		}
@@ -178,7 +212,7 @@ func TestSessionErrorTaxonomy(t *testing.T) {
 		// Constraint violations surface the full typed error on both
 		// backends: the sentinel, the concrete type with its Kind, and the
 		// stable code.
-		err = sess.Insert("E", e("e9", "no-such-dept", "1"))
+		err = sess.InsertCtx(context.Background(), "E", e("e9", "no-such-dept", "1"))
 		if !errors.Is(err, relmerge.ErrConstraintViolation) {
 			t.Fatalf("FK violation sentinel: %v", err)
 		}
@@ -194,14 +228,19 @@ func TestSessionErrorTaxonomy(t *testing.T) {
 		}
 
 		// NOT NULL violation keeps its kind and attribute across the wire.
-		err = sess.Insert("E", relmerge.Tuple{relmerge.NewString("e9"), relmerge.NewString("d1"), relmerge.Null()})
+		err = sess.InsertCtx(context.Background(), "E", relmerge.Tuple{relmerge.NewString("e9"), relmerge.NewString("d1"), relmerge.Null()})
 		if !errors.As(err, &cv) || cv.Kind != engine.NotNullViolation || cv.Attr != "E.PAY" {
 			t.Fatalf("NNA violation: %v -> %+v", err, cv)
 		}
 
-		// Checkpoint on a non-durable engine.
-		err = sess.Checkpoint()
-		if !errors.Is(err, relmerge.ErrNotDurable) || relmerge.Code(err) != relmerge.CodeNotDurable {
+		// Checkpoint on a non-durable engine; a follower's engine is durable
+		// by construction (its log is the replica state).
+		err = sess.CheckpointCtx(context.Background())
+		if _, durable := sess.(*relmerge.FollowerSession); durable {
+			if err != nil {
+				t.Fatalf("checkpoint on a promoted follower: %v", err)
+			}
+		} else if !errors.Is(err, relmerge.ErrNotDurable) || relmerge.Code(err) != relmerge.CodeNotDurable {
 			t.Fatalf("checkpoint: %v (%q)", err, relmerge.Code(err))
 		}
 	})
@@ -209,26 +248,26 @@ func TestSessionErrorTaxonomy(t *testing.T) {
 
 func TestSessionBatchAtomicity(t *testing.T) {
 	withBackends(t, func(t *testing.T, sess relmerge.Session) {
-		if err := sess.Insert("D", d("d1", "eng")); err != nil {
+		if err := sess.InsertCtx(context.Background(), "D", d("d1", "eng")); err != nil {
 			t.Fatal(err)
 		}
 		// One bad tuple aborts the whole batch: nothing from it survives.
-		err := sess.InsertBatch("E", []relmerge.Tuple{
+		err := sess.InsertBatchCtx(context.Background(), "E", []relmerge.Tuple{
 			e("b1", "d1", "1"),
 			e("b2", "no-such-dept", "2"),
 		})
 		if !errors.Is(err, relmerge.ErrConstraintViolation) {
 			t.Fatalf("bad batch: %v", err)
 		}
-		if _, found, _ := sess.Fetch("E", k("b1")); found {
+		if _, found, _ := sess.FetchCtx(context.Background(), "E", k("b1")); found {
 			t.Fatal("aborted batch leaked its first tuple")
 		}
 		// A clean batch lands whole.
-		if err := sess.InsertBatch("E", []relmerge.Tuple{e("b1", "d1", "1"), e("b3", "d1", "3")}); err != nil {
+		if err := sess.InsertBatchCtx(context.Background(), "E", []relmerge.Tuple{e("b1", "d1", "1"), e("b3", "d1", "3")}); err != nil {
 			t.Fatal(err)
 		}
 		// Mixed batch: insert + update + delete, atomically.
-		err = sess.ApplyBatch([]relmerge.BatchOp{
+		err = sess.ApplyBatchCtx(context.Background(), []relmerge.BatchOp{
 			relmerge.Ins("E", e("b4", "d1", "4")),
 			relmerge.Upd("E", k("b1"), e("b1", "d1", "10")),
 			relmerge.Del("E", k("b3")),
@@ -236,14 +275,14 @@ func TestSessionBatchAtomicity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tup, _, _ := sess.Fetch("E", k("b1"))
+		tup, _, _ := sess.FetchCtx(context.Background(), "E", k("b1"))
 		if tup[2].AsString() != "10" {
 			t.Fatalf("batched update not visible: %v", tup)
 		}
-		if _, found, _ := sess.Fetch("E", k("b3")); found {
+		if _, found, _ := sess.FetchCtx(context.Background(), "E", k("b3")); found {
 			t.Fatal("batched delete not visible")
 		}
-		if _, found, _ := sess.Fetch("E", k("b4")); !found {
+		if _, found, _ := sess.FetchCtx(context.Background(), "E", k("b4")); !found {
 			t.Fatal("batched insert not visible")
 		}
 	})
@@ -258,10 +297,10 @@ func TestSessionBatchAtomicity(t *testing.T) {
 // the Session surface; the remote backend must agree.
 func TestSessionFetchNeverSeesTornBatch(t *testing.T) {
 	withBackends(t, func(t *testing.T, sess relmerge.Session) {
-		if err := sess.Insert("D", d("d1", "eng")); err != nil {
+		if err := sess.InsertCtx(context.Background(), "D", d("d1", "eng")); err != nil {
 			t.Fatal(err)
 		}
-		if err := sess.Insert("E", e("hot", "d1", "round-0")); err != nil {
+		if err := sess.InsertCtx(context.Background(), "E", e("hot", "d1", "round-0")); err != nil {
 			t.Fatal(err)
 		}
 		stop := make(chan struct{})
@@ -277,7 +316,7 @@ func TestSessionFetchNeverSeesTornBatch(t *testing.T) {
 						return
 					default:
 					}
-					tup, found, err := sess.Fetch("E", k("hot"))
+					tup, found, err := sess.FetchCtx(context.Background(), "E", k("hot"))
 					if err != nil {
 						t.Errorf("fetch: %v", err)
 						return
@@ -295,7 +334,7 @@ func TestSessionFetchNeverSeesTornBatch(t *testing.T) {
 			}()
 		}
 		for i := 1; fetches.Load() < 200 && i < 4000; i++ {
-			err := sess.ApplyBatch([]relmerge.BatchOp{
+			err := sess.ApplyBatchCtx(context.Background(), []relmerge.BatchOp{
 				relmerge.Del("E", k("hot")),
 				relmerge.Ins("E", e("hot", "d1", fmt.Sprintf("round-%d", i))),
 			})
@@ -313,41 +352,41 @@ func TestSessionFetchNeverSeesTornBatch(t *testing.T) {
 
 func TestSessionTransactions(t *testing.T) {
 	withBackends(t, func(t *testing.T, sess relmerge.Session) {
-		if err := sess.Insert("D", d("d1", "eng")); err != nil {
+		if err := sess.InsertCtx(context.Background(), "D", d("d1", "eng")); err != nil {
 			t.Fatal(err)
 		}
 		// Rollback undoes the transaction's writes.
-		if err := sess.Begin(); err != nil {
+		if err := sess.BeginCtx(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		if err := sess.Insert("E", e("t1", "d1", "1")); err != nil {
+		if err := sess.InsertCtx(context.Background(), "E", e("t1", "d1", "1")); err != nil {
 			t.Fatal(err)
 		}
-		if err := sess.Rollback(); err != nil {
+		if err := sess.RollbackCtx(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		if _, found, _ := sess.Fetch("E", k("t1")); found {
+		if _, found, _ := sess.FetchCtx(context.Background(), "E", k("t1")); found {
 			t.Fatal("rollback left the write visible")
 		}
 		// Commit keeps them.
-		if err := sess.Begin(); err != nil {
+		if err := sess.BeginCtx(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		if err := sess.Insert("E", e("t2", "d1", "2")); err != nil {
+		if err := sess.InsertCtx(context.Background(), "E", e("t2", "d1", "2")); err != nil {
 			t.Fatal(err)
 		}
-		if err := sess.Commit(); err != nil {
+		if err := sess.CommitCtx(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		if _, found, _ := sess.Fetch("E", k("t2")); !found {
+		if _, found, _ := sess.FetchCtx(context.Background(), "E", k("t2")); !found {
 			t.Fatal("committed write lost")
 		}
 		// Sequencing errors map to ErrTxn/CodeTxn on both backends.
-		err := sess.Commit()
+		err := sess.CommitCtx(context.Background())
 		if !errors.Is(err, relmerge.ErrTxn) || relmerge.Code(err) != relmerge.CodeTxn {
 			t.Fatalf("commit without begin: %v (%q)", err, relmerge.Code(err))
 		}
-		err = sess.Rollback()
+		err = sess.RollbackCtx(context.Background())
 		if !errors.Is(err, relmerge.ErrTxn) {
 			t.Fatalf("rollback without begin: %v", err)
 		}
@@ -356,15 +395,15 @@ func TestSessionTransactions(t *testing.T) {
 
 func TestSessionStats(t *testing.T) {
 	withBackends(t, func(t *testing.T, sess relmerge.Session) {
-		before, err := sess.Stats()
+		before, err := sess.StatsCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sess.Insert("D", d("d1", "eng")); err != nil {
+		if err := sess.InsertCtx(context.Background(), "D", d("d1", "eng")); err != nil {
 			t.Fatal(err)
 		}
-		sess.Fetch("D", k("d1"))
-		after, err := sess.Stats()
+		sess.FetchCtx(context.Background(), "D", k("d1"))
+		after, err := sess.StatsCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -396,7 +435,7 @@ func TestSessionDeadline(t *testing.T) {
 		if !errors.Is(err, relmerge.ErrDeadline) && !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("expired context does not match the deadline sentinels: %v", err)
 		}
-		if _, found, _ := sess.Fetch("D", k("d1")); found {
+		if _, found, _ := sess.FetchCtx(context.Background(), "D", k("d1")); found {
 			t.Fatal("expired insert committed")
 		}
 	})

@@ -3,13 +3,16 @@
 #
 #	sh scripts/check.sh            # the full gate, every suite below in order
 #	sh scripts/check.sh stress     # one suite (or several, in the order given)
+#	sh scripts/check.sh -l         # the suite names, in gate order
 #
-# `make check` and `make <suite>` run this script. Every test suite runs fresh
-# (uncached) under the race detector.
+# `make check` and `make <suite>` run this script, and the Makefile takes its
+# suite targets from -l: a new suite is a case below plus its name in `all`.
+# Every test suite runs fresh (uncached) under the race detector.
 set -eu
 
 cd "$(dirname "$0")/.."
 GO=${GO:-go}
+all="fmt vet metriclint build race stress crash serve-test shard-test proto-test repl-test advise-test relbench-test"
 
 suite() {
 	case "$1" in
@@ -68,7 +71,11 @@ suite() {
 	esac
 }
 
-[ $# -gt 0 ] || set -- fmt vet metriclint build race stress crash serve-test shard-test proto-test repl-test advise-test relbench-test
+if [ "${1:-}" = -l ]; then
+	echo "$all"
+	exit 0
+fi
+[ $# -gt 0 ] || set -- $all
 for s; do
 	suite "$s"
 done
