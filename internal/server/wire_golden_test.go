@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/hex"
 	"reflect"
 	"testing"
@@ -67,6 +68,49 @@ var goldenResponses = []struct {
 		Inserts: 3, Deletes: 1, Updates: 2, Lookups: 100, DeclarativeChecks: 7,
 		TriggerFirings: 0, IndexLookups: 100, TuplesScanned: 250, VersionLSN: 12}},
 		"0611000003010264070064fa010c"},
+}
+
+// The v1 JSON bodies of the same frames, keyed by vector name. Every peer
+// speaks v1 for the hello, so its bytes are pinned as well. The encoder's
+// trailing newline is part of the body.
+var goldenJSON = map[string]string{
+	"hello":                  `{"id":1,"op":"hello","version":2}`,
+	"ping":                   `{"id":7,"op":"ping"}`,
+	"insert all value kinds": `{"id":2,"op":"insert","relation":"R","tuple":[{"t":"n"},{"t":"s","v":"héllo"},{"t":"i","v":"-5"},{"t":"f","v":"7ff8000000000001"},{"t":"f","v":"8000000000000000"},{"t":"b","v":"1"},{"t":"b","v":"0"}]}`,
+	"fetch with deadline":    `{"id":3,"op":"fetch","relation":"R","key":[{"t":"s","v":"k1"}],"deadline_ms":1500}`,
+	"insert_batch":           `{"id":4,"op":"insert_batch","relation":"R","tuples":[[{"t":"s","v":"a"},{"t":"i","v":"1"}],[{"t":"s","v":"b"},{"t":"i","v":"2"}]]}`,
+	"apply_batch":            `{"id":5,"op":"apply_batch","ops":[{"kind":"insert","relation":"R","tuple":[{"t":"s","v":"x"}]},{"kind":"delete","relation":"R","key":[{"t":"s","v":"y"}]},{"kind":"update","relation":"R","key":[{"t":"s","v":"z"}],"tuple":[{"t":"i","v":"9"}]}]}`,
+
+	"hello ok":             `{"id":1,"ok":true,"version":2}`,
+	"bare ok":              `{"id":2,"ok":true}`,
+	"fetch hit":            `{"id":3,"ok":true,"found":true,"tuple":[{"t":"s","v":"k1"},{"t":"i","v":"42"}]}`,
+	"protocol error":       `{"id":4,"ok":false,"code":"protocol","error":"bad frame"}`,
+	"constraint violation": `{"id":5,"ok":false,"code":"constraint_violation","error":"null key","violation":{"kind":2,"relation":"R","attr":"R.K","constraint":"NNK","op":"insert"}}`,
+	"stats":                `{"id":6,"ok":true,"stats":{"inserts":3,"deletes":1,"updates":2,"lookups":100,"declarative_checks":7,"trigger_firings":0,"index_lookups":100,"tuples_scanned":250,"version_lsn":12}}`,
+}
+
+// TestGoldenJSONVectors pins the v1 body of every frame shape the binary
+// vectors pin.
+func TestGoldenJSONVectors(t *testing.T) {
+	check := func(t *testing.T, name string, v any) {
+		want, ok := goldenJSON[name]
+		if !ok {
+			t.Fatalf("no JSON vector for %q", name)
+		}
+		var buf bytes.Buffer
+		if _, err := WriteFrameVersion(&buf, ProtoVersion, v); err != nil {
+			t.Fatal(err)
+		}
+		if got := buf.String()[4:]; got != want+"\n" {
+			t.Fatalf("encoding drifted:\n got  %s want %s", got, want)
+		}
+	}
+	for _, g := range goldenRequests {
+		t.Run(g.name, func(t *testing.T) { check(t, g.name, g.req) })
+	}
+	for _, g := range goldenResponses {
+		t.Run(g.name, func(t *testing.T) { check(t, g.name, g.resp) })
+	}
 }
 
 func TestGoldenRequestVectors(t *testing.T) {
