@@ -1,10 +1,13 @@
 package server
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
-	"strconv"
+	"strings"
+
+	"repro/internal/relation"
 )
 
 // The protocol v2 binary codec. A v2 frame keeps the v1 framing (4-byte
@@ -85,80 +88,42 @@ const (
 	binFlagRepl      = 1 << 6
 )
 
-func opToOpcode(op string) (byte, bool) {
-	switch op {
-	case OpHello:
-		return binOpHello, true
-	case OpPing:
-		return binOpPing, true
-	case OpInsert:
-		return binOpInsert, true
-	case OpDelete:
-		return binOpDelete, true
-	case OpUpdate:
-		return binOpUpdate, true
-	case OpFetch:
-		return binOpFetch, true
-	case OpInsertBatch:
-		return binOpInsertBatch, true
-	case OpApplyBatch:
-		return binOpApplyBatch, true
-	case OpBegin:
-		return binOpBegin, true
-	case OpCommit:
-		return binOpCommit, true
-	case OpRollback:
-		return binOpRollback, true
-	case OpStats:
-		return binOpStats, true
-	case OpCheckpoint:
-		return binOpCheckpoint, true
-	case OpReplSubscribe:
-		return binOpReplSubscribe, true
-	case OpReplFetch:
-		return binOpReplFetch, true
-	case OpReplHeartbeat:
-		return binOpReplHeartbeat, true
-	}
-	return 0, false
+// opNames names the operation of every binary opcode. Frozen.
+var opNames = [...]string{
+	binOpHello:         OpHello,
+	binOpPing:          OpPing,
+	binOpInsert:        OpInsert,
+	binOpDelete:        OpDelete,
+	binOpUpdate:        OpUpdate,
+	binOpFetch:         OpFetch,
+	binOpInsertBatch:   OpInsertBatch,
+	binOpApplyBatch:    OpApplyBatch,
+	binOpBegin:         OpBegin,
+	binOpCommit:        OpCommit,
+	binOpRollback:      OpRollback,
+	binOpStats:         OpStats,
+	binOpCheckpoint:    OpCheckpoint,
+	binOpReplSubscribe: OpReplSubscribe,
+	binOpReplFetch:     OpReplFetch,
+	binOpReplHeartbeat: OpReplHeartbeat,
 }
 
-func opcodeToOp(b byte) (string, bool) {
-	switch b {
-	case binOpHello:
-		return OpHello, true
-	case binOpPing:
-		return OpPing, true
-	case binOpInsert:
-		return OpInsert, true
-	case binOpDelete:
-		return OpDelete, true
-	case binOpUpdate:
-		return OpUpdate, true
-	case binOpFetch:
-		return OpFetch, true
-	case binOpInsertBatch:
-		return OpInsertBatch, true
-	case binOpApplyBatch:
-		return OpApplyBatch, true
-	case binOpBegin:
-		return OpBegin, true
-	case binOpCommit:
-		return OpCommit, true
-	case binOpRollback:
-		return OpRollback, true
-	case binOpStats:
-		return OpStats, true
-	case binOpCheckpoint:
-		return OpCheckpoint, true
-	case binOpReplSubscribe:
-		return OpReplSubscribe, true
-	case binOpReplFetch:
-		return OpReplFetch, true
-	case binOpReplHeartbeat:
-		return OpReplHeartbeat, true
+// opcodes is opNames inverted.
+var opcodes = func() map[string]byte {
+	m := make(map[string]byte, len(opNames))
+	for oc, op := range opNames {
+		if op != "" {
+			m[op] = byte(oc)
+		}
 	}
-	return "", false
+	return m
+}()
+
+func opcodeToOp(b byte) (string, bool) {
+	if int(b) >= len(opNames) || opNames[b] == "" {
+		return "", false
+	}
+	return opNames[b], true
 }
 
 // --- encoding (append into the caller's pooled buffer, no allocation) ---
@@ -168,57 +133,35 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-// appendValue encodes one wire value. The payload string must be in the
-// canonical form EncodeValue produces; anything else (bad int digits, bad
-// float hex, bad bool) is an encode error, mirroring what DecodeValue would
-// reject on the JSON path.
-func appendValue(dst []byte, w WireValue) ([]byte, error) {
-	switch w.T {
-	case "n":
-		return append(dst, binValNull), nil
-	case "s":
-		dst = append(dst, binValString)
-		return appendString(dst, w.V), nil
-	case "i":
-		n, err := strconv.ParseInt(w.V, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad int value %q", w.V)
+// appendValue encodes one engine value.
+func appendValue(dst []byte, v relation.Value) []byte {
+	switch v.Kind() {
+	case relation.KindString:
+		return appendString(append(dst, binValString), v.AsString())
+	case relation.KindInt:
+		return binary.AppendVarint(append(dst, binValInt), v.AsInt())
+	case relation.KindFloat:
+		return binary.LittleEndian.AppendUint64(append(dst, binValFloat), math.Float64bits(v.AsFloat()))
+	case relation.KindBool:
+		if v.AsBool() {
+			return append(dst, binValTrue)
 		}
-		dst = append(dst, binValInt)
-		return binary.AppendVarint(dst, n), nil
-	case "f":
-		bits, err := strconv.ParseUint(w.V, 16, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad float value %q", w.V)
-		}
-		dst = append(dst, binValFloat)
-		return binary.LittleEndian.AppendUint64(dst, bits), nil
-	case "b":
-		switch w.V {
-		case "1":
-			return append(dst, binValTrue), nil
-		case "0":
-			return append(dst, binValFalse), nil
-		}
-		return nil, fmt.Errorf("bad bool value %q", w.V)
+		return append(dst, binValFalse)
 	}
-	return nil, fmt.Errorf("unknown value kind %q", w.T)
+	return append(dst, binValNull)
 }
 
-func appendWireTuple(dst []byte, t []WireValue) ([]byte, error) {
+func appendTuple(dst []byte, t WireTuple) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(t)))
-	var err error
-	for _, w := range t {
-		if dst, err = appendValue(dst, w); err != nil {
-			return nil, err
-		}
+	for _, v := range t {
+		dst = appendValue(dst, v)
 	}
-	return dst, nil
+	return dst
 }
 
 // appendRequestBinary encodes one request as a v2 body.
 func appendRequestBinary(dst []byte, req *Request) ([]byte, error) {
-	oc, ok := opToOpcode(req.Op)
+	oc, ok := opcodes[req.Op]
 	if !ok {
 		return nil, fmt.Errorf("unknown op %q", req.Op)
 	}
@@ -227,33 +170,22 @@ func appendRequestBinary(dst []byte, req *Request) ([]byte, error) {
 	dst = binary.AppendUvarint(dst, uint64(req.DeadlineMS))
 	dst = binary.AppendUvarint(dst, uint64(req.Version))
 	dst = appendString(dst, req.Relation)
-	var err error
-	if dst, err = appendWireTuple(dst, req.Key); err != nil {
-		return nil, err
-	}
-	if dst, err = appendWireTuple(dst, req.Tuple); err != nil {
-		return nil, err
-	}
+	dst = appendTuple(dst, req.Key)
+	dst = appendTuple(dst, req.Tuple)
 	dst = binary.AppendUvarint(dst, uint64(len(req.Tuples)))
 	for _, t := range req.Tuples {
-		if dst, err = appendWireTuple(dst, t); err != nil {
-			return nil, err
-		}
+		dst = appendTuple(dst, t)
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(req.Ops)))
 	for _, op := range req.Ops {
-		kc, ok := opToOpcode(op.Kind)
+		kc, ok := opcodes[op.Kind]
 		if !ok || (kc != binOpInsert && kc != binOpDelete && kc != binOpUpdate) {
 			return nil, fmt.Errorf("unknown batch kind %q", op.Kind)
 		}
 		dst = append(dst, kc)
 		dst = appendString(dst, op.Relation)
-		if dst, err = appendWireTuple(dst, op.Key); err != nil {
-			return nil, err
-		}
-		if dst, err = appendWireTuple(dst, op.Tuple); err != nil {
-			return nil, err
-		}
+		dst = appendTuple(dst, op.Key)
+		dst = appendTuple(dst, op.Tuple)
 	}
 	if replOp(req.Op) {
 		dst = binary.AppendUvarint(dst, req.AfterLSN)
@@ -263,7 +195,7 @@ func appendRequestBinary(dst []byte, req *Request) ([]byte, error) {
 }
 
 // appendResponseBinary encodes one response as a v2 body.
-func appendResponseBinary(dst []byte, resp *Response) ([]byte, error) {
+func appendResponseBinary(dst []byte, resp *Response) []byte {
 	dst = binary.AppendUvarint(dst, resp.ID)
 	var flags byte
 	if resp.OK {
@@ -301,10 +233,7 @@ func appendResponseBinary(dst []byte, resp *Response) ([]byte, error) {
 		dst = appendString(dst, v.Op)
 	}
 	if flags&binFlagTuple != 0 {
-		var err error
-		if dst, err = appendWireTuple(dst, resp.Tuple); err != nil {
-			return nil, err
-		}
+		dst = appendTuple(dst, resp.Tuple)
 	}
 	if s := resp.Stats; s != nil {
 		for _, n := range []int{s.Inserts, s.Deletes, s.Updates, s.Lookups,
@@ -325,7 +254,7 @@ func appendResponseBinary(dst []byte, resp *Response) ([]byte, error) {
 			dst = append(dst, rec.Payload...)
 		}
 	}
-	return dst, nil
+	return dst
 }
 
 // --- decoding (strict: bounds-checked, no trailing bytes) ---
@@ -333,9 +262,15 @@ func appendResponseBinary(dst []byte, resp *Response) ([]byte, error) {
 // binReader walks one v2 body. Every length and count is validated against
 // the remaining bytes before any allocation sized from it, so a hostile
 // frame can announce, at most, what its own (MaxFrame-bounded) body holds.
+// Nothing decoded aliases the body, which is the connection's reused read
+// buffer.
 type binReader struct {
 	b   []byte
 	off int
+
+	payload []byte // the last string value's payload, in place in the body
+	strs    int    // string payload bytes read since tuple reset it
+	name    string // the last relation name read; see relName
 }
 
 func (r *binReader) remaining() int { return len(r.b) - r.off }
@@ -380,300 +315,328 @@ func (r *binReader) count() (int, error) {
 	return int(n), nil
 }
 
-func (r *binReader) str() (string, error) {
+// raw reads a length-prefixed byte run in place: the result aliases the body.
+func (r *binReader) raw() ([]byte, error) {
 	n, err := r.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	if n > uint64(r.remaining()) {
+		return nil, fmt.Errorf("length %d exceeds remaining %d bytes", n, r.remaining())
+	}
+	b := r.b[r.off : r.off+int(n)]
+	r.off += int(n)
+	return b, nil
+}
+
+func (r *binReader) str() (string, error) {
+	b, err := r.raw()
+	return string(b), err
+}
+
+// relName reads a relation name. A connection addresses few relations, and
+// usually the one it named last: that string is returned again instead of a
+// fresh copy. Names are kept (the engine remembers what was fetched), so
+// they are never sliced from a reused buffer.
+func (r *binReader) relName() (string, error) {
+	b, err := r.raw()
 	if err != nil {
 		return "", err
 	}
-	if n > uint64(r.remaining()) {
-		return "", fmt.Errorf("string length %d exceeds remaining %d bytes", n, r.remaining())
+	if string(b) != r.name {
+		r.name = string(b)
 	}
-	s := string(r.b[r.off : r.off+int(n)]) // copy: the body buffer is pooled
-	r.off += int(n)
-	return s, nil
+	return r.name, nil
 }
 
-// bytes reads a length-prefixed byte blob (copied: the body buffer is
-// pooled). A zero length returns nil, matching v1 omitempty semantics.
+// bytes reads a length-prefixed byte blob into fresh storage. A zero length
+// returns nil, matching v1 omitempty semantics.
 func (r *binReader) bytes() ([]byte, error) {
-	n, err := r.uvarint()
-	if err != nil {
+	b, err := r.raw()
+	if err != nil || len(b) == 0 {
 		return nil, err
 	}
-	if n > uint64(r.remaining()) {
-		return nil, fmt.Errorf("blob length %d exceeds remaining %d bytes", n, r.remaining())
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	out := make([]byte, n)
-	copy(out, r.b[r.off:])
-	r.off += int(n)
-	return out, nil
+	return bytes.Clone(b), nil
 }
 
-func (r *binReader) value() (WireValue, error) {
+// value decodes one value. A string comes back empty, its payload left in
+// place in r.payload (and counted in r.strs): tuple copies the payloads out.
+func (r *binReader) value() (relation.Value, error) {
 	tag, err := r.u8()
 	if err != nil {
-		return WireValue{}, err
+		return relation.Value{}, err
 	}
 	switch tag {
 	case binValNull:
-		return WireValue{T: "n"}, nil
+		return relation.Null(), nil
 	case binValString:
-		s, err := r.str()
-		if err != nil {
-			return WireValue{}, err
+		if r.payload, err = r.raw(); err != nil {
+			return relation.Value{}, err
 		}
-		return WireValue{T: "s", V: s}, nil
+		r.strs += len(r.payload)
+		return relation.NewString(""), nil
 	case binValInt:
 		n, err := r.varint()
 		if err != nil {
-			return WireValue{}, err
+			return relation.Value{}, err
 		}
-		return WireValue{T: "i", V: strconv.FormatInt(n, 10)}, nil
+		return relation.NewInt(n), nil
 	case binValFloat:
 		if r.remaining() < 8 {
-			return WireValue{}, fmt.Errorf("truncated float at byte %d", r.off)
+			return relation.Value{}, fmt.Errorf("truncated float at byte %d", r.off)
 		}
 		bits := binary.LittleEndian.Uint64(r.b[r.off:])
 		r.off += 8
-		return WireValue{T: "f", V: strconv.FormatUint(bits, 16)}, nil
+		return relation.NewFloat(math.Float64frombits(bits)), nil
 	case binValFalse:
-		return WireValue{T: "b", V: "0"}, nil
+		return relation.NewBool(false), nil
 	case binValTrue:
-		return WireValue{T: "b", V: "1"}, nil
+		return relation.NewBool(true), nil
 	}
-	return WireValue{}, fmt.Errorf("unknown value tag 0x%02x", tag)
+	return relation.Value{}, fmt.Errorf("unknown value tag 0x%02x", tag)
 }
 
-func (r *binReader) tuple() ([]WireValue, error) {
+// tuple decodes one tuple; count 0 is an absent tuple (nil). A first pass
+// validates the values and sizes their string payloads, so the tuple is
+// allocated only for values the body really holds. The second decodes them,
+// copying every string payload into one block: a tuple costs at most two
+// allocations however many columns it has, and references nothing reused.
+// The values go into dst when it has room (the caller's reused storage),
+// fresh storage otherwise.
+func (r *binReader) tuple(dst WireTuple) (WireTuple, error) {
 	n, err := r.count()
-	if err != nil {
+	if err != nil || n == 0 {
 		return nil, err
 	}
-	if n == 0 {
-		return nil, nil // absent tuple, matching v1 omitempty semantics
-	}
-	out := make([]WireValue, n)
-	for i := range out {
-		if out[i], err = r.value(); err != nil {
+	start := r.off
+	r.strs = 0
+	for i := 0; i < n; i++ {
+		if _, err := r.value(); err != nil {
 			return nil, err
 		}
 	}
-	return out, nil
+	if cap(dst) < n {
+		dst = make(WireTuple, n)
+	}
+	dst = dst[:n]
+	var block strings.Builder
+	block.Grow(r.strs)
+	r.off = start
+	for i := range dst {
+		dst[i], _ = r.value() // validated by the first pass
+		if dst[i].Kind() == relation.KindString && len(r.payload) > 0 {
+			block.Write(r.payload)
+			s := block.String()
+			dst[i] = relation.NewString(s[len(s)-len(r.payload):])
+		}
+	}
+	return dst, nil
 }
 
-// decodeRequestBinary parses one v2 request body.
-func decodeRequestBinary(body []byte) (*Request, error) {
-	r := &binReader{b: body}
+// request decodes one v2 request body into req, overwriting every field;
+// key lends storage for a fetch key (see decodeRequest).
+func (r *binReader) request(req *Request, key WireTuple) error {
 	oc, err := r.u8()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	op, ok := opcodeToOp(oc)
 	if !ok {
-		return nil, fmt.Errorf("unknown opcode 0x%02x", oc)
+		return fmt.Errorf("unknown opcode 0x%02x", oc)
 	}
-	req := &Request{Op: op}
+	*req = Request{Op: op}
 	if req.ID, err = r.uvarint(); err != nil {
-		return nil, err
+		return err
 	}
 	deadline, err := r.uvarint()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if deadline > math.MaxInt64 {
-		return nil, fmt.Errorf("deadline %d overflows", deadline)
+		return fmt.Errorf("deadline %d overflows", deadline)
 	}
 	req.DeadlineMS = int64(deadline)
 	version, err := r.uvarint()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if version > math.MaxInt32 {
-		return nil, fmt.Errorf("version %d overflows", version)
+		return fmt.Errorf("version %d overflows", version)
 	}
 	req.Version = int(version)
-	if req.Relation, err = r.str(); err != nil {
-		return nil, err
+	if req.Relation, err = r.relName(); err != nil {
+		return err
 	}
-	if req.Key, err = r.tuple(); err != nil {
-		return nil, err
+	if op != OpFetch {
+		key = nil // any other key is handed to a write and kept
 	}
-	if req.Tuple, err = r.tuple(); err != nil {
-		return nil, err
+	if req.Key, err = r.tuple(key); err != nil {
+		return err
+	}
+	if req.Tuple, err = r.tuple(nil); err != nil {
+		return err
 	}
 	ntuples, err := r.count()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if ntuples > 0 {
-		req.Tuples = make([][]WireValue, ntuples)
+		req.Tuples = make([]WireTuple, ntuples)
 		for i := range req.Tuples {
-			if req.Tuples[i], err = r.tuple(); err != nil {
-				return nil, err
+			if req.Tuples[i], err = r.tuple(nil); err != nil {
+				return err
 			}
 		}
 	}
 	nops, err := r.count()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if nops > 0 {
 		req.Ops = make([]WireOp, nops)
 		for i := range req.Ops {
 			kc, err := r.u8()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			kind, ok := opcodeToOp(kc)
 			if !ok || (kc != binOpInsert && kc != binOpDelete && kc != binOpUpdate) {
-				return nil, fmt.Errorf("unknown batch kind opcode 0x%02x", kc)
+				return fmt.Errorf("unknown batch kind opcode 0x%02x", kc)
 			}
 			req.Ops[i].Kind = kind
-			if req.Ops[i].Relation, err = r.str(); err != nil {
-				return nil, err
+			if req.Ops[i].Relation, err = r.relName(); err != nil {
+				return err
 			}
-			if req.Ops[i].Key, err = r.tuple(); err != nil {
-				return nil, err
+			if req.Ops[i].Key, err = r.tuple(nil); err != nil {
+				return err
 			}
-			if req.Ops[i].Tuple, err = r.tuple(); err != nil {
-				return nil, err
+			if req.Ops[i].Tuple, err = r.tuple(nil); err != nil {
+				return err
 			}
 		}
 	}
 	if replOp(req.Op) {
 		if req.AfterLSN, err = r.uvarint(); err != nil {
-			return nil, err
+			return err
 		}
 		maxRecords, err := r.uvarint()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if maxRecords > math.MaxInt32 {
-			return nil, fmt.Errorf("max_records %d overflows", maxRecords)
+			return fmt.Errorf("max_records %d overflows", maxRecords)
 		}
 		req.MaxRecords = int(maxRecords)
 	}
 	if r.remaining() != 0 {
-		return nil, fmt.Errorf("%d trailing bytes after request", r.remaining())
+		return fmt.Errorf("%d trailing bytes after request", r.remaining())
 	}
-	return req, nil
+	return nil
 }
 
-// decodeResponseBinary parses one v2 response body.
-func decodeResponseBinary(body []byte) (*Response, error) {
-	r := &binReader{b: body}
-	resp := &Response{}
+// response decodes one v2 response body into resp, overwriting every field.
+func (r *binReader) response(resp *Response) error {
+	*resp = Response{}
 	var err error
 	if resp.ID, err = r.uvarint(); err != nil {
-		return nil, err
+		return err
 	}
 	flags, err := r.u8()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	resp.OK = flags&binFlagOK != 0
 	resp.Found = flags&binFlagFound != 0
 	code, err := r.str()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	resp.Code = Code(code)
 	if resp.Error, err = r.str(); err != nil {
-		return nil, err
+		return err
 	}
 	if flags&binFlagVersion != 0 {
 		version, err := r.uvarint()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if version > math.MaxInt32 {
-			return nil, fmt.Errorf("version %d overflows", version)
+			return fmt.Errorf("version %d overflows", version)
 		}
 		resp.Version = int(version)
 	}
 	if flags&binFlagViolation != 0 {
 		v := &WireViolation{}
 		if v.Kind, err = r.u8(); err != nil {
-			return nil, err
+			return err
 		}
 		if v.Relation, err = r.str(); err != nil {
-			return nil, err
+			return err
 		}
 		if v.Attr, err = r.str(); err != nil {
-			return nil, err
+			return err
 		}
 		if v.Constraint, err = r.str(); err != nil {
-			return nil, err
+			return err
 		}
 		if v.Op, err = r.str(); err != nil {
-			return nil, err
+			return err
 		}
 		resp.Violation = v
 	}
 	if flags&binFlagTuple != 0 {
-		if resp.Tuple, err = r.tuple(); err != nil {
-			return nil, err
+		if resp.Tuple, err = r.tuple(nil); err != nil {
+			return err
 		}
 	}
 	if flags&binFlagStats != 0 {
-		var ns [8]uint64
-		for i := range ns {
-			if ns[i], err = r.uvarint(); err != nil {
-				return nil, err
+		st := &WireStats{}
+		for _, p := range []*int{&st.Inserts, &st.Deletes, &st.Updates, &st.Lookups,
+			&st.DeclarativeChecks, &st.TriggerFirings, &st.IndexLookups, &st.TuplesScanned} {
+			n, err := r.uvarint()
+			if err != nil {
+				return err
 			}
-			if ns[i] > math.MaxInt64 {
-				return nil, fmt.Errorf("stat counter %d overflows", ns[i])
+			if n > math.MaxInt64 {
+				return fmt.Errorf("stat counter %d overflows", n)
 			}
+			*p = int(n)
 		}
-		lsn, err := r.uvarint()
-		if err != nil {
-			return nil, err
+		if st.VersionLSN, err = r.uvarint(); err != nil {
+			return err
 		}
-		resp.Stats = &WireStats{
-			Inserts:           int(ns[0]),
-			Deletes:           int(ns[1]),
-			Updates:           int(ns[2]),
-			Lookups:           int(ns[3]),
-			DeclarativeChecks: int(ns[4]),
-			TriggerFirings:    int(ns[5]),
-			IndexLookups:      int(ns[6]),
-			TuplesScanned:     int(ns[7]),
-			VersionLSN:        lsn,
-		}
+		resp.Stats = st
 	}
 	if flags&binFlagRepl != 0 {
 		rp := &WireRepl{}
 		if rp.CommitLSN, err = r.uvarint(); err != nil {
-			return nil, err
+			return err
 		}
 		if rp.SnapshotLSN, err = r.uvarint(); err != nil {
-			return nil, err
+			return err
 		}
 		if rp.Snapshot, err = r.bytes(); err != nil {
-			return nil, err
+			return err
 		}
 		nrecs, err := r.count()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if nrecs > 0 {
 			rp.Records = make([]WireRecord, nrecs)
 			for i := range rp.Records {
 				if rp.Records[i].LSN, err = r.uvarint(); err != nil {
-					return nil, err
+					return err
 				}
 				if rp.Records[i].Payload, err = r.bytes(); err != nil {
-					return nil, err
+					return err
 				}
 			}
 		}
 		resp.Repl = rp
 	}
 	if r.remaining() != 0 {
-		return nil, fmt.Errorf("%d trailing bytes after response", r.remaining())
+		return fmt.Errorf("%d trailing bytes after response", r.remaining())
 	}
-	return resp, nil
+	return nil
 }

@@ -3,21 +3,21 @@ package server
 import (
 	"bytes"
 	"math"
-	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/relation"
 )
 
-// FuzzBinaryRoundTrip builds a request from arbitrary primitive values —
-// via EncodeValue, so the payload strings are canonical — and requires
-// encode→decode to be the identity, bit-exactly for floats (NaN payloads,
-// signed zero) and byte-exactly for strings of any size.
+// FuzzBinaryRoundTrip builds a request and a response from arbitrary engine
+// values — nulls, strings of any size, any int, any float bits (NaN payloads,
+// signed zero, infinities), both booleans — and requires encode→decode to be
+// the identity, bit-exactly.
 func FuzzBinaryRoundTrip(f *testing.F) {
 	f.Add(uint64(1), "rel", "str", int64(-5), math.NaN(), true, int64(0))
 	f.Add(uint64(0), "", "", int64(math.MinInt64), math.Copysign(0, -1), false, int64(1))
 	f.Add(uint64(math.MaxUint64), "R", strings.Repeat("x", 1<<16), int64(math.MaxInt64), math.Inf(-1), true, int64(250))
+	f.Add(uint64(2), "R", "k", int64(7), math.Float64frombits(0xfff0000000000abc), false, int64(9)) // NaN with a payload
 	f.Fuzz(func(t *testing.T, id uint64, rel, s string, i int64, fv float64, b bool, deadline int64) {
 		if deadline < 0 {
 			deadline = -deadline
@@ -25,71 +25,40 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 		if deadline < 0 { // MinInt64 negates to itself
 			deadline = 0
 		}
-		tuple := []WireValue{
-			EncodeValue(relation.Null()),
-			EncodeValue(relation.NewString(s)),
-			EncodeValue(relation.NewInt(i)),
-			EncodeValue(relation.NewFloat(fv)),
-			EncodeValue(relation.NewBool(b)),
-		}
+		tuple := WireTuple{relation.Null(), str(s), num(i), relation.NewFloat(fv), relation.NewBool(b)}
 		req := &Request{
 			ID: id, Op: OpUpdate, Relation: rel, DeadlineMS: deadline,
-			Key:   []WireValue{EncodeValue(relation.NewString(s))},
+			Key:   WireTuple{str(s)},
 			Tuple: tuple,
 		}
 		body, err := appendRequestBinary(nil, req)
 		if err != nil {
 			t.Fatalf("encode: %v", err)
 		}
-		got, err := decodeRequestBinary(body)
+		got, err := DecodeRequestVersion(body, ProtoVersionBinary)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
-		if !reflect.DeepEqual(got, req) {
+		if !sameWire(got, req) {
 			t.Fatalf("round trip mismatch:\n got  %+v\n want %+v", got, req)
 		}
 		// Float bits must survive exactly, not just as equal values.
-		v, err := DecodeValue(got.Tuple[3])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Float64bits(v.AsFloat()) != math.Float64bits(fv) {
-			t.Fatalf("float bits %016x, want %016x", math.Float64bits(v.AsFloat()), math.Float64bits(fv))
+		if math.Float64bits(got.Tuple[3].AsFloat()) != math.Float64bits(fv) {
+			t.Fatalf("float bits %016x, want %016x", math.Float64bits(got.Tuple[3].AsFloat()), math.Float64bits(fv))
 		}
 
 		resp := &Response{
 			ID: id, OK: b, Found: true, Tuple: tuple,
 			Code: Code(rel), Error: s,
 		}
-		rbody, err := appendResponseBinary(nil, resp)
-		if err != nil {
-			t.Fatalf("encode response: %v", err)
-		}
-		rgot, err := decodeResponseBinary(rbody)
+		rgot, err := DecodeResponseVersion(appendResponseBinary(nil, resp), ProtoVersionBinary)
 		if err != nil {
 			t.Fatalf("decode response: %v", err)
 		}
-		if !reflect.DeepEqual(rgot, resp) {
+		if !sameWire(rgot, resp) {
 			t.Fatalf("response round trip mismatch:\n got  %+v\n want %+v", rgot, resp)
 		}
 	})
-}
-
-// TestBinaryRejectsNonCanonicalValues: the encoder only accepts the
-// canonical payload strings EncodeValue produces; anything else must be an
-// encode error, not silent corruption.
-func TestBinaryRejectsNonCanonicalValues(t *testing.T) {
-	bad := []WireValue{
-		{T: "i", V: "not-a-number"},
-		{T: "f", V: "zz"},
-		{T: "b", V: "yes"},
-		{T: "q", V: ""},
-	}
-	for _, w := range bad {
-		if _, err := appendValue(nil, w); err == nil {
-			t.Errorf("appendValue(%+v) accepted a non-canonical payload", w)
-		}
-	}
 }
 
 // singleWriteRecorder counts Write calls: the pooled frame path must issue
@@ -105,8 +74,7 @@ func (r *singleWriteRecorder) Write(p []byte) (int, error) {
 }
 
 func TestWriteFrameSingleWrite(t *testing.T) {
-	req := &Request{ID: 9, Op: OpInsert, Relation: "R",
-		Tuple: []WireValue{{T: "s", V: "v"}}}
+	req := &Request{ID: 9, Op: OpInsert, Relation: "R", Tuple: WireTuple{str("v")}}
 	for _, version := range []int{ProtoVersion, ProtoVersionBinary} {
 		var rec singleWriteRecorder
 		if _, err := WriteFrameVersion(&rec, version, req); err != nil {
@@ -123,35 +91,49 @@ func TestWriteFrameSingleWrite(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, req) {
+		if !sameWire(got, req) {
 			t.Errorf("v%d frame round trip mismatch: %+v", version, got)
 		}
 	}
 }
 
-// TestEncodeAllocsSteadyState pins the ISSUE's allocs/frame budget: once the
-// pool is warm, encoding a typical frame must cost at most 2 allocations for
-// the binary codec. (The JSON path allocates inside encoding/json, so only
-// the binary path carries the budget.)
+// TestEncodeAllocsSteadyState pins the binary codec's allocations for a
+// three-column fetch reply. Encoding appends the engine values straight into
+// a warm frame buffer: 0 per frame (2 at the parent, where the tuple was first
+// converted to []WireValue and the float spelled as a hex string). Decoding
+// into a reused response allocates only what the caller keeps — the tuple and
+// one block holding all its strings: 2 per frame (5 at the parent: the
+// response, the []WireValue, two payload strings and the relation.Tuple).
+// The JSON path allocates inside encoding/json, so only the binary codec
+// carries a budget.
 func TestEncodeAllocsSteadyState(t *testing.T) {
-	resp := &Response{ID: 3, OK: true, Found: true,
-		Tuple: []WireValue{{T: "s", V: "k1"}, {T: "i", V: "42"}, {T: "f", V: "4045000000000000"}}}
+	row := relation.Tuple{str("k1"), num(42), relation.NewFloat(42)}
+	resp := &Response{ID: 3, OK: true, Found: true, Tuple: EncodeTuple(row)}
+	fe := newFrameEncoder()
 	var sink bytes.Buffer
-	// Warm the pool.
-	for i := 0; i < 16; i++ {
+	encode := testing.AllocsPerRun(200, func() {
 		sink.Reset()
-		if _, err := WriteFrameVersion(&sink, ProtoVersionBinary, resp); err != nil {
-			t.Fatal(err)
-		}
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		sink.Reset()
-		if _, err := WriteFrameVersion(&sink, ProtoVersionBinary, resp); err != nil {
+		resp.Tuple = EncodeTuple(row)
+		if _, err := fe.write(&sink, ProtoVersionBinary, resp); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 2 {
-		t.Errorf("binary encode path allocates %.1f/frame, budget is 2", allocs)
+	body := bytes.Clone(sink.Bytes()[4:])
+	var got Response
+	decode := testing.AllocsPerRun(200, func() {
+		if err := decodeResponse(body, ProtoVersionBinary, &got); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !sameWire(&got, resp) {
+		t.Fatalf("decoded %+v, want %+v", got, *resp)
+	}
+	const encodeBudget, decodeBudget = 0, 2
+	if encode > encodeBudget {
+		t.Errorf("binary encode allocates %.1f/frame, budget %d", encode, encodeBudget)
+	}
+	if decode > decodeBudget {
+		t.Errorf("binary decode allocates %.1f/frame, budget %d", decode, decodeBudget)
 	}
 }
 
@@ -159,21 +141,19 @@ func TestEncodeAllocsSteadyState(t *testing.T) {
 // must produce a decode error, never a panic or a silently short request.
 func TestBinaryTruncationFailsClosed(t *testing.T) {
 	req := &Request{ID: 5, Op: OpApplyBatch, Ops: []WireOp{
-		{Kind: OpUpdate, Relation: "R",
-			Key:   []WireValue{{T: "s", V: "k"}},
-			Tuple: []WireValue{{T: "i", V: "7"}, {T: "f", V: "3ff0000000000000"}}},
+		{Kind: OpUpdate, Relation: "R", Key: WireTuple{str("k")}, Tuple: WireTuple{num(7), relation.NewFloat(1)}},
 	}}
 	body, err := appendRequestBinary(nil, req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for n := 0; n < len(body); n++ {
-		if _, err := decodeRequestBinary(body[:n]); err == nil {
+		if _, err := DecodeRequestVersion(body[:n], ProtoVersionBinary); err == nil {
 			t.Fatalf("decode accepted a %d/%d-byte truncation", n, len(body))
 		}
 	}
 	// And one past the end: trailing bytes are a protocol violation too.
-	if _, err := decodeRequestBinary(append(append([]byte{}, body...), 0)); err == nil {
+	if _, err := DecodeRequestVersion(append(append([]byte{}, body...), 0), ProtoVersionBinary); err == nil {
 		t.Fatal("decode accepted a trailing byte")
 	}
 }

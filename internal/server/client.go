@@ -97,9 +97,15 @@ type Client struct {
 type clientConn struct {
 	nc     net.Conn
 	br     *bufio.Reader
-	ver    int    // negotiated protocol version for this connection
-	rbuf   []byte // reusable frame read buffer
+	ver    int           // negotiated protocol version for this connection
+	rbuf   []byte        // reusable frame read buffer
+	fe     *frameEncoder // reusable frame write buffer
 	nextID uint64
+
+	// The request being sent and the response being read, reused by every
+	// call the connection carries.
+	req  Request
+	resp Response
 }
 
 // Dial connects to a relmerged server (verifying the protocol handshake on
@@ -175,22 +181,22 @@ func (c *Client) dialVersion(offer int) (*clientConn, error) {
 	if err != nil {
 		return nil, err
 	}
-	cc := &clientConn{nc: nc, br: bufio.NewReaderSize(nc, 16<<10), ver: ProtoVersion}
+	cc := &clientConn{nc: nc, br: bufio.NewReaderSize(nc, 16<<10), fe: newFrameEncoder(), ver: ProtoVersion}
 	nc.SetDeadline(time.Now().Add(c.opt.DialTimeout))
 	cc.nextID++
 	// The hello exchange is always v1 JSON in both directions, whatever is
 	// being offered, so any client can negotiate with any server.
-	n, err := WriteFrameVersion(nc, ProtoVersion, &Request{ID: cc.nextID, Op: OpHello, Version: offer})
+	n, err := cc.fe.write(nc, ProtoVersion, &Request{ID: cc.nextID, Op: OpHello, Version: offer})
 	c.m.bytesWritten.Add(int64(n))
 	if err != nil {
 		nc.Close()
 		return nil, err
 	}
-	resp, err := c.readResponse(cc)
-	if err != nil {
+	if err := c.readResponse(cc); err != nil {
 		nc.Close()
 		return nil, err
 	}
+	resp := &cc.resp
 	if !resp.OK {
 		nc.Close()
 		return nil, responseError(resp)
@@ -204,8 +210,10 @@ func (c *Client) dialVersion(offer int) (*clientConn, error) {
 	return cc, nil
 }
 
-// checkout takes a connection from the pool, dialing if none is idle.
-func (c *Client) checkout(ctx context.Context) (*clientConn, error) {
+// checkout takes a connection from the pool, dialing if none is idle. Only
+// when every connection is busy does it wait, and only then is a timer armed
+// for the deadline.
+func (c *Client) checkout(ctx context.Context, deadline time.Time) (*clientConn, error) {
 	c.mu.Lock()
 	closed := c.closed
 	c.mu.Unlock()
@@ -214,8 +222,20 @@ func (c *Client) checkout(ctx context.Context) (*clientConn, error) {
 	}
 	select {
 	case <-c.slots:
-	case <-ctx.Done():
-		return nil, ctx.Err()
+	default:
+		var expiry <-chan time.Time
+		if !deadline.IsZero() {
+			t := time.NewTimer(time.Until(deadline))
+			defer t.Stop()
+			expiry = t.C
+		}
+		select {
+		case <-c.slots:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		case <-expiry:
+			return nil, context.DeadlineExceeded
+		}
 	}
 	c.mu.Lock()
 	if c.closed {
@@ -268,28 +288,34 @@ func (c *Client) WireVersion() int {
 }
 
 // readResponse reads one frame into the connection's reusable buffer and
-// decodes it with the connection's negotiated codec. Decoded responses copy
-// every string out of the buffer, so reuse across calls is safe.
-func (c *Client) readResponse(cc *clientConn) (*Response, error) {
+// decodes it, with the connection's negotiated codec, into the connection's
+// reusable response. Everything the response references is freshly
+// decoded, so it survives the next frame.
+func (c *Client) readResponse(cc *clientConn) error {
 	body, err := ReadFrameInto(cc.br, DefaultMaxFrame, cc.rbuf)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	cc.rbuf = body
+	cc.rbuf = keepReadBuf(body)
 	c.m.bytesRead.Add(int64(4 + len(body)))
-	return DecodeResponseVersion(body, cc.ver)
+	return decodeResponse(body, cc.ver, &cc.resp)
 }
 
 // do sends one request, retrying idempotent requests after retryable
-// failures with jittered exponential backoff.
-func (c *Client) do(ctx context.Context, req *Request, idempotent bool) (*Response, error) {
+// failures with jittered exponential backoff. The deadline is a value — the
+// caller's, or now plus RequestTimeout — sent to the server and applied to
+// the socket; no context is derived per call. The response is returned as a
+// copy taken before the connection went back to the pool.
+func (c *Client) do(ctx context.Context, req *Request, idempotent bool) (Response, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if _, has := ctx.Deadline(); !has && c.opt.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.opt.RequestTimeout)
-		defer cancel()
+	if err := ctx.Err(); err != nil {
+		return Response{}, err
+	}
+	deadline, has := ctx.Deadline()
+	if !has && c.opt.RequestTimeout > 0 {
+		deadline = time.Now().Add(c.opt.RequestTimeout)
 	}
 	attempts := 1
 	if idempotent {
@@ -299,20 +325,20 @@ func (c *Client) do(ctx context.Context, req *Request, idempotent bool) (*Respon
 	for i := 0; i < attempts; i++ {
 		if i > 0 {
 			c.m.retries.Add(1)
-			if err := c.backoff(ctx, i); err != nil {
-				return nil, lastErr
+			if err := c.backoff(ctx, deadline, i); err != nil {
+				return Response{}, lastErr
 			}
 		}
-		resp, err := c.doOnce(ctx, req)
+		resp, err := c.doOnce(ctx, deadline, req)
 		if err == nil {
 			return resp, nil
 		}
 		lastErr = err
 		if !retryable(err) || ctx.Err() != nil {
-			return nil, err
+			return Response{}, err
 		}
 	}
-	return nil, lastErr
+	return Response{}, lastErr
 }
 
 // retryable: transport failures and fast-rejections, where the server
@@ -333,12 +359,17 @@ func retryable(err error) bool {
 	return errors.Is(err, net.ErrClosed) || errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, syscall.ECONNREFUSED) || errors.Is(err, syscall.ECONNRESET) || errors.Is(err, syscall.EPIPE)
 }
 
-func (c *Client) backoff(ctx context.Context, attempt int) error {
+// backoff sleeps before retry number attempt, or fails at once when the
+// deadline would pass first.
+func (c *Client) backoff(ctx context.Context, deadline time.Time, attempt int) error {
 	d := c.opt.RetryBackoff << (attempt - 1)
 	c.mu.Lock()
 	factor := 0.5 + c.rng.Float64()
 	c.mu.Unlock()
 	d = time.Duration(float64(d) * factor)
+	if !deadline.IsZero() && time.Until(deadline) <= d {
+		return context.DeadlineExceeded
+	}
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
@@ -349,45 +380,49 @@ func (c *Client) backoff(ctx context.Context, attempt int) error {
 	}
 }
 
-func (c *Client) doOnce(ctx context.Context, req *Request) (*Response, error) {
-	cc, err := c.checkout(ctx)
+// doOnce sends req on one pooled connection, through the connection's own
+// request, and returns a copy of the decoded response.
+func (c *Client) doOnce(ctx context.Context, deadline time.Time, req *Request) (Response, error) {
+	cc, err := c.checkout(ctx, deadline)
 	if err != nil {
-		return nil, err
+		return Response{}, err
 	}
 	c.m.requests.Add(1)
 	cc.nextID++
-	req.ID = cc.nextID
-	req.DeadlineMS = 0
-	if dl, ok := ctx.Deadline(); ok {
-		ms := time.Until(dl).Milliseconds()
-		if ms <= 0 {
+	id := cc.nextID
+	var ms int64
+	if !deadline.IsZero() {
+		if ms = time.Until(deadline).Milliseconds(); ms <= 0 {
 			c.release(cc, nil)
-			return nil, context.DeadlineExceeded
+			return Response{}, context.DeadlineExceeded
 		}
-		req.DeadlineMS = ms
-		cc.nc.SetDeadline(dl.Add(500 * time.Millisecond))
+		cc.nc.SetDeadline(deadline.Add(500 * time.Millisecond))
 	} else {
 		cc.nc.SetDeadline(time.Time{})
 	}
-	n, err := WriteFrameVersion(cc.nc, cc.ver, req)
+	cc.req = *req
+	cc.req.ID, cc.req.DeadlineMS = id, ms
+	n, err := cc.fe.write(cc.nc, cc.ver, &cc.req)
+	cc.req = Request{} // hold none of the caller's tuples
 	c.m.bytesWritten.Add(int64(n))
 	if err != nil {
 		c.release(cc, err)
-		return nil, err
+		return Response{}, err
 	}
-	resp, err := c.readResponse(cc)
-	if err != nil {
+	if err := c.readResponse(cc); err != nil {
 		c.release(cc, err)
-		return nil, err
+		return Response{}, err
 	}
-	if resp.ID != req.ID {
-		err := fmt.Errorf("%w: response id %d for request %d", ErrProtocol, resp.ID, req.ID)
+	resp := cc.resp
+	cc.resp = Response{}
+	if resp.ID != id {
+		err := fmt.Errorf("%w: response id %d for request %d", ErrProtocol, resp.ID, id)
 		c.release(cc, err)
-		return nil, err
+		return Response{}, err
 	}
 	c.release(cc, nil)
 	if !resp.OK {
-		return resp, responseError(resp)
+		return Response{}, responseError(&resp)
 	}
 	return resp, nil
 }
@@ -396,44 +431,40 @@ func (c *Client) doOnce(ctx context.Context, req *Request) (*Response, error) {
 
 // InsertCtx inserts one tuple. Not retried (not idempotent).
 func (c *Client) InsertCtx(ctx context.Context, relName string, tup relation.Tuple) error {
-	_, err := c.do(ctx, &Request{Op: OpInsert, Relation: relName, Tuple: EncodeTuple(tup)}, false)
+	_, err := c.do(ctx, &Request{Op: OpInsert, Relation: relName, Tuple: WireTuple(tup)}, false)
 	return err
 }
 
 // DeleteCtx deletes by primary key. Not retried.
 func (c *Client) DeleteCtx(ctx context.Context, relName string, key relation.Tuple) error {
-	_, err := c.do(ctx, &Request{Op: OpDelete, Relation: relName, Key: EncodeTuple(key)}, false)
+	_, err := c.do(ctx, &Request{Op: OpDelete, Relation: relName, Key: WireTuple(key)}, false)
 	return err
 }
 
 // UpdateCtx replaces the tuple with the given key. Not retried.
 func (c *Client) UpdateCtx(ctx context.Context, relName string, key, tup relation.Tuple) error {
-	_, err := c.do(ctx, &Request{Op: OpUpdate, Relation: relName, Key: EncodeTuple(key), Tuple: EncodeTuple(tup)}, false)
+	_, err := c.do(ctx, &Request{Op: OpUpdate, Relation: relName, Key: WireTuple(key), Tuple: WireTuple(tup)}, false)
 	return err
 }
 
 // FetchCtx looks up by primary key. Idempotent: retried on transport errors
 // and overload.
 func (c *Client) FetchCtx(ctx context.Context, relName string, key relation.Tuple) (relation.Tuple, bool, error) {
-	resp, err := c.do(ctx, &Request{Op: OpFetch, Relation: relName, Key: EncodeTuple(key)}, true)
+	resp, err := c.do(ctx, &Request{Op: OpFetch, Relation: relName, Key: WireTuple(key)}, true)
 	if err != nil {
 		return nil, false, err
 	}
 	if !resp.Found {
 		return nil, false, nil
 	}
-	tup, err := DecodeTuple(resp.Tuple)
-	if err != nil {
-		return nil, false, fmt.Errorf("%w: %v", ErrProtocol, err)
-	}
-	return tup, true, nil
+	return relation.Tuple(resp.Tuple), true, nil
 }
 
 // InsertBatchCtx inserts an atomic batch. Not retried.
 func (c *Client) InsertBatchCtx(ctx context.Context, relName string, tuples []relation.Tuple) error {
-	ws := make([][]WireValue, len(tuples))
+	ws := make([]WireTuple, len(tuples))
 	for i, t := range tuples {
-		ws[i] = EncodeTuple(t)
+		ws[i] = WireTuple(t)
 	}
 	_, err := c.do(ctx, &Request{Op: OpInsertBatch, Relation: relName, Tuples: ws}, false)
 	return err

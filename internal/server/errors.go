@@ -167,68 +167,13 @@ func CodeOf(err error) Code {
 
 // sentinelOf is the inverse of the sentinel mapping: the representative
 // error a client-side decoded response of this code should match with
-// errors.Is. Codes carrying structured payloads (constraint violations) are
-// reconstructed separately and never reach this table.
+// errors.Is — the first sentinel codeSentinels lists for it. Constraint
+// violations are reconstructed with their payload and never reach it.
 func sentinelOf(code Code) error {
-	switch code {
-	case CodeProtocol:
-		return ErrProtocol
-	case CodeOverloaded:
-		return ErrOverloaded
-	case CodeDeadline:
-		return ErrDeadline
-	case CodeCanceled:
-		return context.Canceled
-	case CodeClosed:
-		return ErrClosed
-	case CodeTxn:
-		return ErrTxn
-	case CodeReadOnly:
-		return ErrReadOnly
-	case CodeNotRepl:
-		return ErrNotReplicating
-	case CodeUnsupported:
-		return ErrUnsupported
-	case CodeWALGap:
-		return wal.ErrGap
-	case CodeWALCompacted:
-		return wal.ErrCompacted
-	case CodeUnknownRelation:
-		return engine.ErrUnknownRelation
-	case CodeNoSuchTuple:
-		return engine.ErrNoSuchTuple
-	case CodeArityMismatch:
-		return engine.ErrArityMismatch
-	case CodeConstraint:
-		return engine.ErrConstraintViolation
-	case CodeMalformedIND:
-		return engine.ErrMalformedIND
-	case CodeNotDurable:
-		return engine.ErrNotDurable
-	case CodeOpenTransaction:
-		return engine.ErrOpenTransaction
-	case CodeRecovery:
-		return engine.ErrRecovery
-	case CodeWALCrashed:
-		return wal.ErrCrashed
-	case CodeWALClosed:
-		return wal.ErrClosed
-	case CodeMergeSetTooSmall:
-		return core.ErrMergeSetTooSmall
-	case CodeUnknownScheme:
-		return core.ErrUnknownScheme
-	case CodeDuplicateMember:
-		return core.ErrDuplicateMember
-	case CodeNameCollision:
-		return core.ErrNameCollision
-	case CodeIncompatibleKeys:
-		return core.ErrIncompatibleKeys
-	case CodeNullableMember:
-		return core.ErrNullableMember
-	case CodeBadKeyRelation:
-		return core.ErrBadKeyRelation
-	case CodeNotMember:
-		return core.ErrNotMember
+	for _, s := range codeSentinels {
+		if s.code == code {
+			return s.err
+		}
 	}
 	return nil
 }

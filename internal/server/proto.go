@@ -79,13 +79,8 @@ func writeOp(op string) bool {
 // knownOp reports whether op is part of the protocol. Unknown operations are
 // a protocol violation: the connection fails closed.
 func knownOp(op string) bool {
-	switch op {
-	case OpHello, OpPing, OpInsert, OpDelete, OpUpdate, OpFetch,
-		OpInsertBatch, OpApplyBatch, OpBegin, OpCommit, OpRollback,
-		OpStats, OpCheckpoint, OpReplSubscribe, OpReplFetch, OpReplHeartbeat:
-		return true
-	}
-	return false
+	_, ok := opcodes[op] // every operation has a binary opcode
+	return ok
 }
 
 // replOp reports whether op is a replication operation; these carry the
@@ -105,16 +100,16 @@ type Request struct {
 	Op      string `json:"op"`
 	Version int    `json:"version,omitempty"` // hello only
 
-	Relation string        `json:"relation,omitempty"`
-	Key      []WireValue   `json:"key,omitempty"`
-	Tuple    []WireValue   `json:"tuple,omitempty"`
-	Tuples   [][]WireValue `json:"tuples,omitempty"` // insert_batch
-	Ops      []WireOp      `json:"ops,omitempty"`    // apply_batch
+	Relation string      `json:"relation,omitempty"`
+	Key      WireTuple   `json:"key,omitempty"`
+	Tuple    WireTuple   `json:"tuple,omitempty"`
+	Tuples   []WireTuple `json:"tuples,omitempty"` // insert_batch
+	Ops      []WireOp    `json:"ops,omitempty"`    // apply_batch
 
 	// DeadlineMS is the client's remaining time budget in milliseconds;
-	// zero means no deadline. The server arms a context deadline from it,
-	// so a request that expires while queued is answered with CodeDeadline
-	// without touching the engine.
+	// zero means no deadline. The server turns it into a deadline on
+	// arrival, so a request that expires while queued is answered with
+	// CodeDeadline without touching the engine.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 
 	// Replication fields (repl_subscribe / repl_fetch only): the follower's
@@ -125,10 +120,10 @@ type Request struct {
 
 // WireOp is one operation of an apply_batch request.
 type WireOp struct {
-	Kind     string      `json:"kind"` // insert | delete | update
-	Relation string      `json:"relation"`
-	Key      []WireValue `json:"key,omitempty"`
-	Tuple    []WireValue `json:"tuple,omitempty"`
+	Kind     string    `json:"kind"` // insert | delete | update
+	Relation string    `json:"relation"`
+	Key      WireTuple `json:"key,omitempty"`
+	Tuple    WireTuple `json:"tuple,omitempty"`
 }
 
 // Response is one server frame, correlated to its request by ID.
@@ -144,10 +139,10 @@ type Response struct {
 	// (which null-constraint regime fired, on which relation/attribute).
 	Violation *WireViolation `json:"violation,omitempty"`
 
-	Found bool        `json:"found,omitempty"` // fetch
-	Tuple []WireValue `json:"tuple,omitempty"` // fetch
-	Stats *WireStats  `json:"stats,omitempty"` // stats
-	Repl  *WireRepl   `json:"repl,omitempty"`  // repl_*
+	Found bool       `json:"found,omitempty"` // fetch
+	Tuple WireTuple  `json:"tuple,omitempty"` // fetch
+	Stats *WireStats `json:"stats,omitempty"` // stats
+	Repl  *WireRepl  `json:"repl,omitempty"`  // repl_*
 }
 
 // WireRepl is the payload of a replication response: the primary's commit
@@ -224,15 +219,21 @@ func fromWireStats(w *WireStats) engine.StatsSnapshot {
 	}
 }
 
-// WireValue is the wire form of relation.Value: a kind tag plus a string
-// payload. Floats travel as hex-encoded IEEE 754 bits rather than JSON
+// WireTuple is a tuple as the wire structs carry it: the engine's own values,
+// so converting to and from relation.Tuple costs nothing. The v2 codec
+// appends and decodes the values directly; only v1 JSON spells them out, as
+// an array of WireValue objects (MarshalJSON / UnmarshalJSON).
+type WireTuple []relation.Value
+
+// WireValue is the v1 JSON form of one relation.Value: a kind tag plus a
+// string payload. Floats travel as hex-encoded IEEE 754 bits rather than JSON
 // numbers so NaN and signed-zero survive the round trip bit-exactly.
 type WireValue struct {
 	T string `json:"t"`           // n | s | i | f | b
 	V string `json:"v,omitempty"` // payload, kind-dependent
 }
 
-// EncodeValue converts an engine value to its wire form.
+// EncodeValue converts an engine value to its v1 JSON form.
 func EncodeValue(v relation.Value) WireValue {
 	switch v.Kind() {
 	case relation.KindString:
@@ -251,7 +252,7 @@ func EncodeValue(v relation.Value) WireValue {
 	}
 }
 
-// DecodeValue converts a wire value back to an engine value.
+// DecodeValue converts a v1 JSON value back to an engine value.
 func DecodeValue(w WireValue) (relation.Value, error) {
 	switch w.T {
 	case "n":
@@ -283,33 +284,46 @@ func DecodeValue(w WireValue) (relation.Value, error) {
 	}
 }
 
-// EncodeTuple converts a tuple to its wire form (nil stays nil).
-func EncodeTuple(t relation.Tuple) []WireValue {
+// MarshalJSON writes the tuple as an array of WireValue objects (null for a
+// nil tuple, as a plain slice would be).
+func (t WireTuple) MarshalJSON() ([]byte, error) {
 	if t == nil {
-		return nil
+		return []byte("null"), nil
 	}
-	out := make([]WireValue, len(t))
+	ws := make([]WireValue, len(t))
 	for i, v := range t {
-		out[i] = EncodeValue(v)
+		ws[i] = EncodeValue(v)
 	}
-	return out
+	return json.Marshal(ws)
 }
 
-// DecodeTuple converts a wire tuple back to an engine tuple (nil stays nil).
-func DecodeTuple(ws []WireValue) (relation.Tuple, error) {
-	if ws == nil {
-		return nil, nil
+// UnmarshalJSON reads an array of WireValue objects. A malformed value fails
+// the whole frame, as a malformed v2 value does.
+func (t *WireTuple) UnmarshalJSON(b []byte) error {
+	var ws []WireValue
+	if err := json.Unmarshal(b, &ws); err != nil || ws == nil {
+		*t = nil
+		return err
 	}
-	out := make(relation.Tuple, len(ws))
+	out := make(WireTuple, len(ws))
 	for i, w := range ws {
 		v, err := DecodeValue(w)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		out[i] = v
 	}
-	return out, nil
+	*t = out
+	return nil
 }
+
+// EncodeTuple is the wire form of a tuple: the same values, not a copy.
+func EncodeTuple(t relation.Tuple) WireTuple { return WireTuple(t) }
+
+// DecodeTuple is the engine form of a wire tuple: the same values, not a
+// copy. The values were checked when their frame was decoded, so the error
+// is always nil.
+func DecodeTuple(w WireTuple) (relation.Tuple, error) { return relation.Tuple(w), nil }
 
 // EncodeOps converts batch ops to their wire form.
 func EncodeOps(ops []engine.BatchOp) ([]WireOp, error) {
@@ -326,7 +340,7 @@ func EncodeOps(ops []engine.BatchOp) ([]WireOp, error) {
 		default:
 			return nil, fmt.Errorf("unknown batch kind %d", op.Kind)
 		}
-		out[i] = WireOp{Kind: kind, Relation: op.Relation, Key: EncodeTuple(op.Key), Tuple: EncodeTuple(op.Tuple)}
+		out[i] = WireOp{Kind: kind, Relation: op.Relation, Key: WireTuple(op.Key), Tuple: WireTuple(op.Tuple)}
 	}
 	return out, nil
 }
@@ -346,27 +360,26 @@ func DecodeOps(ws []WireOp) ([]engine.BatchOp, error) {
 		default:
 			return nil, fmt.Errorf("unknown batch kind %q", w.Kind)
 		}
-		key, err := DecodeTuple(w.Key)
-		if err != nil {
-			return nil, err
-		}
-		tup, err := DecodeTuple(w.Tuple)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = engine.BatchOp{Kind: kind, Relation: w.Relation, Key: key, Tuple: tup}
+		out[i] = engine.BatchOp{Kind: kind, Relation: w.Relation, Key: relation.Tuple(w.Key), Tuple: relation.Tuple(w.Tuple)}
 	}
 	return out, nil
 }
 
-// frameEncoder is the pooled per-write scratch: one reusable buffer holding
-// the 4-byte length prefix plus the encoded body, and a json.Encoder bound
-// to it for the v1 path. Both codecs assemble the whole frame here and issue
-// ONE Write, so steady-state serving neither allocates a fresh body per
-// frame (the old json.Marshal) nor copies it into a second framing buffer.
+// frameEncoder is a reusable frame buffer: the 4-byte length prefix plus the
+// encoded body, and a json.Encoder bound to it for the v1 path. Both codecs
+// assemble the whole frame here and issue ONE Write, so steady-state serving
+// neither allocates a fresh body per frame nor copies it into a second
+// framing buffer. Every connection owns one (its sends are serialized);
+// WriteFrameVersion borrows one from a pool.
 type frameEncoder struct {
 	buf []byte
 	enc *json.Encoder
+}
+
+func newFrameEncoder() *frameEncoder {
+	fe := &frameEncoder{buf: make([]byte, 0, 512)}
+	fe.enc = json.NewEncoder(fe)
+	return fe
 }
 
 // Write appends to the frame buffer; it is the json.Encoder's sink.
@@ -375,14 +388,10 @@ func (fe *frameEncoder) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-var framePool = sync.Pool{New: func() any {
-	fe := &frameEncoder{buf: make([]byte, 0, 512)}
-	fe.enc = json.NewEncoder(fe)
-	return fe
-}}
+var framePool = sync.Pool{New: func() any { return newFrameEncoder() }}
 
-// frameKeepCap bounds what a pooled frame buffer may retain: a rare huge
-// frame should not pin its allocation in the pool forever.
+// frameKeepCap bounds what a reused frame buffer may retain: a rare huge
+// frame should not pin its allocation for the life of a connection or pool.
 const frameKeepCap = 64 << 10
 
 // WriteFrame writes one length-prefixed v1 JSON frame: encode into a pooled
@@ -397,6 +406,13 @@ func WriteFrame(w io.Writer, v any) (int, error) {
 // JSON codec takes anything marshalable.
 func WriteFrameVersion(w io.Writer, version int, v any) (int, error) {
 	fe := framePool.Get().(*frameEncoder)
+	n, err := fe.write(w, version, v)
+	framePool.Put(fe)
+	return n, err
+}
+
+// write encodes v as one frame into the buffer and writes it with one Write.
+func (fe *frameEncoder) write(w io.Writer, version int, v any) (int, error) {
 	fe.buf = append(fe.buf[:0], 0, 0, 0, 0)
 	var err error
 	switch version {
@@ -409,7 +425,7 @@ func WriteFrameVersion(w io.Writer, version int, v any) (int, error) {
 		case *Request:
 			fe.buf, err = appendRequestBinary(fe.buf, m)
 		case *Response:
-			fe.buf, err = appendResponseBinary(fe.buf, m)
+			fe.buf = appendResponseBinary(fe.buf, m)
 		default:
 			err = fmt.Errorf("binary codec cannot encode %T", v)
 		}
@@ -417,13 +433,12 @@ func WriteFrameVersion(w io.Writer, version int, v any) (int, error) {
 		err = fmt.Errorf("unsupported protocol version %d", version)
 	}
 	if err != nil {
-		framePool.Put(fe)
 		return 0, err
 	}
 	binary.BigEndian.PutUint32(fe.buf, uint32(len(fe.buf)-4))
 	n, err := w.Write(fe.buf)
-	if cap(fe.buf) <= frameKeepCap {
-		framePool.Put(fe)
+	if cap(fe.buf) > frameKeepCap {
+		fe.buf = nil
 	}
 	return n, err
 }
@@ -439,16 +454,22 @@ func ReadFrame(r io.Reader, maxFrame int) ([]byte, error) {
 // ReadFrameInto is ReadFrame with a reusable buffer: when buf's capacity
 // covers the announced length the body is read into it and the returned
 // slice aliases buf. Connections keep one scratch buffer and pass it here,
-// so steady-state reads allocate nothing.
+// so steady-state reads allocate nothing (the length prefix is read into buf
+// too: a local array would escape through the io.Reader).
 func ReadFrameInto(r io.Reader, maxFrame int, buf []byte) ([]byte, error) {
-	var prefix [4]byte
-	if _, err := io.ReadFull(r, prefix[:]); err != nil {
+	var prefix []byte
+	if cap(buf) >= 4 {
+		prefix = buf[:4]
+	} else {
+		prefix = make([]byte, 4)
+	}
+	if _, err := io.ReadFull(r, prefix); err != nil {
 		if err == io.EOF {
 			return nil, io.EOF
 		}
 		return nil, fmt.Errorf("reading frame length: %w", err)
 	}
-	n := binary.BigEndian.Uint32(prefix[:])
+	n := binary.BigEndian.Uint32(prefix)
 	if n == 0 {
 		return nil, fmt.Errorf("%w: zero-length frame", ErrProtocol)
 	}
@@ -467,6 +488,17 @@ func ReadFrameInto(r io.Reader, maxFrame int, buf []byte) ([]byte, error) {
 	return body, nil
 }
 
+// keepReadBuf applies frameKeepCap to a connection's read buffer: the buffer
+// a frame was read into is kept for the next frame unless the frame was
+// large, so one big frame (a snapshot reply, a large insert_batch) does not
+// pin its allocation for the connection's life.
+func keepReadBuf(body []byte) []byte {
+	if cap(body) > frameKeepCap {
+		return nil
+	}
+	return body
+}
+
 // DecodeRequest parses and validates one v1 JSON request frame.
 func DecodeRequest(body []byte) (*Request, error) {
 	return DecodeRequestVersion(body, ProtoVersion)
@@ -474,44 +506,68 @@ func DecodeRequest(body []byte) (*Request, error) {
 
 // DecodeRequestVersion parses and validates one request frame in the given
 // protocol version's codec. Malformed bodies — bad JSON, bad binary, unknown
-// ops, trailing bytes — are all ErrProtocol: the connection fails closed.
+// ops, malformed values, trailing bytes — are all ErrProtocol: the
+// connection fails closed.
 func DecodeRequestVersion(body []byte, version int) (*Request, error) {
+	req := new(Request)
+	if err := decodeRequest(body, version, req, &binReader{}, nil); err != nil {
+		return nil, err
+	}
+	return req, nil
+}
+
+// decodeRequest is DecodeRequestVersion into a caller-owned request, which it
+// overwrites. r is the connection's v2 decoder (it remembers the last
+// relation name); key, when it has room, holds a fetch key, the one tuple
+// nobody keeps past its request.
+func decodeRequest(body []byte, version int, req *Request, r *binReader, key WireTuple) error {
 	switch version {
 	case ProtoVersion:
-		var req Request
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nil, fmt.Errorf("%w: bad request JSON: %v", ErrProtocol, err)
+		*req = Request{}
+		if err := json.Unmarshal(body, req); err != nil {
+			return fmt.Errorf("%w: bad request JSON: %v", ErrProtocol, err)
 		}
 		if !knownOp(req.Op) {
-			return nil, fmt.Errorf("%w: unknown op %q", ErrProtocol, req.Op)
+			return fmt.Errorf("%w: unknown op %q", ErrProtocol, req.Op)
 		}
-		return &req, nil
+		return nil
 	case ProtoVersionBinary:
-		req, err := decodeRequestBinary(body)
-		if err != nil {
-			return nil, fmt.Errorf("%w: bad binary request: %v", ErrProtocol, err)
+		r.b, r.off = body, 0
+		if err := r.request(req, key); err != nil {
+			return fmt.Errorf("%w: bad binary request: %v", ErrProtocol, err)
 		}
-		return req, nil
+		return nil
 	}
-	return nil, fmt.Errorf("%w: unsupported protocol version %d", ErrProtocol, version)
+	return fmt.Errorf("%w: unsupported protocol version %d", ErrProtocol, version)
 }
 
 // DecodeResponseVersion parses one response frame in the given protocol
 // version's codec.
 func DecodeResponseVersion(body []byte, version int) (*Response, error) {
+	resp := new(Response)
+	if err := decodeResponse(body, version, resp); err != nil {
+		return nil, err
+	}
+	return resp, nil
+}
+
+// decodeResponse is DecodeResponseVersion into a caller-owned response, which
+// it overwrites. Everything the response references is freshly allocated, so
+// it outlives both the body and the response.
+func decodeResponse(body []byte, version int, resp *Response) error {
 	switch version {
 	case ProtoVersion:
-		var resp Response
-		if err := json.Unmarshal(body, &resp); err != nil {
-			return nil, fmt.Errorf("%w: bad response JSON: %v", ErrProtocol, err)
+		*resp = Response{}
+		if err := json.Unmarshal(body, resp); err != nil {
+			return fmt.Errorf("%w: bad response JSON: %v", ErrProtocol, err)
 		}
-		return &resp, nil
+		return nil
 	case ProtoVersionBinary:
-		resp, err := decodeResponseBinary(body)
-		if err != nil {
-			return nil, fmt.Errorf("%w: bad binary response: %v", ErrProtocol, err)
+		r := binReader{b: body}
+		if err := r.response(resp); err != nil {
+			return fmt.Errorf("%w: bad binary response: %v", ErrProtocol, err)
 		}
-		return resp, nil
+		return nil
 	}
-	return nil, fmt.Errorf("%w: unsupported protocol version %d", ErrProtocol, version)
+	return fmt.Errorf("%w: unsupported protocol version %d", ErrProtocol, version)
 }

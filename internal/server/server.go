@@ -150,12 +150,15 @@ type srvConn struct {
 	// through the queue's happens-before edge without locking.
 	ver int
 
-	rbuf []byte // connection-owned frame read buffer, reused across frames
+	rbuf []byte    // connection-owned frame read buffer, reused across frames
+	dec  binReader // the reader's v2 decoder, remembering the last relation name
 
-	wmu sync.Mutex // serializes response frames
+	wmu sync.Mutex    // serializes response frames
+	fe  *frameEncoder // response frame buffer, guarded by wmu
 
 	mu       sync.Mutex
 	inflight map[uint64]struct{}
+	free     []*task // finished tasks, reused by the next requests
 }
 
 // readFrame reads one frame body into the connection's reusable buffer.
@@ -164,16 +167,48 @@ func (c *srvConn) readFrame() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.rbuf = body // keep the (possibly grown) buffer for the next frame
+	c.rbuf = keepReadBuf(body)
 	return body, nil
 }
 
+// task is one request's trip through the server. A connection recycles its
+// tasks, so a steady connection reuses one request, one response and one
+// fetch-key buffer; a pipelining connection holds a task per request in
+// flight.
 type task struct {
-	c      *srvConn
-	req    *Request
-	ctx    context.Context
-	cancel context.CancelFunc
-	start  time.Time
+	c        *srvConn
+	req      Request
+	resp     Response
+	key      WireTuple // fetch-key storage lent to the decoder
+	deadline time.Time // zero: none
+	start    time.Time
+}
+
+// newTask returns a finished task of this connection, or a new one when all
+// of them are in flight.
+func (c *srvConn) newTask() *task {
+	c.mu.Lock()
+	var t *task
+	if n := len(c.free); n > 0 {
+		t = c.free[n-1]
+		c.free = c.free[:n-1]
+	}
+	c.mu.Unlock()
+	if t == nil {
+		t = &task{c: c}
+	}
+	return t
+}
+
+// done forgets t's request ID and recycles t. Its request and response are
+// cleared so an idle task pins no tuple; the fetch-key storage stays.
+func (c *srvConn) done(t *task) {
+	id := t.req.ID
+	t.req, t.resp = Request{}, Response{}
+	c.mu.Lock()
+	delete(c.inflight, id)
+	c.free = append(c.free, t)
+	c.mu.Unlock()
 }
 
 // New builds a server around an open backend — an engine, or a shard
@@ -365,6 +400,7 @@ func (s *Server) handleConn(nc net.Conn) {
 		nc:       nc,
 		br:       bufio.NewReaderSize(nc, 16<<10),
 		ver:      ProtoVersion,
+		fe:       newFrameEncoder(),
 		inflight: make(map[uint64]struct{}),
 	}
 	s.mu.Lock()
@@ -400,12 +436,16 @@ func (s *Server) handleConn(nc net.Conn) {
 			return
 		}
 		s.m.bytesRead.Add(int64(4 + len(body)))
-		req, err := DecodeRequestVersion(body, c.ver)
-		if err != nil {
+		t := c.newTask()
+		req := &t.req
+		if err := decodeRequest(body, c.ver, req, &c.dec, t.key); err != nil {
 			s.failConn(c, 0, err)
 			s.untrack(c)
 			nc.Close()
 			return
+		}
+		if req.Op == OpFetch && req.Key != nil {
+			t.key = req.Key
 		}
 		if req.Op == OpHello {
 			s.failConn(c, req.ID, fmt.Errorf("%w: repeated hello", ErrProtocol))
@@ -425,21 +465,19 @@ func (s *Server) handleConn(nc net.Conn) {
 		c.mu.Unlock()
 
 		s.m.requests.Inc()
-		ctx, cancel := s.baseCtx, context.CancelFunc(func() {})
+		t.start, t.deadline = time.Now(), time.Time{}
 		if req.DeadlineMS > 0 {
-			ctx, cancel = context.WithTimeout(s.baseCtx, time.Duration(req.DeadlineMS)*time.Millisecond)
+			t.deadline = t.start.Add(time.Duration(req.DeadlineMS) * time.Millisecond)
 		}
-		t := &task{c: c, req: req, ctx: ctx, cancel: cancel, start: time.Now()}
 		select {
 		case s.queue <- t:
 			s.m.inflight.Add(1)
 		default:
 			// Admission control: reject instantly rather than queue past the
 			// depth limit — the engine is already saturated.
-			cancel()
-			c.clearID(req.ID)
 			s.m.overloaded.Inc()
 			c.send(errorResponse(req.ID, ErrOverloaded))
+			c.done(t)
 		}
 	}
 }
@@ -489,18 +527,12 @@ func (s *Server) untrack(c *srvConn) {
 	s.mu.Unlock()
 }
 
-func (c *srvConn) clearID(id uint64) {
-	c.mu.Lock()
-	delete(c.inflight, id)
-	c.mu.Unlock()
-}
-
 // send writes one response frame in the connection's negotiated codec.
 // Write errors are swallowed: the reader side notices the dead connection
 // and tears it down.
 func (c *srvConn) send(resp *Response) error {
 	c.wmu.Lock()
-	n, err := WriteFrameVersion(c.nc, c.ver, resp)
+	n, err := c.fe.write(c.nc, c.ver, resp)
 	c.wmu.Unlock()
 	c.s.m.bytesWritten.Add(int64(n))
 	return err
@@ -508,9 +540,10 @@ func (c *srvConn) send(resp *Response) error {
 
 func (s *Server) worker() {
 	defer s.workerWG.Done()
+	var batch []*task
 	for t := range s.queue {
 		if writeOp(t.req.Op) && s.cfg.CoalesceMax > 1 {
-			batch := []*task{t}
+			batch = append(batch[:0], t)
 		drain:
 			// Opportunistically fold queued writes into one engine batch:
 			// one writer-mutex acquisition, one WAL record, one fsync for the
@@ -533,26 +566,49 @@ func (s *Server) worker() {
 				}
 			}
 			s.executeWrites(batch)
+			clear(batch)
 		} else {
 			s.execute(t)
 		}
 	}
 }
 
-// finish answers t and releases its bookkeeping.
+// finish answers t and recycles it.
 func (s *Server) finish(t *task, resp *Response) {
 	resp.ID = t.req.ID
 	t.c.send(resp)
-	t.c.clearID(t.req.ID)
-	t.cancel()
 	s.m.inflight.Add(-1)
 	if h := s.m.wireLat[t.req.Op]; h != nil {
 		h.ObserveSince(t.start)
 	}
+	t.c.done(t)
+}
+
+// expired reports why t may no longer run: the server was stopped, or its
+// deadline passed while it queued.
+func (s *Server) expired(t *task) error {
+	if err := s.baseCtx.Err(); err != nil {
+		return err
+	}
+	if !t.deadline.IsZero() && !time.Now().Before(t.deadline) {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// deadlineCtx is the context a write runs under. Writes can queue on the
+// backend's writer mutex, and the engine checks the context again once it
+// holds the mutex, so a write whose deadline passes while it waits is
+// refused instead of committed. Reads never wait on it and run on baseCtx.
+func (s *Server) deadlineCtx(deadline time.Time) (context.Context, context.CancelFunc) {
+	if deadline.IsZero() {
+		return s.baseCtx, func() {}
+	}
+	return context.WithDeadline(s.baseCtx, deadline)
 }
 
 func (s *Server) execute(t *task) {
-	if err := t.ctx.Err(); err != nil {
+	if err := s.expired(t); err != nil {
 		s.finish(t, errorResponse(t.req.ID, deadlineError(err)))
 		return
 	}
@@ -560,13 +616,16 @@ func (s *Server) execute(t *task) {
 }
 
 // executeWrites runs a coalesced group of write requests as one engine
-// batch. If the merged batch fails — any member's constraint violation
-// aborts all of it — fall back to executing each request individually, which
-// reproduces the exact per-request outcomes of an uncoalesced server.
+// batch, under the earliest deadline among them: a member whose deadline
+// passes while the batch waits for the writer mutex must not commit by
+// riding along. If the merged batch fails — that refusal, or any member's
+// constraint violation, aborts all of it — fall back to executing each
+// request individually under its own deadline, which reproduces the exact
+// per-request outcomes of an uncoalesced server.
 func (s *Server) executeWrites(batch []*task) {
 	live := batch[:0]
 	for _, t := range batch {
-		if err := t.ctx.Err(); err != nil {
+		if err := s.expired(t); err != nil {
 			s.finish(t, errorResponse(t.req.ID, deadlineError(err)))
 			continue
 		}
@@ -580,91 +639,65 @@ func (s *Server) executeWrites(batch []*task) {
 		return
 	}
 	var ops []engine.BatchOp
+	var deadline time.Time
 	merged := live[:0]
 	for _, t := range live {
-		decoded, err := decodeWriteOps(t.req)
-		if err != nil {
+		var err error
+		if ops, err = appendWriteOps(ops, &t.req); err != nil {
 			// Undecodable member: answer it, coalesce the rest.
 			s.finish(t, errorResponse(t.req.ID, err))
 			continue
 		}
-		ops = append(ops, decoded...)
+		if !t.deadline.IsZero() && (deadline.IsZero() || t.deadline.Before(deadline)) {
+			deadline = t.deadline
+		}
 		merged = append(merged, t)
 	}
 	if len(merged) == 0 {
 		return
 	}
-	if err := s.db.ApplyBatchCtx(s.baseCtx, ops); err == nil {
+	ctx, cancel := s.deadlineCtx(deadline)
+	err := s.db.ApplyBatchCtx(ctx, ops)
+	cancel()
+	if err == nil {
 		s.m.coalescedBatch.Inc()
 		s.m.coalescedWrites.Add(int64(len(merged)))
 		for _, t := range merged {
-			s.finish(t, &Response{OK: true})
+			t.resp = Response{OK: true}
+			s.finish(t, &t.resp)
 		}
 		return
 	}
 	// The combined batch aborted atomically (no effects survive), so per-
 	// request execution observes the same starting state.
 	for _, t := range merged {
-		s.finish(t, s.dispatch(t))
+		s.execute(t)
 	}
 }
 
-// decodeWriteOps lowers one write request to engine batch ops.
-func decodeWriteOps(req *Request) ([]engine.BatchOp, error) {
+// appendWriteOps appends the engine batch ops of one write request; on error
+// ops comes back unchanged.
+func appendWriteOps(ops []engine.BatchOp, req *Request) ([]engine.BatchOp, error) {
 	switch req.Op {
 	case OpInsert:
-		tup, err := DecodeTuple(req.Tuple)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrProtocol, err)
-		}
-		return []engine.BatchOp{engine.Ins(req.Relation, tup)}, nil
+		return append(ops, engine.Ins(req.Relation, relation.Tuple(req.Tuple))), nil
 	case OpDelete:
-		key, err := DecodeTuple(req.Key)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrProtocol, err)
-		}
-		return []engine.BatchOp{engine.Del(req.Relation, key)}, nil
+		return append(ops, engine.Del(req.Relation, relation.Tuple(req.Key))), nil
 	case OpUpdate:
-		key, err := DecodeTuple(req.Key)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrProtocol, err)
-		}
-		tup, err := DecodeTuple(req.Tuple)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrProtocol, err)
-		}
-		return []engine.BatchOp{engine.Upd(req.Relation, key, tup)}, nil
+		return append(ops, engine.Upd(req.Relation, relation.Tuple(req.Key), relation.Tuple(req.Tuple))), nil
 	case OpInsertBatch:
-		out := make([]engine.BatchOp, 0, len(req.Tuples))
-		for _, wt := range req.Tuples {
-			tup, err := DecodeTuple(wt)
-			if err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrProtocol, err)
-			}
-			out = append(out, engine.Ins(req.Relation, tup))
-		}
-		return out, nil
-	case OpApplyBatch:
-		ops, err := DecodeOps(req.Ops)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrProtocol, err)
+		for _, t := range req.Tuples {
+			ops = append(ops, engine.Ins(req.Relation, relation.Tuple(t)))
 		}
 		return ops, nil
-	}
-	return nil, fmt.Errorf("%w: %q is not a write op", ErrProtocol, req.Op)
-}
-
-// decodeTuples decodes an insert_batch payload.
-func decodeTuples(ws [][]WireValue) ([]relation.Tuple, error) {
-	out := make([]relation.Tuple, len(ws))
-	for i, w := range ws {
-		t, err := DecodeTuple(w)
+	case OpApplyBatch:
+		decoded, err := DecodeOps(req.Ops)
 		if err != nil {
-			return nil, err
+			return ops, fmt.Errorf("%w: %v", ErrProtocol, err)
 		}
-		out[i] = t
+		return append(ops, decoded...), nil
 	}
-	return out, nil
+	return ops, fmt.Errorf("%w: %q is not a write op", ErrProtocol, req.Op)
 }
 
 // deadlineError maps a context error to the wire's deadline/cancel sentinel.
@@ -675,127 +708,94 @@ func deadlineError(err error) error {
 	return err
 }
 
-// dispatch executes one request against the engine and builds its response.
+// write runs one write request against the backend under ctx.
+func (s *Server) write(ctx context.Context, req *Request) error {
+	switch req.Op {
+	case OpInsert:
+		return s.db.InsertCtx(ctx, req.Relation, relation.Tuple(req.Tuple))
+	case OpDelete:
+		return s.db.DeleteCtx(ctx, req.Relation, relation.Tuple(req.Key))
+	case OpUpdate:
+		return s.db.UpdateCtx(ctx, req.Relation, relation.Tuple(req.Key), relation.Tuple(req.Tuple))
+	case OpInsertBatch:
+		ts := make([]relation.Tuple, len(req.Tuples))
+		for i, w := range req.Tuples {
+			ts[i] = relation.Tuple(w)
+		}
+		return s.db.InsertBatchCtx(ctx, req.Relation, ts)
+	}
+	ops, err := DecodeOps(req.Ops)
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrProtocol, err)
+	}
+	return s.db.ApplyBatchCtx(ctx, ops)
+}
+
+// dispatch executes one request against the backend and builds its
+// response, in t's own response unless it failed.
 func (s *Server) dispatch(t *task) *Response {
-	req := t.req
-	fail := func(err error) *Response { return errorResponse(req.ID, err) }
+	req, ok := &t.req, &t.resp
+	*ok = Response{OK: true}
+	reply := func(err error) *Response {
+		if err != nil {
+			return errorResponse(req.ID, err)
+		}
+		return ok
+	}
+	if writeOp(req.Op) {
+		ctx, cancel := s.deadlineCtx(t.deadline)
+		defer cancel()
+		return reply(s.write(ctx, req))
+	}
 	switch req.Op {
 	case OpPing:
-		return &Response{OK: true}
-	case OpInsert:
-		tup, err := DecodeTuple(req.Tuple)
-		if err != nil {
-			return fail(fmt.Errorf("%w: %v", ErrProtocol, err))
-		}
-		if err := s.db.InsertCtx(t.ctx, req.Relation, tup); err != nil {
-			return fail(err)
-		}
-		return &Response{OK: true}
-	case OpDelete:
-		key, err := DecodeTuple(req.Key)
-		if err != nil {
-			return fail(fmt.Errorf("%w: %v", ErrProtocol, err))
-		}
-		if err := s.db.DeleteCtx(t.ctx, req.Relation, key); err != nil {
-			return fail(err)
-		}
-		return &Response{OK: true}
-	case OpUpdate:
-		key, err := DecodeTuple(req.Key)
-		if err != nil {
-			return fail(fmt.Errorf("%w: %v", ErrProtocol, err))
-		}
-		tup, err := DecodeTuple(req.Tuple)
-		if err != nil {
-			return fail(fmt.Errorf("%w: %v", ErrProtocol, err))
-		}
-		if err := s.db.UpdateCtx(t.ctx, req.Relation, key, tup); err != nil {
-			return fail(err)
-		}
-		return &Response{OK: true}
+		return ok
 	case OpFetch:
-		key, err := DecodeTuple(req.Key)
-		if err != nil {
-			return fail(fmt.Errorf("%w: %v", ErrProtocol, err))
-		}
-		tup, ok, err := s.db.GetByKeyCtx(t.ctx, req.Relation, key)
-		if err != nil {
-			return fail(err)
-		}
-		return &Response{OK: true, Found: ok, Tuple: EncodeTuple(tup)}
-	case OpInsertBatch:
-		ts, err := decodeTuples(req.Tuples)
-		if err != nil {
-			return fail(fmt.Errorf("%w: %v", ErrProtocol, err))
-		}
-		if err := s.db.InsertBatchCtx(t.ctx, req.Relation, ts); err != nil {
-			return fail(err)
-		}
-		return &Response{OK: true}
-	case OpApplyBatch:
-		ops, err := DecodeOps(req.Ops)
-		if err != nil {
-			return fail(fmt.Errorf("%w: %v", ErrProtocol, err))
-		}
-		if err := s.db.ApplyBatchCtx(t.ctx, ops); err != nil {
-			return fail(err)
-		}
-		return &Response{OK: true}
+		tup, found, err := s.db.GetByKeyCtx(s.baseCtx, req.Relation, relation.Tuple(req.Key))
+		// The reply aliases the published row, which no writer mutates.
+		ok.Found, ok.Tuple = found, WireTuple(tup)
+		return reply(err)
 	case OpBegin:
-		if err := TxnError(s.db.Begin()); err != nil {
-			return fail(err)
-		}
-		return &Response{OK: true}
+		return reply(TxnError(s.db.Begin()))
 	case OpCommit:
-		if err := TxnError(s.db.Commit()); err != nil {
-			return fail(err)
-		}
-		return &Response{OK: true}
+		return reply(TxnError(s.db.Commit()))
 	case OpRollback:
-		if err := TxnError(s.db.Rollback()); err != nil {
-			return fail(err)
-		}
-		return &Response{OK: true}
+		return reply(TxnError(s.db.Rollback()))
 	case OpStats:
-		return &Response{OK: true, Stats: toWireStats(s.db.StatsTotals())}
+		ok.Stats = toWireStats(s.db.StatsTotals())
+		return ok
 	case OpCheckpoint:
-		if err := s.db.Checkpoint(); err != nil {
-			return fail(err)
-		}
-		return &Response{OK: true}
+		return reply(s.db.Checkpoint())
 	case OpReplSubscribe, OpReplFetch:
 		// Subscribe and fetch share semantics: validate the follower's
 		// position and return the chunk after it. A position below the
 		// compaction horizon ships the checkpoint snapshot instead, so a
 		// fresh (or long-dead) follower bootstraps in the same exchange.
-		rep, ok := s.db.(Replicator)
-		if !ok {
-			return fail(ErrNotReplicating)
+		rep, isRep := s.db.(Replicator)
+		if !isRep {
+			return reply(ErrNotReplicating)
 		}
 		recs, horizon, err := rep.ReplRead(req.AfterLSN, req.MaxRecords)
-		if err != nil {
-			if errors.Is(err, wal.ErrCompacted) {
-				data, lsn, serr := rep.ReplSnapshot()
-				if serr != nil {
-					return fail(serr)
-				}
-				return &Response{OK: true, Repl: &WireRepl{CommitLSN: horizon, Snapshot: data, SnapshotLSN: lsn}}
-			}
-			return fail(err)
+		if errors.Is(err, wal.ErrCompacted) {
+			data, lsn, err := rep.ReplSnapshot()
+			ok.Repl = &WireRepl{CommitLSN: horizon, Snapshot: data, SnapshotLSN: lsn}
+			return reply(err)
 		}
 		out := make([]WireRecord, len(recs))
 		for i, r := range recs {
 			out[i] = WireRecord{LSN: r.LSN, Payload: r.Payload}
 		}
-		return &Response{OK: true, Repl: &WireRepl{CommitLSN: horizon, Records: out}}
+		ok.Repl = &WireRepl{CommitLSN: horizon, Records: out}
+		return reply(err)
 	case OpReplHeartbeat:
-		rep, ok := s.db.(Replicator)
-		if !ok {
-			return fail(ErrNotReplicating)
+		rep, isRep := s.db.(Replicator)
+		if !isRep {
+			return reply(ErrNotReplicating)
 		}
-		return &Response{OK: true, Repl: &WireRepl{CommitLSN: rep.DurableLSN()}}
+		ok.Repl = &WireRepl{CommitLSN: rep.DurableLSN()}
+		return ok
 	}
-	return fail(fmt.Errorf("%w: unknown op %q", ErrProtocol, req.Op))
+	return reply(fmt.Errorf("%w: unknown op %q", ErrProtocol, req.Op))
 }
 
 // TxnError classifies transaction sequencing failures (begin while open,

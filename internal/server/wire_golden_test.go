@@ -3,9 +3,60 @@ package server
 import (
 	"bytes"
 	"encoding/hex"
+	"math"
 	"reflect"
 	"testing"
+
+	"repro/internal/relation"
 )
+
+var (
+	str = relation.NewString
+	num = relation.NewInt
+)
+
+func floatBits(b uint64) relation.Value { return relation.NewFloat(math.Float64frombits(b)) }
+
+var valueType = reflect.TypeOf(relation.Value{})
+
+// sameWire is reflect.DeepEqual for wire frames, except that engine values
+// compare through their v1 spelling, bit-exactly: a NaN equals a NaN with the
+// same payload (to DeepEqual, NaN != NaN) and -0 differs from 0.
+func sameWire(a, b any) bool { return sameReflect(reflect.ValueOf(a), reflect.ValueOf(b)) }
+
+func sameReflect(a, b reflect.Value) bool {
+	if a.Type() != b.Type() {
+		return false
+	}
+	if a.Type() == valueType {
+		return EncodeValue(a.Interface().(relation.Value)) == EncodeValue(b.Interface().(relation.Value))
+	}
+	switch a.Kind() {
+	case reflect.Pointer:
+		if a.IsNil() || b.IsNil() {
+			return a.IsNil() == b.IsNil()
+		}
+		return sameReflect(a.Elem(), b.Elem())
+	case reflect.Slice:
+		if a.IsNil() != b.IsNil() || a.Len() != b.Len() {
+			return false
+		}
+		for i := 0; i < a.Len(); i++ {
+			if !sameReflect(a.Index(i), b.Index(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if !sameReflect(a.Field(i), b.Field(i)) {
+				return false
+			}
+		}
+		return true
+	}
+	return a.Interface() == b.Interface()
+}
 
 // The binary v2 encoding is a frozen compatibility contract (like the shard
 // hash vectors): these byte-exact vectors pin every frame shape. A failure
@@ -21,28 +72,28 @@ var goldenRequests = []struct {
 		"010100020000000000"},
 	{"ping", &Request{ID: 7, Op: OpPing},
 		"020700000000000000"},
-	{"insert all value kinds", &Request{ID: 2, Op: OpInsert, Relation: "R", Tuple: []WireValue{
-		{T: "n"},
-		{T: "s", V: "héllo"},
-		{T: "i", V: "-5"},
-		{T: "f", V: "7ff8000000000001"}, // NaN with a payload bit
-		{T: "f", V: "8000000000000000"}, // -0.0
-		{T: "b", V: "1"},
-		{T: "b", V: "0"},
+	{"insert all value kinds", &Request{ID: 2, Op: OpInsert, Relation: "R", Tuple: WireTuple{
+		relation.Null(),
+		str("héllo"),
+		num(-5),
+		floatBits(0x7ff8000000000001), // NaN with a payload bit
+		floatBits(0x8000000000000000), // -0.0
+		relation.NewBool(true),
+		relation.NewBool(false),
 	}},
 		"030200000152000700010668c3a96c6c6f020903010000000000f87f03000000000000008005040000"},
 	{"fetch with deadline", &Request{ID: 3, Op: OpFetch, Relation: "R",
-		Key: []WireValue{{T: "s", V: "k1"}}, DeadlineMS: 1500},
+		Key: WireTuple{str("k1")}, DeadlineMS: 1500},
 		"0603dc0b0001520101026b31000000"},
-	{"insert_batch", &Request{ID: 4, Op: OpInsertBatch, Relation: "R", Tuples: [][]WireValue{
-		{{T: "s", V: "a"}, {T: "i", V: "1"}},
-		{{T: "s", V: "b"}, {T: "i", V: "2"}},
+	{"insert_batch", &Request{ID: 4, Op: OpInsertBatch, Relation: "R", Tuples: []WireTuple{
+		{str("a"), num(1)},
+		{str("b"), num(2)},
 	}},
 		"07040000015200000202010161020202010162020400"},
 	{"apply_batch", &Request{ID: 5, Op: OpApplyBatch, Ops: []WireOp{
-		{Kind: OpInsert, Relation: "R", Tuple: []WireValue{{T: "s", V: "x"}}},
-		{Kind: OpDelete, Relation: "R", Key: []WireValue{{T: "s", V: "y"}}},
-		{Kind: OpUpdate, Relation: "R", Key: []WireValue{{T: "s", V: "z"}}, Tuple: []WireValue{{T: "i", V: "9"}}},
+		{Kind: OpInsert, Relation: "R", Tuple: WireTuple{str("x")}},
+		{Kind: OpDelete, Relation: "R", Key: WireTuple{str("y")}},
+		{Kind: OpUpdate, Relation: "R", Key: WireTuple{str("z")}, Tuple: WireTuple{num(9)}},
 	}},
 		"080500000000000003030152000101017804015201010179000501520101017a010212"},
 }
@@ -57,7 +108,7 @@ var goldenResponses = []struct {
 	{"bare ok", &Response{ID: 2, OK: true},
 		"02010000"},
 	{"fetch hit", &Response{ID: 3, OK: true, Found: true,
-		Tuple: []WireValue{{T: "s", V: "k1"}, {T: "i", V: "42"}}},
+		Tuple: WireTuple{str("k1"), num(42)}},
 		"030700000201026b310254"},
 	{"protocol error", &Response{ID: 4, Code: CodeProtocol, Error: "bad frame"},
 		"04000870726f746f636f6c09626164206672616d65"},
@@ -127,11 +178,11 @@ func TestGoldenRequestVectors(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("encoding drifted:\n got  %x\n want %x", got, want)
 			}
-			dec, err := decodeRequestBinary(want)
+			dec, err := DecodeRequestVersion(want, ProtoVersionBinary)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(dec, g.req) {
+			if !sameWire(dec, g.req) {
 				t.Fatalf("decode mismatch:\n got  %+v\n want %+v", dec, g.req)
 			}
 		})
@@ -145,19 +196,60 @@ func TestGoldenResponseVectors(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := appendResponseBinary(nil, g.resp)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := appendResponseBinary(nil, g.resp)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("encoding drifted:\n got  %x\n want %x", got, want)
 			}
-			dec, err := decodeResponseBinary(want)
+			dec, err := DecodeResponseVersion(want, ProtoVersionBinary)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(dec, g.resp) {
+			if !sameWire(dec, g.resp) {
 				t.Fatalf("decode mismatch:\n got  %+v\n want %+v", dec, g.resp)
+			}
+		})
+	}
+}
+
+// TestGoldenFramesAcrossCodecs decodes every golden frame under both codecs:
+// the v2 bytes and the v1 JSON body must each give back the frame the vector
+// was built from.
+func TestGoldenFramesAcrossCodecs(t *testing.T) {
+	for _, g := range goldenRequests {
+		t.Run(g.name, func(t *testing.T) {
+			bin, err := hex.DecodeString(g.hex)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fromBin, err := DecodeRequestVersion(bin, ProtoVersionBinary)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fromJSON, err := DecodeRequestVersion([]byte(goldenJSON[g.name]), ProtoVersion)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameWire(fromBin, g.req) || !sameWire(fromJSON, g.req) {
+				t.Fatalf("codecs disagree:\n binary %+v\n json   %+v\n want   %+v", fromBin, fromJSON, g.req)
+			}
+		})
+	}
+	for _, g := range goldenResponses {
+		t.Run(g.name, func(t *testing.T) {
+			bin, err := hex.DecodeString(g.hex)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fromBin, err := DecodeResponseVersion(bin, ProtoVersionBinary)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fromJSON, err := DecodeResponseVersion([]byte(goldenJSON[g.name]), ProtoVersion)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameWire(fromBin, g.resp) || !sameWire(fromJSON, g.resp) {
+				t.Fatalf("codecs disagree:\n binary %+v\n json   %+v\n want   %+v", fromBin, fromJSON, g.resp)
 			}
 		})
 	}
