@@ -106,22 +106,65 @@ func (db *DB) InsertBatchCtx(ctx context.Context, name string, tuples []relation
 // interleaves with the batch — observes either none or all of its effects,
 // never a torn middle.
 func (db *DB) ApplyBatchCtx(ctx context.Context, ops []BatchOp) error {
-	if err := ctx.Err(); err != nil {
+	if len(ops) == 0 {
+		return ctx.Err()
+	}
+	s, err := db.StageBatchCtx(ctx, ops)
+	if err != nil {
 		return err
 	}
-	if len(ops) == 0 {
-		return nil
+	return s.Commit()
+}
+
+// StagedBatch is a mixed batch that StageBatchCtx has checked and staged but
+// not logged or published. It holds the engine's writer mutex until Commit or
+// Abort releases it.
+type StagedBatch struct {
+	db  *DB // nil once released
+	tx  writeTx
+	eff effects
+}
+
+// StageBatchCtx runs every check of ApplyBatchCtx on ops and stages their
+// effects, keeping the writer mutex: the caller must Commit or Abort the
+// result. This is how the shard router makes a cross-shard batch
+// all-or-nothing while validating each op once: it stages every involved
+// shard's sub-batch before it commits any.
+func (db *DB) StageBatchCtx(ctx context.Context, ops []BatchOp) (StagedBatch, error) {
+	if err := ctx.Err(); err != nil {
+		return StagedBatch{}, err
 	}
 	if err := db.lockWriterCtx(ctx); err != nil {
-		return err
+		return StagedBatch{}, err
 	}
+	s := StagedBatch{db: db, tx: writeTx{snap: db.current.Load()}}
+	if err := db.stageBatch(&s.tx, ops, &s.eff); err != nil {
+		db.wmu.Unlock()
+		return StagedBatch{}, err
+	}
+	return s, nil
+}
+
+// Commit logs and publishes the staged batch as one version, then releases
+// the writer mutex. An error means the log refused the record and nothing was
+// published. Commit on a released batch does nothing.
+func (s *StagedBatch) Commit() error {
+	if s.db == nil {
+		return nil
+	}
+	db := s.db
+	s.db = nil
 	defer db.wmu.Unlock()
-	tx := db.beginWrite()
-	var eff effects
-	if err := db.stageBatch(tx, ops, &eff); err != nil {
-		return err
+	return db.commitEffects(&s.tx, s.eff)
+}
+
+// Abort drops the staged batch and releases the writer mutex. It does nothing
+// after Commit, so a caller may defer it unconditionally.
+func (s *StagedBatch) Abort() {
+	if s.db != nil {
+		s.db.wmu.Unlock()
+		s.db = nil
 	}
-	return db.commitEffects(tx, eff)
 }
 
 // stageBatch checks and stages every op of a mixed batch in tx, with the

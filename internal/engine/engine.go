@@ -141,6 +141,9 @@ type DB struct {
 	// (partition.go). Installed once via SetShardProbes before traffic.
 	partition bool
 	probes    atomic.Pointer[ShardProbes]
+	// probeKey is the buffer a probe key is handed to the hooks in; written
+	// only under the writer mutex.
+	probeKey []byte
 }
 
 // Option configures Open.
@@ -361,7 +364,7 @@ func (db *DB) insertLocked(tx *writeTx, t *table, tup relation.Tuple, key string
 		return err
 	}
 	eff.apply(tx, t, tup, key)
-	tx.countInsert()
+	db.countInsert()
 	return nil
 }
 
@@ -372,13 +375,13 @@ func (db *DB) checkDeclarative(tx *writeTx, t *table, tup relation.Tuple, key st
 	// including the first violating one.
 	for _, p := range t.nna {
 		if tup[p].IsNull() {
-			tx.countDecl(p + 1)
+			db.countDecl(p + 1)
 			return db.violation(&ConstraintViolation{Kind: NotNullViolation, Relation: t.name, Attr: t.rs.Attrs[p].Name, Op: "insert"})
 		}
 	}
 	// PRIMARY KEY uniqueness (all nulls identical, per section 5.1).
-	tx.countDecl(len(tup) + 1)
-	tx.countIdx()
+	db.countDecl(len(tup) + 1)
+	db.countIdx()
 	if _, dup := tx.pkGet(t, key); dup {
 		return db.violation(&ConstraintViolation{Kind: PrimaryKeyViolation, Relation: t.name, Op: "insert"})
 	}
@@ -389,11 +392,11 @@ func (db *DB) checkDeclarative(tx *writeTx, t *table, tup relation.Tuple, key st
 		if !ip.keyBased {
 			continue // handled by triggers
 		}
-		tx.countDecl(1)
+		db.countDecl(1)
 		if !tup.TotalAt(ip.probePos) {
 			continue // null foreign keys are exempt
 		}
-		tx.countIdx()
+		db.countIdx()
 		fk := tup.AppendKeyAt(tx.kb[:0], ip.probePos)
 		if tx.pkHas(ip.right, fk) {
 			continue
@@ -411,7 +414,7 @@ func (db *DB) checkDeclarative(tx *writeTx, t *table, tup relation.Tuple, key st
 // referenced relation's prebuilt secondary index).
 func (db *DB) fireInsertTriggers(tx *writeTx, t *table, tup relation.Tuple) error {
 	for i := range t.nulls {
-		tx.countTrig()
+		db.countTrig()
 		if nc := &t.nulls[i]; !nc.ok(tup) {
 			return db.violation(&ConstraintViolation{Kind: NullConstraintViolation, Relation: t.name, Constraint: nc.text, Op: "insert"})
 		}
@@ -420,11 +423,11 @@ func (db *DB) fireInsertTriggers(tx *writeTx, t *table, tup relation.Tuple) erro
 		if ip.keyBased {
 			continue
 		}
-		tx.countTrig()
+		db.countTrig()
 		if !tup.TotalAt(ip.probePos) {
 			continue
 		}
-		tx.countIdx()
+		db.countIdx()
 		fk := tup.AppendKeyAt(tx.kb[:0], ip.probePos)
 		if len(tx.bucket(ip.right, ip.rightSlot, fk)) > 0 {
 			continue
@@ -440,11 +443,7 @@ func (db *DB) fireInsertTriggers(tx *writeTx, t *table, tup relation.Tuple) erro
 // view: a violation, unless this is a partition engine and the router finds
 // the referenced tuple on another shard.
 func (db *DB) referencedElsewhere(ip *indPlan, fk []byte, name string) error {
-	hit, err := db.probeReferenced(ip, fk)
-	if err != nil {
-		return err
-	}
-	if !hit {
+	if !db.probeReferenced(ip, fk) {
 		return db.violation(&ConstraintViolation{Kind: ForeignKeyViolation, Relation: name, Constraint: ip.text, Op: "insert"})
 	}
 	return nil

@@ -102,7 +102,7 @@ func (db *DB) MigrateSchema(ns *schema.Schema, transform func(*state.DB) (*state
 // migration, a shipped schema change and snapshot install build their
 // versions through it.
 func (db *DB) stateTx(b *binding, st *state.DB) *writeTx {
-	tx := &writeTx{db: db, snap: &dbSnapshot{tables: emptyVersions(b), bind: b}}
+	tx := &writeTx{snap: &dbSnapshot{tables: emptyVersions(b), bind: b}}
 	for _, t := range b.ordered {
 		tx.stage(t)
 		r := st.Relation(t.name)

@@ -75,17 +75,17 @@ func (db *DB) deleteLocked(tx *writeTx, t *table, key relation.Tuple, eff *effec
 		return fmt.Errorf("%w: no %s tuple with key %v", ErrNoSuchTuple, t.name, key)
 	}
 	for _, ip := range t.in {
-		tx.countTrig()
+		db.countTrig()
 		if !tup.TotalAt(ip.rightPos) {
 			continue
 		}
-		tx.countIdx()
+		db.countIdx()
 		if err := db.restrict(tx, ip, tup, "delete"); err != nil {
 			return err
 		}
 	}
 	eff.remove(tx, t, tup, ks)
-	tx.countDelete()
+	db.countDelete()
 	return nil
 }
 
@@ -95,14 +95,7 @@ func (db *DB) deleteLocked(tx *writeTx, t *table, key relation.Tuple, eff *effec
 // another shard.
 func (db *DB) restrict(tx *writeTx, ip *indPlan, tup relation.Tuple, op string) error {
 	ref := tup.AppendKeyAt(tx.kb[:0], ip.rightPos)
-	hit := tx.references(ip, ref)
-	if !hit {
-		var err error
-		if hit, err = db.probeReferencing(ip, ref); err != nil {
-			return err
-		}
-	}
-	if hit {
+	if tx.references(ip, ref) || db.probeReferencing(ip, ref) {
 		return db.violation(&ConstraintViolation{Kind: RestrictViolation, Relation: ip.right.name, Constraint: ip.text, Op: op})
 	}
 	return nil
@@ -160,17 +153,17 @@ func (db *DB) updateLocked(tx *writeTx, t *table, key, newTup relation.Tuple, ef
 	}
 	// Referenced-side integrity for the vanishing old values.
 	for _, ip := range t.in {
-		tx.countTrig()
+		db.countTrig()
 		if !old.TotalAt(ip.rightPos) || sameAt(old, newTup, ip.rightPos) {
 			continue
 		}
-		tx.countIdx()
+		db.countIdx()
 		if err := db.restrict(tx, ip, old, "update"); err != nil {
 			return err
 		}
 	}
 	eff.apply(tx, t, newTup, ks)
-	tx.countUpdate()
+	db.countUpdate()
 	return nil
 }
 

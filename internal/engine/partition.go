@@ -1,10 +1,6 @@
 package engine
 
-import (
-	"context"
-
-	"repro/internal/schema"
-)
+import "repro/internal/schema"
 
 // This file is the engine's side of horizontal partitioning (internal/shard).
 // A partitioned engine holds one hash-slice of every relation, so a local
@@ -19,18 +15,19 @@ import (
 // fallback, after the operation's own staged view missed, and still
 // constructs the resulting ConstraintViolation itself — so violation kinds,
 // relations, and ops are identical whether a constraint fails locally or
-// across shards.
+// across shards. Probe keys are the engine's scratch encoding: a hook reads
+// them during the call and keeps no reference.
 type ShardProbes struct {
 	// Referenced reports whether the referenced side of ind holds the probed
 	// value beyond this partition. For a key-based dependency, key is the
 	// referenced relation's encoded primary key (the LeftAttrs value put in
 	// that key's attribute order); otherwise it is the encoded RightAttrs
 	// value probed against the prebuilt secondary index.
-	Referenced func(ind schema.IND, key string) (bool, error)
+	Referenced func(ind schema.IND, key []byte) bool
 	// Referencing reports whether any tuple referencing the encoded
 	// RightAttrs value refKey survives beyond this partition (the restrict
 	// probe of deletes and updates on the referenced side).
-	Referencing func(ind schema.IND, refKey string) (bool, error)
+	Referencing func(ind schema.IND, refKey []byte) bool
 }
 
 // WithPartition marks the engine as holding one shard of a partitioned
@@ -50,44 +47,49 @@ func (db *DB) SetShardProbes(p ShardProbes) { db.probes.Store(&p) }
 // local staged view. Non-partition engines answer false (the local miss is
 // final); partition engines ask the router, or pass during the bootstrap
 // window before the probes are installed (recovery replays writes that were
-// fully validated when first applied). Only here does the probe key become a
-// string: the router routes and caches by it.
-func (db *DB) probeReferenced(ip *indPlan, key []byte) (bool, error) {
+// fully validated when first applied).
+//
+// The key reaches the hook as a copy in db.probeKey: handing a hook the
+// writeTx's own scratch buffer would let it escape, and move every write
+// transaction of every engine to the heap.
+func (db *DB) probeReferenced(ip *indPlan, key []byte) bool {
 	if !db.partition {
-		return false, nil
+		return false
 	}
 	p := db.probes.Load()
 	if p == nil || p.Referenced == nil {
-		return true, nil
+		return true
 	}
-	return p.Referenced(ip.ind, string(key))
+	db.probeKey = append(db.probeKey[:0], key...)
+	return p.Referenced(ip.ind, db.probeKey)
 }
 
 // probeReferencing resolves a restrict check whose local referencing bucket
 // was empty: false means no surviving reference anywhere, so the delete (or
 // update) may proceed.
-func (db *DB) probeReferencing(ip *indPlan, refKey []byte) (bool, error) {
+func (db *DB) probeReferencing(ip *indPlan, refKey []byte) bool {
 	if !db.partition {
-		return false, nil
+		return false
 	}
 	p := db.probes.Load()
 	if p == nil || p.Referencing == nil {
-		return false, nil
+		return false
 	}
-	return p.Referencing(ip.ind, string(refKey))
+	db.probeKey = append(db.probeKey[:0], refKey...)
+	return p.Referencing(ip.ind, db.probeKey)
 }
 
 // HasKey reports whether the current published version of the relation holds
 // a tuple under the encoded primary key. Lock-free (one snapshot pin), which
 // is what lets a shard probe another from inside its own write without
 // waiting on the other's writer mutex.
-func (db *DB) HasKey(name, encodedKey string) bool {
+func (db *DB) HasKey(name string, encodedKey []byte) bool {
 	snap := db.current.Load()
 	t := snap.bind.tables[name]
 	if t == nil {
 		return false
 	}
-	_, ok := snap.tables[t.ord].pk.Get(encodedKey)
+	_, ok := snap.tables[t.ord].pk.GetBytes(encodedKey)
 	return ok
 }
 
@@ -95,7 +97,7 @@ func (db *DB) HasKey(name, encodedKey string) bool {
 // holds the encoded RightAttrs value — the referenced-side probe for
 // non-key-based dependencies (key-based ones use HasKey with the pk-ordered
 // encoding). Lock-free.
-func (db *DB) HasReferenced(ind schema.IND, valKey string) bool {
+func (db *DB) HasReferenced(ind schema.IND, valKey []byte) bool {
 	snap := db.current.Load()
 	ip := snap.bind.planOf(ind)
 	if ip == nil {
@@ -103,10 +105,10 @@ func (db *DB) HasReferenced(ind schema.IND, valKey string) bool {
 	}
 	v := snap.tables[ip.right.ord]
 	if ip.keyBased {
-		_, ok := v.pk.Get(valKey)
+		_, ok := v.pk.GetBytes(valKey)
 		return ok
 	}
-	rows, _ := v.sec[ip.rightSlot].Get(valKey)
+	rows, _ := v.sec[ip.rightSlot].GetBytes(valKey)
 	return len(rows) > 0
 }
 
@@ -115,7 +117,7 @@ func (db *DB) HasReferenced(ind schema.IND, valKey string) bool {
 // refKey. The router filters them against a cross-shard batch's pending
 // deletes before calling a reference "surviving". The result is the index's
 // own bucket: read it, do not change it. Lock-free.
-func (db *DB) ReferencingKeys(ind schema.IND, refKey string) []string {
+func (db *DB) ReferencingKeys(ind schema.IND, refKey []byte) []string {
 	snap := db.current.Load()
 	ip := snap.bind.planOf(ind)
 	if ip == nil {
@@ -124,39 +126,11 @@ func (db *DB) ReferencingKeys(ind schema.IND, refKey string) []string {
 	v := snap.tables[ip.left.ord]
 	if ip.leftSlot == pkSlot {
 		// LeftAttrs is the primary key: refKey names the one candidate row.
-		if _, ok := v.pk.Get(refKey); ok {
-			return []string{refKey}
+		if _, ok := v.pk.GetBytes(refKey); ok {
+			return []string{string(refKey)}
 		}
 		return nil
 	}
-	rows, _ := v.sec[ip.leftSlot].Get(refKey)
+	rows, _ := v.sec[ip.leftSlot].GetBytes(refKey)
 	return rows
-}
-
-// PrevalidateBatchCtx runs a mixed batch through exactly the checks of
-// ApplyBatchCtx — same writer mutex, same staged-view semantics, same error
-// text — and then drops the staged transaction instead of publishing it.
-// Nothing is logged, published, or counted (cost counters are suppressed so
-// a prevalidate-then-apply pair accounts each op once); constraint
-// violations still count as violations.
-//
-// This is phase one of the shard router's cross-shard batch protocol: every
-// involved shard prevalidates its sub-batch before any shard applies one, so
-// a violation on the last shard cannot strand committed effects on the
-// first.
-func (db *DB) PrevalidateBatchCtx(ctx context.Context, ops []BatchOp) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if len(ops) == 0 {
-		return nil
-	}
-	if err := db.lockWriterCtx(ctx); err != nil {
-		return err
-	}
-	defer db.wmu.Unlock()
-	tx := db.beginWrite()
-	tx.dry = true
-	var eff effects
-	return db.stageBatch(tx, ops, &eff)
 }

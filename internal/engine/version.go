@@ -70,57 +70,13 @@ func (s *dbSnapshot) count(name string) int {
 // go through the writeTx so earlier staged mutations are visible to later
 // checks of the same batch; concurrent readers see none of it until publish.
 type writeTx struct {
-	db   *DB
 	snap *dbSnapshot
 	// work holds the staged tables, few enough to search linearly.
 	work []*workTable
-	// dry marks a prevalidation pass (PrevalidateBatchCtx): the same checks
-	// run against the same staged semantics, but nothing publishes and the
-	// cost counters stay silent, so a cross-shard prevalidate-then-apply pair
-	// accounts each operation exactly once.
-	dry bool
 	// kb is the scratch space probe keys are encoded into: a key is looked up
 	// as bytes and becomes a string only when an index stores it. One probe
 	// key is live at a time.
 	kb [64]byte
-}
-
-// Cost-accounting forwarders: identical to the db.countX helpers except that
-// a dry-run transaction suppresses them.
-func (tx *writeTx) countInsert() {
-	if !tx.dry {
-		tx.db.countInsert()
-	}
-}
-
-func (tx *writeTx) countDelete() {
-	if !tx.dry {
-		tx.db.countDelete()
-	}
-}
-
-func (tx *writeTx) countUpdate() {
-	if !tx.dry {
-		tx.db.countUpdate()
-	}
-}
-
-func (tx *writeTx) countDecl(n int) {
-	if !tx.dry {
-		tx.db.countDecl(n)
-	}
-}
-
-func (tx *writeTx) countTrig() {
-	if !tx.dry {
-		tx.db.countTrig()
-	}
-}
-
-func (tx *writeTx) countIdx() {
-	if !tx.dry {
-		tx.db.countIdx()
-	}
 }
 
 // workTable holds the in-progress next version of one table: an editor per
@@ -136,7 +92,7 @@ type workTable struct {
 // transaction. It must be called with the writer mutex held, which guarantees
 // nobody publishes a newer version before this transaction does.
 func (db *DB) beginWrite() *writeTx {
-	return &writeTx{db: db, snap: db.current.Load()}
+	return &writeTx{snap: db.current.Load()}
 }
 
 // staged returns the working version of t, or nil if the transaction has not

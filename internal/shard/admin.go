@@ -42,9 +42,7 @@ func (r *Router) Commit() error {
 	return first
 }
 
-// Rollback reverses the transaction on every shard and clears every probe
-// cache: positives seeded by rolled-back inserts have no per-key
-// invalidation point, so the caches restart cold.
+// Rollback reverses the transaction on every shard.
 func (r *Router) Rollback() error {
 	r.gmu.Lock()
 	defer r.gmu.Unlock()
@@ -54,7 +52,6 @@ func (r *Router) Rollback() error {
 			first = err
 		}
 	}
-	r.clearCaches()
 	return first
 }
 
@@ -153,7 +150,7 @@ func (v *View) GetByKey(name string, key relation.Tuple) (relation.Tuple, bool) 
 	if v.r.meta[name] == nil {
 		return v.views[0].GetByKey(name, key)
 	}
-	return v.views[v.r.ShardOf(key.EncodeKey())].GetByKey(name, key)
+	return v.views[v.r.keyOwner(key)].GetByKey(name, key)
 }
 
 // Scan visits the relation's tuples across all pinned versions.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 
 	"repro/internal/engine"
 	"repro/internal/relation"
@@ -12,11 +11,10 @@ import (
 	"repro/internal/state"
 )
 
-// bindSchema (re)derives every schema-dependent router structure — the
-// per-relation positional metadata, the per-IND edge locks, and the
-// precomputed edge plans — from s. Called at Open and again by Migrate /
-// recovered-design adoption, always with no operation in flight (router
-// construction, or gmu held exclusively).
+// bindSchema (re)derives the per-relation metadata from s: positions, and
+// which relations some inclusion dependency references. Called at Open and
+// again by Migrate / recovered-design adoption, always with no operation in
+// flight (router construction, or gmu held exclusively).
 func (r *Router) bindSchema(s *schema.Schema) {
 	r.schema = s
 	r.meta = make(map[string]*relMeta, len(s.Relations))
@@ -25,18 +23,16 @@ func (r *Router) bindSchema(s *schema.Schema) {
 		r.meta[rs.Name] = &relMeta{
 			name:  rs.Name,
 			hdr:   hdr,
+			pk:    rs.PrimaryKey,
 			pkPos: hdr.Positions(rs.PrimaryKey),
 			arity: hdr.Arity(),
 		}
 	}
-	r.edges = make(map[string]*sync.RWMutex, len(s.INDs))
-	r.insertMode = make(map[string]map[string]bool, len(s.Relations))
-	r.removeMode = make(map[string]map[string]bool, len(s.Relations))
-	r.updateMode = make(map[string]map[string]bool, len(s.Relations))
-	r.insertPlan = make(map[string][]edgeReq, len(s.Relations))
-	r.removePlan = make(map[string][]edgeReq, len(s.Relations))
-	r.updatePlan = make(map[string][]edgeReq, len(s.Relations))
-	r.buildEdgePlans()
+	for _, ind := range s.INDs {
+		if m := r.meta[ind.Right]; m != nil {
+			m.referenced = true
+		}
+	}
 }
 
 // Migrate swaps every shard onto schema ns, carrying the partitioned state
@@ -90,7 +86,6 @@ func (r *Router) Migrate(ns *schema.Schema, transform func(*state.DB) (*state.DB
 		}
 	}
 	r.bindSchema(ns)
-	r.clearCaches()
 	return nil
 }
 
@@ -112,9 +107,9 @@ func (r *Router) partitionState(ns *schema.Schema, st *state.DB) ([]*state.DB, e
 			src = src.Project(hdr.Attrs())
 		}
 		pkPos := hdr.Positions(rs.PrimaryKey)
+		var kb [64]byte
 		for _, tup := range src.Tuples() {
-			key := tup.Project(pkPos).EncodeKey()
-			parts[r.ShardOf(key)].Relation(rs.Name).Add(tup.Clone())
+			parts[r.shardOf(tup.AppendKeyAt(kb[:0], pkPos))].Relation(rs.Name).Add(tup.Clone())
 		}
 	}
 	return parts, nil

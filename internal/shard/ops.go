@@ -11,10 +11,9 @@ import (
 )
 
 // InsertCtx hashes the tuple's primary key to its owning shard and inserts
-// there under the router lock (shared — independent single-shard writes run
-// concurrently) and the relation's outgoing edge locks (shared — the
-// cross-shard foreign-key probes this insert may issue must not interleave
-// with a referenced-side delete).
+// there under the router lock shared: single-shard inserts run concurrently,
+// and the foreign-key probes this one may issue cannot interleave with a
+// referenced-side delete, which holds the lock exclusively.
 func (r *Router) InsertCtx(ctx context.Context, name string, tup relation.Tuple) error {
 	r.m.routedOps.Inc()
 	m := r.meta[name]
@@ -25,40 +24,30 @@ func (r *Router) InsertCtx(ctx context.Context, name string, tup relation.Tuple)
 		// shard rejects with the engine's own error.
 		return r.shards[0].InsertCtx(ctx, name, tup)
 	}
-	unlock := lockEdges(r.insertPlan[name])
-	defer unlock()
-	return r.shards[r.ShardOf(m.pkOf(tup))].InsertCtx(ctx, name, tup)
+	return r.shards[r.ownerOf(m, tup)].InsertCtx(ctx, name, tup)
 }
 
-// DeleteCtx routes by the primary key, holding the relation's incoming edge
-// locks exclusively: a sibling shard's foreign-key probe for this key either
-// completes (and caches) before the delete starts, or probes after it — and
-// the cache entry is dropped before the edges release, so no probe can
-// observe the deleted row through a stale cache.
+// DeleteCtx routes by the primary key. A delete on a referenced relation
+// holds the router lock exclusively, so no foreign-key probe of a sibling
+// shard runs while the row it may find disappears.
 func (r *Router) DeleteCtx(ctx context.Context, name string, key relation.Tuple) error {
 	r.m.routedOps.Inc()
-	r.gmu.RLock()
-	defer r.gmu.RUnlock()
-	if r.meta[name] == nil {
+	m := r.meta[name]
+	excl := m != nil && m.referenced
+	r.lockWrite(excl)
+	defer r.unlockWrite(excl)
+	if m == nil {
 		return r.shards[0].DeleteCtx(ctx, name, key)
 	}
-	unlock := lockEdges(r.removePlan[name])
-	defer unlock()
-	ek := key.EncodeKey()
-	err := r.shards[r.ShardOf(ek)].DeleteCtx(ctx, name, key)
-	if err == nil {
-		r.m.invalidations.Inc()
-		r.invalidate(name, ek)
-	}
-	return err
+	return r.shards[r.keyOwner(key)].DeleteCtx(ctx, name, key)
 }
 
-// UpdateCtx routes by the OLD primary key. When the new tuple's key hashes
-// to the same shard the engine's update runs there directly; when it hashes
-// elsewhere the update migrates the row — a serialized two-shard
-// delete+insert that validates through the pending overlay so its
-// constraint outcomes match the engine's one-shard update semantics (see
-// crossUpdate).
+// UpdateCtx routes by the OLD primary key, locking like DeleteCtx. When the
+// new tuple's key hashes to the same shard the engine's update runs there
+// directly; when it hashes elsewhere the update migrates the row — a
+// serialized two-shard delete+insert that validates through the pending
+// overlay so its constraint outcomes match the engine's one-shard update
+// semantics (see crossUpdate).
 func (r *Router) UpdateCtx(ctx context.Context, name string, key, newTup relation.Tuple) error {
 	r.m.routedOps.Inc()
 	m := r.meta[name]
@@ -67,34 +56,26 @@ func (r *Router) UpdateCtx(ctx context.Context, name string, key, newTup relatio
 		defer r.gmu.RUnlock()
 		return r.shards[0].UpdateCtx(ctx, name, key, newTup)
 	}
-	oldEk := key.EncodeKey()
-	newEk := m.pkOf(newTup)
-	src, dst := r.ShardOf(oldEk), r.ShardOf(newEk)
-	if src == dst {
-		r.gmu.RLock()
-		defer r.gmu.RUnlock()
-		unlock := lockEdges(r.updatePlan[name])
-		defer unlock()
-		err := r.shards[src].UpdateCtx(ctx, name, key, newTup)
-		if err == nil && oldEk != newEk {
-			r.m.invalidations.Inc()
-			r.invalidate(name, oldEk)
-		}
-		return err
+	src, dst := r.keyOwner(key), r.ownerOf(m, newTup)
+	if src != dst {
+		return r.crossUpdate(ctx, m, key, newTup, src, dst)
 	}
-	return r.crossUpdate(ctx, name, key, newTup, oldEk, newEk, src, dst)
+	r.lockWrite(m.referenced)
+	defer r.unlockWrite(m.referenced)
+	return r.shards[src].UpdateCtx(ctx, name, key, newTup)
 }
 
 // crossUpdate migrates a row whose updated primary key hashes to a
 // different shard: delete on the source shard, insert on the destination,
 // serialized against all other writes (router lock exclusive) and validated
-// through the pending overlay so each half sees the other. Prevalidation on
-// both shards precedes any mutation; after it, only log-device failures can
-// interrupt, and a failure after the insert is compensated by deleting the
-// migrated row again.
-func (r *Router) crossUpdate(ctx context.Context, name string, key, newTup relation.Tuple, oldEk, newEk string, src, dst int) error {
+// through the pending overlay so each half sees the other. Both halves are
+// staged before either commits; after that only log-device failures can
+// interrupt, and a failure after the insert committed is compensated by
+// deleting the migrated row again.
+func (r *Router) crossUpdate(ctx context.Context, m *relMeta, key, newTup relation.Tuple, src, dst int) error {
 	r.gmu.Lock()
 	defer r.gmu.Unlock()
+	name := m.name
 	_, ok, err := r.shards[src].GetByKeyCtx(ctx, name, key)
 	if err != nil {
 		return err
@@ -103,38 +84,35 @@ func (r *Router) crossUpdate(ctx context.Context, name string, key, newTup relat
 		return fmt.Errorf("%w: no %s tuple with key %v", engine.ErrNoSuchTuple, name, key)
 	}
 	r.pending = newOverlay()
-	r.pending.addDel(name, oldEk)
-	r.pending.addIns(name, newEk, newTup)
+	r.pending.addDel(name, key.EncodeKey())
+	r.pending.addIns(name, string(m.pkOf(nil, newTup)), newTup)
 	defer func() { r.pending = nil }()
-	if err := r.shards[dst].PrevalidateBatchCtx(ctx, []engine.BatchOp{engine.Ins(name, newTup)}); err != nil {
+	ins, err := r.shards[dst].StageBatchCtx(ctx, []engine.BatchOp{engine.Ins(name, newTup)})
+	if err != nil {
 		return updateParity(err)
 	}
-	if err := r.shards[src].PrevalidateBatchCtx(ctx, []engine.BatchOp{engine.Del(name, key)}); err != nil {
+	defer ins.Abort()
+	del, err := r.shards[src].StageBatchCtx(ctx, []engine.BatchOp{engine.Del(name, key)})
+	if err != nil {
 		return updateParity(err)
 	}
-	if err := r.shards[dst].InsertCtx(ctx, name, newTup); err != nil {
+	defer del.Abort()
+	if err := ins.Commit(); err != nil {
 		return err
 	}
-	if err := r.shards[src].DeleteCtx(ctx, name, key); err != nil {
+	if err := del.Commit(); err != nil {
 		// The insert landed but the delete's log refused: undo the insert so
 		// the row is not duplicated across shards.
 		r.m.compensations.Inc()
-		if cerr := r.shards[dst].DeleteCtx(context.Background(), name, m2key(r.meta[name], newTup)); cerr != nil {
+		if cerr := r.shards[dst].DeleteCtx(context.Background(), name, newTup.Project(m.pkPos)); cerr != nil {
 			return fmt.Errorf("shard: update compensation failed (%v) after: %w", cerr, err)
 		}
 		return err
 	}
-	r.m.invalidations.Inc()
-	r.invalidate(name, oldEk)
 	return nil
 }
 
-// m2key extracts a tuple's primary key as a key tuple (pk attribute order).
-func m2key(m *relMeta, tup relation.Tuple) relation.Tuple {
-	return tup.Project(m.pkPos)
-}
-
-// updateParity maps a single-op prevalidation error back to the engine's
+// updateParity maps a single-op staging error back to the engine's
 // update error surface: the batch wrapper is stripped, and a restrict
 // violation raised by the delete half reports Op "update", exactly as the
 // engine's one-shard updateLocked would.
@@ -162,7 +140,7 @@ func (r *Router) GetByKeyCtx(ctx context.Context, name string, key relation.Tupl
 	if r.meta[name] == nil {
 		return r.shards[0].GetByKeyCtx(ctx, name, key)
 	}
-	return r.shards[r.ShardOf(key.EncodeKey())].GetByKeyCtx(ctx, name, key)
+	return r.shards[r.keyOwner(key)].GetByKeyCtx(ctx, name, key)
 }
 
 // Scan visits every tuple of the relation across all shards. Each shard's

@@ -1,6 +1,8 @@
 package shard
 
 import (
+	"bytes"
+
 	"repro/internal/relation"
 	"repro/internal/schema"
 )
@@ -8,11 +10,11 @@ import (
 // overlay is the pending cross-shard batch, indexed for probe lookups: the
 // net tuples the batch introduces and the primary keys it removes, per
 // relation. While a cross-shard batch holds the router lock exclusively,
-// every shard's prevalidation (and the subsequent applies) see the whole
-// batch through this overlay, which is what makes the batch validate
-// set-wise: an insert on shard A can satisfy a foreign key checked on shard
-// B, and a delete on shard B is visible to shard A's restrict checks,
-// regardless of where either op sits in the batch.
+// every shard's staging sees the whole batch through this overlay, which is
+// what makes the batch validate set-wise: an insert on shard A can satisfy a
+// foreign key checked on shard B, and a delete on shard B is visible to
+// shard A's restrict checks, regardless of where either op sits in the
+// batch.
 type overlay struct {
 	ins map[string]map[string]relation.Tuple // relation -> encoded pk -> tuple
 	del map[string]map[string]bool           // relation -> encoded pk -> removed
@@ -47,16 +49,16 @@ func (o *overlay) addDel(rel, pk string) {
 // question: does the referenced relation hold a row with this key? For
 // key-based dependencies key is the referenced relation's encoded primary
 // key (in pk attribute order), so ownership is decidable and the answer
-// comes from one two-step probe of the owning shard, through the calling
-// shard's read-through cache. For non-key dependencies the referenced value
-// is not a routing key, so every sibling shard's secondary index is asked.
+// comes from one two-step probe of the owning shard. For non-key
+// dependencies the referenced value is not a routing key, so every sibling
+// shard's secondary index is asked.
 //
 // The calling shard's own state is never consulted here: the engine probes
 // only after missing in its local staged view, which is authoritative for
 // rows the shard owns — answering from the shard's published version would
 // resurrect rows a staged sub-batch already deleted.
-func (r *Router) probeReferenced(self int, ind schema.IND, key string) bool {
-	if !ind.KeyBased(r.schema) {
+func (r *Router) probeReferenced(self int, ind schema.IND, key []byte) bool {
+	if !r.meta[ind.Right].isPK(ind.RightAttrs) {
 		// Value-based: ask each sibling's referenced-side index directly.
 		// The pending overlay is keyed by primary key, not by referenced
 		// value, so it cannot answer here; cross-shard batches are therefore
@@ -73,32 +75,23 @@ func (r *Router) probeReferenced(self int, ind schema.IND, key string) bool {
 		return false
 	}
 	if p := r.pending; p != nil {
-		if _, ok := p.ins[ind.Right][key]; ok {
+		if _, ok := p.ins[ind.Right][string(key)]; ok {
 			r.m.overlayHits.Inc()
 			return true
 		}
-		if p.del[ind.Right][key] {
+		if p.del[ind.Right][string(key)] {
 			r.m.overlayHits.Inc()
 			return false
 		}
 	}
-	owner := r.ShardOf(key)
+	owner := r.shardOf(key)
 	if owner == self {
 		// The local staged view already missed, and it is the truth for
 		// keys this shard owns.
 		return false
 	}
-	ck := cacheKey(ind.Right, key)
-	if r.caches[self].has(ck) {
-		r.m.cacheHits.Inc()
-		return true
-	}
 	r.m.remoteProbes.Inc()
-	if r.shards[owner].HasKey(ind.Right, key) {
-		r.caches[self].put(ck)
-		return true
-	}
-	return false
+	return r.shards[owner].HasKey(ind.Right, key)
 }
 
 // probeReferencing answers the referenced side's restrict question: after
@@ -113,12 +106,13 @@ func (r *Router) probeReferenced(self int, ind schema.IND, key string) bool {
 // key-moving update is decomposed into delete+insert across shards. If the
 // batch inserts a referencing row with the value, the delete must restrict
 // even though no shard has published that row yet.
-func (r *Router) probeReferencing(self int, ind schema.IND, refKey string) bool {
+func (r *Router) probeReferencing(self int, ind schema.IND, refKey []byte) bool {
 	if p := r.pending; p != nil {
+		var kb [64]byte
 		rm := r.meta[ind.Right]
 		rightPos := rm.hdr.Positions(ind.RightAttrs)
 		for _, tup := range p.ins[ind.Right] {
-			if len(tup) == rm.arity && tup.Project(rightPos).EncodeKey() == refKey {
+			if len(tup) == rm.arity && bytes.Equal(tup.AppendKeyAt(kb[:0], rightPos), refKey) {
 				r.m.overlayHits.Inc()
 				return false
 			}
@@ -126,11 +120,7 @@ func (r *Router) probeReferencing(self int, ind schema.IND, refKey string) bool 
 		lm := r.meta[ind.Left]
 		leftPos := lm.hdr.Positions(ind.LeftAttrs)
 		for _, tup := range p.ins[ind.Left] {
-			if len(tup) != lm.arity {
-				continue
-			}
-			proj := tup.Project(leftPos)
-			if proj.IsTotal() && proj.EncodeKey() == refKey {
+			if len(tup) == lm.arity && tup.TotalAt(leftPos) && bytes.Equal(tup.AppendKeyAt(kb[:0], leftPos), refKey) {
 				r.m.overlayHits.Inc()
 				return true
 			}
@@ -141,15 +131,8 @@ func (r *Router) probeReferencing(self int, ind schema.IND, refKey string) bool 
 			continue
 		}
 		r.m.remoteProbes.Inc()
-		keys := db.ReferencingKeys(ind, refKey)
-		if r.pending == nil {
-			if len(keys) > 0 {
-				return true
-			}
-			continue
-		}
-		for _, k := range keys {
-			if !r.pending.del[ind.Left][k] {
+		for _, k := range db.ReferencingKeys(ind, refKey) {
+			if r.pending == nil || !r.pending.del[ind.Left][k] {
 				return true
 			}
 		}

@@ -12,38 +12,38 @@
 // questions to probe hooks (engine.ShardProbes) baked per shard at Open:
 //
 //   - a foreign-key probe that misses the local partition asks the key's
-//     owning shard (two-step probe: hash the referenced key, Fetch on the
-//     owner's published version), through a per-shard read-through cache of
-//     referenced keys that delete/update invalidate;
+//     owning shard (two-step probe: hash the referenced key, look it up in
+//     the owner's published version);
 //   - a restrict probe that finds no local referencing tuple asks every
 //     other shard's referencing index.
 //
-// Concurrency control above the shards is two-level. A router-wide RWMutex
-// (gmu) admits single-shard writes shared and serializes cross-shard
-// batches, transaction control, and checkpoints exclusively. Per-IND "edge"
-// RWMutexes order foreign-key checks across shards, which no shard's own
-// writer mutex can: an insert into the referencing side holds the edge shared
-// while its probe and publish happen; a delete on the referenced side holds
-// it exclusively — so a cross-shard foreign-key check and the delete that
-// would falsify it cannot interleave.
-// Relations untouched by any dependency take no router locks at all, which
-// is what lets independent shard-local writes scale with the shard count.
+// Probes read other shards' published versions and take no lock. Above the
+// shards there is one lock, the router RWMutex gmu, and one bit per relation
+// decides how a write holds it: whether the relation is the referenced side
+// of some inclusion dependency. Single-shard inserts and insert batches, and
+// deletes and updates on unreferenced relations, hold gmu shared and run
+// concurrently, each under its own shard's writer mutex. Deletes and updates
+// on a referenced relation hold gmu exclusively, as does anything that spans
+// shards, transaction control, checkpoints and migrations. So a cross-shard
+// foreign-key probe never interleaves with the delete that would falsify
+// it, nor a restrict probe with the insert that would falsify it.
 //
-// Cross-shard batches are all-or-nothing: the batch splits into per-shard
-// sub-batches, every involved shard prevalidates its sub-batch against a
-// router-held pending overlay (so in-batch inserts and deletes on other
-// shards are visible to the checks), and only then do the shards apply. A
-// batch therefore validates set-wise across shards: the relative order of
-// ops that land on different shards does not affect its outcome. After
-// prevalidation only log-device failures can interrupt the applies; an
-// interrupted apply is compensated with inverse operations so no partial
-// batch survives.
+// Cross-shard batches are all-or-nothing and validate each op once: the
+// batch splits into per-shard sub-batches, every involved shard stages its
+// sub-batch (every check runs, nothing is published) against a router-held
+// pending overlay, so in-batch inserts and deletes on other shards are
+// visible to the checks, and only when all have staged do the shards commit,
+// in shard order. A batch therefore validates set-wise across shards: the
+// relative order of ops that land on different shards does not affect its
+// outcome. Once staged, only log-device failures can stop a commit; the
+// sub-batches committed before one are compensated with inverse operations
+// so no partial batch survives.
 package shard
 
 import (
 	"fmt"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/engine"
@@ -77,9 +77,6 @@ type Config struct {
 	// before the router's own (partitioning, registry, name, durability), so
 	// the router's settings win on conflict.
 	EngineOptions []engine.Option
-	// CacheSize bounds each shard's read-through cache of remote referenced
-	// keys (entries). Default 4096; negative disables the cache.
-	CacheSize int
 }
 
 // relMeta is the router's per-relation positional metadata: enough to
@@ -88,18 +85,35 @@ type Config struct {
 type relMeta struct {
 	name  string
 	hdr   *relation.Relation
+	pk    []string
 	pkPos []int
 	arity int
+	// referenced marks the right side of some inclusion dependency: deleting
+	// or updating its rows can falsify another shard's foreign-key probe, so
+	// those writes hold gmu exclusively.
+	referenced bool
 }
 
-func (m *relMeta) pkOf(tup relation.Tuple) string {
-	return tup.Project(m.pkPos).EncodeKey()
+// pkOf appends tup's encoded primary key to buf. Routing passes a stack
+// buffer, so placing a tuple allocates nothing.
+func (m *relMeta) pkOf(buf []byte, tup relation.Tuple) []byte {
+	return tup.AppendKeyAt(buf, m.pkPos)
 }
 
-// edgeReq is one per-IND router lock request of a precomputed plan.
-type edgeReq struct {
-	mu    *sync.RWMutex
-	write bool
+// isPK reports whether attrs are the relation's primary key attributes in
+// some order: schema.IND.KeyBased for a dependency referencing this
+// relation (whose right side the engine refuses to hold duplicates), without
+// its allocations.
+func (m *relMeta) isPK(attrs []string) bool {
+	if len(attrs) != len(m.pk) {
+		return false
+	}
+	for _, a := range m.pk {
+		if !slices.Contains(attrs, a) {
+			return false
+		}
+	}
+	return true
 }
 
 // Router fronts the shard engines behind a single Session-shaped API.
@@ -108,29 +122,16 @@ type Router struct {
 	shards []*engine.DB
 	meta   map[string]*relMeta
 
-	// gmu: single-shard writes hold it shared; cross-shard batches,
-	// transaction control, and checkpoints hold it exclusively. Reads take
-	// nothing.
+	// gmu is the router's one lock (see the package comment for who holds
+	// it shared and who exclusively). Reads take nothing.
 	gmu sync.RWMutex
-	// Per-IND edge locks and the per-relation plans over them, sorted by the
-	// dependency's canonical key so concurrent plans cannot deadlock. The
-	// mode maps (edge key -> write) back the plans and let batches union
-	// per-op plans write-wins.
-	edges      map[string]*sync.RWMutex
-	insertMode map[string]map[string]bool // outgoing edges, shared
-	removeMode map[string]map[string]bool // incoming edges, exclusive
-	updateMode map[string]map[string]bool // union, write-wins
-	insertPlan map[string][]edgeReq
-	removePlan map[string][]edgeReq
-	updatePlan map[string][]edgeReq
 
 	// pending is the active cross-shard batch's overlay. Written only while
 	// gmu is held exclusively; probe hooks read it either on the goroutine
-	// holding gmu (cross-shard prevalidate/apply) or under gmu shared, when
-	// it is always nil.
+	// holding gmu (cross-shard staging) or under gmu shared, when it is
+	// always nil.
 	pending *overlay
 
-	caches  []*probeCache // per calling shard
 	m       *routerMetrics
 	durable bool
 	rec     RecoveryInfo
@@ -160,19 +161,12 @@ func Open(s *schema.Schema, cfg Config) (*Router, error) {
 	if cfg.Name == "" {
 		cfg.Name = "shard"
 	}
-	if cfg.CacheSize == 0 {
-		cfg.CacheSize = 4096
-	}
 	r := &Router{
 		shards:  make([]*engine.DB, cfg.Shards),
-		caches:  make([]*probeCache, cfg.Shards),
 		m:       newRouterMetrics(cfg.Registry, cfg.Name),
 		durable: cfg.WALDir != "",
 	}
 	r.bindSchema(s)
-	for i := range r.caches {
-		r.caches[i] = newProbeCache(cfg.CacheSize)
-	}
 	for i := range r.shards {
 		opts := append([]engine.Option{}, cfg.EngineOptions...)
 		opts = append(opts,
@@ -201,11 +195,11 @@ func Open(s *schema.Schema, cfg Config) (*Router, error) {
 	for i, db := range r.shards {
 		self := i
 		db.SetShardProbes(engine.ShardProbes{
-			Referenced: func(ind schema.IND, key string) (bool, error) {
-				return r.probeReferenced(self, ind, key), nil
+			Referenced: func(ind schema.IND, key []byte) bool {
+				return r.probeReferenced(self, ind, key)
 			},
-			Referencing: func(ind schema.IND, refKey string) (bool, error) {
-				return r.probeReferencing(self, ind, refKey), nil
+			Referencing: func(ind schema.IND, refKey []byte) bool {
+				return r.probeReferencing(self, ind, refKey)
 			},
 		})
 	}
@@ -236,100 +230,6 @@ func Open(s *schema.Schema, cfg Config) (*Router, error) {
 	return r, nil
 }
 
-// buildEdgePlans allocates one RWMutex per inclusion dependency and
-// precomputes each relation's router-level lock plan over them: insert holds
-// its outgoing edges shared (the cross-shard FK probe must not race the
-// referenced row's delete), delete holds its incoming edges exclusive, update
-// the write-wins union. Plans are sorted by the dependency's canonical key, so
-// two plans always request their common edges in the same order.
-func (r *Router) buildEdgePlans() {
-	for _, ind := range r.schema.INDs {
-		if _, ok := r.edges[ind.Key()]; !ok {
-			r.edges[ind.Key()] = &sync.RWMutex{}
-		}
-	}
-	for _, rs := range r.schema.Relations {
-		name := rs.Name
-		ins := map[string]bool{} // edge key -> write
-		rem := map[string]bool{}
-		for _, ind := range r.schema.INDs {
-			if ind.Left == name {
-				if _, ok := ins[ind.Key()]; !ok {
-					ins[ind.Key()] = false
-				}
-			}
-			if ind.Right == name {
-				rem[ind.Key()] = true
-			}
-		}
-		upd := map[string]bool{}
-		for k, w := range ins {
-			upd[k] = upd[k] || w
-		}
-		for k, w := range rem {
-			upd[k] = upd[k] || w
-		}
-		r.insertMode[name], r.removeMode[name], r.updateMode[name] = ins, rem, upd
-		r.insertPlan[name] = r.planOf(ins)
-		r.removePlan[name] = r.planOf(rem)
-		r.updatePlan[name] = r.planOf(upd)
-	}
-}
-
-func (r *Router) planOf(modes map[string]bool) []edgeReq {
-	keys := make([]string, 0, len(modes))
-	for k := range modes {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	plan := make([]edgeReq, len(keys))
-	for i, k := range keys {
-		plan[i] = edgeReq{mu: r.edges[k], write: modes[k]}
-	}
-	return plan
-}
-
-// lockEdges acquires a precomputed edge plan and returns its release.
-func lockEdges(plan []edgeReq) func() {
-	for _, e := range plan {
-		if e.write {
-			e.mu.Lock()
-		} else {
-			e.mu.RLock()
-		}
-	}
-	return func() {
-		for i := len(plan) - 1; i >= 0; i-- {
-			if plan[i].write {
-				plan[i].mu.Unlock()
-			} else {
-				plan[i].mu.RUnlock()
-			}
-		}
-	}
-}
-
-// batchEdges unions the edge plans of a batch's operations (write-wins,
-// canonical order), for single-shard batches running under gmu shared.
-func (r *Router) batchEdges(ops []engine.BatchOp) []edgeReq {
-	modes := map[string]bool{}
-	for _, op := range ops {
-		var src map[string]bool
-		switch op.Kind {
-		case engine.BatchInsert:
-			src = r.insertMode[op.Relation]
-		case engine.BatchDelete:
-			src = r.removeMode[op.Relation]
-		case engine.BatchUpdate:
-			src = r.updateMode[op.Relation]
-		}
-		for k, w := range src {
-			modes[k] = modes[k] || w
-		}
-	}
-	return r.planOf(modes)
-}
-
 // Shards returns the partition count.
 func (r *Router) Shards() int { return len(r.shards) }
 
@@ -344,10 +244,39 @@ func (r *Router) Recovered() RecoveryInfo { return r.rec }
 // Durable reports whether the shards were opened with write-ahead logs.
 func (r *Router) Durable() bool { return r.durable }
 
-// ShardOf returns the partition owning the encoded primary key — exported so
-// benchmarks and tests can place keys deliberately.
-func (r *Router) ShardOf(encodedKey string) int {
-	return int(HashKey(encodedKey) % uint64(len(r.shards)))
+// shardOf returns the partition owning an encoded primary key.
+func (r *Router) shardOf(encodedKey []byte) int {
+	return int(hashKey(encodedKey) % uint64(len(r.shards)))
+}
+
+// ownerOf returns the partition owning tup's primary key.
+func (r *Router) ownerOf(m *relMeta, tup relation.Tuple) int {
+	var kb [64]byte
+	return r.shardOf(m.pkOf(kb[:0], tup))
+}
+
+// keyOwner returns the partition owning a primary-key tuple.
+func (r *Router) keyOwner(key relation.Tuple) int {
+	var kb [64]byte
+	return r.shardOf(key.AppendKey(kb[:0]))
+}
+
+// lockWrite takes gmu for a single-shard write: exclusively when the write
+// may remove a referenced row, shared otherwise.
+func (r *Router) lockWrite(excl bool) {
+	if excl {
+		r.gmu.Lock()
+	} else {
+		r.gmu.RLock()
+	}
+}
+
+func (r *Router) unlockWrite(excl bool) {
+	if excl {
+		r.gmu.Unlock()
+	} else {
+		r.gmu.RUnlock()
+	}
 }
 
 // validateINDs re-checks every inclusion dependency across the recovered
@@ -371,13 +300,13 @@ func (r *Router) validateINDs() error {
 				}
 				if keyBased {
 					key := orderAsRightKey(r.schema, ind, fk)
-					if !r.shards[r.ShardOf(key)].HasKey(ind.Right, key) {
+					if !r.shards[r.shardOf(key)].HasKey(ind.Right, key) {
 						dangling = tup
 					}
 					return
 				}
 				for _, peer := range r.shards {
-					if peer.HasReferenced(ind, fk.EncodeKey()) {
+					if peer.HasReferenced(ind, fk.AppendKey(nil)) {
 						return
 					}
 				}
@@ -398,7 +327,7 @@ func (r *Router) validateINDs() error {
 // orderAsRightKey encodes a LeftAttrs projection in the referenced
 // relation's primary-key attribute order (the shard-routing and pk-probe
 // encoding), mirroring the engine's orderAsKey.
-func orderAsRightKey(s *schema.Schema, ind schema.IND, fk relation.Tuple) string {
+func orderAsRightKey(s *schema.Schema, ind schema.IND, fk relation.Tuple) []byte {
 	rs := s.Scheme(ind.Right)
 	ordered := make(relation.Tuple, len(rs.PrimaryKey))
 	for i, ka := range rs.PrimaryKey {
@@ -408,5 +337,5 @@ func orderAsRightKey(s *schema.Schema, ind schema.IND, fk relation.Tuple) string
 			}
 		}
 	}
-	return ordered.EncodeKey()
+	return ordered.AppendKey(nil)
 }

@@ -9,8 +9,10 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/figures"
+	"repro/internal/obs"
 	"repro/internal/relation"
 	"repro/internal/schema"
+	"repro/internal/wal"
 )
 
 func tup(vals ...any) relation.Tuple {
@@ -68,6 +70,16 @@ func TestHashKeyGolden(t *testing.T) {
 		h.Write([]byte(s))
 		if HashKey(s) != fmix(h.Sum64()) {
 			t.Fatalf("HashKey(%q) diverges from finalized FNV-1a", s)
+		}
+	}
+}
+
+// TestHashKeyBytes pins the byte-slice form the router routes with to
+// HashKey: a key must hash alike however it is held.
+func TestHashKeyBytes(t *testing.T) {
+	for _, s := range []string{"", "a", "alpha\x00beta", "D\x001\x002", "\xff\xfe"} {
+		if got, want := hashKey([]byte(s)), HashKey(s); got != want {
+			t.Errorf("hashKey(%q) = %#x, HashKey = %#x", s, got, want)
 		}
 	}
 }
@@ -196,56 +208,11 @@ func TestCrossShardForeignKey(t *testing.T) {
 	if err := r.DeleteCtx(context.Background(), "FACULTY", tup(ssn)); err != nil {
 		t.Errorf("delete after unreference: %v", err)
 	}
-}
-
-// TestProbeCacheInvalidation would pass with a correct cache OR no cache;
-// it fails with a cache that is not invalidated: after the referenced row
-// is deleted, a re-insert of the referencing row must re-probe and reject.
-func TestProbeCacheInvalidation(t *testing.T) {
-	r := openRouter(t, 4)
-	cnr, ssn := keysOnDifferentShards(t, r, "ci")
-	for _, ins := range []struct {
-		rel string
-		tp  relation.Tuple
-	}{
-		{"PERSON", tup(ssn)},
-		{"FACULTY", tup(ssn)},
-		{"COURSE", tup(cnr)},
-		{"DEPARTMENT", tup("d1")},
-		{"OFFER", tup(cnr, "d1")},
-	} {
-		if err := r.InsertCtx(context.Background(), ins.rel, ins.tp); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Seed the cache with the cross-shard positive.
-	if err := r.InsertCtx(context.Background(), "TEACH", tup(cnr, ssn)); err != nil {
-		t.Fatal(err)
-	}
-	before := r.ProbeStats()
-	if err := r.DeleteCtx(context.Background(), "TEACH", tup(cnr)); err != nil {
-		t.Fatal(err)
-	}
-	// Re-insert hits the cache (no new remote probe for FACULTY)...
-	if err := r.InsertCtx(context.Background(), "TEACH", tup(cnr, ssn)); err != nil {
-		t.Fatal(err)
-	}
-	after := r.ProbeStats()
-	if after.CacheHits == before.CacheHits {
-		t.Error("expected re-insert to hit the probe cache")
-	}
-	// ...but once the referenced row is gone, the cached positive must not
-	// survive it.
-	if err := r.DeleteCtx(context.Background(), "TEACH", tup(cnr)); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.DeleteCtx(context.Background(), "FACULTY", tup(ssn)); err != nil {
-		t.Fatal(err)
-	}
-	err := r.InsertCtx(context.Background(), "TEACH", tup(cnr, ssn))
-	var cv *engine.ConstraintViolation
+	// The reference accepted above must not outlive its referenced row: a
+	// re-insert probes again and is rejected.
+	err = r.InsertCtx(context.Background(), "TEACH", tup(cnr, ssn))
 	if !errors.As(err, &cv) || cv.Kind != engine.ForeignKeyViolation {
-		t.Errorf("insert after referenced delete = %v (stale probe cache?)", err)
+		t.Errorf("insert after referenced delete = %v", err)
 	}
 }
 
@@ -522,8 +489,9 @@ func TestRouterLoadAndSnapshot(t *testing.T) {
 }
 
 // TestCrossShardINDStress hammers the insert-FK-probe vs referenced-delete
-// race across shards: under -race and the edge locks, every TEACH insert
-// must observe its FACULTY row atomically with respect to the concurrent
+// race across shards: under -race and the router's lock rule (FACULTY is
+// referenced, so its deletes hold gmu exclusively), every TEACH insert must
+// observe its FACULTY row atomically with respect to the concurrent
 // deletes. Run via make shard-test.
 func TestCrossShardINDStress(t *testing.T) {
 	r := openRouter(t, 4)
@@ -590,8 +558,8 @@ func TestCrossShardINDStress(t *testing.T) {
 		}
 		done <- nil
 	}()
-	// Writer 3: shard-local traffic on an IND-free relation, no router
-	// edges involved.
+	// Writer 3: shard-local traffic on a relation no dependency references,
+	// under gmu shared.
 	go func() {
 		for i := 0; i < 128; i++ {
 			k := fmt.Sprintf("free-%d", i)
@@ -624,45 +592,135 @@ func TestCrossShardINDStress(t *testing.T) {
 	}
 }
 
-// TestCrossShardBatchContext ensures an expired context mid-batch triggers
-// compensation rather than a torn cross-shard state.
-func TestCrossShardBatchCompensation(t *testing.T) {
-	r := openRouter(t, 4)
-	cnr, ssn := keysOnDifferentShards(t, r, "cp")
-	setup := []engine.BatchOp{
-		engine.Ins("COURSE", tup(cnr)),
-		engine.Ins("DEPARTMENT", tup("d1")),
-		engine.Ins("OFFER", tup(cnr, "d1")),
-		engine.Ins("PERSON", tup(ssn)),
-		engine.Ins("FACULTY", tup(ssn)),
-	}
-	if err := r.ApplyBatchCtx(context.Background(), setup); err != nil {
+func openDurable(t *testing.T, dir string, fp *wal.Failpoint) *Router {
+	t.Helper()
+	r, err := Open(figures.Fig3(), Config{Shards: 4, WALDir: dir, WALOpts: wal.Options{Failpoint: fp}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	// A cancelled context fails the first shard's apply; nothing must
-	// survive (prevalidation passes — the ctx is checked at apply time).
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
+	return r
+}
+
+// absentEverywhere fails the test if any shard holds a row under key.
+func absentEverywhere(t *testing.T, r *Router, rel string, key relation.Tuple, when string) {
+	t.Helper()
+	for i := 0; i < r.Shards(); i++ {
+		if _, ok, _ := r.Shard(i).GetByKeyCtx(context.Background(), rel, key); ok {
+			t.Errorf("%s: %s row %v survived on shard %d", when, rel, key, i)
+		}
+	}
+}
+
+// TestCrossShardBatchCompensation makes the second shard's commit of a
+// cross-shard batch fail on its log after the first shard committed: the
+// first shard's share must be undone, live and across a reopen.
+func TestCrossShardBatchCompensation(t *testing.T) {
+	dir := t.TempDir()
+	// Log writes are counted from Open: the batch's first commit is write 1,
+	// its second is write 2.
+	r := openDurable(t, dir, &wal.Failpoint{FailWrite: 2})
+	cnr, ssn := keysOnDifferentShards(t, r, "cp")
+	before := r.ProbeStats()
 	batch := []engine.BatchOp{
-		engine.Ins("COURSE", tup(cnr+"-n")),
-		engine.Ins("PERSON", tup(ssn+"-n")),
+		engine.Ins("COURSE", tup(cnr)),
+		engine.Ins("PERSON", tup(ssn)),
 	}
-	if err := r.ApplyBatchCtx(ctx, batch); err == nil {
-		t.Fatal("cancelled cross-shard batch succeeded")
+	if err := r.ApplyBatchCtx(context.Background(), batch); !errors.Is(err, wal.ErrInjected) {
+		t.Fatalf("batch with a failing second commit = %v", err)
 	}
-	if _, ok, _ := r.GetByKeyCtx(context.Background(), "COURSE", tup(cnr+"-n")); ok {
-		t.Error("torn batch: COURSE row survived")
+	if after := r.ProbeStats(); after.Compensations == before.Compensations {
+		t.Error("no compensation ran")
 	}
-	if _, ok, _ := r.GetByKeyCtx(context.Background(), "PERSON", tup(ssn+"-n")); ok {
-		t.Error("torn batch: PERSON row survived")
+	absentEverywhere(t, r, "COURSE", tup(cnr), "live")
+	absentEverywhere(t, r, "PERSON", tup(ssn), "live")
+	r.Close()
+	r = openDurable(t, dir, nil)
+	defer r.Close()
+	absentEverywhere(t, r, "COURSE", tup(cnr), "reopened")
+	absentEverywhere(t, r, "PERSON", tup(ssn), "reopened")
+}
+
+// TestCrossShardUpdateCompensation is the key-moving update's counterpart:
+// the insert on the new key's shard commits, the delete on the old key's
+// shard fails on its log, and the moved row must not survive the failure.
+func TestCrossShardUpdateCompensation(t *testing.T) {
+	dir := t.TempDir()
+	r := openDurable(t, dir, nil)
+	c1, c2 := keysOnDifferentShards(t, r, "cu")
+	for _, ins := range []struct {
+		rel string
+		tp  relation.Tuple
+	}{
+		{"COURSE", tup(c1)},
+		{"COURSE", tup(c2)},
+		{"DEPARTMENT", tup("d1")},
+		{"OFFER", tup(c1, "d1")},
+	} {
+		if err := r.InsertCtx(context.Background(), ins.rel, ins.tp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.Close()
+	r = openDurable(t, dir, &wal.Failpoint{FailWrite: 2})
+	before := r.ProbeStats()
+	if err := r.UpdateCtx(context.Background(), "OFFER", tup(c1), tup(c2, "d1")); !errors.Is(err, wal.ErrInjected) {
+		t.Fatalf("update with a failing delete = %v", err)
+	}
+	if after := r.ProbeStats(); after.Compensations == before.Compensations {
+		t.Error("no compensation ran")
+	}
+	check := func(when string) {
+		absentEverywhere(t, r, "OFFER", tup(c2), when)
+		if got, ok, _ := r.GetByKeyCtx(context.Background(), "OFFER", tup(c1)); !ok || !got.Identical(tup(c1, "d1")) {
+			t.Errorf("%s: the row the failed update would have moved is gone", when)
+		}
+	}
+	check("live")
+	r.Close()
+	r = openDurable(t, dir, nil)
+	defer r.Close()
+	check("reopened")
+}
+
+// TestCrossShardBatchValidatesOnce pins the cost of the all-or-nothing
+// protocol: a cross-shard batch takes each involved shard's writer mutex
+// exactly once, staging every sub-batch before committing any.
+func TestCrossShardBatchValidatesOnce(t *testing.T) {
+	reg := obs.NewRegistry()
+	r, err := Open(figures.Fig3(), Config{Shards: 4, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	locks := func() (n float64) {
+		for _, p := range reg.Snapshot() {
+			if p.Name == "engine.lock_acquisitions" {
+				n += p.Value
+			}
+		}
+		return n
+	}
+	ops := []engine.BatchOp{engine.Ins("DEPARTMENT", tup("d1"))}
+	involved := map[int]bool{r.ShardOf(tup("d1").EncodeKey()): true}
+	for i := 0; len(involved) < 3; i++ {
+		cnr := fmt.Sprintf("vo-%d", i)
+		ops = append(ops, engine.Ins("COURSE", tup(cnr)), engine.Ins("OFFER", tup(cnr, "d1")))
+		involved[r.ShardOf(tup(cnr).EncodeKey())] = true
+	}
+	before := locks()
+	if err := r.ApplyBatchCtx(context.Background(), ops); err != nil {
+		t.Fatal(err)
+	}
+	if got := locks() - before; got != float64(len(involved)) {
+		t.Errorf("a batch over %d shards took %.0f shard writer locks, want %d", len(involved), got, len(involved))
 	}
 }
 
 // TestAllocBudget pins what one co-located insert through a 4-shard router
 // allocates, as a total over 64 fixed OFFER rows whose course and department
 // live on the row's own shard (so both inclusion dependencies are checked
-// locally, and the count must show zero remote probes): routing, edge locks
-// and the owning engine's insert.
+// locally, and the count must show zero remote probes): routing, the router
+// lock and the owning engine's insert.
 func TestAllocBudget(t *testing.T) {
 	const ops, runs = 64, 4
 	r := openRouter(t, 4)
@@ -693,7 +751,7 @@ func TestAllocBudget(t *testing.T) {
 	if after := r.ProbeStats(); after.RemoteProbes != before.RemoteProbes {
 		t.Fatalf("co-located inserts issued %d remote probes", after.RemoteProbes-before.RemoteProbes)
 	}
-	const budget = 1373 // 21.5 per insert
+	const budget = 1117 // 17.5 per insert
 	if inserts > budget {
 		t.Errorf("%d co-located inserts allocate %.0f, budget %d", ops, inserts, budget)
 	}

@@ -193,7 +193,22 @@ func TestOpenWithAdvisorAuto(t *testing.T) {
 	if err := es.Engine().LoadCtx(context.Background(), figures.Fig3State()); err != nil {
 		t.Fatal(err)
 	}
-	heatFig3(t, sess, 100)
+	// Heat the TEACH edge until the advisor merges TEACH away: the merge can
+	// land at any point of the heating, so a fetch finding TEACH gone is what
+	// ends it. Only then is the advisor's report awaited.
+	deadline := time.Now().Add(10 * time.Second)
+	for gone := false; !gone; {
+		if time.Now().After(deadline) {
+			t.Fatal("advisor never applied the hot merge")
+		}
+		for _, key := range []string{"c1", "c2"} {
+			_, _, err := es.Engine().FetchWithReferences("TEACH", k(key))
+			gone = gone || errors.Is(err, relmerge.ErrUnknownRelation)
+			if err != nil && !gone {
+				t.Fatal(err)
+			}
+		}
+	}
 	select {
 	case err := <-applied:
 		if err != nil {

@@ -67,9 +67,6 @@ type Config struct {
 
 	// Shards is the partition count (Sharded only; must be >= 1).
 	Shards int
-	// ShardCacheSize bounds each shard's read-through cache of remote
-	// referenced keys (Sharded only; 0 = default, negative disables).
-	ShardCacheSize int
 
 	// DurableDir, when set, opens a write-ahead log there (Embedded), or one
 	// per shard in subdirectories shard-<i> (Sharded). An existing log is
@@ -195,7 +192,6 @@ func Open(cfg Config, options ...OpenOption) (Session, error) {
 			WALDir:        cfg.DurableDir,
 			WALOpts:       wal.Options{Policy: cfg.Sync},
 			EngineOptions: cfg.EngineOptions,
-			CacheSize:     cfg.ShardCacheSize,
 		})
 		if err != nil {
 			return nil, err

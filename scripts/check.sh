@@ -45,8 +45,9 @@ suite() {
 	serve-test) # wire protocol (incl. fuzz seeds), admission control, graceful drain, the kill-server-mid-batch crash test, the cross-backend Session conformance suite
 		$GO test -race -count=1 -run 'Session|Remote|Serve|Frame|Wire|Protocol|Admission|Deadline|Drain|Kill|Coalesc|Client|Stats|Code|Sentinels' ./internal/server/ ./pkg/relmerge/
 		;;
-	shard-test) # hash golden vectors, cross-shard IND enforcement and stress, durable reopen (the sharded Session conformance runs under serve-test)
-		$GO test -race -count=1 -run 'HashKey|Router|CrossShard|Shard|NonKeyIND|ProbeCache' ./internal/shard/
+	shard-test) # hash golden vectors, cross-shard IND enforcement, durable reopen and log-failure compensation (the sharded Session conformance runs under serve-test); then the insert-probe vs referenced-delete stress twenty times over, the guard of the router's lock rule
+		$GO test -race -count=1 -run 'HashKey|Router|CrossShard|Shard|NonKeyIND' ./internal/shard/
+		$GO test -race -count=20 -run 'TestCrossShardINDStress$' ./internal/shard/
 		;;
 	proto-test) # version negotiation matrix, binary golden vectors, codec round trips, encode allocation budget, then a short fuzz of both codecs
 		$GO test -race -count=1 -run 'Negotiation|Golden|Binary|Version|Fallback|Taxonomy|WriteFrame|EncodeAllocs' ./internal/server/
