@@ -1,12 +1,12 @@
 package engine
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
 
 	"repro/internal/relation"
+	"repro/internal/schema"
 	"repro/internal/sdl"
 	"repro/internal/state"
 	"repro/internal/wal"
@@ -23,11 +23,10 @@ import (
 // records under the same mutex, so replay sees markers and effects in the
 // order the engine applied them.
 //
-// Recovery (on Open): load the newest snapshot, replay the surviving log
-// suffix — buffering records flagged in-transaction and applying them only
-// when their commit marker arrives, discarding rolled-back or unterminated
-// suffixes — then re-validate the reconstructed state against every
-// dependency and constraint of the schema (F ∪ I ∪ N) before loading it.
+// Recovery (on Open): adopt the newest snapshot, replay the log suffix
+// through replayRecord (as a follower's ingest does), drop an
+// unterminated transaction, and check the resulting state against the whole
+// schema (F ∪ I ∪ N). A state that fails the check fails Open.
 
 // WithDurability opens the engine's write-ahead log in dir with the given
 // fsync policy. If dir already holds a log, Open recovers from it first; the
@@ -52,10 +51,8 @@ func WithWALOptions(dir string, opts wal.Options) Option {
 // AsReplica marks the engine as a replication follower: its mutations arrive
 // as primary-shipped WAL records (IngestReplicated), so a log ending inside
 // an unterminated transaction is resumable — the commit marker is still in
-// flight from the primary — and recovery seeds the ingest buffer from it
-// instead of discarding it. A primary opened without this option discards
-// such a suffix (its transaction died with the crash; no marker can arrive)
-// and may checkpoint right past it.
+// flight — and recovery keeps it buffered for ingest. A primary discards such
+// a suffix (no marker can arrive) and may checkpoint right past it.
 func AsReplica() Option {
 	return func(c *openConfig) { c.replica = true }
 }
@@ -76,8 +73,7 @@ type RecoveryInfo struct {
 	SkippedRecords int
 	// TruncatedBytes counts torn or corrupt trailing bytes discarded.
 	TruncatedBytes int64
-	// SchemaChanges counts schema-change records replayed: each one rebound
-	// the engine onto a migrated design mid-replay.
+	// SchemaChanges counts schema-change records replayed.
 	SchemaChanges int
 }
 
@@ -163,151 +159,178 @@ func (db *DB) openDurable(dir string, opts wal.Options) error {
 	return nil
 }
 
-// recover reconstructs the committed pre-crash state from a wal recovery and
-// loads it into the (empty) engine.
-func (db *DB) recover(rec *Recovery) error {
+// recover reconstructs the committed pre-crash state from a wal recovery.
+func (db *DB) recover(rec *wal.Recovery) error {
 	db.recovery = RecoveryInfo{
+		Recovered:      rec.Snapshot != nil || len(rec.Records) > 0,
 		SkippedRecords: rec.SkippedRecords,
 		TruncatedBytes: rec.TruncatedBytes,
 	}
-	st := state.New(db.Schema)
-	if rec.Snapshot != nil {
-		schemaSDL, stateSDL, err := decodeSnapshot(rec.Snapshot)
-		if err != nil {
-			return fmt.Errorf("%w: parsing snapshot: %v", ErrRecovery, err)
-		}
-		// The snapshot is self-describing: if it was taken after a live
-		// migration its schema differs from the Open-time one, and the engine
-		// rebinds onto the serialized design before parsing the state.
-		if schemaSDL != sdl.PrintSchema(db.Schema) {
-			if err := db.rebind(schemaSDL); err != nil {
-				return fmt.Errorf("%w: rebinding onto snapshot schema: %v", ErrRecovery, err)
-			}
-		}
-		parsed, err := sdl.ParseState(db.Schema, stateSDL)
-		if err != nil {
-			return fmt.Errorf("%w: parsing snapshot: %v", ErrRecovery, err)
-		}
-		st = parsed
-		db.recovery.SnapshotLoaded = true
-	}
-	apply := func(ops []walOp) error {
-		for _, op := range ops {
-			if err := st.Apply(op.rel, op.insert, op.tup); err != nil {
-				return fmt.Errorf("%w: replaying record: %v", ErrRecovery, err)
-			}
-		}
-		db.recovery.ReplayedOps += len(ops)
+	if !db.recovery.Recovered {
 		return nil
 	}
-	// Replay: non-transactional records apply immediately; transactional
-	// ones are buffered until their commit marker. A rollback marker — or
-	// the end of the log — discards the buffered suffix, which is exactly
-	// the all-or-nothing transaction semantics the live engine enforces.
-	var pending []walOp
+	if rec.Snapshot != nil {
+		// A snapshot taken after a live migration is framed with the migrated
+		// design. The check of the final state below covers it.
+		s, st, err := decodeSnapshot(rec.Snapshot)
+		if err != nil {
+			return err
+		}
+		b, err := db.bindFor(s)
+		if err != nil {
+			return err
+		}
+		db.installState(b, st, rec.SnapshotLSN)
+		db.recovery.SnapshotLoaded = true
+	}
 	// applied is the LSN the recovered state stands for: the snapshot's, then
 	// that of every record that leaves no transaction buffered behind it.
 	applied := rec.SnapshotLSN
 	for _, r := range rec.Records {
-		kind, ops, inTxn, err := decodeWalRecord(r.Payload)
-		if err != nil {
+		if err := db.replayRecord(r, &db.recovery); err != nil {
 			return err
 		}
-		switch kind {
-		case walRecBegin:
-			pending = pending[:0]
-		case walRecCommit:
-			if err := apply(pending); err != nil {
-				return err
-			}
-			pending = nil
-		case walRecRollback:
-			db.recovery.DiscardedOps += len(pending)
-			pending = nil
-		case walRecOp:
-			if inTxn {
-				pending = append(pending, ops...)
-			} else if err := apply(ops); err != nil {
-				return err
-			}
-		case walRecSchema:
-			// A live migration committed here: everything before this record
-			// is pre-merge, everything after is post-merge. The record is
-			// self-contained — new schema plus the fully mapped state — so
-			// replay lands exactly on the post-merge design with no η
-			// re-derivation. Migrations are refused inside transactions, so a
-			// non-empty buffer here means a corrupt log.
-			if len(pending) > 0 {
-				return fmt.Errorf("%w: schema-change record inside an open transaction at LSN %d", ErrRecovery, r.LSN)
-			}
-			schemaSDL, stateSDL, err := decodeSchemaRecord(r.Payload)
-			if err != nil {
-				return err
-			}
-			if err := db.rebind(schemaSDL); err != nil {
-				return fmt.Errorf("%w: rebinding onto migrated schema: %v", ErrRecovery, err)
-			}
-			migrated, err := sdl.ParseState(db.Schema, stateSDL)
-			if err != nil {
-				return fmt.Errorf("%w: parsing migrated state: %v", ErrRecovery, err)
-			}
-			st = migrated
-			db.recovery.SchemaChanges++
-		default:
-			return fmt.Errorf("%w: unknown record kind %d at LSN %d", ErrRecovery, kind, r.LSN)
-		}
-		if len(pending) == 0 {
+		if len(db.replPending) == 0 {
 			applied = r.LSN
 		}
 	}
-	db.recovery.DiscardedOps += len(pending)
-	// The unterminated suffix is discarded from the recovered state (the
-	// transaction never committed). On a replica it is additionally retained
-	// for the replication applier: the commit marker is still in flight from
-	// the primary and these ops are already durable in the local log, so the
-	// applier resumes the buffer instead of losing them (replica.go) — and
-	// Checkpoint refuses until the marker arrives. On a primary the suffix is
-	// dead (its transaction died with the crash; no marker can ever arrive),
-	// so seeding the buffer would block checkpoints forever.
-	if db.replica {
-		db.replPending = append([]walOp(nil), pending...)
-	}
-	db.recovery.Recovered = rec.Snapshot != nil || len(rec.Records) > 0
-	if !db.recovery.Recovered {
-		return nil
+	// The unterminated suffix never committed. A replica keeps it buffered,
+	// its ops durable in the local log, for the commit marker still in flight
+	// (Checkpoint refuses until it arrives); on a primary no marker can ever
+	// arrive, and keeping the buffer would block checkpoints forever.
+	db.recovery.DiscardedOps += len(db.replPending)
+	if !db.replica {
+		db.replPending = nil
 	}
 	// A byte-accurate replay is not enough: the recovered state must still
 	// satisfy F ∪ I ∪ N (cf. the fragility of FDs and INDs over states with
-	// nulls under partial writes — arXiv:2108.02581, arXiv:1703.08198).
-	// A partition engine holds one hash-slice of every relation, so its
-	// local state cannot be expected to satisfy the cross-relation inclusion
-	// dependencies on its own; those are re-checked router-wide once every
-	// shard has recovered (shard.Open), and the local re-validation covers
-	// everything else (FDs, keys, null constraints).
-	valSchema := db.Schema
-	if db.partition {
-		sc := *db.Schema
-		sc.INDs = nil
-		valSchema = &sc
-	}
-	if err := state.Consistent(valSchema, st); err != nil {
+	// nulls under partial writes — arXiv:2108.02581, arXiv:1703.08198). A
+	// suffix crossing a schema-change record checks that record's state twice;
+	// migrations are too rare for that to be worth a special case.
+	cur := db.current.Load()
+	if err := db.checkState(cur.bind.schema, stateOf(cur)); err != nil {
 		return fmt.Errorf("%w: recovered state fails constraint re-validation: %v", ErrRecovery, err)
 	}
-	if err := db.LoadCtx(context.Background(), st); err != nil {
-		return fmt.Errorf("%w: reloading recovered state: %v", ErrRecovery, err)
-	}
-	// LoadCtx stamped its versions from seq (the log is attached only after
-	// recovery). Restamp the result with its log position, so that the WAL
-	// LSNs of the versions to come only go up from it.
-	cur := db.current.Load()
+	// Markers publish nothing: stamp the state with applied, which the LSNs
+	// of the versions to come only go up from.
 	db.current.Store(&dbSnapshot{lsn: applied, tables: cur.tables, bind: cur.bind})
 	db.m.versionLSN.Set(float64(applied))
 	return nil
 }
 
-// Recovery is re-exported so engine tests and callers can speak about wal
-// recoveries without importing internal/wal directly.
-type Recovery = wal.Recovery
+// replayRecord applies one logged record at its LSN, for recovery and a
+// follower's ingest alike: the one reader of record kinds. A transaction's
+// ops buffer in replPending until its commit marker, other ops publish via
+// replayOps, and a schema-change record adopts the state it carries, each
+// only once decoded and checked. Counts go to info.
+func (db *DB) replayRecord(r wal.Record, info *RecoveryInfo) error {
+	kind, ops, inTxn, err := decodeWalRecord(r.Payload)
+	if err != nil {
+		return err
+	}
+	switch kind {
+	case walRecBegin:
+		db.replPending = db.replPending[:0]
+	case walRecCommit:
+		ops, db.replPending = db.replPending, nil
+		return db.replayOps(ops, r.LSN, info)
+	case walRecRollback:
+		info.DiscardedOps += len(db.replPending)
+		db.replPending = nil
+	case walRecOp:
+		if inTxn {
+			db.replPending = append(db.replPending, ops...)
+			return nil
+		}
+		return db.replayOps(ops, r.LSN, info)
+	case walRecSchema:
+		// A live migration committed here; the record carries the new schema
+		// and the fully mapped state, so no η is re-derived. Migrations are
+		// refused inside transactions: buffered ops mean a corrupt log.
+		if len(db.replPending) > 0 {
+			return fmt.Errorf("%w: schema-change record inside an open transaction at LSN %d", ErrRecovery, r.LSN)
+		}
+		s, st, err := decodeSchemaRecord(r.Payload)
+		if err != nil {
+			return err
+		}
+		b, err := db.bindFor(s)
+		if err != nil {
+			return err
+		}
+		if err := db.checkState(b.schema, st); err != nil {
+			return fmt.Errorf("%w: schema-change state at LSN %d fails constraint re-validation: %v", ErrRecovery, r.LSN, err)
+		}
+		db.installState(b, st, r.LSN)
+		info.SchemaChanges++
+	default:
+		return fmt.Errorf("%w: unknown record kind %d at LSN %d", ErrRecovery, kind, r.LSN)
+	}
+	return nil
+}
+
+// replayOps publishes one committed unit of logged effects — an op record, or
+// a transaction at its commit marker — stamped lsn. Each op names a relation
+// of the design with a tuple of its arity and replaces what its key holds (by
+// nothing, for a delete). The staged view must then hold, at every key the
+// unit touched, a tuple within its null constraints and inclusion
+// dependencies, and no tuple the unit removed or replaced may leave a
+// reference dangling: an honest log always passes, a forged record does not.
+// A partition engine leaves inclusion dependencies to the router.
+func (db *DB) replayOps(ops []walOp, lsn uint64, info *RecoveryInfo) error {
+	tx := db.beginWrite()
+	for _, op := range ops {
+		t := db.bind.tables[op.rel]
+		if t == nil || len(op.tup) != len(t.rs.Attrs) {
+			return fmt.Errorf("%w: record at LSN %d holds a %d-value tuple for %s, which the design lacks", ErrRecovery, lsn, len(op.tup), op.rel)
+		}
+		key := tx.keyOf(t, op.tup)
+		if old, ok := tx.pkGet(t, key); ok {
+			tx.remove(t, old, key)
+		}
+		if op.insert {
+			tx.apply(t, op.tup, key)
+		}
+	}
+	broken := func(what string) error {
+		return fmt.Errorf("%w: record at LSN %d breaks %s", ErrRecovery, lsn, what)
+	}
+	for _, op := range ops {
+		t := db.bind.tables[op.rel]
+		key := tx.keyOf(t, op.tup)
+		now, stored := tx.pkGet(t, key)
+		was, existed := tx.snap.tables[t.ord].pk.Get(key)
+		if stored && !now.TotalAt(t.nna) {
+			return broken("a nulls-not-allowed constraint of " + t.name)
+		}
+		for j := range t.nulls {
+			if stored && !t.nulls[j].ok(now) {
+				return broken(t.nulls[j].text)
+			}
+		}
+		for _, ip := range t.out {
+			if db.partition || !stored || !now.TotalAt(ip.probePos) {
+				continue
+			}
+			fk := now.AppendKeyAt(tx.kb[:0], ip.probePos)
+			if ip.keyBased && !tx.pkHas(ip.right, fk) || !ip.keyBased && len(tx.bucket(ip.right, ip.rightSlot, fk)) == 0 {
+				return broken(ip.text)
+			}
+		}
+		for _, ip := range t.in {
+			if db.partition || !existed || !was.TotalAt(ip.rightPos) || stored && sameAt(was, now, ip.rightPos) {
+				continue
+			}
+			ref := was.AppendKeyAt(tx.kb[:0], ip.rightPos)
+			if (ip.keyBased || len(tx.bucket(t, ip.rightSlot, ref)) == 0) && tx.references(ip, ref) {
+				return broken(ip.text)
+			}
+		}
+	}
+	db.publish(tx, lsn)
+	info.ReplayedOps += len(ops)
+	return nil
+}
 
 // Record kinds of the engine's log encoding. An op record carries every
 // physical effect of one operation (or one whole batch); the marker kinds
@@ -323,26 +346,6 @@ const (
 	walRecSchema byte = 5
 )
 
-// rebind parses a schema and swaps the engine's schema-derived structures
-// onto it: a fresh binding is installed and the published version chain is
-// reset to an empty version-zero of the new design (recovery reloads state
-// afterwards). Only the recovery and replication ingest paths call it — the
-// live-migration path (MigrateSchema) builds its binding and its mapped
-// versions together.
-func (db *DB) rebind(schemaSDL string) error {
-	ns, err := sdl.ParseSchema(schemaSDL)
-	if err != nil {
-		return fmt.Errorf("parsing schema: %w", err)
-	}
-	b, err := db.newBinding(ns)
-	if err != nil {
-		return fmt.Errorf("binding schema: %w", err)
-	}
-	db.install(b)
-	db.current.Store(&dbSnapshot{tables: emptyVersions(b), bind: b})
-	return nil
-}
-
 // snapMagic opens every checkpoint payload.
 const snapMagic = "RMSNAP2\n"
 
@@ -357,17 +360,17 @@ func encodeSnapshot(schemaSDL, stateSDL string) []byte {
 	return buf
 }
 
-// decodeSnapshot splits a checkpoint payload into schema and state SDL.
-func decodeSnapshot(b []byte) (schemaSDL, stateSDL string, err error) {
+// decodeSnapshot decodes a checkpoint payload into its design and state.
+func decodeSnapshot(b []byte) (*schema.Schema, *state.DB, error) {
 	if len(b) < len(snapMagic) || string(b[:len(snapMagic)]) != snapMagic {
-		return "", "", fmt.Errorf("snapshot payload does not start with the %q magic", snapMagic)
+		return nil, nil, fmt.Errorf("%w: snapshot payload does not start with the %q magic", ErrRecovery, snapMagic)
 	}
 	d := &walDecoder{b: b[len(snapMagic):]}
-	schemaSDL = d.str()
+	schemaSDL := d.str()
 	if d.err != nil {
-		return "", "", fmt.Errorf("corrupt snapshot frame: %w", d.err)
+		return nil, nil, fmt.Errorf("%w: corrupt snapshot frame: %v", ErrRecovery, d.err)
 	}
-	return schemaSDL, string(d.b), nil
+	return decodeState(schemaSDL, string(d.b))
 }
 
 // encodeSchemaRecord renders one schema-change record:
@@ -383,18 +386,14 @@ func encodeSchemaRecord(schemaSDL, stateSDL string) []byte {
 	return buf
 }
 
-// decodeSchemaRecord parses a walRecSchema payload (including its kind byte).
-func decodeSchemaRecord(b []byte) (schemaSDL, stateSDL string, err error) {
-	if len(b) == 0 || b[0] != walRecSchema {
-		return "", "", fmt.Errorf("%w: not a schema-change record", ErrRecovery)
-	}
+// decodeSchemaRecord decodes a walRecSchema payload into design and state.
+func decodeSchemaRecord(b []byte) (*schema.Schema, *state.DB, error) {
 	d := &walDecoder{b: b[1:]}
-	schemaSDL = d.str()
-	stateSDL = d.str()
+	schemaSDL, stateSDL := d.str(), d.str()
 	if d.err != nil {
-		return "", "", fmt.Errorf("%w: corrupt schema-change record: %v", ErrRecovery, d.err)
+		return nil, nil, fmt.Errorf("%w: corrupt schema-change record: %v", ErrRecovery, d.err)
 	}
-	return schemaSDL, stateSDL, nil
+	return decodeState(schemaSDL, stateSDL)
 }
 
 // walOp is one decoded physical mutation.
@@ -470,12 +469,23 @@ func decodeWalRecord(b []byte) (kind byte, ops []walOp, inTxn bool, err error) {
 	}
 	d := &walDecoder{b: b[1:]}
 	inTxn = d.byte() != 0
+	// An op takes three bytes at least and a value one: a count beyond what
+	// the record holds is refused before anything is sized by it.
 	n := d.uvarint()
+	if n > uint64(len(d.b))/3 {
+		d.fail("op count exceeds the record")
+	} else {
+		ops = make([]walOp, 0, n)
+	}
 	for i := uint64(0); i < n && d.err == nil; i++ {
 		var op walOp
 		op.insert = d.byte() != 0
 		op.rel = d.str()
 		arity := d.uvarint()
+		if arity > uint64(len(d.b)) {
+			d.fail("arity exceeds the record")
+			break
+		}
 		op.tup = make(relation.Tuple, 0, arity)
 		for j := uint64(0); j < arity && d.err == nil; j++ {
 			op.tup = append(op.tup, d.value())

@@ -421,3 +421,23 @@ func runCrashCell(t *testing.T, policy wal.SyncPolicy, mkfp func(*rand.Rand) *wa
 		t.Fatalf("recovered state fails re-validation: %v", err)
 	}
 }
+
+// A checkpoint whose framed state breaks the design's constraints is refused
+// by recovery's re-check of the recovered state: a snapshot is adopted
+// unchecked, and that final check is what stands between it and the readers.
+func TestRecoveryRevalidatesSnapshotState(t *testing.T) {
+	st := figures.Fig3State()
+	st.Relation("STUDENT").Add(tup("nobody"))
+	dir := t.TempDir()
+	l, _, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Checkpoint(encodeSnapshot(sdl.PrintSchema(figures.Fig3()), sdl.PrintState(figures.Fig3(), st))); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	if _, err := Open(figures.Fig3(), WithWALOptions(dir, wal.Options{})); !errors.Is(err, ErrRecovery) {
+		t.Fatalf("Open over an inconsistent checkpoint = %v, want ErrRecovery", err)
+	}
+}

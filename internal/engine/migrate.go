@@ -9,24 +9,28 @@ import (
 	"repro/internal/state"
 )
 
-// This file implements live schema migration: the engine swaps to a new
-// schema — typically the merged design the online advisor selected — while
-// serving traffic, with the state carried across through a caller-supplied
-// transform (the η mapping of a MergedScheme).
+// This file implements live schema migration and the adopt step it shares
+// with recovery and replication. Every whole state the engine adopts — a
+// migrated one, a checkpoint, a schema-change record, a shipped snapshot —
+// goes decode (decodeState) → bind (bindFor, or newBinding for a migration)
+// → check (checkState) → install (installState). Whatever can refuse the
+// state runs before install, so a refused state is never half-adopted.
+// Recovery alone skips the check of its checkpoint, checking the state it
+// arrives at instead.
 //
-// Protocol, all of it under the writer mutex:
+// Live migration swaps the engine to a new schema — typically the merged
+// design the online advisor selected — while serving traffic, carrying the
+// state across through a caller-supplied transform (the η mapping of a
+// MergedScheme). Protocol, all of it under the writer mutex:
 //
-//  1. Take the writer mutex. Every mutating entry point holds it for its
-//     duration, so no write is in flight and none can start. Lock-free
-//     readers are untouched: a pinned snapshot carries its own binding and
-//     keeps answering on the old design.
+//  1. Take the writer mutex: no write is in flight and none can start.
+//     Pinned readers keep answering on the old design.
 //  2. Refuse open transactions and buffered replicated suffixes: a migration
 //     must never land inside someone else's atomic unit.
-//  3. Build the new binding (full schema validation), export the current
-//     state, map it through transform, and re-validate the mapped state
-//     against the NEW schema's complete constraint set (F ∪ I ∪ N). All of
-//     this happens BEFORE the commit point, so any failure leaves the engine
-//     exactly on the old design.
+//  3. Bind (full schema validation), map the exported state through
+//     transform, and check the mapped state against the NEW schema's
+//     complete constraint set (F ∪ I ∪ N) — all BEFORE the commit point, so
+//     any failure leaves the engine exactly on the old design.
 //  4. Commit point: ONE WAL schema-change record (walRecSchema) carrying the
 //     new schema and the fully mapped state. Crash before it → recovery
 //     replays onto the old design; crash after → recovery lands on the new
@@ -49,26 +53,14 @@ func (db *DB) MigrateSchema(ns *schema.Schema, transform func(*state.DB) (*state
 	if err != nil {
 		return fmt.Errorf("engine: migrate: %w", err)
 	}
-	st := stateOf(db.current.Load())
-	mapped := st
+	mapped := stateOf(db.current.Load())
 	if transform != nil {
-		mapped, err = transform(st)
+		mapped, err = transform(mapped)
 		if err != nil {
 			return fmt.Errorf("engine: migrate: mapping state: %w", err)
 		}
 	}
-	// Re-validate the mapped state against the new design's full constraint
-	// set before committing anything — the same discipline recovery applies.
-	// A partition engine holds one hash-slice per relation, so its local
-	// state cannot satisfy cross-relation inclusion dependencies on its own;
-	// the router re-checks those across shards after every shard migrated.
-	valSchema := ns
-	if db.partition {
-		sc := *ns
-		sc.INDs = nil
-		valSchema = &sc
-	}
-	if err := state.Consistent(valSchema, mapped); err != nil {
+	if err := db.checkState(ns, mapped); err != nil {
 		return fmt.Errorf("engine: migrate: mapped state fails constraint validation: %w", err)
 	}
 
@@ -83,48 +75,79 @@ func (db *DB) MigrateSchema(ns *schema.Schema, transform func(*state.DB) (*state
 	} else {
 		lsn = db.seq.Add(1)
 	}
-
-	// Install and publish. The mapped versions build over the NEW binding's
-	// empty version-zero; the single Store is the readers' cutover point.
-	db.install(b)
-	db.current.Store(&dbSnapshot{lsn: lsn, tables: db.versionsOf(b, mapped), bind: b})
-	db.lastPublish.Store(now().UnixNano())
-	db.m.publishes.Inc()
+	db.installState(b, mapped, lsn)
 	db.m.migrations.Inc()
-	db.m.versionLSN.Set(float64(lsn))
 	db.lastFetch.Store("")
 	return nil
 }
 
-// stateTx stages the whole of st under binding b — every table, over b's
-// empty version zero, every index populated — in one write transaction (one
-// editor per index for the entire state), without publishing anything. Live
-// migration, a shipped schema change and snapshot install build their
-// versions through it.
-func (db *DB) stateTx(b *binding, st *state.DB) *writeTx {
-	tx := &writeTx{snap: &dbSnapshot{tables: emptyVersions(b), bind: b}}
-	for _, t := range b.ordered {
-		tx.stage(t)
-		r := st.Relation(t.name)
-		if r == nil {
-			continue
-		}
-		if !slices.Equal(r.Attrs(), t.hdr.Attrs()) {
-			r = r.Project(t.hdr.Attrs())
-		}
-		for _, tup := range r.Tuples() {
-			tx.apply(t, tup, tx.keyOf(t, tup))
-		}
+// decodeState parses the schema and state SDL a checkpoint or a
+// schema-change record frames into a design and a state under it.
+func decodeState(schemaSDL, stateSDL string) (*schema.Schema, *state.DB, error) {
+	s, err := sdl.ParseSchema(schemaSDL)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%w: parsing framed schema: %v", ErrRecovery, err)
 	}
-	return tx
+	st, err := sdl.ParseState(s, stateSDL)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%w: parsing framed state: %v", ErrRecovery, err)
+	}
+	return s, st, nil
 }
 
-// versionsOf builds the immutable table-version set of st under binding b.
-func (db *DB) versionsOf(b *binding, st *state.DB) []*tableVersion {
-	tx := db.stateTx(b, st)
-	out := make([]*tableVersion, len(tx.work))
-	for _, wt := range tx.work {
-		out[wt.t.ord] = wt.freeze()
+// bindFor returns the binding a state of design s is adopted under: the
+// current one if s prints the same, else a new one, not yet installed.
+func (db *DB) bindFor(s *schema.Schema) (*binding, error) {
+	if sdl.PrintSchema(s) == sdl.PrintSchema(db.Schema) {
+		return db.bind, nil
+	}
+	b, err := db.newBinding(s)
+	if err != nil {
+		return nil, fmt.Errorf("%w: binding framed schema: %v", ErrRecovery, err)
+	}
+	return b, nil
+}
+
+// checkState checks a whole state against design s's full constraint set
+// (F ∪ I ∪ N). A partition engine holds one hash-slice of every relation, so
+// its local state cannot satisfy the cross-relation inclusion dependencies;
+// the router re-checks those across shards (shard.Open, shard.Migrate).
+func (db *DB) checkState(s *schema.Schema, st *state.DB) error {
+	if db.partition {
+		sc := *s
+		sc.INDs = nil
+		s = &sc
+	}
+	return state.Consistent(s, st)
+}
+
+// installState makes b the engine's binding and st its whole state, in one
+// version stamped lsn: the single Store is the readers' cutover point. Called
+// with the writer mutex held (or during Open), after st's checks.
+func (db *DB) installState(b *binding, st *state.DB, lsn uint64) {
+	db.install(b)
+	db.current.Store(&dbSnapshot{lsn: lsn, tables: versionsOf(b, st), bind: b})
+	db.lastPublish.Store(now().UnixNano())
+	db.m.publishes.Inc()
+	db.m.versionLSN.Set(float64(lsn))
+}
+
+// versionsOf builds the table versions of st under binding b over b's empty
+// version zero, with one index editor for the entire state.
+func versionsOf(b *binding, st *state.DB) []*tableVersion {
+	tx := &writeTx{snap: &dbSnapshot{tables: emptyVersions(b), bind: b}}
+	out := make([]*tableVersion, len(b.ordered))
+	for _, t := range b.ordered {
+		wt := tx.stage(t)
+		if r := st.Relation(t.name); r != nil {
+			if !slices.Equal(r.Attrs(), t.hdr.Attrs()) {
+				r = r.Project(t.hdr.Attrs())
+			}
+			for _, tup := range r.Tuples() {
+				tx.apply(t, tup, tx.keyOf(t, tup))
+			}
+		}
+		out[t.ord] = wt.freeze()
 	}
 	return out
 }

@@ -3,168 +3,77 @@ package engine
 import (
 	"fmt"
 
-	"repro/internal/sdl"
-	"repro/internal/state"
 	"repro/internal/wal"
 )
 
 // This file is the engine's follower-side replication surface. A follower is
 // an ordinary durable engine whose mutations arrive as primary-shipped WAL
-// records instead of client operations: IngestReplicated makes each batch
-// durable in the local log FIRST (inheriting the log's gap/duplicate
-// validation — a gapped stream can never become local state), then applies the
-// decoded physical effects through the same staged-writeTx/publish machinery
-// the live write path uses, so lock-free readers on the follower see exactly
-// the primary's committed versions, stamped with the primary's LSNs.
+// records: IngestReplicated makes each batch durable in the local log FIRST
+// (inheriting its gap/duplicate validation), then replays each record through
+// replayRecord, the loop recovery runs, so the follower publishes exactly the
+// primary's committed versions, stamped with the primary's LSNs.
 //
-// Constraint checks are deliberately absent from the record apply path: the
-// primary validated every operation before logging it, and the records carry
-// physical effects (already-resolved inserts/deletes), not requests. Shipped
-// snapshots DO re-validate (state.Consistent) before installation — they
-// arrive as opaque serialized state, so the follower applies the same
-// recovery-style discipline it applies to its own checkpoint files.
+// Shipped bytes come off the network, so a follower checks all it adopts
+// before publishing it. A shipped snapshot or schema-change record is opaque
+// serialized state, checked whole against its design (checkState); a refused
+// one leaves the follower on its old design and rows. An op record holds
+// effects the primary validated: replayOps checks that they fit the design
+// and leave the keys they touch consistent, without re-running them.
 
 // IngestReplicated appends a batch of primary-shipped records to the local
-// log (durability and stream validation first: duplicates are skipped, a gap
-// refuses the whole batch with wal.ErrGap before anything is written) and
-// applies their effects to the published state. Transactional records buffer
-// until their commit marker — arriving in a later batch, or after a follower
-// restart — exactly like recovery replay. It returns the follower's durable
-// LSN horizon: the resume point for the next fetch.
+// log (duplicates are skipped; a gap refuses the whole batch with wal.ErrGap
+// before anything is written) and replays them. A transaction's records
+// buffer until its commit marker, which may arrive in a later batch or after
+// a follower restart. It returns the follower's durable LSN horizon: the
+// resume point for the next fetch.
 func (db *DB) IngestReplicated(recs []wal.Record) (uint64, error) {
 	if db.wal == nil {
 		return 0, ErrNotDurable
 	}
-	// One acquisition covers the durable append and every apply, so neither a
-	// Checkpoint nor (after a promotion) a local writer can see the log ahead
-	// of the state.
+	// One acquisition covers the append and every apply: neither a Checkpoint
+	// nor a local writer (after a promotion) sees the log ahead of the state.
 	db.lockWriter()
 	defer db.wmu.Unlock()
 	accepted, err := db.wal.CommitShipped(recs)
 	if err != nil {
 		return db.wal.LSN(), err
 	}
+	var info RecoveryInfo // RecoveryInfo describes Open alone
 	for _, r := range accepted {
-		kind, ops, inTxn, err := decodeWalRecord(r.Payload)
-		if err != nil {
+		if err := db.replayRecord(r, &info); err != nil {
 			return db.wal.LSN(), err
-		}
-		switch kind {
-		case walRecBegin:
-			db.replPending = db.replPending[:0]
-		case walRecCommit:
-			if err := db.applyReplicated(db.replPending, r.LSN); err != nil {
-				return db.wal.LSN(), err
-			}
-			db.replPending = nil
-		case walRecRollback:
-			db.replPending = nil
-		case walRecOp:
-			if inTxn {
-				db.replPending = append(db.replPending, ops...)
-			} else if err := db.applyReplicated(ops, r.LSN); err != nil {
-				return db.wal.LSN(), err
-			}
-		case walRecSchema:
-			// The primary migrated live. The record is self-contained (new
-			// schema + fully mapped state), so the follower lands exactly on
-			// the post-merge design in one swap, stamped with the record's LSN.
-			if len(db.replPending) > 0 {
-				return db.wal.LSN(), fmt.Errorf("%w: schema-change record inside an open replicated transaction at LSN %d", ErrRecovery, r.LSN)
-			}
-			schemaSDL, stateSDL, err := decodeSchemaRecord(r.Payload)
-			if err != nil {
-				return db.wal.LSN(), err
-			}
-			if err := db.rebind(schemaSDL); err != nil {
-				return db.wal.LSN(), fmt.Errorf("%w: rebinding onto shipped schema: %v", ErrRecovery, err)
-			}
-			migrated, err := sdl.ParseState(db.Schema, stateSDL)
-			if err != nil {
-				return db.wal.LSN(), fmt.Errorf("%w: parsing shipped migrated state: %v", ErrRecovery, err)
-			}
-			db.replaceState(migrated, r.LSN)
-		default:
-			return db.wal.LSN(), fmt.Errorf("%w: unknown replicated record kind %d at LSN %d", ErrRecovery, kind, r.LSN)
 		}
 	}
 	return db.wal.LSN(), nil
 }
 
-// applyReplicated publishes one committed batch of physical effects, stamped
-// with the WAL LSN of the record (or commit marker) that carried it. Called
-// with the writer mutex held.
-func (db *DB) applyReplicated(ops []walOp, lsn uint64) error {
-	tx := db.beginWrite()
-	for _, op := range ops {
-		t := db.bind.tables[op.rel]
-		if t == nil {
-			return fmt.Errorf("%w: replicated record names unknown relation %s", ErrRecovery, op.rel)
-		}
-		key := tx.keyOf(t, op.tup)
-		if op.insert {
-			tx.apply(t, op.tup, key)
-		} else {
-			tx.remove(t, op.tup, key)
-		}
-	}
-	db.publish(tx, lsn)
-	return nil
-}
-
-// IngestSnapshot bootstraps (or fast-forwards) the follower from a
-// primary-shipped checkpoint: the serialized state is parsed, re-validated
-// against the full constraint set, installed as the local log's recovery
-// baseline at the primary's LSN (wal.Log.InstallSnapshot — same atomic
-// temp-write/rename choreography as a local checkpoint), and then published
-// as a wholesale replacement of every table's current version in one atomic
-// snapshot swap. Used when the primary reports wal.ErrCompacted: the records
-// the follower needs were folded into a checkpoint it must adopt instead.
+// IngestSnapshot bootstraps (or fast-forwards) the follower from a shipped
+// checkpoint when the primary reports wal.ErrCompacted: decoded, bound and
+// checked against its framed design, made the log's recovery baseline at the
+// primary's LSN (wal.Log.InstallSnapshot), then published as the state.
 func (db *DB) IngestSnapshot(data []byte, lsn uint64) error {
 	if db.wal == nil {
 		return ErrNotDurable
 	}
 	db.lockWriter()
 	defer db.wmu.Unlock()
-	schemaSDL, stateSDL, err := decodeSnapshot(data)
+	s, st, err := decodeSnapshot(data)
 	if err != nil {
-		return fmt.Errorf("%w: parsing shipped snapshot: %v", ErrRecovery, err)
+		return err
 	}
-	// The snapshot may be framed with a schema the primary migrated onto;
-	// adopting it swaps the binding.
-	if schemaSDL != sdl.PrintSchema(db.Schema) {
-		if err := db.rebind(schemaSDL); err != nil {
-			return fmt.Errorf("%w: rebinding onto shipped snapshot schema: %v", ErrRecovery, err)
-		}
-	}
-	st, err := sdl.ParseState(db.Schema, stateSDL)
+	b, err := db.bindFor(s)
 	if err != nil {
-		return fmt.Errorf("%w: parsing shipped snapshot: %v", ErrRecovery, err)
+		return err
 	}
-	valSchema := db.Schema
-	if db.partition {
-		sc := *db.Schema
-		sc.INDs = nil
-		valSchema = &sc
-	}
-	if err := state.Consistent(valSchema, st); err != nil {
+	if err := db.checkState(b.schema, st); err != nil {
 		return fmt.Errorf("%w: shipped snapshot fails constraint re-validation: %v", ErrRecovery, err)
 	}
 	if err := db.wal.InstallSnapshot(data, lsn); err != nil {
 		return fmt.Errorf("engine: installing shipped snapshot: %w", err)
 	}
 	db.replPending = nil
-	db.replaceState(st, lsn)
+	db.installState(b, st, lsn)
 	return nil
-}
-
-// replaceState publishes st as a wholesale replacement of every table's
-// current version, stamped lsn: stateTx stages every table over an EMPTY
-// base version, which makes publish (it merges staged tables over current) a
-// full replacement — tables absent from st publish empty. Called with the
-// writer mutex held.
-func (db *DB) replaceState(st *state.DB, lsn uint64) {
-	db.publish(db.stateTx(db.bind, st), lsn)
 }
 
 // ReplRead is the primary-side read half of the shipping loop: the committed

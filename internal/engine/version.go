@@ -259,9 +259,7 @@ func (tx *writeTx) remove(t *table, tup relation.Tuple, key string) {
 //
 // The caller holds the writer mutex from before it logged the record, so it
 // is the only publisher and log order is publish order: the version stamped
-// lsn holds exactly the effects of the log prefix up to lsn. The staged tables
-// are merged over the current snapshot rather than tx.snap because a stateTx
-// stages over an empty base (migrate.go).
+// lsn holds exactly the effects of the log prefix up to lsn.
 func (db *DB) publish(tx *writeTx, lsn uint64) {
 	if len(tx.work) == 0 {
 		return
