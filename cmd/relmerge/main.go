@@ -34,7 +34,6 @@ import (
 	"repro/internal/sdl"
 	"repro/internal/state"
 	"repro/internal/wal"
-	"repro/pkg/relmerge"
 )
 
 func main() {
@@ -55,7 +54,6 @@ func main() {
 		durableDir = flag.String("durable", "", "directory for the metrics engines' write-ahead logs: the replay is logged, checkpointed, and recoverable (requires -metrics; a reopened directory recovers instead of replaying)")
 		fsyncMode  = flag.String("fsync", "interval", "fsync policy for -durable: always, interval, or never")
 		remoteAddr = flag.String("remote", "", "address of a running relmerged server: replay -data (or the built-in state) into it instead of reporting locally")
-		wireMode   = flag.String("wire", "binary", "wire codec offered to -remote: binary (protocol v2) or json (v1)")
 	)
 	flag.Parse()
 
@@ -83,15 +81,11 @@ func main() {
 	// -remote replays the chosen state into a running relmerged server (which
 	// must serve this same schema) instead of reporting locally.
 	if *remoteAddr != "" {
-		wire, err := relmerge.ParseWire(*wireMode)
-		if err != nil {
-			fatal(fmt.Errorf("relmerge: %w", err))
-		}
 		st, err := replayState(s, *dataPath, *useFig3)
 		if err != nil {
 			fatal(err)
 		}
-		if err := runRemoteLoad(os.Stdout, *remoteAddr, wire, s, st); err != nil {
+		if err := runRemoteLoad(os.Stdout, *remoteAddr, s, st); err != nil {
 			fatal(err)
 		}
 		return

@@ -13,17 +13,16 @@ import (
 )
 
 // runRemoteLoad replays a database state into a running relmerged server:
-// dial with the requested wire codec, replay in inclusion-dependency order
-// (one atomic InsertBatchCtx per relation), then print the negotiated codec,
-// the server's engine counters, and the client-side wire counters. It is
+// dial, replay in inclusion-dependency order (one atomic InsertBatchCtx per
+// relation), then print the server's engine counters and the client-side
+// wire counters. It is
 // the CLI counterpart of the in-process metrics replay — same state
 // selection (-data, -fig3, or a seeded generated state), different engine.
-func runRemoteLoad(w io.Writer, addr string, wire relmerge.Wire, s *schema.Schema, st *state.DB) error {
+func runRemoteLoad(w io.Writer, addr string, s *schema.Schema, st *state.DB) error {
 	reg := obs.NewRegistry()
 	sess, err := relmerge.Open(relmerge.Config{
 		Backend:  relmerge.Remote,
 		Addr:     addr,
-		Wire:     wire,
 		Registry: reg,
 	})
 	if err != nil {
@@ -40,11 +39,6 @@ func runRemoteLoad(w io.Writer, addr string, wire relmerge.Wire, s *schema.Schem
 	}
 	elapsed := time.Since(start)
 
-	rs := sess.(*relmerge.RemoteSession)
-	codec := "json"
-	if rs.WireVersion() > 1 {
-		codec = "binary"
-	}
 	stats, err := sess.StatsCtx(ctx)
 	if err != nil {
 		return err
@@ -56,7 +50,7 @@ func runRemoteLoad(w io.Writer, addr string, wire relmerge.Wire, s *schema.Schem
 			tuples += r.Len()
 		}
 	}
-	fmt.Fprintf(w, "-- remote load: %s (wire %s, protocol v%d)\n", addr, codec, rs.WireVersion())
+	fmt.Fprintf(w, "-- remote load: %s\n", addr)
 	fmt.Fprintf(w, "loaded %d tuples in %v\n", tuples, elapsed.Round(time.Millisecond))
 	fmt.Fprintf(w, "server stats: inserts=%d declarative_checks=%d tuples_scanned=%d\n",
 		stats.Inserts, stats.DeclarativeChecks, stats.TuplesScanned)

@@ -53,7 +53,6 @@ func main() {
 		workers     = flag.Int("workers", 0, "request worker pool size (0 = GOMAXPROCS, at least 4)")
 		queueDepth  = flag.Int("queue", 0, "admission queue depth (0 = default 64); a full queue rejects with code overloaded")
 		coalesce    = flag.Int("coalesce", 0, "max queued writes folded into one engine batch and WAL record (0 = default 16, 1 disables)")
-		wire        = flag.String("wire", "binary", "highest wire codec to negotiate: binary (protocol v2) or json (v1 only); v1-only clients get JSON either way")
 		adviseMode  = flag.String("advise", "off", "adaptive-merge advisor: off, suggest (log recommendations), or auto (additionally apply only-NNA merges to the live design); not valid with -replica-of")
 		adviseEvery = flag.Duration("advise-interval", time.Second, "decision cadence of the -advise loop")
 		drainWait   = flag.Duration("drain-timeout", 10*time.Second, "how long a signal-triggered drain waits for in-flight requests")
@@ -64,15 +63,6 @@ func main() {
 	fsyncPolicy, err := relmerge.ParseSyncPolicy(*fsyncMode)
 	if err != nil {
 		fatal(fmt.Errorf("relmerged: %w", err))
-	}
-
-	maxWire := server.MaxProtoVersion
-	switch *wire {
-	case "binary":
-	case "json":
-		maxWire = server.ProtoVersion
-	default:
-		fatal(fmt.Errorf("relmerged: unknown -wire codec %q (want binary or json)", *wire))
 	}
 
 	advisor, err := relmerge.ParseAdvisorMode(*adviseMode)
@@ -220,7 +210,6 @@ func main() {
 	srv := server.New(db, server.Config{
 		Workers:     *workers,
 		QueueDepth:  *queueDepth,
-		MaxWire:     maxWire,
 		CoalesceMax: *coalesce,
 		Logf:        logf,
 	})

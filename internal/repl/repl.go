@@ -183,14 +183,12 @@ func (f *Follower) ingest(rep *server.WireRepl) error {
 		f.m.shippedBytes.Add(int64(len(rep.Snapshot)))
 	}
 	if len(rep.Records) > 0 {
-		recs := make([]wal.Record, len(rep.Records))
-		var bytes int64
-		for i, r := range rep.Records {
-			recs[i] = wal.Record{LSN: r.LSN, Payload: r.Payload}
-			bytes += int64(len(r.Payload))
-		}
-		if _, err := f.db.IngestReplicated(recs); err != nil {
+		if _, err := f.db.IngestReplicated(rep.Records); err != nil {
 			return err
+		}
+		var bytes int64
+		for _, r := range rep.Records {
+			bytes += int64(len(r.Payload))
 		}
 		f.m.shippedBytes.Add(bytes)
 	}

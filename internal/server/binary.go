@@ -7,16 +7,17 @@ import (
 	"math"
 	"strings"
 
+	"repro/internal/engine"
 	"repro/internal/relation"
+	"repro/internal/wal"
 )
 
-// The protocol v2 binary codec. A v2 frame keeps the v1 framing (4-byte
-// big-endian length prefix, bounded by MaxFrame) but replaces the JSON body
-// with a compact binary encoding: one opcode byte, unsigned varints for IDs,
+// The protocol v2 binary codec, the one codec of every frame after the
+// hello. A frame is a 4-byte big-endian length prefix (bounded by MaxFrame)
+// and a compact binary body: one opcode byte, unsigned varints for IDs,
 // lengths, and counts, signed varints for integer values, and raw
 // little-endian IEEE 754 bits for floats — so NaN payloads and signed zero
-// survive bit-exactly without the v1 hex-string detour. Strings travel as
-// length-prefixed raw bytes.
+// survive bit-exactly. Strings travel as length-prefixed raw bytes.
 //
 // The encoding is a frozen compatibility contract: wire_golden_test.go pins
 // byte-exact vectors for every frame shape, and any change that breaks them
@@ -126,6 +127,33 @@ func opcodeToOp(b byte) (string, bool) {
 	return opNames[b], true
 }
 
+// batchOpcode is the frozen opcode of a batch op's kind: the opcode of the
+// single-row operation it performs.
+func batchOpcode(k engine.BatchKind) (byte, bool) {
+	switch k {
+	case engine.BatchInsert:
+		return binOpInsert, true
+	case engine.BatchDelete:
+		return binOpDelete, true
+	case engine.BatchUpdate:
+		return binOpUpdate, true
+	}
+	return 0, false
+}
+
+// batchKind inverts batchOpcode.
+func batchKind(oc byte) (engine.BatchKind, bool) {
+	switch oc {
+	case binOpInsert:
+		return engine.BatchInsert, true
+	case binOpDelete:
+		return engine.BatchDelete, true
+	case binOpUpdate:
+		return engine.BatchUpdate, true
+	}
+	return 0, false
+}
+
 // --- encoding (append into the caller's pooled buffer, no allocation) ---
 
 func appendString(dst []byte, s string) []byte {
@@ -151,7 +179,7 @@ func appendValue(dst []byte, v relation.Value) []byte {
 	return append(dst, binValNull)
 }
 
-func appendTuple(dst []byte, t WireTuple) []byte {
+func appendTuple(dst []byte, t relation.Tuple) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(t)))
 	for _, v := range t {
 		dst = appendValue(dst, v)
@@ -178,9 +206,9 @@ func appendRequestBinary(dst []byte, req *Request) ([]byte, error) {
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(req.Ops)))
 	for _, op := range req.Ops {
-		kc, ok := opcodes[op.Kind]
-		if !ok || (kc != binOpInsert && kc != binOpDelete && kc != binOpUpdate) {
-			return nil, fmt.Errorf("unknown batch kind %q", op.Kind)
+		kc, ok := batchOpcode(op.Kind)
+		if !ok {
+			return nil, fmt.Errorf("unknown batch kind %d", op.Kind)
 		}
 		dst = append(dst, kc)
 		dst = appendString(dst, op.Relation)
@@ -226,7 +254,7 @@ func appendResponseBinary(dst []byte, resp *Response) []byte {
 		dst = binary.AppendUvarint(dst, uint64(resp.Version))
 	}
 	if v := resp.Violation; v != nil {
-		dst = append(dst, v.Kind)
+		dst = append(dst, byte(v.Kind))
 		dst = appendString(dst, v.Relation)
 		dst = appendString(dst, v.Attr)
 		dst = appendString(dst, v.Constraint)
@@ -350,7 +378,7 @@ func (r *binReader) relName() (string, error) {
 }
 
 // bytes reads a length-prefixed byte blob into fresh storage. A zero length
-// returns nil, matching v1 omitempty semantics.
+// returns nil: the field is absent.
 func (r *binReader) bytes() ([]byte, error) {
 	b, err := r.raw()
 	if err != nil || len(b) == 0 {
@@ -403,7 +431,7 @@ func (r *binReader) value() (relation.Value, error) {
 // allocations however many columns it has, and references nothing reused.
 // The values go into dst when it has room (the caller's reused storage),
 // fresh storage otherwise.
-func (r *binReader) tuple(dst WireTuple) (WireTuple, error) {
+func (r *binReader) tuple(dst relation.Tuple) (relation.Tuple, error) {
 	n, err := r.count()
 	if err != nil || n == 0 {
 		return nil, err
@@ -416,7 +444,7 @@ func (r *binReader) tuple(dst WireTuple) (WireTuple, error) {
 		}
 	}
 	if cap(dst) < n {
-		dst = make(WireTuple, n)
+		dst = make(relation.Tuple, n)
 	}
 	dst = dst[:n]
 	var block strings.Builder
@@ -435,7 +463,7 @@ func (r *binReader) tuple(dst WireTuple) (WireTuple, error) {
 
 // request decodes one v2 request body into req, overwriting every field;
 // key lends storage for a fetch key (see decodeRequest).
-func (r *binReader) request(req *Request, key WireTuple) error {
+func (r *binReader) request(req *Request, key relation.Tuple) error {
 	oc, err := r.u8()
 	if err != nil {
 		return err
@@ -481,7 +509,7 @@ func (r *binReader) request(req *Request, key WireTuple) error {
 		return err
 	}
 	if ntuples > 0 {
-		req.Tuples = make([]WireTuple, ntuples)
+		req.Tuples = make([]relation.Tuple, ntuples)
 		for i := range req.Tuples {
 			if req.Tuples[i], err = r.tuple(nil); err != nil {
 				return err
@@ -493,14 +521,14 @@ func (r *binReader) request(req *Request, key WireTuple) error {
 		return err
 	}
 	if nops > 0 {
-		req.Ops = make([]WireOp, nops)
+		req.Ops = make([]engine.BatchOp, nops)
 		for i := range req.Ops {
 			kc, err := r.u8()
 			if err != nil {
 				return err
 			}
-			kind, ok := opcodeToOp(kc)
-			if !ok || (kc != binOpInsert && kc != binOpDelete && kc != binOpUpdate) {
+			kind, ok := batchKind(kc)
+			if !ok {
 				return fmt.Errorf("unknown batch kind opcode 0x%02x", kc)
 			}
 			req.Ops[i].Kind = kind
@@ -566,10 +594,12 @@ func (r *binReader) response(resp *Response) error {
 		resp.Version = int(version)
 	}
 	if flags&binFlagViolation != 0 {
-		v := &WireViolation{}
-		if v.Kind, err = r.u8(); err != nil {
+		v := &engine.ConstraintViolation{}
+		kind, err := r.u8()
+		if err != nil {
 			return err
 		}
+		v.Kind = engine.ViolationKind(kind)
 		if v.Relation, err = r.str(); err != nil {
 			return err
 		}
@@ -590,7 +620,7 @@ func (r *binReader) response(resp *Response) error {
 		}
 	}
 	if flags&binFlagStats != 0 {
-		st := &WireStats{}
+		st := &engine.StatsSnapshot{}
 		for _, p := range []*int{&st.Inserts, &st.Deletes, &st.Updates, &st.Lookups,
 			&st.DeclarativeChecks, &st.TriggerFirings, &st.IndexLookups, &st.TuplesScanned} {
 			n, err := r.uvarint()
@@ -623,7 +653,7 @@ func (r *binReader) response(resp *Response) error {
 			return err
 		}
 		if nrecs > 0 {
-			rp.Records = make([]WireRecord, nrecs)
+			rp.Records = make([]wal.Record, nrecs)
 			for i := range rp.Records {
 				if rp.Records[i].LSN, err = r.uvarint(); err != nil {
 					return err

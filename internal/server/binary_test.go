@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/relation"
 )
 
@@ -25,10 +26,10 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 		if deadline < 0 { // MinInt64 negates to itself
 			deadline = 0
 		}
-		tuple := WireTuple{relation.Null(), str(s), num(i), relation.NewFloat(fv), relation.NewBool(b)}
+		tuple := relation.Tuple{relation.Null(), str(s), num(i), relation.NewFloat(fv), relation.NewBool(b)}
 		req := &Request{
 			ID: id, Op: OpUpdate, Relation: rel, DeadlineMS: deadline,
-			Key:   WireTuple{str(s)},
+			Key:   relation.Tuple{str(s)},
 			Tuple: tuple,
 		}
 		body, err := appendRequestBinary(nil, req)
@@ -62,7 +63,7 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 }
 
 // singleWriteRecorder counts Write calls: the pooled frame path must issue
-// exactly one per frame (prefix and body together), for both codecs.
+// exactly one per frame (prefix and body together).
 type singleWriteRecorder struct {
 	writes int
 	buf    bytes.Buffer
@@ -74,26 +75,24 @@ func (r *singleWriteRecorder) Write(p []byte) (int, error) {
 }
 
 func TestWriteFrameSingleWrite(t *testing.T) {
-	req := &Request{ID: 9, Op: OpInsert, Relation: "R", Tuple: WireTuple{str("v")}}
-	for _, version := range []int{ProtoVersion, ProtoVersionBinary} {
-		var rec singleWriteRecorder
-		if _, err := WriteFrameVersion(&rec, version, req); err != nil {
-			t.Fatal(err)
-		}
-		if rec.writes != 1 {
-			t.Errorf("v%d frame took %d writes, want 1", version, rec.writes)
-		}
-		body, err := ReadFrame(&rec.buf, DefaultMaxFrame)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := DecodeRequestVersion(body, version)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameWire(got, req) {
-			t.Errorf("v%d frame round trip mismatch: %+v", version, got)
-		}
+	req := &Request{ID: 9, Op: OpInsert, Relation: "R", Tuple: relation.Tuple{str("v")}}
+	var rec singleWriteRecorder
+	if _, err := WriteFrameVersion(&rec, ProtoVersionBinary, req); err != nil {
+		t.Fatal(err)
+	}
+	if rec.writes != 1 {
+		t.Errorf("frame took %d writes, want 1", rec.writes)
+	}
+	body, err := ReadFrame(&rec.buf, DefaultMaxFrame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeRequestVersion(body, ProtoVersionBinary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameWire(got, req) {
+		t.Errorf("frame round trip mismatch: %+v", got)
 	}
 }
 
@@ -104,8 +103,6 @@ func TestWriteFrameSingleWrite(t *testing.T) {
 // into a reused response allocates only what the caller keeps — the tuple and
 // one block holding all its strings: 2 per frame (5 at the parent: the
 // response, the []WireValue, two payload strings and the relation.Tuple).
-// The JSON path allocates inside encoding/json, so only the binary codec
-// carries a budget.
 func TestEncodeAllocsSteadyState(t *testing.T) {
 	row := relation.Tuple{str("k1"), num(42), relation.NewFloat(42)}
 	resp := &Response{ID: 3, OK: true, Found: true, Tuple: EncodeTuple(row)}
@@ -114,14 +111,14 @@ func TestEncodeAllocsSteadyState(t *testing.T) {
 	encode := testing.AllocsPerRun(200, func() {
 		sink.Reset()
 		resp.Tuple = EncodeTuple(row)
-		if _, err := fe.write(&sink, ProtoVersionBinary, resp); err != nil {
+		if _, err := fe.write(&sink, resp); err != nil {
 			t.Fatal(err)
 		}
 	})
 	body := bytes.Clone(sink.Bytes()[4:])
 	var got Response
 	decode := testing.AllocsPerRun(200, func() {
-		if err := decodeResponse(body, ProtoVersionBinary, &got); err != nil {
+		if err := decodeResponse(body, &got); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -140,8 +137,8 @@ func TestEncodeAllocsSteadyState(t *testing.T) {
 // TestBinaryTruncationFailsClosed walks every prefix of a valid body: each
 // must produce a decode error, never a panic or a silently short request.
 func TestBinaryTruncationFailsClosed(t *testing.T) {
-	req := &Request{ID: 5, Op: OpApplyBatch, Ops: []WireOp{
-		{Kind: OpUpdate, Relation: "R", Key: WireTuple{str("k")}, Tuple: WireTuple{num(7), relation.NewFloat(1)}},
+	req := &Request{ID: 5, Op: OpApplyBatch, Ops: []engine.BatchOp{
+		engine.Upd("R", relation.Tuple{str("k")}, relation.Tuple{num(7), relation.NewFloat(1)}),
 	}}
 	body, err := appendRequestBinary(nil, req)
 	if err != nil {

@@ -8,9 +8,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -41,10 +39,6 @@ type ClientOptions struct {
 	RetryBackoff time.Duration
 	// Seed seeds the backoff jitter; 0 derives one from the clock.
 	Seed int64
-	// MaxWire is the highest protocol version this client offers in the
-	// hello (0 or out of range means MaxProtoVersion). The server answers
-	// min(offer, its own max); set 1 to force the JSON codec.
-	MaxWire int
 	// Registry receives the client-side byte/request counters, labeled
 	// client=<addr>. Nil means no metrics are recorded.
 	Registry *obs.Registry
@@ -71,9 +65,6 @@ func (o ClientOptions) withDefaults() ClientOptions {
 	if o.Seed == 0 {
 		o.Seed = time.Now().UnixNano()
 	}
-	if o.MaxWire <= 0 || o.MaxWire > MaxProtoVersion {
-		o.MaxWire = MaxProtoVersion
-	}
 	return o
 }
 
@@ -86,8 +77,6 @@ type Client struct {
 
 	slots chan struct{} // counting semaphore: open-connection budget
 
-	wireVer atomic.Int32 // last negotiated protocol version
-
 	mu     sync.Mutex
 	idle   []*clientConn
 	rng    *rand.Rand
@@ -97,7 +86,6 @@ type Client struct {
 type clientConn struct {
 	nc     net.Conn
 	br     *bufio.Reader
-	ver    int           // negotiated protocol version for this connection
 	rbuf   []byte        // reusable frame read buffer
 	fe     *frameEncoder // reusable frame write buffer
 	nextID uint64
@@ -151,63 +139,45 @@ func (c *Client) Close() error {
 	return nil
 }
 
-// dial opens one connection, negotiating the wire version: the hello offers
-// opt.MaxWire and the server answers min(offer, its max). A pre-negotiation
-// server rejects any offer above its own version outright; when that happens
-// while we offered >1, redial once offering plain v1 so old servers keep
-// working transparently.
+// dial opens one connection and runs the hello (hello.go): it offers
+// version 2 and requires 2 back.
 func (c *Client) dial() (*clientConn, error) {
-	cc, err := c.dialVersion(c.opt.MaxWire)
-	if err != nil && c.opt.MaxWire > ProtoVersion && isVersionReject(err) {
-		cc, err = c.dialVersion(ProtoVersion)
-	}
-	if err != nil {
-		return nil, err
-	}
-	c.wireVer.Store(int32(cc.ver))
-	return cc, nil
-}
-
-// isVersionReject reports whether err is a server-side hello rejection of
-// the offered version (as opposed to a transport failure or a wrong-service
-// response), the signal for the JSON fallback redial.
-func isVersionReject(err error) bool {
-	var re *RemoteError
-	return errors.As(err, &re) && re.Code == CodeProtocol && strings.Contains(re.Msg, "version")
-}
-
-func (c *Client) dialVersion(offer int) (*clientConn, error) {
 	nc, err := net.DialTimeout("tcp", c.addr, c.opt.DialTimeout)
 	if err != nil {
 		return nil, err
 	}
-	cc := &clientConn{nc: nc, br: bufio.NewReaderSize(nc, 16<<10), fe: newFrameEncoder(), ver: ProtoVersion}
-	nc.SetDeadline(time.Now().Add(c.opt.DialTimeout))
+	cc := &clientConn{nc: nc, br: bufio.NewReaderSize(nc, 16<<10), fe: newFrameEncoder()}
+	if err := c.hello(cc); err != nil {
+		nc.Close()
+		return nil, err
+	}
+	return cc, nil
+}
+
+// hello runs the handshake on a fresh connection within DialTimeout.
+func (c *Client) hello(cc *clientConn) error {
+	cc.nc.SetDeadline(time.Now().Add(c.opt.DialTimeout))
 	cc.nextID++
-	// The hello exchange is always v1 JSON in both directions, whatever is
-	// being offered, so any client can negotiate with any server.
-	n, err := cc.fe.write(nc, ProtoVersion, &Request{ID: cc.nextID, Op: OpHello, Version: offer})
+	n, err := cc.fe.writeHello(cc.nc, &helloRequest{ID: cc.nextID, Op: OpHello, Version: ProtoVersionBinary})
 	c.m.bytesWritten.Add(int64(n))
 	if err != nil {
-		nc.Close()
-		return nil, err
+		return err
 	}
-	if err := c.readResponse(cc); err != nil {
-		nc.Close()
-		return nil, err
+	body, err := c.readFrame(cc)
+	if err != nil {
+		return err
 	}
-	resp := &cc.resp
-	if !resp.OK {
-		nc.Close()
-		return nil, responseError(resp)
+	h, err := decodeHelloReply(body)
+	if err != nil {
+		return err
 	}
-	if resp.Version < ProtoVersion || resp.Version > offer {
-		nc.Close()
-		return nil, fmt.Errorf("%w: server negotiated protocol %d, client offered %d", ErrProtocol, resp.Version, offer)
+	if !h.OK {
+		return remoteError(h.Code, h.Error)
 	}
-	cc.ver = resp.Version
-	nc.SetDeadline(time.Time{})
-	return cc, nil
+	if h.Version != ProtoVersionBinary {
+		return fmt.Errorf("%w: server answered protocol %d, client speaks %d", ErrProtocol, h.Version, ProtoVersionBinary)
+	}
+	return cc.nc.SetDeadline(time.Time{})
 }
 
 // checkout takes a connection from the pool, dialing if none is idle. Only
@@ -281,24 +251,26 @@ func (c *Client) release(cc *clientConn, err error) {
 	c.slots <- struct{}{}
 }
 
-// WireVersion reports the protocol version negotiated on the most recent
-// dial (1 = JSON, 2 = binary); 0 before any connection succeeded.
-func (c *Client) WireVersion() int {
-	return int(c.wireVer.Load())
-}
-
-// readResponse reads one frame into the connection's reusable buffer and
-// decodes it, with the connection's negotiated codec, into the connection's
-// reusable response. Everything the response references is freshly
-// decoded, so it survives the next frame.
-func (c *Client) readResponse(cc *clientConn) error {
+// readFrame reads one frame into the connection's reusable buffer.
+func (c *Client) readFrame(cc *clientConn) ([]byte, error) {
 	body, err := ReadFrameInto(cc.br, DefaultMaxFrame, cc.rbuf)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	cc.rbuf = keepReadBuf(body)
 	c.m.bytesRead.Add(int64(4 + len(body)))
-	return decodeResponse(body, cc.ver, &cc.resp)
+	return body, nil
+}
+
+// readResponse reads one frame and decodes it into the connection's
+// reusable response. Everything the response references is freshly
+// decoded, so it survives the next frame.
+func (c *Client) readResponse(cc *clientConn) error {
+	body, err := c.readFrame(cc)
+	if err != nil {
+		return err
+	}
+	return decodeResponse(body, &cc.resp)
 }
 
 // do sends one request, retrying idempotent requests after retryable
@@ -402,7 +374,7 @@ func (c *Client) doOnce(ctx context.Context, deadline time.Time, req *Request) (
 	}
 	cc.req = *req
 	cc.req.ID, cc.req.DeadlineMS = id, ms
-	n, err := cc.fe.write(cc.nc, cc.ver, &cc.req)
+	n, err := cc.fe.write(cc.nc, &cc.req)
 	cc.req = Request{} // hold none of the caller's tuples
 	c.m.bytesWritten.Add(int64(n))
 	if err != nil {
@@ -431,52 +403,44 @@ func (c *Client) doOnce(ctx context.Context, deadline time.Time, req *Request) (
 
 // InsertCtx inserts one tuple. Not retried (not idempotent).
 func (c *Client) InsertCtx(ctx context.Context, relName string, tup relation.Tuple) error {
-	_, err := c.do(ctx, &Request{Op: OpInsert, Relation: relName, Tuple: WireTuple(tup)}, false)
+	_, err := c.do(ctx, &Request{Op: OpInsert, Relation: relName, Tuple: tup}, false)
 	return err
 }
 
 // DeleteCtx deletes by primary key. Not retried.
 func (c *Client) DeleteCtx(ctx context.Context, relName string, key relation.Tuple) error {
-	_, err := c.do(ctx, &Request{Op: OpDelete, Relation: relName, Key: WireTuple(key)}, false)
+	_, err := c.do(ctx, &Request{Op: OpDelete, Relation: relName, Key: key}, false)
 	return err
 }
 
 // UpdateCtx replaces the tuple with the given key. Not retried.
 func (c *Client) UpdateCtx(ctx context.Context, relName string, key, tup relation.Tuple) error {
-	_, err := c.do(ctx, &Request{Op: OpUpdate, Relation: relName, Key: WireTuple(key), Tuple: WireTuple(tup)}, false)
+	_, err := c.do(ctx, &Request{Op: OpUpdate, Relation: relName, Key: key, Tuple: tup}, false)
 	return err
 }
 
 // FetchCtx looks up by primary key. Idempotent: retried on transport errors
 // and overload.
 func (c *Client) FetchCtx(ctx context.Context, relName string, key relation.Tuple) (relation.Tuple, bool, error) {
-	resp, err := c.do(ctx, &Request{Op: OpFetch, Relation: relName, Key: WireTuple(key)}, true)
+	resp, err := c.do(ctx, &Request{Op: OpFetch, Relation: relName, Key: key}, true)
 	if err != nil {
 		return nil, false, err
 	}
 	if !resp.Found {
 		return nil, false, nil
 	}
-	return relation.Tuple(resp.Tuple), true, nil
+	return resp.Tuple, true, nil
 }
 
 // InsertBatchCtx inserts an atomic batch. Not retried.
 func (c *Client) InsertBatchCtx(ctx context.Context, relName string, tuples []relation.Tuple) error {
-	ws := make([]WireTuple, len(tuples))
-	for i, t := range tuples {
-		ws[i] = WireTuple(t)
-	}
-	_, err := c.do(ctx, &Request{Op: OpInsertBatch, Relation: relName, Tuples: ws}, false)
+	_, err := c.do(ctx, &Request{Op: OpInsertBatch, Relation: relName, Tuples: tuples}, false)
 	return err
 }
 
 // ApplyBatchCtx applies an atomic mixed batch. Not retried.
 func (c *Client) ApplyBatchCtx(ctx context.Context, ops []engine.BatchOp) error {
-	ws, err := EncodeOps(ops)
-	if err != nil {
-		return err
-	}
-	_, err = c.do(ctx, &Request{Op: OpApplyBatch, Ops: ws}, false)
+	_, err := c.do(ctx, &Request{Op: OpApplyBatch, Ops: ops}, false)
 	return err
 }
 
@@ -504,7 +468,10 @@ func (c *Client) StatsCtx(ctx context.Context) (engine.StatsSnapshot, error) {
 	if err != nil {
 		return engine.StatsSnapshot{}, err
 	}
-	return fromWireStats(resp.Stats), nil
+	if resp.Stats == nil {
+		return engine.StatsSnapshot{}, nil
+	}
+	return *resp.Stats, nil
 }
 
 // CheckpointCtx forces a snapshot checkpoint on a durable server. Not

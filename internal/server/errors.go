@@ -20,8 +20,8 @@ var (
 	// while it executed. It matches context.DeadlineExceeded via errors.Is
 	// on responses decoded by the client.
 	ErrDeadline = errors.New("server: deadline exceeded")
-	// ErrProtocol marks a protocol violation (oversized frame, bad JSON,
-	// unknown op, duplicate in-flight request ID, version mismatch). The
+	// ErrProtocol marks a protocol violation (oversized frame, malformed
+	// body, unknown op, duplicate in-flight request ID, version mismatch). The
 	// offending connection fails closed; other connections are unaffected.
 	ErrProtocol = errors.New("server: protocol violation")
 	// ErrClosed is returned by client operations after Close, and by
@@ -212,16 +212,7 @@ func (e *RemoteError) Is(target error) bool {
 // typed constraint violation when there is one.
 func errorResponse(id uint64, err error) *Response {
 	resp := &Response{ID: id, Code: CodeOf(err), Error: err.Error()}
-	var cv *engine.ConstraintViolation
-	if errors.As(err, &cv) {
-		resp.Violation = &WireViolation{
-			Kind:       uint8(cv.Kind),
-			Relation:   cv.Relation,
-			Attr:       cv.Attr,
-			Constraint: cv.Constraint,
-			Op:         cv.Op,
-		}
-	}
+	errors.As(err, &resp.Violation)
 	return resp
 }
 
@@ -233,17 +224,15 @@ func responseError(resp *Response) error {
 		return nil
 	}
 	if resp.Violation != nil {
-		return &engine.ConstraintViolation{
-			Kind:       engine.ViolationKind(resp.Violation.Kind),
-			Relation:   resp.Violation.Relation,
-			Attr:       resp.Violation.Attr,
-			Constraint: resp.Violation.Constraint,
-			Op:         resp.Violation.Op,
-		}
+		return resp.Violation
 	}
-	code := resp.Code
+	return remoteError(resp.Code, resp.Error)
+}
+
+// remoteError is the error of a failure reply with this code and message.
+func remoteError(code Code, msg string) error {
 	if code == "" {
 		code = CodeUnknown
 	}
-	return &RemoteError{Code: code, Msg: resp.Error}
+	return &RemoteError{Code: code, Msg: msg}
 }

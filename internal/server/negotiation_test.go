@@ -1,76 +1,63 @@
 package server
 
 import (
+	"context"
 	"errors"
-	"fmt"
-	"io"
 	"net"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/relation"
 )
 
-// errProtocolVersion reproduces the pre-negotiation server's exact-match
-// hello rejection, including the "version" wording the fallback keys on.
-func errProtocolVersion(offered int) error {
-	return fmt.Errorf("%w: protocol version %d not supported (server speaks %d)", ErrProtocol, offered, ProtoVersion)
-}
-
-// negotiate dials a pooled client offering maxWire against addr and checks
-// the negotiated version and a full round trip over the agreed codec.
-func negotiate(t *testing.T, addr string, maxWire, want int) {
-	t.Helper()
-	c, err := Dial(addr, ClientOptions{MaxWire: maxWire, PoolSize: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if got := c.WireVersion(); got != want {
-		t.Fatalf("negotiated version %d, want %d", got, want)
-	}
-	// Exercise the agreed codec past the handshake: a mutation, a hit, and a
-	// miss must all round-trip.
-	if err := c.InsertCtx(nil, "R", row("neg", "v")); err != nil {
-		t.Fatal(err)
-	}
-	tup, found, err := c.FetchCtx(nil, "R", key("neg"))
-	if err != nil || !found {
-		t.Fatalf("fetch: found=%v err=%v", found, err)
-	}
-	if tup[1].AsString() != "v" {
-		t.Fatalf("fetched %v", tup)
-	}
-	if _, found, err := c.FetchCtx(nil, "R", key("absent")); err != nil || found {
-		t.Fatalf("miss: found=%v err=%v", found, err)
-	}
-}
-
-// TestVersionNegotiationMatrix covers every client/server pairing: both
-// sides v2 speak binary; either side pinned to v1 lands the connection on
-// JSON transparently.
+// TestVersionNegotiationMatrix covers the server's answer to each offer it
+// accepts: a client offering 2 gets 2 and a full round trip over v2, and a
+// peer offering more than 2 is answered with 2 and served v2.
 func TestVersionNegotiationMatrix(t *testing.T) {
+	_, addr := startServer(t, Config{})
 	t.Run("v2 client, v2 server", func(t *testing.T) {
-		_, addr := startServer(t, Config{})
-		negotiate(t, addr, MaxProtoVersion, ProtoVersionBinary)
+		c, err := Dial(addr, ClientOptions{PoolSize: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		// A mutation, a hit, and a miss must all round-trip.
+		if err := c.InsertCtx(nil, "R", row("neg", "v")); err != nil {
+			t.Fatal(err)
+		}
+		tup, found, err := c.FetchCtx(nil, "R", key("neg"))
+		if err != nil || !found {
+			t.Fatalf("fetch: found=%v err=%v", found, err)
+		}
+		if tup[1].AsString() != "v" {
+			t.Fatalf("fetched %v", tup)
+		}
+		if _, found, err := c.FetchCtx(nil, "R", key("absent")); err != nil || found {
+			t.Fatalf("miss: found=%v err=%v", found, err)
+		}
 	})
-	t.Run("v2 client, v1-only server", func(t *testing.T) {
-		_, addr := startServer(t, Config{MaxWire: ProtoVersion})
-		negotiate(t, addr, MaxProtoVersion, ProtoVersion)
-	})
-	t.Run("v1 client, v2 server", func(t *testing.T) {
-		_, addr := startServer(t, Config{})
-		negotiate(t, addr, ProtoVersion, ProtoVersion)
-	})
-	t.Run("v1 client, v1-only server", func(t *testing.T) {
-		_, addr := startServer(t, Config{MaxWire: ProtoVersion})
-		negotiate(t, addr, ProtoVersion, ProtoVersion)
+	t.Run("offer 3, v2 server", func(t *testing.T) {
+		c := dialRaw(t, addr)
+		c.sendHello(3)
+		resp, err := c.recv()
+		if err != nil || !resp.OK || resp.Version != ProtoVersionBinary {
+			t.Fatalf("offer 3 answered %+v, %v; want version %d", resp, err, ProtoVersionBinary)
+		}
+		c.ready = true
+		c.send(&Request{ID: 2, Op: OpPing})
+		if resp, err := c.recv(); err != nil || !resp.OK || resp.ID != 2 {
+			t.Fatalf("ping after offer 3: %+v, %v", resp, err)
+		}
 	})
 }
 
-// TestGarbageVersionFailsOnlyThatConnection sends a hello offering version 0:
-// the server must answer with a protocol error and close that connection,
-// while a well-behaved connection negotiated before it keeps working.
+// TestGarbageVersionFailsOnlyThatConnection sends hellos offering versions
+// the server does not speak: each is answered with a JSON protocol error
+// naming version 2 and closed, while a healthy client keeps working
+// throughout.
 func TestGarbageVersionFailsOnlyThatConnection(t *testing.T) {
 	_, addr := startServer(t, Config{})
 
@@ -79,34 +66,67 @@ func TestGarbageVersionFailsOnlyThatConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer good.Close()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var pingErr error
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := good.PingCtx(nil); err != nil {
+				pingErr = err
+				return
+			}
+		}
+	}()
 
-	bad := dialRaw(t, addr)
-	bad.send(&Request{ID: 1, Op: OpHello, Version: 0})
-	resp, err := bad.recv()
-	if err != nil {
-		t.Fatalf("expected an error response before close, got %v", err)
-	}
-	if resp.OK || resp.Code != CodeProtocol {
-		t.Fatalf("garbage version answered %+v, want code %q", resp, CodeProtocol)
-	}
-	if !errors.Is(responseError(resp), ErrProtocol) {
-		t.Fatalf("response %+v does not map to ErrProtocol", resp)
-	}
-	if _, err := bad.recv(); err == nil {
-		t.Fatal("connection survived a garbage hello version")
+	for _, offer := range []int{0, 1} {
+		bad := dialRaw(t, addr)
+		bad.sendHello(offer)
+		body, err := ReadFrame(bad.nc, DefaultMaxFrame)
+		if err != nil {
+			t.Fatalf("offer %d: expected an error response before close, got %v", offer, err)
+		}
+		h, err := decodeHelloReply(body)
+		if err != nil {
+			t.Fatalf("offer %d: reply is not a hello reply: %v", offer, err)
+		}
+		if h.OK || h.Code != CodeProtocol || h.Version != ProtoVersionBinary || !strings.Contains(h.Error, "server speaks 2") {
+			t.Fatalf("offer %d answered %+v, want code %q naming version 2", offer, h, CodeProtocol)
+		}
+		if !errors.Is(remoteError(h.Code, h.Error), ErrProtocol) {
+			t.Fatalf("reply %+v does not map to ErrProtocol", h)
+		}
+		if offer == 1 {
+			if want := versionRefusalJSON + "\n"; string(body) != want {
+				t.Fatalf("refusal body %s, want %s", body, want)
+			}
+		}
+		if _, err := ReadFrame(bad.nc, DefaultMaxFrame); err == nil {
+			t.Fatalf("connection survived a hello offering version %d", offer)
+		}
 	}
 
 	// The abuse must not have poisoned the healthy connection.
+	close(stop)
+	wg.Wait()
+	if pingErr != nil {
+		t.Fatalf("healthy connection broken during another conn's bad hello: %v", pingErr)
+	}
 	if err := good.PingCtx(nil); err != nil {
 		t.Fatalf("healthy connection broken after another conn's bad hello: %v", err)
 	}
 }
 
-// TestClientFallsBackToV1AgainstLegacyServer runs a fake pre-negotiation
-// server that rejects any hello above version 1 outright (the old exact-match
-// handshake) and then serves v1 pings. A v2 client must transparently redial
-// offering v1.
-func TestClientFallsBackToV1AgainstLegacyServer(t *testing.T) {
+// TestClientRefusesVersion1Server runs a fake server that answers every
+// hello with version 1 and then holds the connection open: Dial must fail
+// with ErrProtocol on the reply, well within DialTimeout.
+func TestClientRefusesVersion1Server(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -120,99 +140,87 @@ func TestClientFallsBackToV1AgainstLegacyServer(t *testing.T) {
 			}
 			go func(nc net.Conn) {
 				defer nc.Close()
-				for {
-					body, err := ReadFrame(nc, DefaultMaxFrame)
-					if err != nil {
-						return
-					}
-					req, err := DecodeRequest(body)
-					if err != nil {
-						return
-					}
-					switch {
-					case req.Op == OpHello && req.Version != ProtoVersion:
-						// The legacy exact-match rejection, message included.
-						WriteFrame(nc, errorResponse(req.ID, errProtocolVersion(req.Version)))
-						return
-					case req.Op == OpHello:
-						WriteFrame(nc, &Response{ID: req.ID, OK: true, Version: ProtoVersion})
-					case req.Op == OpPing:
-						WriteFrame(nc, &Response{ID: req.ID, OK: true})
-					default:
-						WriteFrame(nc, errorResponse(req.ID, io.ErrUnexpectedEOF))
-						return
-					}
+				body, err := ReadFrame(nc, DefaultMaxFrame)
+				if err != nil {
+					return
 				}
+				h, err := decodeHello(body)
+				if err != nil {
+					return
+				}
+				newFrameEncoder().writeHello(nc, &helloReply{ID: h.ID, OK: true, Version: 1})
+				ReadFrame(nc, DefaultMaxFrame) // hold the connection until the client hangs up
 			}(nc)
 		}
 	}()
 
-	c, err := Dial(ln.Addr().String(), ClientOptions{MaxWire: MaxProtoVersion, PoolSize: 1})
-	if err != nil {
-		t.Fatalf("v2 client failed against legacy v1 server: %v", err)
+	const timeout = 2 * time.Second
+	start := time.Now()
+	c, err := Dial(ln.Addr().String(), ClientOptions{PoolSize: 1, DialTimeout: timeout})
+	if err == nil {
+		c.Close()
+		t.Fatal("client accepted a server answering version 1")
 	}
-	defer c.Close()
-	if got := c.WireVersion(); got != ProtoVersion {
-		t.Fatalf("fell back to version %d, want %d", got, ProtoVersion)
+	if !errors.Is(err, ErrProtocol) {
+		t.Fatalf("dial failed with %v, want ErrProtocol", err)
 	}
-	if err := c.PingCtx(nil); err != nil {
-		t.Fatalf("ping after fallback: %v", err)
+	if took := time.Since(start); took >= timeout {
+		t.Fatalf("refusal took %v, not within DialTimeout %v", took, timeout)
 	}
 }
 
-// TestErrorTaxonomyIdenticalAcrossCodecs issues the same failing operations
-// over a binary and a JSON connection: the Code, the mapped sentinel, and
-// the typed constraint violation must match exactly.
-func TestErrorTaxonomyIdenticalAcrossCodecs(t *testing.T) {
+// TestErrorTaxonomyOverTheWire issues the same failing operations over a
+// client and against an engine of its own: the Code, the sentinel it maps to,
+// and the typed constraint violation must match exactly.
+func TestErrorTaxonomyOverTheWire(t *testing.T) {
 	_, addr := startServer(t, Config{})
-
-	type outcome struct {
-		code      Code
-		violation *engine.ConstraintViolation
+	c, err := Dial(addr, ClientOptions{PoolSize: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	run := func(t *testing.T, maxWire int) map[string]outcome {
-		t.Helper()
-		c, err := Dial(addr, ClientOptions{MaxWire: maxWire, PoolSize: 1})
-		if err != nil {
+	defer c.Close()
+	local := openEngine(t)
+	defer local.Close()
+	ctx := context.Background()
+
+	type pair struct{ remote, local error }
+	cases := map[string]pair{
+		"unknown relation": {c.InsertCtx(ctx, "NOPE", row("a", "b")), local.InsertCtx(ctx, "NOPE", row("a", "b"))},
+		"arity mismatch": {c.InsertCtx(ctx, "R", relation.Tuple{relation.NewString("only")}),
+			local.InsertCtx(ctx, "R", relation.Tuple{relation.NewString("only")})},
+		"no such tuple":          {c.DeleteCtx(ctx, "R", key("absent")), local.DeleteCtx(ctx, "R", key("absent"))},
+		"commit without begin":   {c.CommitCtx(ctx), TxnError(local.Commit())},
+		"checkpoint non-durable": {c.CheckpointCtx(ctx), local.Checkpoint()},
+	}
+	for _, db := range []func(relation.Tuple) error{
+		func(r relation.Tuple) error { return c.InsertCtx(ctx, "R", r) },
+		func(r relation.Tuple) error { return local.InsertCtx(ctx, "R", r) },
+	} {
+		if err := db(row("dup", "x")); err != nil {
 			t.Fatal(err)
 		}
-		defer c.Close()
-		out := make(map[string]outcome)
-		record := func(name string, err error) {
-			o := outcome{code: CodeOf(err)}
-			var cv *engine.ConstraintViolation
-			if errors.As(err, &cv) {
-				o.violation = cv
-			}
-			out[name] = o
-		}
-		record("unknown relation", c.InsertCtx(nil, "NOPE", row("a", "b")))
-		record("arity mismatch", c.InsertCtx(nil, "R", relation.Tuple{relation.NewString("only")}))
-		record("duplicate key", func() error {
-			if err := c.InsertCtx(nil, "R", row("dup-"+t.Name(), "x")); err != nil {
-				return err
-			}
-			return c.InsertCtx(nil, "R", row("dup-"+t.Name(), "x"))
-		}())
-		record("commit without begin", c.CommitCtx(nil))
-		record("checkpoint non-durable", c.CheckpointCtx(nil))
-		return out
 	}
+	cases["duplicate key"] = pair{c.InsertCtx(ctx, "R", row("dup", "x")), local.InsertCtx(ctx, "R", row("dup", "x"))}
 
-	binOut := run(t, MaxProtoVersion)
-	jsonOut := run(t, ProtoVersion)
-	for name, b := range binOut {
-		j, ok := jsonOut[name]
-		if !ok {
-			t.Fatalf("case %q missing from JSON run", name)
+	for name, p := range cases {
+		if p.remote == nil || p.local == nil {
+			t.Errorf("%s: remote %v, local %v; want both to fail", name, p.remote, p.local)
+			continue
 		}
-		if b.code != j.code {
-			t.Errorf("%s: binary code %q, json code %q", name, b.code, j.code)
+		code := CodeOf(p.remote)
+		if want := CodeOf(p.local); code != want {
+			t.Errorf("%s: remote code %q, local code %q", name, code, want)
 		}
-		if (b.violation == nil) != (j.violation == nil) {
-			t.Errorf("%s: violation presence differs (binary %v, json %v)", name, b.violation, j.violation)
-		} else if b.violation != nil && *b.violation != *j.violation {
-			t.Errorf("%s: violation differs:\n  binary %+v\n  json   %+v", name, *b.violation, *j.violation)
+		if s := sentinelOf(code); s != nil && !errors.Is(p.remote, s) {
+			t.Errorf("%s: remote error %v does not match sentinel %v", name, p.remote, s)
+		}
+		var rv, lv *engine.ConstraintViolation
+		errors.As(p.remote, &rv)
+		errors.As(p.local, &lv)
+		if (rv == nil) != (lv == nil) {
+			t.Errorf("%s: violation presence differs (remote %v, local %v)", name, rv, lv)
+		} else if rv != nil && *rv != *lv {
+			t.Errorf("%s: violation differs:\n  remote %+v\n  local  %+v", name, *rv, *lv)
 		}
 	}
 }

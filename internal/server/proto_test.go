@@ -5,75 +5,23 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
-	"math"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/relation"
 )
-
-func TestWireValueRoundTrip(t *testing.T) {
-	values := []relation.Value{
-		relation.Null(),
-		relation.NewString(""),
-		relation.NewString("hello"),
-		relation.NewString("näïve\x00bytes"),
-		relation.NewInt(0),
-		relation.NewInt(-42),
-		relation.NewInt(math.MaxInt64),
-		relation.NewFloat(0),
-		relation.NewFloat(math.Copysign(0, -1)),
-		relation.NewFloat(3.5),
-		relation.NewFloat(math.NaN()),
-		relation.NewFloat(math.Inf(1)),
-		relation.NewBool(true),
-		relation.NewBool(false),
-	}
-	for _, v := range values {
-		got, err := DecodeValue(EncodeValue(v))
-		if err != nil {
-			t.Fatalf("DecodeValue(EncodeValue(%v)): %v", v, err)
-		}
-		if got.Kind() != v.Kind() {
-			t.Fatalf("round trip of %v changed kind: %v", v, got.Kind())
-		}
-		// NaN != NaN, so compare float bits, not values; nulls compare
-		// unequal to everything (SQL semantics), so the kind check above is
-		// the whole comparison for them.
-		if v.Kind() == relation.KindFloat {
-			if math.Float64bits(got.AsFloat()) != math.Float64bits(v.AsFloat()) {
-				t.Fatalf("float bits changed: %x != %x", math.Float64bits(got.AsFloat()), math.Float64bits(v.AsFloat()))
-			}
-		} else if !v.IsNull() && !got.Equal(v) {
-			t.Fatalf("round trip changed %v to %v", v, got)
-		}
-	}
-}
-
-func TestDecodeValueRejectsMalformed(t *testing.T) {
-	bad := []WireValue{
-		{T: "i", V: "not-a-number"},
-		{T: "f", V: "zz"},
-		{T: "b", V: "2"},
-		{T: "x", V: "?"},
-	}
-	for _, w := range bad {
-		if _, err := DecodeValue(w); err == nil {
-			t.Errorf("DecodeValue(%+v) accepted malformed input", w)
-		}
-	}
-}
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	req := &Request{ID: 7, Op: OpInsert, Relation: "R", Tuple: EncodeTuple(relation.Tuple{relation.NewString("k")})}
-	if _, err := WriteFrame(&buf, req); err != nil {
+	if _, err := WriteFrameVersion(&buf, ProtoVersionBinary, req); err != nil {
 		t.Fatal(err)
 	}
 	body, err := ReadFrame(&buf, DefaultMaxFrame)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeRequest(body)
+	got, err := DecodeRequestVersion(body, ProtoVersionBinary)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,16 +73,17 @@ func TestReadFrameFailsClosed(t *testing.T) {
 func TestDecodeRequestFailsClosed(t *testing.T) {
 	cases := []struct {
 		name string
-		body string
+		body []byte
 	}{
-		{"bad JSON", `{"id":1,`},
-		{"not an object", `[1,2,3]`},
-		{"unknown op", `{"id":1,"op":"drop_table"}`},
-		{"empty op", `{"id":1}`},
+		{"truncated body", []byte{binOpInsert, 1}},
+		{"trailing bytes", []byte{binOpPing, 1, 0, 0, 0, 0, 0, 0, 0, 0}},
+		{"unknown op", []byte{0x7f, 1, 0, 0, 0, 0, 0, 0, 0}},
+		{"empty op", []byte{0, 1, 0, 0, 0, 0, 0, 0, 0}},
+		{"hello JSON", []byte(`{"id":1,"op":"hello","version":2}`)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := DecodeRequest([]byte(tc.body))
+			_, err := DecodeRequestVersion(tc.body, ProtoVersionBinary)
 			if !errors.Is(err, ErrProtocol) {
 				t.Fatalf("want ErrProtocol, got %v", err)
 			}
@@ -142,22 +91,23 @@ func TestDecodeRequestFailsClosed(t *testing.T) {
 	}
 }
 
-// FuzzReadFrame feeds arbitrary bytes through the frame reader and both
-// request and response decoders: they must fail closed (error or valid
-// frame), never panic — in particular the binary decoder's counts and
-// lengths must be bounds-checked before any allocation sized from them.
+// FuzzReadFrame feeds arbitrary bytes through the frame reader, the request
+// and response decoders, and the hello decoder — the one JSON reader of
+// network bytes: each must fail closed (error or valid frame), never panic —
+// in particular the binary decoder's counts and lengths must be
+// bounds-checked before any allocation sized from them.
 func FuzzReadFrame(f *testing.F) {
 	var seed bytes.Buffer
-	WriteFrame(&seed, &Request{ID: 1, Op: OpPing})
-	f.Add(seed.Bytes())
+	newFrameEncoder().writeHello(&seed, &helloRequest{ID: 1, Op: OpHello, Version: ProtoVersionBinary})
+	f.Add(bytes.Clone(seed.Bytes()))
 	seed.Reset()
 	WriteFrameVersion(&seed, ProtoVersionBinary, &Request{ID: 2, Op: OpInsert, Relation: "R",
-		Tuple: WireTuple{str("v"), num(7)}})
-	f.Add(seed.Bytes())
+		Tuple: relation.Tuple{str("v"), num(7)}})
+	f.Add(bytes.Clone(seed.Bytes()))
 	seed.Reset()
 	WriteFrameVersion(&seed, ProtoVersionBinary, &Request{ID: 3, Op: OpApplyBatch,
-		Ops: []WireOp{{Kind: OpDelete, Relation: "R", Key: WireTuple{relation.Null()}}}})
-	f.Add(seed.Bytes())
+		Ops: []engine.BatchOp{engine.Del("R", relation.Tuple{relation.Null()})}})
+	f.Add(bytes.Clone(seed.Bytes()))
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 'x'})
 	f.Add([]byte(`{"id":1,"op":"insert"}`))
@@ -168,13 +118,28 @@ func FuzzReadFrame(f *testing.F) {
 		if err != nil {
 			return
 		}
-		for _, version := range []int{ProtoVersion, ProtoVersionBinary} {
-			if req, err := DecodeRequestVersion(body, version); err == nil {
-				// A valid request's batch ops must still lower without
-				// panicking, whatever their kinds.
-				DecodeOps(req.Ops)
+		if req, err := DecodeRequestVersion(body, ProtoVersionBinary); err == nil {
+			if !knownRequest(req) {
+				t.Fatalf("decoded an invalid request: %+v", req)
 			}
-			DecodeResponseVersion(body, version)
+		}
+		DecodeResponseVersion(body, ProtoVersionBinary)
+		if h, err := decodeHello(body); err == nil && h.Op != OpHello {
+			t.Fatalf("decoded a hello with op %q", h.Op)
 		}
 	})
+}
+
+// knownRequest reports whether a decoded request names a protocol operation
+// and only valid batch kinds.
+func knownRequest(req *Request) bool {
+	if _, ok := opcodes[req.Op]; !ok {
+		return false
+	}
+	for _, op := range req.Ops {
+		if _, ok := batchOpcode(op.Kind); !ok {
+			return false
+		}
+	}
+	return true
 }

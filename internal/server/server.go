@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -29,11 +30,6 @@ type Config struct {
 	QueueDepth int
 	// MaxFrame bounds one protocol frame (default DefaultMaxFrame).
 	MaxFrame int
-	// MaxWire is the highest wire protocol version the server negotiates
-	// (default MaxProtoVersion). Setting it to ProtoVersion serves v1 JSON
-	// only — the negotiated version is min(client offer, MaxWire), so v2
-	// clients transparently fall back to JSON against such a server.
-	MaxWire int
 	// CoalesceMax bounds how many queued write requests a worker folds into
 	// one engine batch — one WAL record, one fsync — per dequeue (default
 	// 16; 1 disables coalescing).
@@ -59,9 +55,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxFrame <= 0 {
 		c.MaxFrame = DefaultMaxFrame
-	}
-	if c.MaxWire <= 0 || c.MaxWire > MaxProtoVersion {
-		c.MaxWire = MaxProtoVersion
 	}
 	if c.CoalesceMax <= 0 {
 		c.CoalesceMax = 16
@@ -144,14 +137,8 @@ type srvConn struct {
 	nc net.Conn
 	br *bufio.Reader // buffered reads: frame prefix + body without per-field syscalls
 
-	// ver is the negotiated wire protocol version. It starts at ProtoVersion
-	// (the hello exchange is always v1 JSON) and is bumped once by the
-	// handshake, before any request is enqueued, so workers observe it
-	// through the queue's happens-before edge without locking.
-	ver int
-
 	rbuf []byte    // connection-owned frame read buffer, reused across frames
-	dec  binReader // the reader's v2 decoder, remembering the last relation name
+	dec  binReader // the reader's decoder, remembering the last relation name
 
 	wmu sync.Mutex    // serializes response frames
 	fe  *frameEncoder // response frame buffer, guarded by wmu
@@ -179,8 +166,8 @@ type task struct {
 	c        *srvConn
 	req      Request
 	resp     Response
-	key      WireTuple // fetch-key storage lent to the decoder
-	deadline time.Time // zero: none
+	key      relation.Tuple // fetch-key storage lent to the decoder
+	deadline time.Time      // zero: none
 	start    time.Time
 }
 
@@ -399,7 +386,6 @@ func (s *Server) handleConn(nc net.Conn) {
 		s:        s,
 		nc:       nc,
 		br:       bufio.NewReaderSize(nc, 16<<10),
-		ver:      ProtoVersion,
 		fe:       newFrameEncoder(),
 		inflight: make(map[uint64]struct{}),
 	}
@@ -415,7 +401,7 @@ func (s *Server) handleConn(nc net.Conn) {
 	defer s.m.connections.Add(-1)
 
 	if err := s.handshake(c); err != nil {
-		s.failConn(c, 0, err)
+		s.noteViolation(c, err)
 		s.untrack(c)
 		nc.Close()
 		return
@@ -438,7 +424,7 @@ func (s *Server) handleConn(nc net.Conn) {
 		s.m.bytesRead.Add(int64(4 + len(body)))
 		t := c.newTask()
 		req := &t.req
-		if err := decodeRequest(body, c.ver, req, &c.dec, t.key); err != nil {
+		if err := decodeRequest(body, req, &c.dec, t.key); err != nil {
 			s.failConn(c, 0, err)
 			s.untrack(c)
 			nc.Close()
@@ -482,42 +468,42 @@ func (s *Server) handleConn(nc net.Conn) {
 	}
 }
 
-// handshake runs the version negotiation: the client's hello (always v1
-// JSON) offers its highest version, the server answers min(offer, MaxWire)
-// (also in JSON), and the connection speaks the agreed codec from the next
-// frame on. An offer below 1 is garbage and fails only this connection.
+// handshake runs the hello (hello.go): the client's JSON hello must offer
+// version 2 or more, and the server answers 2, in JSON. A failed hello is
+// answered in the same shape, best effort, naming the version the server
+// speaks; only this connection is affected.
 func (s *Server) handshake(c *srvConn) error {
+	var h helloRequest
 	body, err := c.readFrame()
+	if err == nil {
+		s.m.bytesRead.Add(int64(4 + len(body)))
+		h, err = decodeHello(body)
+	}
+	if err == nil && h.Version < ProtoVersionBinary {
+		err = fmt.Errorf("%w: protocol version %d not supported (server speaks %d)", ErrProtocol, h.Version, ProtoVersionBinary)
+	}
+	reply := &helloReply{ID: h.ID, OK: err == nil, Version: ProtoVersionBinary}
 	if err != nil {
-		return err
+		reply.Code, reply.Error = CodeOf(err), err.Error()
 	}
-	s.m.bytesRead.Add(int64(4 + len(body)))
-	req, err := DecodeRequest(body)
-	if err != nil {
-		return err
+	n, werr := c.fe.writeHello(c.nc, reply)
+	s.m.bytesWritten.Add(int64(n))
+	if err == nil {
+		err = werr
 	}
-	if req.Op != OpHello {
-		return fmt.Errorf("%w: first frame must be hello, got %q", ErrProtocol, req.Op)
-	}
-	if req.Version < ProtoVersion {
-		return fmt.Errorf("%w: protocol version %d not supported (server speaks %d-%d)", ErrProtocol, req.Version, ProtoVersion, s.cfg.MaxWire)
-	}
-	negotiated := req.Version
-	if negotiated > s.cfg.MaxWire {
-		negotiated = s.cfg.MaxWire
-	}
-	if err := c.send(&Response{ID: req.ID, OK: true, Version: negotiated}); err != nil {
-		return err
-	}
-	c.ver = negotiated
-	return nil
+	return err
+}
+
+// noteViolation records a failed connection in the metrics and the log.
+func (s *Server) noteViolation(c *srvConn, err error) {
+	s.m.protocolErrors.Inc()
+	s.cfg.Logf("relmerged: %s: %v", c.nc.RemoteAddr(), err)
 }
 
 // failConn records a protocol violation, best-effort answers it, and lets
 // the caller close the connection. Only this connection is affected.
 func (s *Server) failConn(c *srvConn, id uint64, err error) {
-	s.m.protocolErrors.Inc()
-	s.cfg.Logf("relmerged: %s: %v", c.nc.RemoteAddr(), err)
+	s.noteViolation(c, err)
 	c.send(errorResponse(id, err))
 }
 
@@ -527,12 +513,11 @@ func (s *Server) untrack(c *srvConn) {
 	s.mu.Unlock()
 }
 
-// send writes one response frame in the connection's negotiated codec.
-// Write errors are swallowed: the reader side notices the dead connection
-// and tears it down.
+// send writes one response frame. Write errors are swallowed: the reader
+// side notices the dead connection and tears it down.
 func (c *srvConn) send(resp *Response) error {
 	c.wmu.Lock()
-	n, err := c.fe.write(c.nc, c.ver, resp)
+	n, err := c.fe.write(c.nc, resp)
 	c.wmu.Unlock()
 	c.s.m.bytesWritten.Add(int64(n))
 	return err
@@ -640,29 +625,19 @@ func (s *Server) executeWrites(batch []*task) {
 	}
 	var ops []engine.BatchOp
 	var deadline time.Time
-	merged := live[:0]
 	for _, t := range live {
-		var err error
-		if ops, err = appendWriteOps(ops, &t.req); err != nil {
-			// Undecodable member: answer it, coalesce the rest.
-			s.finish(t, errorResponse(t.req.ID, err))
-			continue
-		}
+		ops = appendWriteOps(ops, &t.req)
 		if !t.deadline.IsZero() && (deadline.IsZero() || t.deadline.Before(deadline)) {
 			deadline = t.deadline
 		}
-		merged = append(merged, t)
-	}
-	if len(merged) == 0 {
-		return
 	}
 	ctx, cancel := s.deadlineCtx(deadline)
 	err := s.db.ApplyBatchCtx(ctx, ops)
 	cancel()
 	if err == nil {
 		s.m.coalescedBatch.Inc()
-		s.m.coalescedWrites.Add(int64(len(merged)))
-		for _, t := range merged {
+		s.m.coalescedWrites.Add(int64(len(live)))
+		for _, t := range live {
 			t.resp = Response{OK: true}
 			s.finish(t, &t.resp)
 		}
@@ -670,34 +645,27 @@ func (s *Server) executeWrites(batch []*task) {
 	}
 	// The combined batch aborted atomically (no effects survive), so per-
 	// request execution observes the same starting state.
-	for _, t := range merged {
+	for _, t := range live {
 		s.execute(t)
 	}
 }
 
-// appendWriteOps appends the engine batch ops of one write request; on error
-// ops comes back unchanged.
-func appendWriteOps(ops []engine.BatchOp, req *Request) ([]engine.BatchOp, error) {
+// appendWriteOps appends the engine batch ops of one write request.
+func appendWriteOps(ops []engine.BatchOp, req *Request) []engine.BatchOp {
 	switch req.Op {
 	case OpInsert:
-		return append(ops, engine.Ins(req.Relation, relation.Tuple(req.Tuple))), nil
+		return append(ops, engine.Ins(req.Relation, req.Tuple))
 	case OpDelete:
-		return append(ops, engine.Del(req.Relation, relation.Tuple(req.Key))), nil
+		return append(ops, engine.Del(req.Relation, req.Key))
 	case OpUpdate:
-		return append(ops, engine.Upd(req.Relation, relation.Tuple(req.Key), relation.Tuple(req.Tuple))), nil
+		return append(ops, engine.Upd(req.Relation, req.Key, req.Tuple))
 	case OpInsertBatch:
 		for _, t := range req.Tuples {
-			ops = append(ops, engine.Ins(req.Relation, relation.Tuple(t)))
+			ops = append(ops, engine.Ins(req.Relation, t))
 		}
-		return ops, nil
-	case OpApplyBatch:
-		decoded, err := DecodeOps(req.Ops)
-		if err != nil {
-			return ops, fmt.Errorf("%w: %v", ErrProtocol, err)
-		}
-		return append(ops, decoded...), nil
+		return ops
 	}
-	return ops, fmt.Errorf("%w: %q is not a write op", ErrProtocol, req.Op)
+	return append(ops, req.Ops...)
 }
 
 // deadlineError maps a context error to the wire's deadline/cancel sentinel.
@@ -712,23 +680,15 @@ func deadlineError(err error) error {
 func (s *Server) write(ctx context.Context, req *Request) error {
 	switch req.Op {
 	case OpInsert:
-		return s.db.InsertCtx(ctx, req.Relation, relation.Tuple(req.Tuple))
+		return s.db.InsertCtx(ctx, req.Relation, req.Tuple)
 	case OpDelete:
-		return s.db.DeleteCtx(ctx, req.Relation, relation.Tuple(req.Key))
+		return s.db.DeleteCtx(ctx, req.Relation, req.Key)
 	case OpUpdate:
-		return s.db.UpdateCtx(ctx, req.Relation, relation.Tuple(req.Key), relation.Tuple(req.Tuple))
+		return s.db.UpdateCtx(ctx, req.Relation, req.Key, req.Tuple)
 	case OpInsertBatch:
-		ts := make([]relation.Tuple, len(req.Tuples))
-		for i, w := range req.Tuples {
-			ts[i] = relation.Tuple(w)
-		}
-		return s.db.InsertBatchCtx(ctx, req.Relation, ts)
+		return s.db.InsertBatchCtx(ctx, req.Relation, req.Tuples)
 	}
-	ops, err := DecodeOps(req.Ops)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrProtocol, err)
-	}
-	return s.db.ApplyBatchCtx(ctx, ops)
+	return s.db.ApplyBatchCtx(ctx, req.Ops)
 }
 
 // dispatch executes one request against the backend and builds its
@@ -751,9 +711,9 @@ func (s *Server) dispatch(t *task) *Response {
 	case OpPing:
 		return ok
 	case OpFetch:
-		tup, found, err := s.db.GetByKeyCtx(s.baseCtx, req.Relation, relation.Tuple(req.Key))
+		tup, found, err := s.db.GetByKeyCtx(s.baseCtx, req.Relation, req.Key)
 		// The reply aliases the published row, which no writer mutates.
-		ok.Found, ok.Tuple = found, WireTuple(tup)
+		ok.Found, ok.Tuple = found, tup
 		return reply(err)
 	case OpBegin:
 		return reply(TxnError(s.db.Begin()))
@@ -762,7 +722,8 @@ func (s *Server) dispatch(t *task) *Response {
 	case OpRollback:
 		return reply(TxnError(s.db.Rollback()))
 	case OpStats:
-		ok.Stats = toWireStats(s.db.StatsTotals())
+		st := s.db.StatsTotals()
+		ok.Stats = &st
 		return ok
 	case OpCheckpoint:
 		return reply(s.db.Checkpoint())
@@ -781,11 +742,7 @@ func (s *Server) dispatch(t *task) *Response {
 			ok.Repl = &WireRepl{CommitLSN: horizon, Snapshot: data, SnapshotLSN: lsn}
 			return reply(err)
 		}
-		out := make([]WireRecord, len(recs))
-		for i, r := range recs {
-			out[i] = WireRecord{LSN: r.LSN, Payload: r.Payload}
-		}
-		ok.Repl = &WireRepl{CommitLSN: horizon, Records: out}
+		ok.Repl = &WireRepl{CommitLSN: horizon, Records: capReplRecords(recs)}
 		return reply(err)
 	case OpReplHeartbeat:
 		rep, isRep := s.db.(Replicator)
@@ -807,4 +764,32 @@ func TxnError(err error) error {
 		return err
 	}
 	return fmt.Errorf("%w: %v", ErrTxn, err)
+}
+
+// replReplyFixed bounds the bytes of a repl reply besides its records: the
+// ID, commit LSN, snapshot LSN and record count as uvarints, and the flags,
+// code, error and (empty) snapshot length as one byte each.
+const replReplyFixed = 4*binary.MaxVarintLen64 + 4
+
+// capReplRecords keeps the leading records whose v2 reply fits in one frame
+// the client accepts (DefaultMaxFrame), and at least one record: a follower
+// fetches again from the last LSN it received.
+func capReplRecords(recs []wal.Record) []wal.Record {
+	size := replReplyFixed
+	for i, r := range recs {
+		size += uvarintLen(r.LSN) + uvarintLen(uint64(len(r.Payload))) + len(r.Payload)
+		if size > DefaultMaxFrame && i > 0 {
+			return recs[:i]
+		}
+	}
+	return recs
+}
+
+// uvarintLen is the length of x's uvarint encoding.
+func uvarintLen(x uint64) int {
+	n := 1
+	for ; x >= 0x80; x >>= 7 {
+		n++
+	}
+	return n
 }

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/json"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"net"
@@ -97,10 +97,13 @@ func (b *slowBackend) ApplyBatchCtx(ctx context.Context, ops []engine.BatchOp) e
 	return b.Backend.ApplyBatchCtx(ctx, ops)
 }
 
-// rawConn is a hand-driven protocol connection for abuse tests.
+// rawConn is a hand-driven protocol connection for abuse tests. Until its
+// hello succeeds it reads replies in the hello's JSON shape; afterwards it
+// writes and reads v2 frames, the codec that serves traffic.
 type rawConn struct {
-	t  *testing.T
-	nc net.Conn
+	t     *testing.T
+	nc    net.Conn
+	ready bool // the hello succeeded
 }
 
 func dialRaw(t *testing.T, addr string) *rawConn {
@@ -116,8 +119,16 @@ func dialRaw(t *testing.T, addr string) *rawConn {
 
 func (c *rawConn) send(req *Request) {
 	c.t.Helper()
-	if _, err := WriteFrame(c.nc, req); err != nil {
+	if _, err := WriteFrameVersion(c.nc, ProtoVersionBinary, req); err != nil {
 		c.t.Fatalf("writing %s frame: %v", req.Op, err)
+	}
+}
+
+// sendHello sends a JSON hello offering version.
+func (c *rawConn) sendHello(version int) {
+	c.t.Helper()
+	if _, err := newFrameEncoder().writeHello(c.nc, &helloRequest{ID: 1, Op: OpHello, Version: version}); err != nil {
+		c.t.Fatalf("writing hello: %v", err)
 	}
 }
 
@@ -133,23 +144,27 @@ func (c *rawConn) recv() (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	var resp Response
-	if err := json.Unmarshal(body, &resp); err != nil {
+	if c.ready {
+		return DecodeResponseVersion(body, ProtoVersionBinary)
+	}
+	h, err := decodeHelloReply(body)
+	if err != nil {
 		return nil, err
 	}
-	return &resp, nil
+	return &Response{ID: h.ID, OK: h.OK, Code: h.Code, Error: h.Error, Version: h.Version}, nil
 }
 
 func (c *rawConn) hello() {
 	c.t.Helper()
-	c.send(&Request{ID: 1, Op: OpHello, Version: ProtoVersion})
+	c.sendHello(ProtoVersionBinary)
 	resp, err := c.recv()
 	if err != nil {
 		c.t.Fatalf("handshake: %v", err)
 	}
-	if !resp.OK || resp.Version != ProtoVersion {
+	if !resp.OK || resp.Version != ProtoVersionBinary {
 		c.t.Fatalf("handshake refused: %+v", resp)
 	}
+	c.ready = true
 }
 
 // drainResponses reads frames until the server closes the connection,
@@ -197,21 +212,23 @@ func TestProtocolViolationsFailClosed(t *testing.T) {
 			c.sendRaw(append(frameWithLength(100), 'x', 'y', 'z'))
 			c.nc.(*net.TCPConn).CloseWrite()
 		}},
-		{"bad JSON", func(c *rawConn) {
+		{"malformed body", func(c *rawConn) {
 			c.hello()
-			body := []byte(`{"id":2,"op":`)
+			// An insert cut off after its request ID.
+			body := []byte{binOpInsert, 2}
 			c.sendRaw(append(frameWithLength(uint32(len(body))), body...))
 		}},
 		{"unknown op", func(c *rawConn) {
 			c.hello()
-			c.send(&Request{ID: 2, Op: "drop_table"})
+			body := []byte{0x7f, 2, 0, 0, 0, 0, 0, 0, 0}
+			c.sendRaw(append(frameWithLength(uint32(len(body))), body...))
 		}},
 		{"repeated hello", func(c *rawConn) {
 			c.hello()
-			c.send(&Request{ID: 2, Op: OpHello, Version: ProtoVersion})
+			c.send(&Request{ID: 2, Op: OpHello, Version: ProtoVersionBinary})
 		}},
 		{"hello version garbage", func(c *rawConn) {
-			c.send(&Request{ID: 1, Op: OpHello, Version: 0})
+			c.sendHello(0)
 		}},
 		{"first frame not hello", func(c *rawConn) {
 			c.send(&Request{ID: 1, Op: OpPing})
@@ -568,23 +585,23 @@ func TestStatsAndPing(t *testing.T) {
 	}
 }
 
-// TestFrameEncodingStable pins the frame layout: 4-byte big-endian length
-// prefix followed by the JSON body, so independent client implementations
-// can rely on it.
+// TestFrameEncodingStable pins the frame layout: a 4-byte big-endian length
+// prefix followed by the v2 body, whose first byte is the opcode, so
+// independent client implementations can rely on it.
 func TestFrameEncodingStable(t *testing.T) {
 	var buf bytes.Buffer
-	n, err := WriteFrame(&buf, &Request{ID: 1, Op: OpPing})
+	n, err := WriteFrameVersion(&buf, ProtoVersionBinary, &Request{ID: 7, Op: OpPing})
 	if err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
 	if n != len(raw) {
-		t.Fatalf("WriteFrame reported %d bytes, wrote %d", n, len(raw))
+		t.Fatalf("WriteFrameVersion reported %d bytes, wrote %d", n, len(raw))
 	}
 	if got := binary.BigEndian.Uint32(raw[:4]); int(got) != len(raw)-4 {
 		t.Fatalf("length prefix %d, body %d", got, len(raw)-4)
 	}
-	if !json.Valid(raw[4:]) {
-		t.Fatal("frame body is not valid JSON")
+	if got, want := hex.EncodeToString(raw[4:]), "020700000000000000"; got != want {
+		t.Fatalf("ping body %s, want %s", got, want)
 	}
 }

@@ -61,9 +61,6 @@ type Config struct {
 	// RemoteOptions tune the remote client: pool size, timeouts, retries
 	// (Remote only).
 	RemoteOptions []RemoteOption
-	// Wire selects the codec offered in the protocol handshake (Remote
-	// only; default WireBinary). A WithWire entry in RemoteOptions wins.
-	Wire Wire
 
 	// Shards is the partition count (Sharded only; must be >= 1).
 	Shards int
@@ -168,7 +165,6 @@ func Open(cfg Config, options ...OpenOption) (Session, error) {
 			return nil, fmt.Errorf("relmerge: Open(%v) requires Addr", cfg.Backend)
 		}
 		var o server.ClientOptions
-		o.MaxWire = cfg.Wire.maxWire()
 		o.Registry = cfg.Registry
 		for _, opt := range cfg.RemoteOptions {
 			opt(&o)

@@ -2,51 +2,10 @@ package relmerge
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"repro/internal/server"
 )
-
-// Wire selects the codec a remote session offers in its protocol handshake.
-// The server answers min(offer, its own max), so the session may end up on
-// JSON even when it asked for binary; WireVersion reports the outcome.
-type Wire int
-
-const (
-	// WireBinary (the default) offers the compact binary v2 codec.
-	WireBinary Wire = iota
-	// WireJSON pins the connection to the JSON v1 codec.
-	WireJSON
-)
-
-// String returns the flag spelling of the wire choice.
-func (w Wire) String() string {
-	if w == WireJSON {
-		return "json"
-	}
-	return "binary"
-}
-
-// ParseWire parses a -wire flag value ("binary" or "json").
-func ParseWire(s string) (Wire, error) {
-	switch s {
-	case "binary":
-		return WireBinary, nil
-	case "json":
-		return WireJSON, nil
-	default:
-		return WireBinary, fmt.Errorf("unknown wire codec %q (want binary or json)", s)
-	}
-}
-
-// maxWire maps the Wire choice onto the client's protocol offer.
-func (w Wire) maxWire() int {
-	if w == WireJSON {
-		return server.ProtoVersion
-	}
-	return server.MaxProtoVersion
-}
 
 // RemoteSession is a Session backed by a relmerged server over TCP: pooled
 // connections, per-request deadlines, and automatic retries (with jittered
@@ -94,12 +53,6 @@ func WithRetryBackoff(d time.Duration) RemoteOption {
 	return func(o *server.ClientOptions) { o.RetryBackoff = d }
 }
 
-// WithWire selects the wire codec offered in the handshake (default
-// WireBinary). A server that only speaks v1 answers JSON either way.
-func WithWire(w Wire) RemoteOption {
-	return func(o *server.ClientOptions) { o.MaxWire = w.maxWire() }
-}
-
 func (s *RemoteSession) InsertCtx(ctx context.Context, relName string, tup Tuple) error {
 	return s.c.InsertCtx(ctx, relName, tup)
 }
@@ -139,10 +92,6 @@ func (s *RemoteSession) CheckpointCtx(ctx context.Context) error { return s.c.Ch
 // PingCtx round-trips a no-op request, verifying the connection and the
 // server's liveness.
 func (s *RemoteSession) PingCtx(ctx context.Context) error { return s.c.PingCtx(ctx) }
-
-// WireVersion reports the protocol version negotiated on the most recent
-// dial (1 = JSON, 2 = binary); 0 before any connection succeeded.
-func (s *RemoteSession) WireVersion() int { return s.c.WireVersion() }
 
 // Close closes the connection pool. The server keeps running.
 func (s *RemoteSession) Close() error { return s.c.Close() }

@@ -2,7 +2,10 @@ package relmerge_test
 
 import (
 	"context"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -45,22 +48,31 @@ func newScriptedServer(t *testing.T, script func(attempt int, req *server.Reques
 	return s
 }
 
+// handle answers the JSON hello with version 2, then serves v2 frames.
 func (s *scriptedServer) handle(nc net.Conn) {
 	defer nc.Close()
+	body, err := server.ReadFrame(nc, server.DefaultMaxFrame)
+	if err != nil {
+		return
+	}
+	var hello struct {
+		ID uint64 `json:"id"`
+	}
+	if json.Unmarshal(body, &hello) != nil {
+		return
+	}
+	reply := fmt.Appendf(nil, `{"id":%d,"ok":true,"version":2}`, hello.ID)
+	if _, err := nc.Write(append(binary.BigEndian.AppendUint32(nil, uint32(len(reply))), reply...)); err != nil {
+		return
+	}
 	for {
 		body, err := server.ReadFrame(nc, server.DefaultMaxFrame)
 		if err != nil {
 			return
 		}
-		req, err := server.DecodeRequest(body)
+		req, err := server.DecodeRequestVersion(body, server.ProtoVersionBinary)
 		if err != nil {
 			return
-		}
-		if req.Op == server.OpHello {
-			if _, err := server.WriteFrame(nc, &server.Response{ID: req.ID, OK: true, Version: server.ProtoVersion}); err != nil {
-				return
-			}
-			continue
 		}
 		s.mu.Lock()
 		s.counts[req.Op]++
@@ -71,7 +83,7 @@ func (s *scriptedServer) handle(nc net.Conn) {
 			return // drop the connection: the client sees a transport error
 		}
 		resp.ID = req.ID
-		if _, err := server.WriteFrame(nc, resp); err != nil {
+		if _, err := server.WriteFrameVersion(nc, server.ProtoVersionBinary, resp); err != nil {
 			return
 		}
 	}

@@ -66,40 +66,28 @@ func withBackends(t *testing.T, body func(t *testing.T, sess relmerge.Session)) 
 		t.Cleanup(func() { sess.Close() })
 		body(t, sess)
 	})
-	// The remote backend runs once per wire codec: the Session contract must
-	// hold identically over binary v2 and JSON v1.
-	for _, wire := range []relmerge.Wire{relmerge.WireBinary, relmerge.WireJSON} {
-		t.Run("remote-"+wire.String(), func(t *testing.T) {
-			eng, err := engine.Open(confSchema(), engine.WithRegistry(obs.NewRegistry()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			srv := server.New(eng, server.Config{Registry: obs.NewRegistry()})
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			go srv.Serve(ln)
-			t.Cleanup(func() { srv.Close() })
-			sess, err := relmerge.Open(relmerge.Config{
-				Backend: relmerge.Remote,
-				Addr:    ln.Addr().String(),
-				Wire:    wire,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { sess.Close() })
-			wantVer := 2
-			if wire == relmerge.WireJSON {
-				wantVer = 1
-			}
-			if got := sess.(*relmerge.RemoteSession).WireVersion(); got != wantVer {
-				t.Fatalf("negotiated wire version %d, want %d", got, wantVer)
-			}
-			body(t, sess)
+	t.Run("remote", func(t *testing.T) {
+		eng, err := engine.Open(confSchema(), engine.WithRegistry(obs.NewRegistry()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := server.New(eng, server.Config{Registry: obs.NewRegistry()})
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go srv.Serve(ln)
+		t.Cleanup(func() { srv.Close() })
+		sess, err := relmerge.Open(relmerge.Config{
+			Backend: relmerge.Remote,
+			Addr:    ln.Addr().String(),
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { sess.Close() })
+		body(t, sess)
+	})
 	t.Run("sharded", func(t *testing.T) {
 		sess, err := relmerge.Open(relmerge.Config{
 			Backend:  relmerge.Sharded,

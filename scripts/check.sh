@@ -51,7 +51,7 @@ suite() {
 		$GO test -race -count=20 -run 'TestCrossShardINDStress$' ./internal/shard/
 		;;
 	proto-test) # version negotiation matrix, binary golden vectors, codec round trips, encode allocation budget, then a short fuzz of both codecs
-		$GO test -race -count=1 -run 'Negotiation|Golden|Binary|Version|Fallback|Taxonomy|WriteFrame|EncodeAllocs' ./internal/server/
+		$GO test -race -count=1 -run 'Negotiation|Golden|Binary|Version|Taxonomy|WriteFrame|EncodeAllocs' ./internal/server/
 		$GO test -run xxx -fuzz FuzzBinaryRoundTrip -fuzztime 10s ./internal/server/
 		$GO test -run xxx -fuzz FuzzReadFrame -fuzztime 10s ./internal/server/
 		;;
