@@ -342,7 +342,7 @@ func BenchmarkP5QueryPlanner(b *testing.B) {
 	b.Run("base", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			q := query.Query{Root: "COURSE", Key: keys[i%len(keys)], Want: want}
-			if _, err := basePlanner.Answer(q); err != nil {
+			if _, err := basePlanner.AnswerCtx(context.Background(), q); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -350,7 +350,7 @@ func BenchmarkP5QueryPlanner(b *testing.B) {
 	b.Run("merged", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			q := query.Query{Root: "COURSE", Key: keys[i%len(keys)], Want: want}
-			if _, err := mergedPlanner.Answer(q); err != nil {
+			if _, err := mergedPlanner.AnswerCtx(context.Background(), q); err != nil {
 				b.Fatal(err)
 			}
 		}

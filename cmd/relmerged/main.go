@@ -90,11 +90,11 @@ func main() {
 	orig := s
 	var merges []*relmerge.Merged
 	if *merged {
-		clusters := relmerge.Plan(s)
+		clusters := relmerge.PlanCtx(context.Background(), s)
 		if len(clusters) == 0 {
 			fatal(fmt.Errorf("relmerged: -merged: no merge set satisfies the Prop. 5.2 conditions"))
 		}
-		s, merges, err = relmerge.Apply(s, clusters)
+		s, merges, err = relmerge.ApplyCtx(context.Background(), s, clusters)
 		if err != nil {
 			fatal(err)
 		}

@@ -84,9 +84,9 @@ func main() {
 		Want: []string{"E.ID", "H.V.NAME", "R.OG.ID", "BK.SP.NAME"},
 	}
 	base0, merged0 := baseDB.StatsTotals(), mergedDB.StatsTotals()
-	a, err := basePlanner.Answer(q)
+	a, err := basePlanner.AnswerCtx(context.Background(), q)
 	check(err)
-	b, err := mergedPlanner.Answer(q)
+	b, err := mergedPlanner.AnswerCtx(context.Background(), q)
 	check(err)
 
 	fmt.Printf("\nevent profile for %v:\n", eventKey)

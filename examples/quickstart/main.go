@@ -39,7 +39,7 @@ func main() {
 
 	// Merge. OFFER qualifies as the key-relation (Prop. 3.1), so no
 	// synthetic key is needed.
-	m, err := relmerge.Merge(s, []string{"OFFER", "TEACH"}, relmerge.WithName("ASSIGN"))
+	m, err := relmerge.MergeCtx(context.Background(), s, []string{"OFFER", "TEACH"}, relmerge.WithName("ASSIGN"))
 	if err != nil {
 		panic(err)
 	}

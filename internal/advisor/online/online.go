@@ -35,7 +35,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/schema"
-	"repro/internal/state"
 )
 
 // Config tunes the decision policy.
@@ -159,9 +158,9 @@ type Target interface {
 	// DesignSnapshot returns the current schema and its measurements. The
 	// schema must be the one the co-access stats were measured against.
 	DesignSnapshot() (*schema.Schema, []engine.CoAccessStat, engine.StatsSnapshot)
-	// Migrate swaps the live design (engine.DB.MigrateSchema or
-	// shard.Router.Migrate).
-	Migrate(ns *schema.Schema, transform func(*state.DB) (*state.DB, error)) error
+	// Migrate swaps the live design onto the merge spec derives on it
+	// (engine.DB.MigrateSchema or shard.Router.Migrate).
+	Migrate(spec core.Spec) error
 }
 
 // dbTarget adapts a single engine.
@@ -174,9 +173,7 @@ func (t dbTarget) DesignSnapshot() (*schema.Schema, []engine.CoAccessStat, engin
 	return t.db.Schema, t.db.CoAccessStats(), t.db.StatsTotals()
 }
 
-func (t dbTarget) Migrate(ns *schema.Schema, transform func(*state.DB) (*state.DB, error)) error {
-	return t.db.MigrateSchema(ns, transform)
-}
+func (t dbTarget) Migrate(spec core.Spec) error { return t.db.MigrateSchema(spec) }
 
 // Apply installs an auto-applicable suggestion on the target; the loop's
 // gate. Explicit operator-driven application (a reviewed recommendation) goes
@@ -188,19 +185,12 @@ func Apply(t Target, sug Suggestion) error {
 	return ApplyCluster(t, sug.Rec.Cluster, sug.Rec.MergedName, sug.Rec.KeyRelation)
 }
 
-// ApplyCluster merges the cluster on the target's CURRENT schema and
-// migrates the live design. The merge is re-derived at apply time — if the
-// design moved since the recommendation was computed (another migration won
-// the race), the stale cluster no longer resolves and the merge step fails
-// cleanly instead of installing a plan for a schema that no longer exists.
+// ApplyCluster migrates the live design onto the merge of cluster, named
+// mergedName and rooted at keyRelation. The target derives the merge under
+// its migration lock, so of racing applications of one cluster exactly one
+// migrates; the others find the cluster gone and return that error.
 func ApplyCluster(t Target, cluster []string, mergedName, keyRelation string) error {
-	s, _, _ := t.DesignSnapshot()
-	m, err := core.MergeSet(s, cluster, core.WithName(mergedName), core.WithKeyRelation(keyRelation))
-	if err != nil {
-		return fmt.Errorf("advisor: re-deriving merge %s on the current design: %w", mergedName, err)
-	}
-	m.RemoveAll()
-	return t.Migrate(m.Schema, func(st *state.DB) (*state.DB, error) { return m.MapState(st), nil })
+	return t.Migrate(core.Spec{Cluster: cluster, Name: mergedName, KeyRelation: keyRelation})
 }
 
 // Mode selects what the Run loop does with an admitted suggestion.

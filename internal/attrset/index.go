@@ -103,12 +103,6 @@ func buildIndex(n int, dep func(int) (lhs, rhs []string), fp fingerprint) *Index
 	return ix
 }
 
-// Interner returns the index's attribute interner.
-func (ix *Index) Interner() *Interner { return ix.in }
-
-// Deps returns the number of compiled dependencies.
-func (ix *Index) Deps() int { return len(ix.lhs) }
-
 // scratch holds the reusable per-closure working state; pooled by Engine so
 // the steady-state closure loop allocates nothing.
 type scratch struct {

@@ -76,23 +76,10 @@ func (m *MergedScheme) Removals() [][]string {
 	return out
 }
 
-// Original returns the pre-merge schema RS.
-func (m *MergedScheme) Original() *schema.Schema { return m.original }
-
 // Member returns the merge-set member record by name, or nil.
 func (m *MergedScheme) Member(name string) *Member {
 	for i := range m.Members {
 		if m.Members[i].Name == name {
-			return &m.Members[i]
-		}
-	}
-	return nil
-}
-
-// memberByKey returns the member whose original key equals yj as a set.
-func (m *MergedScheme) memberByKey(yj []string) *Member {
-	for i := range m.Members {
-		if schema.EqualAttrSets(m.Members[i].Key, yj) {
 			return &m.Members[i]
 		}
 	}

@@ -3,8 +3,11 @@ package engine
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
+	"slices"
 
+	"repro/internal/core"
 	"repro/internal/relation"
 	"repro/internal/schema"
 	"repro/internal/sdl"
@@ -180,7 +183,7 @@ func (db *DB) recover(rec *wal.Recovery) error {
 		if err != nil {
 			return err
 		}
-		db.installState(b, st, rec.SnapshotLSN)
+		db.installState(snapshotOf(b, st), rec.SnapshotLSN)
 		db.recovery.SnapshotLoaded = true
 	}
 	// applied is the LSN the recovered state stands for: the snapshot's, then
@@ -221,8 +224,8 @@ func (db *DB) recover(rec *wal.Recovery) error {
 // replayRecord applies one logged record at its LSN, for recovery and a
 // follower's ingest alike: the one reader of record kinds. A transaction's
 // ops buffer in replPending until its commit marker, other ops publish via
-// replayOps, and a schema-change record adopts the state it carries, each
-// only once decoded and checked. Counts go to info.
+// replayOps, and a schema-change record re-runs its migration, each only
+// once decoded and checked. Counts go to info.
 func (db *DB) replayRecord(r wal.Record, info *RecoveryInfo) error {
 	kind, ops, inTxn, err := decodeWalRecord(r.Payload)
 	if err != nil {
@@ -243,25 +246,25 @@ func (db *DB) replayRecord(r wal.Record, info *RecoveryInfo) error {
 			return nil
 		}
 		return db.replayOps(ops, r.LSN, info)
-	case walRecSchema:
-		// A live migration committed here; the record carries the new schema
-		// and the fully mapped state, so no η is re-derived. Migrations are
-		// refused inside transactions: buffered ops mean a corrupt log.
-		if len(db.replPending) > 0 {
-			return fmt.Errorf("%w: schema-change record inside an open transaction at LSN %d", ErrRecovery, r.LSN)
-		}
-		s, st, err := decodeSchemaRecord(r.Payload)
+	case walRecMigrate:
+		// A live migration committed here: re-run it through migrate, as the
+		// live path did, and adopt the result only if it is the design and
+		// state the record logged. The log prefix is the primary's and η is a
+		// function, so an honest record matches.
+		schemaSDL, spec, digest, err := decodeMigrationRecord(r.Payload)
 		if err != nil {
 			return err
 		}
-		b, err := db.bindFor(s)
-		if err != nil {
-			return err
+		snap, err := db.migrate(spec)
+		switch {
+		case err != nil:
+			return fmt.Errorf("%w: schema-change record at LSN %d: %v", ErrRecovery, r.LSN, err)
+		case sdl.PrintSchema(snap.bind.schema) != schemaSDL:
+			return fmt.Errorf("%w: schema-change record at LSN %d derives a design other than the one it logged", ErrRecovery, r.LSN)
+		case !slices.Equal(digestOf(snap), digest):
+			return fmt.Errorf("%w: schema-change record at LSN %d derives a state that does not match its digest", ErrRecovery, r.LSN)
 		}
-		if err := db.checkState(b.schema, st); err != nil {
-			return fmt.Errorf("%w: schema-change state at LSN %d fails constraint re-validation: %v", ErrRecovery, r.LSN, err)
-		}
-		db.installState(b, st, r.LSN)
+		db.installState(snap, r.LSN)
 		info.SchemaChanges++
 	default:
 		return fmt.Errorf("%w: unknown record kind %d at LSN %d", ErrRecovery, kind, r.LSN)
@@ -340,10 +343,10 @@ const (
 	walRecBegin    byte = 2
 	walRecCommit   byte = 3
 	walRecRollback byte = 4
-	// walRecSchema is one live schema migration: the new schema and the
-	// fully η-mapped state, self-contained so recovery lands atomically on
-	// either side of it — never a mix of designs.
-	walRecSchema byte = 5
+	// walRecMigrate is one live schema migration: the new schema's SDL, the
+	// merge spec and a digest of the state it maps to, which replay
+	// re-derives. Kind 5, which carried that state whole, is no longer read.
+	walRecMigrate byte = 6
 )
 
 // snapMagic opens every checkpoint payload.
@@ -353,9 +356,7 @@ const snapMagic = "RMSNAP2\n"
 // SDL, then state SDL to the end.
 func encodeSnapshot(schemaSDL, stateSDL string) []byte {
 	buf := make([]byte, 0, len(snapMagic)+10+len(schemaSDL)+len(stateSDL))
-	buf = append(buf, snapMagic...)
-	buf = binary.AppendUvarint(buf, uint64(len(schemaSDL)))
-	buf = append(buf, schemaSDL...)
+	buf = appendStr(append(buf, snapMagic...), schemaSDL)
 	buf = append(buf, stateSDL...)
 	return buf
 }
@@ -373,27 +374,64 @@ func decodeSnapshot(b []byte) (*schema.Schema, *state.DB, error) {
 	return decodeState(schemaSDL, string(d.b))
 }
 
-// encodeSchemaRecord renders one schema-change record:
+// encodeMigrationRecord renders one schema-change record:
 //
-//	[kind=5][uvarint len][schema SDL][uvarint len][state SDL]
-func encodeSchemaRecord(schemaSDL, stateSDL string) []byte {
-	buf := make([]byte, 0, 1+20+len(schemaSDL)+len(stateSDL))
-	buf = append(buf, walRecSchema)
-	buf = binary.AppendUvarint(buf, uint64(len(schemaSDL)))
-	buf = append(buf, schemaSDL...)
-	buf = binary.AppendUvarint(buf, uint64(len(stateSDL)))
-	buf = append(buf, stateSDL...)
+//	[kind=6][uvarint len][schema SDL]
+//	[uvarint len][name][uvarint len][key-relation]
+//	[uvarint n] n × ([uvarint len][member])
+//	[uvarint m] m × [uvarint]                         the digest
+func encodeMigrationRecord(schemaSDL string, spec core.Spec, digest []uint64) []byte {
+	buf := appendStr(appendStr(appendStr([]byte{walRecMigrate}, schemaSDL), spec.Name), spec.KeyRelation)
+	buf = binary.AppendUvarint(buf, uint64(len(spec.Cluster)))
+	for _, member := range spec.Cluster {
+		buf = appendStr(buf, member)
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(digest)))
+	for _, v := range digest {
+		buf = binary.AppendUvarint(buf, v)
+	}
 	return buf
 }
 
-// decodeSchemaRecord decodes a walRecSchema payload into design and state.
-func decodeSchemaRecord(b []byte) (*schema.Schema, *state.DB, error) {
+// decodeMigrationRecord decodes a walRecMigrate payload.
+func decodeMigrationRecord(b []byte) (schemaSDL string, spec core.Spec, digest []uint64, err error) {
 	d := &walDecoder{b: b[1:]}
-	schemaSDL, stateSDL := d.str(), d.str()
-	if d.err != nil {
-		return nil, nil, fmt.Errorf("%w: corrupt schema-change record: %v", ErrRecovery, d.err)
+	schemaSDL = d.str()
+	spec.Name, spec.KeyRelation = d.str(), d.str()
+	for i, n := uint64(0), d.count(1, "member"); i < n && d.err == nil; i++ {
+		spec.Cluster = append(spec.Cluster, d.str())
 	}
-	return decodeState(schemaSDL, stateSDL)
+	for i, n := uint64(0), d.count(1, "digest"); i < n && d.err == nil; i++ {
+		digest = append(digest, d.uvarint())
+	}
+	if d.err == nil && len(d.b) > 0 {
+		d.fail("trailing bytes")
+	}
+	if d.err != nil {
+		return "", core.Spec{}, nil, fmt.Errorf("%w: corrupt schema-change record: %v", ErrRecovery, d.err)
+	}
+	return schemaSDL, spec, digest, nil
+}
+
+// digestOf is, for each relation of snap in name order, its row count and
+// the sum of its rows' FNV-1a hashes over their key encoding: the same in any
+// row order, process or platform.
+func digestOf(snap *dbSnapshot) []uint64 {
+	out := make([]uint64, 0, 2*len(snap.bind.ordered))
+	h := fnv.New64a()
+	var buf []byte
+	for _, t := range snap.bind.ordered {
+		pk, sum := snap.tables[t.ord].pk, uint64(0)
+		pk.Range(func(_ string, tup relation.Tuple) bool {
+			buf = tup.AppendKey(buf[:0])
+			h.Reset()
+			h.Write(buf)
+			sum += h.Sum64()
+			return true
+		})
+		out = append(out, uint64(pk.Len()), sum)
+	}
+	return out
 }
 
 // walOp is one decoded physical mutation.
@@ -445,10 +483,7 @@ func encodeOpRecord(eff effects, inTxn bool) []byte {
 	buf = append(buf, walRecOp, boolByte(inTxn))
 	buf = binary.AppendUvarint(buf, uint64(len(eff)))
 	for _, op := range eff {
-		buf = append(buf, boolByte(op.insert))
-		name := op.table.rs.Name
-		buf = binary.AppendUvarint(buf, uint64(len(name)))
-		buf = append(buf, name...)
+		buf = appendStr(append(buf, boolByte(op.insert)), op.table.rs.Name)
 		buf = binary.AppendUvarint(buf, uint64(len(op.tuple)))
 		for _, v := range op.tuple {
 			buf = appendValue(buf, v)
@@ -469,23 +504,14 @@ func decodeWalRecord(b []byte) (kind byte, ops []walOp, inTxn bool, err error) {
 	}
 	d := &walDecoder{b: b[1:]}
 	inTxn = d.byte() != 0
-	// An op takes three bytes at least and a value one: a count beyond what
-	// the record holds is refused before anything is sized by it.
-	n := d.uvarint()
-	if n > uint64(len(d.b))/3 {
-		d.fail("op count exceeds the record")
-	} else {
-		ops = make([]walOp, 0, n)
-	}
+	// An op takes three bytes at least and a value one.
+	n := d.count(3, "op")
+	ops = make([]walOp, 0, n)
 	for i := uint64(0); i < n && d.err == nil; i++ {
 		var op walOp
 		op.insert = d.byte() != 0
 		op.rel = d.str()
-		arity := d.uvarint()
-		if arity > uint64(len(d.b)) {
-			d.fail("arity exceeds the record")
-			break
-		}
+		arity := d.count(1, "value")
 		op.tup = make(relation.Tuple, 0, arity)
 		for j := uint64(0); j < arity && d.err == nil; j++ {
 			op.tup = append(op.tup, d.value())
@@ -496,6 +522,11 @@ func decodeWalRecord(b []byte) (kind byte, ops []walOp, inTxn bool, err error) {
 		return 0, nil, false, fmt.Errorf("%w: corrupt op record: %v", ErrRecovery, d.err)
 	}
 	return kind, ops, inTxn, nil
+}
+
+func appendStr(buf []byte, s string) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(s)))
+	return append(buf, s...)
 }
 
 func boolByte(b bool) byte {
@@ -510,9 +541,7 @@ func appendValue(buf []byte, v relation.Value) []byte {
 	switch v.Kind() {
 	case relation.KindNull:
 	case relation.KindString:
-		s := v.AsString()
-		buf = binary.AppendUvarint(buf, uint64(len(s)))
-		buf = append(buf, s...)
+		buf = appendStr(buf, v.AsString())
 	case relation.KindInt:
 		buf = binary.AppendVarint(buf, v.AsInt())
 	case relation.KindFloat:
@@ -572,6 +601,17 @@ func (d *walDecoder) varint() int64 {
 	}
 	d.b = d.b[n:]
 	return v
+}
+
+// count reads the count of items that take min bytes at least, refusing one
+// the bytes left cannot hold before anything is sized by it.
+func (d *walDecoder) count(min uint64, what string) uint64 {
+	n := d.uvarint()
+	if n > uint64(len(d.b))/min {
+		d.fail(what + " count exceeds the record")
+		return 0
+	}
+	return n
 }
 
 func (d *walDecoder) str() string {

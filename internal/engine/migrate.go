@@ -4,85 +4,131 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/core"
 	"repro/internal/schema"
 	"repro/internal/sdl"
 	"repro/internal/state"
 )
 
 // This file implements live schema migration and the adopt step it shares
-// with recovery and replication. Every whole state the engine adopts — a
-// migrated one, a checkpoint, a schema-change record, a shipped snapshot —
-// goes decode (decodeState) → bind (bindFor, or newBinding for a migration)
-// → check (checkState) → install (installState). Whatever can refuse the
-// state runs before install, so a refused state is never half-adopted.
-// Recovery alone skips the check of its checkpoint, checking the state it
-// arrives at instead.
+// with recovery and replication. A whole state adopted from bytes — a
+// checkpoint, a shipped snapshot — goes decode (decodeState) → bind
+// (bindFor) → check (checkState) → install (installState); a migration
+// derives its state instead (migrate). Whatever can refuse a state runs
+// before install, so a refused state is never half-adopted. Recovery alone
+// skips the check of its checkpoint, checking the state it arrives at.
 //
-// Live migration swaps the engine to a new schema — typically the merged
-// design the online advisor selected — while serving traffic, carrying the
-// state across through a caller-supplied transform (the η mapping of a
-// MergedScheme). Protocol, all of it under the writer mutex:
-//
-//  1. Take the writer mutex: no write is in flight and none can start.
-//     Pinned readers keep answering on the old design.
-//  2. Refuse open transactions and buffered replicated suffixes: a migration
-//     must never land inside someone else's atomic unit.
-//  3. Bind (full schema validation), map the exported state through
-//     transform, and check the mapped state against the NEW schema's
-//     complete constraint set (F ∪ I ∪ N) — all BEFORE the commit point, so
-//     any failure leaves the engine exactly on the old design.
-//  4. Commit point: ONE WAL schema-change record (walRecSchema) carrying the
-//     new schema and the fully mapped state. Crash before it → recovery
-//     replays onto the old design; crash after → recovery lands on the new
-//     one. Never a mix, and no η re-derivation at recovery time.
-//  5. Install the binding and publish the mapped state as one new snapshot.
+// A migration is named by a merge spec (core.Spec): Def. 4.1 fixes the
+// merged design and η once the spec is, so the spec and the state at the
+// migration's LSN determine the migrated state. Under the writer mutex,
+// migrate derives the merge on the CURRENT design, maps the current state
+// through its η and checks the result (F ∪ I ∪ N), refusing inside an open
+// transaction and when the spec no longer resolves. The commit point is ONE
+// schema-change record (walRecMigrate): the new schema's SDL, the spec and a
+// digest of the mapped state. Crash before it → recovery replays onto the
+// old design; crash after → recovery re-runs migrate on the state replayed up
+// to the record and adopts the result only if schema and digest match. The
+// install is one publish; pinned readers keep the design they pinned.
 
-// MigrateSchema swaps the engine onto schema ns, carrying the current state
-// across through transform (which receives a deep-copy export of the current
-// state and returns the state to install — e.g. MergedScheme.MapState). The
-// swap is atomic for readers (one snapshot publish) and atomic for recovery
-// (one WAL record). It refuses to run inside an open transaction or while a
-// replicated transaction is buffered.
-func (db *DB) MigrateSchema(ns *schema.Schema, transform func(*state.DB) (*state.DB, error)) error {
-	db.lockWriter()
-	defer db.wmu.Unlock()
-	if err := db.refuseOpenUnit("migrate schema"); err != nil {
+// MigrateSchema swaps the engine onto the design spec derives on the current
+// one, carrying the state across through the merge's η: atomic for readers
+// (one publish) and for recovery (one WAL record).
+func (db *DB) MigrateSchema(spec core.Spec) error {
+	s, err := db.StageMigration(spec)
+	if err != nil {
 		return err
 	}
-	b, err := db.newBinding(ns)
-	if err != nil {
-		return fmt.Errorf("engine: migrate: %w", err)
-	}
-	mapped := stateOf(db.current.Load())
-	if transform != nil {
-		mapped, err = transform(mapped)
-		if err != nil {
-			return fmt.Errorf("engine: migrate: mapping state: %w", err)
-		}
-	}
-	if err := db.checkState(ns, mapped); err != nil {
-		return fmt.Errorf("engine: migrate: mapped state fails constraint validation: %w", err)
-	}
+	return s.Commit()
+}
 
-	// Commit point: one self-contained WAL record. If the log refuses it,
-	// nothing was installed and the engine stays on the old design.
+// StagedMigration is a migration staged up to its commit point. It holds the
+// engine's writer mutex until Commit or Abort releases it.
+type StagedMigration struct {
+	db   *DB // nil once released
+	spec core.Spec
+	snap *dbSnapshot // the new design and the mapped state, not yet stamped
+}
+
+// StageMigration runs MigrateSchema up to its commit point, keeping the
+// writer mutex for the caller's Commit or Abort (the router stages all shards
+// before it commits any).
+func (db *DB) StageMigration(spec core.Spec) (StagedMigration, error) {
+	db.lockWriter()
+	snap, err := db.migrate(spec)
+	if err != nil {
+		db.wmu.Unlock()
+		return StagedMigration{}, fmt.Errorf("engine: migrate: %w", err)
+	}
+	return StagedMigration{db: db, spec: spec, snap: snap}, nil
+}
+
+// Schema returns the design the staged migration installs.
+func (s *StagedMigration) Schema() *schema.Schema { return s.snap.bind.schema }
+
+// View reads the staged design and state before they are installed.
+func (s *StagedMigration) View() *View { return &View{db: s.db, snap: s.snap} }
+
+// Commit logs the migration record, installs the staged design and state and
+// releases the writer mutex. An error means the log refused the record and
+// the old design stands. Commit on a released migration does nothing.
+func (s *StagedMigration) Commit() error {
+	if s.db == nil {
+		return nil
+	}
+	db := s.db
+	s.db = nil
+	defer db.wmu.Unlock()
 	var lsn uint64
 	if db.wal != nil {
-		lsn, err = db.wal.Commit(encodeSchemaRecord(sdl.PrintSchema(ns), sdl.PrintState(ns, mapped)))
-		if err != nil {
+		var err error
+		rec := encodeMigrationRecord(sdl.PrintSchema(s.Schema()), s.spec, digestOf(s.snap))
+		if lsn, err = db.wal.Commit(rec); err != nil {
 			return fmt.Errorf("engine: migrate: logging schema change: %w", err)
 		}
 	} else {
 		lsn = db.seq.Add(1)
 	}
-	db.installState(b, mapped, lsn)
+	db.installState(s.snap, lsn)
 	db.m.migrations.Inc()
 	db.lastFetch.Store("")
 	return nil
 }
 
-// decodeState parses the schema and state SDL a checkpoint or a
-// schema-change record frames into a design and a state under it.
+// Abort drops the staged migration and releases the writer mutex. It does
+// nothing after Commit, so a caller may defer it unconditionally.
+func (s *StagedMigration) Abort() {
+	if s.db != nil {
+		s.db.wmu.Unlock()
+		s.db = nil
+	}
+}
+
+// migrate is the one state mapping of live, staged and replayed migrations:
+// the design spec derives on the current one and the current state mapped
+// through its η and checked, as an unpublished version. It changes nothing,
+// and refuses to run inside someone else's atomic unit.
+func (db *DB) migrate(spec core.Spec) (*dbSnapshot, error) {
+	if err := db.refuseOpenUnit("migrate schema"); err != nil {
+		return nil, err
+	}
+	cur := db.current.Load()
+	m, err := spec.Derive(cur.bind.schema)
+	if err != nil {
+		return nil, fmt.Errorf("deriving merge %s on the current design: %w", spec.Name, err)
+	}
+	b, err := db.newBinding(m.Schema)
+	if err != nil {
+		return nil, err
+	}
+	mapped := m.MapState(stateOf(cur))
+	if err := db.checkState(m.Schema, mapped); err != nil {
+		return nil, fmt.Errorf("mapped state fails constraint validation: %w", err)
+	}
+	return snapshotOf(b, mapped), nil
+}
+
+// decodeState parses the schema and state SDL a checkpoint frames into a
+// design and a state under it.
 func decodeState(schemaSDL, stateSDL string) (*schema.Schema, *state.DB, error) {
 	s, err := sdl.ParseSchema(schemaSDL)
 	if err != nil {
@@ -121,20 +167,21 @@ func (db *DB) checkState(s *schema.Schema, st *state.DB) error {
 	return state.Consistent(s, st)
 }
 
-// installState makes b the engine's binding and st its whole state, in one
-// version stamped lsn: the single Store is the readers' cutover point. Called
-// with the writer mutex held (or during Open), after st's checks.
-func (db *DB) installState(b *binding, st *state.DB, lsn uint64) {
-	db.install(b)
-	db.current.Store(&dbSnapshot{lsn: lsn, tables: versionsOf(b, st), bind: b})
+// installState makes snap's binding the engine's and snap its whole state,
+// stamped lsn: the single Store is the readers' cutover point. Called with
+// the writer mutex held (or during Open), after the state's checks.
+func (db *DB) installState(snap *dbSnapshot, lsn uint64) {
+	snap.lsn = lsn
+	db.install(snap.bind)
+	db.current.Store(snap)
 	db.lastPublish.Store(now().UnixNano())
 	db.m.publishes.Inc()
 	db.m.versionLSN.Set(float64(lsn))
 }
 
-// versionsOf builds the table versions of st under binding b over b's empty
-// version zero, with one index editor for the entire state.
-func versionsOf(b *binding, st *state.DB) []*tableVersion {
+// snapshotOf builds st under binding b as an unpublished version, over b's
+// empty version zero, with one index editor for the entire state.
+func snapshotOf(b *binding, st *state.DB) *dbSnapshot {
 	tx := &writeTx{snap: &dbSnapshot{tables: emptyVersions(b), bind: b}}
 	out := make([]*tableVersion, len(b.ordered))
 	for _, t := range b.ordered {
@@ -149,5 +196,5 @@ func versionsOf(b *binding, st *state.DB) []*tableVersion {
 		}
 		out[t.ord] = wt.freeze()
 	}
-	return out
+	return &dbSnapshot{tables: out, bind: b}
 }

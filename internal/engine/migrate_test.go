@@ -10,27 +10,24 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/figures"
-	"repro/internal/relation"
 	"repro/internal/sdl"
 	"repro/internal/state"
 	"repro/internal/wal"
 )
 
-// fig3Merge builds the Fig-3 auto-applicable merge: the Prop. 5.2 cluster
+// fig3Spec is the Fig-3 auto-applicable merge: the Prop. 5.2 cluster
 // {OFFER, TEACH, ASSIST} merged around OFFER with every key copy removed.
+var fig3Spec = core.Spec{Cluster: []string{"OFFER", "TEACH", "ASSIST"}, Name: "OFFER+", KeyRelation: "OFFER"}
+
+// fig3Merge derives fig3Spec on Fig. 3: the design and the η a migration by
+// it installs.
 func fig3Merge(t *testing.T) *core.MergedScheme {
 	t.Helper()
-	m, err := core.MergeSet(figures.Fig3(), []string{"OFFER", "TEACH", "ASSIST"}, core.WithName("OFFER+"), core.WithKeyRelation("OFFER"))
+	m, err := fig3Spec.Derive(figures.Fig3())
 	if err != nil {
-		t.Fatalf("MergeSet: %v", err)
+		t.Fatalf("Derive: %v", err)
 	}
-	m.RemoveAll()
 	return m
-}
-
-// etaOf wraps a MergedScheme's η mapping as a MigrateSchema transform.
-func etaOf(m *core.MergedScheme) func(*state.DB) (*state.DB, error) {
-	return func(st *state.DB) (*state.DB, error) { return m.MapState(st), nil }
 }
 
 func TestMigrateSchemaLive(t *testing.T) {
@@ -43,7 +40,7 @@ func TestMigrateSchemaLive(t *testing.T) {
 	preLSN := db.VersionLSN()
 
 	m := fig3Merge(t)
-	if err := db.MigrateSchema(m.Schema, etaOf(m)); err != nil {
+	if err := db.MigrateSchema(fig3Spec); err != nil {
 		t.Fatalf("MigrateSchema: %v", err)
 	}
 
@@ -95,33 +92,29 @@ func TestMigrateSchemaRefusals(t *testing.T) {
 		t.Fatal(err)
 	}
 	pre := db.Snapshot()
-	m := fig3Merge(t)
 
 	// Open transaction: refused with the typed sentinel.
 	if err := db.Begin(); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.MigrateSchema(m.Schema, etaOf(m)); !errors.Is(err, ErrOpenTransaction) {
+	if err := db.MigrateSchema(fig3Spec); !errors.Is(err, ErrOpenTransaction) {
 		t.Fatalf("migrate inside txn = %v, want ErrOpenTransaction", err)
 	}
 	if err := db.Rollback(); err != nil {
 		t.Fatal(err)
 	}
 
-	// A transform whose output violates the new design's constraints is
+	// A spec that does not resolve on the current design — an unknown
+	// member, a key-relation outside the cluster, a name already taken — is
 	// refused BEFORE the commit point: nothing installed, nothing logged.
-	bad := func(st *state.DB) (*state.DB, error) {
-		mapped := m.MapState(st)
-		mapped.Set("COURSE", relation.New("C.NR")) // orphan every OFFER+ tuple
-		return mapped, nil
-	}
-	if err := db.MigrateSchema(m.Schema, bad); err == nil {
-		t.Fatal("migrate with constraint-violating mapped state must fail")
-	}
-	// A transform error is propagated and nothing changes either.
-	boom := func(*state.DB) (*state.DB, error) { return nil, fmt.Errorf("boom") }
-	if err := db.MigrateSchema(m.Schema, boom); err == nil {
-		t.Fatal("transform error must fail the migration")
+	for _, spec := range []core.Spec{
+		{Cluster: []string{"OFFER", "NOPE"}, Name: "X"},
+		{Cluster: fig3Spec.Cluster, Name: "X", KeyRelation: "COURSE"},
+		{Cluster: fig3Spec.Cluster, Name: "COURSE"},
+	} {
+		if err := db.MigrateSchema(spec); err == nil {
+			t.Fatalf("migrate by unresolvable spec %+v must fail", spec)
+		}
 	}
 	if got := db.Snapshot(); !got.Equal(pre) {
 		t.Fatalf("failed migration changed state:\n%s", got)
@@ -168,7 +161,7 @@ func TestMigrateCrashMatrix(t *testing.T) {
 			dir := t.TempDir()
 			pre := seed(t, dir)
 			db := openDurable(t, dir, wal.WithFailpoint(wal.SyncAlways, tc.fp))
-			if err := db.MigrateSchema(m.Schema, etaOf(m)); err == nil {
+			if err := db.MigrateSchema(fig3Spec); err == nil {
 				t.Fatal("migration must fail when its WAL record cannot commit")
 			}
 			// The live engine stayed on the old design.
@@ -200,7 +193,7 @@ func TestMigrateCrashMatrix(t *testing.T) {
 			dir := t.TempDir()
 			pre := seed(t, dir)
 			db := openDurable(t, dir, wal.Options{Policy: wal.SyncAlways})
-			if err := db.MigrateSchema(m.Schema, etaOf(m)); err != nil {
+			if err := db.MigrateSchema(fig3Spec); err != nil {
 				t.Fatalf("MigrateSchema: %v", err)
 			}
 			if tailOps {
@@ -263,7 +256,6 @@ func TestMigrateReaderUnderMigration(t *testing.T) {
 	if err := db.LoadCtx(context.Background(), figures.Fig3State()); err != nil {
 		t.Fatal(err)
 	}
-	m := fig3Merge(t)
 
 	var (
 		done     atomic.Bool
@@ -313,7 +305,7 @@ func TestMigrateReaderUnderMigration(t *testing.T) {
 			}
 		}()
 	}
-	if err := db.MigrateSchema(m.Schema, etaOf(m)); err != nil {
+	if err := db.MigrateSchema(fig3Spec); err != nil {
 		t.Fatalf("MigrateSchema under readers: %v", err)
 	}
 	// Let readers observe the new design before stopping.
@@ -344,7 +336,7 @@ func TestMigrateShipsToFollower(t *testing.T) {
 	shipAll(t, p, f)
 
 	m := fig3Merge(t)
-	if err := p.MigrateSchema(m.Schema, etaOf(m)); err != nil {
+	if err := p.MigrateSchema(fig3Spec); err != nil {
 		t.Fatalf("MigrateSchema on primary: %v", err)
 	}
 	if err := p.InsertCtx(context.Background(), "OFFER+", tup("c3", "cs", "s2", nil)); err != nil {
@@ -434,8 +426,7 @@ func TestCoAccessCounters(t *testing.T) {
 		}
 	}
 	// Migration installs a fresh binding: counters restart at zero.
-	m := fig3Merge(t)
-	if err := db.MigrateSchema(m.Schema, etaOf(m)); err != nil {
+	if err := db.MigrateSchema(fig3Spec); err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range db.CoAccessStats() {

@@ -79,36 +79,32 @@ func (db *DB) probeReferencing(ip *indPlan, refKey []byte) bool {
 	return p.Referencing(ip.ind, db.probeKey)
 }
 
-// HasKey reports whether the current published version of the relation holds
-// a tuple under the encoded primary key. Lock-free (one snapshot pin), which
-// is what lets a shard probe another from inside its own write without
-// waiting on the other's writer mutex.
-func (db *DB) HasKey(name string, encodedKey []byte) bool {
-	snap := db.current.Load()
-	t := snap.bind.tables[name]
+// HasKey reports whether the pinned version of the relation holds a tuple
+// under the encoded primary key. Lock-free, so a shard can probe another's
+// fresh View from inside its own write.
+func (v *View) HasKey(name string, encodedKey []byte) bool {
+	t := v.snap.bind.tables[name]
 	if t == nil {
 		return false
 	}
-	_, ok := snap.tables[t.ord].pk.GetBytes(encodedKey)
+	_, ok := v.snap.tables[t.ord].pk.GetBytes(encodedKey)
 	return ok
 }
 
-// HasReferenced reports whether the current published version of ind.Right
-// holds the encoded RightAttrs value — the referenced-side probe for
-// non-key-based dependencies (key-based ones use HasKey with the pk-ordered
-// encoding). Lock-free.
-func (db *DB) HasReferenced(ind schema.IND, valKey []byte) bool {
-	snap := db.current.Load()
-	ip := snap.bind.planOf(ind)
+// HasReferenced reports whether the pinned version of ind.Right holds the
+// encoded RightAttrs value — the referenced-side probe for non-key-based
+// dependencies (key-based ones use HasKey with the pk-ordered encoding).
+func (v *View) HasReferenced(ind schema.IND, valKey []byte) bool {
+	ip := v.snap.bind.planOf(ind)
 	if ip == nil {
 		return false
 	}
-	v := snap.tables[ip.right.ord]
+	tv := v.snap.tables[ip.right.ord]
 	if ip.keyBased {
-		_, ok := v.pk.GetBytes(valKey)
+		_, ok := tv.pk.GetBytes(valKey)
 		return ok
 	}
-	rows, _ := v.sec[ip.rightSlot].GetBytes(valKey)
+	rows, _ := tv.sec[ip.rightSlot].GetBytes(valKey)
 	return len(rows) > 0
 }
 

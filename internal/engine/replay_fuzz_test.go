@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"encoding/binary"
+	"slices"
 	"testing"
 
 	"repro/internal/figures"
@@ -35,14 +36,21 @@ func FuzzReplayRecord(f *testing.F) {
 	}
 
 	course := p.bind.tables["COURSE"]
-	fig2 := figures.Fig2(true)
+	schemaSDL, digest := migrationOf(f, p, fig3Spec)
+	forged := slices.Clone(digest)
+	forged[len(forged)-2]++
+	unknown := fig3Spec
+	unknown.Cluster = []string{"OFFER", "NOPE"}
 	for _, seed := range [][]byte{
 		encodeOpRecord(effects{{table: course, tuple: tup("c9"), insert: true}}, false),
 		encodeOpRecord(effects{{table: course, tuple: tup("c3"), insert: false}}, true),
 		encodeOpRecord(effects{{table: p.bind.tables["OFFER"], tuple: tup("c3", "cs"), insert: true}}, false),
 		{walRecBegin}, {walRecCommit}, {walRecRollback},
-		encodeSchemaRecord(sdl.PrintSchema(figures.Fig3()), sdl.PrintState(figures.Fig3(), figures.Fig3State())),
-		encodeSchemaRecord(sdl.PrintSchema(fig2), sdl.PrintState(fig2, state.New(fig2))),
+		encodeMigrationRecord(schemaSDL, fig3Spec, digest),
+		encodeMigrationRecord(schemaSDL, fig3Spec, forged),
+		encodeMigrationRecord(schemaSDL, unknown, digest),
+		encodeMigrationRecord(sdl.PrintSchema(figures.Fig3()), fig3Spec, digest),
+		wholeStateRecord(sdl.PrintSchema(figures.Fig3()), sdl.PrintState(figures.Fig3(), figures.Fig3State())),
 		// An arity of 2^60 claimed in ten bytes, and a 0-ary COURSE insert.
 		binary.AppendUvarint([]byte{walRecOp, 0, 1, 1, 1, 'R'}, 1<<60),
 		encodeOpRecord(effects{{table: course, tuple: relation.Tuple{}, insert: true}}, false),

@@ -14,11 +14,11 @@ import (
 // primary's committed versions, stamped with the primary's LSNs.
 //
 // Shipped bytes come off the network, so a follower checks all it adopts
-// before publishing it. A shipped snapshot or schema-change record is opaque
-// serialized state, checked whole against its design (checkState); a refused
-// one leaves the follower on its old design and rows. An op record holds
-// effects the primary validated: replayOps checks that they fit the design
-// and leave the keys they touch consistent, without re-running them.
+// before publishing it: a snapshot whole against its design (checkState), a
+// schema-change record by re-running it. A refused one leaves the follower on
+// its old design and rows. An op record holds effects the primary validated:
+// replayOps checks that they fit the design and leave the keys they touch
+// consistent, without re-running them.
 
 // IngestReplicated appends a batch of primary-shipped records to the local
 // log (duplicates are skipped; a gap refuses the whole batch with wal.ErrGap
@@ -72,7 +72,7 @@ func (db *DB) IngestSnapshot(data []byte, lsn uint64) error {
 		return fmt.Errorf("engine: installing shipped snapshot: %w", err)
 	}
 	db.replPending = nil
-	db.installState(b, st, lsn)
+	db.installState(snapshotOf(b, st), lsn)
 	return nil
 }
 

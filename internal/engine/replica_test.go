@@ -4,8 +4,11 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"slices"
+	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/figures"
 	"repro/internal/relation"
 	"repro/internal/schema"
@@ -324,12 +327,44 @@ func shipOne(f *DB, payload []byte) error {
 	return err
 }
 
-// A whole state a follower refuses — a shipped snapshot or a shipped
-// schema-change record, unparsable or inconsistent — leaves the follower
-// serving exactly what it served before: same design, same rows, same
-// version. The payloads are framed with another design, so a follower that
-// switched bindings before the state had parsed and passed its check would
-// be caught serving that design, or an empty database.
+// migrationOf returns what a migration of db by spec would log — the new
+// design's SDL and the digest of the mapped state — without migrating db.
+func migrationOf(tb testing.TB, db *DB, spec core.Spec) (string, []uint64) {
+	tb.Helper()
+	s, err := db.StageMigration(spec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer s.Abort()
+	return sdl.PrintSchema(s.Schema()), digestOf(s.snap)
+}
+
+// wholeStateRecord renders a record of the retired kind 5, a schema change
+// carrying its whole state: [5][uvarint len][schema SDL][uvarint len][state
+// SDL].
+func wholeStateRecord(schemaSDL, stateSDL string) []byte {
+	return appendStr(appendStr([]byte{5}, schemaSDL), stateSDL)
+}
+
+// fig3Migration is migrationOf a Fig. 3 engine holding the Fig. 3 state.
+func fig3Migration(t *testing.T, spec core.Spec) (string, []uint64) {
+	t.Helper()
+	db := MustOpen(figures.Fig3())
+	if err := db.LoadCtx(context.Background(), figures.Fig3State()); err != nil {
+		t.Fatal(err)
+	}
+	return migrationOf(t, db, spec)
+}
+
+// A snapshot a follower refuses, unparsable or inconsistent, leaves the
+// follower serving exactly what it served before: same design, same rows,
+// same version. The payloads are framed with another design, so a follower
+// that switched bindings before the state had parsed and passed its check
+// would be caught serving that design, or an empty database. So does a
+// schema-change record it refuses: a truncated one, one whose digest the
+// state it derives does not match, one naming a cluster member the design
+// lacks, one whose design differs from the derived one, and one of the
+// retired kind that carried the whole state.
 func TestRefusedWholeStateLeavesFollowerIntact(t *testing.T) {
 	fig2 := figures.Fig2(true)
 	dangling := state.New(fig2)
@@ -338,28 +373,58 @@ func TestRefusedWholeStateLeavesFollowerIntact(t *testing.T) {
 		"unparsable":   "insert OFFER (c1",
 		"inconsistent": sdl.PrintState(fig2, dangling),
 	}
-	entries := map[string]func(f *DB, schemaSDL, stateSDL string) error{
-		"snapshot": func(f *DB, schemaSDL, stateSDL string) error {
-			return f.IngestSnapshot(encodeSnapshot(schemaSDL, stateSDL), f.DurableLSN()+1)
-		},
-		"schema-record": func(f *DB, schemaSDL, stateSDL string) error {
-			return shipOne(f, encodeSchemaRecord(schemaSDL, stateSDL))
-		},
-	}
-	for entry, ingest := range entries {
-		for kind, stateSDL := range states {
-			t.Run(entry+"/"+kind, func(t *testing.T) {
-				f := followerOnFig3(t)
-				before := seeFollower(f)
-				if before.state.TotalTuples() != figures.Fig3State().TotalTuples() {
-					t.Fatalf("follower holds %d tuples before the ingest", before.state.TotalTuples())
-				}
-				if err := ingest(f, sdl.PrintSchema(fig2), stateSDL); !errors.Is(err, ErrRecovery) {
-					t.Fatalf("ingest = %v, want ErrRecovery", err)
-				}
-				before.requireSame(t, f)
-			})
+	ingests := map[string]func(f *DB) error{}
+	for kind, stateSDL := range states {
+		ingests["snapshot/"+kind] = func(f *DB) error {
+			return f.IngestSnapshot(encodeSnapshot(sdl.PrintSchema(fig2), stateSDL), f.DurableLSN()+1)
 		}
+	}
+	schemaSDL, digest := fig3Migration(t, fig3Spec)
+	honest := encodeMigrationRecord(schemaSDL, fig3Spec, digest)
+	schemaEnd := len(appendStr([]byte{walRecMigrate}, schemaSDL))
+	forged := slices.Clone(digest)
+	forged[1]++
+	unknown := fig3Spec
+	unknown.Cluster = []string{"OFFER", "TEACH", "NOPE"}
+	records := map[string][]byte{
+		"unparsable":        {walRecMigrate, 0xff},
+		"inconsistent":      encodeMigrationRecord(schemaSDL, fig3Spec, forged),
+		"unknown-member":    encodeMigrationRecord(schemaSDL, unknown, digest),
+		"other-design":      encodeMigrationRecord(sdl.PrintSchema(fig2), fig3Spec, digest),
+		"truncated-schema":  honest[:schemaEnd/2],
+		"truncated-spec":    honest[:schemaEnd+2],
+		"truncated-digest":  honest[:len(honest)-1],
+		"whole-state-kind5": wholeStateRecord(sdl.PrintSchema(fig2), sdl.PrintState(fig2, state.New(fig2))),
+	}
+	for name, rec := range records {
+		ingests["schema-record/"+name] = func(f *DB) error { return shipOne(f, rec) }
+	}
+	for name, ingest := range ingests {
+		t.Run(name, func(t *testing.T) {
+			f := followerOnFig3(t)
+			before := seeFollower(f)
+			if before.state.TotalTuples() != figures.Fig3State().TotalTuples() {
+				t.Fatalf("follower holds %d tuples before the ingest", before.state.TotalTuples())
+			}
+			err := ingest(f)
+			if !errors.Is(err, ErrRecovery) {
+				t.Fatalf("ingest = %v, want ErrRecovery", err)
+			}
+			if name == "schema-record/whole-state-kind5" && !strings.Contains(err.Error(), "record kind 5") {
+				t.Fatalf("a kind-5 record must be refused by its kind: %v", err)
+			}
+			before.requireSame(t, f)
+		})
+	}
+	// The same records refused by the decoder alone: every proper prefix of
+	// an honest record.
+	for n := 1; n < len(honest); n++ {
+		if _, _, _, err := decodeMigrationRecord(honest[:n]); !errors.Is(err, ErrRecovery) {
+			t.Fatalf("record cut to %d of %d bytes decoded: %v", n, len(honest), err)
+		}
+	}
+	if _, _, _, err := decodeMigrationRecord(append(honest, 0)); !errors.Is(err, ErrRecovery) {
+		t.Fatalf("record with a trailing byte decoded: %v", err)
 	}
 }
 
@@ -426,28 +491,43 @@ func TestReplayRefusesMalformedOps(t *testing.T) {
 	}
 }
 
-// A shipped schema-change record is checked against its own design before
-// the follower adopts it, like a shipped snapshot: a key or an inclusion
-// dependency of the new design broken by the shipped state refuses the
-// record, and the follower stays on Fig. 3 with its rows.
+// A shipped schema-change record is checked against the design it derives
+// before the follower adopts it: a record whose spec roots the merge at a
+// member that cannot be its key-relation, or whose logged design lacks an
+// inclusion dependency of the derived one, is refused, and the follower stays
+// on Fig. 3 with its rows. An honest record applies.
 func TestShippedSchemaChangeIsChecked(t *testing.T) {
-	fig2 := figures.Fig2(true)
-	dupKey := state.New(fig2)
-	dupKey.Relation("OFFER").Add(tup("c1", "math"))
-	dupKey.Relation("OFFER").Add(tup("c1", "cs"))
-	dangling := state.New(fig2)
-	dangling.Relation("OFFER").Add(tup("c1", "math"))
-	dangling.Relation("TEACH").Add(tup("c2", "s1"))
-	for name, st := range map[string]*state.DB{"key": dupKey, "ind": dangling} {
+	schemaSDL, digest := fig3Migration(t, fig3Spec)
+	badKey := fig3Spec
+	badKey.KeyRelation = "TEACH"
+	lessINDs := *fig3Merge(t).Schema
+	lessINDs.INDs = lessINDs.INDs[1:]
+	for name, rec := range map[string][]byte{
+		"key": encodeMigrationRecord(schemaSDL, badKey, digest),
+		"ind": encodeMigrationRecord(sdl.PrintSchema(&lessINDs), fig3Spec, digest),
+	} {
 		t.Run(name, func(t *testing.T) {
 			f := followerOnFig3(t)
 			before := seeFollower(f)
-			if err := shipOne(f, encodeSchemaRecord(sdl.PrintSchema(fig2), sdl.PrintState(fig2, st))); !errors.Is(err, ErrRecovery) {
+			if err := shipOne(f, rec); !errors.Is(err, ErrRecovery) {
 				t.Fatalf("IngestReplicated = %v, want ErrRecovery", err)
 			}
 			before.requireSame(t, f)
 		})
 	}
+	t.Run("honest", func(t *testing.T) {
+		f := followerOnFig3(t)
+		want := fig3Merge(t).MapState(f.Snapshot())
+		if err := shipOne(f, encodeMigrationRecord(schemaSDL, fig3Spec, digest)); err != nil {
+			t.Fatalf("IngestReplicated: %v", err)
+		}
+		if got := sdl.PrintSchema(f.Schema); got != schemaSDL {
+			t.Fatalf("follower design:\n%s", got)
+		}
+		if got := f.Snapshot(); !got.Equal(want) {
+			t.Fatalf("follower state:\n%s\nwant η of the Fig. 3 state:\n%s", got, want)
+		}
+	})
 }
 
 // An op record whose effects would leave the follower inconsistent — a null

@@ -36,9 +36,10 @@ type Query struct {
 // parts are null.
 type Result map[string]relation.Value
 
-// Planner answers logical queries on one physical design.
+// Planner answers logical queries on one physical design. A tracer carried
+// by the context records the planner's span.
 type Planner interface {
-	Answer(q Query) (Result, error)
+	AnswerCtx(ctx context.Context, q Query) (Result, error)
 }
 
 // Planner metric names. Base and merged planners report under distinct
@@ -60,13 +61,8 @@ type BasePlanner struct {
 	Obs *obs.Registry
 }
 
-// Answer implements Planner.
-func (p *BasePlanner) Answer(q Query) (Result, error) {
-	return p.AnswerCtx(context.Background(), q)
-}
-
-// AnswerCtx is Answer with a context: a tracer carried by the context
-// records a query.base.Answer span.
+// AnswerCtx implements Planner: a tracer carried by the context records a
+// query.base.Answer span.
 func (p *BasePlanner) AnswerCtx(ctx context.Context, q Query) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -121,13 +117,8 @@ type MergedPlanner struct {
 	Obs *obs.Registry
 }
 
-// Answer implements Planner.
-func (p *MergedPlanner) Answer(q Query) (Result, error) {
-	return p.AnswerCtx(context.Background(), q)
-}
-
-// AnswerCtx is Answer with a context: a tracer carried by the context
-// records a query.merged.Answer span.
+// AnswerCtx implements Planner: a tracer carried by the context records a
+// query.merged.Answer span.
 func (p *MergedPlanner) AnswerCtx(ctx context.Context, q Query) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

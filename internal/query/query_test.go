@@ -51,11 +51,11 @@ func TestPlannersAgree(t *testing.T) {
 	want := []string{"C.NR", "O.D.NAME", "T.C.NR", "T.F.SSN", "A.S.SSN"}
 	for _, key := range keys {
 		q := Query{Root: "COURSE", Key: key, Want: want}
-		a, err := base.Answer(q)
+		a, err := base.AnswerCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := merged.Answer(q)
+		b, err := merged.AnswerCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +80,7 @@ func TestPlannerLookupCounts(t *testing.T) {
 		Want: []string{"C.NR", "O.D.NAME", "T.F.SSN", "A.S.SSN"}}
 
 	before := base.DB.StatsTotals()
-	if _, err := base.Answer(q); err != nil {
+	if _, err := base.AnswerCtx(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
 	if got := base.DB.StatsTotals().Sub(before).Lookups; got != 4 {
@@ -88,7 +88,7 @@ func TestPlannerLookupCounts(t *testing.T) {
 	}
 
 	before = merged.DB.StatsTotals()
-	if _, err := merged.Answer(q); err != nil {
+	if _, err := merged.AnswerCtx(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
 	if got := merged.DB.StatsTotals().Sub(before).Lookups; got != 1 {
@@ -100,11 +100,11 @@ func TestPlannerMissingObject(t *testing.T) {
 	base, merged, _ := setup(t, 13)
 	q := Query{Root: "COURSE", Key: relation.Tuple{relation.NewString("nope")},
 		Want: []string{"O.D.NAME", "T.C.NR"}}
-	a, err := base.Answer(q)
+	a, err := base.AnswerCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := merged.Answer(q)
+	b, err := merged.AnswerCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,20 +117,20 @@ func TestPlannerMissingObject(t *testing.T) {
 
 func TestPlannerErrors(t *testing.T) {
 	base, merged, keys := setup(t, 17)
-	if _, err := base.Answer(Query{Root: "NOPE", Key: keys[0], Want: []string{"C.NR"}}); err == nil {
+	if _, err := base.AnswerCtx(context.Background(), Query{Root: "NOPE", Key: keys[0], Want: []string{"C.NR"}}); err == nil {
 		t.Error("unknown root")
 	}
-	if _, err := base.Answer(Query{Root: "COURSE", Key: keys[0], Want: []string{"ZZZ"}}); err == nil {
+	if _, err := base.AnswerCtx(context.Background(), Query{Root: "COURSE", Key: keys[0], Want: []string{"ZZZ"}}); err == nil {
 		t.Error("unknown attribute")
 	}
 	// D.NAME belongs to DEPARTMENT, whose key is not course-compatible.
-	if _, err := base.Answer(Query{Root: "COURSE", Key: keys[0], Want: []string{"D.NAME"}}); err == nil {
+	if _, err := base.AnswerCtx(context.Background(), Query{Root: "COURSE", Key: keys[0], Want: []string{"D.NAME"}}); err == nil {
 		t.Error("attribute outside the key cluster")
 	}
-	if _, err := merged.Answer(Query{Root: "PERSON", Key: keys[0], Want: []string{"P.SSN"}}); err == nil {
+	if _, err := merged.AnswerCtx(context.Background(), Query{Root: "PERSON", Key: keys[0], Want: []string{"P.SSN"}}); err == nil {
 		t.Error("non-member root on the merged planner")
 	}
-	if _, err := merged.Answer(Query{Root: "COURSE", Key: keys[0], Want: []string{"D.NAME"}}); err == nil {
+	if _, err := merged.AnswerCtx(context.Background(), Query{Root: "COURSE", Key: keys[0], Want: []string{"D.NAME"}}); err == nil {
 		t.Error("attribute neither merged nor removed")
 	}
 }
@@ -141,11 +141,11 @@ func TestPlannerAlternateRoot(t *testing.T) {
 	base, merged, keys := setup(t, 19)
 	for _, key := range keys {
 		q := Query{Root: "OFFER", Key: key, Want: []string{"O.D.NAME", "T.F.SSN"}}
-		a, err := base.Answer(q)
+		a, err := base.AnswerCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := merged.Answer(q)
+		b, err := merged.AnswerCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}

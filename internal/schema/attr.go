@@ -23,9 +23,6 @@ type Attribute struct {
 	Domain string
 }
 
-// Compatible reports whether the attributes share a domain.
-func (a Attribute) Compatible(b Attribute) bool { return a.Domain == b.Domain }
-
 // AttrNames extracts the names from a list of attributes.
 func AttrNames(attrs []Attribute) []string {
 	names := make([]string, len(attrs))

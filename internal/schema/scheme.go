@@ -49,11 +49,6 @@ func (rs *RelationScheme) attr(name string) *Attribute {
 	return nil
 }
 
-// NonKeyAttrs returns the attribute names outside the primary key, in order.
-func (rs *RelationScheme) NonKeyAttrs() []string {
-	return DiffAttrs(rs.AttrNames(), rs.PrimaryKey)
-}
-
 // KeyDomains returns the domains of the primary-key attributes, in key order.
 func (rs *RelationScheme) KeyDomains() []string {
 	ds := make([]string, len(rs.PrimaryKey))

@@ -502,11 +502,6 @@ func (c *Client) ReplFetchCtx(ctx context.Context, afterLSN uint64, maxRecords i
 	return c.repl(ctx, OpReplFetch, afterLSN, maxRecords)
 }
 
-// ReplHeartbeatCtx returns the primary's commit horizon. Idempotent.
-func (c *Client) ReplHeartbeatCtx(ctx context.Context) (*WireRepl, error) {
-	return c.repl(ctx, OpReplHeartbeat, 0, 0)
-}
-
 func (c *Client) repl(ctx context.Context, op string, afterLSN uint64, maxRecords int) (*WireRepl, error) {
 	resp, err := c.do(ctx, &Request{Op: op, AfterLSN: afterLSN, MaxRecords: maxRecords}, true)
 	if err != nil {

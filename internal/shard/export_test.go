@@ -4,6 +4,9 @@ package shard
 // place keys deliberately.
 func (r *Router) ShardOf(encodedKey string) int { return r.shardOf([]byte(encodedKey)) }
 
+// Shards returns the partition count.
+func (r *Router) Shards() int { return len(r.shards) }
+
 // ProbeStats is a point-in-time snapshot of the router's cross-shard
 // counters, read from its registry handles, so tests can assert that a probe
 // did or did not leave the shard.

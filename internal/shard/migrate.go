@@ -2,25 +2,21 @@ package shard
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/relation"
 	"repro/internal/schema"
-	"repro/internal/state"
 )
 
-// bindSchema (re)derives the per-relation metadata from s: positions, and
-// which relations some inclusion dependency references. Called at Open and
-// again by Migrate / recovered-design adoption, always with no operation in
-// flight (router construction, or gmu held exclusively).
-func (r *Router) bindSchema(s *schema.Schema) {
-	r.schema = s
-	r.meta = make(map[string]*relMeta, len(s.Relations))
+// metaOf derives the per-relation metadata of s: positions, and which
+// relations some inclusion dependency references.
+func metaOf(s *schema.Schema) map[string]*relMeta {
+	meta := make(map[string]*relMeta, len(s.Relations))
 	for _, rs := range s.Relations {
 		hdr := relation.New(rs.AttrNames()...)
-		r.meta[rs.Name] = &relMeta{
+		meta[rs.Name] = &relMeta{
 			name:  rs.Name,
 			hdr:   hdr,
 			pk:    rs.PrimaryKey,
@@ -29,55 +25,49 @@ func (r *Router) bindSchema(s *schema.Schema) {
 		}
 	}
 	for _, ind := range s.INDs {
-		if m := r.meta[ind.Right]; m != nil {
+		if m := meta[ind.Right]; m != nil {
 			m.referenced = true
 		}
 	}
+	return meta
 }
 
-// Migrate swaps every shard onto schema ns, carrying the partitioned state
-// across through transform, which receives the UNION of the shards' contents
-// (a merge's η mapping needs whole objects, and an object's parts may live on
-// different shards pre-merge). The mapped state is re-validated against the
-// new design's full constraint set — including the cross-shard inclusion
-// dependencies no single shard can check — then re-partitioned by the new
-// primary keys and installed shard by shard, each installation atomic in that
-// shard's WAL (one schema-change record).
-//
-// The router serializes the whole migration against every operation (gmu
-// exclusive), so readers keep answering on their pinned per-shard versions
-// and no write straddles the designs. All validation runs before the first
-// shard installs anything; after that point only a log-device failure can
-// interrupt the rollout, which is reported and leaves the shards to converge
-// on restart (each shard recovers the design its own log committed).
-func (r *Router) Migrate(ns *schema.Schema, transform func(*state.DB) (*state.DB, error)) error {
+// Migrate swaps every shard onto the design spec derives on the current one.
+// η is shard-local: a row is placed by its key value, which a merge's members
+// share, so each shard maps its own slice. With gmu held exclusively: (1)
+// stage every shard (engine.StageMigration: its η and its own key, FD and
+// null checks); (2) check that every staged row hashes to its shard, and
+// sweep the new design's inclusion dependencies across the staged shards;
+// (3) commit the shards in order. A failure before the first commit leaves
+// the old design standing; after it only a log-device failure can interrupt
+// the rollout, leaving each shard to recover the design its log committed.
+func (r *Router) Migrate(spec core.Spec) error {
 	r.gmu.Lock()
 	defer r.gmu.Unlock()
-	if r.shards[0].InTxn() {
-		return fmt.Errorf("%w: cannot migrate schema until it commits or rolls back", engine.ErrOpenTransaction)
-	}
-	union := r.Snapshot()
-	mapped := union
-	var err error
-	if transform != nil {
-		mapped, err = transform(union)
-		if err != nil {
-			return fmt.Errorf("shard: migrate: mapping state: %w", err)
+	staged := make([]engine.StagedMigration, len(r.shards))
+	defer func() {
+		for i := range staged {
+			staged[i].Abort()
 		}
+	}()
+	views := make([]*engine.View, len(r.shards))
+	for i, db := range r.shards {
+		var err error
+		if staged[i], err = db.StageMigration(spec); err != nil {
+			return fmt.Errorf("shard: migrate: shard %d: %w", i, err)
+		}
+		views[i] = staged[i].View()
 	}
-	// The router sees the whole state, so unlike a single partition engine it
-	// validates the complete constraint set, inclusion dependencies included.
-	if err := state.Consistent(ns, mapped); err != nil {
-		return fmt.Errorf("shard: migrate: mapped state fails constraint validation: %w", err)
-	}
-
-	parts, err := r.partitionState(ns, mapped)
-	if err != nil {
+	ns := staged[0].Schema()
+	meta := metaOf(ns)
+	if err := r.checkPlacement(meta, views); err != nil {
 		return fmt.Errorf("shard: migrate: %w", err)
 	}
-	for i, db := range r.shards {
-		slice := parts[i]
-		if err := db.MigrateSchema(ns, func(*state.DB) (*state.DB, error) { return slice, nil }); err != nil {
+	if err := r.validateINDs(ns, meta, views); err != nil {
+		return fmt.Errorf("shard: migrate: mapped state fails constraint validation: %w", err)
+	}
+	for i := range staged {
+		if err := staged[i].Commit(); err != nil {
 			if i == 0 {
 				// Nothing installed anywhere: the old design stands.
 				return fmt.Errorf("shard: migrate: %w", err)
@@ -85,34 +75,31 @@ func (r *Router) Migrate(ns *schema.Schema, transform func(*state.DB) (*state.DB
 			return fmt.Errorf("shard: migrate: interrupted after %d/%d shards — shard designs diverge until the logs are recovered: %w", i, len(r.shards), err)
 		}
 	}
-	r.bindSchema(ns)
+	r.schema, r.meta = ns, meta
 	return nil
 }
 
-// partitionState splits st into per-shard slices by hashing each tuple's
-// primary key under the NEW schema — the same placement rule every
-// post-migration operation will use.
-func (r *Router) partitionState(ns *schema.Schema, st *state.DB) ([]*state.DB, error) {
-	parts := make([]*state.DB, len(r.shards))
-	for i := range parts {
-		parts[i] = state.New(ns)
-	}
-	for _, rs := range ns.Relations {
-		src := st.Relation(rs.Name)
-		if src == nil {
-			continue
-		}
-		hdr := relation.New(rs.AttrNames()...)
-		if !slices.Equal(src.Attrs(), hdr.Attrs()) {
-			src = src.Project(hdr.Attrs())
-		}
-		pkPos := hdr.Positions(rs.PrimaryKey)
-		var kb [64]byte
-		for _, tup := range src.Tuples() {
-			parts[r.shardOf(tup.AppendKeyAt(kb[:0], pkPos))].Relation(rs.Name).Add(tup.Clone())
+// checkPlacement reports a row of views[i] whose primary key hashes to a
+// shard other than i: a row the router would never look for where it is.
+func (r *Router) checkPlacement(meta map[string]*relMeta, views []*engine.View) error {
+	var kb [64]byte
+	for i, v := range views {
+		for _, m := range meta {
+			var misplaced relation.Tuple
+			err := v.Scan(m.name, nil, func(tup relation.Tuple) {
+				if misplaced == nil && r.shardOf(m.pkOf(kb[:0], tup)) != i {
+					misplaced = tup
+				}
+			})
+			if err != nil {
+				return err
+			}
+			if misplaced != nil {
+				return fmt.Errorf("%s tuple %v was mapped on shard %d, which its key does not hash to", m.name, misplaced, i)
+			}
 		}
 	}
-	return parts, nil
+	return nil
 }
 
 // Schema returns the design the router currently serves.

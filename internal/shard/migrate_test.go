@@ -4,15 +4,20 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/eer"
 	"repro/internal/engine"
 	"repro/internal/figures"
 	"repro/internal/relation"
+	"repro/internal/schema"
 	"repro/internal/sdl"
 	"repro/internal/state"
+	"repro/internal/translate"
 	"repro/internal/wal"
+	"repro/internal/workload"
 )
 
 func mtup(vals ...any) relation.Tuple {
@@ -30,13 +35,16 @@ func mtup(vals ...any) relation.Tuple {
 	return out
 }
 
+// fig3RouterSpec is the Fig-3 auto-applicable merge: the Prop. 5.2 cluster
+// {OFFER, TEACH, ASSIST} merged around OFFER with every key copy removed.
+var fig3RouterSpec = core.Spec{Cluster: []string{"OFFER", "TEACH", "ASSIST"}, Name: "OFFER+", KeyRelation: "OFFER"}
+
 func fig3RouterMerge(t *testing.T) *core.MergedScheme {
 	t.Helper()
-	m, err := core.MergeSet(figures.Fig3(), []string{"OFFER", "TEACH", "ASSIST"}, core.WithName("OFFER+"), core.WithKeyRelation("OFFER"))
+	m, err := fig3RouterSpec.Derive(figures.Fig3())
 	if err != nil {
-		t.Fatalf("MergeSet: %v", err)
+		t.Fatalf("Derive: %v", err)
 	}
-	m.RemoveAll()
 	return m
 }
 
@@ -51,7 +59,7 @@ func TestRouterMigrateLive(t *testing.T) {
 	}
 	pre := r.Snapshot()
 	m := fig3RouterMerge(t)
-	if err := r.Migrate(m.Schema, func(st *state.DB) (*state.DB, error) { return m.MapState(st), nil }); err != nil {
+	if err := r.Migrate(fig3RouterSpec); err != nil {
 		t.Fatalf("Migrate: %v", err)
 	}
 	want := m.MapState(pre)
@@ -76,39 +84,98 @@ func TestRouterMigrateLive(t *testing.T) {
 	if err := r.InsertCtx(context.Background(), "OFFER+", mtup("c9", "math", nil, nil)); err == nil {
 		t.Fatal("dangling OFFER+ insert must violate the rewritten cross-shard IND")
 	}
-	// Refusals: open transaction, and a transform whose output breaks the
-	// new design's constraints.
+	// Refusals: open transaction, and specs that do not resolve on the
+	// current design.
 	if err := r.Begin(); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Migrate(figures.Fig3(), nil); !errors.Is(err, engine.ErrOpenTransaction) {
+	if err := r.Migrate(fig3RouterSpec); !errors.Is(err, engine.ErrOpenTransaction) {
 		t.Fatalf("migrate inside txn = %v", err)
 	}
 	if err := r.Rollback(); err != nil {
 		t.Fatal(err)
 	}
-	// A failing transform leaves state and design untouched.
-	boom := func(*state.DB) (*state.DB, error) { return nil, fmt.Errorf("boom") }
+	// A spec naming a member the design lacks leaves state and design
+	// untouched.
 	before := r.Snapshot()
-	if err := r.Migrate(figures.Fig3(), boom); err == nil {
-		t.Fatal("transform error must fail migration")
+	if err := r.Migrate(core.Spec{Cluster: []string{"OFFER+", "NOPE"}, Name: "X"}); err == nil {
+		t.Fatal("unresolvable spec must fail migration")
 	}
 	if got := r.Snapshot(); !got.Equal(before) {
 		t.Fatal("failed migration changed state")
 	}
-	// A transform whose output violates the target design's constraints is
-	// refused before any shard installs: inject a dangling OFFER+ row (c9 is
-	// not a COURSE anywhere).
-	bad := func(st *state.DB) (*state.DB, error) {
-		out := st.Clone()
-		out.Relation("OFFER+").Add(mtup("c9", "math", nil, nil))
-		return out, nil
-	}
-	if err := r.Migrate(m.Schema, bad); err == nil {
-		t.Fatal("constraint-violating mapped state must fail validation")
+	// The spec just applied is stale now: its cluster is gone from the
+	// current design, so it is refused before any shard installs.
+	if err := r.Migrate(fig3RouterSpec); err == nil {
+		t.Fatal("stale spec must fail migration")
 	}
 	if got := sdl.PrintSchema(r.Schema()); got != sdl.PrintSchema(m.Schema) {
 		t.Fatal("failed migration changed the design")
+	}
+}
+
+// TestRouterMigrateShardLocalEta: η applied to each shard's own slice is η
+// of the whole state, because the router places a row by its key value and a
+// merge's members share their key values. Over fig3, star8 and chain6 at 200
+// generated rows per relation and 2, 3, 4 and 7 shards, the union after
+// Migrate equals MapState of the union before and satisfies the merged
+// design, and a reopen adopts both.
+func TestRouterMigrateShardLocalEta(t *testing.T) {
+	type design struct {
+		base *schema.Schema
+		spec core.Spec
+	}
+	designs := map[string]design{"fig3": {figures.Fig3(), fig3RouterSpec}}
+	for name, es := range map[string]*eer.Schema{"star8": workload.StarEER(8), "chain6": workload.ChainEER(6)} {
+		s, err := translate.MS(es)
+		if err != nil {
+			t.Fatal(err)
+		}
+		designs[name] = design{s, core.Spec{Cluster: workload.MergeSetFor(s, "E0"), Name: "MERGED", KeyRelation: "E0"}}
+	}
+	for name, d := range designs {
+		st := state.MustGenerate(d.base, rand.New(rand.NewSource(1)), state.GenOptions{Rows: 200})
+		m, err := d.spec.Derive(d.base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{2, 3, 4, 7} {
+			t.Run(fmt.Sprintf("%s/%d-shards", name, n), func(t *testing.T) {
+				cfg := Config{Shards: n, WALDir: t.TempDir(), WALOpts: wal.Options{Policy: wal.SyncNever}}
+				r, err := Open(d.base, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := r.LoadCtx(context.Background(), st); err != nil {
+					t.Fatal(err)
+				}
+				want := m.MapState(r.Snapshot())
+				if err := r.Migrate(d.spec); err != nil {
+					t.Fatalf("Migrate: %v", err)
+				}
+				got := r.Snapshot()
+				if !got.Equal(want) {
+					t.Fatalf("union after per-shard η differs from η of the union:\ngot:\n%s\nwant:\n%s", got, want)
+				}
+				if err := state.Consistent(m.Schema, got); err != nil {
+					t.Fatalf("migrated union inconsistent: %v", err)
+				}
+				if err := r.Close(); err != nil {
+					t.Fatal(err)
+				}
+				r2, err := Open(d.base, cfg)
+				if err != nil {
+					t.Fatalf("reopen: %v", err)
+				}
+				defer r2.Close()
+				if got := sdl.PrintSchema(r2.Schema()); got != sdl.PrintSchema(m.Schema) {
+					t.Fatalf("reopen did not adopt the merged design:\n%s", got)
+				}
+				if got := r2.Snapshot(); !got.Equal(want) {
+					t.Fatal("reopened union differs from η of the pre-migration union")
+				}
+			})
+		}
 	}
 }
 
@@ -123,7 +190,7 @@ func TestRouterMigrateDurableAdoption(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := fig3RouterMerge(t)
-	if err := r.Migrate(m.Schema, func(st *state.DB) (*state.DB, error) { return m.MapState(st), nil }); err != nil {
+	if err := r.Migrate(fig3RouterSpec); err != nil {
 		t.Fatalf("Migrate: %v", err)
 	}
 	want := r.Snapshot()
@@ -166,9 +233,7 @@ func TestRouterMixedRecoveredDesignsRefused(t *testing.T) {
 	}
 	// Simulate a migration interrupted mid-rollout: migrate ONE shard's
 	// engine directly, bypassing the router.
-	m := fig3RouterMerge(t)
-	slice := state.New(m.Schema)
-	if err := r.Shard(0).MigrateSchema(m.Schema, func(*state.DB) (*state.DB, error) { return slice, nil }); err != nil {
+	if err := r.Shard(0).MigrateSchema(fig3RouterSpec); err != nil {
 		t.Fatalf("direct shard migration: %v", err)
 	}
 	r.Close()

@@ -68,7 +68,7 @@ func (r *Router) probeReferenced(self int, ind schema.IND, key []byte) bool {
 				continue
 			}
 			r.m.remoteProbes.Inc()
-			if db.HasReferenced(ind, key) {
+			if db.View().HasReferenced(ind, key) {
 				return true
 			}
 		}
@@ -91,7 +91,7 @@ func (r *Router) probeReferenced(self int, ind schema.IND, key []byte) bool {
 		return false
 	}
 	r.m.remoteProbes.Inc()
-	return r.shards[owner].HasKey(ind.Right, key)
+	return r.shards[owner].View().HasKey(ind.Right, key)
 }
 
 // probeReferencing answers the referenced side's restrict question: after

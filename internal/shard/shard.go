@@ -166,7 +166,7 @@ func Open(s *schema.Schema, cfg Config) (*Router, error) {
 		m:       newRouterMetrics(cfg.Registry, cfg.Name),
 		durable: cfg.WALDir != "",
 	}
-	r.bindSchema(s)
+	r.schema, r.meta = s, metaOf(s)
 	for i := range r.shards {
 		opts := append([]engine.Option{}, cfg.EngineOptions...)
 		opts = append(opts,
@@ -218,20 +218,17 @@ func Open(s *schema.Schema, cfg Config) (*Router, error) {
 			}
 		}
 		if first != sdl.PrintSchema(s) {
-			r.bindSchema(r.shards[0].Schema)
+			r.schema, r.meta = r.shards[0].Schema, metaOf(r.shards[0].Schema)
 		}
-		if err := r.validateINDs(); err != nil {
+		if err := r.validateINDs(r.schema, r.meta, r.View().views); err != nil {
 			for _, db := range r.shards {
 				db.Close()
 			}
-			return nil, err
+			return nil, fmt.Errorf("%w: recovered %v", engine.ErrRecovery, err)
 		}
 	}
 	return r, nil
 }
-
-// Shards returns the partition count.
-func (r *Router) Shards() int { return len(r.shards) }
 
 // Shard exposes one partition engine (read-only uses: views, recovery info,
 // tests). Mutating a shard engine directly bypasses the router's
@@ -279,18 +276,16 @@ func (r *Router) unlockWrite(excl bool) {
 	}
 }
 
-// validateINDs re-checks every inclusion dependency across the recovered
-// shards: per-shard recovery can only validate shard-local invariants, so
-// the cross-shard halves of the paper's constraint set are swept here, over
-// the shards' published versions.
-func (r *Router) validateINDs() error {
-	for _, ind := range r.schema.INDs {
-		m := r.meta[ind.Left]
-		leftPos := m.hdr.Positions(ind.LeftAttrs)
-		keyBased := ind.KeyBased(r.schema)
-		for _, db := range r.shards {
+// validateINDs sweeps every inclusion dependency of design s (metadata meta)
+// across views, one per shard, which no shard can check alone: over the
+// recovered versions at Open, and over the staged ones by Migrate.
+func (r *Router) validateINDs(s *schema.Schema, meta map[string]*relMeta, views []*engine.View) error {
+	for _, ind := range s.INDs {
+		leftPos := meta[ind.Left].hdr.Positions(ind.LeftAttrs)
+		keyBased := ind.KeyBased(s)
+		for _, v := range views {
 			var dangling relation.Tuple
-			err := db.Scan(ind.Left, nil, func(tup relation.Tuple) {
+			err := v.Scan(ind.Left, nil, func(tup relation.Tuple) {
 				if dangling != nil {
 					return
 				}
@@ -299,13 +294,13 @@ func (r *Router) validateINDs() error {
 					return
 				}
 				if keyBased {
-					key := orderAsRightKey(r.schema, ind, fk)
-					if !r.shards[r.shardOf(key)].HasKey(ind.Right, key) {
+					key := orderAsRightKey(s, ind, fk)
+					if !views[r.shardOf(key)].HasKey(ind.Right, key) {
 						dangling = tup
 					}
 					return
 				}
-				for _, peer := range r.shards {
+				for _, peer := range views {
 					if peer.HasReferenced(ind, fk.AppendKey(nil)) {
 						return
 					}
@@ -316,8 +311,7 @@ func (r *Router) validateINDs() error {
 				return err
 			}
 			if dangling != nil {
-				return fmt.Errorf("%w: recovered shards violate %s (dangling %s tuple %v)",
-					engine.ErrRecovery, ind, ind.Left, dangling)
+				return fmt.Errorf("shards violate %s (dangling %s tuple %v)", ind, ind.Left, dangling)
 			}
 		}
 	}

@@ -64,26 +64,6 @@ func (db *DB) Equal(other *DB) bool {
 	return true
 }
 
-// Apply applies one physical mutation: insert adds tup to the named
-// relation, otherwise tup is removed. It is the replay primitive of the
-// engine's write-ahead log recovery, which reconstructs a state one logged
-// mutation at a time before re-validating it with Consistent.
-func (db *DB) Apply(name string, insert bool, tup relation.Tuple) error {
-	r := db.Relations[name]
-	if r == nil {
-		return fmt.Errorf("state: no relation %s", name)
-	}
-	if len(tup) != r.Arity() {
-		return fmt.Errorf("state: arity mismatch applying to %s: tuple has %d values, scheme %d", name, len(tup), r.Arity())
-	}
-	if insert {
-		r.Add(tup)
-	} else {
-		r.Remove(tup)
-	}
-	return nil
-}
-
 // TotalTuples returns the total number of tuples across all relations.
 func (db *DB) TotalTuples() int {
 	n := 0

@@ -275,9 +275,6 @@ func (l *Log) LSN() uint64 {
 	return l.lsn
 }
 
-// Dir returns the log directory.
-func (l *Log) Dir() string { return l.dir }
-
 // Close fsyncs and closes the current segment. The log refuses further work
 // afterwards (ErrClosed).
 func (l *Log) Close() error {

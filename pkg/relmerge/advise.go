@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/advisor"
 	"repro/internal/advisor/online"
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/shard"
 )
@@ -135,9 +136,7 @@ func (t routerTarget) DesignSnapshot() (*Schema, []engine.CoAccessStat, EngineSt
 	return t.r.Schema(), t.r.CoAccessStats(), t.r.StatsTotals()
 }
 
-func (t routerTarget) Migrate(ns *Schema, transform func(*DB) (*DB, error)) error {
-	return t.r.Migrate(ns, transform)
-}
+func (t routerTarget) Migrate(spec core.Spec) error { return t.r.Migrate(spec) }
 
 // Advise measures the session's live design — its schema, co-access heat,
 // and operation mix — and returns the priced merge recommendations, best
@@ -157,15 +156,6 @@ func Advise(sess Session, cfg AdvisorConfig) ([]Recommendation, error) {
 		out[i] = publicRec(sug)
 	}
 	return out, nil
-}
-
-// applyRecommendation is the implementation behind ApplyRecommendation on a
-// session that owns its design.
-func applyRecommendation(t online.Target, rec Recommendation) error {
-	if len(rec.Cluster) < 2 || rec.MergedName == "" || rec.KeyRelation == "" {
-		return fmt.Errorf("relmerge: ApplyRecommendation requires a recommendation produced by Advise (cluster, key-relation, and merged name)")
-	}
-	return online.ApplyCluster(t, rec.Cluster, rec.MergedName, rec.KeyRelation)
 }
 
 // startAdvisor wires the background loop for a just-opened session; returns

@@ -3,6 +3,7 @@ package relmerge_test
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -72,6 +73,34 @@ func TestApplyRecommendationConformance(t *testing.T) {
 	})
 }
 
+// fig3Shards is the partition count of fig3Sessions' sharded session.
+const fig3Shards = 3
+
+// fig3Sessions opens a session loaded with the Fig. 3 state on each backend
+// that owns its design.
+var fig3Sessions = map[string]func(t *testing.T) relmerge.Session{
+	"embedded": func(t *testing.T) relmerge.Session {
+		sess, err := relmerge.Open(relmerge.Config{Schema: figures.Fig3()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.(*relmerge.EmbeddedSession).Engine().LoadCtx(context.Background(), figures.Fig3State()); err != nil {
+			t.Fatal(err)
+		}
+		return sess
+	},
+	"sharded": func(t *testing.T) relmerge.Session {
+		sess, err := relmerge.Open(relmerge.Config{Backend: relmerge.Sharded, Schema: figures.Fig3(), Shards: fig3Shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.(*relmerge.ShardedSession).Router().LoadCtx(context.Background(), figures.Fig3State()); err != nil {
+			t.Fatal(err)
+		}
+		return sess
+	},
+}
+
 // heatFig3 drives join-shaped traffic (dependency-hop fetches along
 // TEACH→OFFER / ASSIST→OFFER) so the co-access counters cross any admission
 // threshold the tests use.
@@ -90,7 +119,7 @@ func heatFig3(t *testing.T, sess relmerge.Session, rounds int) {
 	case *relmerge.ShardedSession:
 		r := s.Router()
 		for i := 0; i < rounds; i++ {
-			for sh := 0; sh < r.Shards(); sh++ {
+			for sh := 0; sh < fig3Shards; sh++ {
 				r.Shard(sh).FetchWithReferences("TEACH", k("c1"))
 				r.Shard(sh).FetchWithReferences("TEACH", k("c2"))
 			}
@@ -104,29 +133,7 @@ func heatFig3(t *testing.T, sess relmerge.Session, rounds int) {
 // both design-owning backends: measure real co-access heat, Advise, apply
 // the auto-applicable recommendation, and keep serving on the merged design.
 func TestAdviseApplyEndToEnd(t *testing.T) {
-	open := map[string]func(t *testing.T) relmerge.Session{
-		"embedded": func(t *testing.T) relmerge.Session {
-			sess, err := relmerge.Open(relmerge.Config{Schema: figures.Fig3()})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sess.(*relmerge.EmbeddedSession).Engine().LoadCtx(context.Background(), figures.Fig3State()); err != nil {
-				t.Fatal(err)
-			}
-			return sess
-		},
-		"sharded": func(t *testing.T) relmerge.Session {
-			sess, err := relmerge.Open(relmerge.Config{Backend: relmerge.Sharded, Schema: figures.Fig3(), Shards: 3})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sess.(*relmerge.ShardedSession).Router().LoadCtx(context.Background(), figures.Fig3State()); err != nil {
-				t.Fatal(err)
-			}
-			return sess
-		},
-	}
-	for name, openSess := range open {
+	for name, openSess := range fig3Sessions {
 		t.Run(name, func(t *testing.T) {
 			sess := openSess(t)
 			t.Cleanup(func() { sess.Close() })
@@ -167,6 +174,51 @@ func TestAdviseApplyEndToEnd(t *testing.T) {
 			for _, r := range recs {
 				if r.Admitted {
 					t.Fatalf("cold post-migration design admitted %+v", r)
+				}
+			}
+		})
+	}
+}
+
+// TestApplyRecommendationConcurrent races four applications of one
+// recommendation on a fresh session, round after round. Exactly one wins;
+// the others fail with an error, because their cluster no longer resolves on
+// the design the winner installed. None panics, and the session then serves
+// the merged design.
+func TestApplyRecommendationConcurrent(t *testing.T) {
+	ctx := context.Background()
+	rec := relmerge.Recommendation{Cluster: []string{"OFFER", "TEACH", "ASSIST"}, KeyRelation: "OFFER", MergedName: "OFFER+"}
+	for name, openSess := range fig3Sessions {
+		t.Run(name, func(t *testing.T) {
+			for round := 0; round < 50; round++ {
+				sess := openSess(t)
+				errs := make([]error, 4)
+				var wg sync.WaitGroup
+				for g := range errs {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						errs[g] = sess.ApplyRecommendation(ctx, rec)
+					}()
+				}
+				wg.Wait()
+				wins := 0
+				for _, err := range errs {
+					if err == nil {
+						wins++
+					}
+				}
+				if wins != 1 {
+					t.Fatalf("round %d: %d of %d applications succeeded, want 1: %v", round, wins, len(errs), errs)
+				}
+				if _, found, err := sess.FetchCtx(ctx, "OFFER+", k("c1")); err != nil || !found {
+					t.Fatalf("round %d: merged design does not serve: %v %v", round, found, err)
+				}
+				if _, _, err := sess.FetchCtx(ctx, "TEACH", k("c1")); !errors.Is(err, relmerge.ErrUnknownRelation) {
+					t.Fatalf("round %d: pre-merge relation still resolves: %v", round, err)
+				}
+				if err := sess.Close(); err != nil {
+					t.Fatal(err)
 				}
 			}
 		})

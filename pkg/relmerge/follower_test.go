@@ -3,7 +3,9 @@ package relmerge_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -17,7 +19,13 @@ import (
 // unified Open entrypoint. The caller writes through the returned engine.
 func startFollowerPair(t *testing.T) (*relmerge.Engine, *server.Server, *relmerge.FollowerSession) {
 	t.Helper()
-	eng, err := relmerge.OpenEngine(confSchema(),
+	return startFollowerPairOn(t, confSchema)
+}
+
+// startFollowerPairOn is startFollowerPair over the schema newSchema builds.
+func startFollowerPairOn(t *testing.T, newSchema func() *relmerge.Schema) (*relmerge.Engine, *server.Server, *relmerge.FollowerSession) {
+	t.Helper()
+	eng, err := relmerge.OpenEngine(newSchema(),
 		relmerge.WithDurability(t.TempDir(), relmerge.SyncAlways))
 	if err != nil {
 		t.Fatal(err)
@@ -32,7 +40,7 @@ func startFollowerPair(t *testing.T) (*relmerge.Engine, *server.Server, *relmerg
 
 	sess, err := relmerge.Open(relmerge.Config{
 		Backend:      relmerge.Follower,
-		Schema:       confSchema(),
+		Schema:       newSchema(),
 		Addr:         ln.Addr().String(),
 		DurableDir:   t.TempDir(),
 		Sync:         relmerge.SyncAlways,
@@ -178,5 +186,70 @@ func TestFollowerSessionWritesRefuseUntilPromoted(t *testing.T) {
 	}
 	if _, ok, err := fs.FetchCtx(context.Background(), "D", k("d2")); !ok || err != nil {
 		t.Fatalf("promoted read-back: ok=%v err=%v", ok, err)
+	}
+}
+
+// pairSchema is two relations with compatible keys, B's referencing A's: the
+// smallest design with a merge to apply.
+func pairSchema() *relmerge.Schema {
+	s, err := relmerge.ParseSchema(`
+relation A (A.K k, A.V v) key (A.K)
+relation B (B.K k, B.W w) key (B.K)
+ind B[B.K] <= A[A.K]
+nna A (A.K, A.V)
+nna B (B.K, B.W)
+`)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
+// A live migration whose mapped state is larger than one protocol frame
+// (server.DefaultMaxFrame) still reaches a follower: the migration record
+// carries the merge, not the state, and the follower re-derives the state
+// from its own rows.
+func TestFollowerFollowsMigrationBeyondFrameLimit(t *testing.T) {
+	ctx := context.Background()
+	eng, _, fs := startFollowerPairOn(t, pairSchema)
+	const rows, chunk = 600, 100
+	pad := strings.Repeat("x", 4096)
+	str := func(format string, j int) relmerge.Value { return relmerge.NewString(fmt.Sprintf(format, j) + pad) }
+	for i := 0; i < rows; i += chunk {
+		var as, bs []relmerge.Tuple
+		for j := i; j < i+chunk; j++ {
+			key := relmerge.NewString(fmt.Sprintf("k%04d", j))
+			as = append(as, relmerge.Tuple{key, str("a%04d-", j)})
+			bs = append(bs, relmerge.Tuple{key, str("b%04d-", j)})
+		}
+		if err := eng.InsertBatchCtx(ctx, "A", as); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.InsertBatchCtx(ctx, "B", bs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if size := len(relmerge.PrintState(eng.Schema, eng.Snapshot())); size <= server.DefaultMaxFrame {
+		t.Fatalf("state is %d bytes, want more than one frame (%d)", size, server.DefaultMaxFrame)
+	}
+	// The session is a view of the engine, which the pair's cleanup closes.
+	rec := relmerge.Recommendation{Cluster: []string{"A", "B"}, KeyRelation: "A", MergedName: "AB"}
+	if err := relmerge.NewSession(eng).ApplyRecommendation(ctx, rec); err != nil {
+		t.Fatalf("ApplyRecommendation: %v", err)
+	}
+	waitApplied(t, fs, eng.DurableLSN())
+	if got := fs.View().Count("AB"); got != rows {
+		t.Fatalf("follower holds %d merged rows, want %d", got, rows)
+	}
+	for _, j := range []int{0, 317, rows - 1} {
+		key := k(fmt.Sprintf("k%04d", j))
+		got, found, err := fs.FetchCtx(ctx, "AB", key)
+		want, _, _ := eng.GetByKeyCtx(ctx, "AB", key)
+		if err != nil || !found || !got.Identical(want) {
+			t.Fatalf("follower Fetch(AB, %v) = %v, %v, %v; primary has %v", key, got, found, err, want)
+		}
+	}
+	if _, _, err := fs.FetchCtx(ctx, "B", k("k0000")); !errors.Is(err, relmerge.ErrUnknownRelation) {
+		t.Fatalf("follower still serves the pre-merge design: %v", err)
 	}
 }

@@ -42,7 +42,7 @@ type (
 	// Merged is the record of one merge: the rewritten schema, the member
 	// bookkeeping, the Def. 4.1/4.3 provenance trace, and the state mappings.
 	Merged = core.MergedScheme
-	// Option configures Merge, Remove, Plan, and Apply.
+	// Option configures MergeCtx, Remove, PlanCtx, and ApplyCtx.
 	Option = core.Option
 
 	// DB is a database state: one relation per scheme.
@@ -139,39 +139,26 @@ func PrintState(s *Schema, db *DB) string { return sdl.PrintState(s, db) }
 // Consistent reports whether db satisfies all of s's constraints.
 func Consistent(s *Schema, db *DB) error { return state.Consistent(s, db) }
 
-// Merge merges the named relation-schemes of s per Definition 4.1. The input
-// schema is never mutated; the result's Schema field holds the rewrite. Use
-// the returned Merged to Remove key copies, inspect the Trace, and map states.
-func Merge(s *Schema, names []string, opts ...Option) (*Merged, error) {
-	return MergeCtx(context.Background(), s, names, opts...)
-}
-
-// MergeCtx is Merge with cancellation, honored between pipeline steps and
-// carried into span events.
+// MergeCtx merges the named relation-schemes of s per Definition 4.1. The
+// input schema is never mutated; the result's Schema field holds the
+// rewrite. Use the returned Merged to Remove key copies, inspect the Trace,
+// and map states. Cancellation is honored between pipeline steps, and the
+// context is carried into span events.
 func MergeCtx(ctx context.Context, s *Schema, names []string, opts ...Option) (*Merged, error) {
 	return core.MergeSet(s, names, withCtx(ctx, opts)...)
 }
 
-// Plan returns the disjoint merge sets satisfying Proposition 5.2 — each
+// PlanCtx returns the disjoint merge sets satisfying Proposition 5.2 — each
 // merges to a relation-scheme maintainable with only nulls-not-allowed
 // constraints — key-relation first in each cluster.
-func Plan(s *Schema, opts ...Option) [][]string {
-	return PlanCtx(context.Background(), s, opts...)
-}
-
-// PlanCtx is Plan with cancellation.
 func PlanCtx(ctx context.Context, s *Schema, opts ...Option) [][]string {
 	return core.Prop52Clusters(s, withCtx(ctx, opts)...)
 }
 
-// Apply merges every planned cluster and removes all removable key copies,
-// returning the rewritten schema and the per-cluster merge records.
-func Apply(s *Schema, clusters [][]string, opts ...Option) (*Schema, []*Merged, error) {
-	return ApplyCtx(context.Background(), s, clusters, opts...)
-}
-
-// ApplyCtx is Apply with cancellation, checked between clusters so a large
-// whole-schema merge can be abandoned at a cluster boundary.
+// ApplyCtx merges every planned cluster and removes all removable key
+// copies, returning the rewritten schema and the per-cluster merge records.
+// Cancellation is checked between clusters, so a large whole-schema merge can
+// be abandoned at a cluster boundary.
 func ApplyCtx(ctx context.Context, s *Schema, clusters [][]string, opts ...Option) (*Schema, []*Merged, error) {
 	return core.ApplyPlan(s, clusters, withCtx(ctx, opts)...)
 }

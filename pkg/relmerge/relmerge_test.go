@@ -1,6 +1,7 @@
 package relmerge_test
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 func TestFacadePipeline(t *testing.T) {
 	s := relmerge.Fig3()
 	tr := relmerge.NewTracer()
-	m, err := relmerge.Merge(s, []string{"COURSE", "OFFER", "TEACH", "ASSIST"},
+	m, err := relmerge.MergeCtx(context.Background(), s, []string{"COURSE", "OFFER", "TEACH", "ASSIST"},
 		relmerge.WithName("COURSE''"), relmerge.WithTrace(tr))
 	if err != nil {
 		t.Fatal(err)
@@ -47,11 +48,11 @@ func TestFacadePipeline(t *testing.T) {
 
 func TestFacadePlanApply(t *testing.T) {
 	s := relmerge.Fig3()
-	clusters := relmerge.Plan(s)
+	clusters := relmerge.PlanCtx(context.Background(), s)
 	if len(clusters) == 0 {
 		t.Fatal("planner found no Prop. 5.2 clusters on figure 3")
 	}
-	out, merges, err := relmerge.Apply(s, clusters)
+	out, merges, err := relmerge.ApplyCtx(context.Background(), s, clusters)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,14 +67,14 @@ func TestFacadePlanApply(t *testing.T) {
 
 func TestFacadeErrorsAndParsing(t *testing.T) {
 	s := relmerge.Fig3()
-	if _, err := relmerge.Merge(s, []string{"COURSE"}); !errors.Is(err, relmerge.ErrMergeSetTooSmall) {
+	if _, err := relmerge.MergeCtx(context.Background(), s, []string{"COURSE"}); !errors.Is(err, relmerge.ErrMergeSetTooSmall) {
 		t.Errorf("single-member merge error = %v, want ErrMergeSetTooSmall", err)
 	}
-	if _, err := relmerge.Merge(s, []string{"COURSE", "NOPE"}); !errors.Is(err, relmerge.ErrUnknownScheme) {
+	if _, err := relmerge.MergeCtx(context.Background(), s, []string{"COURSE", "NOPE"}); !errors.Is(err, relmerge.ErrUnknownScheme) {
 		t.Errorf("unknown-scheme merge error = %v, want ErrUnknownScheme", err)
 	}
 
-	m, err := relmerge.Merge(s, []string{"COURSE", "OFFER", "TEACH", "ASSIST"})
+	m, err := relmerge.MergeCtx(context.Background(), s, []string{"COURSE", "OFFER", "TEACH", "ASSIST"})
 	if err != nil {
 		t.Fatal(err)
 	}

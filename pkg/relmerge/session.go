@@ -144,13 +144,12 @@ func (s *backendSession) CheckpointCtx(ctx context.Context) error {
 }
 
 // ApplyRecommendation migrates the live design onto the recommended merge.
-// The merge is re-derived from the current schema at apply time, so a
-// recommendation computed against a design that has since moved fails
-// cleanly instead of half-applying. A sharded session migrates every shard
-// through the router (union state, re-partition by the new keys, one
-// schema-change WAL record per shard); a follower returns ErrUnsupported —
-// migrate the primary and the schema-change record replicates like any
-// other.
+// The merge is derived on the design the backend holds when it takes its
+// migration lock, so a recommendation computed against a design that has
+// since moved returns an error and changes nothing. A sharded session
+// migrates each shard's own slice through the router (one schema-change WAL
+// record per shard); a follower returns ErrUnsupported — migrate the primary
+// and the schema-change record replicates like any other.
 func (s *backendSession) ApplyRecommendation(ctx context.Context, rec Recommendation) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -158,7 +157,10 @@ func (s *backendSession) ApplyRecommendation(ctx context.Context, rec Recommenda
 	if s.target == nil {
 		return fmt.Errorf("%w: a follower replays the primary's design; apply the recommendation on the primary", ErrUnsupported)
 	}
-	return applyRecommendation(s.target, rec)
+	if len(rec.Cluster) < 2 || rec.MergedName == "" || rec.KeyRelation == "" {
+		return fmt.Errorf("relmerge: ApplyRecommendation requires a recommendation produced by Advise (cluster, key-relation, and merged name)")
+	}
+	return online.ApplyCluster(s.target, rec.Cluster, rec.MergedName, rec.KeyRelation)
 }
 
 // Close stops the advisor loop, if one runs, and closes the backend: the

@@ -4,6 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"net"
 	"reflect"
 	"strings"
@@ -14,6 +18,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/obs"
+	"repro/internal/query"
 	"repro/internal/server"
 	"repro/internal/shard"
 	"repro/pkg/relmerge"
@@ -114,8 +119,44 @@ func withBackends(t *testing.T, body func(t *testing.T, sess relmerge.Session)) 
 }
 
 // Each operation exists in one spelling at each layer: no type of the
-// operational surface carries both X and XCtx.
+// operational surface carries both X and XCtx, and neither does the package
+// scope of this package or of internal/query (swept from the source, as
+// TestSentinelsMapIsComplete sweeps the sentinels).
 func TestNoCtxTwins(t *testing.T) {
+	for _, dir := range []string{".", "../../internal/query"} {
+		names := map[string]bool{}
+		pkgs, err := parser.ParseDir(token.NewFileSet(), dir, func(fi fs.FileInfo) bool {
+			return !strings.HasSuffix(fi.Name(), "_test.go")
+		}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pkg := range pkgs {
+			for _, file := range pkg.Files {
+				for _, decl := range file.Decls {
+					switch d := decl.(type) {
+					case *ast.FuncDecl:
+						if d.Recv == nil {
+							names[d.Name.Name] = true
+						}
+					case *ast.GenDecl:
+						for _, spec := range d.Specs {
+							if vs, ok := spec.(*ast.ValueSpec); ok {
+								for _, id := range vs.Names {
+									names[id.Name] = true
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+		for name := range names {
+			if ast.IsExported(name) && names[name+"Ctx"] {
+				t.Errorf("package %s has both %s and %sCtx", dir, name, name)
+			}
+		}
+	}
 	for _, typ := range []reflect.Type{
 		reflect.TypeOf((*relmerge.Session)(nil)).Elem(),
 		reflect.TypeOf((*relmerge.EmbeddedSession)(nil)),
@@ -125,6 +166,8 @@ func TestNoCtxTwins(t *testing.T) {
 		reflect.TypeOf((*engine.DB)(nil)),
 		reflect.TypeOf((*shard.Router)(nil)),
 		reflect.TypeOf((*server.Client)(nil)),
+		reflect.TypeOf((*query.BasePlanner)(nil)),
+		reflect.TypeOf((*query.MergedPlanner)(nil)),
 	} {
 		for i := 0; i < typ.NumMethod(); i++ {
 			name := typ.Method(i).Name
