@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -10,6 +11,9 @@ import (
 
 	"repro/internal/figures"
 	"repro/internal/schema"
+	"repro/internal/sdl"
+	"repro/internal/state"
+	"repro/internal/wal"
 )
 
 // TestPhysicalRemoveDropsEmptyBuckets is the regression test for the
@@ -50,7 +54,7 @@ func TestPhysicalRemoveDropsEmptyBuckets(t *testing.T) {
 		}
 	}
 	child := db.bind.tables["CHILD"]
-	if len(child.sec) != 1 || child.hdr.Attrs()[child.sec[0][0]] != "C.P" {
+	if len(child.sec) != 1 || child.prog.Hdr.Attrs()[child.sec[0][0]] != "C.P" {
 		t.Fatalf("CHILD should carry exactly the secondary index on C.P, has %v", child.sec)
 	}
 	idx := db.current.Load().tables[child.ord].sec[0]
@@ -178,4 +182,56 @@ func TestRollbackNoTxnConcurrentReaders(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestOpenRefusesNonKeyFD is the regression test for non-key FDs: the
+// engine enforces F as primary-key uniqueness alone, so a design whose F held
+// B → C in R(A,B,C) keyed by A accepted (a2,b,c2) after (a1,b,c1), and the
+// next Open of its own log failed re-validation. Open refuses the design
+// with a typed error; an FD whose left side contains the key still opens.
+func TestOpenRefusesNonKeyFD(t *testing.T) {
+	var s schema.Schema
+	err := json.Unmarshal([]byte(`{"relations": [{"name": "R", "key": ["A"], "attrs": [
+		{"Name": "A", "Domain": "d"}, {"Name": "B", "Domain": "d"}, {"Name": "C", "Domain": "d"}]}],
+		"fds": [{"scheme": "R", "lhs": ["A"], "rhs": ["A", "B", "C"]}, {"scheme": "R", "lhs": ["B"], "rhs": ["C"]}]}`), &s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(&s, WithDurability(t.TempDir(), wal.SyncNever)); !errors.Is(err, ErrNonKeyFD) {
+		t.Fatalf("Open with the FD %s = %v, want ErrNonKeyFD", s.FDs[1], err)
+	}
+	s.FDs[1] = schema.NewFD("R", []string{"B", "A"}, []string{"C"})
+	if _, err := Open(&s); err != nil {
+		t.Fatalf("Open with the key dependency %s: %v", s.FDs[1], err)
+	}
+}
+
+// TestRecoveryRefusesDuplicateKeyCheckpoint is the regression test for
+// adopting a checkpoint that holds two OFFER rows under key c1: building the
+// version collapsed the key before recovery checked anything, so the reopen
+// succeeded and served ⟨c1, math⟩ alone. The build now refuses the second
+// row, and the reopen fails.
+func TestRecoveryRefusesDuplicateKeyCheckpoint(t *testing.T) {
+	fig2 := figures.Fig2(true)
+	dir := t.TempDir()
+	db, err := Open(fig2, WithDurability(dir, wal.SyncAlways))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.InsertCtx(context.Background(), "OFFER", tup("c9", "art")); err != nil {
+		t.Fatal(err)
+	}
+	forged := state.New(fig2)
+	forged.Relation("OFFER").Add(tup("c1", "math"))
+	forged.Relation("OFFER").Add(tup("c1", "cs"))
+	forged.Relation("TEACH").Add(tup("c1", "f1"))
+	if err := db.wal.Checkpoint(encodeSnapshot(sdl.PrintSchema(fig2), sdl.PrintState(fig2, forged))); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if db, err := Open(fig2, WithDurability(dir, wal.SyncAlways)); !errors.Is(err, ErrRecovery) {
+		t.Fatalf("reopen over a duplicate-key checkpoint = %v, want ErrRecovery (serving OFFER %v)", err, db.Relation("OFFER"))
+	}
 }

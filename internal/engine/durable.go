@@ -9,9 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/relation"
-	"repro/internal/schema"
 	"repro/internal/sdl"
-	"repro/internal/state"
 	"repro/internal/wal"
 )
 
@@ -26,10 +24,10 @@ import (
 // records under the same mutex, so replay sees markers and effects in the
 // order the engine applied them.
 //
-// Recovery (on Open): adopt the newest snapshot, replay the log suffix
-// through replayRecord (as a follower's ingest does), drop an
-// unterminated transaction, and check the resulting state against the whole
-// schema (F ∪ I ∪ N). A state that fails the check fails Open.
+// Recovery (on Open): adopt the newest snapshot (decode, build, fold F ∪ I ∪
+// N over it, install), replay the log suffix through replayRecord (as a
+// follower's ingest does), drop an unterminated transaction, and fold
+// F ∪ I ∪ N over the resulting state. A state that fails a fold fails Open.
 
 // WithDurability opens the engine's write-ahead log in dir with the given
 // fsync policy. If dir already holds a log, Open recovers from it first; the
@@ -173,17 +171,12 @@ func (db *DB) recover(rec *wal.Recovery) error {
 		return nil
 	}
 	if rec.Snapshot != nil {
-		// A snapshot taken after a live migration is framed with the migrated
-		// design. The check of the final state below covers it.
-		s, st, err := decodeSnapshot(rec.Snapshot)
+		// A checkpoint taken after a live migration is framed with its design.
+		snap, err := db.adopt(rec.Snapshot)
 		if err != nil {
 			return err
 		}
-		b, err := db.bindFor(s)
-		if err != nil {
-			return err
-		}
-		db.installState(snapshotOf(b, st), rec.SnapshotLSN)
+		db.installState(snap, rec.SnapshotLSN)
 		db.recovery.SnapshotLoaded = true
 	}
 	// applied is the LSN the recovered state stands for: the snapshot's, then
@@ -208,10 +201,9 @@ func (db *DB) recover(rec *wal.Recovery) error {
 	// A byte-accurate replay is not enough: the recovered state must still
 	// satisfy F ∪ I ∪ N (cf. the fragility of FDs and INDs over states with
 	// nulls under partial writes — arXiv:2108.02581, arXiv:1703.08198). A
-	// suffix crossing a schema-change record checks that record's state twice;
-	// migrations are too rare for that to be worth a special case.
+	// checkpoint or schema change the suffix crossed is folded twice: rare.
 	cur := db.current.Load()
-	if err := db.checkState(cur.bind.schema, stateOf(cur)); err != nil {
+	if err := db.checkState(cur); err != nil {
 		return fmt.Errorf("%w: recovered state fails constraint re-validation: %v", ErrRecovery, err)
 	}
 	// Markers publish nothing: stamp the state with applied, which the LSNs
@@ -303,30 +295,25 @@ func (db *DB) replayOps(ops []walOp, lsn uint64, info *RecoveryInfo) error {
 		key := tx.keyOf(t, op.tup)
 		now, stored := tx.pkGet(t, key)
 		was, existed := tx.snap.tables[t.ord].pk.Get(key)
-		if stored && !now.TotalAt(t.nna) {
-			return broken("a nulls-not-allowed constraint of " + t.name)
-		}
-		for j := range t.nulls {
-			if stored && !t.nulls[j].ok(now) {
-				return broken(t.nulls[j].text)
-			}
+		if stored && t.prog.Broken(now) != "" {
+			return broken(t.prog.Broken(now))
 		}
 		for _, ip := range t.out {
-			if db.partition || !stored || !now.TotalAt(ip.probePos) {
+			if db.partition || !stored || !now.TotalAt(ip.ProbePos) {
 				continue
 			}
-			fk := now.AppendKeyAt(tx.kb[:0], ip.probePos)
-			if ip.keyBased && !tx.pkHas(ip.right, fk) || !ip.keyBased && len(tx.bucket(ip.right, ip.rightSlot, fk)) == 0 {
-				return broken(ip.text)
+			fk := now.AppendKeyAt(tx.kb[:0], ip.ProbePos)
+			if ip.KeyBased && !tx.pkHas(ip.right, fk) || !ip.KeyBased && len(tx.bucket(ip.right, ip.rightSlot, fk)) == 0 {
+				return broken(ip.Text)
 			}
 		}
 		for _, ip := range t.in {
-			if db.partition || !existed || !was.TotalAt(ip.rightPos) || stored && sameAt(was, now, ip.rightPos) {
+			if db.partition || !existed || !was.TotalAt(ip.RightPos) || stored && was.IdenticalAt(now, ip.RightPos) {
 				continue
 			}
-			ref := was.AppendKeyAt(tx.kb[:0], ip.rightPos)
-			if (ip.keyBased || len(tx.bucket(t, ip.rightSlot, ref)) == 0) && tx.references(ip, ref) {
-				return broken(ip.text)
+			ref := was.AppendKeyAt(tx.kb[:0], ip.RightPos)
+			if (ip.KeyBased || len(tx.bucket(t, ip.rightSlot, ref)) == 0) && tx.references(ip, ref) {
+				return broken(ip.Text)
 			}
 		}
 	}
@@ -361,17 +348,36 @@ func encodeSnapshot(schemaSDL, stateSDL string) []byte {
 	return buf
 }
 
-// decodeSnapshot decodes a checkpoint payload into its design and state.
-func decodeSnapshot(b []byte) (*schema.Schema, *state.DB, error) {
-	if len(b) < len(snapMagic) || string(b[:len(snapMagic)]) != snapMagic {
-		return nil, nil, fmt.Errorf("%w: snapshot payload does not start with the %q magic", ErrRecovery, snapMagic)
+// adopt decodes a checkpoint payload, then builds and folds its state under
+// the design it is framed with: a version ready to install.
+func (db *DB) adopt(payload []byte) (*dbSnapshot, error) {
+	if len(payload) < len(snapMagic) || string(payload[:len(snapMagic)]) != snapMagic {
+		return nil, fmt.Errorf("%w: snapshot payload does not start with the %q magic", ErrRecovery, snapMagic)
 	}
-	d := &walDecoder{b: b[len(snapMagic):]}
+	d := &walDecoder{b: payload[len(snapMagic):]}
 	schemaSDL := d.str()
 	if d.err != nil {
-		return nil, nil, fmt.Errorf("%w: corrupt snapshot frame: %v", ErrRecovery, d.err)
+		return nil, fmt.Errorf("%w: corrupt snapshot frame: %v", ErrRecovery, d.err)
 	}
-	return decodeState(schemaSDL, string(d.b))
+	s, err := sdl.ParseSchema(schemaSDL)
+	if err != nil {
+		return nil, fmt.Errorf("%w: parsing framed schema: %v", ErrRecovery, err)
+	}
+	st, err := sdl.ParseState(s, string(d.b))
+	if err != nil {
+		return nil, fmt.Errorf("%w: parsing framed state: %v", ErrRecovery, err)
+	}
+	b := db.bind
+	if sdl.PrintSchema(s) != sdl.PrintSchema(db.Schema) {
+		if b, err = db.newBinding(s); err != nil {
+			return nil, fmt.Errorf("%w: binding framed schema: %v", ErrRecovery, err)
+		}
+	}
+	snap, err := db.snapshotOf(b, st)
+	if err != nil {
+		return nil, fmt.Errorf("%w: framed state fails constraint re-validation: %v", ErrRecovery, err)
+	}
+	return snap, nil
 }
 
 // encodeMigrationRecord renders one schema-change record:

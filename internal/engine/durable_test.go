@@ -278,7 +278,7 @@ func (d *crashDriver) step() {
 		if victim == nil {
 			return
 		}
-		key := victim.Project(d.db.bind.tables[rel].hdr.Positions(d.db.bind.tables[rel].rs.PrimaryKey))
+		key := victim.Project(d.db.bind.tables[rel].prog.Hdr.Positions(d.db.bind.tables[rel].rs.PrimaryKey))
 		if err := d.db.DeleteCtx(context.Background(), rel, key); err == nil {
 			d.deleted = append(d.deleted, struct {
 				rel string
@@ -296,7 +296,7 @@ func (d *crashDriver) step() {
 		if victim == nil {
 			return
 		}
-		key := victim.Project(d.db.bind.tables[rel].hdr.Positions(d.db.bind.tables[rel].rs.PrimaryKey))
+		key := victim.Project(d.db.bind.tables[rel].prog.Hdr.Positions(d.db.bind.tables[rel].rs.PrimaryKey))
 		d.db.UpdateCtx(context.Background(), rel, key, victim)
 	case 5: // batch of fresh root inserts — one log record for the group
 		d.fresh++

@@ -49,19 +49,16 @@ import (
 type table struct {
 	// ord is the table's position in the binding's name order: its index in
 	// dbSnapshot.tables.
-	ord  int
-	name string
-	rs   *schema.RelationScheme
-	// hdr is an empty relation over the scheme's attributes: the shared,
-	// immutable name-to-position metadata. Never add tuples to it.
-	hdr   *relation.Relation
+	ord   int
+	name  string
+	rs    *schema.RelationScheme
 	pkPos []int
-	// nna lists the nulls-not-allowed positions, ascending.
-	nna []int
+	// prog is the table's entry in the design's constraint program: header,
+	// NNA positions, procedural null constraints (NNA excluded).
+	prog *schema.RelCheck
 	// out/in are the inclusion dependencies from and into this table, each in
-	// schema order; nulls are its procedural null constraints (NNA excluded).
+	// schema order.
 	out, in []*indPlan
-	nulls   []nullCheck
 	// sec maps a secondary-index slot to the positions it projects. The set
 	// is fixed at binding time (compilePlans) and every published version
 	// carries one index per slot.
@@ -77,6 +74,8 @@ type table struct {
 // dependencies against the design it was pinned on — even across a migration.
 type binding struct {
 	schema *schema.Schema
+	// prog is the design's compiled F ∪ I ∪ N (write plans, checkState).
+	prog   *schema.Program
 	tables map[string]*table
 	// ordered lists the tables by ordinal (name order).
 	ordered []*table
@@ -213,10 +212,20 @@ func (db *DB) newBinding(s *schema.Schema) (*binding, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	b := &binding{schema: s, tables: make(map[string]*table, len(s.Relations))}
+	// F is enforced as primary-key uniqueness: key dependencies only.
+	for _, fd := range s.FDs {
+		if !schema.SubsetOf(s.Scheme(fd.Scheme).PrimaryKey, fd.LHS) {
+			return nil, fmt.Errorf("%w: %s", ErrNonKeyFD, fd)
+		}
+	}
+	prog, err := schema.Compile(s)
+	if err != nil {
+		return nil, err
+	}
+	b := &binding{schema: s, prog: prog, tables: make(map[string]*table, len(s.Relations))}
 	for _, rs := range s.Relations {
-		hdr := relation.New(rs.AttrNames()...)
-		t := &table{name: rs.Name, rs: rs, hdr: hdr, pkPos: hdr.Positions(rs.PrimaryKey)}
+		rc := prog.Rel(rs.Name)
+		t := &table{name: rs.Name, rs: rs, pkPos: rc.Hdr.Positions(rs.PrimaryKey), prog: rc}
 		b.tables[rs.Name] = t
 		b.ordered = append(b.ordered, t)
 	}
@@ -292,7 +301,7 @@ func (db *DB) Relation(name string) *relation.Relation {
 	if t == nil {
 		return nil
 	}
-	r := relation.New(t.hdr.Attrs()...)
+	r := relation.New(t.prog.Hdr.Attrs()...)
 	snap.tables[t.ord].pk.Range(func(_ string, tup relation.Tuple) bool {
 		r.Add(tup)
 		return true
@@ -308,7 +317,7 @@ func (db *DB) Header(name string) *relation.Relation {
 	if t == nil {
 		return nil
 	}
-	return t.hdr
+	return t.prog.Hdr
 }
 
 // Count returns the tuple count of a relation in the current published
@@ -373,7 +382,7 @@ func (db *DB) insertLocked(tx *writeTx, t *table, tup relation.Tuple, key string
 func (db *DB) checkDeclarative(tx *writeTx, t *table, tup relation.Tuple, key string) error {
 	// NOT NULL: one check per attribute, in attribute order, up to and
 	// including the first violating one.
-	for _, p := range t.nna {
+	for _, p := range t.prog.NNA {
 		if tup[p].IsNull() {
 			db.countDecl(p + 1)
 			return db.violation(&ConstraintViolation{Kind: NotNullViolation, Relation: t.name, Attr: t.rs.Attrs[p].Name, Op: "insert"})
@@ -389,15 +398,15 @@ func (db *DB) checkDeclarative(tx *writeTx, t *table, tup relation.Tuple, key st
 	// local miss on a partition engine falls through to the router's
 	// cross-shard probe (partition.go) before it counts as a violation.
 	for _, ip := range t.out {
-		if !ip.keyBased {
+		if !ip.KeyBased {
 			continue // handled by triggers
 		}
 		db.countDecl(1)
-		if !tup.TotalAt(ip.probePos) {
+		if !tup.TotalAt(ip.ProbePos) {
 			continue // null foreign keys are exempt
 		}
 		db.countIdx()
-		fk := tup.AppendKeyAt(tx.kb[:0], ip.probePos)
+		fk := tup.AppendKeyAt(tx.kb[:0], ip.ProbePos)
 		if tx.pkHas(ip.right, fk) {
 			continue
 		}
@@ -413,22 +422,22 @@ func (db *DB) checkDeclarative(tx *writeTx, t *table, tup relation.Tuple, key st
 // non-key-based inclusion dependencies from the scheme (a probe of the
 // referenced relation's prebuilt secondary index).
 func (db *DB) fireInsertTriggers(tx *writeTx, t *table, tup relation.Tuple) error {
-	for i := range t.nulls {
+	for i := range t.prog.Nulls {
 		db.countTrig()
-		if nc := &t.nulls[i]; !nc.ok(tup) {
-			return db.violation(&ConstraintViolation{Kind: NullConstraintViolation, Relation: t.name, Constraint: nc.text, Op: "insert"})
+		if nc := &t.prog.Nulls[i]; !nc.OK(tup) {
+			return db.violation(&ConstraintViolation{Kind: NullConstraintViolation, Relation: t.name, Constraint: nc.Text, Op: "insert"})
 		}
 	}
 	for _, ip := range t.out {
-		if ip.keyBased {
+		if ip.KeyBased {
 			continue
 		}
 		db.countTrig()
-		if !tup.TotalAt(ip.probePos) {
+		if !tup.TotalAt(ip.ProbePos) {
 			continue
 		}
 		db.countIdx()
-		fk := tup.AppendKeyAt(tx.kb[:0], ip.probePos)
+		fk := tup.AppendKeyAt(tx.kb[:0], ip.ProbePos)
 		if len(tx.bucket(ip.right, ip.rightSlot, fk)) > 0 {
 			continue
 		}
@@ -444,7 +453,7 @@ func (db *DB) fireInsertTriggers(tx *writeTx, t *table, tup relation.Tuple) erro
 // the referenced tuple on another shard.
 func (db *DB) referencedElsewhere(ip *indPlan, fk []byte, name string) error {
 	if !db.probeReferenced(ip, fk) {
-		return db.violation(&ConstraintViolation{Kind: ForeignKeyViolation, Relation: name, Constraint: ip.text, Op: "insert"})
+		return db.violation(&ConstraintViolation{Kind: ForeignKeyViolation, Relation: name, Constraint: ip.Text, Op: "insert"})
 	}
 	return nil
 }

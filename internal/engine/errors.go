@@ -24,6 +24,9 @@ var (
 	// scheme's primary key, so its foreign-key probe could never be encoded
 	// correctly. Detected at Open.
 	ErrMalformedIND = errors.New("engine: malformed inclusion dependency")
+	// ErrNonKeyFD reports an FD whose left side lacks its scheme's primary
+	// key: the engine holds only key dependencies. Detected at every bind.
+	ErrNonKeyFD = errors.New("engine: functional dependency is not a key dependency")
 	// ErrNotDurable reports a durability operation (Checkpoint) on an engine
 	// opened without WithDurability.
 	ErrNotDurable = errors.New("engine: not opened with durability")

@@ -11,24 +11,24 @@ import (
 )
 
 // This file implements live schema migration and the adopt step it shares
-// with recovery and replication. A whole state adopted from bytes — a
-// checkpoint, a shipped snapshot — goes decode (decodeState) → bind
-// (bindFor) → check (checkState) → install (installState); a migration
-// derives its state instead (migrate). Whatever can refuse a state runs
-// before install, so a refused state is never half-adopted. Recovery alone
-// skips the check of its checkpoint, checking the state it arrives at.
+// with recovery and replication. Every whole state the engine adopts goes
+// one way: decode (adopt) or map (migrate), then build (snapshotOf, which
+// refuses a second row under one primary key), then fold (checkState), then
+// install (installState). Whatever can refuse a state runs before install,
+// so a refused state is never half-adopted.
 //
 // A migration is named by a merge spec (core.Spec): Def. 4.1 fixes the
 // merged design and η once the spec is, so the spec and the state at the
 // migration's LSN determine the migrated state. Under the writer mutex,
 // migrate derives the merge on the CURRENT design, maps the current state
-// through its η and checks the result (F ∪ I ∪ N), refusing inside an open
-// transaction and when the spec no longer resolves. The commit point is ONE
-// schema-change record (walRecMigrate): the new schema's SDL, the spec and a
-// digest of the mapped state. Crash before it → recovery replays onto the
-// old design; crash after → recovery re-runs migrate on the state replayed up
-// to the record and adopts the result only if schema and digest match. The
-// install is one publish; pinned readers keep the design they pinned.
+// through its η, builds it and folds F ∪ I ∪ N over it, refusing inside an
+// open transaction and when the spec no longer resolves. The commit point is
+// ONE schema-change record (walRecMigrate): the new schema's SDL, the spec
+// and a digest of the mapped state. Crash before it → recovery replays onto
+// the old design; crash after → recovery re-runs migrate on the state
+// replayed up to the record and adopts the result only if schema and digest
+// match. The install is one publish; pinned readers keep the design they
+// pinned.
 
 // MigrateSchema swaps the engine onto the design spec derives on the current
 // one, carrying the state across through the merge's η: atomic for readers
@@ -120,51 +120,22 @@ func (db *DB) migrate(spec core.Spec) (*dbSnapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	mapped := m.MapState(stateOf(cur))
-	if err := db.checkState(m.Schema, mapped); err != nil {
+	snap, err := db.snapshotOf(b, m.MapState(stateOf(cur)))
+	if err != nil {
 		return nil, fmt.Errorf("mapped state fails constraint validation: %w", err)
 	}
-	return snapshotOf(b, mapped), nil
+	return snap, nil
 }
 
-// decodeState parses the schema and state SDL a checkpoint frames into a
-// design and a state under it.
-func decodeState(schemaSDL, stateSDL string) (*schema.Schema, *state.DB, error) {
-	s, err := sdl.ParseSchema(schemaSDL)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: parsing framed schema: %v", ErrRecovery, err)
-	}
-	st, err := sdl.ParseState(s, stateSDL)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: parsing framed state: %v", ErrRecovery, err)
-	}
-	return s, st, nil
-}
-
-// bindFor returns the binding a state of design s is adopted under: the
-// current one if s prints the same, else a new one, not yet installed.
-func (db *DB) bindFor(s *schema.Schema) (*binding, error) {
-	if sdl.PrintSchema(s) == sdl.PrintSchema(db.Schema) {
-		return db.bind, nil
-	}
-	b, err := db.newBinding(s)
-	if err != nil {
-		return nil, fmt.Errorf("%w: binding framed schema: %v", ErrRecovery, err)
-	}
-	return b, nil
-}
-
-// checkState checks a whole state against design s's full constraint set
-// (F ∪ I ∪ N). A partition engine holds one hash-slice of every relation, so
-// its local state cannot satisfy the cross-relation inclusion dependencies;
-// the router re-checks those across shards (shard.Open, shard.Migrate).
-func (db *DB) checkState(s *schema.Schema, st *state.DB) error {
+// checkState folds the design's program (F ∪ I ∪ N) over a built version. A
+// partition engine holds a hash-slice of every relation, so it folds the row
+// half alone; the router folds the IND half across shards.
+func (db *DB) checkState(snap *dbSnapshot) error {
+	rows := Rows(&View{snap: snap})
 	if db.partition {
-		sc := *s
-		sc.INDs = nil
-		s = &sc
+		return snap.bind.prog.CheckRows(rows)
 	}
-	return state.Consistent(s, st)
+	return snap.bind.prog.Check(rows)
 }
 
 // installState makes snap's binding the engine's and snap its whole state,
@@ -179,22 +150,28 @@ func (db *DB) installState(snap *dbSnapshot, lsn uint64) {
 	db.m.versionLSN.Set(float64(lsn))
 }
 
-// snapshotOf builds st under binding b as an unpublished version, over b's
-// empty version zero, with one index editor for the entire state.
-func snapshotOf(b *binding, st *state.DB) *dbSnapshot {
+// snapshotOf builds st under binding b as an unpublished version (one index
+// editor for the whole state, over b's empty version zero), refusing a second
+// row under one primary key, then folds the design's constraints over it.
+func (db *DB) snapshotOf(b *binding, st *state.DB) (*dbSnapshot, error) {
 	tx := &writeTx{snap: &dbSnapshot{tables: emptyVersions(b), bind: b}}
 	out := make([]*tableVersion, len(b.ordered))
 	for _, t := range b.ordered {
 		wt := tx.stage(t)
 		if r := st.Relation(t.name); r != nil {
-			if !slices.Equal(r.Attrs(), t.hdr.Attrs()) {
-				r = r.Project(t.hdr.Attrs())
+			if !slices.Equal(r.Attrs(), t.prog.Hdr.Attrs()) {
+				r = r.Project(t.prog.Hdr.Attrs())
 			}
 			for _, tup := range r.Tuples() {
-				tx.apply(t, tup, tx.keyOf(t, tup))
+				key := tx.keyOf(t, tup)
+				if _, dup := tx.pkGet(t, key); dup {
+					return nil, fmt.Errorf("%s holds two rows under one primary key: FD violated: %s", t.name, schema.KeyDependency(t.rs))
+				}
+				tx.apply(t, tup, key)
 			}
 		}
 		out[t.ord] = wt.freeze()
 	}
-	return &dbSnapshot{tables: out, bind: b}
+	snap := &dbSnapshot{tables: out, bind: b}
+	return snap, db.checkState(snap)
 }

@@ -76,7 +76,7 @@ func (db *DB) deleteLocked(tx *writeTx, t *table, key relation.Tuple, eff *effec
 	}
 	for _, ip := range t.in {
 		db.countTrig()
-		if !tup.TotalAt(ip.rightPos) {
+		if !tup.TotalAt(ip.RightPos) {
 			continue
 		}
 		db.countIdx()
@@ -94,9 +94,9 @@ func (db *DB) deleteLocked(tx *writeTx, t *table, key relation.Tuple, eff *effec
 // authoritative on a partition engine: a referencing tuple may live in
 // another shard.
 func (db *DB) restrict(tx *writeTx, ip *indPlan, tup relation.Tuple, op string) error {
-	ref := tup.AppendKeyAt(tx.kb[:0], ip.rightPos)
+	ref := tup.AppendKeyAt(tx.kb[:0], ip.RightPos)
 	if tx.references(ip, ref) || db.probeReferencing(ip, ref) {
-		return db.violation(&ConstraintViolation{Kind: RestrictViolation, Relation: ip.right.name, Constraint: ip.text, Op: op})
+		return db.violation(&ConstraintViolation{Kind: RestrictViolation, Relation: ip.right.name, Constraint: ip.Text, Op: op})
 	}
 	return nil
 }
@@ -142,7 +142,7 @@ func (db *DB) updateLocked(tx *writeTx, t *table, key, newTup relation.Tuple, ef
 	}
 	eff.remove(tx, t, old, ks)
 	// A key-preserving update stores the new tuple under the old key string.
-	if !sameAt(old, newTup, t.pkPos) {
+	if !old.IdenticalAt(newTup, t.pkPos) {
 		ks = tx.keyOf(t, newTup)
 	}
 	if err := db.checkDeclarative(tx, t, newTup, ks); err != nil {
@@ -154,7 +154,7 @@ func (db *DB) updateLocked(tx *writeTx, t *table, key, newTup relation.Tuple, ef
 	// Referenced-side integrity for the vanishing old values.
 	for _, ip := range t.in {
 		db.countTrig()
-		if !old.TotalAt(ip.rightPos) || sameAt(old, newTup, ip.rightPos) {
+		if !old.TotalAt(ip.RightPos) || old.IdenticalAt(newTup, ip.RightPos) {
 			continue
 		}
 		db.countIdx()
@@ -165,16 +165,6 @@ func (db *DB) updateLocked(tx *writeTx, t *table, key, newTup relation.Tuple, ef
 	eff.apply(tx, t, newTup, ks)
 	db.countUpdate()
 	return nil
-}
-
-// sameAt reports whether a and b are identical at every given position.
-func sameAt(a, b relation.Tuple, positions []int) bool {
-	for _, p := range positions {
-		if !a[p].Identical(b[p]) {
-			return false
-		}
-	}
-	return true
 }
 
 // LoadCtx bulk-inserts a consistent database state, relation by relation in
@@ -201,7 +191,7 @@ func stateOf(snap *dbSnapshot) *state.DB {
 	tables := snap.bind.tables
 	out := &state.DB{Relations: make(map[string]*relation.Relation, len(tables))}
 	for name, t := range tables {
-		r := relation.New(t.hdr.Attrs()...)
+		r := relation.New(t.prog.Hdr.Attrs()...)
 		snap.tables[t.ord].pk.Range(func(_ string, tup relation.Tuple) bool {
 			r.Add(tup.Clone())
 			return true

@@ -23,11 +23,11 @@ type ShardProbes struct {
 	// referenced relation's encoded primary key (the LeftAttrs value put in
 	// that key's attribute order); otherwise it is the encoded RightAttrs
 	// value probed against the prebuilt secondary index.
-	Referenced func(ind schema.IND, key []byte) bool
+	Referenced func(c *schema.INDCheck, key []byte) bool
 	// Referencing reports whether any tuple referencing the encoded
 	// RightAttrs value refKey survives beyond this partition (the restrict
 	// probe of deletes and updates on the referenced side).
-	Referencing func(ind schema.IND, refKey []byte) bool
+	Referencing func(c *schema.INDCheck, refKey []byte) bool
 }
 
 // WithPartition marks the engine as holding one shard of a partitioned
@@ -61,7 +61,7 @@ func (db *DB) probeReferenced(ip *indPlan, key []byte) bool {
 		return true
 	}
 	db.probeKey = append(db.probeKey[:0], key...)
-	return p.Referenced(ip.ind, db.probeKey)
+	return p.Referenced(ip.INDCheck, db.probeKey)
 }
 
 // probeReferencing resolves a restrict check whose local referencing bucket
@@ -76,31 +76,20 @@ func (db *DB) probeReferencing(ip *indPlan, refKey []byte) bool {
 		return false
 	}
 	db.probeKey = append(db.probeKey[:0], refKey...)
-	return p.Referencing(ip.ind, db.probeKey)
-}
-
-// HasKey reports whether the pinned version of the relation holds a tuple
-// under the encoded primary key. Lock-free, so a shard can probe another's
-// fresh View from inside its own write.
-func (v *View) HasKey(name string, encodedKey []byte) bool {
-	t := v.snap.bind.tables[name]
-	if t == nil {
-		return false
-	}
-	_, ok := v.snap.tables[t.ord].pk.GetBytes(encodedKey)
-	return ok
+	return p.Referencing(ip.INDCheck, db.probeKey)
 }
 
 // HasReferenced reports whether the pinned version of ind.Right holds the
-// encoded RightAttrs value — the referenced-side probe for non-key-based
-// dependencies (key-based ones use HasKey with the pk-ordered encoding).
+// probed value: for a key-based dependency its encoded primary key, else the
+// encoded RightAttrs value. Lock-free, so a shard can probe another's fresh
+// View from inside its own write.
 func (v *View) HasReferenced(ind schema.IND, valKey []byte) bool {
 	ip := v.snap.bind.planOf(ind)
 	if ip == nil {
 		return false
 	}
 	tv := v.snap.tables[ip.right.ord]
-	if ip.keyBased {
+	if ip.KeyBased {
 		_, ok := tv.pk.GetBytes(valKey)
 		return ok
 	}

@@ -14,7 +14,7 @@ import (
 // primary's committed versions, stamped with the primary's LSNs.
 //
 // Shipped bytes come off the network, so a follower checks all it adopts
-// before publishing it: a snapshot whole against its design (checkState), a
+// before publishing it: a snapshot whole against its design (adopt), a
 // schema-change record by re-running it. A refused one leaves the follower on
 // its old design and rows. An op record holds effects the primary validated:
 // replayOps checks that they fit the design and leave the keys they touch
@@ -48,31 +48,24 @@ func (db *DB) IngestReplicated(recs []wal.Record) (uint64, error) {
 }
 
 // IngestSnapshot bootstraps (or fast-forwards) the follower from a shipped
-// checkpoint when the primary reports wal.ErrCompacted: decoded, bound and
-// checked against its framed design, made the log's recovery baseline at the
-// primary's LSN (wal.Log.InstallSnapshot), then published as the state.
+// checkpoint when the primary reports wal.ErrCompacted: adopted against its
+// framed design, made the log's recovery baseline at the primary's LSN
+// (wal.Log.InstallSnapshot), then published as the state.
 func (db *DB) IngestSnapshot(data []byte, lsn uint64) error {
 	if db.wal == nil {
 		return ErrNotDurable
 	}
 	db.lockWriter()
 	defer db.wmu.Unlock()
-	s, st, err := decodeSnapshot(data)
+	snap, err := db.adopt(data)
 	if err != nil {
 		return err
-	}
-	b, err := db.bindFor(s)
-	if err != nil {
-		return err
-	}
-	if err := db.checkState(b.schema, st); err != nil {
-		return fmt.Errorf("%w: shipped snapshot fails constraint re-validation: %v", ErrRecovery, err)
 	}
 	if err := db.wal.InstallSnapshot(data, lsn); err != nil {
 		return fmt.Errorf("engine: installing shipped snapshot: %w", err)
 	}
 	db.replPending = nil
-	db.installState(snapshotOf(b, st), lsn)
+	db.installState(snap, lsn)
 	return nil
 }
 

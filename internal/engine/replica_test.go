@@ -369,9 +369,17 @@ func TestRefusedWholeStateLeavesFollowerIntact(t *testing.T) {
 	fig2 := figures.Fig2(true)
 	dangling := state.New(fig2)
 	dangling.Relation("TEACH").Add(tup("c1", "s1")) // TEACH[T.CN] ⊆ OFFER[O.CN] broken
+	dupKey := state.New(fig2)
+	dupKey.Relation("OFFER").Add(tup("c1", "math"))
+	dupKey.Relation("OFFER").Add(tup("c1", "cs")) // two rows under key c1
+	dupKey.Relation("TEACH").Add(tup("c1", "f1"))
+	nulls := state.New(fig2)
+	nulls.Relation("OFFER").Add(tup("c1", nil)) // OFFER: ∅ ⊑ O.CN, O.DN broken
 	states := map[string]string{
-		"unparsable":   "insert OFFER (c1",
-		"inconsistent": sdl.PrintState(fig2, dangling),
+		"unparsable":    "insert OFFER (c1",
+		"inconsistent":  sdl.PrintState(fig2, dangling),
+		"duplicate-key": sdl.PrintState(fig2, dupKey),
+		"nulls":         sdl.PrintState(fig2, nulls),
 	}
 	ingests := map[string]func(f *DB) error{}
 	for kind, stateSDL := range states {

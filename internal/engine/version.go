@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/immap"
 	"repro/internal/relation"
+	"repro/internal/schema"
 )
 
 // This file implements the engine's MVCC read path: immutable versioned
@@ -311,6 +312,21 @@ func (v *View) Scan(name string, pred func(relation.Tuple) bool, visit func(rela
 	return v.db.scanAt(v.snap, name, pred, visit)
 }
 
+// Rows is the union of the views' pinned versions as a schema.Rows source.
+func Rows(views ...*View) schema.Rows {
+	return func(name string, yield func(relation.Tuple) bool) {
+		more := true
+		for _, v := range views {
+			if t := v.snap.bind.tables[name]; t != nil && more {
+				v.snap.tables[t.ord].pk.Range(func(_ string, tup relation.Tuple) bool {
+					more = yield(tup)
+					return more
+				})
+			}
+		}
+	}
+}
+
 // FetchWithReferences is DB.FetchWithReferences against the pinned version.
 func (v *View) FetchWithReferences(name string, key relation.Tuple) (relation.Tuple, []Related, error) {
 	return v.db.fetchAt(v.snap, name, key)
@@ -394,17 +410,17 @@ func (db *DB) fetchAt(snap *dbSnapshot, name string, key relation.Tuple) (relati
 		related = make([]Related, 0, len(t.out))
 	}
 	for _, ip := range t.out {
-		rel := Related{From: name, To: ip.right.name, FK: ip.ind.LeftAttrs}
-		if !tup.TotalAt(ip.probePos) {
+		rel := Related{From: name, To: ip.right.name, FK: ip.IND.LeftAttrs}
+		if !tup.TotalAt(ip.ProbePos) {
 			rel.IsNull = true
 			related = append(related, rel)
 			continue
 		}
 		db.countLookup()
 		db.countIdx()
-		fk := tup.AppendKeyAt(kb[:0], ip.probePos)
+		fk := tup.AppendKeyAt(kb[:0], ip.ProbePos)
 		tv := snap.tables[ip.right.ord]
-		if ip.keyBased {
+		if ip.KeyBased {
 			rel.Tuple, _ = tv.pk.GetBytes(fk)
 		} else if rows, _ := tv.sec[ip.rightSlot].GetBytes(fk); len(rows) > 0 {
 			// Any row carrying the value will do; the bucket names it by its

@@ -139,6 +139,16 @@ func (t Tuple) TotalAt(positions []int) bool {
 	return true
 }
 
+// IdenticalAt reports whether t and u are Identical at every given position.
+func (t Tuple) IdenticalAt(u Tuple, positions []int) bool {
+	for _, p := range positions {
+		if !t[p].Identical(u[p]) {
+			return false
+		}
+	}
+	return true
+}
+
 // EncodeKey returns the string encoding of the tuple, suitable as a map key.
 // All-null tuples of the same arity encode identically.
 func (t Tuple) EncodeKey() string {

@@ -19,7 +19,6 @@ func metaOf(s *schema.Schema) map[string]*relMeta {
 		meta[rs.Name] = &relMeta{
 			name:  rs.Name,
 			hdr:   hdr,
-			pk:    rs.PrimaryKey,
 			pkPos: hdr.Positions(rs.PrimaryKey),
 			arity: hdr.Arity(),
 		}
@@ -35,9 +34,9 @@ func metaOf(s *schema.Schema) map[string]*relMeta {
 // Migrate swaps every shard onto the design spec derives on the current one.
 // η is shard-local: a row is placed by its key value, which a merge's members
 // share, so each shard maps its own slice. With gmu held exclusively: (1)
-// stage every shard (engine.StageMigration: its η and its own key, FD and
-// null checks); (2) check that every staged row hashes to its shard, and
-// sweep the new design's inclusion dependencies across the staged shards;
+// stage every shard (engine.StageMigration: its η and the row half of the
+// new design's constraint program); (2) check that every staged row hashes
+// to its shard, and fold the program's IND half over the staged shards;
 // (3) commit the shards in order. A failure before the first commit leaves
 // the old design standing; after it only a log-device failure can interrupt
 // the rollout, leaving each shard to recover the design its log committed.
@@ -63,7 +62,7 @@ func (r *Router) Migrate(spec core.Spec) error {
 	if err := r.checkPlacement(meta, views); err != nil {
 		return fmt.Errorf("shard: migrate: %w", err)
 	}
-	if err := r.validateINDs(ns, meta, views); err != nil {
+	if err := checkINDs(ns, views); err != nil {
 		return fmt.Errorf("shard: migrate: mapped state fails constraint validation: %w", err)
 	}
 	for i := range staged {
@@ -86,14 +85,12 @@ func (r *Router) checkPlacement(meta map[string]*relMeta, views []*engine.View) 
 	for i, v := range views {
 		for _, m := range meta {
 			var misplaced relation.Tuple
-			err := v.Scan(m.name, nil, func(tup relation.Tuple) {
-				if misplaced == nil && r.shardOf(m.pkOf(kb[:0], tup)) != i {
+			engine.Rows(v)(m.name, func(tup relation.Tuple) bool {
+				if r.shardOf(m.pkOf(kb[:0], tup)) != i {
 					misplaced = tup
 				}
+				return misplaced == nil
 			})
-			if err != nil {
-				return err
-			}
 			if misplaced != nil {
 				return fmt.Errorf("%s tuple %v was mapped on shard %d, which its key does not hash to", m.name, misplaced, i)
 			}

@@ -57,8 +57,8 @@ func (o *overlay) addDel(rel, pk string) {
 // only after missing in its local staged view, which is authoritative for
 // rows the shard owns — answering from the shard's published version would
 // resurrect rows a staged sub-batch already deleted.
-func (r *Router) probeReferenced(self int, ind schema.IND, key []byte) bool {
-	if !r.meta[ind.Right].isPK(ind.RightAttrs) {
+func (r *Router) probeReferenced(self int, c *schema.INDCheck, key []byte) bool {
+	if !c.KeyBased {
 		// Value-based: ask each sibling's referenced-side index directly.
 		// The pending overlay is keyed by primary key, not by referenced
 		// value, so it cannot answer here; cross-shard batches are therefore
@@ -68,18 +68,18 @@ func (r *Router) probeReferenced(self int, ind schema.IND, key []byte) bool {
 				continue
 			}
 			r.m.remoteProbes.Inc()
-			if db.View().HasReferenced(ind, key) {
+			if db.View().HasReferenced(c.IND, key) {
 				return true
 			}
 		}
 		return false
 	}
 	if p := r.pending; p != nil {
-		if _, ok := p.ins[ind.Right][string(key)]; ok {
+		if _, ok := p.ins[c.IND.Right][string(key)]; ok {
 			r.m.overlayHits.Inc()
 			return true
 		}
-		if p.del[ind.Right][string(key)] {
+		if p.del[c.IND.Right][string(key)] {
 			r.m.overlayHits.Inc()
 			return false
 		}
@@ -91,7 +91,7 @@ func (r *Router) probeReferenced(self int, ind schema.IND, key []byte) bool {
 		return false
 	}
 	r.m.remoteProbes.Inc()
-	return r.shards[owner].View().HasKey(ind.Right, key)
+	return r.shards[owner].View().HasReferenced(c.IND, key)
 }
 
 // probeReferencing answers the referenced side's restrict question: after
@@ -106,21 +106,17 @@ func (r *Router) probeReferenced(self int, ind schema.IND, key []byte) bool {
 // key-moving update is decomposed into delete+insert across shards. If the
 // batch inserts a referencing row with the value, the delete must restrict
 // even though no shard has published that row yet.
-func (r *Router) probeReferencing(self int, ind schema.IND, refKey []byte) bool {
+func (r *Router) probeReferencing(self int, c *schema.INDCheck, refKey []byte) bool {
 	if p := r.pending; p != nil {
 		var kb [64]byte
-		rm := r.meta[ind.Right]
-		rightPos := rm.hdr.Positions(ind.RightAttrs)
-		for _, tup := range p.ins[ind.Right] {
-			if len(tup) == rm.arity && bytes.Equal(tup.AppendKeyAt(kb[:0], rightPos), refKey) {
+		for _, tup := range p.ins[c.IND.Right] {
+			if len(tup) == r.meta[c.IND.Right].arity && bytes.Equal(tup.AppendKeyAt(kb[:0], c.RightPos), refKey) {
 				r.m.overlayHits.Inc()
 				return false
 			}
 		}
-		lm := r.meta[ind.Left]
-		leftPos := lm.hdr.Positions(ind.LeftAttrs)
-		for _, tup := range p.ins[ind.Left] {
-			if len(tup) == lm.arity && tup.TotalAt(leftPos) && bytes.Equal(tup.AppendKeyAt(kb[:0], leftPos), refKey) {
+		for _, tup := range p.ins[c.IND.Left] {
+			if len(tup) == r.meta[c.IND.Left].arity && tup.TotalAt(c.LeftPos) && bytes.Equal(tup.AppendKeyAt(kb[:0], c.LeftPos), refKey) {
 				r.m.overlayHits.Inc()
 				return true
 			}
@@ -131,8 +127,8 @@ func (r *Router) probeReferencing(self int, ind schema.IND, refKey []byte) bool 
 			continue
 		}
 		r.m.remoteProbes.Inc()
-		for _, k := range db.ReferencingKeys(ind, refKey) {
-			if r.pending == nil || !r.pending.del[ind.Left][k] {
+		for _, k := range db.ReferencingKeys(c.IND, refKey) {
+			if r.pending == nil || !r.pending.del[c.IND.Left][k] {
 				return true
 			}
 		}

@@ -43,7 +43,6 @@ package shard
 import (
 	"fmt"
 	"path/filepath"
-	"slices"
 	"sync"
 
 	"repro/internal/engine"
@@ -85,7 +84,6 @@ type Config struct {
 type relMeta struct {
 	name  string
 	hdr   *relation.Relation
-	pk    []string
 	pkPos []int
 	arity int
 	// referenced marks the right side of some inclusion dependency: deleting
@@ -98,22 +96,6 @@ type relMeta struct {
 // buffer, so placing a tuple allocates nothing.
 func (m *relMeta) pkOf(buf []byte, tup relation.Tuple) []byte {
 	return tup.AppendKeyAt(buf, m.pkPos)
-}
-
-// isPK reports whether attrs are the relation's primary key attributes in
-// some order: schema.IND.KeyBased for a dependency referencing this
-// relation (whose right side the engine refuses to hold duplicates), without
-// its allocations.
-func (m *relMeta) isPK(attrs []string) bool {
-	if len(attrs) != len(m.pk) {
-		return false
-	}
-	for _, a := range m.pk {
-		if !slices.Contains(attrs, a) {
-			return false
-		}
-	}
-	return true
 }
 
 // Router fronts the shard engines behind a single Session-shaped API.
@@ -195,11 +177,11 @@ func Open(s *schema.Schema, cfg Config) (*Router, error) {
 	for i, db := range r.shards {
 		self := i
 		db.SetShardProbes(engine.ShardProbes{
-			Referenced: func(ind schema.IND, key []byte) bool {
-				return r.probeReferenced(self, ind, key)
+			Referenced: func(c *schema.INDCheck, key []byte) bool {
+				return r.probeReferenced(self, c, key)
 			},
-			Referencing: func(ind schema.IND, refKey []byte) bool {
-				return r.probeReferencing(self, ind, refKey)
+			Referencing: func(c *schema.INDCheck, refKey []byte) bool {
+				return r.probeReferencing(self, c, refKey)
 			},
 		})
 	}
@@ -211,19 +193,15 @@ func Open(s *schema.Schema, cfg Config) (*Router, error) {
 		first := sdl.PrintSchema(r.shards[0].Schema)
 		for i, db := range r.shards[1:] {
 			if got := sdl.PrintSchema(db.Schema); got != first {
-				for _, db := range r.shards {
-					db.Close()
-				}
+				r.Close()
 				return nil, fmt.Errorf("%w: shards recovered mixed designs (shard 0 and shard %d disagree); a migration was interrupted mid-rollout", engine.ErrRecovery, i+1)
 			}
 		}
 		if first != sdl.PrintSchema(s) {
 			r.schema, r.meta = r.shards[0].Schema, metaOf(r.shards[0].Schema)
 		}
-		if err := r.validateINDs(r.schema, r.meta, r.View().views); err != nil {
-			for _, db := range r.shards {
-				db.Close()
-			}
+		if err := checkINDs(r.schema, r.View().views); err != nil {
+			r.Close()
 			return nil, fmt.Errorf("%w: recovered %v", engine.ErrRecovery, err)
 		}
 	}
@@ -276,60 +254,12 @@ func (r *Router) unlockWrite(excl bool) {
 	}
 }
 
-// validateINDs sweeps every inclusion dependency of design s (metadata meta)
-// across views, one per shard, which no shard can check alone: over the
-// recovered versions at Open, and over the staged ones by Migrate.
-func (r *Router) validateINDs(s *schema.Schema, meta map[string]*relMeta, views []*engine.View) error {
-	for _, ind := range s.INDs {
-		leftPos := meta[ind.Left].hdr.Positions(ind.LeftAttrs)
-		keyBased := ind.KeyBased(s)
-		for _, v := range views {
-			var dangling relation.Tuple
-			err := v.Scan(ind.Left, nil, func(tup relation.Tuple) {
-				if dangling != nil {
-					return
-				}
-				fk := tup.Project(leftPos)
-				if !fk.IsTotal() {
-					return
-				}
-				if keyBased {
-					key := orderAsRightKey(s, ind, fk)
-					if !views[r.shardOf(key)].HasKey(ind.Right, key) {
-						dangling = tup
-					}
-					return
-				}
-				for _, peer := range views {
-					if peer.HasReferenced(ind, fk.AppendKey(nil)) {
-						return
-					}
-				}
-				dangling = tup
-			})
-			if err != nil {
-				return err
-			}
-			if dangling != nil {
-				return fmt.Errorf("shards violate %s (dangling %s tuple %v)", ind, ind.Left, dangling)
-			}
-		}
+// checkINDs folds the IND half of design s's program, which no shard can
+// check alone, over the union of views: recovered at Open, staged by Migrate.
+func checkINDs(s *schema.Schema, views []*engine.View) error {
+	p, err := schema.Compile(s)
+	if err != nil {
+		return err
 	}
-	return nil
-}
-
-// orderAsRightKey encodes a LeftAttrs projection in the referenced
-// relation's primary-key attribute order (the shard-routing and pk-probe
-// encoding), mirroring the engine's orderAsKey.
-func orderAsRightKey(s *schema.Schema, ind schema.IND, fk relation.Tuple) []byte {
-	rs := s.Scheme(ind.Right)
-	ordered := make(relation.Tuple, len(rs.PrimaryKey))
-	for i, ka := range rs.PrimaryKey {
-		for j, ra := range ind.RightAttrs {
-			if ra == ka {
-				ordered[i] = fk[j]
-			}
-		}
-	}
-	return ordered.AppendKey(nil)
+	return p.CheckINDs(engine.Rows(views...))
 }

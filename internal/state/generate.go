@@ -61,11 +61,12 @@ func Generate(s *schema.Schema, rng *rand.Rand, opts GenOptions) (*DB, error) {
 		return vs
 	}
 
+	prog, err := schema.Compile(s)
+	if err != nil {
+		return nil, err
+	}
 	for _, name := range order {
-		rs := s.Scheme(name)
-		if err := populate(s, rs, db, rng, opts, pool); err != nil {
-			return nil, err
-		}
+		populate(prog, s.Scheme(name), db, rng, opts, pool)
 	}
 	if err := Consistent(s, db); err != nil {
 		return nil, fmt.Errorf("state: generator produced inconsistent state: %w", err)
@@ -83,117 +84,77 @@ func MustGenerate(s *schema.Schema, rng *rand.Rand, opts GenOptions) *DB {
 	return db
 }
 
-func populate(s *schema.Schema, rs *schema.RelationScheme, db *DB, rng *rand.Rand, opts GenOptions, pool func(string) []relation.Value) error {
+// populate draws rows for rs, keeping each with a new primary key that passes
+// the program's per-tuple check. IND targets load before rs and do not change
+// while it is populated, so their total projections are taken once.
+func populate(prog *schema.Program, rs *schema.RelationScheme, db *DB, rng *rand.Rand, opts GenOptions, pool func(string) []relation.Value) {
 	r := db.Relation(rs.Name)
-	attrs := rs.AttrNames()
-	nna := s.NNAAttrs(rs.Name)
-
-	// Attribute -> IND binding: the attribute participates at position p of
-	// an IND into an earlier scheme. Whole-IND bindings are sampled together
-	// to respect multi-attribute foreign keys.
+	check := prog.Rel(rs.Name)
+	keyPos := check.Hdr.Positions(rs.PrimaryKey)
+	// never: positions no row may leave null (key, NNA); bound: IND-filled.
+	never, bound := make([]bool, len(rs.Attrs)), make([]bool, len(rs.Attrs))
+	for _, ps := range [][]int{keyPos, check.NNA} {
+		for _, p := range ps {
+			never[p] = true
+		}
+	}
+	// Whole-IND bindings into earlier schemes, sampled together to respect
+	// multi-attribute foreign keys: left positions, π↓ of the right side.
 	type binding struct {
-		ind    schema.IND
-		target *relation.Relation
+		pos  []int
+		proj []relation.Tuple
 	}
 	var bindings []binding
-	bound := make(map[string]bool)
-	for _, ind := range s.INDsFrom(rs.Name) {
-		if ind.Right == rs.Name {
+	for _, c := range prog.INDs {
+		if c.IND.Left != rs.Name || c.IND.Right == rs.Name {
 			continue // self-reference: nulls or skip below
 		}
-		target := db.Relation(ind.Right)
-		if target == nil {
-			return fmt.Errorf("state: IND target %s not yet populated", ind.Right)
-		}
-		bindings = append(bindings, binding{ind: ind, target: target})
-		for _, a := range ind.LeftAttrs {
-			bound[a] = true
+		bindings = append(bindings, binding{c.LeftPos, db.Relation(c.IND.Right).TotalProject(c.IND.RightAttrs).Tuples()})
+		for _, p := range c.LeftPos {
+			bound[p] = true
 		}
 	}
-
-	keySet := make(map[string]bool, len(rs.PrimaryKey))
-	for _, k := range rs.PrimaryKey {
-		keySet[k] = true
-	}
-
+	keys := make(map[string]bool)
 	rows := opts.rowsFor(rs.Name)
-	tries := rows * 20
-	for r.Len() < rows && tries > 0 {
-		tries--
-		t := make(relation.Tuple, len(attrs))
-		ok := true
+	for tries := rows * 20; r.Len() < rows && tries > 0; tries-- {
+		t := make(relation.Tuple, len(rs.Attrs))
 		// First satisfy IND bindings by sampling target key tuples.
 		for _, b := range bindings {
-			proj := b.target.TotalProject(b.ind.RightAttrs)
-			if proj.Len() == 0 {
-				// No parent values: attributes must be null, which requires
-				// them nullable and outside the primary key.
-				for _, a := range b.ind.LeftAttrs {
-					if nna[a] || keySet[a] {
-						ok = false
-						break
-					}
-					t[indexOf(attrs, a)] = relation.Null()
-				}
-				if !ok {
-					break
+			if len(b.proj) > 0 {
+				sample := b.proj[rng.Intn(len(b.proj))]
+				for i, p := range b.pos {
+					t[p] = sample[i]
 				}
 				continue
 			}
-			sample := proj.Tuples()[rng.Intn(proj.Len())]
-			for i, a := range b.ind.LeftAttrs {
-				t[indexOf(attrs, a)] = sample[i]
+			// No parent values: the attributes must be null, which requires
+			// them nullable and outside the primary key.
+			for _, p := range b.pos {
+				if never[p] {
+					return // unsatisfiable while the parent is empty
+				}
+				t[p] = relation.Null()
 			}
-		}
-		if !ok {
-			break // unsatisfiable now; likely parent empty
 		}
 		// Fill unbound attributes.
-		for i, a := range attrs {
-			if bound[a] {
+		for i, a := range rs.Attrs {
+			if bound[i] {
 				continue
 			}
-			vs := pool(rs.Domain(a))
-			if !keySet[a] && !nna[a] && rng.Float64() < opts.NullProb {
+			vs := pool(a.Domain)
+			if !never[i] && rng.Float64() < opts.NullProb {
 				t[i] = relation.Null()
 			} else {
 				t[i] = vs[rng.Intn(len(vs))]
 			}
 		}
-		// Enforce key uniqueness (Identical semantics).
-		keyPos := r.Positions(rs.PrimaryKey)
-		keyVal := t.Project(keyPos)
-		dup := false
-		for _, existing := range r.Tuples() {
-			if existing.Project(keyPos).Identical(keyVal) {
-				dup = true
-				break
-			}
-		}
-		if dup {
+		// Key uniqueness (nulls identical, by the key encoding), then the
+		// null constraints of the scheme on the candidate alone.
+		key := string(t.AppendKeyAt(nil, keyPos))
+		if keys[key] || check.Broken(t) != "" {
 			continue
 		}
-		// Rejection step for any general null constraint of this scheme.
+		keys[key] = true
 		r.Add(t)
-		bad := false
-		for _, nc := range s.NullsOf(rs.Name) {
-			if !nc.Satisfied(r) {
-				bad = true
-				break
-			}
-		}
-		if bad {
-			r.Remove(t)
-		}
 	}
-	return nil
-}
-
-func indexOf(attrs []string, a string) int {
-	for i, x := range attrs {
-		if x == a {
-			return i
-		}
-	}
-	panic("state: attribute not in scheme: " + a)
 }

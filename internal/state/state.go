@@ -118,9 +118,10 @@ func (db *DB) String() string {
 
 // Consistent reports whether the state satisfies every dependency and
 // constraint of the schema, returning a descriptive error for the first
-// violation found (nil if consistent). Checks run in a fixed order: scheme
-// presence, FDs, INDs, null constraints.
+// violation found (nil if consistent): a missing scheme or attribute, else
+// the first the schema's compiled program finds (schema.Program.Check).
 func Consistent(s *schema.Schema, db *DB) error {
+	rels := make(map[string]*relation.Relation, len(s.Relations))
 	for _, rs := range s.Relations {
 		r := db.Relation(rs.Name)
 		if r == nil {
@@ -131,21 +132,23 @@ func Consistent(s *schema.Schema, db *DB) error {
 				return fmt.Errorf("state: relation %s lacks attribute %s", rs.Name, a)
 			}
 		}
-	}
-	for _, fd := range s.FDs {
-		if !fd.Satisfied(db.Relation(fd.Scheme)) {
-			return fmt.Errorf("state: FD violated: %s", fd)
+		if want := rs.AttrNames(); !slices.Equal(r.Attrs(), want) {
+			r = r.Project(want)
 		}
+		rels[rs.Name] = r
 	}
-	for _, ind := range s.INDs {
-		if !ind.Satisfied(db.Relation(ind.Left), db.Relation(ind.Right)) {
-			return fmt.Errorf("state: IND violated: %s", ind)
-		}
+	p, err := schema.Compile(s)
+	if err == nil {
+		err = p.Check(func(name string, yield func(relation.Tuple) bool) {
+			for _, t := range rels[name].Tuples() {
+				if !yield(t) {
+					return
+				}
+			}
+		})
 	}
-	for _, nc := range s.Nulls {
-		if !nc.Satisfied(db.Relation(nc.SchemeName())) {
-			return fmt.Errorf("state: null constraint violated: %s", nc)
-		}
+	if err != nil {
+		return fmt.Errorf("state: %w", err)
 	}
 	return nil
 }
