@@ -3,6 +3,7 @@ package engine_test
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/engine"
@@ -81,7 +82,7 @@ func TestAllocBudget(t *testing.T) {
 		next += ops
 	})
 
-	const getBudget, insertBudget = 64, 1270 // 1 and 19.8 per operation
+	const getBudget, insertBudget = 64, 1142 // 1 and 17.8 per operation (19.8 with a list of rows per indexed value)
 	if gets > getBudget {
 		t.Errorf("%d GetByKeyCtx allocate %.0f, budget %d", ops, gets, getBudget)
 	}
@@ -95,7 +96,10 @@ func TestAllocBudget(t *testing.T) {
 // rows, 64 fixed operations of each kind: an insert at full chain depth
 // (procedural null-existence checks, six foreign-key probes, seven index
 // edits, one publish), and an update that keeps the key and cuts the chain to
-// depth 3 (every index edited on the way out, four again on the way in).
+// depth 3 (every index edited on the way out, four again on the way in). Each
+// kind also has a ceiling in bytes: a secondary-index edit changes a count,
+// and an edit that copied a list of rows would blow it long before the
+// allocation count moved much.
 func TestAllocBudgetMergedChain(t *testing.T) {
 	const ops, runs = 64, 4
 	c, ctx := openMergedChain(t, 4096, 32), context.Background()
@@ -106,7 +110,7 @@ func TestAllocBudgetMergedChain(t *testing.T) {
 		cut[i] = append(rows[i][:4:4], make(relation.Tuple, chainN-3)...)
 	}
 	next := 0
-	inserts := testing.AllocsPerRun(runs, func() {
+	inserts, insertBytes := allocsAndBytes(runs, func() {
 		for _, row := range rows[next : next+ops] {
 			if err := c.db.InsertCtx(ctx, "MERGED", row); err != nil {
 				t.Fatal(err)
@@ -115,7 +119,7 @@ func TestAllocBudgetMergedChain(t *testing.T) {
 		next += ops
 	})
 	next = 0
-	updates := testing.AllocsPerRun(runs, func() {
+	updates, updateBytes := allocsAndBytes(runs, func() {
 		for _, row := range cut[next : next+ops] {
 			if err := c.db.UpdateCtx(ctx, "MERGED", row[:1], row); err != nil {
 				t.Fatal(err)
@@ -123,11 +127,34 @@ func TestAllocBudgetMergedChain(t *testing.T) {
 		}
 		next += ops
 	})
-	const insertBudget, updateBudget = 2977, 3477 // 46.5 and 54.3 per operation (183.8 and 219.3 before the write plan)
+	// 34.5 and 36.3 per operation (46.5 and 54.3 with a list of rows per
+	// indexed value, 183.8 and 219.3 before the write plan).
+	const insertBudget, updateBudget = 2209, 2325
+	// 3 950 and 4 190 B per operation, 1 % above what they allocate (12 112
+	// and 17 810 B with a list of rows per indexed value: 128 rows carry each
+	// chain value here).
+	const insertByteBudget, updateByteBudget = 64 * 3950, 64 * 4190
 	if inserts > insertBudget {
 		t.Errorf("%d InsertCtx allocate %.0f, budget %d", ops, inserts, insertBudget)
 	}
 	if updates > updateBudget {
 		t.Errorf("%d UpdateCtx allocate %.0f, budget %d", ops, updates, updateBudget)
 	}
+	if insertBytes > insertByteBudget {
+		t.Errorf("%d InsertCtx allocate %.0f B, budget %d B", ops, insertBytes, insertByteBudget)
+	}
+	if updateBytes > updateByteBudget {
+		t.Errorf("%d UpdateCtx allocate %.0f B, budget %d B", ops, updateBytes, updateByteBudget)
+	}
+}
+
+// allocsAndBytes is testing.AllocsPerRun that also returns the bytes an
+// average call allocates (the runtime's TotalAlloc over every call, the
+// warm-up call included).
+func allocsAndBytes(runs int, f func()) (allocs, bytes float64) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs = testing.AllocsPerRun(runs, f)
+	runtime.ReadMemStats(&after)
+	return allocs, float64(after.TotalAlloc-before.TotalAlloc) / float64(runs+1)
 }

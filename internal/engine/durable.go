@@ -303,7 +303,7 @@ func (db *DB) replayOps(ops []walOp, lsn uint64, info *RecoveryInfo) error {
 				continue
 			}
 			fk := now.AppendKeyAt(tx.kb[:0], ip.ProbePos)
-			if ip.KeyBased && !tx.pkHas(ip.right, fk) || !ip.KeyBased && len(tx.bucket(ip.right, ip.rightSlot, fk)) == 0 {
+			if ip.KeyBased && !tx.pkHas(ip.right, fk) || !ip.KeyBased && !tx.carries(ip.right, ip.rightSlot, fk) {
 				return broken(ip.Text)
 			}
 		}
@@ -312,7 +312,7 @@ func (db *DB) replayOps(ops []walOp, lsn uint64, info *RecoveryInfo) error {
 				continue
 			}
 			ref := was.AppendKeyAt(tx.kb[:0], ip.RightPos)
-			if (ip.KeyBased || len(tx.bucket(t, ip.rightSlot, ref)) == 0) && tx.references(ip, ref) {
+			if (ip.KeyBased || !tx.carries(t, ip.rightSlot, ref)) && tx.references(ip, ref) {
 				return broken(ip.Text)
 			}
 		}

@@ -273,9 +273,9 @@ func (db *DB) lockWriterCtx(ctx context.Context) error {
 func emptyVersions(b *binding) []*tableVersion {
 	tables := make([]*tableVersion, len(b.ordered))
 	for i, t := range b.ordered {
-		tv := &tableVersion{pk: immap.New[relation.Tuple](), sec: make([]*immap.Map[[]string], len(t.sec))}
+		tv := &tableVersion{pk: immap.New[relation.Tuple](), sec: make([]*immap.Map[uint32], len(t.sec))}
 		for slot := range tv.sec {
-			tv.sec[slot] = immap.New[[]string]()
+			tv.sec[slot] = immap.New[uint32]()
 		}
 		tables[i] = tv
 	}
@@ -438,7 +438,7 @@ func (db *DB) fireInsertTriggers(tx *writeTx, t *table, tup relation.Tuple) erro
 		}
 		db.countIdx()
 		fk := tup.AppendKeyAt(tx.kb[:0], ip.ProbePos)
-		if len(tx.bucket(ip.right, ip.rightSlot, fk)) > 0 {
+		if tx.carries(ip.right, ip.rightSlot, fk) {
 			continue
 		}
 		if err := db.referencedElsewhere(ip, fk, t.name); err != nil {

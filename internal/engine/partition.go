@@ -1,6 +1,10 @@
 package engine
 
-import "repro/internal/schema"
+import (
+	"bytes"
+
+	"repro/internal/schema"
+)
 
 // This file is the engine's side of horizontal partitioning (internal/shard).
 // A partitioned engine holds one hash-slice of every relation, so a local
@@ -93,29 +97,39 @@ func (v *View) HasReferenced(ind schema.IND, valKey []byte) bool {
 		_, ok := tv.pk.GetBytes(valKey)
 		return ok
 	}
-	rows, _ := tv.sec[ip.rightSlot].GetBytes(valKey)
-	return len(rows) > 0
+	n, _ := tv.sec[ip.rightSlot].GetBytes(valKey)
+	return n > 0
 }
 
-// ReferencingKeys returns the encoded primary keys of every tuple in the
-// current published version of ind.Left whose LeftAttrs projection equals
-// refKey. The router filters them against a cross-shard batch's pending
-// deletes before calling a reference "surviving". The result is the index's
-// own bucket: read it, do not change it. Lock-free.
-func (db *DB) ReferencingKeys(ind schema.IND, refKey []byte) []string {
+// Referencing returns how many tuples of ind.Left in the current published
+// version carry the encoded LeftAttrs value refKey and are not in gone, a
+// set of encoded primary keys of ind.Left (a cross-shard batch's pending
+// deletes; nil for none). It reads one index count and then each key of
+// gone, never the referencing rows themselves: the cost is that of the
+// batch, not of how many rows share the value. Lock-free.
+func (db *DB) Referencing(ind schema.IND, refKey []byte, gone map[string]bool) int {
 	snap := db.current.Load()
 	ip := snap.bind.planOf(ind)
 	if ip == nil {
-		return nil
+		return 0
 	}
 	v := snap.tables[ip.left.ord]
 	if ip.leftSlot == pkSlot {
 		// LeftAttrs is the primary key: refKey names the one candidate row.
-		if _, ok := v.pk.GetBytes(refKey); ok {
-			return []string{string(refKey)}
+		if _, ok := v.pk.GetBytes(refKey); !ok || gone[string(refKey)] {
+			return 0
 		}
-		return nil
+		return 1
 	}
-	rows, _ := v.sec[ip.leftSlot].GetBytes(refKey)
-	return rows
+	n, _ := v.sec[ip.leftSlot].GetBytes(refKey)
+	if n == 0 {
+		return 0
+	}
+	var kb [64]byte
+	for k := range gone {
+		if tup, ok := v.pk.Get(k); ok && tup.TotalAt(ip.LeftPos) && bytes.Equal(tup.AppendKeyAt(kb[:0], ip.LeftPos), refKey) {
+			n--
+		}
+	}
+	return int(n)
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/immap"
@@ -33,15 +34,13 @@ import (
 
 // tableVersion is one immutable published version of a table's indexes.
 // The pk map is keyed by the encoded primary-key value. Each secondary map
-// (one per slot of table.sec) maps an encoded attribute value to the bucket
-// of rows holding it, a row being the very key string the pk map stores it
-// under: 16 bytes a row, and a reader resolves it with one more pk lookup.
-// Buckets are flat slices copied on every change, not nested persistent
-// sets: nearly all of them hold one row, and a map header and node per
-// bucket would cost more memory than the copies of the few long ones save.
+// (one per slot of table.sec) maps an encoded attribute value to the number
+// of rows carrying it, never zero: every probe of a secondary index asks
+// only whether some row carries the value, so a write changes one counter
+// and copies no list of rows.
 type tableVersion struct {
 	pk  *immap.Map[relation.Tuple]
-	sec []*immap.Map[[]string]
+	sec []*immap.Map[uint32]
 }
 
 // dbSnapshot is one immutable, cross-table-consistent version of the whole
@@ -86,7 +85,7 @@ type workTable struct {
 	t    *table
 	base *tableVersion
 	pk   *immap.Editor[relation.Tuple]
-	sec  []*immap.Editor[[]string] // by slot; nil until written
+	sec  []*immap.Editor[uint32] // by slot; nil until written
 }
 
 // beginWrite pins the current snapshot as the base of a new write
@@ -114,7 +113,7 @@ func (tx *writeTx) stage(t *table) *workTable {
 	}
 	wt := &workTable{t: t, base: tx.snap.tables[t.ord]}
 	if len(t.sec) > 0 {
-		wt.sec = make([]*immap.Editor[[]string], len(t.sec))
+		wt.sec = make([]*immap.Editor[uint32], len(t.sec))
 	}
 	tx.work = append(tx.work, wt)
 	return wt
@@ -127,7 +126,7 @@ func (wt *workTable) pkEditor() *immap.Editor[relation.Tuple] {
 	return wt.pk
 }
 
-func (wt *workTable) secEditor(slot int) *immap.Editor[[]string] {
+func (wt *workTable) secEditor(slot int) *immap.Editor[uint32] {
 	if wt.sec[slot] == nil {
 		wt.sec[slot] = wt.base.sec[slot].Edit()
 	}
@@ -147,7 +146,7 @@ func (wt *workTable) freeze() *tableVersion {
 			continue
 		}
 		if shared {
-			tv.sec, shared = append([]*immap.Map[[]string](nil), wt.base.sec...), false
+			tv.sec, shared = append([]*immap.Map[uint32](nil), wt.base.sec...), false
 		}
 		tv.sec[slot] = ed.Freeze()
 	}
@@ -179,15 +178,16 @@ func (tx *writeTx) pkHas(t *table, key []byte) bool {
 	return ok
 }
 
-// bucket reads one secondary-index bucket of t (staged or pinned, like pkGet).
-func (tx *writeTx) bucket(t *table, slot int, key []byte) []string {
-	var b []string
+// carries reports whether any row of t carries the encoded value key in
+// secondary index slot (staged or pinned, like pkGet).
+func (tx *writeTx) carries(t *table, slot int, key []byte) bool {
+	var n uint32
 	if wt := tx.staged(t); wt != nil && wt.sec[slot] != nil {
-		b, _ = wt.sec[slot].GetBytes(key)
+		n, _ = wt.sec[slot].GetBytes(key)
 	} else {
-		b, _ = tx.snap.tables[t.ord].sec[slot].GetBytes(key)
+		n, _ = tx.snap.tables[t.ord].sec[slot].GetBytes(key)
 	}
-	return b
+	return n > 0
 }
 
 // references reports whether any staged-or-pinned tuple of ip.left carries
@@ -197,7 +197,7 @@ func (tx *writeTx) references(ip *indPlan, key []byte) bool {
 	if ip.leftSlot == pkSlot {
 		return tx.pkHas(ip.left, key)
 	}
-	return len(tx.bucket(ip.left, ip.leftSlot, key)) > 0
+	return tx.carries(ip.left, ip.leftSlot, key)
 }
 
 // apply stages one tuple insertion into t under its encoded primary key: the
@@ -212,17 +212,17 @@ func (tx *writeTx) apply(t *table, tup relation.Tuple, key string) {
 		}
 		ek := tup.AppendKeyAt(tx.kb[:0], ps)
 		idx := wt.secEditor(slot)
-		old, _ := idx.GetBytes(ek)
-		bucket := make([]string, len(old)+1)
-		copy(bucket, old)
-		bucket[len(old)] = key
-		idx.Set(string(ek), bucket)
+		if k, n, ok := idx.Lookup(ek); ok {
+			idx.Set(k, n+1)
+		} else {
+			idx.Set(string(ek), 1)
+		}
 	}
 }
 
-// remove stages the removal of the tuple stored under key from t. Emptied
-// secondary buckets are deleted outright, so delete/insert churn over fresh
-// keys never grows an index by retired empty buckets.
+// remove stages the removal of the tuple stored under key from t. A count
+// that drops to zero is deleted outright, so delete/insert churn over fresh
+// values never grows an index by retired entries.
 func (tx *writeTx) remove(t *table, tup relation.Tuple, key string) {
 	wt := tx.stage(t)
 	wt.pkEditor().Delete(key)
@@ -230,24 +230,12 @@ func (tx *writeTx) remove(t *table, tup relation.Tuple, key string) {
 		if !tup.TotalAt(ps) {
 			continue
 		}
-		ek := tup.AppendKeyAt(tx.kb[:0], ps)
 		idx := wt.secEditor(slot)
-		old, _ := idx.GetBytes(ek)
-		at := -1
-		for i, row := range old {
-			if row == key {
-				at = i
-				break
-			}
-		}
-		switch {
-		case at < 0:
-		case len(old) == 1:
-			idx.Delete(string(ek))
-		default:
-			bucket := make([]string, 0, len(old)-1)
-			bucket = append(append(bucket, old[:at]...), old[at+1:]...)
-			idx.Set(string(ek), bucket)
+		switch k, n, _ := idx.Lookup(tup.AppendKeyAt(tx.kb[:0], ps)); {
+		case n > 1:
+			idx.Set(k, n-1)
+		case n == 1:
+			idx.Delete(k)
 		}
 	}
 }
@@ -385,6 +373,23 @@ func (db *DB) scanAt(snap *dbSnapshot, name string, pred func(relation.Tuple) bo
 	return nil
 }
 
+// firstCarrying returns the first row of pk, in range order, whose
+// projection onto pos encodes to val. It is the fetch hop of a
+// non-key-based dependency, whose index counts the rows carrying a value
+// and does not name them; no workload takes that hop.
+func firstCarrying(pk *immap.Map[relation.Tuple], pos []int, val []byte) relation.Tuple {
+	var kb [64]byte
+	var found relation.Tuple
+	pk.Range(func(_ string, tup relation.Tuple) bool {
+		if tup.TotalAt(pos) && bytes.Equal(tup.AppendKeyAt(kb[:0], pos), val) {
+			found = tup
+			return false
+		}
+		return true
+	})
+	return found
+}
+
 // fetchAt runs the FK chase of FetchWithReferences against one pinned
 // snapshot: the root lookup and every dependency hop read the same version,
 // so the result can never mix tuples from different batches.
@@ -422,10 +427,8 @@ func (db *DB) fetchAt(snap *dbSnapshot, name string, key relation.Tuple) (relati
 		tv := snap.tables[ip.right.ord]
 		if ip.KeyBased {
 			rel.Tuple, _ = tv.pk.GetBytes(fk)
-		} else if rows, _ := tv.sec[ip.rightSlot].GetBytes(fk); len(rows) > 0 {
-			// Any row carrying the value will do; the bucket names it by its
-			// primary key.
-			rel.Tuple, _ = tv.pk.Get(rows[0])
+		} else if n, _ := tv.sec[ip.rightSlot].GetBytes(fk); n > 0 {
+			rel.Tuple = firstCarrying(tv.pk, ip.RightPos, fk)
 		}
 		if rel.Tuple != nil {
 			ip.edge.hits.Add(1)

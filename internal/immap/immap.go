@@ -204,6 +204,17 @@ func (e *Editor[V]) Get(key string) (V, bool) { return e.m.Get(key) }
 // GetBytes reads the version under construction (see Map.GetBytes).
 func (e *Editor[V]) GetBytes(key []byte) (V, bool) { return e.m.GetBytes(key) }
 
+// Lookup is GetBytes that also returns the key string the map stores the
+// binding under, so a caller rebinding a present key hands Set that string
+// instead of building a new one from its bytes.
+func (e *Editor[V]) Lookup(key []byte) (string, V, bool) {
+	if en := find(&e.m.root, hashKey(key), key); en != nil {
+		return en.key, en.val, true
+	}
+	var zero V
+	return "", zero, false
+}
+
 // Set binds key to val in the version under construction.
 func (e *Editor[V]) Set(key string, val V) {
 	e.live()

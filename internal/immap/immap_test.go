@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 func TestBasic(t *testing.T) {
@@ -136,6 +137,45 @@ func TestCollisions(t *testing.T) {
 	}
 	if m.Delete("absent") != m {
 		t.Fatal("absent collision delete should return the receiver")
+	}
+}
+
+// TestEditorLookup: Lookup finds a present key — in a trie slot and in a
+// full-hash collision bucket — and returns the very string the map stores,
+// not a copy of the probe bytes; an absent key, colliding or not, is absent.
+func TestEditorLookup(t *testing.T) {
+	defer func() { hashMask = ^uint64(0) }()
+	for _, mask := range []uint64{^uint64(0), 0} {
+		hashMask = mask
+		stored := make([]string, 8)
+		m := New[uint32]()
+		for i := range stored {
+			stored[i] = fmt.Sprintf("k%d", i)
+			m = m.Set(stored[i], uint32(i+1))
+		}
+		ed := m.Edit()
+		for i, want := range stored {
+			k, n, ok := ed.Lookup([]byte(want))
+			if !ok || k != want || n != uint32(i+1) {
+				t.Fatalf("mask %#x: Lookup(%s) = %q, %d, %v", mask, want, k, n, ok)
+			}
+			if unsafe.StringData(k) != unsafe.StringData(want) {
+				t.Errorf("mask %#x: Lookup(%s) returned a copy of the key, not the stored string", mask, want)
+			}
+			ed.Set(k, n+1)
+		}
+		if k, n, ok := ed.Lookup([]byte("absent")); ok || k != "" || n != 0 {
+			t.Errorf("mask %#x: Lookup(absent) = %q, %d, %v", mask, k, n, ok)
+		}
+		got := ed.Freeze()
+		for i, k := range stored {
+			if n, _ := got.Get(k); n != uint32(i+2) || got.Len() != len(stored) {
+				t.Errorf("mask %#x: %s = %d after rebinding through Lookup's key (len %d)", mask, k, n, got.Len())
+			}
+			if n, _ := m.Get(k); n != uint32(i+1) {
+				t.Errorf("mask %#x: the edited map's base changed: %s = %d", mask, k, n)
+			}
+		}
 	}
 }
 

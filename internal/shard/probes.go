@@ -122,15 +122,17 @@ func (r *Router) probeReferencing(self int, c *schema.INDCheck, refKey []byte) b
 			}
 		}
 	}
+	var gone map[string]bool
+	if r.pending != nil {
+		gone = r.pending.del[c.IND.Left]
+	}
 	for i, db := range r.shards {
 		if i == self {
 			continue
 		}
 		r.m.remoteProbes.Inc()
-		for _, k := range db.ReferencingKeys(c.IND, refKey) {
-			if r.pending == nil || !r.pending.del[c.IND.Left][k] {
-				return true
-			}
+		if db.Referencing(c.IND, refKey, gone) > 0 {
+			return true
 		}
 	}
 	return false
