@@ -9,6 +9,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/relation"
 	"repro/internal/translate"
+	"repro/internal/wal"
 	"repro/internal/workload"
 )
 
@@ -145,6 +146,39 @@ func TestAllocBudgetMergedChain(t *testing.T) {
 	}
 	if updateBytes > updateByteBudget {
 		t.Errorf("%d UpdateCtx allocate %.0f B, budget %d B", ops, updateBytes, updateByteBudget)
+	}
+}
+
+// TestCheckpointAllocBudget pins what a checkpoint of the merged chain
+// allocates, at 5 000 and at 20 000 rows: the payload is sized before it is
+// written and every row is appended to it straight off the primary-key
+// index, so neither count grows with the rows.
+func TestCheckpointAllocBudget(t *testing.T) {
+	const runs = 4
+	for _, rows := range []int{5000, 20000} {
+		c := openMergedChain(t, rows, 32, engine.WithDurability(t.TempDir(), wal.SyncNever))
+		encode := testing.AllocsPerRun(runs, func() { engine.CheckpointPayload(c.db) })
+		whole := testing.AllocsPerRun(runs, func() {
+			if err := c.db.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if err := c.db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// Encoding the payload is one allocation at either size. The whole
+		// checkpoint allocated 36 538 times at 5 000 rows and 141 648 at
+		// 20 000 when it printed the state as text; now 34 or 35 (up to 39
+		// under -race). The rest is the log's file handling, whose fmt and
+		// os calls draw on sync.Pools that a GC empties and a -race build
+		// drops from at random: its ceiling leaves room for that.
+		const encodeBudget, wholeBudget = 1, 40
+		if encode > encodeBudget {
+			t.Errorf("encoding a checkpoint of %d merged rows allocates %.0f, budget %d", rows, encode, encodeBudget)
+		}
+		if whole > wholeBudget {
+			t.Errorf("a checkpoint of %d merged rows allocates %.0f, budget %d", rows, whole, wholeBudget)
+		}
 	}
 }
 

@@ -96,8 +96,8 @@ type mergedChain struct {
 }
 
 // openMergedChain loads `targets` rows into every Ti and `rows` merged rows
-// ("e-<k>") of random chain depth.
-func openMergedChain(tb testing.TB, rows, targets int) *mergedChain {
+// ("e-<k>") of random chain depth into an engine opened with opts.
+func openMergedChain(tb testing.TB, rows, targets int, opts ...engine.Option) *mergedChain {
 	tb.Helper()
 	base, err := translate.MS(workload.ChainEER(chainN))
 	if err != nil {
@@ -108,7 +108,7 @@ func openMergedChain(tb testing.TB, rows, targets int) *mergedChain {
 		tb.Fatal(err)
 	}
 	m.RemoveAll()
-	c := &mergedChain{db: engine.MustOpen(m.Schema), targets: targets, rng: rand.New(rand.NewSource(1))}
+	c := &mergedChain{db: engine.MustOpen(m.Schema, opts...), targets: targets, rng: rand.New(rand.NewSource(1))}
 	for i := 1; i <= chainN; i++ {
 		ts := make([]relation.Tuple, targets)
 		for j := range ts {

@@ -5,13 +5,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/figures"
 	"repro/internal/schema"
-	"repro/internal/sdl"
 	"repro/internal/state"
 	"repro/internal/wal"
 )
@@ -225,13 +225,17 @@ func TestRecoveryRefusesDuplicateKeyCheckpoint(t *testing.T) {
 	forged.Relation("OFFER").Add(tup("c1", "math"))
 	forged.Relation("OFFER").Add(tup("c1", "cs"))
 	forged.Relation("TEACH").Add(tup("c1", "f1"))
-	if err := db.wal.Checkpoint(encodeSnapshot(sdl.PrintSchema(fig2), sdl.PrintState(fig2, forged))); err != nil {
+	if err := db.wal.Checkpoint(checkpointOf(fig2, forged)); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if db, err := Open(fig2, WithDurability(dir, wal.SyncAlways)); !errors.Is(err, ErrRecovery) {
+	db, err = Open(fig2, WithDurability(dir, wal.SyncAlways))
+	if !errors.Is(err, ErrRecovery) {
 		t.Fatalf("reopen over a duplicate-key checkpoint = %v, want ErrRecovery (serving OFFER %v)", err, db.Relation("OFFER"))
+	}
+	if !strings.Contains(err.Error(), "OFFER holds two rows under one primary key") {
+		t.Fatalf("reopen refused the checkpoint for another reason: %v", err)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"math"
 	"slices"
 
 	"repro/internal/core"
@@ -24,10 +23,11 @@ import (
 // records under the same mutex, so replay sees markers and effects in the
 // order the engine applied them.
 //
-// Recovery (on Open): adopt the newest snapshot (decode, build, fold F ∪ I ∪
-// N over it, install), replay the log suffix through replayRecord (as a
-// follower's ingest does), drop an unterminated transaction, and fold
-// F ∪ I ∪ N over the resulting state. A state that fails a fold fails Open.
+// Recovery (on Open): adopt the newest snapshot (decode its rows straight
+// into index editors, fold F ∪ I ∪ N over them, install), replay the log
+// suffix through replayRecord (as a follower's ingest does), drop an
+// unterminated transaction, and fold F ∪ I ∪ N over the resulting state. A
+// state that fails a fold fails Open.
 
 // WithDurability opens the engine's write-ahead log in dir with the given
 // fsync policy. If dir already holds a log, Open recovers from it first; the
@@ -102,11 +102,8 @@ func (db *DB) Checkpoint() error {
 		return err
 	}
 	// Writers are quiesced, so the current published version IS the
-	// committed state the log's LSN refers to. The snapshot is framed with
-	// the schema that produced it: after a live migration the design on disk
-	// must be self-describing, not assumed equal to the Open-time schema.
-	st := stateOf(db.current.Load())
-	payload := encodeSnapshot(sdl.PrintSchema(db.Schema), sdl.PrintState(db.Schema, st))
+	// committed state the log's LSN refers to.
+	payload := encodeCheckpoint(db.current.Load())
 	if err := db.wal.Checkpoint(payload); err != nil {
 		return fmt.Errorf("engine: checkpoint: %w", err)
 	}
@@ -251,7 +248,7 @@ func (db *DB) replayRecord(r wal.Record, info *RecoveryInfo) error {
 		switch {
 		case err != nil:
 			return fmt.Errorf("%w: schema-change record at LSN %d: %v", ErrRecovery, r.LSN, err)
-		case sdl.PrintSchema(snap.bind.schema) != schemaSDL:
+		case snap.bind.sdl != schemaSDL:
 			return fmt.Errorf("%w: schema-change record at LSN %d derives a design other than the one it logged", ErrRecovery, r.LSN)
 		case !slices.Equal(digestOf(snap), digest):
 			return fmt.Errorf("%w: schema-change record at LSN %d derives a state that does not match its digest", ErrRecovery, r.LSN)
@@ -336,46 +333,110 @@ const (
 	walRecMigrate byte = 6
 )
 
-// snapMagic opens every checkpoint payload.
-const snapMagic = "RMSNAP2\n"
+// snapMagic opens every checkpoint payload. RMSNAP2, whose state was SDL
+// text, is no longer read.
+const snapMagic = "RMSNAP3\n"
 
-// encodeSnapshot frames a checkpoint payload: magic, length-prefixed schema
-// SDL, then state SDL to the end.
-func encodeSnapshot(schemaSDL, stateSDL string) []byte {
-	buf := make([]byte, 0, len(snapMagic)+10+len(schemaSDL)+len(stateSDL))
-	buf = appendStr(append(buf, snapMagic...), schemaSDL)
-	buf = append(buf, stateSDL...)
+// encodeCheckpoint renders snap as a checkpoint payload:
+//
+//	[magic][uvarint len][schema SDL][uvarint sections]
+//	sections × ([uvarint len][name][uvarint arity][uvarint rows]
+//	rows × (arity × value))
+//
+// one section per relation of the design, its rows in the relation.Tuple row
+// format straight off the primary-key index. The design travels as SDL: after
+// a live migration the checkpoint must be self-describing, not assumed equal
+// to the Open-time schema. The payload is sized before it is written, so a
+// checkpoint allocates it once, whatever the row count.
+func encodeCheckpoint(snap *dbSnapshot) []byte {
+	size := len(snapMagic) + 2*binary.MaxVarintLen64 + len(snap.bind.sdl)
+	for _, t := range snap.bind.ordered {
+		size += 3*binary.MaxVarintLen64 + len(t.name)
+		snap.tables[t.ord].pk.Range(func(_ string, tup relation.Tuple) bool {
+			size += relation.EncodedLen(tup)
+			return true
+		})
+	}
+	buf := relation.AppendString(append(make([]byte, 0, size), snapMagic...), snap.bind.sdl)
+	buf = binary.AppendUvarint(buf, uint64(len(snap.bind.ordered)))
+	for _, t := range snap.bind.ordered {
+		pk := snap.tables[t.ord].pk
+		buf = appendSection(buf, t.name, len(t.rs.Attrs), pk.Len())
+		pk.Range(func(_ string, tup relation.Tuple) bool {
+			buf = relation.AppendTuple(buf, tup)
+			return true
+		})
+	}
 	return buf
 }
 
-// adopt decodes a checkpoint payload, then builds and folds its state under
-// the design it is framed with: a version ready to install.
+// appendSection appends the head of one relation's checkpoint section; its
+// rows follow.
+func appendSection(buf []byte, name string, arity, rows int) []byte {
+	buf = binary.AppendUvarint(relation.AppendString(buf, name), uint64(arity))
+	return binary.AppendUvarint(buf, uint64(rows))
+}
+
+// adopt decodes a checkpoint payload under the design it is framed with: its
+// rows go straight into the index editors of an unpublished version, which
+// is then folded, ready to install. It refuses an unknown, repeated or
+// missing section, a section whose arity is not its relation's, a second row
+// under one primary key and trailing bytes.
 func (db *DB) adopt(payload []byte) (*dbSnapshot, error) {
 	if len(payload) < len(snapMagic) || string(payload[:len(snapMagic)]) != snapMagic {
-		return nil, fmt.Errorf("%w: snapshot payload does not start with the %q magic", ErrRecovery, snapMagic)
+		return nil, fmt.Errorf("%w: snapshot payload opens with %q, not the %q magic", ErrRecovery, payload[:min(len(payload), len(snapMagic))], snapMagic)
 	}
-	d := &walDecoder{b: payload[len(snapMagic):]}
-	schemaSDL := d.str()
-	if d.err != nil {
-		return nil, fmt.Errorf("%w: corrupt snapshot frame: %v", ErrRecovery, d.err)
+	d := relation.NewDecoder(payload[len(snapMagic):])
+	schemaSDL := d.Str()
+	if d.Err() != nil {
+		return nil, fmt.Errorf("%w: corrupt snapshot frame: %v", ErrRecovery, d.Err())
 	}
 	s, err := sdl.ParseSchema(schemaSDL)
 	if err != nil {
 		return nil, fmt.Errorf("%w: parsing framed schema: %v", ErrRecovery, err)
 	}
-	st, err := sdl.ParseState(s, string(d.b))
-	if err != nil {
-		return nil, fmt.Errorf("%w: parsing framed state: %v", ErrRecovery, err)
-	}
 	b := db.bind
-	if sdl.PrintSchema(s) != sdl.PrintSchema(db.Schema) {
+	if sdl.PrintSchema(s) != b.sdl {
 		if b, err = db.newBinding(s); err != nil {
 			return nil, fmt.Errorf("%w: binding framed schema: %v", ErrRecovery, err)
 		}
 	}
-	snap, err := db.snapshotOf(b, st)
+	snap, err := db.build(b, func(tx *writeTx) error {
+		// A section takes three bytes at least.
+		if n := d.Count(3, "section"); d.Err() == nil && n != uint64(len(b.ordered)) {
+			return fmt.Errorf("the payload holds %d sections, the design %d relations", n, len(b.ordered))
+		}
+		for range b.ordered {
+			name, arity := d.Str(), d.Uvarint()
+			t := b.tables[name]
+			switch {
+			case d.Err() != nil:
+				return d.Err()
+			case t == nil:
+				return fmt.Errorf("section %q names no relation of the design", name)
+			case tx.staged(t) != nil:
+				return fmt.Errorf("section %s is repeated", name)
+			case arity != uint64(len(t.rs.Attrs)):
+				return fmt.Errorf("section %s holds %d-value rows, the relation has %d attributes", name, arity, len(t.rs.Attrs))
+			}
+			tx.stage(t) // so that a repeated section is caught, empty or not
+			for i, n := uint64(0), d.Count(arity, "row"); i < n; i++ {
+				tup := d.Tuple(arity)
+				if d.Err() != nil {
+					return d.Err()
+				}
+				if err := tx.load(t, tup); err != nil {
+					return err
+				}
+			}
+		}
+		if d.Err() == nil && d.Len() > 0 {
+			d.Fail("trailing bytes")
+		}
+		return d.Err()
+	})
 	if err != nil {
-		return nil, fmt.Errorf("%w: framed state fails constraint re-validation: %v", ErrRecovery, err)
+		return nil, fmt.Errorf("%w: framed state refused: %v", ErrRecovery, err)
 	}
 	return snap, nil
 }
@@ -387,10 +448,10 @@ func (db *DB) adopt(payload []byte) (*dbSnapshot, error) {
 //	[uvarint n] n × ([uvarint len][member])
 //	[uvarint m] m × [uvarint]                         the digest
 func encodeMigrationRecord(schemaSDL string, spec core.Spec, digest []uint64) []byte {
-	buf := appendStr(appendStr(appendStr([]byte{walRecMigrate}, schemaSDL), spec.Name), spec.KeyRelation)
+	buf := relation.AppendString(relation.AppendString(relation.AppendString([]byte{walRecMigrate}, schemaSDL), spec.Name), spec.KeyRelation)
 	buf = binary.AppendUvarint(buf, uint64(len(spec.Cluster)))
 	for _, member := range spec.Cluster {
-		buf = appendStr(buf, member)
+		buf = relation.AppendString(buf, member)
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(digest)))
 	for _, v := range digest {
@@ -401,20 +462,20 @@ func encodeMigrationRecord(schemaSDL string, spec core.Spec, digest []uint64) []
 
 // decodeMigrationRecord decodes a walRecMigrate payload.
 func decodeMigrationRecord(b []byte) (schemaSDL string, spec core.Spec, digest []uint64, err error) {
-	d := &walDecoder{b: b[1:]}
-	schemaSDL = d.str()
-	spec.Name, spec.KeyRelation = d.str(), d.str()
-	for i, n := uint64(0), d.count(1, "member"); i < n && d.err == nil; i++ {
-		spec.Cluster = append(spec.Cluster, d.str())
+	d := relation.NewDecoder(b[1:])
+	schemaSDL = d.Str()
+	spec.Name, spec.KeyRelation = d.Str(), d.Str()
+	for i, n := uint64(0), d.Count(1, "member"); i < n && d.Err() == nil; i++ {
+		spec.Cluster = append(spec.Cluster, d.Str())
 	}
-	for i, n := uint64(0), d.count(1, "digest"); i < n && d.err == nil; i++ {
-		digest = append(digest, d.uvarint())
+	for i, n := uint64(0), d.Count(1, "digest"); i < n && d.Err() == nil; i++ {
+		digest = append(digest, d.Uvarint())
 	}
-	if d.err == nil && len(d.b) > 0 {
-		d.fail("trailing bytes")
+	if d.Err() == nil && d.Len() > 0 {
+		d.Fail("trailing bytes")
 	}
-	if d.err != nil {
-		return "", core.Spec{}, nil, fmt.Errorf("%w: corrupt schema-change record: %v", ErrRecovery, d.err)
+	if d.Err() != nil {
+		return "", core.Spec{}, nil, fmt.Errorf("%w: corrupt schema-change record: %v", ErrRecovery, d.Err())
 	}
 	return schemaSDL, spec, digest, nil
 }
@@ -482,18 +543,15 @@ func (db *DB) logMarker(kind byte) (uint64, error) {
 //	[kind=1][inTxn byte][uvarint n] then n × ([dir byte][uvarint len][rel]
 //	[uvarint arity] arity × value)
 //
-// Values encode as a kind byte plus payload (varint int, 8-byte float bits,
-// length-prefixed string, bool byte; null has no payload).
+// in the relation.Tuple row format.
 func encodeOpRecord(eff effects, inTxn bool) []byte {
 	buf := make([]byte, 0, 64*len(eff))
 	buf = append(buf, walRecOp, boolByte(inTxn))
 	buf = binary.AppendUvarint(buf, uint64(len(eff)))
 	for _, op := range eff {
-		buf = appendStr(append(buf, boolByte(op.insert)), op.table.rs.Name)
+		buf = relation.AppendString(append(buf, boolByte(op.insert)), op.table.rs.Name)
 		buf = binary.AppendUvarint(buf, uint64(len(op.tuple)))
-		for _, v := range op.tuple {
-			buf = appendValue(buf, v)
-		}
+		buf = relation.AppendTuple(buf, op.tuple)
 	}
 	return buf
 }
@@ -508,31 +566,22 @@ func decodeWalRecord(b []byte) (kind byte, ops []walOp, inTxn bool, err error) {
 	if kind != walRecOp {
 		return kind, nil, false, nil
 	}
-	d := &walDecoder{b: b[1:]}
-	inTxn = d.byte() != 0
-	// An op takes three bytes at least and a value one.
-	n := d.count(3, "op")
+	d := relation.NewDecoder(b[1:])
+	inTxn = d.Byte() != 0
+	// An op takes three bytes at least.
+	n := d.Count(3, "op")
 	ops = make([]walOp, 0, n)
-	for i := uint64(0); i < n && d.err == nil; i++ {
+	for i := uint64(0); i < n && d.Err() == nil; i++ {
 		var op walOp
-		op.insert = d.byte() != 0
-		op.rel = d.str()
-		arity := d.count(1, "value")
-		op.tup = make(relation.Tuple, 0, arity)
-		for j := uint64(0); j < arity && d.err == nil; j++ {
-			op.tup = append(op.tup, d.value())
-		}
+		op.insert = d.Byte() != 0
+		op.rel = d.Str()
+		op.tup = d.Tuple(d.Uvarint())
 		ops = append(ops, op)
 	}
-	if d.err != nil {
-		return 0, nil, false, fmt.Errorf("%w: corrupt op record: %v", ErrRecovery, d.err)
+	if d.Err() != nil {
+		return 0, nil, false, fmt.Errorf("%w: corrupt op record: %v", ErrRecovery, d.Err())
 	}
 	return kind, ops, inTxn, nil
-}
-
-func appendStr(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
 }
 
 func boolByte(b bool) byte {
@@ -540,122 +589,4 @@ func boolByte(b bool) byte {
 		return 1
 	}
 	return 0
-}
-
-func appendValue(buf []byte, v relation.Value) []byte {
-	buf = append(buf, byte(v.Kind()))
-	switch v.Kind() {
-	case relation.KindNull:
-	case relation.KindString:
-		buf = appendStr(buf, v.AsString())
-	case relation.KindInt:
-		buf = binary.AppendVarint(buf, v.AsInt())
-	case relation.KindFloat:
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.AsFloat()))
-	case relation.KindBool:
-		buf = append(buf, boolByte(v.AsBool()))
-	}
-	return buf
-}
-
-// walDecoder is a cursor over an op record body with sticky error handling.
-type walDecoder struct {
-	b   []byte
-	err error
-}
-
-func (d *walDecoder) fail(msg string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("%s", msg)
-	}
-}
-
-func (d *walDecoder) byte() byte {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.b) == 0 {
-		d.fail("truncated byte")
-		return 0
-	}
-	v := d.b[0]
-	d.b = d.b[1:]
-	return v
-}
-
-func (d *walDecoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b)
-	if n <= 0 {
-		d.fail("truncated uvarint")
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *walDecoder) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b)
-	if n <= 0 {
-		d.fail("truncated varint")
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-// count reads the count of items that take min bytes at least, refusing one
-// the bytes left cannot hold before anything is sized by it.
-func (d *walDecoder) count(min uint64, what string) uint64 {
-	n := d.uvarint()
-	if n > uint64(len(d.b))/min {
-		d.fail(what + " count exceeds the record")
-		return 0
-	}
-	return n
-}
-
-func (d *walDecoder) str() string {
-	n := d.uvarint()
-	if d.err != nil {
-		return ""
-	}
-	if uint64(len(d.b)) < n {
-		d.fail("truncated string")
-		return ""
-	}
-	s := string(d.b[:n])
-	d.b = d.b[n:]
-	return s
-}
-
-func (d *walDecoder) value() relation.Value {
-	switch relation.Kind(d.byte()) {
-	case relation.KindNull:
-		return relation.Null()
-	case relation.KindString:
-		return relation.NewString(d.str())
-	case relation.KindInt:
-		return relation.NewInt(d.varint())
-	case relation.KindFloat:
-		if d.err == nil && len(d.b) < 8 {
-			d.fail("truncated float")
-		}
-		if d.err != nil {
-			return relation.Null()
-		}
-		bits := binary.LittleEndian.Uint64(d.b)
-		d.b = d.b[8:]
-		return relation.NewFloat(math.Float64frombits(bits))
-	case relation.KindBool:
-		return relation.NewBool(d.byte() != 0)
-	default:
-		d.fail("unknown value kind")
-		return relation.Null()
-	}
 }

@@ -40,6 +40,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/relation"
 	"repro/internal/schema"
+	"repro/internal/sdl"
 	"repro/internal/wal"
 )
 
@@ -74,6 +75,9 @@ type table struct {
 // dependencies against the design it was pinned on — even across a migration.
 type binding struct {
 	schema *schema.Schema
+	// sdl is schema printed once: the design checkpoints and schema-change
+	// records are framed with, and what a framed design is compared against.
+	sdl string
 	// prog is the design's compiled F ∪ I ∪ N (write plans, checkState).
 	prog   *schema.Program
 	tables map[string]*table
@@ -222,7 +226,7 @@ func (db *DB) newBinding(s *schema.Schema) (*binding, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &binding{schema: s, prog: prog, tables: make(map[string]*table, len(s.Relations))}
+	b := &binding{schema: s, sdl: sdl.PrintSchema(s), prog: prog, tables: make(map[string]*table, len(s.Relations))}
 	for _, rs := range s.Relations {
 		rc := prog.Rel(rs.Name)
 		t := &table{name: rs.Name, rs: rs, pkPos: rc.Hdr.Positions(rs.PrimaryKey), prog: rc}

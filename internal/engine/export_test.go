@@ -42,3 +42,7 @@ func IndexCounts(db *DB) (largest uint32, err error) {
 	}
 	return largest, nil
 }
+
+// CheckpointPayload encodes the current published version as a checkpoint
+// payload, without writing it.
+func CheckpointPayload(db *DB) []byte { return encodeCheckpoint(db.current.Load()) }

@@ -5,17 +5,16 @@ import (
 	"slices"
 
 	"repro/internal/core"
+	"repro/internal/relation"
 	"repro/internal/schema"
-	"repro/internal/sdl"
-	"repro/internal/state"
 )
 
 // This file implements live schema migration and the adopt step it shares
 // with recovery and replication. Every whole state the engine adopts goes
-// one way: decode (adopt) or map (migrate), then build (snapshotOf, which
-// refuses a second row under one primary key), then fold (checkState), then
-// install (installState). Whatever can refuse a state runs before install,
-// so a refused state is never half-adopted.
+// one way: decode (adopt) or map (migrate) its rows into an unpublished
+// version (build, which refuses a second row under one primary key), fold
+// (checkState), then install (installState). Whatever can refuse a state
+// runs before install, so a refused state is never half-adopted.
 //
 // A migration is named by a merge spec (core.Spec): Def. 4.1 fixes the
 // merged design and η once the spec is, so the spec and the state at the
@@ -81,7 +80,7 @@ func (s *StagedMigration) Commit() error {
 	var lsn uint64
 	if db.wal != nil {
 		var err error
-		rec := encodeMigrationRecord(sdl.PrintSchema(s.Schema()), s.spec, digestOf(s.snap))
+		rec := encodeMigrationRecord(s.snap.bind.sdl, s.spec, digestOf(s.snap))
 		if lsn, err = db.wal.Commit(rec); err != nil {
 			return fmt.Errorf("engine: migrate: logging schema change: %w", err)
 		}
@@ -120,7 +119,24 @@ func (db *DB) migrate(spec core.Spec) (*dbSnapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	snap, err := db.snapshotOf(b, m.MapState(stateOf(cur)))
+	st := m.MapState(stateOf(cur))
+	snap, err := db.build(b, func(tx *writeTx) error {
+		for _, t := range b.ordered {
+			r := st.Relation(t.name)
+			if r == nil {
+				continue
+			}
+			if !slices.Equal(r.Attrs(), t.prog.Hdr.Attrs()) {
+				r = r.Project(t.prog.Hdr.Attrs())
+			}
+			for _, tup := range r.Tuples() {
+				if err := tx.load(t, tup); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, fmt.Errorf("mapped state fails constraint validation: %w", err)
 	}
@@ -150,28 +166,28 @@ func (db *DB) installState(snap *dbSnapshot, lsn uint64) {
 	db.m.versionLSN.Set(float64(lsn))
 }
 
-// snapshotOf builds st under binding b as an unpublished version (one index
-// editor for the whole state, over b's empty version zero), refusing a second
-// row under one primary key, then folds the design's constraints over it.
-func (db *DB) snapshotOf(b *binding, st *state.DB) (*dbSnapshot, error) {
+// build stages a whole state under binding b — fill loads its rows, one
+// index editor per index, over b's empty version zero — freezes it as an
+// unpublished version and folds the design's constraints over it.
+func (db *DB) build(b *binding, fill func(tx *writeTx) error) (*dbSnapshot, error) {
 	tx := &writeTx{snap: &dbSnapshot{tables: emptyVersions(b), bind: b}}
-	out := make([]*tableVersion, len(b.ordered))
-	for _, t := range b.ordered {
-		wt := tx.stage(t)
-		if r := st.Relation(t.name); r != nil {
-			if !slices.Equal(r.Attrs(), t.prog.Hdr.Attrs()) {
-				r = r.Project(t.prog.Hdr.Attrs())
-			}
-			for _, tup := range r.Tuples() {
-				key := tx.keyOf(t, tup)
-				if _, dup := tx.pkGet(t, key); dup {
-					return nil, fmt.Errorf("%s holds two rows under one primary key: FD violated: %s", t.name, schema.KeyDependency(t.rs))
-				}
-				tx.apply(t, tup, key)
-			}
-		}
-		out[t.ord] = wt.freeze()
+	if err := fill(tx); err != nil {
+		return nil, err
+	}
+	out := slices.Clone(tx.snap.tables)
+	for _, wt := range tx.work {
+		out[wt.t.ord] = wt.freeze()
 	}
 	snap := &dbSnapshot{tables: out, bind: b}
 	return snap, db.checkState(snap)
+}
+
+// load stages tup into t, refusing a second row under its primary key.
+func (tx *writeTx) load(t *table, tup relation.Tuple) error {
+	key := tx.keyOf(t, tup)
+	if _, dup := tx.pkGet(t, key); dup {
+		return fmt.Errorf("%s holds two rows under one primary key: FD violated: %s", t.name, schema.KeyDependency(t.rs))
+	}
+	tx.apply(t, tup, key)
+	return nil
 }

@@ -343,7 +343,7 @@ func migrationOf(tb testing.TB, db *DB, spec core.Spec) (string, []uint64) {
 // carrying its whole state: [5][uvarint len][schema SDL][uvarint len][state
 // SDL].
 func wholeStateRecord(schemaSDL, stateSDL string) []byte {
-	return appendStr(appendStr([]byte{5}, schemaSDL), stateSDL)
+	return relation.AppendString(relation.AppendString([]byte{5}, schemaSDL), stateSDL)
 }
 
 // fig3Migration is migrationOf a Fig. 3 engine holding the Fig. 3 state.
@@ -356,9 +356,10 @@ func fig3Migration(t *testing.T, spec core.Spec) (string, []uint64) {
 	return migrationOf(t, db, spec)
 }
 
-// A snapshot a follower refuses, unparsable or inconsistent, leaves the
-// follower serving exactly what it served before: same design, same rows,
-// same version. The payloads are framed with another design, so a follower
+// A snapshot a follower refuses — truncated, in the retired RMSNAP2 text
+// format, or breaking an inclusion dependency, a key or a null constraint —
+// leaves the follower serving exactly what it served before: same design,
+// same rows, same version; each is refused for its own reason. The payloads are framed with another design, so a follower
 // that switched bindings before the state had parsed and passed its check
 // would be caught serving that design, or an empty database. So does a
 // schema-change record it refuses: a truncated one, one whose digest the
@@ -374,22 +375,28 @@ func TestRefusedWholeStateLeavesFollowerIntact(t *testing.T) {
 	dupKey.Relation("OFFER").Add(tup("c1", "cs")) // two rows under key c1
 	dupKey.Relation("TEACH").Add(tup("c1", "f1"))
 	nulls := state.New(fig2)
-	nulls.Relation("OFFER").Add(tup("c1", nil)) // OFFER: ∅ ⊑ O.CN, O.DN broken
-	states := map[string]string{
-		"unparsable":    "insert OFFER (c1",
-		"inconsistent":  sdl.PrintState(fig2, dangling),
-		"duplicate-key": sdl.PrintState(fig2, dupKey),
-		"nulls":         sdl.PrintState(fig2, nulls),
+	nulls.Relation("OFFER").Add(tup("c1", nil)) // OFFER: ∅ ⊑ O.DN broken
+	honestSnap := checkpointOf(fig2, state.New(fig2))
+	// Each refused snapshot names what it broke.
+	snapshots := map[string]struct {
+		payload []byte
+		reason  string
+	}{
+		"unparsable":    {honestSnap[:len(honestSnap)-1], "truncated"},
+		"rmsnap2":       {[]byte(string(relation.AppendString([]byte("RMSNAP2\n"), sdl.PrintSchema(fig2))) + sdl.PrintState(fig2, state.New(fig2))), `opens with "RMSNAP2\n"`},
+		"inconsistent":  {checkpointOf(fig2, dangling), "IND violated: TEACH[T.CN] ⊆ OFFER[O.CN]"},
+		"duplicate-key": {checkpointOf(fig2, dupKey), "OFFER holds two rows under one primary key"},
+		"nulls":         {checkpointOf(fig2, nulls), "null constraint violated: OFFER: ∅ ⊑ O.DN"},
 	}
+	reasons := map[string]string{}
 	ingests := map[string]func(f *DB) error{}
-	for kind, stateSDL := range states {
-		ingests["snapshot/"+kind] = func(f *DB) error {
-			return f.IngestSnapshot(encodeSnapshot(sdl.PrintSchema(fig2), stateSDL), f.DurableLSN()+1)
-		}
+	for kind, snap := range snapshots {
+		reasons["snapshot/"+kind] = snap.reason
+		ingests["snapshot/"+kind] = func(f *DB) error { return f.IngestSnapshot(snap.payload, f.DurableLSN()+1) }
 	}
 	schemaSDL, digest := fig3Migration(t, fig3Spec)
 	honest := encodeMigrationRecord(schemaSDL, fig3Spec, digest)
-	schemaEnd := len(appendStr([]byte{walRecMigrate}, schemaSDL))
+	schemaEnd := len(relation.AppendString([]byte{walRecMigrate}, schemaSDL))
 	forged := slices.Clone(digest)
 	forged[1]++
 	unknown := fig3Spec
@@ -420,6 +427,9 @@ func TestRefusedWholeStateLeavesFollowerIntact(t *testing.T) {
 			}
 			if name == "schema-record/whole-state-kind5" && !strings.Contains(err.Error(), "record kind 5") {
 				t.Fatalf("a kind-5 record must be refused by its kind: %v", err)
+			}
+			if reason := reasons[name]; !strings.Contains(err.Error(), reason) {
+				t.Fatalf("ingest refused for another reason than %q: %v", reason, err)
 			}
 			before.requireSame(t, f)
 		})

@@ -3,6 +3,7 @@ package repl_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"strings"
 	"sync/atomic"
@@ -200,6 +201,46 @@ func TestFollowerBootstrapsFromSnapshotOverWire(t *testing.T) {
 	}
 	if _, ok, _ := fdb.GetByKeyCtx(context.Background(), "COURSE", tup("c9")); !ok {
 		t.Fatal("follower missing the post-checkpoint tail record")
+	}
+}
+
+// A checkpoint too large for one frame is not shipped for the follower's
+// frame reader to drop as a protocol error: the primary answers with an error
+// naming the snapshot's size and the limit, and the follower's Open returns
+// it.
+func TestSnapshotOverFrameLimitRefusedByName(t *testing.T) {
+	p := openEngine(t, t.TempDir())
+	defer p.Close()
+	for i := 0; i < 5; i++ {
+		course := fmt.Sprintf("c%d-%s", i, strings.Repeat("x", 1<<20))
+		if err := p.InsertCtx(context.Background(), "COURSE", tup(course)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	snap, _, err := p.ReplSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, srv := startServer(t, p)
+	defer srv.Close()
+
+	fdb := openReplica(t, t.TempDir())
+	defer fdb.Close()
+	f, err := repl.Open(addr, fdb, fastOpts(nil))
+	if err == nil {
+		f.Close()
+		t.Fatal("a follower bootstrapped from a snapshot over the frame limit")
+	}
+	for _, want := range []string{fmt.Sprintf("%d bytes", len(snap)), fmt.Sprintf("%d-byte frame limit", server.DefaultMaxFrame)} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("repl.Open = %v, want an error naming %q", err, want)
+		}
+	}
+	if server.CodeOf(err) != server.CodeUnsupported {
+		t.Fatalf("repl.Open = %v (code %s), want code %s", err, server.CodeOf(err), server.CodeUnsupported)
 	}
 }
 

@@ -739,6 +739,9 @@ func (s *Server) dispatch(t *task) *Response {
 		recs, horizon, err := rep.ReplRead(req.AfterLSN, req.MaxRecords)
 		if errors.Is(err, wal.ErrCompacted) {
 			data, lsn, err := rep.ReplSnapshot()
+			if err == nil {
+				err = snapshotFits(data, lsn)
+			}
 			ok.Repl = &WireRepl{CommitLSN: horizon, Snapshot: data, SnapshotLSN: lsn}
 			return reply(err)
 		}
@@ -783,6 +786,17 @@ func capReplRecords(recs []wal.Record) []wal.Record {
 		}
 	}
 	return recs
+}
+
+// snapshotFits refuses a checkpoint whose v2 reply would not fit in one
+// frame the client accepts (DefaultMaxFrame): the follower's frame reader
+// would drop it as a protocol error, so the primary names the sizes instead.
+// A snapshot ships whole; bootstrapping from a larger one is not supported.
+func snapshotFits(data []byte, lsn uint64) error {
+	if size := replReplyFixed + uvarintLen(uint64(len(data))) + len(data); size > DefaultMaxFrame {
+		return fmt.Errorf("%w: the checkpoint at LSN %d is %d bytes, over the %d-byte frame limit a bootstrap reply must fit in", ErrUnsupported, lsn, len(data), DefaultMaxFrame)
+	}
+	return nil
 }
 
 // uvarintLen is the length of x's uvarint encoding.

@@ -39,9 +39,10 @@ suite() {
 	stress) # the concurrency stress suite
 		$GO test -race -count=1 -run 'Stress|Concurrent|Mixed' ./internal/engine/ ./internal/attrset/
 		;;
-	crash) # WAL replay, failpoint injection, the recovery property matrix, then short fuzzes of the record replay path, of the whole-state constraint fold against its Satisfied reference, and of the log reader
+	crash) # WAL replay, failpoint injection, the recovery property matrix, then short fuzzes of the record replay path, of the checkpoint decoder, of the whole-state constraint fold against its Satisfied reference, and of the log reader
 		$GO test -race -count=1 -run 'Crash|Failpoint|Recovery|WAL' ./internal/wal/ ./internal/engine/
 		$GO test -run xxx -fuzz FuzzReplayRecord -fuzztime 10s ./internal/engine/
+		$GO test -run xxx -fuzz FuzzCheckpoint -fuzztime 10s ./internal/engine/
 		$GO test -run xxx -fuzz FuzzConsistent -fuzztime 10s ./internal/state/
 		$GO test -run xxx -fuzz FuzzOpenReadCommitted -fuzztime 10s ./internal/wal/
 		;;
