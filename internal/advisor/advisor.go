@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/keyrel"
-	"repro/internal/nullcon"
 	"repro/internal/schema"
 )
 
@@ -58,10 +57,12 @@ type Recommendation struct {
 	// OnlyNNA reports whether the merged constraint set is purely
 	// nulls-not-allowed (Prop. 5.2 regime — declaratively maintainable).
 	OnlyNNA bool
-	// ProceduralConstraints counts the merged constraints needing
-	// trigger/rule maintenance.
+	// ProceduralConstraints is the number of constraints needing
+	// trigger/rule maintenance that the merge adds to the design: the merged
+	// program's count less the base program's (schema.Program.Procedural).
 	ProceduralConstraints int
-	// Per-operation costs under the model.
+	// Per-operation costs under the model, in the engine's counts
+	// (schema.RelCheck.InsertCounts).
 	BaseQueryCost    float64
 	MergedQueryCost  float64
 	BaseInsertCost   float64
@@ -187,55 +188,47 @@ func PriceCluster(s *schema.Schema, cluster []string, w Workload, cm CostModel) 
 		return Recommendation{}, err
 	}
 	m.RemoveAll()
-	return price(s, m, cluster, w, cm), nil
+	return price(s, m, cluster, w, cm)
 }
 
-func price(s *schema.Schema, m *core.MergedScheme, cluster []string, w Workload, cm CostModel) Recommendation {
+// price reads both designs' compiled programs: an insert of a full object
+// costs what the engine counts for one row in every member, or for one
+// merged row.
+func price(s *schema.Schema, m *core.MergedScheme, cluster []string, w Workload, cm CostModel) (Recommendation, error) {
+	base, err := schema.Compile(s)
+	if err != nil {
+		return Recommendation{}, err
+	}
+	merged, err := schema.Compile(m.Schema)
+	if err != nil {
+		return Recommendation{}, err
+	}
+	mrc := merged.Rel(m.Name)
 	rec := Recommendation{
-		Cluster:     cluster,
-		KeyRelation: m.KeyRelation,
-		MergedName:  m.Name,
-		OnlyNNA:     nullcon.OnlyNNA(m.Schema.NullsOf(m.Name)),
+		Cluster:               cluster,
+		KeyRelation:           m.KeyRelation,
+		MergedName:            m.Name,
+		OnlyNNA:               len(mrc.Nulls) == 0,
+		ProceduralConstraints: merged.Procedural() - base.Procedural(),
+		// Query: one lookup per member vs. one lookup total.
+		BaseQueryCost:    float64(len(cluster)) * cm.IndexLookup,
+		MergedQueryCost:  cm.IndexLookup,
+		MergedInsertCost: cm.price(mrc.InsertCounts()),
 	}
-	for _, nc := range m.Schema.NullsOf(m.Name) {
-		if ne, ok := nc.(schema.NullExistence); ok && ne.IsNNA() {
-			continue
-		}
-		rec.ProceduralConstraints++
-	}
-	for _, ind := range m.Schema.INDs {
-		if !ind.KeyBased(m.Schema) {
-			rec.ProceduralConstraints++
-		}
-	}
-
-	// Query: one lookup per member vs. one lookup total.
-	rec.BaseQueryCost = float64(len(cluster)) * cm.IndexLookup
-	rec.MergedQueryCost = cm.IndexLookup
-
-	// Insert of a full object.
 	for _, name := range cluster {
-		rs := s.Scheme(name)
-		checks := float64(len(rs.Attrs))*cm.DeclarativeCheck + cm.DeclarativeCheck // NOT NULLs + PK
-		checks += cm.IndexLookup                                                   // PK probe
-		for _, ind := range s.INDsFrom(name) {
-			_ = ind
-			checks += cm.DeclarativeCheck + cm.IndexLookup
-		}
-		rec.BaseInsertCost += checks
+		rec.BaseInsertCost += cm.price(base.Rel(name).InsertCounts())
 	}
-	merged := m.Schema.Scheme(m.Name)
-	rec.MergedInsertCost = float64(len(merged.Attrs))*cm.DeclarativeCheck + cm.DeclarativeCheck + cm.IndexLookup
-	for range m.Schema.INDsFrom(m.Name) {
-		rec.MergedInsertCost += cm.DeclarativeCheck + cm.IndexLookup
-	}
-	rec.MergedInsertCost += float64(rec.ProceduralConstraints) * cm.TriggerFiring
 
 	qf := w.ProfileQueries[cluster[0]]
 	inf := w.Inserts[cluster[0]]
 	rec.NetBenefit = qf*(rec.BaseQueryCost-rec.MergedQueryCost) + inf*(rec.BaseInsertCost-rec.MergedInsertCost)
 	rec.Merge = rec.NetBenefit > 0
-	return rec
+	return rec, nil
+}
+
+func (cm CostModel) price(c schema.Counts) float64 {
+	return float64(c.DeclarativeChecks)*cm.DeclarativeCheck + float64(c.TriggerFirings)*cm.TriggerFiring +
+		float64(c.IndexLookups)*cm.IndexLookup
 }
 
 // Report renders recommendations as a table.

@@ -9,6 +9,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/figures"
 	"repro/internal/relation"
+	"repro/internal/schema"
 	"repro/internal/sdl"
 )
 
@@ -60,6 +61,31 @@ func TestDecideMergeFavorable(t *testing.T) {
 			t.Fatalf("non-NNA cluster marked auto-applicable: %+v", s)
 		}
 	}
+}
+
+// An IND elsewhere in the schema does not change a cluster's verdict: a
+// non-key-based KIT[K.LNAME] ⊆ LAB[L.NAME] beside figure 3 is no procedural
+// constraint of the OFFER merge, which stays auto-applicable.
+func TestDecideIgnoresUnrelatedProceduralIND(t *testing.T) {
+	s := figures.Fig3()
+	s.AddScheme(schema.NewScheme("LAB", []schema.Attribute{{Name: "L.ID", Domain: "lab_id"}, {Name: "L.NAME", Domain: "lab_name"}}, []string{"L.ID"}))
+	s.AddScheme(schema.NewScheme("KIT", []schema.Attribute{{Name: "K.ID", Domain: "kit_id"}, {Name: "K.LNAME", Domain: "lab_name"}}, []string{"K.ID"}))
+	s.INDs = append(s.INDs, schema.NewIND("KIT", []string{"K.LNAME"}, "LAB", []string{"L.NAME"}))
+	s.Nulls = append(s.Nulls, schema.NNA("LAB", "L.ID", "L.NAME"), schema.NNA("KIT", "K.ID", "K.LNAME"))
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	sugs := Decide(s, heat(1000), engine.StatsSnapshot{Inserts: 3}, Config{})
+	for _, sug := range sugs {
+		if sug.Rec.KeyRelation != "OFFER" {
+			continue
+		}
+		if sug.Rec.ProceduralConstraints != 0 || !sug.AutoApplicable {
+			t.Fatalf("OFFER cluster: %d procedural constraints, auto-applicable %v", sug.Rec.ProceduralConstraints, sug.AutoApplicable)
+		}
+		return
+	}
+	t.Fatalf("no OFFER cluster among %+v", sugs)
 }
 
 func TestDecideMergeHostile(t *testing.T) {

@@ -11,6 +11,9 @@
 //   - INGRES 6.3: unsupported constraints are compiled to CREATE RULE
 //     statements invoking checking procedures.
 //
+// Which constraints are procedural is read off the compiled program
+// (schema.Compile): its §3 null constraints and non-key-based dependencies.
+//
 // Output is deterministic: tables in schema order, then declarative
 // constraints, then procedural objects.
 package ddl
@@ -96,6 +99,10 @@ func Generate(s *schema.Schema, opts Options) (string, error) {
 	if err := s.Validate(); err != nil {
 		return "", err
 	}
+	p, err := schema.Compile(s)
+	if err != nil {
+		return "", err
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "-- Schema definition generated for %s\n", opts.Dialect)
 	fmt.Fprintf(&b, "-- %d relation(s), %d inclusion dependencies, %d null constraints\n\n",
@@ -104,31 +111,29 @@ func Generate(s *schema.Schema, opts Options) (string, error) {
 	for _, rs := range s.Relations {
 		writeTable(&b, s, rs, opts)
 	}
-	writeForeignKeys(&b, s)
-
-	var procedural []string
-	for _, ind := range s.INDs {
-		if !ind.KeyBased(s) {
-			procedural = append(procedural, "inclusion dependency "+ind.String())
-		}
-	}
-	for _, nc := range s.Nulls {
-		if ne, ok := nc.(schema.NullExistence); ok && ne.IsNNA() {
-			continue // declarative NOT NULL
-		}
-		procedural = append(procedural, "null constraint "+nc.String())
-	}
+	writeForeignKeys(&b, p)
 
 	switch opts.Dialect {
 	case DB2:
+		var procedural []string
+		for _, rc := range p.Rels {
+			for _, nc := range rc.Nulls {
+				procedural = append(procedural, "null constraint "+nc.Text)
+			}
+			for _, c := range rc.Out {
+				if !c.KeyBased {
+					procedural = append(procedural, "inclusion dependency "+c.Text)
+				}
+			}
+		}
 		if len(procedural) > 0 {
 			sort.Strings(procedural)
 			return b.String(), &UnsupportedError{Dialect: DB2, Items: procedural}
 		}
 	case Sybase:
-		writeSybaseTriggers(&b, s)
+		writeSybaseTriggers(&b, p)
 	case Ingres:
-		writeIngresRules(&b, s)
+		writeIngresRules(&b, p)
 	}
 	return b.String(), nil
 }
@@ -168,15 +173,15 @@ func writeTable(b *strings.Builder, s *schema.Schema, rs *schema.RelationScheme,
 	b.WriteString("\n")
 }
 
-func writeForeignKeys(b *strings.Builder, s *schema.Schema) {
+func writeForeignKeys(b *strings.Builder, p *schema.Program) {
 	wrote := false
-	for _, ind := range s.INDs {
-		if !ind.KeyBased(s) {
+	for _, c := range p.INDs {
+		if !c.KeyBased {
 			continue
 		}
 		fmt.Fprintf(b, "ALTER TABLE %s ADD FOREIGN KEY (%s) REFERENCES %s (%s);\n",
-			sqlName(ind.Left), sqlNameList(ind.LeftAttrs),
-			sqlName(ind.Right), sqlNameList(ind.RightAttrs))
+			sqlName(c.IND.Left), sqlNameList(c.IND.LeftAttrs),
+			sqlName(c.IND.Right), sqlNameList(c.IND.RightAttrs))
 		wrote = true
 	}
 	if wrote {

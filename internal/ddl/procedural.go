@@ -2,109 +2,61 @@ package ddl
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/schema"
 )
 
-// predicate builders shared by the trigger and rule emitters. Each returns a
-// SQL condition over the inserted/updated row that is TRUE when the
-// constraint is VIOLATED.
-
-func violationNullExistence(ne schema.NullExistence, row string) string {
-	// Y total and Z not total.
-	var conds []string
-	for _, a := range ne.Y {
-		conds = append(conds, fmt.Sprintf("%s.%s IS NOT NULL", row, sqlName(a)))
-	}
-	var zNull []string
-	for _, a := range ne.Z {
-		zNull = append(zNull, fmt.Sprintf("%s.%s IS NULL", row, sqlName(a)))
-	}
-	parts := append(conds, "("+strings.Join(zNull, " OR ")+")")
-	return strings.Join(parts, " AND ")
-}
-
-func violationNullSync(ns schema.NullSync, row string) string {
-	// Partly null: some attribute null and some non-null.
-	var anyNull, anyNonNull []string
-	for _, a := range ns.Y {
-		anyNull = append(anyNull, fmt.Sprintf("%s.%s IS NULL", row, sqlName(a)))
-		anyNonNull = append(anyNonNull, fmt.Sprintf("%s.%s IS NOT NULL", row, sqlName(a)))
-	}
-	return fmt.Sprintf("(%s) AND (%s)", strings.Join(anyNull, " OR "), strings.Join(anyNonNull, " OR "))
-}
-
-func violationPartNull(pn schema.PartNull, row string) string {
-	// Every set has some null attribute.
-	var sets []string
-	for _, set := range pn.Sets {
-		var nulls []string
-		for _, a := range set {
-			nulls = append(nulls, fmt.Sprintf("%s.%s IS NULL", row, sqlName(a)))
-		}
-		sets = append(sets, "("+strings.Join(nulls, " OR ")+")")
-	}
-	return strings.Join(sets, " AND ")
-}
-
-func violationTotalEquality(te schema.TotalEquality, row string) string {
-	// Both sides total and some pair differs.
-	var total []string
-	for _, a := range append(append([]string(nil), te.Y...), te.Z...) {
-		total = append(total, fmt.Sprintf("%s.%s IS NOT NULL", row, sqlName(a)))
-	}
-	var diff []string
-	for i := range te.Y {
-		diff = append(diff, fmt.Sprintf("%s.%s <> %s.%s", row, sqlName(te.Y[i]), row, sqlName(te.Z[i])))
-	}
-	return fmt.Sprintf("%s AND (%s)", strings.Join(total, " AND "), strings.Join(diff, " OR "))
-}
-
-func violationCondition(nc schema.NullConstraint, row string) (string, bool) {
+// violationCondition is a SQL condition over the inserted/updated row that
+// is TRUE when the program's §3 null constraint nc (never an NNA) is
+// VIOLATED.
+func violationCondition(nc schema.NullConstraint, row string) string {
+	anyOf := func(conds []string) string { return "(" + strings.Join(conds, " OR ") + ")" }
 	switch c := nc.(type) {
-	case schema.NullExistence:
-		if c.IsNNA() {
-			return "", false // declarative NOT NULL
+	case schema.NullExistence: // Y total and Z not total.
+		return strings.Join(append(nullTests(c.Y, row, "NOT NULL"), anyOf(nullTests(c.Z, row, "NULL"))), " AND ")
+	case schema.NullSync: // Partly null: some attribute null and some non-null.
+		return anyOf(nullTests(c.Y, row, "NULL")) + " AND " + anyOf(nullTests(c.Y, row, "NOT NULL"))
+	case schema.PartNull: // Every set has some null attribute.
+		sets := make([]string, len(c.Sets))
+		for i, set := range c.Sets {
+			sets[i] = anyOf(nullTests(set, row, "NULL"))
 		}
-		return violationNullExistence(c, row), true
-	case schema.NullSync:
-		return violationNullSync(c, row), true
-	case schema.PartNull:
-		return violationPartNull(c, row), true
-	case schema.TotalEquality:
-		return violationTotalEquality(c, row), true
-	default:
-		return "", false
+		return strings.Join(sets, " AND ")
 	}
+	// Total equality: both sides total and some pair differs.
+	te := nc.(schema.TotalEquality)
+	diff := make([]string, len(te.Y))
+	for i := range te.Y {
+		diff[i] = fmt.Sprintf("%s.%s <> %s.%s", row, sqlName(te.Y[i]), row, sqlName(te.Z[i]))
+	}
+	return notNullCondition(slices.Concat(te.Y, te.Z), row) + " AND " + anyOf(diff)
 }
 
 // writeSybaseTriggers emits Transact-SQL style triggers (SYBASE 4.0) for
-// every constraint outside the declarative subset: one insert/update trigger
-// per relation bundling its null-constraint checks, plus triggers for
+// every procedural constraint of the program: one insert/update trigger per
+// relation bundling its null-constraint checks, plus triggers for
 // non-key-based inclusion dependencies (on the referencing side for
 // insert/update, on the referenced side for delete/update).
-func writeSybaseTriggers(b *strings.Builder, s *schema.Schema) {
-	for _, rs := range s.Relations {
+func writeSybaseTriggers(b *strings.Builder, p *schema.Program) {
+	for _, rc := range p.Rels {
 		var checks []string
-		for _, nc := range s.NullsOf(rs.Name) {
-			if cond, ok := violationCondition(nc, "inserted"); ok {
-				checks = append(checks, fmt.Sprintf(
-					"    /* %s */\n    IF EXISTS (SELECT * FROM inserted WHERE %s)\n    BEGIN\n        RAISERROR 20001 \"null constraint violated: %s\"\n        ROLLBACK TRANSACTION\n    END",
-					nc, rewriteRowRefs(cond, "inserted"), escapeMsg(nc.String())))
-			}
+		for _, nc := range rc.Nulls {
+			checks = append(checks, fmt.Sprintf(
+				"    /* %s */\n    IF EXISTS (SELECT * FROM inserted WHERE %s)\n    BEGIN\n        RAISERROR 20001 \"null constraint violated: %s\"\n        ROLLBACK TRANSACTION\n    END",
+				nc.Text, violationCondition(nc.Constraint, "inserted"), escapeMsg(nc.Text)))
 		}
 		if len(checks) == 0 {
 			continue
 		}
 		fmt.Fprintf(b, "CREATE TRIGGER trg_%s_nulls ON %s FOR INSERT, UPDATE AS\nBEGIN\n%s\nEND\ngo\n\n",
-			sqlName(rs.Name), sqlName(rs.Name), strings.Join(checks, "\n"))
+			sqlName(rc.Name), sqlName(rc.Name), strings.Join(checks, "\n"))
 	}
-	for _, ind := range s.INDs {
-		if ind.KeyBased(s) {
-			continue
+	for _, c := range p.INDs {
+		if !c.KeyBased {
+			writeSybaseINDTriggers(b, c.IND)
 		}
-		writeSybaseINDTriggers(b, ind)
 	}
 }
 
@@ -125,33 +77,28 @@ func writeSybaseINDTriggers(b *strings.Builder, ind schema.IND) {
 	fmt.Fprintf(b, "    BEGIN\n        RAISERROR 20003 \"inclusion dependency violated: %s\"\n        ROLLBACK TRANSACTION\n    END\nEND\ngo\n\n", escapeMsg(ind.String()))
 }
 
-// writeIngresRules emits INGRES 6.3 style rules: each constraint gets a rule
-// firing a checking procedure after insert/update.
-func writeIngresRules(b *strings.Builder, s *schema.Schema) {
-	for _, rs := range s.Relations {
-		emitted := 0
-		for _, nc := range s.NullsOf(rs.Name) {
-			cond, ok := violationCondition(nc, "new")
-			if !ok {
-				continue
-			}
-			emitted++
-			proc := fmt.Sprintf("p_%s_null_%d", sqlName(rs.Name), emitted)
+// writeIngresRules emits INGRES 6.3 style rules: each procedural constraint
+// of the program gets a rule firing a checking procedure after insert/update.
+func writeIngresRules(b *strings.Builder, p *schema.Program) {
+	for _, rc := range p.Rels {
+		for i, nc := range rc.Nulls {
+			proc := fmt.Sprintf("p_%s_null_%d", sqlName(rc.Name), i+1)
 			fmt.Fprintf(b, "CREATE PROCEDURE %s AS\nBEGIN\n    /* %s */\n    RAISE ERROR 20001 'null constraint violated: %s';\nEND;\n",
-				proc, nc, escapeMsg(nc.String()))
+				proc, nc.Text, escapeMsg(nc.Text))
 			fmt.Fprintf(b, "CREATE RULE r_%s_null_%d AFTER INSERT, UPDATE OF %s\n    WHERE %s\n    EXECUTE PROCEDURE %s;\n\n",
-				sqlName(rs.Name), emitted, sqlName(rs.Name), cond, proc)
+				sqlName(rc.Name), i+1, sqlName(rc.Name), violationCondition(nc.Constraint, "new"), proc)
 		}
 	}
 	n := 0
-	for _, ind := range s.INDs {
-		if ind.KeyBased(s) {
+	for _, c := range p.INDs {
+		if c.KeyBased {
 			continue
 		}
+		ind := c.IND
 		n++
 		proc := fmt.Sprintf("p_ind_%d", n)
 		fmt.Fprintf(b, "CREATE PROCEDURE %s AS\nBEGIN\n    /* %s */\n    RAISE ERROR 20002 'inclusion dependency violated: %s';\nEND;\n",
-			proc, ind, escapeMsg(ind.String()))
+			proc, c.Text, escapeMsg(c.Text))
 		fmt.Fprintf(b, "CREATE RULE r_ind_%d AFTER INSERT, UPDATE OF %s\n    WHERE %s AND NOT EXISTS (SELECT 1 FROM %s t WHERE %s)\n    EXECUTE PROCEDURE %s;\n\n",
 			n, sqlName(ind.Left), notNullCondition(ind.LeftAttrs, "new"), sqlName(ind.Right), joinCondition(ind, "new", "t"), proc)
 	}
@@ -167,17 +114,16 @@ func joinCondition(ind schema.IND, leftRow, rightRow string) string {
 }
 
 func notNullCondition(attrs []string, row string) string {
-	var conds []string
-	for _, a := range attrs {
-		conds = append(conds, fmt.Sprintf("%s.%s IS NOT NULL", row, sqlName(a)))
-	}
-	return strings.Join(conds, " AND ")
+	return strings.Join(nullTests(attrs, row, "NOT NULL"), " AND ")
 }
 
-func rewriteRowRefs(cond, row string) string {
-	// Conditions are already generated against the given row alias.
-	_ = row
-	return cond
+// nullTests is "row.a IS test" for each attribute a.
+func nullTests(attrs []string, row, test string) []string {
+	out := make([]string, len(attrs))
+	for i, a := range attrs {
+		out[i] = fmt.Sprintf("%s.%s IS %s", row, sqlName(a), test)
+	}
+	return out
 }
 
 func escapeMsg(s string) string {

@@ -58,6 +58,7 @@ func TestInsertAndLookup(t *testing.T) {
 
 func TestInsertNotNull(t *testing.T) {
 	db := openFig3(t)
+	before := db.StatsTotals()
 	err := db.InsertCtx(context.Background(), "COURSE", tup(nil))
 	var cv *ConstraintViolation
 	if !errors.As(err, &cv) || cv.Kind != NotNullViolation {
@@ -69,8 +70,8 @@ func TestInsertNotNull(t *testing.T) {
 	if !errors.Is(err, ErrConstraintViolation) {
 		t.Error("violation should match ErrConstraintViolation")
 	}
-	if !cv.Kind.Declarative() {
-		t.Error("NOT NULL is a declarative-regime constraint")
+	if d := db.StatsTotals().Sub(before); d.DeclarativeChecks != 1 || d.TriggerFirings != 0 {
+		t.Errorf("NOT NULL is a declarative-regime constraint: counted %+v", d)
 	}
 }
 
@@ -114,13 +115,14 @@ func TestDeleteRestrict(t *testing.T) {
 	db.InsertCtx(context.Background(), "COURSE", tup("c1"))
 	db.InsertCtx(context.Background(), "DEPARTMENT", tup("math"))
 	db.InsertCtx(context.Background(), "OFFER", tup("c1", "math"))
+	before := db.StatsTotals()
 	err := db.DeleteCtx(context.Background(), "COURSE", tup("c1"))
 	var cv *ConstraintViolation
 	if !errors.As(err, &cv) || cv.Kind != RestrictViolation {
 		t.Fatalf("want RestrictViolation, got %v", err)
 	}
-	if cv.Op != "delete" || cv.Kind.Declarative() {
-		t.Errorf("restrict violation should be a trigger-regime delete, got %+v", cv)
+	if d := db.StatsTotals().Sub(before); cv.Op != "delete" || d.TriggerFirings != 1 || d.DeclarativeChecks != 0 {
+		t.Errorf("restrict violation should be a trigger-regime delete, got %+v counting %+v", cv, d)
 	}
 	if err := db.DeleteCtx(context.Background(), "OFFER", tup("c1")); err != nil {
 		t.Fatal(err)
@@ -176,17 +178,18 @@ func TestProceduralNullConstraints(t *testing.T) {
 	db.InsertCtx(context.Background(), "FACULTY", tup("p1"))
 
 	// A course with a TEACH part but no OFFER part violates
-	// T.F.SSN ⊑ O.D.NAME.
+	// T.F.SSN ⊑ O.D.NAME, the first of its null constraints.
+	before := db.StatsTotals()
 	err = db.InsertCtx(context.Background(), "COURSE''", tup("c1", nil, "p1", nil))
 	var cv *ConstraintViolation
 	if !errors.As(err, &cv) || cv.Kind != NullConstraintViolation {
 		t.Fatalf("want NullConstraintViolation, got %v", err)
 	}
-	if cv.Constraint == "" || cv.Kind.Declarative() {
-		t.Errorf("null constraint should carry its rendering and be trigger-regime, got %+v", cv)
+	if cv.Constraint == "" {
+		t.Errorf("null constraint should carry its rendering, got %+v", cv)
 	}
-	if db.StatsTotals().TriggerFirings == 0 {
-		t.Error("procedural constraint should count as a trigger firing")
+	if d := db.StatsTotals().Sub(before); d.TriggerFirings != 1 {
+		t.Errorf("procedural constraint should count as one trigger firing, counted %+v", d)
 	}
 	// With the OFFER part present it passes.
 	if err := db.InsertCtx(context.Background(), "COURSE''", tup("c1", "math", "p1", nil)); err != nil {
@@ -220,9 +223,16 @@ func TestNonKeyBasedINDTrigger(t *testing.T) {
 	if db.StatsTotals().TriggerFirings <= fires {
 		t.Error("non-key-based dependency must fire a trigger")
 	}
-	// ASSIST referencing c2 (not offered: O.C.NR is null) fails.
-	if err := db.InsertCtx(context.Background(), "ASSIST", tup("c2", "p2")); err == nil {
-		t.Error("referencing a null O.C.NR should fail the inclusion dependency")
+	// ASSIST referencing c2 (not offered: O.C.NR is null) fails, refused
+	// by the trigger and not by a declarative check.
+	before := db.StatsTotals()
+	err = db.InsertCtx(context.Background(), "ASSIST", tup("c2", "p2"))
+	var cv *ConstraintViolation
+	if !errors.As(err, &cv) || cv.Kind != ForeignKeyViolation {
+		t.Fatalf("referencing a null O.C.NR should fail the inclusion dependency, got %v", err)
+	}
+	if d := db.StatsTotals().Sub(before); d.TriggerFirings != 1 {
+		t.Errorf("the refused non-key-based reference should count one trigger firing, counted %+v", d)
 	}
 	// ASSIST referencing an unknown course fails.
 	if err := db.InsertCtx(context.Background(), "ASSIST", tup("c9", "p2")); err == nil {

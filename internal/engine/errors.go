@@ -77,18 +77,6 @@ func (k ViolationKind) String() string {
 	}
 }
 
-// Declarative reports whether the violated constraint belongs to the
-// declarative regime (checked by the DBMS itself) rather than the
-// trigger/rule regime.
-func (k ViolationKind) Declarative() bool {
-	switch k {
-	case NotNullViolation, PrimaryKeyViolation, ForeignKeyViolation:
-		return true
-	default:
-		return false
-	}
-}
-
 // ConstraintViolation is the typed error returned when a mutation violates a
 // schema constraint. It matches ErrConstraintViolation under errors.Is and is
 // extractable with errors.As for structured inspection.

@@ -64,10 +64,11 @@ const (
 // exactly what the constraint's Satisfied method decides on the one-row
 // relation holding the tuple.
 type NullCheck struct {
-	kind nullKind
-	y, z []int   // existence: Y, Z; sync: Y; total equality: Y, Z pairwise (equal length, schema-validated)
-	sets [][]int // part-null
-	Text string  // fmt.Sprint(constraint), the Constraint of a violation
+	kind       nullKind
+	y, z       []int   // existence: Y, Z; sync: Y; total equality: Y, Z pairwise (equal length, schema-validated)
+	sets       [][]int // part-null
+	Constraint NullConstraint
+	Text       string // fmt.Sprint(Constraint), the Constraint of a violation
 }
 
 // OK reports whether tup satisfies the constraint.
@@ -105,7 +106,7 @@ func (c *NullCheck) OK(tup relation.Tuple) bool {
 
 // compileNull resolves a null constraint's attribute lists against hdr.
 func compileNull(nc NullConstraint, hdr *relation.Relation) (NullCheck, error) {
-	c := NullCheck{Text: fmt.Sprint(nc)}
+	c := NullCheck{Constraint: nc, Text: fmt.Sprint(nc)}
 	switch nc := nc.(type) {
 	case NullExistence:
 		c.kind, c.y, c.z = nullExistence, hdr.Positions(nc.Y), hdr.Positions(nc.Z)
@@ -172,6 +173,40 @@ func Compile(s *Schema) (*Program, error) {
 
 // Rel returns the named relation's entry, or nil.
 func (p *Program) Rel(name string) *RelCheck { return p.byName[name] }
+
+// Procedural counts the constraints outside the declarative subset of
+// Props. 5.1 and 5.2 (NOT NULL, PRIMARY KEY, key-based FOREIGN KEY): the §3
+// null constraints other than NNA and the non-key-based dependencies, each a
+// SYBASE trigger or an INGRES rule that fires once per insert.
+func (p *Program) Procedural() int {
+	n := 0
+	for _, rc := range p.Rels {
+		n += rc.InsertCounts().TriggerFirings
+	}
+	return n
+}
+
+// Counts are the engine's constraint-maintenance counters for one operation.
+type Counts struct {
+	DeclarativeChecks, TriggerFirings, IndexLookups int
+}
+
+// InsertCounts is what the engine counts for an accepted insert into the
+// relation of a tuple total on every left side of Out: one declarative check
+// per attribute's NOT NULL, one for the primary key and one per key-based
+// dependency; one trigger firing per §3 null constraint and per other
+// dependency; one index probe for the key and one per dependency.
+func (rc *RelCheck) InsertCounts() Counts {
+	c := Counts{DeclarativeChecks: rc.Hdr.Arity() + 1, TriggerFirings: len(rc.Nulls), IndexLookups: 1 + len(rc.Out)}
+	for _, ic := range rc.Out {
+		if ic.KeyBased {
+			c.DeclarativeChecks++
+		} else {
+			c.TriggerFirings++
+		}
+	}
+	return c
+}
 
 // Broken returns the first of the relation's NNA and §3 null constraints tup
 // breaks, in the paper's notation, or "" if none: the per-tuple check.

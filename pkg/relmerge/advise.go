@@ -86,8 +86,8 @@ type Recommendation struct {
 	// OnlyNNA reports the Prop. 5.2 regime: the post-merge constraint set is
 	// purely nulls-not-allowed, hence declaratively maintainable.
 	OnlyNNA bool
-	// ProceduralConstraints counts post-merge constraints needing
-	// trigger/rule maintenance.
+	// ProceduralConstraints counts the constraints needing trigger/rule
+	// maintenance that the merge adds to the design.
 	ProceduralConstraints int
 	// NetBenefit is the workload-weighted saving of merging (positive means
 	// the advisor recommends it).
