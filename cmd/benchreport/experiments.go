@@ -9,7 +9,6 @@ import (
 	"repro/internal/fd"
 	"repro/internal/figures"
 	"repro/internal/keyrel"
-	"repro/internal/nullcon"
 	"repro/internal/relation"
 	"repro/internal/schema"
 	"repro/internal/state"
@@ -149,7 +148,9 @@ func runE8() {
 		m := mustMerge(rs, append([]string{r.object}, r.others...), "MERGED")
 		m.RemoveAll()
 		regime := "general null constraints"
-		if nullcon.OnlyNNA(m.Schema.NullsOf("MERGED")) {
+		prog, err := schema.Compile(m.Schema)
+		must(err)
+		if len(prog.Rel("MERGED").Nulls) == 0 {
 			regime = "only nulls-not-allowed"
 		}
 		fmt.Printf("%-52s %-12v %s\n", r.name, condOK, regime)
@@ -207,7 +208,9 @@ func runE10() {
 		rk, ok52 := core.Prop52(s, names)
 		m := mustMerge(figures.Fig3(), names, "MERGED")
 		m.RemoveAll()
-		only := nullcon.OnlyNNA(m.Schema.NullsOf("MERGED"))
+		prog, err := schema.Compile(m.Schema)
+		must(err)
+		only := len(prog.Rel("MERGED").Nulls) == 0
 		p52 := "false"
 		if ok52 {
 			p52 = "true (Rk=" + rk + ")"

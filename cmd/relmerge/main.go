@@ -28,7 +28,6 @@ import (
 	"repro/internal/ddl"
 	"repro/internal/diff"
 	"repro/internal/figures"
-	"repro/internal/nullcon"
 	"repro/internal/obs"
 	"repro/internal/schema"
 	"repro/internal/sdl"
@@ -146,7 +145,11 @@ func main() {
 		}
 	}
 	if *check {
-		fmt.Printf("merged constraint set only-NNA: %v\n\n", nullcon.OnlyNNA(m.Schema.NullsOf(*name)))
+		prog, err := schema.Compile(m.Schema)
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Printf("merged constraint set only-NNA: %v\n\n", len(prog.Rel(*name).Nulls) == 0)
 	}
 	if err := emit(m.Schema, *out); err != nil {
 		fatal(err)

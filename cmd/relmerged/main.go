@@ -99,7 +99,7 @@ func main() {
 			fatal(err)
 		}
 		for _, m := range merges {
-			logf("relmerged: merged %s <- {%s}", m.Name, strings.Join(memberNames(m), ", "))
+			logf("relmerged: merged %s <- {%s}", m.Name, strings.Join(m.MemberNames(), ", "))
 		}
 	}
 
@@ -136,7 +136,7 @@ func main() {
 		// that checks inclusion dependencies across shards. Durability is per
 		// shard (shard-<i>/ subdirectories), so WithDurability stays out of
 		// the engine options here — relmerge.Open wires the per-shard WALs.
-		router, err := buildRouter(s, orig, merges, *dataPath, relmerge.Config{
+		router, err := buildRouter(orig, merges, *dataPath, relmerge.Config{
 			Backend:    relmerge.Sharded,
 			Schema:     s,
 			Shards:     *shards,
@@ -251,83 +251,53 @@ func main() {
 	}
 }
 
-// buildEngine opens the serving engine. A fresh durable directory (or a
-// non-durable run) replays -data through the η mappings; a recovered
-// directory already holds its state, so the data file is skipped.
+// buildEngine opens the serving engine and loads -data into it (loadData).
 func buildEngine(s, orig *relmerge.Schema, merges []*relmerge.Merged, dataPath string, opts []relmerge.EngineOption) (*relmerge.Engine, error) {
 	eng, err := relmerge.OpenEngine(s, opts...)
 	if err != nil {
 		return nil, err
 	}
-	if dataPath == "" {
-		return eng, nil
-	}
-	if eng.Durable() && eng.Recovered().Recovered {
-		return eng, nil // recovered state wins over the data file
-	}
-	data, err := os.ReadFile(dataPath)
-	if err != nil {
-		eng.Close()
-		return nil, err
-	}
-	// The data file is written against the pre-merge schema; map it through
-	// each merge record in plan order before loading.
-	st, err := relmerge.ParseState(orig, string(data))
-	if err != nil {
-		eng.Close()
-		return nil, err
-	}
-	for _, m := range merges {
-		st = m.MapState(st)
-	}
-	if err := eng.LoadCtx(context.Background(), st); err != nil {
+	if err := loadData(orig, merges, dataPath, eng.Durable() && eng.Recovered().Recovered, eng.LoadCtx); err != nil {
 		eng.Close()
 		return nil, err
 	}
 	return eng, nil
 }
 
-// buildRouter opens the sharded serving backend through relmerge.Open. The
-// data-file rules match buildEngine: recovered state wins over -data, and a
-// fresh (or non-durable) router replays the file through the η mappings.
-func buildRouter(s, orig *relmerge.Schema, merges []*relmerge.Merged, dataPath string, cfg relmerge.Config) (*shard.Router, error) {
+// buildRouter opens the sharded serving backend through relmerge.Open and
+// loads -data into it (loadData).
+func buildRouter(orig *relmerge.Schema, merges []*relmerge.Merged, dataPath string, cfg relmerge.Config) (*shard.Router, error) {
 	sess, err := relmerge.Open(cfg)
 	if err != nil {
 		return nil, err
 	}
 	router := sess.(*relmerge.ShardedSession).Router()
-	if dataPath == "" {
-		return router, nil
-	}
-	if router.Durable() && router.Recovered().Recovered {
-		return router, nil // recovered state wins over the data file
-	}
-	data, err := os.ReadFile(dataPath)
-	if err != nil {
-		router.Close()
-		return nil, err
-	}
-	st, err := relmerge.ParseState(orig, string(data))
-	if err != nil {
-		router.Close()
-		return nil, err
-	}
-	for _, m := range merges {
-		st = m.MapState(st)
-	}
-	if err := router.LoadCtx(context.Background(), st); err != nil {
+	if err := loadData(orig, merges, dataPath, router.Durable() && router.Recovered().Recovered, router.LoadCtx); err != nil {
 		router.Close()
 		return nil, err
 	}
 	return router, nil
 }
 
-func memberNames(m *relmerge.Merged) []string {
-	names := make([]string, len(m.Members))
-	for i, mb := range m.Members {
-		names[i] = mb.Name
+// loadData loads the -data file, written against the pre-merge schema, after
+// mapping it through each merge record's η in plan order. A recovered
+// directory already holds its state, so then the file is skipped.
+func loadData(orig *relmerge.Schema, merges []*relmerge.Merged, dataPath string, recovered bool, load func(context.Context, *relmerge.DB) error) error {
+	if dataPath == "" || recovered {
+		return nil
 	}
-	return names
+	data, err := os.ReadFile(dataPath)
+	if err != nil {
+		return err
+	}
+	st, err := relmerge.ParseState(orig, string(data))
+	if err != nil {
+		return err
+	}
+	for _, m := range merges {
+		st = m.MapState(st)
+	}
+	return load(context.Background(), st)
 }
 
 func loadSchema(path string, fig3 bool) (*relmerge.Schema, error) {

@@ -11,7 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/ddl"
 	"repro/internal/figures"
-	"repro/internal/nullcon"
+	"repro/internal/schema"
 )
 
 func main() {
@@ -65,7 +65,9 @@ func main() {
 	m52.RemoveAll()
 	fmt.Println("\nthe Prop. 5.2 merge — Merge(OFFER, TEACH, ASSIST) + RemoveAll:")
 	fmt.Print(indent(m52.Schema.String()))
-	fmt.Printf("  only nulls-not-allowed constraints: %v\n", nullcon.OnlyNNA(m52.Schema.NullsOf("OFFER'")))
+	prog, err := schema.Compile(m52.Schema)
+	check(err)
+	fmt.Printf("  only nulls-not-allowed constraints: %v\n", len(prog.Rel("OFFER'").Nulls) == 0)
 	_, err = ddl.Generate(m52.Schema, ddl.Options{Dialect: ddl.DB2})
 	fmt.Printf("  DB2 accepts it: %v\n", err == nil)
 }

@@ -17,6 +17,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/keyrel"
 	"repro/internal/obs"
@@ -56,24 +57,19 @@ type MergedScheme struct {
 	// FullAttrs is Xm as produced by Merge, before any Remove.
 	FullAttrs []string
 
-	// removals, in application order.
-	removals []removal
+	removals []Member       // the members whose key copy Yj = Ki was removed, in order
+	mapping  *Mapping       // η and η′ compiled for the current Schema
 	original *schema.Schema // RS, for documentation and mapping checks
 	trace    []string       // step-by-step provenance (see Trace)
 }
 
-type removal struct {
-	member Member   // the member whose key copy was removed
-	yj     []string // the removed attributes (the member's Ki), in key order
-}
-
-// Removals returns the attribute sets removed so far, in application order.
-func (m *MergedScheme) Removals() [][]string {
-	out := make([][]string, len(m.removals))
-	for i, r := range m.removals {
-		out[i] = append([]string(nil), r.yj...)
+// MemberNames lists the members' names in merge order.
+func (m *MergedScheme) MemberNames() []string {
+	names := make([]string, len(m.Members))
+	for i, mb := range m.Members {
+		names[i] = mb.Name
 	}
-	return out
+	return names
 }
 
 // Member returns the merge-set member record by name, or nil.
@@ -86,13 +82,8 @@ func (m *MergedScheme) Member(name string) *Member {
 	return nil
 }
 
-func (m *MergedScheme) removedOf(member string) []string {
-	for _, r := range m.removals {
-		if r.member.Name == member {
-			return r.yj
-		}
-	}
-	return nil
+func (m *MergedScheme) removed(member string) bool {
+	return slices.ContainsFunc(m.removals, func(r Member) bool { return r.Name == member })
 }
 
 // kmFor maps an attribute of a member's key to the corresponding Km
@@ -104,16 +95,6 @@ func (m *MergedScheme) kmFor(member *Member, attr string) string {
 		}
 	}
 	return attr
-}
-
-// alignKm returns the Km attributes corresponding position-wise to the given
-// subset of a member's key (in the given order).
-func (m *MergedScheme) alignKm(member *Member, attrs []string) []string {
-	out := make([]string, len(attrs))
-	for i, a := range attrs {
-		out[i] = m.kmFor(member, a)
-	}
-	return out
 }
 
 // Merge applies Definition 4.1 to schema s: the relation-schemes named in
@@ -330,6 +311,7 @@ func MergeSet(s *schema.Schema, names []string, opts ...Option) (*MergedScheme, 
 	if err := out.Validate(); err != nil {
 		return nil, fmt.Errorf("core: merge produced an invalid schema: %w", err)
 	}
+	m.compileMapping()
 	m.traceMerge()
 	for _, line := range m.trace {
 		cfg.observe(line)
@@ -358,7 +340,7 @@ func (m *MergedScheme) rewriteINDs(inds []schema.IND) []schema.IND {
 		if nd.Left == m.Name && nd.Right == m.Name {
 			// (b): right side Ki -> Km.
 			if rightMember != nil && schema.EqualAttrSets(nd.RightAttrs, rightMember.Key) {
-				nd.RightAttrs = m.alignKm(rightMember, nd.RightAttrs)
+				nd.RightAttrs = m.substituteKm(rightMember, nd.RightAttrs)
 			}
 			// (c): drop Rm[Ki] ⊆ Rm[Km].
 			if leftMember != nil && schema.EqualAttrSets(nd.LeftAttrs, leftMember.Key) &&

@@ -33,7 +33,7 @@ func (m *MergedScheme) IsRemovable(memberName string) error {
 	if mb.Name == m.KeyRelation {
 		return notRemovable(memberName, mb.Key, PreconditionMember, "core: %s is the key-relation; its key is Km and is never removable", memberName)
 	}
-	if m.removedOf(mb.Name) != nil {
+	if m.removed(mb.Name) {
 		return notRemovable(memberName, mb.Key, PreconditionMember, "core: key copy of %s already removed", memberName)
 	}
 	yj := mb.Key
@@ -164,7 +164,7 @@ func (m *MergedScheme) Remove(memberName string, opts ...Option) error {
 	for _, ind := range s.INDs {
 		nd := ind
 		if nd.Left == m.Name && schema.EqualAttrSets(nd.LeftAttrs, yj) {
-			nd.LeftAttrs = m.alignKm(mb, nd.LeftAttrs)
+			nd.LeftAttrs = m.substituteKm(mb, nd.LeftAttrs)
 		} else if nd.Left == m.Name && schema.OverlapAttrs(nd.LeftAttrs, yj) {
 			// Internal non-key left sides may mention Yj; substitute.
 			nd.LeftAttrs = dedupe(m.substituteKm(mb, nd.LeftAttrs))
@@ -216,7 +216,8 @@ func (m *MergedScheme) Remove(memberName string, opts ...Option) error {
 	s.Nulls = nullcon.Simplify(nulls)
 	step4.End()
 
-	m.removals = append(m.removals, removal{member: *mb, yj: append([]string(nil), yj...)})
+	m.removals = append(m.removals, *mb)
+	m.compileMapping()
 	before := len(m.trace)
 	m.traceRemove(mb)
 	for _, line := range m.trace[before:] {
@@ -240,7 +241,7 @@ func (m *MergedScheme) RemoveAll(opts ...Option) []string {
 	for {
 		progress := false
 		for _, mb := range m.Members {
-			if m.removedOf(mb.Name) != nil {
+			if m.removed(mb.Name) {
 				continue
 			}
 			if m.IsRemovable(mb.Name) == nil {

@@ -160,8 +160,14 @@ func TestRemoveErrors(t *testing.T) {
 	if err := m.Remove("OFFER"); err == nil {
 		t.Error("double removal should fail")
 	}
-	if got := m.Removals(); len(got) != 1 || !schema.EqualAttrSets(got[0], []string{"O.C.NR"}) {
-		t.Errorf("Removals = %v", got)
+	// The mapping records the one removal: OFFER's key copy O.C.NR is
+	// restored from Km.
+	mp := m.Mapping()
+	if len(mp.Removed) != 1 || m.Members[mp.Removed[0]].Name != "OFFER" {
+		t.Fatalf("Removed = %v", mp.Removed)
+	}
+	if part := mp.Parts[mp.Removed[0]]; part.At[part.Key[0]] != mp.Km[0] {
+		t.Errorf("O.C.NR restored from position %d, want Km's %d", part.At[part.Key[0]], mp.Km[0])
 	}
 }
 

@@ -7,11 +7,11 @@ import (
 	"repro/internal/core"
 )
 
-// MigrationSQL emits the data-migration script for a merge: the SQL
-// realization of the paper's state mapping η (Definition 4.1) followed by
-// the μ projections of any removals. The merged table is populated from the
-// member tables by a chain of outer joins on the (renamed) primary keys, and
-// the member tables are dropped:
+// MigrationSQL emits the data-migration script for a merge: its compiled
+// core.Mapping, the paper's state mapping η (Definition 4.1) with the μ
+// projections of any removals, printed as SQL. The merged table is populated
+// from the member tables by a chain of outer joins on the (renamed) primary
+// keys, and the member tables are dropped:
 //
 //	INSERT INTO COURSE2 (...)
 //	SELECT ... FROM COURSE k
@@ -23,82 +23,61 @@ import (
 // for a synthetic key-relation the key universe is materialized first as a
 // UNION of the members' key projections.
 func MigrationSQL(m *core.MergedScheme) string {
+	mp := m.Mapping()
+	attrs := m.Schema.Scheme(m.Name).AttrNames()
 	var b strings.Builder
-	fmt.Fprintf(&b, "-- Migration for Merge(%s) → %s\n", strings.Join(memberNames(m), ", "), sqlName(m.Name))
+	fmt.Fprintf(&b, "-- Migration for Merge(%s) → %s\n", strings.Join(m.MemberNames(), ", "), sqlName(m.Name))
 	fmt.Fprintf(&b, "-- Realizes the state mapping η of Definition 4.1")
-	if n := len(m.Removals()); n > 0 {
+	if n := len(mp.Removed); n > 0 {
 		fmt.Fprintf(&b, " (with %d removal projection(s) composed in)", n)
 	}
 	b.WriteString("\n\n")
 
-	removed := make(map[string]bool)
-	for _, yj := range m.Removals() {
-		for _, a := range yj {
-			removed[a] = true
-		}
-	}
-
-	// The driving table: the key-relation, or a materialized key universe.
-	driver := "k"
+	// The driving table: the key-relation, or a key universe materialized
+	// from every driver.
+	driver, from := "k", sqlName(m.KeyRelation)+" k"
 	if m.Synthetic {
+		driver, from = "kk", sqlName(m.Name)+"_keys kk"
 		b.WriteString("-- Synthetic key-relation: materialize the key universe first.\n")
 		fmt.Fprintf(&b, "CREATE TABLE %s_keys (%s);\n", sqlName(m.Name), sqlNameList(m.Km))
-		for _, mb := range m.Members {
+		for _, d := range mp.Drivers {
 			fmt.Fprintf(&b, "INSERT INTO %s_keys SELECT DISTINCT %s FROM %s;\n",
-				sqlName(m.Name), sqlNameList(mb.Key), sqlName(mb.Name))
+				sqlName(m.Name), sqlNameList(m.Members[d].Key), sqlName(m.Members[d].Name))
 		}
 		b.WriteString("\n")
 	}
 
-	// Column list: the merged scheme's current attributes.
-	cur := m.Schema.Scheme(m.Name)
+	// The key-relation is k, every other member m1, m2, … in merge order.
+	alias, joined := make([]string, len(m.Members)), 0
+	for i, mb := range m.Members {
+		if alias[i] = "k"; mb.Name != m.KeyRelation {
+			joined++
+			alias[i] = fmt.Sprintf("m%d", joined)
+		}
+	}
+	// One column per merged position, taken from its η source.
 	var cols, exprs []string
-	alias := make(map[string]string) // member name -> join alias
-	if m.KeyRelation != "" {
-		alias[m.KeyRelation] = "k"
-	}
-	i := 0
-	for _, mb := range m.Members {
-		if mb.Name == m.KeyRelation {
-			continue
+	for p, src := range mp.Cols {
+		table := driver // a synthetic Km attribute
+		if src.Member >= 0 {
+			table = alias[src.Member]
 		}
-		i++
-		alias[mb.Name] = fmt.Sprintf("m%d", i)
-	}
-	owner := make(map[string]string) // attribute -> alias
-	for _, mb := range m.Members {
-		for _, a := range mb.Attrs {
-			owner[a] = alias[mb.Name]
-		}
-	}
-	if m.Synthetic {
-		for _, k := range m.Km {
-			owner[k] = "kk"
-		}
-	}
-	for _, a := range cur.AttrNames() {
-		cols = append(cols, sqlName(a))
-		exprs = append(exprs, owner[a]+"."+sqlName(a))
+		cols = append(cols, sqlName(attrs[p]))
+		exprs = append(exprs, table+"."+sqlName(attrs[p]))
 	}
 
-	fmt.Fprintf(&b, "INSERT INTO %s (%s)\nSELECT %s\n", sqlName(m.Name),
-		strings.Join(cols, ", "), strings.Join(exprs, ", "))
-	if m.Synthetic {
-		fmt.Fprintf(&b, "FROM %s_keys kk\n", sqlName(m.Name))
-		driver = "kk"
-	} else {
-		fmt.Fprintf(&b, "FROM %s k\n", sqlName(m.KeyRelation))
-	}
-	for _, mb := range m.Members {
-		if mb.Name == m.KeyRelation {
+	fmt.Fprintf(&b, "INSERT INTO %s (%s)\nSELECT %s\nFROM %s\n", sqlName(m.Name),
+		strings.Join(cols, ", "), strings.Join(exprs, ", "), from)
+	for i, mb := range m.Members {
+		if alias[i] == "k" {
 			continue
 		}
 		var conds []string
-		for j := range mb.Key {
+		for j, kp := range mp.Parts[i].Key {
 			conds = append(conds, fmt.Sprintf("%s.%s = %s.%s",
-				alias[mb.Name], sqlName(mb.Key[j]), driver, sqlName(m.Km[j])))
+				alias[i], sqlName(mb.Attrs[kp]), driver, sqlName(attrs[mp.Km[j]])))
 		}
-		fmt.Fprintf(&b, "LEFT OUTER JOIN %s %s ON %s\n", sqlName(mb.Name), alias[mb.Name], strings.Join(conds, " AND "))
+		fmt.Fprintf(&b, "LEFT OUTER JOIN %s %s ON %s\n", sqlName(mb.Name), alias[i], strings.Join(conds, " AND "))
 	}
 	b.WriteString(";\n\n")
 
@@ -109,12 +88,4 @@ func MigrationSQL(m *core.MergedScheme) string {
 		fmt.Fprintf(&b, "DROP TABLE %s;\n", sqlName(mb.Name))
 	}
 	return b.String()
-}
-
-func memberNames(m *core.MergedScheme) []string {
-	out := make([]string, len(m.Members))
-	for i, mb := range m.Members {
-		out[i] = mb.Name
-	}
-	return out
 }

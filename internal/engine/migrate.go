@@ -119,28 +119,45 @@ func (db *DB) migrate(spec core.Spec) (*dbSnapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := m.MapState(stateOf(cur))
-	snap, err := db.build(b, func(tx *writeTx) error {
-		for _, t := range b.ordered {
-			r := st.Relation(t.name)
-			if r == nil {
-				continue
-			}
-			if !slices.Equal(r.Attrs(), t.prog.Hdr.Attrs()) {
-				r = r.Project(t.prog.Hdr.Attrs())
-			}
-			for _, tup := range r.Tuples() {
-				if err := tx.load(t, tup); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	})
+	snap, err := db.build(b, func(tx *writeTx) error { return mapVersion(tx, cur, m) })
 	if err != nil {
 		return nil, fmt.Errorf("mapped state fails constraint validation: %w", err)
 	}
 	return snap, nil
+}
+
+// mapVersion stages η of the pinned version cur into tx: each driver key's
+// member tuples (a member's key encodes as Km does) make one merged row.
+// Every other table is re-staged from cur's rows, immutable and so shared.
+func mapVersion(tx *writeTx, cur *dbSnapshot, m *core.MergedScheme) error {
+	mp, merged := m.Mapping(), tx.snap.bind.tables[m.Name]
+	members := make([]*tableVersion, len(m.Members))
+	for i, mb := range m.Members {
+		members[i] = cur.tables[cur.bind.tables[mb.Name].ord]
+	}
+	for _, t := range tx.snap.bind.ordered {
+		if t != merged {
+			cur.tables[cur.bind.tables[t.name].ord].pk.Range(func(key string, tup relation.Tuple) bool {
+				tx.apply(t, tup, key)
+				return true
+			})
+		}
+	}
+	parts := make([]relation.Tuple, len(members))
+	var err error
+	for d := 0; d < len(mp.Drivers) && err == nil; d++ {
+		members[mp.Drivers[d]].pk.Range(func(key string, _ relation.Tuple) bool {
+			if _, done := tx.pkGet(merged, key); done {
+				return true // a synthetic key another driver staged
+			}
+			for i, v := range members {
+				parts[i], _ = v.pk.Get(key)
+			}
+			err = tx.load(merged, mp.Eta(parts))
+			return err == nil
+		})
+	}
+	return err
 }
 
 // checkState folds the design's program (F ∪ I ∪ N) over a built version. A

@@ -14,12 +14,12 @@ package query
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/relation"
-	"repro/internal/schema"
 )
 
 // Query asks for the values of original-schema attributes of the object
@@ -105,11 +105,11 @@ func (p *BasePlanner) AnswerCtx(ctx context.Context, q Query) (Result, error) {
 	return out, nil
 }
 
-// MergedPlanner answers on the merged design through the merge metadata: a
-// single lookup on the merged relation; attributes removed by Remove are
-// reconstructed as the corresponding Km value when the member part is
-// present (its surviving attributes are total, per the null-synchronization
-// semantics) and null otherwise.
+// MergedPlanner answers on the merged design through the merge's compiled
+// mapping: a single lookup on the merged relation; an attribute removed by
+// Remove is read off the owning member's η′ of the row, which restores it
+// from Km when the member part is present (its surviving attributes are
+// total, per the null-synchronization semantics) and is absent otherwise.
 type MergedPlanner struct {
 	DB *engine.DB
 	M  *core.MergedScheme
@@ -147,7 +147,7 @@ func (p *MergedPlanner) AnswerCtx(ctx context.Context, q Query) (Result, error) 
 			continue
 		}
 		p.Obs.Counter(metricMergedReconstr).Inc()
-		v, err := p.reconstructRemoved(rel, row, a)
+		v, err := p.removed(row, a)
 		if err != nil {
 			return nil, err
 		}
@@ -156,40 +156,16 @@ func (p *MergedPlanner) AnswerCtx(ctx context.Context, q Query) (Result, error) 
 	return out, nil
 }
 
-// reconstructRemoved rebuilds the value of a removed key-copy attribute a:
-// if the owning member's surviving attributes are total in the row, a equals
-// the corresponding Km value (total equality); otherwise the member part is
-// absent and a is null. This is Definition 4.3's μ′, evaluated per row.
-func (p *MergedPlanner) reconstructRemoved(rel *relation.Relation, row relation.Tuple, a string) (relation.Value, error) {
-	for _, yj := range p.M.Removals() {
-		if !schema.ContainsAttr(yj, a) {
-			continue
-		}
-		member := p.memberOfKeyCopy(yj)
-		if member == nil {
-			break
-		}
-		remaining := schema.DiffAttrs(member.Attrs, yj)
-		for _, ra := range remaining {
-			if pos := rel.Position(ra); pos >= 0 && row[pos].IsNull() {
-				return relation.Null(), nil
+// removed answers an attribute a Remove dropped through η′ of the row for
+// the member that owns it: null when that member's part is absent.
+func (p *MergedPlanner) removed(row relation.Tuple, a string) (relation.Value, error) {
+	for i, mb := range p.M.Members {
+		if j := slices.Index(mb.Attrs, a); j >= 0 {
+			if tup, ok := p.M.Mapping().EtaInv(row, i); ok {
+				return tup[j], nil
 			}
-		}
-		// Member present: a = the Km attribute at the same key position.
-		for i, k := range member.Key {
-			if k == a {
-				return row[rel.Position(p.M.Km[i])], nil
-			}
+			return relation.Null(), nil
 		}
 	}
 	return relation.Null(), fmt.Errorf("query: attribute %s is neither in the merged scheme nor a removed key copy", a)
-}
-
-func (p *MergedPlanner) memberOfKeyCopy(yj []string) *core.Member {
-	for i := range p.M.Members {
-		if schema.EqualAttrSets(p.M.Members[i].Key, yj) {
-			return &p.M.Members[i]
-		}
-	}
-	return nil
 }

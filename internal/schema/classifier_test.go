@@ -12,12 +12,34 @@ import (
 
 // TestOneClassifier: the compiled program is the only code that decides
 // whether a constraint is declarative or procedural (Props. 5.1, 5.2). The
-// DDL emitters, the advisor, the engine, the router and the public package
-// read the class off it (INDCheck.KeyBased, RelCheck.NNA and Nulls) and never
-// re-derive it from the raw schema.
+// DDL emitters, the advisor, the engine, the router, the public package, the
+// commands and the examples read the class off it (INDCheck.KeyBased,
+// RelCheck.NNA and Nulls) and never re-derive it from the raw schema.
 func TestOneClassifier(t *testing.T) {
-	banned := map[string]bool{"KeyBased": true, "IsNNA": true, "nullcon.OnlyNNA": true}
-	for _, root := range []string{"../ddl", "../advisor", "../engine", "../shard", "../../pkg/relmerge"} {
+	banCalls(t, "read the class off the compiled program",
+		[]string{"../ddl", "../advisor", "../engine", "../shard", "../../pkg/relmerge", "../../cmd", "../../examples"},
+		"KeyBased", "IsNNA", "nullcon.OnlyNNA")
+}
+
+// TestOneEta: the merge's compiled core.Mapping is the only state mapping the
+// engine, the router, the DDL, the query planner and the public package run.
+// MapState and UnmapState, relational algebra over whole states, are its
+// reference and are called from tests only.
+func TestOneEta(t *testing.T) {
+	banCalls(t, "run the merge's compiled Mapping",
+		[]string{"../engine", "../ddl", "../query", "../shard", "../../pkg/relmerge"},
+		"MapState", "UnmapState", "Removals", "OuterEquiJoin")
+}
+
+// banCalls fails for every call of a banned method or nullcon function in the
+// non-test Go files under roots.
+func banCalls(t *testing.T, instead string, roots []string, names ...string) {
+	t.Helper()
+	banned := make(map[string]bool, len(names))
+	for _, n := range names {
+		banned[n] = true
+	}
+	for _, root := range roots {
 		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 				return err
@@ -41,7 +63,7 @@ func TestOneClassifier(t *testing.T) {
 					name = "nullcon." + name
 				}
 				if banned[name] {
-					t.Errorf("%s: calls %s; read the class off the compiled program", fset.Position(call.Pos()), name)
+					t.Errorf("%s: calls %s; %s", fset.Position(call.Pos()), name, instead)
 				}
 				return true
 			})

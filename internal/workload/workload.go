@@ -197,38 +197,25 @@ func (b *Bench) ProfileMerged(key relation.Tuple) int {
 
 // InsertMergedRow inserts a fresh full row into the merged relation
 // (exercising its constraint set) and the corresponding rows into the base
-// relations (exercising theirs). It returns an error if either side refuses.
-// Rows reference the first tuple of each target relation, so targets must be
-// non-empty.
+// relations (exercising theirs): the merged row is η of the base rows. It
+// returns an error if either side refuses. Rows reference the first tuple of
+// each target relation, so targets must be non-empty.
 func (b *Bench) InsertMergedRow() error {
 	b.nextKey++
 	key := relation.NewString(fmt.Sprintf("e0_id-%d", b.nextKey))
 
-	mergedScheme := b.Merged.Schema.Scheme(b.Scheme.Name)
-	mt := make(relation.Tuple, len(mergedScheme.Attrs))
-	mpos := map[string]int{}
-	for i, a := range mergedScheme.AttrNames() {
-		mpos[a] = i
-		mt[i] = relation.Null()
-	}
-	for _, k := range b.Scheme.Km {
-		mt[mpos[k]] = key
-	}
-
 	// Base-side rows, one per member; fill foreign keys from the first tuple
 	// of each referenced relation.
-	for _, name := range b.MemberNames {
+	parts := make([]relation.Tuple, len(b.MemberNames))
+	for m, name := range b.MemberNames {
 		rs := b.baseSchema.Scheme(name)
+		hdr := relation.New(rs.AttrNames()...)
 		row := make(relation.Tuple, len(rs.Attrs))
-		pos := map[string]int{}
-		for i, a := range rs.AttrNames() {
-			pos[a] = i
-		}
-		for _, k := range rs.PrimaryKey {
-			row[pos[k]] = key
+		for _, p := range hdr.Positions(rs.PrimaryKey) {
+			row[p] = key
 		}
 		for _, ind := range b.baseSchema.INDsFrom(name) {
-			if containsAll(rs.PrimaryKey, ind.LeftAttrs) {
+			if schema.SubsetOf(ind.LeftAttrs, rs.PrimaryKey) {
 				continue // key-copy dependency, already set
 			}
 			target := b.Base.Relation(ind.Right)
@@ -236,11 +223,8 @@ func (b *Bench) InsertMergedRow() error {
 				return fmt.Errorf("workload: empty dependency target %s", ind.Right)
 			}
 			sample := target.Tuples()[0].Project(target.Positions(ind.RightAttrs))
-			for i, a := range ind.LeftAttrs {
-				row[pos[a]] = sample[i]
-				if j, ok := mpos[a]; ok {
-					mt[j] = sample[i]
-				}
+			for i, p := range hdr.Positions(ind.LeftAttrs) {
+				row[p] = sample[i]
 			}
 		}
 		for i := range row {
@@ -251,28 +235,10 @@ func (b *Bench) InsertMergedRow() error {
 		if err := b.Base.InsertCtx(context.Background(), name, row); err != nil {
 			return fmt.Errorf("workload: base insert into %s: %w", name, err)
 		}
-		// Mirror the non-key attributes into the merged row.
-		for i, a := range rs.AttrNames() {
-			if j, ok := mpos[a]; ok && mt[j].IsNull() {
-				mt[j] = row[i]
-			}
-		}
+		parts[m] = row
 	}
-	if err := b.Merged.InsertCtx(context.Background(), b.Scheme.Name, mt); err != nil {
+	if err := b.Merged.InsertCtx(context.Background(), b.Scheme.Name, b.Scheme.Mapping().Eta(parts)); err != nil {
 		return fmt.Errorf("workload: merged insert: %w", err)
 	}
 	return nil
-}
-
-func containsAll(have, want []string) bool {
-	set := make(map[string]bool, len(have))
-	for _, a := range have {
-		set[a] = true
-	}
-	for _, a := range want {
-		if !set[a] {
-			return false
-		}
-	}
-	return true
 }

@@ -62,8 +62,9 @@ suite() {
 		$GO test -race -count=1 -run 'Repl|Follower|Promote|Failover|Ship|Stream|Snapshot|Checkpoint' ./internal/wal/ ./internal/engine/ ./pkg/relmerge/
 		$GO test -race -count=20 ./internal/repl/
 		;;
-	advise-test) # live schema migration (engine + router), the migration crash matrix, co-access measurement, the online decision policy, the public Advise/ApplyRecommendation API
+	advise-test) # live schema migration (engine + router), the migration crash matrix, co-access measurement, the online decision policy, the public Advise/ApplyRecommendation API; then 10 s of FuzzMapping, the compiled state mapping (η, η′) against its MapState/UnmapState reference
 		$GO test -race -count=1 -run 'Migrate|CoAccess|Decide|Apply|Advis|CostModelFromStats' ./internal/engine/ ./internal/shard/ ./internal/advisor/... ./pkg/relmerge/
+		$GO test -run xxx -fuzz FuzzMapping -fuzztime 10s ./internal/core/
 		;;
 	relbench-test) # the nested benchmark module (the root build does not see it): its tests, then every workload once at smoke length through the model gate
 		(cd benchmark && $GO test ./...)
