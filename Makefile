@@ -29,13 +29,17 @@ bench:
 microbench:
 	$(GO) test -bench . -benchmem -run xxx ./internal/attrset/ ./internal/fd/ ./internal/immap/ ./internal/engine/
 
-## allocs: where a write on the merged chain design allocates, then where a remote round trip does — BenchmarkWriteMergedChain and BenchmarkRemoteRoundTrip (loopback fetch and insert) with every allocation sampled, each followed by its top 30 sites by allocation count, and the merged-chain write also by bytes allocated (binaries and profiles go to .bench_build/, which is git-ignored)
+## allocs: where a write on the merged chain design allocates, in memory and then with a write-ahead log (SyncNever, as durable-write-chain runs it: record encoding and framing included), then where a remote round trip does — BenchmarkWriteMergedChain, BenchmarkWriteMergedChainDurable and BenchmarkRemoteRoundTrip (loopback fetch and insert) with every allocation sampled, each followed by its top 30 sites by allocation count, and the merged-chain writes also by bytes allocated (binaries and profiles go to .bench_build/, which is git-ignored)
 allocs:
 	mkdir -p .bench_build/allocs
-	$(GO) test -run xxx -bench BenchmarkWriteMergedChain -benchtime 60000x -benchmem -memprofilerate=1 \
+	$(GO) test -run xxx -bench 'BenchmarkWriteMergedChain$$' -benchtime 60000x -benchmem -memprofilerate=1 \
 		-memprofile $(CURDIR)/.bench_build/allocs/mem.prof -o $(CURDIR)/.bench_build/allocs/engine.test ./internal/engine/
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=30 .bench_build/allocs/engine.test .bench_build/allocs/mem.prof
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=30 .bench_build/allocs/engine.test .bench_build/allocs/mem.prof
+	$(GO) test -run xxx -bench 'BenchmarkWriteMergedChainDurable$$' -benchtime 60000x -benchmem -memprofilerate=1 \
+		-memprofile $(CURDIR)/.bench_build/allocs/durable.prof -o $(CURDIR)/.bench_build/allocs/engine.test ./internal/engine/
+	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=30 .bench_build/allocs/engine.test .bench_build/allocs/durable.prof
+	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=30 .bench_build/allocs/engine.test .bench_build/allocs/durable.prof
 	$(GO) test -run xxx -bench BenchmarkRemoteRoundTrip -benchtime 20000x -benchmem -memprofilerate=1 \
 		-memprofile $(CURDIR)/.bench_build/allocs/remote.prof -o $(CURDIR)/.bench_build/allocs/server.test ./internal/server/
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=30 .bench_build/allocs/server.test .bench_build/allocs/remote.prof

@@ -88,15 +88,14 @@ func (db *DB) InsertBatchCtx(ctx context.Context, name string, tuples []relation
 		}
 		seen[keys[i]] = struct{}{}
 	}
-	var eff effects
 	for i, tup := range tuples {
-		if err := db.insertLocked(tx, t, tup, keys[i], &eff); err != nil {
+		if err := db.insertLocked(tx, t, tup, keys[i]); err != nil {
 			return fmt.Errorf("engine: batch insert %d/%d into %s: %w", i+1, len(tuples), name, err)
 		}
 	}
 	// The whole batch is one log record (group commit: one write + one fsync)
 	// and one published version: readers see all of it or none of it.
-	return db.commitEffects(tx, eff)
+	return db.commitEffects(tx)
 }
 
 // ApplyBatchCtx applies a mixed batch of inserts, deletes, and updates as
@@ -118,11 +117,11 @@ func (db *DB) ApplyBatchCtx(ctx context.Context, ops []BatchOp) error {
 
 // StagedBatch is a mixed batch that StageBatchCtx has checked and staged but
 // not logged or published. It holds the engine's writer mutex until Commit or
-// Abort releases it.
+// Abort releases it, and with it the engine's own staging, which it points
+// at: no other writer can re-arm that staging before the mutex is released.
 type StagedBatch struct {
-	db  *DB // nil once released
-	tx  writeTx
-	eff effects
+	db *DB // nil once released
+	tx *writeTx
 }
 
 // StageBatchCtx runs every check of ApplyBatchCtx on ops and stages their
@@ -137,8 +136,8 @@ func (db *DB) StageBatchCtx(ctx context.Context, ops []BatchOp) (StagedBatch, er
 	if err := db.lockWriterCtx(ctx); err != nil {
 		return StagedBatch{}, err
 	}
-	s := StagedBatch{db: db, tx: writeTx{snap: db.current.Load()}}
-	if err := db.stageBatch(&s.tx, ops, &s.eff); err != nil {
+	s := StagedBatch{db: db, tx: db.beginWrite()}
+	if err := db.stageBatch(s.tx, ops); err != nil {
 		db.wmu.Unlock()
 		return StagedBatch{}, err
 	}
@@ -152,10 +151,10 @@ func (s *StagedBatch) Commit() error {
 	if s.db == nil {
 		return nil
 	}
-	db := s.db
-	s.db = nil
+	db, tx := s.db, s.tx
+	s.db, s.tx = nil, nil
 	defer db.wmu.Unlock()
-	return db.commitEffects(&s.tx, s.eff)
+	return db.commitEffects(tx)
 }
 
 // Abort drops the staged batch and releases the writer mutex. It does nothing
@@ -163,14 +162,14 @@ func (s *StagedBatch) Commit() error {
 func (s *StagedBatch) Abort() {
 	if s.db != nil {
 		s.db.wmu.Unlock()
-		s.db = nil
+		s.db, s.tx = nil, nil
 	}
 }
 
 // stageBatch checks and stages every op of a mixed batch in tx, with the
 // writer mutex held. An unknown relation or op kind anywhere in the batch is
 // reported before any op runs.
-func (db *DB) stageBatch(tx *writeTx, ops []BatchOp, eff *effects) error {
+func (db *DB) stageBatch(tx *writeTx, ops []BatchOp) error {
 	for _, op := range ops {
 		if op.Kind < BatchInsert || op.Kind > BatchUpdate {
 			return fmt.Errorf("engine: unknown batch op kind %d", op.Kind)
@@ -184,11 +183,11 @@ func (db *DB) stageBatch(tx *writeTx, ops []BatchOp, eff *effects) error {
 		var opErr error
 		switch op.Kind {
 		case BatchInsert:
-			opErr = db.insertOne(tx, t, op.Tuple, eff)
+			opErr = db.insertOne(tx, t, op.Tuple)
 		case BatchDelete:
-			opErr = db.deleteLocked(tx, t, op.Key, eff)
+			opErr = db.deleteLocked(tx, t, op.Key)
 		case BatchUpdate:
-			opErr = db.updateLocked(tx, t, op.Key, op.Tuple, eff)
+			opErr = db.updateLocked(tx, t, op.Key, op.Tuple)
 		}
 		if opErr != nil {
 			return fmt.Errorf("engine: batch op %d/%d (%s on %s): %w", i+1, len(ops), op.Kind, op.Relation, opErr)

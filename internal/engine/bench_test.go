@@ -11,6 +11,7 @@ import (
 	"repro/internal/figures"
 	"repro/internal/relation"
 	"repro/internal/translate"
+	"repro/internal/wal"
 	"repro/internal/workload"
 )
 
@@ -142,9 +143,23 @@ func (c *mergedChain) row(key string, depth int) relation.Tuple {
 // logical row carries every index of the merged cluster. Ops cycle insert ×3,
 // update ×2 (to another depth), delete ×1 over 20 000 rows; run it with
 // -benchmem, or through `make allocs` for the allocation profile.
-func BenchmarkWriteMergedChain(b *testing.B) {
+func BenchmarkWriteMergedChain(b *testing.B) { benchWriteMergedChain(b) }
+
+// BenchmarkWriteMergedChainDurable is BenchmarkWriteMergedChain with a
+// write-ahead log that never fsyncs, as relbench's durable-write-chain runs
+// it: every op also encodes its record and frames it into the log.
+func BenchmarkWriteMergedChainDurable(b *testing.B) {
+	benchWriteMergedChain(b, engine.WithDurability(b.TempDir(), wal.SyncNever))
+}
+
+func benchWriteMergedChain(b *testing.B, opts ...engine.Option) {
 	const rows = 20000
-	c, ctx := openMergedChain(b, rows, 1024), context.Background()
+	c, ctx := openMergedChain(b, rows, 1024, opts...), context.Background()
+	b.Cleanup(func() {
+		if err := c.db.Close(); err != nil {
+			b.Error(err)
+		}
+	})
 	live := make([]string, rows)
 	for k := range live {
 		live[k] = fmt.Sprintf("e-%d", k)

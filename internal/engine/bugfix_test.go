@@ -57,7 +57,7 @@ func TestPhysicalRemoveDropsEmptyBuckets(t *testing.T) {
 	if len(child.sec) != 1 || child.prog.Hdr.Attrs()[child.sec[0][0]] != "C.P" {
 		t.Fatalf("CHILD should carry exactly the secondary index on C.P, has %v", child.sec)
 	}
-	idx := db.current.Load().tables[child.ord].sec[0]
+	idx := db.current.Load().tables[child.ord].sec
 	if idx.Len() != 0 {
 		t.Fatalf("secondary index leaked %d empty buckets after %d churn cycles (want 0)", idx.Len(), churn)
 	}

@@ -22,11 +22,10 @@ type CoAccessStat struct {
 
 // buildCoEdges gives every inclusion-dependency plan of b the co-access
 // counter of its Left->Right edge (dependencies between the same two tables
-// share one) and indexes the counters by relation pair (pairKey), in both
-// directions. Counters start at zero: a migration installs a fresh binding,
+// share one) and indexes the counters by relation pair, in both directions. Counters start at zero: a migration installs a fresh binding,
 // which naturally resets observation.
 func buildCoEdges(b *binding) {
-	b.coPairs = make(map[string]*coEdge)
+	b.coPairs = make(map[[2]string]*coEdge)
 	edges := make(map[string]*coEdge)
 	for _, t := range b.ordered {
 		for _, ip := range t.out {
@@ -36,26 +35,26 @@ func buildCoEdges(b *binding) {
 				e = &coEdge{left: left, right: right}
 				edges[left+"->"+right] = e
 				b.coEdges = append(b.coEdges, e)
-				b.coPairs[pairKey(left, right)] = e
-				b.coPairs[pairKey(right, left)] = e
+				b.coPairs[[2]string{left, right}] = e
+				b.coPairs[[2]string{right, left}] = e
 			}
 			ip.edge = e
 		}
 	}
 }
 
-func pairKey(a, b string) string { return a + "\x00" + b }
-
-// noteFetch records a point read of name and, if the previous point read on
+// noteFetch records a point read of t and, if the previous point read on
 // this engine touched the other side of an IND edge, bumps that edge. The
 // one-deep history is deliberately coarse: it is a traffic signal, not a trace.
-func (db *DB) noteFetch(b *binding, name string) {
-	prev, _ := db.lastFetch.Load().(string)
-	db.lastFetch.Store(name)
-	if prev == "" || prev == name {
+// It is kept as a table pointer, which stores without allocating; the pair
+// resolves by name, because the previous read may have pinned a version of
+// another binding.
+func (db *DB) noteFetch(b *binding, t *table) {
+	prev := db.lastFetch.Swap(t)
+	if prev == nil || prev.name == t.name {
 		return
 	}
-	if e, ok := b.coPairs[pairKey(prev, name)]; ok {
+	if e, ok := b.coPairs[[2]string{prev.name, t.name}]; ok {
 		e.hits.Add(1)
 		db.countCoAccess()
 	}

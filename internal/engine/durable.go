@@ -514,16 +514,27 @@ type walOp struct {
 // draw the stamp from a logical sequence counter instead. Called with the
 // writer mutex held; a failure means the record is not on disk (the log
 // truncates its own torn tail) and the caller must not publish.
+//
+// The record is encoded into db.recBuf, reused from one operation to the
+// next (the log copies it into its frame before Commit returns); a buffer
+// grown past keepBuf by a bulk load is dropped rather than kept live.
 func (db *DB) logOp(eff effects, inTxn bool) (uint64, error) {
 	if db.wal == nil {
 		return db.seq.Add(1), nil
 	}
-	lsn, err := db.wal.Commit(encodeOpRecord(eff, inTxn))
+	db.recBuf = appendOpRecord(db.recBuf[:0], eff, inTxn)
+	lsn, err := db.wal.Commit(db.recBuf)
+	if cap(db.recBuf) > keepBuf {
+		db.recBuf = nil
+	}
 	if err != nil {
 		return 0, fmt.Errorf("engine: logging operation: %w", err)
 	}
 	return lsn, nil
 }
+
+// keepBuf is the largest record buffer kept for the next operation.
+const keepBuf = 64 << 10
 
 // logMarker logs a transaction marker record, returning its LSN (zero for a
 // non-durable engine: markers publish no version, so they draw no stamp).
@@ -538,14 +549,13 @@ func (db *DB) logMarker(kind byte) (uint64, error) {
 	return lsn, nil
 }
 
-// encodeOpRecord renders one operation's effects:
+// appendOpRecord appends the record of one operation's effects to buf:
 //
 //	[kind=1][inTxn byte][uvarint n] then n × ([dir byte][uvarint len][rel]
 //	[uvarint arity] arity × value)
 //
 // in the relation.Tuple row format.
-func encodeOpRecord(eff effects, inTxn bool) []byte {
-	buf := make([]byte, 0, 64*len(eff))
+func appendOpRecord(buf []byte, eff effects, inTxn bool) []byte {
 	buf = append(buf, walRecOp, boolByte(inTxn))
 	buf = binary.AppendUvarint(buf, uint64(len(eff)))
 	for _, op := range eff {

@@ -36,7 +36,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/immap"
 	"repro/internal/obs"
 	"repro/internal/relation"
 	"repro/internal/schema"
@@ -88,7 +87,7 @@ type binding struct {
 	// pair to its edge, in either direction. Fed from the lock-free fetch
 	// path, read by the online advisor (coaccess.go).
 	coEdges []*coEdge
-	coPairs map[string]*coEdge
+	coPairs map[[2]string]*coEdge
 }
 
 // DB is the engine instance: a schema plus its tables and counters.
@@ -117,9 +116,9 @@ type DB struct {
 	current     atomic.Pointer[dbSnapshot]
 	seq         atomic.Uint64
 	lastPublish atomic.Int64
-	// lastFetch is the relation name of the most recent key-shaped fetch, the
+	// lastFetch is the table of the most recent key-shaped fetch, the
 	// co-access pair detector's one-deep history (coaccess.go).
-	lastFetch atomic.Value
+	lastFetch atomic.Pointer[table]
 	// txn is the version pinned when the open transaction began, nil when none
 	// is open (txn.go); undo is that transaction's undo log.
 	txn  atomic.Pointer[dbSnapshot]
@@ -147,6 +146,11 @@ type DB struct {
 	// probeKey is the buffer a probe key is handed to the hooks in; written
 	// only under the writer mutex.
 	probeKey []byte
+	// wtx is the writer's staging, re-armed by beginWrite for every operation
+	// (version.go); recBuf is the buffer op records are encoded into
+	// (durable.go). Both belong to the holder of the writer mutex.
+	wtx    writeTx
+	recBuf []byte
 }
 
 // Option configures Open.
@@ -273,15 +277,11 @@ func (db *DB) lockWriterCtx(ctx context.Context) error {
 }
 
 // emptyVersions builds the version-zero table set of a binding: every table
-// empty, every secondary index present.
+// and its secondary index empty.
 func emptyVersions(b *binding) []*tableVersion {
 	tables := make([]*tableVersion, len(b.ordered))
-	for i, t := range b.ordered {
-		tv := &tableVersion{pk: immap.New[relation.Tuple](), sec: make([]*immap.Map[uint32], len(t.sec))}
-		for slot := range tv.sec {
-			tv.sec[slot] = immap.New[uint32]()
-		}
-		tables[i] = tv
+	for i := range tables {
+		tables[i] = new(tableVersion)
 	}
 	return tables
 }
@@ -349,34 +349,33 @@ func (db *DB) InsertCtx(ctx context.Context, name string, tup relation.Tuple) er
 	}
 	defer db.m.insertLat.ObserveSince(start)
 	tx := db.beginWrite()
-	var eff effects
-	if err := db.insertOne(tx, t, tup, &eff); err != nil {
+	if err := db.insertOne(tx, t, tup); err != nil {
 		return err
 	}
-	return db.commitEffects(tx, eff)
+	return db.commitEffects(tx)
 }
 
 // insertOne is insertLocked for a tuple nobody has looked at yet: it checks
 // the arity and encodes the primary key.
-func (db *DB) insertOne(tx *writeTx, t *table, tup relation.Tuple, eff *effects) error {
+func (db *DB) insertOne(tx *writeTx, t *table, tup relation.Tuple) error {
 	if len(tup) != len(t.rs.Attrs) {
 		return fmt.Errorf("%w for %s", ErrArityMismatch, t.name)
 	}
-	return db.insertLocked(tx, t, tup, tx.keyOf(t, tup), eff)
+	return db.insertLocked(tx, t, tup, tx.keyOf(t, tup))
 }
 
 // insertLocked validates and stages one tuple of t's arity under its encoded
 // primary key (encoded once by the caller and carried to the index), with the
-// writer mutex held. Mutations are staged in tx and recorded in eff; on error
-// the caller simply drops tx (the published state was never touched).
-func (db *DB) insertLocked(tx *writeTx, t *table, tup relation.Tuple, key string, eff *effects) error {
+// writer mutex held. Mutations are staged and recorded in tx; on error the
+// caller simply abandons tx (the published state was never touched).
+func (db *DB) insertLocked(tx *writeTx, t *table, tup relation.Tuple, key string) error {
 	if err := db.checkDeclarative(tx, t, tup, key); err != nil {
 		return err
 	}
 	if err := db.fireInsertTriggers(tx, t, tup); err != nil {
 		return err
 	}
-	eff.apply(tx, t, tup, key)
+	tx.eff.apply(tx, t, tup, key)
 	db.countInsert()
 	return nil
 }

@@ -24,6 +24,10 @@ var (
 	// scheme's primary key, so its foreign-key probe could never be encoded
 	// correctly. Detected at Open.
 	ErrMalformedIND = errors.New("engine: malformed inclusion dependency")
+	// ErrTooManyIndexes reports a table whose dependencies need more
+	// secondary-index slots than a slot byte can name (maxSlots). Detected
+	// at every bind.
+	ErrTooManyIndexes = errors.New("engine: too many secondary indexes on one table")
 	// ErrNonKeyFD reports an FD whose left side lacks its scheme's primary
 	// key: the engine holds only key dependencies. Detected at every bind.
 	ErrNonKeyFD = errors.New("engine: functional dependency is not a key dependency")

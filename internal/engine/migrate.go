@@ -89,7 +89,7 @@ func (s *StagedMigration) Commit() error {
 	}
 	db.installState(s.snap, lsn)
 	db.m.migrations.Inc()
-	db.lastFetch.Store("")
+	db.lastFetch.Store(nil)
 	return nil
 }
 

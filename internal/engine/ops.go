@@ -60,17 +60,15 @@ func (db *DB) DeleteCtx(ctx context.Context, name string, key relation.Tuple) er
 	}
 	defer db.m.deleteLat.ObserveSince(start)
 	tx := db.beginWrite()
-	var eff effects
-	if err := db.deleteLocked(tx, t, key, &eff); err != nil {
+	if err := db.deleteLocked(tx, t, key); err != nil {
 		return err
 	}
-	return db.commitEffects(tx, eff)
+	return db.commitEffects(tx)
 }
 
 // deleteLocked checks and stages one delete, with the writer mutex held.
-func (db *DB) deleteLocked(tx *writeTx, t *table, key relation.Tuple, eff *effects) error {
-	ks := string(key.AppendKey(tx.kb[:0]))
-	tup, ok := tx.pkGet(t, ks)
+func (db *DB) deleteLocked(tx *writeTx, t *table, key relation.Tuple) error {
+	ks, tup, ok := tx.pkLookup(t, key.AppendKey(tx.kb[:0]))
 	if !ok {
 		return fmt.Errorf("%w: no %s tuple with key %v", ErrNoSuchTuple, t.name, key)
 	}
@@ -84,7 +82,7 @@ func (db *DB) deleteLocked(tx *writeTx, t *table, key relation.Tuple, eff *effec
 			return err
 		}
 	}
-	eff.remove(tx, t, tup, ks)
+	tx.eff.remove(tx, t, tup, ks)
 	db.countDelete()
 	return nil
 }
@@ -120,27 +118,25 @@ func (db *DB) UpdateCtx(ctx context.Context, name string, key relation.Tuple, ne
 	}
 	defer db.m.updateLat.ObserveSince(start)
 	tx := db.beginWrite()
-	var eff effects
-	if err := db.updateLocked(tx, t, key, newTup, &eff); err != nil {
+	if err := db.updateLocked(tx, t, key, newTup); err != nil {
 		return err
 	}
-	return db.commitEffects(tx, eff)
+	return db.commitEffects(tx)
 }
 
 // updateLocked checks and stages one update, with the writer mutex held. The
 // old tuple's staged removal precedes the checks, so the new tuple validates
 // against a view without it (a key-preserving update cannot trip the PK check
 // on its own old row); a violation drops the whole staged transaction.
-func (db *DB) updateLocked(tx *writeTx, t *table, key, newTup relation.Tuple, eff *effects) error {
+func (db *DB) updateLocked(tx *writeTx, t *table, key, newTup relation.Tuple) error {
 	if len(newTup) != len(t.rs.Attrs) {
 		return fmt.Errorf("%w for %s", ErrArityMismatch, t.name)
 	}
-	ks := string(key.AppendKey(tx.kb[:0]))
-	old, ok := tx.pkGet(t, ks)
+	ks, old, ok := tx.pkLookup(t, key.AppendKey(tx.kb[:0]))
 	if !ok {
 		return fmt.Errorf("%w: no %s tuple with key %v", ErrNoSuchTuple, t.name, key)
 	}
-	eff.remove(tx, t, old, ks)
+	tx.eff.remove(tx, t, old, ks)
 	// A key-preserving update stores the new tuple under the old key string.
 	if !old.IdenticalAt(newTup, t.pkPos) {
 		ks = tx.keyOf(t, newTup)
@@ -162,7 +158,7 @@ func (db *DB) updateLocked(tx *writeTx, t *table, key, newTup relation.Tuple, ef
 			return err
 		}
 	}
-	eff.apply(tx, t, newTup, ks)
+	tx.eff.apply(tx, t, newTup, ks)
 	db.countUpdate()
 	return nil
 }

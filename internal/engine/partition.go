@@ -97,8 +97,7 @@ func (v *View) HasReferenced(ind schema.IND, valKey []byte) bool {
 		_, ok := tv.pk.GetBytes(valKey)
 		return ok
 	}
-	n, _ := tv.sec[ip.rightSlot].GetBytes(valKey)
-	return n > 0
+	return tv.carries(ip.rightSlot, valKey)
 }
 
 // Referencing returns how many tuples of ind.Left in the current published
@@ -121,11 +120,11 @@ func (db *DB) Referencing(ind schema.IND, refKey []byte, gone map[string]bool) i
 		}
 		return 1
 	}
-	n, _ := v.sec[ip.leftSlot].GetBytes(refKey)
+	var kb [64]byte
+	n, _ := v.sec.GetBytes(appendSlot(kb[:0], ip.leftSlot, refKey))
 	if n == 0 {
 		return 0
 	}
-	var kb [64]byte
 	for k := range gone {
 		if tup, ok := v.pk.Get(k); ok && tup.TotalAt(ip.LeftPos) && bytes.Equal(tup.AppendKeyAt(kb[:0], ip.LeftPos), refKey) {
 			n--

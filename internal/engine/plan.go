@@ -73,6 +73,12 @@ func (b *binding) compilePlans() error {
 		left.out = append(left.out, ip)
 		right.in = append(right.in, ip)
 	}
+	for _, t := range b.ordered {
+		if len(t.sec) > maxSlots {
+			return fmt.Errorf("%w: %s needs %d secondary indexes, a table holds at most %d",
+				ErrTooManyIndexes, t.name, len(t.sec), maxSlots)
+		}
+	}
 	return nil
 }
 

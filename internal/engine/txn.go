@@ -15,9 +15,10 @@ type undoOp struct {
 
 // effects records the staged mutations of one operation (or one batch): the
 // change list that becomes the WAL record and, inside a transaction, the
-// undo-log entries. The mutations live only in the writeTx until
-// commitEffects publishes them, so a failed operation leaves no trace — its
-// writeTx is simply dropped.
+// undo-log entries. It lives in the writeTx (writeTx.eff), and like the
+// staged mutations it is the writer's reused buffer: commitEffects logs it
+// and copies it into the undo log, and the next beginWrite empties it, so a
+// failed operation leaves no trace.
 type effects []undoOp
 
 // apply stages tup into t under its encoded primary key via tx and records
@@ -41,17 +42,17 @@ func (e *effects) remove(tx *writeTx, t *table, tup relation.Tuple, key string) 
 // and, inside a transaction, the effects are appended to the undo log. A
 // non-nil error means the record is not on disk and nothing was published:
 // memory and log stay in agreement with no revert needed.
-func (db *DB) commitEffects(tx *writeTx, eff effects) error {
-	if len(eff) == 0 {
+func (db *DB) commitEffects(tx *writeTx) error {
+	if len(tx.eff) == 0 {
 		return nil
 	}
 	inTxn := db.InTxn()
-	lsn, err := db.logOp(eff, inTxn)
+	lsn, err := db.logOp(tx.eff, inTxn)
 	if err != nil {
 		return err
 	}
 	if inTxn {
-		db.undo = append(db.undo, eff...)
+		db.undo = append(db.undo, tx.eff...)
 	}
 	db.publish(tx, lsn)
 	return nil

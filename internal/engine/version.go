@@ -13,8 +13,10 @@ import (
 // table snapshots with copy-on-write publication.
 //
 //   - tableVersion is one immutable version of a table's contents: the
-//     primary-key index and every secondary index as persistent
-//     (structurally shared) maps. A published version is never modified.
+//     primary-key index and the table's one counted secondary index, both
+//     persistent (structurally shared) maps held by value, so a reader
+//     reaches either root in the hop that reaches the version. A published
+//     version is never modified.
 //   - dbSnapshot bundles one version per table plus the WAL LSN of the last
 //     operation it contains. DB.current holds the latest published snapshot;
 //     a single atomic pointer load pins a consistent cross-table view.
@@ -22,25 +24,52 @@ import (
 //     run entirely lock-free; writers never block them.
 //   - Writers serialize on the writer mutex (DB.wmu), so the snapshot a
 //     writer pins is the latest version and stays so until it publishes.
-//     Mutations are staged in a writeTx — one immap.Editor per index the
-//     operation writes, opened on the pinned version — and become visible in
-//     ONE publish after the WAL accepts the record (commitEffects, txn.go).
-//     An editor never outlives its writeTx: publish freezes it into the next
-//     immutable version, and a failed or violating operation simply drops
-//     its writeTx, editors and all — the published state was never touched,
-//     so there is nothing to revert.
+//     Mutations are staged in a writeTx — at most two immap editors per
+//     table the operation writes, reopened on the pinned version — and
+//     become visible in ONE publish after the WAL accepts the record
+//     (commitEffects, txn.go). Publish freezes the editors into the headers
+//     of the next immutable version; a failed or violating operation simply
+//     abandons its staging — the published state was never touched, so
+//     there is nothing to revert.
+//   - The staging is the writer's own and reused: the DB keeps one writeTx
+//     (DB.wtx) with its workTables, their editors and its effects list, and
+//     beginWrite wipes and re-arms it for each operation. Only the holder of
+//     the writer mutex may touch it. A StagedBatch holds that mutex from
+//     StageBatchCtx to Commit or Abort, so it points at DB.wtx rather than
+//     owning a copy; build (migration, recovery, bootstrap) stages a state
+//     nobody else can see into a writeTx of its own. Nothing an operation
+//     staged survives into the next: beginWrite zeroes every workTable the
+//     last one used, refused or not.
 //   - Old versions are reclaimed by the garbage collector once the last
 //     reader drops its snapshot pointer; no epoch or hazard bookkeeping.
 
 // tableVersion is one immutable published version of a table's indexes.
-// The pk map is keyed by the encoded primary-key value. Each secondary map
-// (one per slot of table.sec) maps an encoded attribute value to the number
-// of rows carrying it, never zero: every probe of a secondary index asks
-// only whether some row carries the value, so a write changes one counter
-// and copies no list of rows.
+// The pk map is keyed by the encoded primary-key value. The sec map is the
+// table's one counted secondary index: for every slot of table.sec it maps
+// slot byte ‖ encoded attribute value to the number of rows carrying that
+// value, never zero. Every probe of a secondary index asks only whether some
+// row carries a value, so a write changes one counter and copies no list of
+// rows, and a row writing several slots pays for one root.
 type tableVersion struct {
-	pk  *immap.Map[relation.Tuple]
-	sec []*immap.Map[uint32]
+	pk  immap.Map[relation.Tuple]
+	sec immap.Map[uint32]
+}
+
+// maxSlots is the number of secondary-index slots a table can have: the
+// slot is the first byte of a sec key (compilePlans refuses more).
+const maxSlots = 256
+
+// appendSlot appends the sec key of slot and the encoded value val to dst.
+func appendSlot(dst []byte, slot int, val []byte) []byte {
+	return append(append(dst, byte(slot)), val...)
+}
+
+// carries reports whether any row of the version carries the encoded value
+// val in secondary index slot.
+func (tv *tableVersion) carries(slot int, val []byte) bool {
+	var kb [64]byte
+	n, _ := tv.sec.GetBytes(appendSlot(kb[:0], slot, val))
+	return n > 0
 }
 
 // dbSnapshot is one immutable, cross-table-consistent version of the whole
@@ -71,8 +100,12 @@ func (s *dbSnapshot) count(name string) int {
 // checks of the same batch; concurrent readers see none of it until publish.
 type writeTx struct {
 	snap *dbSnapshot
-	// work holds the staged tables, few enough to search linearly.
+	// work holds the staged tables, few enough to search linearly. Its
+	// capacity is a pool: a workTable past len is zero and reused by stage.
 	work []*workTable
+	// eff records the operation's mutations (txn.go): the WAL record and,
+	// inside a transaction, the undo log are made from it.
+	eff effects
 	// kb is the scratch space probe keys are encoded into: a key is looked up
 	// as bytes and becomes a string only when an index stores it. One probe
 	// key is live at a time.
@@ -80,19 +113,37 @@ type writeTx struct {
 }
 
 // workTable holds the in-progress next version of one table: an editor per
-// index the transaction has written, opened on base at the first write.
+// index the transaction has written, reopened on base's index at the first
+// write. pk and sec are nil until then, and point at pkEd and secEd after.
 type workTable struct {
-	t    *table
-	base *tableVersion
-	pk   *immap.Editor[relation.Tuple]
-	sec  []*immap.Editor[uint32] // by slot; nil until written
+	t     *table
+	base  *tableVersion
+	pk    *immap.Editor[relation.Tuple]
+	sec   *immap.Editor[uint32]
+	pkEd  immap.Editor[relation.Tuple]
+	secEd immap.Editor[uint32]
 }
 
-// beginWrite pins the current snapshot as the base of a new write
-// transaction. It must be called with the writer mutex held, which guarantees
-// nobody publishes a newer version before this transaction does.
+// keepEffects is how many ops an effects list may hold and still be kept
+// for the next operation: a bulk load's list is dropped, not pinned.
+const keepEffects = 1 << 10
+
+// beginWrite re-arms the DB's own writeTx on the current snapshot and returns
+// it. It must be called with the writer mutex held, which guarantees nobody
+// publishes a newer version before this transaction does, and that nobody
+// else is using the writeTx. Whatever the previous operation staged — and
+// whether it published or was refused — is wiped here.
 func (db *DB) beginWrite() *writeTx {
-	return &writeTx{snap: db.current.Load()}
+	tx := &db.wtx
+	for _, wt := range tx.work {
+		*wt = workTable{}
+	}
+	tx.snap, tx.work = db.current.Load(), tx.work[:0]
+	if cap(tx.eff) > keepEffects {
+		tx.eff = nil
+	}
+	tx.eff = tx.eff[:0]
+	return tx
 }
 
 // staged returns the working version of t, or nil if the transaction has not
@@ -111,44 +162,47 @@ func (tx *writeTx) stage(t *table) *workTable {
 	if wt := tx.staged(t); wt != nil {
 		return wt
 	}
-	wt := &workTable{t: t, base: tx.snap.tables[t.ord]}
-	if len(t.sec) > 0 {
-		wt.sec = make([]*immap.Editor[uint32], len(t.sec))
+	n := len(tx.work)
+	if n < cap(tx.work) {
+		tx.work = tx.work[:n+1]
+	} else {
+		tx.work = append(tx.work, nil)
 	}
-	tx.work = append(tx.work, wt)
+	wt := tx.work[n]
+	if wt == nil {
+		wt = new(workTable)
+		tx.work[n] = wt
+	}
+	wt.t, wt.base = t, tx.snap.tables[t.ord]
 	return wt
 }
 
 func (wt *workTable) pkEditor() *immap.Editor[relation.Tuple] {
 	if wt.pk == nil {
-		wt.pk = wt.base.pk.Edit()
+		wt.pkEd.Reset(&wt.base.pk)
+		wt.pk = &wt.pkEd
 	}
 	return wt.pk
 }
 
-func (wt *workTable) secEditor(slot int) *immap.Editor[uint32] {
-	if wt.sec[slot] == nil {
-		wt.sec[slot] = wt.base.sec[slot].Edit()
+func (wt *workTable) secEditor() *immap.Editor[uint32] {
+	if wt.sec == nil {
+		wt.secEd.Reset(&wt.base.sec)
+		wt.sec = &wt.secEd
 	}
-	return wt.sec[slot]
+	return wt.sec
 }
 
-// freeze ends the table's editors and returns the version they built; the
-// indexes the transaction never wrote are base's own.
+// freeze ends the table's editors and returns the version they built; an
+// index the transaction never wrote is base's own.
 func (wt *workTable) freeze() *tableVersion {
-	tv := &tableVersion{pk: wt.base.pk, sec: wt.base.sec}
+	tv := new(tableVersion)
+	*tv = *wt.base
 	if wt.pk != nil {
-		tv.pk = wt.pk.Freeze()
+		wt.pk.FreezeInto(&tv.pk)
 	}
-	shared := true
-	for slot, ed := range wt.sec {
-		if ed == nil {
-			continue
-		}
-		if shared {
-			tv.sec, shared = append([]*immap.Map[uint32](nil), wt.base.sec...), false
-		}
-		tv.sec[slot] = ed.Freeze()
+	if wt.sec != nil {
+		wt.sec.FreezeInto(&tv.sec)
 	}
 	return tv
 }
@@ -167,6 +221,16 @@ func (tx *writeTx) pkGet(t *table, key string) (relation.Tuple, bool) {
 	return tx.snap.tables[t.ord].pk.Get(key)
 }
 
+// pkLookup is pkGet for a key still in its scratch buffer; it also returns
+// the key string the index stores the row under, for the caller to stage
+// the row's removal or replacement with.
+func (tx *writeTx) pkLookup(t *table, key []byte) (string, relation.Tuple, bool) {
+	if wt := tx.staged(t); wt != nil && wt.pk != nil {
+		return wt.pk.Lookup(key)
+	}
+	return tx.snap.tables[t.ord].pk.Lookup(key)
+}
+
 // pkHas is pkGet for a probe key still in its scratch buffer.
 func (tx *writeTx) pkHas(t *table, key []byte) bool {
 	var ok bool
@@ -178,15 +242,15 @@ func (tx *writeTx) pkHas(t *table, key []byte) bool {
 	return ok
 }
 
-// carries reports whether any row of t carries the encoded value key in
+// carries reports whether any row of t carries the encoded value val in
 // secondary index slot (staged or pinned, like pkGet).
-func (tx *writeTx) carries(t *table, slot int, key []byte) bool {
-	var n uint32
-	if wt := tx.staged(t); wt != nil && wt.sec[slot] != nil {
-		n, _ = wt.sec[slot].GetBytes(key)
-	} else {
-		n, _ = tx.snap.tables[t.ord].sec[slot].GetBytes(key)
+func (tx *writeTx) carries(t *table, slot int, val []byte) bool {
+	wt := tx.staged(t)
+	if wt == nil || wt.sec == nil {
+		return tx.snap.tables[t.ord].carries(slot, val)
 	}
+	var kb [64]byte
+	n, _ := wt.sec.GetBytes(appendSlot(kb[:0], slot, val))
 	return n > 0
 }
 
@@ -201,7 +265,7 @@ func (tx *writeTx) references(ip *indPlan, key []byte) bool {
 }
 
 // apply stages one tuple insertion into t under its encoded primary key: the
-// pk index and every secondary index the tuple is total on. The published
+// pk index and the count of every secondary slot the tuple is total on. The published
 // snapshot is untouched.
 func (tx *writeTx) apply(t *table, tup relation.Tuple, key string) {
 	wt := tx.stage(t)
@@ -210,8 +274,8 @@ func (tx *writeTx) apply(t *table, tup relation.Tuple, key string) {
 		if !tup.TotalAt(ps) {
 			continue
 		}
-		ek := tup.AppendKeyAt(tx.kb[:0], ps)
-		idx := wt.secEditor(slot)
+		ek := tup.AppendKeyAt(append(tx.kb[:0], byte(slot)), ps)
+		idx := wt.secEditor()
 		if k, n, ok := idx.Lookup(ek); ok {
 			idx.Set(k, n+1)
 		} else {
@@ -230,8 +294,8 @@ func (tx *writeTx) remove(t *table, tup relation.Tuple, key string) {
 		if !tup.TotalAt(ps) {
 			continue
 		}
-		idx := wt.secEditor(slot)
-		switch k, n, _ := idx.Lookup(tup.AppendKeyAt(tx.kb[:0], ps)); {
+		idx := wt.secEditor()
+		switch k, n, _ := idx.Lookup(tup.AppendKeyAt(append(tx.kb[:0], byte(slot)), ps)); {
 		case n > 1:
 			idx.Set(k, n-1)
 		case n == 1:
@@ -348,7 +412,7 @@ func (db *DB) getAt(snap *dbSnapshot, name string, key relation.Tuple) (relation
 	db.countLookup()
 	db.countIdx()
 	db.countSnapRead()
-	db.noteFetch(snap.bind, name)
+	db.noteFetch(snap.bind, t)
 	return tup, ok, nil
 }
 
@@ -404,7 +468,7 @@ func (db *DB) fetchAt(snap *dbSnapshot, name string, key relation.Tuple) (relati
 	db.countLookup()
 	db.countIdx()
 	db.countSnapRead()
-	db.noteFetch(bind, name)
+	db.noteFetch(bind, t)
 	var kb [64]byte
 	tup, ok := snap.tables[t.ord].pk.GetBytes(key.AppendKey(kb[:0]))
 	if !ok {
@@ -427,8 +491,8 @@ func (db *DB) fetchAt(snap *dbSnapshot, name string, key relation.Tuple) (relati
 		tv := snap.tables[ip.right.ord]
 		if ip.KeyBased {
 			rel.Tuple, _ = tv.pk.GetBytes(fk)
-		} else if n, _ := tv.sec[ip.rightSlot].GetBytes(fk); n > 0 {
-			rel.Tuple = firstCarrying(tv.pk, ip.RightPos, fk)
+		} else if tv.carries(ip.rightSlot, fk) {
+			rel.Tuple = firstCarrying(&tv.pk, ip.RightPos, fk)
 		}
 		if rel.Tuple != nil {
 			ip.edge.hits.Add(1)

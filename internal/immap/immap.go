@@ -26,6 +26,16 @@
 // nodes keep a tag no later edit can carry, so the frozen map is as immutable
 // as any other. Map.Set and Map.Delete are the same code with no edit id:
 // nothing is ever owned, everything is copied.
+//
+// A writer that edits again and again keeps its editors and its map
+// headers: Editor.Reset reopens an editor in place on another version, and
+// Editor.FreezeInto stores the version built in a Map the caller owns (a
+// field of a larger value), so neither call allocates. Reset draws a fresh
+// edit id, so nothing the previous edit created is writable by the next.
+//
+// An entry holds its key and value only, no cached hash: the one update
+// that needs a stored key's hash — pushing two keys one level down — hashes
+// it again, so every entry of every version is a word smaller.
 package immap
 
 import (
@@ -51,11 +61,11 @@ type Map[V any] struct {
 	size int
 }
 
-// entry is one key/value pair with its cached hash.
+// entry is one key/value pair. It caches no hash: only merge, pushing two
+// keys one level down, needs the hash of a stored key, and recomputes it.
 type entry[V any] struct {
-	hash uint64
-	key  string
-	val  V
+	key string
+	val V
 }
 
 // node is one trie level: a bitmap-compressed array of entries (leaves) and
@@ -129,6 +139,17 @@ func (m *Map[V]) GetBytes(key []byte) (V, bool) {
 	return zero, false
 }
 
+// Lookup is GetBytes that also returns the key string the map stores the
+// binding under, so a caller that goes on to store or delete under that key
+// hands over that string instead of building a new one from its bytes.
+func (m *Map[V]) Lookup(key []byte) (string, V, bool) {
+	if e := find(&m.root, hashKey(key), key); e != nil {
+		return e.key, e.val, true
+	}
+	var zero V
+	return "", zero, false
+}
+
 // find returns the entry holding key (of hash h) below n, or nil.
 func find[V any, K string | []byte](n *node[V], h uint64, key K) *entry[V] {
 	for shift := uint(0); shift <= maxShift; shift += fanLog {
@@ -190,9 +211,18 @@ type Editor[V any] struct {
 // root node included, which the edit therefore owns from the start, sharing
 // both of its slices with m until it writes them.
 func (m *Map[V]) Edit() *Editor[V] {
-	e := &Editor[V]{m: *m, id: editSeq.Add(1) << 2}
-	e.m.root.own = e.id
+	e := new(Editor[V])
+	e.Reset(m)
 	return e
+}
+
+// Reset (re)opens e on m in place, as Edit does for a new editor, whatever
+// e held before: a writer that keeps its editors from one edit to the next
+// pays for no editor header. The edit gets a fresh id, so no node an earlier
+// edit of e created is writable by this one.
+func (e *Editor[V]) Reset(m *Map[V]) {
+	e.m, e.id = *m, editSeq.Add(1)<<2
+	e.m.root.own = e.id
 }
 
 // Len returns the number of keys in the version under construction.
@@ -204,21 +234,13 @@ func (e *Editor[V]) Get(key string) (V, bool) { return e.m.Get(key) }
 // GetBytes reads the version under construction (see Map.GetBytes).
 func (e *Editor[V]) GetBytes(key []byte) (V, bool) { return e.m.GetBytes(key) }
 
-// Lookup is GetBytes that also returns the key string the map stores the
-// binding under, so a caller rebinding a present key hands Set that string
-// instead of building a new one from its bytes.
-func (e *Editor[V]) Lookup(key []byte) (string, V, bool) {
-	if en := find(&e.m.root, hashKey(key), key); en != nil {
-		return en.key, en.val, true
-	}
-	var zero V
-	return "", zero, false
-}
+// Lookup reads the version under construction (see Map.Lookup).
+func (e *Editor[V]) Lookup(key []byte) (string, V, bool) { return e.m.Lookup(key) }
 
 // Set binds key to val in the version under construction.
 func (e *Editor[V]) Set(key string, val V) {
 	e.live()
-	if _, added := set(&e.m.root, 0, entry[V]{hash: hashKey(key), key: key, val: val}, e.id); added {
+	if _, added := set(&e.m.root, 0, hashKey(key), entry[V]{key: key, val: val}, e.id); added {
 		e.m.size++
 	}
 }
@@ -238,6 +260,14 @@ func (e *Editor[V]) Freeze() *Map[V] {
 	e.live()
 	e.id = 0
 	return &e.m
+}
+
+// FreezeInto ends the edit and stores the version built in *dst, a header
+// the caller owns (a field of a larger value, say), so the edit allocates no
+// header of its own. The editor lets go of the version and may be Reset.
+func (e *Editor[V]) FreezeInto(dst *Map[V]) {
+	e.live()
+	*dst, e.m, e.id = e.m, Map[V]{}, 0
 }
 
 func (e *Editor[V]) live() {
@@ -318,10 +348,10 @@ func (n *node[V]) insertChild(i int, child *node[V]) {
 	n.own |= ownChildren
 }
 
-// set inserts e below n at the given shift under edit id, returning the node
-// that now stands in n's place (n itself if the edit owns it) and whether
-// the key is new (false = replaced).
-func set[V any](n *node[V], shift uint, e entry[V], id uint64) (*node[V], bool) {
+// set inserts e, whose key hashes to h, below n at the given shift under
+// edit id, returning the node that now stands in n's place (n itself if the
+// edit owns it) and whether the key is new (false = replaced).
+func set[V any](n *node[V], shift uint, h uint64, e entry[V], id uint64) (*node[V], bool) {
 	if shift > maxShift {
 		c := n.writable(id)
 		for i := range c.entries {
@@ -333,7 +363,7 @@ func set[V any](n *node[V], shift uint, e entry[V], id uint64) (*node[V], bool) 
 		c.insertEntry(len(c.entries), e)
 		return c, true
 	}
-	bit := uint32(1) << ((e.hash >> shift) & slotMa)
+	bit := uint32(1) << ((h >> shift) & slotMa)
 	switch {
 	case n.entryMap&bit != 0:
 		i := index(n.entryMap, bit)
@@ -343,7 +373,8 @@ func set[V any](n *node[V], shift uint, e entry[V], id uint64) (*node[V], bool) 
 			return c, false
 		}
 		// Two distinct keys in one slot: push both one level down.
-		child := merge(c.entries[i], e, shift+fanLog, id)
+		old := c.entries[i]
+		child := merge(old, hashKey(old.key), e, h, shift+fanLog, id)
 		c.removeEntry(i)
 		c.entryMap &^= bit
 		c.nodeMap |= bit
@@ -351,7 +382,7 @@ func set[V any](n *node[V], shift uint, e entry[V], id uint64) (*node[V], bool) 
 		return c, true
 	case n.nodeMap&bit != 0:
 		i := index(n.nodeMap, bit)
-		child, added := set(n.children[i], shift+fanLog, e, id)
+		child, added := set(n.children[i], shift+fanLog, h, e, id)
 		if child == n.children[i] {
 			return n, added // edited in place below
 		}
@@ -366,17 +397,17 @@ func set[V any](n *node[V], shift uint, e entry[V], id uint64) (*node[V], bool) 
 	}
 }
 
-// merge builds the minimal subtree holding two entries that collided in one
-// slot at the parent level.
-func merge[V any](a, b entry[V], shift uint, id uint64) *node[V] {
+// merge builds the minimal subtree holding two entries, of hashes ah and
+// bh, that collided in one slot at the parent level.
+func merge[V any](a entry[V], ah uint64, b entry[V], bh uint64, shift uint, id uint64) *node[V] {
 	own := id | ownFlags
 	if shift > maxShift {
 		return &node[V]{entries: []entry[V]{a, b}, own: own}
 	}
-	abit := uint32(1) << ((a.hash >> shift) & slotMa)
-	bbit := uint32(1) << ((b.hash >> shift) & slotMa)
+	abit := uint32(1) << ((ah >> shift) & slotMa)
+	bbit := uint32(1) << ((bh >> shift) & slotMa)
 	if abit == bbit {
-		return &node[V]{nodeMap: abit, children: []*node[V]{merge(a, b, shift+fanLog, id)}, own: own}
+		return &node[V]{nodeMap: abit, children: []*node[V]{merge(a, ah, b, bh, shift+fanLog, id)}, own: own}
 	}
 	n := &node[V]{entryMap: abit | bbit, own: own}
 	if index(n.entryMap, abit) == 0 {

@@ -3,6 +3,7 @@ package immap
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"unsafe"
@@ -280,6 +281,71 @@ func TestEditorModel(t *testing.T) {
 	}
 }
 
+// TestEditorReuse runs the engine's writer pattern: one Editor value,
+// Reset on the newest version before every run of updates, frozen into a
+// header of the caller's or dropped, again and again. Reset must draw a
+// fresh edit id each time — otherwise a run would write in place the nodes
+// an earlier run created and published — so every frozen version, checked
+// at the end against what it held, must range to exactly that.
+func TestEditorReuse(t *testing.T) {
+	defer func() { hashMask = ^uint64(0) }()
+	for _, mask := range []uint64{^uint64(0), 1<<10 - 1, 0} {
+		hashMask = mask
+		keys := 2000
+		if mask == 0 {
+			keys = 60
+		}
+		rng := rand.New(rand.NewSource(int64(mask) + 11))
+		var ed Editor[int]
+		versions := []*Map[int]{New[int]()}
+		oracles := []map[string]int{{}}
+		for round := 0; round < 80; round++ {
+			cur, next := versions[len(versions)-1], make(map[string]int)
+			for k, v := range oracles[len(oracles)-1] {
+				next[k] = v
+			}
+			ed.Reset(cur)
+			for i, n := 0, 1+rng.Intn(60); i < n; i++ {
+				key := fmt.Sprintf("k%d", rng.Intn(keys))
+				if rng.Intn(4) == 0 {
+					ed.Delete(key)
+					delete(next, key)
+				} else {
+					ed.Set(key, round*1000+i)
+					next[key] = round*1000 + i
+				}
+			}
+			if rng.Intn(5) == 0 {
+				continue // dropped, as a refused operation's staging is
+			}
+			m := new(Map[int])
+			ed.FreezeInto(m)
+			versions, oracles = append(versions, m), append(oracles, next)
+		}
+		for i, m := range versions {
+			if m.Len() != len(oracles[i]) {
+				t.Fatalf("mask %#x: version %d: Len = %d, held %d", mask, i, m.Len(), len(oracles[i]))
+			}
+			m.Range(func(k string, v int) bool {
+				if want, ok := oracles[i][k]; !ok || want != v {
+					t.Fatalf("mask %#x: version %d ranges %s=%d, it held %d (present %v)", mask, i, k, v, want, ok)
+				}
+				return true
+			})
+		}
+		ed.Reset(versions[0])
+		ed.FreezeInto(new(Map[int]))
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("Set on an editor frozen into a header did not panic")
+				}
+			}()
+			ed.Set("late", 1)
+		}()
+	}
+}
+
 // TestEditorFrozen: a frozen editor refuses updates — its header is the
 // published map's.
 func TestEditorFrozen(t *testing.T) {
@@ -404,7 +470,9 @@ func BenchmarkGet(b *testing.B) {
 // against a map this large still meets nearly every leaf for the first time
 // (node + slice, and the subtree cases above). A batch the size of the map —
 // what a bulk load runs, here the whole map built through one editor — pays
-// 1.3 a key.
+// 1.3 a key. The Sets and the batch also have ceilings in bytes, 1 % above
+// what they allocate: 975 B a Set and 357 B a batched key, since an entry
+// caches no hash (1 025 and 409 B when it did).
 func TestAllocBudget(t *testing.T) {
 	const entries, ops = 1 << 14, 256
 	m := New[int]()
@@ -428,12 +496,12 @@ func TestAllocBudget(t *testing.T) {
 		v, _ := m.GetBytes(long)
 		sink += v
 	})
-	sets := testing.AllocsPerRun(10, func() {
+	sets, setBytes := allocsAndBytes(10, func() {
 		for _, k := range fresh {
 			sink += m.Set(k, 1).Len()
 		}
 	})
-	batch := testing.AllocsPerRun(10, func() {
+	batch, batchBytes := allocsAndBytes(10, func() {
 		ed := m.Edit()
 		for _, k := range fresh {
 			ed.Set(k, 1)
@@ -465,4 +533,22 @@ func TestAllocBudget(t *testing.T) {
 	if load > loadBudget {
 		t.Errorf("one editor loading %d keys allocates %.0f, budget %d", len(all), load, loadBudget)
 	}
+	const setByteBudget, batchByteBudget = 252100, 92300
+	if setBytes > setByteBudget {
+		t.Errorf("%d Sets allocate %.0f B, budget %d B", ops, setBytes, setByteBudget)
+	}
+	if batchBytes > batchByteBudget {
+		t.Errorf("one editor applying %d Sets allocates %.0f B, budget %d B", ops, batchBytes, batchByteBudget)
+	}
+}
+
+// allocsAndBytes is testing.AllocsPerRun that also returns the bytes an
+// average call allocates (the runtime's TotalAlloc over every call, the
+// warm-up call included).
+func allocsAndBytes(runs int, f func()) (allocs, bytes float64) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs = testing.AllocsPerRun(runs, f)
+	runtime.ReadMemStats(&after)
+	return allocs, float64(after.TotalAlloc-before.TotalAlloc) / float64(runs+1)
 }

@@ -32,13 +32,15 @@ func wideRow(k string) relation.Tuple {
 // fixed operations of each kind: a Client with one pooled connection against
 // a loopback Server over an in-memory engine, binary codec. A ping allocates
 // nothing. A fetch of a four-column row allocates the row the caller keeps
-// (the tuple and one block for its strings), the string block of the key
-// the server decodes, and the engine's one allocation (noteFetch). An insert
-// adds to the engine's own write path the tuple handed to it (tuple and
-// string block) and the deadline context a write runs under. Per operation:
-// ping 0, fetch 4, insert 17.7 — at the parent, 16, 28 and 34.7, when both
-// ends derived a context per request, converted every tuple through
-// []WireValue and allocated request, response and task structs per frame.
+// (the tuple and one block for its strings) and the string block of the key
+// the server decodes; the engine's read allocates nothing. An insert adds to
+// the engine's own write path the tuple handed to it (tuple and string
+// block) and the deadline context a write runs under. Per operation: ping 0,
+// fetch 3, insert 13.7 — 0, 4 and 17.7 while the engine boxed the co-access
+// name per read and staged each write in fresh structures; 16, 28 and 34.7
+// when both ends derived a context per request, converted every tuple
+// through []WireValue and allocated request, response and task structs per
+// frame.
 func TestAllocBudget(t *testing.T) {
 	const ops, runs = 64, 4
 	eng, err := engine.Open(wideSchema())
@@ -91,7 +93,7 @@ func TestAllocBudget(t *testing.T) {
 		next += ops
 	})
 
-	const pingBudget, fetchBudget, insertBudget = 0, 256, 1132 // 0, 4 and 17.7 per operation
+	const pingBudget, fetchBudget, insertBudget = 0, 192, 876 // 0, 3 and 13.7 per operation
 	if pings > pingBudget {
 		t.Errorf("%d PingCtx allocate %.0f, budget %d", ops, pings, pingBudget)
 	}

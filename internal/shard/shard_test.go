@@ -817,7 +817,7 @@ func TestAllocBudget(t *testing.T) {
 	if after := r.ProbeStats(); after.RemoteProbes != before.RemoteProbes {
 		t.Fatalf("co-located inserts issued %d remote probes", after.RemoteProbes-before.RemoteProbes)
 	}
-	const budget = 989 // 15.5 per insert (17.5 with a list of rows per indexed value)
+	const budget = 541 // 8.5 per insert (15.5 with per-op staging in the engine, 17.5 with a list of rows per indexed value)
 	if inserts > budget {
 		t.Errorf("%d co-located inserts allocate %.0f, budget %d", ops, inserts, budget)
 	}

@@ -170,8 +170,15 @@ type Log struct {
 	lastSync time.Time
 	crashed  error // non-nil once the log refuses further work
 	fpArmed  bool  // failpoints fire only after Open's recovery completes
-	m        *logMetrics
+	// frame is the buffer Commit frames a group in, kept for the next group
+	// unless it grew past keepFrame.
+	frame []byte
+	m     *logMetrics
 }
+
+// keepFrame is the largest frame buffer Commit keeps for the next group: a
+// bulk load's group is framed once, not pinned for the log's lifetime.
+const keepFrame = 64 << 10
 
 // Open opens (creating if needed) the log directory, replays whatever it
 // holds, and returns the log positioned at a fresh segment plus the Recovery
@@ -215,12 +222,15 @@ func (l *Log) Commit(payloads ...[]byte) (uint64, error) {
 	if l.crashed != nil {
 		return 0, l.crashErr()
 	}
-	var buf []byte
+	buf := l.frame[:0]
 	for _, p := range payloads {
 		l.lsn++
 		buf = appendFrame(buf, l.lsn, p)
 		l.m.appends.Inc()
 		l.m.appendSize.Observe(float64(frameHeader + 8 + len(p)))
+	}
+	if cap(buf) <= keepFrame {
+		l.frame = buf
 	}
 	if len(buf) == 0 {
 		return l.lsn, nil
@@ -382,15 +392,15 @@ func (l *Log) snapshotPath(lsn uint64) string {
 	return filepath.Join(l.dir, fmt.Sprintf("%020d%s", lsn, snapSuffix))
 }
 
-// appendFrame appends one framed record to buf.
+// appendFrame appends one framed record to buf. The body is appended first
+// and checksummed where it lies: a header built in a local array would
+// escape through the CRC call and cost an allocation per record.
 func appendFrame(buf []byte, lsn uint64, payload []byte) []byte {
-	bodyLen := 8 + len(payload)
-	var hdr [frameHeader + 8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(bodyLen))
-	binary.LittleEndian.PutUint64(hdr[8:16], lsn)
-	crc := crc32.ChecksumIEEE(hdr[8:16])
-	crc = crc32.Update(crc, crc32.IEEETable, payload)
-	binary.LittleEndian.PutUint32(hdr[4:8], crc)
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...)
+	start := len(buf)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(8+len(payload)))
+	buf = append(buf, 0, 0, 0, 0) // the CRC, once the body is in place
+	buf = binary.LittleEndian.AppendUint64(buf, lsn)
+	buf = append(buf, payload...)
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(buf[start+frameHeader:]))
+	return buf
 }

@@ -489,7 +489,9 @@ func fileSize(t *testing.T, path string) int64 {
 }
 
 // TestAllocBudget pins what committing one 256-byte payload allocates under
-// SyncNever, as a total over 64 commits into one segment (3 per commit).
+// SyncNever, as a total over 64 commits into one segment: nothing, since
+// Commit frames into the log's kept buffer and checksums the body where it
+// lies (3 per commit when it built a fresh frame around a header array).
 func TestAllocBudget(t *testing.T) {
 	l, _, err := Open(t.TempDir(), Options{Policy: SyncNever})
 	if err != nil {
@@ -504,8 +506,38 @@ func TestAllocBudget(t *testing.T) {
 			}
 		}
 	})
-	const budget = 192
+	const budget = 0
 	if commits > budget {
 		t.Errorf("64 Commits allocate %.0f, budget %d", commits, budget)
+	}
+}
+
+// TestFrameBufferCap: Commit keeps its frame buffer for the next group only
+// up to keepFrame, so a bulk load's record is not pinned for the log's
+// lifetime, and a group that fits reuses it.
+func TestFrameBufferCap(t *testing.T) {
+	l, _, err := Open(t.TempDir(), Options{Policy: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if _, err := l.Commit(make([]byte, 256)); err != nil {
+		t.Fatal(err)
+	}
+	small := cap(l.frame)
+	if small == 0 {
+		t.Fatal("a small group's frame buffer is not kept")
+	}
+	if _, err := l.Commit(make([]byte, 4*keepFrame)); err != nil {
+		t.Fatal(err)
+	}
+	if c := cap(l.frame); c > keepFrame {
+		t.Errorf("after a %d B record the log keeps a %d B frame buffer, cap %d", 4*keepFrame, c, keepFrame)
+	}
+	if _, err := l.Commit(make([]byte, 256)); err != nil {
+		t.Fatal(err)
+	}
+	if c := cap(l.frame); c != small {
+		t.Errorf("a small group after the bulk one framed into %d B, not the kept %d B", c, small)
 	}
 }
